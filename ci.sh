@@ -35,8 +35,9 @@ step cargo test -q --offline
 # executes them; this re-run costs ~2s).
 step cargo test -q --offline --test sim_determinism --test sim_faults
 step cargo bench --offline --no-run
-# Checker-throughput smoke: run the brute-vs-memo-vs-parallel scaling bench
-# in quick mode and persist its JSON so the bench trajectory
+# Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
+# `ra_search` facade series, facade_witness/facade_refute) in quick mode
+# and persist its JSON so the bench trajectory
 # (BENCH_checker_scaling.json) tracks checker throughput per commit. The
 # bench asserts every outcome (witness/refutation/budget), so a checker
 # regression fails this step outright.
@@ -60,6 +61,12 @@ step cargo bench --offline --bench runtime_throughput -- --quick --save "$PWD/BE
 # live configs pin the O(window) retention claim per commit via
 # BENCH_monitor_streaming.json.
 step cargo bench --offline --bench monitor_streaming -- --quick --save "$PWD/BENCH_monitor_streaming.json"
+# End-to-end pipeline smoke: the `pipeline` benchmark package's own tests
+# (it lives outside the workspace, so the plain test run above does not
+# reach it). Its smoke test runs every workload in `--quick` mode, traced
+# and untraced, requires every metric BENCHMARK.json names with a correct
+# result line, and holds that declaration equal to the runner's tables.
+step cargo test --offline --release --manifest-path pipeline_bench/Cargo.toml
 # Observability smoke: the traced multi_mix + sharded-search example with
 # recording on. The example itself validates both JSON artifacts with the
 # strict ral-obs parser before writing them, so a malformed trace fails
@@ -82,4 +89,4 @@ step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --
 step cargo run --offline --release -p ral-analyze -- --report "$PWD/ANALYZE_report.json"
 
 echo
-echo "CI green: fmt, clippy, docs, build, examples, tests, benches, fuzz smoke, analyze gate all pass offline."
+echo "CI green: fmt, clippy, docs, build, examples, tests, benches, pipeline smoke, fuzz smoke, analyze gate all pass offline."

@@ -1,26 +1,39 @@
-//! Ablation A1 — checker scaling: three complete engines (naive brute
-//! force, memoized, memoized-parallel) against each other and against the
-//! constructive execution-order witness of Theorem 4.4.
+//! Ablation A1 — checker scaling: the two complete engines (naive brute
+//! force, memoized) against each other and against the constructive
+//! execution-order witness of Theorem 4.4, plus the `ra_search` facade —
+//! the path users hit — on split-brain histories.
 //!
 //! The naive decision procedure blows up factorially with the number of
 //! concurrent operations; the memoized engine collapses permutations into
 //! placed-set configurations (exponential, but in a far smaller base) and
 //! decides histories the naive search cannot touch within any practical
 //! node budget; the guided check is near-linear. The `*_refute` groups are
-//! where the gap matters: refutations must exhaust the whole search space.
+//! where the gap matters: refutations must exhaust the whole search space,
+//! while a witness (`memo_search`, `facade_witness`) costs about one
+//! expansion per operation.
 //!
 //! Run with `cargo bench -p ral-bench --bench checker_scaling`.
 
 use ral_bench::{bench_group, bench_main, BenchmarkId, Criterion};
 use ral_core::history::{rewrite_history, History};
+use ral_core::label::Identity;
 use ral_core::ralin::{
-    check_guided, search_brute, search_brute_with_budget, search_with_threads, SearchOutcome,
-    Strategy,
+    check_guided, ra_search_with_budget, search_brute, search_brute_with_budget,
+    search_with_threads, SearchOutcome, Strategy,
 };
+use ral_core::rng::Rng;
+use ral_crdts::op::counter::OpCounter;
 use ral_crdts::op::or_set::{OrSet, OrSetLabel, OrSetRewrite};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{drive_op_based, ScheduleConfig};
+use ral_sim::driver::{Driver, OpDriver};
+use ral_sim::fault::PartitionWindow;
+use ral_sim::network::Latency;
+use ral_sim::time::SimTime;
+use ral_sim::{scenario, sim};
+use ral_spec::counter::{CounterOp, CounterSpec};
 use ral_spec::set::OrSetSpec;
+use ral_verify::workloads;
 use std::hint::black_box;
 
 /// Builds an OR-Set history with roughly `steps` scheduler steps.
@@ -111,7 +124,6 @@ fn memo_scaling(c: &mut Criterion) {
 fn brute_refutation_scaling(c: &mut Criterion) {
     use ral_core::history::{History, OpRecord};
     use ral_core::ids::ReplicaId;
-    use ral_spec::counter::{CounterOp, CounterSpec};
 
     fn impossible_history(concurrent_incs: usize) -> History<CounterOp> {
         let mut h = History::new();
@@ -156,26 +168,11 @@ fn brute_refutation_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // The same refutations with the branch-parallel walk (all cores).
-    let mut group = c.benchmark_group("memo_refute_parallel");
-    group.sample_size(10);
-    for n in [12usize, 16] {
-        let h = impossible_history(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &h, |b, h| {
-            b.iter(|| {
-                let outcome = search_with_threads(h, &CounterSpec, u64::MAX, 0);
-                assert!(outcome.is_refuted());
-                black_box(outcome)
-            })
-        });
-    }
-    group.finish();
-
     // Budget parity at 16 concurrent ops: within the same 1M-node budget
     // the naive engine cannot decide (16! ≈ 2·10¹³ permutations — its
     // measured time below is spent burning the budget and giving up)
     // while the memoized engine refutes outright. At the largest size both
-    // engines can decide (n = 8, above), the memoized engine is ~25×
+    // engines can decide (n = 8, above), the memoized engine is ~95×
     // faster; from n = 9 on, only it finishes at all.
     let mut group = c.benchmark_group("refute_budget_1m");
     group.sample_size(10);
@@ -210,15 +207,84 @@ fn brute_refutation_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// A counter history recorded on `split_brain_heal`'s six replicas with one
+/// 3|3 split over the middle third of `duration` ticks and metronome
+/// clients (one invocation per replica every 40 ticks): both sides keep
+/// writing, so the split holds `duration / 120` operations per replica
+/// concurrent with the other side's.
+fn split_counter_history(duration: u64) -> History<CounterOp> {
+    let mut cfg = scenario::split_brain_heal().cfg;
+    cfg.duration = SimTime(duration);
+    cfg.invoke_every = Latency::fixed(40);
+    cfg.faults.partitions = vec![PartitionWindow::new(
+        SimTime(duration / 3),
+        SimTime(2 * duration / 3),
+        vec![0, 0, 0, 1, 1, 1],
+    )];
+    let mut driver = OpDriver::new(OpCounter, cfg.n_replicas, |rng: &mut Rng, _, _| {
+        Some(workloads::counter(rng))
+    });
+    sim::run(&mut driver, &cfg, 7);
+    assert!(driver.converged());
+    driver.into_cluster().into_history()
+}
+
+/// The `ra_search_with_budget` facade — rewrite, then the complete search
+/// — on 3|3-split counter histories: as recorded (`facade_witness`, the
+/// case nearly every user call is) and with the last read's value made
+/// impossible (`facade_refute`, which must visit every configuration).
+fn facade_scaling(c: &mut Criterion) {
+    const BUDGET: u64 = 2_000_000;
+    let histories: Vec<History<CounterOp>> = [300, 600, 1_200].map(split_counter_history).into();
+
+    let mut group = c.benchmark_group("facade_witness");
+    group.sample_size(10);
+    for h in &histories {
+        group.bench_with_input(BenchmarkId::from_parameter(h.len()), h, |b, h| {
+            b.iter(|| {
+                let outcome = ra_search_with_budget(h, &Identity, &CounterSpec, BUDGET);
+                assert!(outcome.is_linearizable());
+                black_box(outcome)
+            })
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("facade_refute");
+    group.sample_size(10);
+    for h in histories {
+        let n = h.len();
+        let last_read = (0..n)
+            .rev()
+            .find(|&i| matches!(h.label(i), CounterOp::Read(_)))
+            .expect("the history has a read");
+        let mut i = 0;
+        let tampered = h.map(|l| {
+            i += 1;
+            match l {
+                CounterOp::Read(v) if i - 1 == last_read => CounterOp::Read(v + 1),
+                l => l,
+            }
+        });
+        group.bench_with_input(BenchmarkId::from_parameter(n), &tampered, |b, h| {
+            b.iter(|| {
+                let outcome = ra_search_with_budget(h, &Identity, &CounterSpec, BUDGET);
+                assert!(outcome.is_refuted());
+                black_box(outcome)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Observability overhead on the `memo_refute` workload: recording off
 /// (the production default — one relaxed atomic load per instrumentation
-/// point) vs recording on (full per-branch stats emission). "off" should
+/// point) vs recording on (full stats emission). "off" should
 /// be indistinguishable from the pre-instrumentation engine; "on" prices
 /// what `RAL_OBS=1` costs.
 fn obs_overhead(c: &mut Criterion) {
     use ral_core::history::OpRecord;
     use ral_core::ids::ReplicaId;
-    use ral_spec::counter::{CounterOp, CounterSpec};
 
     fn impossible_history(concurrent_incs: usize) -> History<CounterOp> {
         let mut h = History::new();
@@ -260,7 +326,6 @@ fn obs_overhead(c: &mut Criterion) {
 /// Ablation A4 — nondeterministic specifications: the generic frontier
 /// checker vs the polynomial constraint-graph validator on Wooki.
 fn wooki_checker_scaling(c: &mut Criterion) {
-    use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
     use ral_crdts::op::wooki::{Wooki, WookiCall};
     use ral_spec::wooki::{WookiAnchor, WookiSpec};
@@ -340,6 +405,7 @@ bench_group!(
     brute_scaling,
     memo_scaling,
     brute_refutation_scaling,
+    facade_scaling,
     obs_overhead,
     wooki_checker_scaling
 );

@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | `RAL_PROP_SEED` | [`prop_seed`] | unset | replay exactly one property case with this seed |
 //! | `RAL_PROP_CASES` | [`prop_cases`] | per-suite | run this many property cases |
-//! | `RAL_CHECK_THREADS` | [`check_threads`] | `0` (auto) | thread count for the parallel RA-lin search |
+//! | `RAL_CHECK_THREADS` | [`check_threads`] | `0` (auto) | size of the sharded RA-lin search's shard pool |
 //! | `RAL_RUNTIME_THREADS` | [`runtime_threads`] | `0` (sequential) | worker threads for the sharded replication runtime |
 //! | `RAL_BENCH_QUICK` | [`bench_quick`] | unset | bench harness quick mode (shorter samples) |
 //! | `RAL_BENCH_JSON` | [`bench_json`] | unset | bench harness JSON output path |
@@ -91,9 +91,11 @@ pub(crate) fn threads_from(name: &str, raw: Option<String>) -> usize {
     }
 }
 
-/// `RAL_CHECK_THREADS` — thread count for the parallel RA-linearization
-/// search. `0` or unset means automatic (sequential for small histories,
-/// all available cores above the parallel threshold).
+/// `RAL_CHECK_THREADS` — size of the pool the sharded RA-linearization
+/// search spreads its per-object shards over (each shard, like the
+/// monolithic search, is one sequential walk). `0` or unset means
+/// automatic (sequential for small histories, all available cores above
+/// the parallel threshold).
 ///
 /// # Panics
 ///

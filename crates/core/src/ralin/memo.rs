@@ -1,5 +1,6 @@
-//! Memoized, parallel RA-linearizability search — the default complete
-//! decision procedure behind [`super::search`] / [`super::ra_search`].
+//! Memoized depth-first RA-linearizability search — the complete batch
+//! decision procedure behind [`super::search`], [`super::ra_search`] and
+//! every shard of [`super::search_sharded`].
 //!
 //! The naive search ([`super::search_brute`]) enumerates *permutations*: two
 //! interleavings that place the same operations in different orders are
@@ -33,36 +34,34 @@
 //! ever justify it, and the whole branch is abandoned without waiting for
 //! the query to be placed.
 //!
-//! # Parallelism and determinism
+//! # One walk, one table
 //!
-//! The top of the DAG — one branch per operation that can be placed first
-//! — is distributed over a dependency-free `std::thread` pool, controlled
-//! by the `RAL_CHECK_THREADS` environment variable (unset or `0`: one
-//! thread for small histories, all available cores otherwise; `1` forces
-//! sequential). Each branch runs an independent sequential walk with its
-//! own memo table and its own deterministic share of the node budget, and
-//! the branch results are combined in branch order, so the outcome — and,
-//! for witnesses, the returned order — is **bit-identical for every
-//! thread count**, including 1. Whenever no branch exhausts its budget
-//! share (in particular for unbudgeted searches), the returned witness is
-//! the lexicographically minimal valid linearization; under a binding
-//! budget an earlier branch may run out before reaching its smaller
-//! witness, in which case the (still deterministic) witness of a later
-//! branch is reported. Once some branch finds a witness, branches with
-//! *higher* first operations (whose witnesses could not be smaller) are
-//! cancelled; lower branches always run to completion, preserving
-//! determinism.
+//! The search is a single sequential depth-first walk from the empty
+//! configuration, always trying the smallest enabled operation first, with
+//! **one** failed-configuration table for the whole history — a failure
+//! learnt under one first operation prunes the same configuration under
+//! every other. Two consequences:
+//!
+//! * a history that linearizes without backtracking costs `n` expansions
+//!   (one per prefix of the witness), and the first witness the walk
+//!   reaches is the lexicographically minimal valid linearization — the
+//!   one [`super::search_brute`] returns;
+//! * a refutation expands every distinct reachable configuration exactly
+//!   once.
+//!
+//! The walk is deterministic, so outcomes, witnesses and every exploration
+//! counter of [`SearchStats`] repeat exactly. `RAL_CHECK_THREADS` does not
+//! reach this engine: it sizes the pool [`super::sharded`] spreads
+//! independent per-object shards over, each shard being one such walk.
 //!
 //! # Budget semantics
 //!
-//! `budget` bounds the total number of *expanded* configurations — memo
-//! hits, infeasible placements, and completed orders are free: 1 for the
-//! root, the rest split evenly across the top-level branches (earlier
-//! branches receive the remainder), so exhaustion is as deterministic as
-//! everything else. A found witness is reported even if other branches
-//! exhausted their share. This differs from the naive engine's single
-//! global DFS counter — compare node budgets across engines only
-//! qualitatively.
+//! `budget` bounds the number of *expanded* configurations with one global
+//! counter — table hits, infeasible placements and completed orders are
+//! free. A witness found within the budget is reported; otherwise running
+//! out yields [`SearchOutcome::BudgetExhausted`]. The naive engine counts
+//! permutation-tree nodes instead, so compare node budgets across engines
+//! only qualitatively.
 
 use super::check::check_linearization;
 use super::{monitor, Linearization, SearchOutcome};
@@ -71,33 +70,24 @@ use crate::label::SpecLabel;
 use crate::spec::{Frontier, Spec};
 use ral_obs as obs;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// Histories smaller than this stay sequential under automatic thread
-/// selection: the search finishes faster than threads spawn.
-const PARALLEL_MIN_OPS: usize = 16;
-
-/// Hard cap on memo entries per branch. Beyond it the walk keeps running
+/// Hard cap on memo entries. Beyond it the walk keeps running
 /// (still sound, still complete) but stops recording new failed
 /// configurations, bounding memory on adversarial inputs.
 const MEMO_CAP: usize = 1 << 20;
-
-/// How often (in explored nodes) a branch polls the cancellation cutoff.
-const CANCEL_POLL_MASK: u64 = 0xFF;
 
 /// Diagnostic counters of one complete search, returned by the `_stats`
 /// entry points ([`search_with_threads_stats`],
 /// [`super::ra_search_with_stats`], [`super::ra_search_sharded_with_stats`]).
 ///
-/// The counts describe *work done*, not the verdict: for **refuting** runs
-/// every top-level branch is explored to completion, so the exploration
-/// counters (`nodes_expanded`, `memo_hits`, the prune breakdown) are
-/// deterministic for every thread count; for runs that find a witness,
-/// branch cancellation makes them depend on scheduling. The `*_nanos`
-/// fields are wall-clock measurements and never deterministic. None of
-/// this feeds back into the search — verdicts and witnesses are
-/// bit-identical whether or not anyone looks at the stats.
+/// The counts describe *work done*, not the verdict. Every walk is
+/// sequential and the shard pool runs every shard to completion, so the
+/// exploration counters (`nodes_expanded`, `memo_hits`, the prune
+/// breakdown) are deterministic for witnesses and refutations alike, at
+/// every thread count. The `*_nanos` fields are wall-clock measurements
+/// and never deterministic. None of this feeds back into the search —
+/// verdicts and witnesses are bit-identical whether or not anyone looks at
+/// the stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Configurations expanded (budget charged); memo hits and infeasible
@@ -106,7 +96,8 @@ pub struct SearchStats {
     /// Configurations skipped because an equal, fully-explored failure was
     /// memoized.
     pub memo_hits: u64,
-    /// Failed configurations recorded across all memo tables.
+    /// Failed configurations recorded (summed over shards by the sharded
+    /// engine).
     pub memo_entries: u64,
     /// Placements rejected because the update projection's frontier died
     /// (condition (ii) of Definition 3.5).
@@ -118,24 +109,18 @@ pub struct SearchStats {
     /// justification frontier died before the query was placed — the cut
     /// the naive engine lacks.
     pub prune_dead_pending_query: u64,
-    /// Top-level branches actually run (one per feasible first placement).
-    pub branches: u64,
-    /// Branches that ran out of their budget share.
-    pub branches_exhausted: u64,
-    /// Branches cancelled by a lower branch's witness.
-    pub branches_cancelled: u64,
     /// Shards searched (sharded engine only; `0` for the monolithic one).
     pub shards: u64,
     /// Whether the sharded engine fell back to the whole-history search
     /// (the Figure 10 regime).
     pub fallback: bool,
-    /// Wall-clock nanoseconds summed over branch/shard walks — the "area"
-    /// of the search; `busy_nanos / elapsed_nanos` approximates pool
-    /// utilization.
+    /// Wall-clock nanoseconds summed over walks — the "area" of a sharded
+    /// search; `busy_nanos / elapsed_nanos` approximates pool utilization.
     pub busy_nanos: u64,
     /// Wall-clock nanoseconds from entry to verdict.
     pub elapsed_nanos: u64,
-    /// Worker threads the search ran on.
+    /// Worker threads the search ran on (`1` for a single walk; the pool
+    /// size for a sharded search).
     pub threads: u64,
 }
 
@@ -170,9 +155,6 @@ impl SearchStats {
         self.prune_frontier_death += other.prune_frontier_death;
         self.prune_query_unjustified += other.prune_query_unjustified;
         self.prune_dead_pending_query += other.prune_dead_pending_query;
-        self.branches += other.branches;
-        self.branches_exhausted += other.branches_exhausted;
-        self.branches_cancelled += other.branches_cancelled;
         self.shards += other.shards;
         self.fallback |= other.fallback;
         self.busy_nanos += other.busy_nanos;
@@ -181,9 +163,9 @@ impl SearchStats {
     }
 }
 
-/// Reports a finished search to the observability sink (one relaxed load
+/// Reports a finished walk to the observability sink (one relaxed load
 /// when disabled). Counter names are mapped in `docs/PAPER_MAP.md`.
-pub(crate) fn emit_obs(stats: &SearchStats) {
+fn emit_obs(stats: &SearchStats) {
     if !obs::enabled() {
         return;
     }
@@ -199,37 +181,10 @@ pub(crate) fn emit_obs(stats: &SearchStats) {
         "ralin.prune.dead_pending_query",
         stats.prune_dead_pending_query,
     );
-    obs::counter("ralin.branches", stats.branches);
-    obs::counter("ralin.branches_exhausted", stats.branches_exhausted);
-    obs::counter("ralin.branches_cancelled", stats.branches_cancelled);
-    obs::observe("ralin.busy_nanos", stats.busy_nanos);
     obs::observe("ralin.elapsed_nanos", stats.elapsed_nanos);
-    obs::observe("ralin.threads", stats.threads);
 }
 
-// Parsing lives in the central env module so the determinism lint can
-// enforce that no other code reads the process environment.
-pub(crate) use crate::env::check_threads as env_threads;
-#[cfg(test)]
-pub(crate) use crate::env::threads_from;
-
-/// Resolves a requested thread count against history size and branch
-/// count. `0` = automatic: sequential below [`PARALLEL_MIN_OPS`], all
-/// available cores above.
-pub(crate) fn effective_threads(requested: usize, n_ops: usize, branches: usize) -> usize {
-    let t = if requested == 0 {
-        if n_ops < PARALLEL_MIN_OPS {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |v| v.get())
-        }
-    } else {
-        requested
-    };
-    t.clamp(1, branches.max(1))
-}
-
-/// Immutable per-history search structure, shared by every branch.
+/// Immutable per-history search structure.
 struct Shape {
     n: usize,
     /// Mask width in 64-bit words.
@@ -305,7 +260,7 @@ struct PlacementUndo {
     pushed_frontier: bool,
 }
 
-/// One branch's sequential memoized walk.
+/// The sequential memoized walk over one history.
 struct Walk<'a, S: Spec> {
     h: &'a History<S::Label>,
     shape: &'a Shape,
@@ -330,10 +285,6 @@ struct Walk<'a, S: Spec> {
     prune_frontier_death: u64,
     prune_query_unjustified: u64,
     prune_dead_pending_query: u64,
-    /// `(cutoff, own_branch)`: abort when `cutoff < own_branch` — a lower
-    /// branch already found a witness that supersedes anything here.
-    cancel: Option<(&'a AtomicUsize, usize)>,
-    cancelled: bool,
 }
 
 impl<'a, S: Spec> Walk<'a, S> {
@@ -360,8 +311,6 @@ impl<'a, S: Spec> Walk<'a, S> {
             prune_frontier_death: 0,
             prune_query_unjustified: 0,
             prune_dead_pending_query: 0,
-            cancel: None,
-            cancelled: false,
         }
     }
 
@@ -535,8 +484,8 @@ impl<'a, S: Spec> Walk<'a, S> {
         self.placed[x] = false;
     }
 
-    fn dfs(&mut self, depth: usize) -> Option<Vec<usize>> {
-        if depth == self.shape.n {
+    fn dfs(&mut self) -> Option<Vec<usize>> {
+        if self.order.len() == self.shape.n {
             return Some(self.order.clone());
         }
         let key = self.config_hash();
@@ -552,26 +501,18 @@ impl<'a, S: Spec> Walk<'a, S> {
         }
         self.budget -= 1;
         self.nodes += 1;
-        if self.nodes & CANCEL_POLL_MASK == 0 {
-            if let Some((cutoff, own)) = self.cancel {
-                if cutoff.load(Ordering::Relaxed) < own {
-                    self.cancelled = true;
-                    return None;
-                }
-            }
-        }
         let mut fully_explored = true;
         for x in 0..self.shape.n {
             if self.placed[x] || self.missing[x] != 0 {
                 continue;
             }
             let (undo, feasible) = self.place(x);
-            let res = if feasible { self.dfs(depth + 1) } else { None };
+            let res = if feasible { self.dfs() } else { None };
             self.unplace(x, undo, feasible);
             if res.is_some() {
                 return res;
             }
-            if self.exhausted || self.cancelled {
+            if self.exhausted {
                 fully_explored = false;
                 break;
             }
@@ -583,88 +524,9 @@ impl<'a, S: Spec> Walk<'a, S> {
     }
 }
 
-/// Outcome of one top-level branch.
-enum BranchOutcome {
-    Witness(Vec<usize>),
-    Refuted,
-    Exhausted,
-    /// Cancelled by a lower branch's witness; never consulted by the
-    /// combiner (the lower witness wins first).
-    Cancelled,
-}
-
-/// Searches the branch whose first placed operation is `root`.
-fn run_branch<S: Spec>(
-    h: &History<S::Label>,
-    spec: &S,
-    shape: &Shape,
-    root: usize,
-    budget: u64,
-    cancel: Option<(&AtomicUsize, usize)>,
-) -> (BranchOutcome, SearchStats) {
-    let t0 = obs::wallclock::now_nanos();
-    let mut w = Walk::new(h, spec, shape, budget);
-    w.cancel = cancel;
-    let (_, feasible) = w.place(root);
-    let out = if !feasible {
-        // No completion can start with `root`; charging nothing mirrors
-        // the naive engine, which rejects infeasible placements in the
-        // parent node.
-        BranchOutcome::Refuted
-    } else {
-        match w.dfs(1) {
-            Some(order) => BranchOutcome::Witness(order),
-            None if w.cancelled => BranchOutcome::Cancelled,
-            None if w.exhausted => BranchOutcome::Exhausted,
-            None => BranchOutcome::Refuted,
-        }
-    };
-    let stats = SearchStats {
-        nodes_expanded: w.nodes,
-        memo_hits: w.memo_hits,
-        memo_entries: w.memo_entries as u64,
-        prune_frontier_death: w.prune_frontier_death,
-        prune_query_unjustified: w.prune_query_unjustified,
-        prune_dead_pending_query: w.prune_dead_pending_query,
-        branches: 1,
-        branches_exhausted: u64::from(w.exhausted),
-        branches_cancelled: u64::from(w.cancelled),
-        busy_nanos: obs::wallclock::now_nanos().saturating_sub(t0),
-        ..SearchStats::default()
-    };
-    (out, stats)
-}
-
-/// Runs `jobs` closures on `threads` workers pulling branch indices from a
-/// shared counter (idle workers steal whatever branch is next).
-pub(crate) fn run_pool<T: Send, F: Fn(usize) -> T + Sync>(
-    threads: usize,
-    jobs: usize,
-    f: F,
-) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let out = f(i);
-                *slots[i].lock().expect("result slot") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("branch result"))
-        .collect()
-}
-
-/// Memoized search with an explicit thread count (`0` = automatic, as for
-/// `RAL_CHECK_THREADS`). The outcome is bit-identical for every thread
-/// count; see the module docs for the budget semantics.
+/// Memoized search with the sharded engine's calling convention. The
+/// monolithic walk is sequential, so `threads` is accepted and ignored:
+/// the outcome is the same for every value.
 pub fn search_with_threads<S>(
     h: &History<S::Label>,
     spec: &S,
@@ -680,13 +542,12 @@ where
 
 /// [`search_with_threads`], also returning the [`SearchStats`] of the run.
 /// The outcome component is identical to the plain entry point's; the
-/// stats are diagnostic only (see [`SearchStats`] for what is and is not
-/// deterministic about them).
+/// stats are diagnostic only.
 pub fn search_with_threads_stats<S>(
     h: &History<S::Label>,
     spec: &S,
     budget: u64,
-    threads: usize,
+    _threads: usize,
 ) -> (SearchOutcome, SearchStats)
 where
     S: Spec + Sync,
@@ -694,76 +555,22 @@ where
 {
     let t0 = obs::wallclock::now_nanos();
     let _span = obs::span("ralin.search");
-    let n = h.len();
-    if n == 0 {
-        let lin = SearchOutcome::Linearizable(Linearization { order: Vec::new() });
-        return (lin, SearchStats::default());
-    }
-    if budget == 0 {
-        return (SearchOutcome::BudgetExhausted, SearchStats::default());
-    }
     let shape = Shape::of(h);
-    let roots: Vec<usize> = (0..n).filter(|&i| h.preds(i).is_empty()).collect();
-    debug_assert!(!roots.is_empty(), "non-empty acyclic history has a minimum");
-    let k = roots.len() as u64;
-    let remaining = budget - 1; // the root configuration itself
-    let share = |i: usize| remaining / k + u64::from((i as u64) < remaining % k);
-
-    let threads = effective_threads(threads, n, roots.len());
-    let mut stats = SearchStats::default();
-    let mut saw_exhausted = false;
-    let witness = if threads <= 1 {
-        // Sequential: branches in order, stopping at the first witness
-        // (later branches cannot hold a smaller one).
-        let mut found = None;
-        for (i, &root) in roots.iter().enumerate() {
-            let (out, branch_stats) = run_branch(h, spec, &shape, root, share(i), None);
-            stats.merge(&branch_stats);
-            match out {
-                BranchOutcome::Witness(order) => {
-                    found = Some(order);
-                    break;
-                }
-                BranchOutcome::Exhausted => saw_exhausted = true,
-                BranchOutcome::Refuted | BranchOutcome::Cancelled => {}
-            }
-        }
-        found
-    } else {
-        let cutoff = AtomicUsize::new(usize::MAX);
-        let results = run_pool(threads, roots.len(), |i| {
-            if cutoff.load(Ordering::Relaxed) < i {
-                return (
-                    BranchOutcome::Cancelled,
-                    SearchStats {
-                        branches: 1,
-                        branches_cancelled: 1,
-                        ..SearchStats::default()
-                    },
-                );
-            }
-            let res = run_branch(h, spec, &shape, roots[i], share(i), Some((&cutoff, i)));
-            if matches!(res.0, BranchOutcome::Witness(_)) {
-                cutoff.fetch_min(i, Ordering::Relaxed);
-            }
-            res
-        });
-        let mut found = None;
-        for (out, branch_stats) in results {
-            stats.merge(&branch_stats);
-            if found.is_some() {
-                continue; // keep folding stats; the witness is settled
-            }
-            match out {
-                BranchOutcome::Witness(order) => found = Some(order),
-                BranchOutcome::Exhausted => saw_exhausted = true,
-                BranchOutcome::Refuted | BranchOutcome::Cancelled => {}
-            }
-        }
-        found
+    let mut w = Walk::new(h, spec, &shape, budget);
+    let witness = w.dfs();
+    let elapsed = obs::wallclock::now_nanos().saturating_sub(t0);
+    let stats = SearchStats {
+        nodes_expanded: w.nodes,
+        memo_hits: w.memo_hits,
+        memo_entries: w.memo_entries as u64,
+        prune_frontier_death: w.prune_frontier_death,
+        prune_query_unjustified: w.prune_query_unjustified,
+        prune_dead_pending_query: w.prune_dead_pending_query,
+        busy_nanos: elapsed,
+        elapsed_nanos: elapsed,
+        threads: 1,
+        ..SearchStats::default()
     };
-    stats.threads = threads as u64;
-    stats.elapsed_nanos = obs::wallclock::now_nanos().saturating_sub(t0);
     emit_obs(&stats);
 
     let outcome = match witness {
@@ -775,7 +582,7 @@ where
             );
             SearchOutcome::Linearizable(Linearization { order })
         }
-        None if saw_exhausted => SearchOutcome::BudgetExhausted,
+        None if w.exhausted => SearchOutcome::BudgetExhausted,
         None => SearchOutcome::NotLinearizable,
     };
     (outcome, stats)
@@ -784,9 +591,8 @@ where
 /// Searches for an RA-linearization of `h` w.r.t. `spec` without a budget.
 /// The history must be query-update free.
 ///
-/// This is the memoized engine (see the module docs); thread count comes
-/// from `RAL_CHECK_THREADS`. Use [`super::search_brute`] to force the
-/// naive seed-era enumeration.
+/// This is the memoized engine (see the module docs). Use
+/// [`super::search_brute`] to force the naive seed-era enumeration.
 pub fn search<S>(h: &History<S::Label>, spec: &S) -> SearchOutcome
 where
     S: Spec + Sync,
@@ -795,15 +601,14 @@ where
     search_with_budget(h, spec, u64::MAX)
 }
 
-/// Memoized search visiting at most `budget` configurations (split
-/// deterministically across top-level branches; see the module docs).
-/// Thread count comes from `RAL_CHECK_THREADS`.
+/// Memoized search expanding at most `budget` configurations (one global
+/// counter; see the module docs).
 pub fn search_with_budget<S>(h: &History<S::Label>, spec: &S, budget: u64) -> SearchOutcome
 where
     S: Spec + Sync,
     S::Label: Sync,
 {
-    search_with_threads(h, spec, budget, env_threads())
+    search_with_threads(h, spec, budget, 1)
 }
 
 #[cfg(test)]
@@ -914,13 +719,16 @@ mod tests {
             h.push(OpRecord::new(L::Read(1), r(0)), [a]);
             h
         }] {
-            let seq = search_with_threads(&h, &CtrSpec, u64::MAX, 1);
-            for threads in [2, 3, 8] {
+            let seq = search_with_threads_stats(&h, &CtrSpec, u64::MAX, 1);
+            for threads in [0, 2, 3, 8] {
+                let other = search_with_threads_stats(&h, &CtrSpec, u64::MAX, threads);
+                assert_eq!(seq.0, other.0, "outcome must not depend on thread count");
                 assert_eq!(
-                    seq,
-                    search_with_threads(&h, &CtrSpec, u64::MAX, threads),
-                    "outcome must not depend on thread count"
+                    (seq.1.nodes_expanded, seq.1.memo_hits),
+                    (other.1.nodes_expanded, other.1.memo_hits),
+                    "one sequential walk whatever is requested"
                 );
+                assert_eq!(other.1.threads, 1);
             }
         }
     }
@@ -928,21 +736,46 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported_deterministically() {
         let h = impossible(10);
-        // Too small to finish: every thread count must agree.
-        let tiny = search_with_threads(&h, &CtrSpec, 50, 1);
-        assert_eq!(tiny, SearchOutcome::BudgetExhausted);
-        for threads in [2, 4] {
-            assert_eq!(tiny, search_with_threads(&h, &CtrSpec, 50, threads));
+        // Too small to finish: the one global counter stops the walk after
+        // exactly `budget` expansions, at every requested thread count.
+        for threads in [1, 2, 4] {
+            let (tiny, stats) = search_with_threads_stats(&h, &CtrSpec, 50, threads);
+            assert_eq!(tiny, SearchOutcome::BudgetExhausted);
+            assert_eq!(stats.nodes_expanded, 50);
         }
+        assert_eq!(
+            search_with_budget(&h, &CtrSpec, 0),
+            SearchOutcome::BudgetExhausted
+        );
     }
 
     #[test]
     fn exact_budget_still_reports_the_witness() {
-        // One update: root node (1) + the single branch walking one
-        // placement (1 node) + free completion = 2 configurations.
+        // A witness reached without backtracking costs one expansion per
+        // proper prefix (the completed order is free): n in total, however
+        // many operations could have gone first.
         let mut h = History::new();
-        h.push(OpRecord::new(L::Inc, r(0)), []);
-        assert!(search_with_threads(&h, &CtrSpec, 2, 1).is_linearizable());
+        let a = h.push(OpRecord::new(L::Inc, r(0)), []);
+        let b = h.push(OpRecord::new(L::Inc, r(1)), []);
+        h.push(OpRecord::new(L::Read(2), r(2)), [a, b]);
+        let (out, stats) = search_with_threads_stats(&h, &CtrSpec, 3, 1);
+        assert!(out.is_linearizable());
+        assert_eq!(stats.nodes_expanded, 3);
+        assert_eq!(
+            search_with_budget(&h, &CtrSpec, 2),
+            SearchOutcome::BudgetExhausted
+        );
+    }
+
+    #[test]
+    fn failures_are_remembered_across_first_operations() {
+        // Refuting k concurrent increments expands each of the 2^k placed
+        // sets once; per-first-operation tables would re-explore the shared
+        // sub-DAG under every root.
+        let (out, stats) = search_with_threads_stats(&impossible(10), &CtrSpec, u64::MAX, 1);
+        assert_eq!(out, SearchOutcome::NotLinearizable);
+        assert_eq!(stats.nodes_expanded, 1 << 10);
+        assert_eq!(stats.memo_entries, 1 << 10);
     }
 
     /// A spec with an update precondition (`set` fires only from state 0),
@@ -1004,6 +837,7 @@ mod tests {
 
     #[test]
     fn thread_override_parsing() {
+        use crate::env::threads_from;
         assert_eq!(threads_from("RAL_CHECK_THREADS", None), 0);
         assert_eq!(threads_from("RAL_CHECK_THREADS", Some("0".into())), 0);
         assert_eq!(threads_from("RAL_CHECK_THREADS", Some(" 4 ".into())), 4);

@@ -18,32 +18,32 @@
 //!   or *timestamp-order* (Section 4.2) linearization and validates it —
 //!   linear-size work, the practical path justified by Theorems 4.4/4.6;
 //! * [`search`] (module [`memo`]) is the complete decision procedure:
-//!   a memoized configuration-DAG walk with incremental query
-//!   justification and an optional `std::thread` pool
-//!   (`RAL_CHECK_THREADS`), deterministic for every thread count — this
-//!   is what establishes the paper's *negative* results (Figures 5a, 9,
-//!   10, 14 need "no linearization exists") at useful history sizes;
+//!   one depth-first, smallest-operation-first walk of the configuration
+//!   DAG with incremental query justification and a single table of
+//!   failed configurations — a witness costs about one expansion per
+//!   operation, a refutation one per distinct configuration; this is what
+//!   establishes the paper's *negative* results (Figures 5a, 9, 10, 14
+//!   need "no linearization exists") at useful history sizes;
 //! * [`search_sharded`] (module [`sharded`]) decides *composed* histories
 //!   per object — the compositional route Theorem 5.5 licenses for `⊗ts`:
-//!   shard, search every shard with the memoized engine, stitch the
-//!   witnesses, and fall back to the whole-history search when the stitch
-//!   fails, so it agrees with [`search`] even on non-compositional `⊗`
-//!   histories (Figure 10);
+//!   shard, search every shard with the memoized engine (shards spread
+//!   over the `RAL_CHECK_THREADS` pool), stitch the witnesses, and fall
+//!   back to the whole-history search when the stitch fails, so it agrees
+//!   with [`search`] even on non-compositional `⊗` histories (Figure 10);
 //! * [`search_brute`] is the seed's naive permutation enumeration —
 //!   factorially slower, kept as the independent ground truth the
 //!   property suites cross-check the memoized engine against, and the
 //!   only complete engine for non-`Sync` specifications;
-//! * [`Monitor`] (module [`monitor`]) is the *incremental* core the batch
-//!   entry points are rebased on: a per-event
-//!   `advance(op | delivery) → Verdict` that extends live configuration
-//!   frontiers instead of re-searching, with a causal-stability rule
-//!   that settles ops below every replica's seen-frontier and compacts
-//!   retained state to O(concurrent window) — this is what lets the
-//!   simulator verify million-op runs continuously.
+//! * [`Monitor`] (module [`monitor`]) is the *streaming* checker: a
+//!   per-event `advance(op | delivery) → Verdict` that extends live
+//!   configuration frontiers instead of re-searching, with a
+//!   causal-stability rule that settles ops below every replica's
+//!   seen-frontier and compacts retained state to O(concurrent window) —
+//!   this is what lets the simulator verify million-op runs continuously.
 //!
-//! The `ra_search*` facades run the monitor's exact batch closure first
-//! and fall back to the depth-first memoized engine when the closure
-//! overruns its caps; verdicts (and witnesses) agree on every history.
+//! The `ra_search*` facades rewrite and call [`memo`] directly — it is the
+//! only complete batch engine; the monitor is an independent code the
+//! cross-check suites compare it against.
 
 mod brute;
 mod check;
@@ -58,7 +58,7 @@ pub use guided::{check_guided, check_rewritten, execution_order_of, timestamp_or
 pub use memo::{
     search, search_with_budget, search_with_threads, search_with_threads_stats, SearchStats,
 };
-pub use monitor::{monitor_history, try_search_batch, Monitor, MonitorFeed, MonitorStats, Verdict};
+pub use monitor::{monitor_history, Monitor, MonitorFeed, MonitorStats, Verdict};
 pub use sharded::{
     search_sharded, search_sharded_with_budget, search_sharded_with_threads,
     search_sharded_with_threads_stats, shard_history, ShardableSpec,
@@ -190,8 +190,8 @@ where
 
 /// Applies a query-update rewriting and then decides RA-linearizability
 /// outright — the complete decision procedure for Definition 3.7, run on
-/// the memoized engine ([`memo`]) with `RAL_CHECK_THREADS`-controlled
-/// parallelism. Use [`ra_search_brute`] to force the naive enumeration.
+/// the memoized engine ([`memo`]). Use [`ra_search_brute`] to force the
+/// naive enumeration.
 ///
 /// # Examples
 ///
@@ -237,15 +237,13 @@ where
     S: Spec + Sync,
     S::Label: Sync,
 {
-    let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, u64::MAX, memo::env_threads()).0
+    ra_search_with_budget(h, rw, spec, u64::MAX)
 }
 
 /// [`ra_search`], also returning the engine's [`SearchStats`]
 /// (nodes expanded, memo hits, prune-cause breakdown, timing). The stats
 /// are observational only — they never influence the verdict — and their
-/// exploration counters are deterministic exactly when the run refutes
-/// (see [`SearchStats`] for the contract).
+/// exploration counters are deterministic (see [`SearchStats`]).
 pub fn ra_search_with_stats<In, R, S>(
     h: &History<In>,
     rw: &R,
@@ -257,13 +255,12 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, u64::MAX, memo::env_threads())
+    search_with_threads_stats(&rewritten.history, spec, u64::MAX, 1)
 }
 
-/// [`ra_search`] with a node budget: the memoized engine explores at most
-/// `budget` configurations (split deterministically across its top-level
-/// branches — see [`memo`]) before reporting
-/// [`SearchOutcome::BudgetExhausted`].
+/// [`ra_search`] with a node budget: the memoized engine expands at most
+/// `budget` configurations (one global counter — see [`memo`]) before
+/// reporting [`SearchOutcome::BudgetExhausted`].
 pub fn ra_search_with_budget<In, R, S>(
     h: &History<In>,
     rw: &R,
@@ -276,7 +273,7 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, budget, memo::env_threads()).0
+    search_with_budget(&rewritten.history, spec, budget)
 }
 
 /// [`ra_search`] for composed histories, decided per object: rewrite,
@@ -360,7 +357,12 @@ where
     S::Label: ComposedLabel + Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    search_sharded_with_threads_stats(&rewritten.history, spec, u64::MAX, memo::env_threads())
+    search_sharded_with_threads_stats(
+        &rewritten.history,
+        spec,
+        u64::MAX,
+        crate::env::check_threads(),
+    )
 }
 
 /// [`ra_search_sharded`] with a node budget, applied per shard (and to

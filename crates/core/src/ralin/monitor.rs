@@ -1,29 +1,20 @@
-//! Streaming online RA-linearizability monitor — one incremental
-//! configuration-frontier core serving both the batch search entry points
-//! and continuous per-event verification.
+//! Streaming online RA-linearizability monitor — an incremental
+//! configuration-frontier core for continuous per-event verification.
 //!
-//! The memoized batch search ([`super::memo`]) and the sharded search
-//! ([`super::sharded`]) each privately maintain the same machinery: a
-//! placement mask over operations, the update projection's spec frontier,
-//! and an incremental justification frontier per pending query, all keyed
-//! by a canonical configuration hash. This module extracts that machinery
-//! into a [`Monitor`] with a per-event [`Monitor::advance_op`] /
+//! The batch search ([`super::memo`]) decides a *finished* history by
+//! walking its configuration DAG depth-first. A [`Monitor`] tracks the
+//! same kind of configuration — a placement mask over operations, the
+//! update projection's spec frontier, and an incremental justification
+//! frontier per pending query, keyed by a canonical configuration hash —
+//! but behind a per-event [`Monitor::advance_op`] /
 //! [`Monitor::observe_frontier`] interface that *extends* live
 //! configurations instead of re-searching the history, in the
 //! induction-style per-op shape of "Automatically Verifying
-//! Replication-aware Linearizability" (arXiv 2502.19967).
+//! Replication-aware Linearizability" (arXiv 2502.19967). It shares only
+//! the key-fold helpers with the batch engine; the two decide
+//! independently, which is what the cross-check suites rely on.
 //!
-//! # The two modes
-//!
-//! **Batch** mode registers a complete history and then runs one exact,
-//! level-ordered closure over the configuration DAG ([`try_search_batch`]).
-//! Dedup merging keeps the lexicographically smallest placement order per
-//! configuration, so a witness, when one exists, is *identical* to the one
-//! the depth-first memoized search returns. The facades `ra_search` /
-//! `ra_search_sharded` are rebased on this path, falling back to
-//! [`super::memo`] when the closure overruns its caps.
-//!
-//! **Streaming** mode consumes an open-ended op/delivery stream. The live
+//! The monitor consumes an open-ended op/delivery stream. The live
 //! configuration set `R` is kept *eagerly closed*: every configuration
 //! reachable by placing known operations is materialized (deduplicated by
 //! canonical key), so a verdict is maintained after every event with no
@@ -58,8 +49,6 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-use super::memo::{self, SearchStats};
-use super::{Linearization, SearchOutcome};
 use crate::bitset::BitSet;
 use crate::history::{History, Parts};
 use crate::ids::ReplicaId;
@@ -69,13 +58,10 @@ use crate::spec::{
 };
 use ral_obs as obs;
 
-#[cfg(debug_assertions)]
-use super::check::check_linearization;
-
 /// Seed of the canonical configuration key (the FNV-64 offset basis, shared
-/// with [`crate::spec::fingerprint`]). The fold helpers below reproduce the
-/// exact key the memoized search has always used, so the extraction is
-/// behavior-preserving there.
+/// with [`crate::spec::fingerprint`]). The fold helpers below are shared
+/// with the memoized search, which keys its failed-configuration table the
+/// same way.
 pub(crate) const CONFIG_KEY_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one placement-mask word into a configuration key.
@@ -83,8 +69,8 @@ pub(crate) fn fold_mask_word(key: u64, word: u64) -> u64 {
     mix64(key ^ word)
 }
 
-/// Folds the canonical hash of the main spec frontier (or, in streaming
-/// mode, of the absorbed base states) into a configuration key.
+/// Folds the canonical hash of the main spec frontier (or, in the monitor,
+/// of the absorbed base states) into a configuration key.
 pub(crate) fn fold_frontier_hash(key: u64, frontier_hash: u64) -> u64 {
     mix64(key ^ frontier_hash)
 }
@@ -206,26 +192,8 @@ pub struct MonitorStats {
     pub peak_live_window: u64,
 }
 
-impl MonitorStats {
-    /// Projects the monitor counters onto the batch-search stats shape so
-    /// the rebased `ra_search*` facades keep reporting [`SearchStats`].
-    fn to_search_stats(&self) -> SearchStats {
-        SearchStats {
-            nodes_expanded: self.expansions,
-            memo_hits: self.dedup_hits,
-            memo_entries: self.live_configs,
-            prune_frontier_death: self.prune_frontier_death,
-            prune_query_unjustified: self.prune_query_unjustified,
-            prune_dead_pending_query: self.prune_dead_pending_query,
-            branches: 1,
-            threads: 1,
-            ..SearchStats::default()
-        }
-    }
-}
-
 /// Emits the streaming counters to [`ral_obs`]. Called once per run (the
-/// hot path stays observability-free, like the batch walkers).
+/// hot path stays observability-free, like the batch walk).
 fn emit_monitor_obs(stats: &MonitorStats) {
     if !obs::enabled() {
         return;
@@ -241,16 +209,6 @@ fn emit_monitor_obs(stats: &MonitorStats) {
     obs::observe("monitor.peak_live_window", stats.peak_live_window);
     obs::observe("monitor.live_configs", stats.live_configs);
     obs::observe("monitor.peak_live_configs", stats.peak_live_configs);
-}
-
-/// Which engine the monitor is running as.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Whole history registered first, then one exact witness-tracking
-    /// closure. Configuration identity matches the memoized search.
-    Batch,
-    /// Open-world per-event closure with causal-stability compaction.
-    Streaming,
 }
 
 /// Per-operation bookkeeping, indexed by `id - meta_base`.
@@ -282,21 +240,15 @@ struct Config<St> {
     placed: usize,
     /// Spec states after the update projection of the placement order.
     frontier: Vec<St>,
-    /// Streaming: states after replaying the settled placement-order
-    /// prefix — the base every *future* query's justification starts from.
+    /// States after replaying the settled placement-order prefix — the
+    /// base every *future* query's justification starts from.
     qbase: Vec<St>,
-    /// Streaming: placed updates not yet absorbed into `qbase`, in
-    /// placement order (absolute ids).
+    /// Placed updates not yet absorbed into `qbase`, in placement order
+    /// (absolute ids).
     rem: Vec<usize>,
-    /// Justification frontiers of pending queries, ascending by query id.
-    /// Batch mode stores only *started* queries (some visible update
-    /// placed), matching the memoized search; streaming mode registers
-    /// every pending query at arrival.
+    /// Justification frontiers of pending queries, ascending by query id;
+    /// every pending query is registered at arrival.
     qfronts: Vec<(usize, Vec<St>)>,
-    /// Batch mode: the placement order, for witness extraction. Dedup
-    /// merging keeps the lexicographically smallest, so the batch closure
-    /// returns exactly the witness the depth-first search would.
-    order: Vec<usize>,
     /// Canonical key (see the `fold_*` helpers).
     key: u64,
 }
@@ -308,24 +260,16 @@ enum Prune {
     DeadPendingQuery,
 }
 
-/// Default cap on live configurations in streaming mode before the monitor
-/// declares [`Verdict::Exhausted`].
+/// Default cap on live configurations before the monitor declares
+/// [`Verdict::Exhausted`].
 const DEFAULT_MAX_LIVE_CONFIGS: usize = 1 << 14;
-
-/// Expansion cap for the batch closure before `ra_search` falls back to
-/// the depth-first memoized engine.
-const BATCH_EXPANSIONS: u64 = 1 << 16;
-
-/// Live-configuration cap for the batch closure before fallback.
-const BATCH_CONFIGS: usize = 1 << 16;
 
 /// The incremental RA-linearizability engine.
 ///
 /// Construct with [`Monitor::new_streaming`] and feed events with
-/// [`Monitor::advance_op`] / [`Monitor::observe_frontier`], or use the
-/// batch entry point [`try_search_batch`]. Histories with query-update
-/// operations must be rewritten first — [`MonitorFeed`] does this
-/// incrementally for live streams.
+/// [`Monitor::advance_op`] / [`Monitor::observe_frontier`]. Histories with
+/// query-update operations must be rewritten first — [`MonitorFeed`] does
+/// this incrementally for live streams.
 ///
 /// # Examples
 ///
@@ -376,7 +320,6 @@ const BATCH_CONFIGS: usize = 1 << 16;
 /// ```
 pub struct Monitor<S: Spec> {
     spec: S,
-    mode: Mode,
     /// Operations fed so far (ids are dense `0..n`).
     n: usize,
     /// 64-aligned start of the live window; mask words below it are
@@ -416,21 +359,14 @@ fn preds_placed(preds: &BitSet, mask: &[u64], base_w: usize) -> bool {
     true
 }
 
-/// Mode-aware configuration equality (the collision check behind the
-/// canonical key). In streaming mode `frontier` is derived from
-/// `qbase ⊕ rem` and needs no comparison of its own.
-fn configs_equal<St: PartialEq>(batch: bool, a: &Config<St>, b: &Config<St>) -> bool {
-    if a.mask != b.mask {
-        return false;
-    }
-    if batch {
-        if !states_set_eq(&a.frontier, &b.frontier) {
-            return false;
-        }
-    } else if a.rem != b.rem || !states_set_eq(&a.qbase, &b.qbase) {
-        return false;
-    }
-    a.qfronts.len() == b.qfronts.len()
+/// Configuration equality (the collision check behind the canonical key).
+/// `frontier` is derived from `qbase ⊕ rem` and needs no comparison of its
+/// own.
+fn configs_equal<St: PartialEq>(a: &Config<St>, b: &Config<St>) -> bool {
+    a.mask == b.mask
+        && a.rem == b.rem
+        && states_set_eq(&a.qbase, &b.qbase)
+        && a.qfronts.len() == b.qfronts.len()
         && a.qfronts
             .iter()
             .zip(&b.qfronts)
@@ -438,10 +374,12 @@ fn configs_equal<St: PartialEq>(batch: bool, a: &Config<St>, b: &Config<St>) -> 
 }
 
 impl<S: Spec> Monitor<S> {
-    fn new(spec: S, mode: Mode, n_replicas: usize) -> Self {
+    /// Creates a streaming monitor over `n_replicas` replicas. The empty
+    /// stream is trivially linearizable, so the initial verdict is
+    /// [`Verdict::Ok`].
+    pub fn new_streaming(spec: S, n_replicas: usize) -> Self {
         let mut m = Monitor {
             spec,
-            mode,
             n: 0,
             base: 0,
             watermark: 0,
@@ -454,31 +392,21 @@ impl<S: Spec> Monitor<S> {
             max_live_configs: DEFAULT_MAX_LIVE_CONFIGS,
             stats: MonitorStats::default(),
         };
-        if mode == Mode::Streaming {
-            let mut root = Config {
-                mask: Vec::new(),
-                placed: 0,
-                frontier: vec![m.spec.initial()],
-                qbase: vec![m.spec.initial()],
-                rem: Vec::new(),
-                qfronts: Vec::new(),
-                order: Vec::new(),
-                key: 0,
-            };
-            root.key = m.config_key(&root);
-            m.index.entry(root.key).or_default().push(0);
-            m.configs.push(root);
-            m.stats.live_configs = 1;
-            m.stats.peak_live_configs = 1;
-        }
+        let mut root = Config {
+            mask: Vec::new(),
+            placed: 0,
+            frontier: vec![m.spec.initial()],
+            qbase: vec![m.spec.initial()],
+            rem: Vec::new(),
+            qfronts: Vec::new(),
+            key: 0,
+        };
+        root.key = m.config_key(&root);
+        m.index.entry(root.key).or_default().push(0);
+        m.configs.push(root);
+        m.stats.live_configs = 1;
+        m.stats.peak_live_configs = 1;
         m
-    }
-
-    /// Creates a streaming monitor over `n_replicas` replicas. The empty
-    /// stream is trivially linearizable, so the initial verdict is
-    /// [`Verdict::Ok`].
-    pub fn new_streaming(spec: S, n_replicas: usize) -> Self {
-        Self::new(spec, Mode::Streaming, n_replicas)
     }
 
     /// Overrides the live-configuration cap past which the monitor stops
@@ -577,9 +505,6 @@ impl<S: Spec> Monitor<S> {
         });
         self.stats.live_window = (self.n - self.watermark) as u64;
         self.stats.peak_live_window = self.stats.peak_live_window.max(self.stats.live_window);
-        if self.mode == Mode::Batch {
-            return self.verdict;
-        }
         self.grow_masks();
         if is_query && !self.stream_register_query(id) {
             return self.verdict; // Violated: the query is dead in every config.
@@ -597,7 +522,7 @@ impl<S: Spec> Monitor<S> {
     /// compacts the retained window.
     pub fn observe_frontier(&mut self, replica: ReplicaId, first_unseen: usize) -> Verdict {
         self.stats.frontier_observations += 1;
-        if self.mode == Mode::Batch || self.verdict.is_sticky() {
+        if self.verdict.is_sticky() {
             return self.verdict;
         }
         let r = replica.0 as usize;
@@ -730,20 +655,17 @@ impl<S: Spec> Monitor<S> {
         let m = &self.meta[x - self.meta_base];
         let label = m.label.as_ref().expect("label retained");
         let p = &self.configs[parent];
-        let batch = self.mode == Mode::Batch;
         let bit = x - self.base;
         let mut mask = p.mask.clone();
         mask[bit / 64] |= 1 << (bit % 64);
         let placed = p.placed + 1;
+        let registered = "query frontiers exist from arrival";
         let mut child = if m.is_query {
-            let justified = match p.qfronts.binary_search_by_key(&x, |e| e.0) {
-                Ok(i) => states_admit(&self.spec, &p.qfronts[i].1, label),
-                Err(_) => {
-                    debug_assert!(batch, "streaming query frontiers exist from arrival");
-                    states_admit(&self.spec, &[self.spec.initial()], label)
-                }
-            };
-            if !justified {
+            let i = p
+                .qfronts
+                .binary_search_by_key(&x, |e| e.0)
+                .expect(registered);
+            if !states_admit(&self.spec, &p.qfronts[i].1, label) {
                 return Err(Prune::QueryUnjustified);
             }
             Config {
@@ -753,7 +675,6 @@ impl<S: Spec> Monitor<S> {
                 qbase: p.qbase.clone(),
                 rem: p.rem.clone(),
                 qfronts: p.qfronts.iter().filter(|e| e.0 != x).cloned().collect(),
-                order: Vec::new(),
                 key: 0,
             }
         } else {
@@ -770,28 +691,15 @@ impl<S: Spec> Monitor<S> {
                 if mask[qbit / 64] & (1 << (qbit % 64)) != 0 {
                     continue; // already placed in this configuration
                 }
-                match qfronts.binary_search_by_key(&q, |e| e.0) {
-                    Ok(i) => {
-                        let next = advance_states(&self.spec, &qfronts[i].1, label);
-                        if next.is_empty() {
-                            return Err(Prune::DeadPendingQuery);
-                        }
-                        qfronts[i].1 = next;
-                    }
-                    Err(i) => {
-                        debug_assert!(batch, "streaming query frontiers exist from arrival");
-                        let next = advance_states(&self.spec, &[self.spec.initial()], label);
-                        if next.is_empty() {
-                            return Err(Prune::DeadPendingQuery);
-                        }
-                        qfronts.insert(i, (q, next));
-                    }
+                let i = qfronts.binary_search_by_key(&q, |e| e.0).expect(registered);
+                let next = advance_states(&self.spec, &qfronts[i].1, label);
+                if next.is_empty() {
+                    return Err(Prune::DeadPendingQuery);
                 }
+                qfronts[i].1 = next;
             }
             let mut rem = p.rem.clone();
-            if !batch {
-                rem.push(x);
-            }
+            rem.push(x);
             Config {
                 mask,
                 placed,
@@ -799,37 +707,24 @@ impl<S: Spec> Monitor<S> {
                 qbase: p.qbase.clone(),
                 rem,
                 qfronts,
-                order: Vec::new(),
                 key: 0,
             }
         };
-        if batch {
-            let mut order = p.order.clone();
-            order.push(x);
-            child.order = order;
-        }
         child.key = self.config_key(&child);
         Ok(child)
     }
 
     /// Canonical key of a configuration. Trailing zero mask words are
-    /// skipped so streaming windows can grow without rekeying.
+    /// skipped so the window can grow without rekeying.
     fn config_key(&self, c: &Config<S::State>) -> u64 {
         let mut key = CONFIG_KEY_SEED;
         let tail = c.mask.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
         for &w in &c.mask[..tail] {
             key = fold_mask_word(key, w);
         }
-        match self.mode {
-            Mode::Batch => {
-                key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.frontier));
-            }
-            Mode::Streaming => {
-                key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.qbase));
-                for &u in &c.rem {
-                    key = mix64(key ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                }
-            }
+        key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.qbase));
+        for &u in &c.rem {
+            key = mix64(key ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
         for (q, states) in &c.qfronts {
             key = fold_query_frontier(key, *q, states_canonical_hash(&self.spec, states));
@@ -837,27 +732,17 @@ impl<S: Spec> Monitor<S> {
         key
     }
 
-    /// Inserts `child` unless an equal configuration is already live; in
-    /// batch mode a merge keeps the lexicographically smaller placement
-    /// order (the witness invariant).
+    /// Inserts `child` unless an equal configuration is already live.
     fn insert_or_merge(&mut self, child: Config<S::State>) {
-        let batch = self.mode == Mode::Batch;
-        let mut merged = None;
-        if let Some(bucket) = self.index.get(&child.key) {
-            for &i in bucket {
-                if configs_equal(batch, &self.configs[i], &child) {
-                    merged = Some(i);
-                    break;
-                }
-            }
-        }
-        match merged {
-            Some(i) => {
+        let equal = self.index.get(&child.key).and_then(|bucket| {
+            bucket
+                .iter()
+                .find(|&&i| configs_equal(&self.configs[i], &child))
+        });
+        match equal {
+            Some(&i) => {
                 self.stats.dedup_hits += 1;
                 debug_assert!(states_set_eq(&self.configs[i].frontier, &child.frontier));
-                if batch && child.order < self.configs[i].order {
-                    self.configs[i].order = child.order;
-                }
             }
             None => {
                 let i = self.configs.len();
@@ -939,9 +824,6 @@ impl<S: Spec> Monitor<S> {
         // Settled ops are placed everywhere: their predecessor sets and
         // watcher lists can never be consulted again.
         for id in self.meta_base.max(self.base.min(wm))..wm {
-            if id < self.meta_base {
-                continue;
-            }
             let m = &mut self.meta[id - self.meta_base];
             m.preds = None;
             m.watchers = Vec::new();
@@ -982,124 +864,6 @@ impl<S: Spec> Monitor<S> {
         self.configs = Vec::new();
         self.index = HashMap::new();
         self.stats.live_configs = 0;
-    }
-
-    /// Batch mode: exact level-ordered closure over the configuration DAG.
-    /// Returns `None` if a cap is exceeded (caller falls back to the
-    /// depth-first engine). Level k holds exactly the configurations with
-    /// k placements, so every parent's minimal placement order is final
-    /// before its children are expanded — the merge in
-    /// [`Monitor::insert_or_merge`] therefore yields the global
-    /// lexicographic minimum, matching the DFS witness.
-    fn decide(&mut self, max_expansions: u64, max_configs: usize) -> Option<SearchOutcome> {
-        debug_assert!(self.mode == Mode::Batch && self.configs.is_empty());
-        let mut root = Config {
-            mask: vec![0; self.n.div_ceil(64)],
-            placed: 0,
-            frontier: vec![self.spec.initial()],
-            qbase: Vec::new(),
-            rem: Vec::new(),
-            qfronts: Vec::new(),
-            order: Vec::new(),
-            key: 0,
-        };
-        root.key = self.config_key(&root);
-        self.index.entry(root.key).or_default().push(0);
-        self.configs.push(root);
-        let mut lo = 0;
-        let mut hi = 1;
-        while lo < hi {
-            for parent in lo..hi {
-                self.stats.expansions += 1;
-                if self.stats.expansions > max_expansions {
-                    return None;
-                }
-                for x in 0..self.n {
-                    self.try_extend(parent, x);
-                }
-                if self.configs.len() > max_configs {
-                    return None;
-                }
-            }
-            lo = hi;
-            hi = self.configs.len();
-        }
-        self.stats.live_configs = self.configs.len() as u64;
-        self.stats.peak_live_configs = self.stats.live_configs;
-        let best = self
-            .configs
-            .iter()
-            .filter(|c| c.placed == self.n)
-            .map(|c| &c.order)
-            .min();
-        Some(match best {
-            Some(order) => SearchOutcome::Linearizable(Linearization {
-                order: order.clone(),
-            }),
-            None => SearchOutcome::NotLinearizable,
-        })
-    }
-}
-
-/// Decides a complete (already rewritten) history with the monitor's batch
-/// closure. Returns `None` when `max_expansions` or `max_configs` is
-/// exceeded — the search is exact otherwise, and a `Linearizable` outcome
-/// carries the same lexicographically-least witness the memoized
-/// depth-first search returns.
-pub fn try_search_batch<S: Spec>(
-    h: &History<S::Label>,
-    spec: &S,
-    max_expansions: u64,
-    max_configs: usize,
-) -> Option<(SearchOutcome, MonitorStats)> {
-    let mut m: Monitor<&S> = Monitor::new(spec, Mode::Batch, 0);
-    for i in 0..h.len() {
-        m.advance_op(h.label(i).clone(), h.preds(i).clone());
-    }
-    let out = m.decide(max_expansions, max_configs)?;
-    #[cfg(debug_assertions)]
-    if let SearchOutcome::Linearizable(lin) = &out {
-        debug_assert!(
-            check_linearization(h, spec, &lin.order).is_ok(),
-            "batch monitor produced an invalid witness"
-        );
-    }
-    Some((out, m.stats))
-}
-
-/// The batch engine behind the `ra_search*` facades: monitor closure
-/// first, depth-first memoized fallback (with the caller's full `budget`
-/// and `threads`) when the closure overruns its caps. Outcomes on the
-/// fallback path are byte-identical to the pre-monitor engine.
-pub(crate) fn search_batch_with_stats<S>(
-    h: &History<S::Label>,
-    spec: &S,
-    budget: u64,
-    threads: usize,
-) -> (SearchOutcome, SearchStats)
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
-    if budget == 0 {
-        return (SearchOutcome::BudgetExhausted, SearchStats::default());
-    }
-    let t0 = obs::wallclock::now_nanos();
-    match try_search_batch(h, spec, budget.min(BATCH_EXPANSIONS), BATCH_CONFIGS) {
-        Some((out, mstats)) => {
-            let mut stats = mstats.to_search_stats();
-            let dt = obs::wallclock::now_nanos().saturating_sub(t0);
-            stats.busy_nanos = dt;
-            stats.elapsed_nanos = dt;
-            memo::emit_obs(&stats);
-            (out, stats)
-        }
-        None => {
-            if obs::enabled() {
-                obs::counter("monitor.batch_fallback", 1);
-            }
-            memo::search_with_threads_stats(h, spec, budget, threads)
-        }
     }
 }
 
@@ -1398,44 +1162,6 @@ mod tests {
         assert!(m.meta.len() <= 64, "meta retained: {}", m.meta.len());
         assert!(m.stats().peak_live_configs <= 4);
         assert_eq!(m.stats().settled, 1000);
-    }
-
-    #[test]
-    fn batch_closure_matches_memo_on_witnesses_and_refutations() {
-        // A mix of linearizable and refuted counter histories.
-        let mut histories: Vec<History<L>> = Vec::new();
-        let mut h = History::new();
-        let a = h.push(OpRecord::new(L::Inc, r(0)), []);
-        let b = h.push(OpRecord::new(L::Inc, r(1)), []);
-        h.push(OpRecord::new(L::Read(2), r(0)), [a, b]);
-        histories.push(h);
-        let mut h = History::new();
-        let a = h.push(OpRecord::new(L::Inc, r(0)), []);
-        h.push(OpRecord::new(L::Read(2), r(1)), [a]); // refuted
-        histories.push(h);
-        let mut h = History::new();
-        let a = h.push(OpRecord::new(L::Inc, r(0)), []);
-        let _b = h.push(OpRecord::new(L::Inc, r(1)), []);
-        h.push(OpRecord::new(L::Read(1), r(0)), [a]);
-        histories.push(h);
-        histories.push(History::new());
-        for h in &histories {
-            let (memo_out, _) = memo::search_with_threads_stats(h, &CtrSpec, u64::MAX, 1);
-            let (mon_out, _) = try_search_batch(h, &CtrSpec, u64::MAX, usize::MAX)
-                .expect("uncapped closure always decides");
-            assert_eq!(mon_out, memo_out, "history {h:?}");
-        }
-    }
-
-    #[test]
-    fn batch_caps_trigger_fallback_path() {
-        let mut h = History::new();
-        for i in 0..8 {
-            h.push(OpRecord::new(L::Inc, r(i)), []);
-        }
-        assert!(try_search_batch(&h, &CtrSpec, 3, usize::MAX).is_none());
-        let (out, _) = search_batch_with_stats(&h, &CtrSpec, u64::MAX, 1);
-        assert!(out.is_linearizable());
     }
 
     #[test]

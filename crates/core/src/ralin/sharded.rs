@@ -18,8 +18,9 @@
 //! 2. **Search every shard independently** with the memoized engine,
 //!    against the per-object component specification
 //!    ([`ShardableSpec::search_shard`]), distributing shards over the
-//!    same `RAL_CHECK_THREADS` pool the monolithic engine uses. The cost
-//!    is the *sum* of per-object exponentials instead of their product.
+//!    `RAL_CHECK_THREADS` pool — the shards are independent problems, each
+//!    one sequential walk. The cost is the *sum* of per-object
+//!    exponentials instead of their product.
 //! 3. **Stitch** the per-object witnesses into one global linearization:
 //!    a topological merge of `vis ∪ (per-object witness order)`
 //!    ([`stitch_witness`]), validated end to end with
@@ -45,9 +46,7 @@
 //!   weakening.
 
 use super::check::check_linearization;
-use super::memo::{
-    effective_threads, env_threads, run_pool, search_with_threads_stats, SearchStats,
-};
+use super::memo::{search_with_threads_stats, SearchStats};
 use super::{monitor, Linearization, SearchOutcome};
 use crate::compose::{ComposedLabel, EitherLabel, MultiObjSpec, PairSpec};
 use crate::history::History;
@@ -56,6 +55,51 @@ use crate::label::SpecLabel;
 use crate::spec::Spec;
 use ral_obs as obs;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Histories smaller than this keep the shard pool sequential under
+/// automatic thread selection: the walks finish faster than threads spawn.
+const PARALLEL_MIN_OPS: usize = 16;
+
+/// Resolves a requested thread count against history size and job count.
+/// `0` = automatic: sequential below [`PARALLEL_MIN_OPS`], all available
+/// cores above.
+fn effective_threads(requested: usize, n_ops: usize, jobs: usize) -> usize {
+    let t = if requested == 0 {
+        if n_ops < PARALLEL_MIN_OPS {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |v| v.get())
+        }
+    } else {
+        requested
+    };
+    t.clamp(1, jobs.max(1))
+}
+
+/// Runs `jobs` closures on `threads` workers pulling job indices from a
+/// shared counter (idle workers steal whatever job is next).
+fn run_pool<T: Send, F: Fn(usize) -> T + Sync>(threads: usize, jobs: usize, f: F) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs {
+                    break;
+                }
+                let out = f(i);
+                *slots[i].lock().expect("result slot") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| m.into_inner().expect("result slot").expect("job result"))
+        .collect()
+}
 
 /// One object's projection of a composed history.
 #[derive(Clone, Debug)]
@@ -183,7 +227,7 @@ where
         threads: usize,
     ) -> (SearchOutcome, SearchStats) {
         let inner = shard.clone().map(|l| l.label);
-        monitor::search_batch_with_stats(&inner, self.inner(), budget, threads)
+        search_with_threads_stats(&inner, self.inner(), budget, threads)
     }
 
     fn admits_shard(
@@ -229,13 +273,13 @@ where
                 EitherLabel::First(a) => a,
                 EitherLabel::Second(_) => unreachable!("shard of object 0 holds First labels only"),
             });
-            monitor::search_batch_with_stats(&inner, self.first(), budget, threads)
+            search_with_threads_stats(&inner, self.first(), budget, threads)
         } else {
             let inner = shard.clone().map(|l| match l {
                 EitherLabel::Second(b) => b,
                 EitherLabel::First(_) => unreachable!("shard of object 1 holds Second labels only"),
             });
-            monitor::search_batch_with_stats(&inner, self.second(), budget, threads)
+            search_with_threads_stats(&inner, self.second(), budget, threads)
         }
     }
 
@@ -426,7 +470,7 @@ where
     let shards = shard_history(h);
     if shards.len() <= 1 {
         // One object: sharding adds nothing over the monolithic engine.
-        let (out, mut stats) = monitor::search_batch_with_stats(h, spec, budget, threads);
+        let (out, mut stats) = search_with_threads_stats(h, spec, budget, threads);
         stats.shards = shards.len() as u64;
         return (out, stats);
     }
@@ -510,7 +554,7 @@ where
     S: ShardableSpec + Sync,
     S::Label: ComposedLabel + Sync,
 {
-    search_sharded_with_threads(h, spec, budget, env_threads())
+    search_sharded_with_threads(h, spec, budget, crate::env::check_threads())
 }
 
 #[cfg(test)]

@@ -11,11 +11,11 @@
 //! outcomes into one [`HistoryVerdict`].
 
 use ral_core::compose::ComposedLabel;
-use ral_core::history::{rewrite_history, History};
+use ral_core::history::History;
 use ral_core::label::Rewrite;
 use ral_core::ralin::{
     monitor_history, ra_check, ra_search_brute, ra_search_sharded_with_budget,
-    ra_search_with_budget, search_with_budget, SearchOutcome, ShardableSpec, Strategy, Verdict,
+    ra_search_with_budget, SearchOutcome, ShardableSpec, Strategy, Verdict,
 };
 use ral_core::spec::Spec;
 
@@ -56,8 +56,8 @@ fn outcome_name(o: &SearchOutcome) -> &'static str {
 }
 
 /// Cross-checks a single-object history: guided strategy vs the complete
-/// memoized search, plus the brute-force reference on histories small
-/// enough ([`BRUTE_CAP`]).
+/// memoized search vs the streaming monitor, plus the brute-force
+/// reference on histories small enough ([`BRUTE_CAP`]).
 pub fn op_oracle<In, R, S>(
     h: &History<In>,
     rw: &R,
@@ -72,17 +72,6 @@ where
 {
     let guided_ok = ra_check(h, rw, spec, strategy).is_ok();
     let searched = ra_search_with_budget(h, rw, spec, budget);
-    let memo = search_with_budget(&rewrite_history(h, rw).history, spec, budget);
-    if definite_disagreement(&searched, &memo) {
-        return HistoryVerdict::Disagreement {
-            detail: format!(
-                "monitor batch closure says {} but memo search says {} on {} ops",
-                outcome_name(&searched),
-                outcome_name(&memo),
-                h.len()
-            ),
-        };
-    }
     let (streamed, _) = monitor_history(h, rw, spec);
     if let Some(detail) = streaming_disagreement(streamed, &searched, h.len()) {
         return HistoryVerdict::Disagreement { detail };
@@ -92,7 +81,7 @@ where
         if definite_disagreement(&searched, &brute) {
             return HistoryVerdict::Disagreement {
                 detail: format!(
-                    "memo search says {} but brute-force reference says {} on {} ops",
+                    "batch search says {} but brute-force reference says {} on {} ops",
                     outcome_name(&searched),
                     outcome_name(&brute),
                     h.len()

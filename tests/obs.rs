@@ -111,7 +111,7 @@ fn checker_counters_agree_with_search_stats() {
         stats.nodes_expanded
     );
     assert_eq!(snap.counter_total("ralin.memo_hits"), stats.memo_hits);
-    assert_eq!(snap.counter_total("ralin.branches"), stats.branches);
+    assert_eq!(snap.counter_total("ralin.memo_entries"), stats.memo_entries);
     assert_eq!(
         snap.counter_total("ralin.prune.frontier_death"),
         stats.prune_frontier_death
