@@ -48,8 +48,9 @@ step cargo bench --offline --bench checker_scaling -- --quick --save "$PWD/BENCH
 # persisted BENCH_composed_scaling.json tracks the sharded speedup
 # (monolithic/k ÷ sharded/k) per commit.
 step cargo bench --offline --bench composed_scaling -- --quick --save "$PWD/BENCH_composed_scaling.json"
-# Runtime-throughput smoke: mailbox-drain delivery rate on the 50×32
-# multi_mix-class workload at 1 and 8 configured runtime threads. The
+# Runtime-throughput smoke: delivery rate of the shared mailbox drain, one
+# series per façade — the 50×32 multi_mix-class workload through
+# MultiCluster and a 50-replica single-object Cluster. The
 # bench asserts convergence of every run, and the persisted
 # BENCH_runtime_throughput.json tracks delivered effectors/sec per commit
 # (the benchmark name encodes the deterministic event count, so
@@ -84,8 +85,9 @@ step cargo run --offline --release -p ral-fuzz -- --quick --seed 1 --min-coverag
 step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --no-report
 # Static-analysis gate: bounded-exhaustive simulation-obligation checking
 # over every shipped CRDT plus the workspace determinism lint. Exits
-# non-zero on any undischarged obligation, unrefuted negative fixture, or
-# lint hit, and persists the machine-readable verdicts per commit.
+# non-zero on any undischarged obligation, unrefuted negative fixture,
+# lint hit, or stale allowlist entry, and persists the machine-readable
+# verdicts per commit.
 step cargo run --offline --release -p ral-analyze -- --report "$PWD/ANALYZE_report.json"
 
 echo

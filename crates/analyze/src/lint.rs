@@ -26,7 +26,8 @@
 //! remaining identifier/`::` token stream. Audited exceptions live in
 //! `crates/analyze/lint_allowlist.txt` as `<rule> <path> <justification>`
 //! lines; an entry without a justification is itself a lint failure, and
-//! entries that no longer match anything are reported as stale.
+//! entries that no longer match anything are reported as stale (which
+//! fails the gate, so the file cannot rot).
 
 use std::fmt;
 use std::fs;
@@ -84,8 +85,9 @@ pub struct LintOutcome {
 }
 
 impl LintOutcome {
-    /// Whether the workspace is clean (stale allowlist entries are
-    /// warnings, not failures).
+    /// Whether the scan found no hits. Stale allowlist entries are
+    /// reported separately in `stale_allow`; the CLI gate and the
+    /// self-test fail on those too.
     pub fn clean(&self) -> bool {
         self.hits.is_empty()
     }

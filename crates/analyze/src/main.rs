@@ -6,7 +6,7 @@
 //!   bound,
 //! * both negative fixtures are **refuted** with a shrunk counterexample,
 //! * the workspace determinism lint is **clean** (modulo the audited
-//!   allowlist).
+//!   allowlist) and every allowlist entry still matches something.
 //!
 //! ```text
 //! cargo run --release -p ral-analyze             # full gate, scope 3
@@ -36,7 +36,7 @@ fn usage() -> &'static str {
      \n\
      Bounded-exhaustive simulation-obligation checking plus the workspace\n\
      determinism lint. Exits non-zero on any undischarged obligation, any\n\
-     unrefuted negative fixture, or any lint hit.\n\
+     unrefuted negative fixture, any lint hit, or any stale allowlist entry.\n\
      \n\
        --quick        scope 2 instead of 3 (fast debug-build runs)\n\
        --scope N      explicit scope bound (overrides --quick)\n\
@@ -185,9 +185,10 @@ fn main() -> ExitCode {
         println!("LINT: {hit}");
     }
     for stale in &lint.stale_allow {
-        println!("warning: stale allowlist entry: {stale}");
+        failed = true;
+        println!("STALE: allowlist entry matches nothing: {stale}");
     }
-    if lint.clean() {
+    if lint.clean() && lint.stale_allow.is_empty() {
         println!("lint clean");
     }
 

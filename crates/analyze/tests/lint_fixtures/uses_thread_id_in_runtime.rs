@@ -1,10 +1,8 @@
 // Fixture: a thread-identity read as it would look if it leaked into
-// `crates/runtime` *outside* the allowlisted `exec.rs` module. The
-// self-test scans this content under `crates/runtime/src/mailbox.rs` (and
-// the executor's own path) and asserts the `thread-id` rule still fires —
-// the runtime crate has no path-level exemption; only the single audited
-// allowlist entry for `crates/runtime/src/exec.rs` is suppressed, and the
-// suppression happens at the allowlist layer, not in the scanner.
+// `crates/runtime`. The self-test scans this content under
+// `crates/runtime/src/mailbox.rs` and `op_based.rs` and asserts the
+// `thread-id` rule fires — the runtime crate has no path-level exemption
+// and no allowlist entry.
 
 pub fn sneaky_worker_key() -> u64 {
     let id = std::thread::current().id();

@@ -60,10 +60,9 @@ fn wall_clock_in_obs_outside_wallclock_module_still_fires() {
 
 #[test]
 fn thread_id_in_runtime_outside_exec_module_still_fires() {
-    // `crates/runtime` carries the one allowlisted thread-identity read in
-    // `src/exec.rs` (realized-parallelism telemetry). That entry is
-    // file-scoped: the same construct anywhere else in the crate must
-    // still fail the gate.
+    // `crates/runtime` delivers sequentially and has no allowlisted
+    // thread-identity read (the sharded executor's `exec.rs` entry went
+    // with it): the construct anywhere in the crate must fail the gate.
     let src = fixture("uses_thread_id_in_runtime.rs");
     for path in [
         "crates/runtime/src/mailbox.rs",
@@ -75,11 +74,6 @@ fn thread_id_in_runtime_outside_exec_module_still_fires() {
             "{path}: expected a {RULE_THREAD} hit, got {hits:?}"
         );
     }
-    // The allowlisted file itself also *scans* dirty — suppression is the
-    // allowlist's job, not the scanner's, which is what keeps the entry
-    // from going stale silently.
-    let hits = scan_source("crates/runtime/src/exec.rs", &src);
-    assert!(hits.iter().any(|h| h.rule == RULE_THREAD));
 }
 
 #[test]

@@ -19,7 +19,7 @@ use ral_core::history::{rewrite_history, History};
 use ral_core::label::Identity;
 use ral_core::ralin::{
     check_guided, ra_search_with_budget, search_brute, search_brute_with_budget,
-    search_with_threads, SearchOutcome, Strategy,
+    search_with_budget, SearchOutcome, Strategy,
 };
 use ral_core::rng::Rng;
 use ral_crdts::op::counter::OpCounter;
@@ -108,7 +108,7 @@ fn memo_scaling(c: &mut Criterion) {
             &rewritten.history,
             |b, h| {
                 b.iter(|| {
-                    let outcome = search_with_threads(h, &OrSetSpec::new(), u64::MAX, 1);
+                    let outcome = search_with_budget(h, &OrSetSpec::new(), u64::MAX);
                     assert!(outcome.is_linearizable());
                     black_box(outcome)
                 })
@@ -160,7 +160,7 @@ fn brute_refutation_scaling(c: &mut Criterion) {
         let h = impossible_history(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &h, |b, h| {
             b.iter(|| {
-                let outcome = search_with_threads(h, &CounterSpec, u64::MAX, 1);
+                let outcome = search_with_budget(h, &CounterSpec, u64::MAX);
                 assert!(outcome.is_refuted());
                 black_box(outcome)
             })
@@ -186,7 +186,7 @@ fn brute_refutation_scaling(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("memo", 16), &h16, |b, h| {
         b.iter(|| {
-            let outcome = search_with_threads(h, &CounterSpec, 1_000_000, 1);
+            let outcome = search_with_budget(h, &CounterSpec, 1_000_000);
             assert!(outcome.is_refuted());
             black_box(outcome)
         })
@@ -305,7 +305,7 @@ fn obs_overhead(c: &mut Criterion) {
     ral_obs::disable();
     group.bench_with_input(BenchmarkId::new("off", 12), &h, |b, h| {
         b.iter(|| {
-            let outcome = search_with_threads(h, &CounterSpec, u64::MAX, 1);
+            let outcome = search_with_budget(h, &CounterSpec, u64::MAX);
             assert!(outcome.is_refuted());
             black_box(outcome)
         })
@@ -313,7 +313,7 @@ fn obs_overhead(c: &mut Criterion) {
     ral_obs::enable(None);
     group.bench_with_input(BenchmarkId::new("on", 12), &h, |b, h| {
         b.iter(|| {
-            let outcome = search_with_threads(h, &CounterSpec, u64::MAX, 1);
+            let outcome = search_with_budget(h, &CounterSpec, u64::MAX);
             assert!(outcome.is_refuted());
             black_box(outcome)
         })

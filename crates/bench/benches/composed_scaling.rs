@@ -17,7 +17,7 @@ use ral_bench::{bench_group, bench_main, BenchmarkId, Criterion};
 use ral_core::compose::{MultiObjRewrite, MultiObjSpec};
 use ral_core::history::rewrite_history;
 use ral_core::history::History;
-use ral_core::ralin::{search_sharded_with_threads, search_with_threads};
+use ral_core::ralin::{search_sharded_with_threads, search_with_budget};
 use ral_core::rng::Rng;
 use ral_crdts::op::or_set::{OrSet, OrSetCall, OrSetRewrite};
 use ral_runtime::multi::{MultiCluster, TsMode};
@@ -62,7 +62,7 @@ fn composed_scaling(c: &mut Criterion) {
         let spec = MultiObjSpec::new(OrSetSpec::new(), objects);
         group.bench_with_input(BenchmarkId::new("monolithic", objects), &h, |b, h| {
             b.iter(|| {
-                let outcome = search_with_threads(h, &spec, u64::MAX, 1);
+                let outcome = search_with_budget(h, &spec, u64::MAX);
                 assert!(outcome.is_linearizable());
                 black_box(outcome)
             })

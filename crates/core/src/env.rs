@@ -12,7 +12,6 @@
 //! | `RAL_PROP_SEED` | [`prop_seed`] | unset | replay exactly one property case with this seed |
 //! | `RAL_PROP_CASES` | [`prop_cases`] | per-suite | run this many property cases |
 //! | `RAL_CHECK_THREADS` | [`check_threads`] | `0` (auto) | size of the sharded RA-lin search's shard pool |
-//! | `RAL_RUNTIME_THREADS` | [`runtime_threads`] | `0` (sequential) | worker threads for the sharded replication runtime |
 //! | `RAL_BENCH_QUICK` | [`bench_quick`] | unset | bench harness quick mode (shorter samples) |
 //! | `RAL_BENCH_JSON` | [`bench_json`] | unset | bench harness JSON output path |
 //! | `RAL_OBS` | [`obs`] | unset | enable `ral-obs` recording in obs-aware entry points |
@@ -104,22 +103,6 @@ pub fn check_threads() -> usize {
     threads_from("RAL_CHECK_THREADS", std::env::var("RAL_CHECK_THREADS").ok())
 }
 
-/// `RAL_RUNTIME_THREADS` — worker threads for the sharded replication
-/// runtime's delivery drains (`ral_runtime::exec`). `0` or unset means
-/// sequential delivery on the calling thread — the conservative default:
-/// parallel delivery is byte-identical by construction, but opting in is
-/// explicit, like every other scaling knob.
-///
-/// # Panics
-///
-/// Panics on an unparseable value.
-pub fn runtime_threads() -> usize {
-    threads_from(
-        "RAL_RUNTIME_THREADS",
-        std::env::var("RAL_RUNTIME_THREADS").ok(),
-    )
-}
-
 /// `RAL_BENCH_QUICK` — when set (to anything), the bench harness runs with
 /// shorter warmup and fewer samples, as `--quick` does.
 pub fn bench_quick() -> bool {
@@ -186,9 +169,9 @@ mod tests {
     fn threads_parse_and_default() {
         assert_eq!(threads_from("RAL_CHECK_THREADS", None), 0);
         assert_eq!(threads_from("RAL_CHECK_THREADS", Some("0".into())), 0);
-        assert_eq!(threads_from("RAL_RUNTIME_THREADS", Some(" 4 ".into())), 4);
+        assert_eq!(threads_from("RAL_CHECK_THREADS", Some(" 4 ".into())), 4);
         let caught =
-            std::panic::catch_unwind(|| threads_from("RAL_RUNTIME_THREADS", Some("lots".into())));
+            std::panic::catch_unwind(|| threads_from("RAL_CHECK_THREADS", Some("lots".into())));
         assert!(caught.is_err(), "unparseable thread count must panic");
     }
 

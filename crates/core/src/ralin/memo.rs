@@ -64,7 +64,8 @@
 //! only qualitatively.
 
 use super::check::check_linearization;
-use super::{monitor, Linearization, SearchOutcome};
+use super::config;
+use super::{Linearization, SearchOutcome};
 use crate::history::History;
 use crate::label::SpecLabel;
 use crate::spec::{Frontier, Spec};
@@ -77,7 +78,7 @@ use std::collections::HashMap;
 const MEMO_CAP: usize = 1 << 20;
 
 /// Diagnostic counters of one complete search, returned by the `_stats`
-/// entry points ([`search_with_threads_stats`],
+/// entry points ([`search_with_stats`],
 /// [`super::ra_search_with_stats`], [`super::ra_search_sharded_with_stats`]).
 ///
 /// The counts describe *work done*, not the verdict. Every walk is
@@ -322,22 +323,21 @@ impl<'a, S: Spec> Walk<'a, S> {
     }
 
     /// Hashes the current configuration: placed mask, main frontier, and
-    /// the justification frontiers of started pending queries. Uses the
-    /// shared key-fold helpers of [`super::monitor`], which owns the
-    /// canonical configuration identity for all engines.
+    /// the justification frontiers of started pending queries, with the
+    /// key-fold helpers of [`super::config`] every engine shares.
     fn config_hash(&self) -> u64 {
-        let mut key = monitor::CONFIG_KEY_SEED;
+        let mut key = config::CONFIG_KEY_SEED;
         for &w in &self.mask {
-            key = monitor::fold_mask_word(key, w);
+            key = config::fold_mask_word(key, w);
         }
-        key = monitor::fold_frontier_hash(
+        key = config::fold_frontier_hash(
             key,
             self.fstack.last().expect("frontier stack").canonical_hash(),
         );
         for &q in &self.shape.queries {
             if !self.placed[q] && self.started(q) {
                 let f = self.qfront[q].as_ref().expect("query frontier");
-                key = monitor::fold_query_frontier(key, q, f.canonical_hash());
+                key = config::fold_query_frontier(key, q, f.canonical_hash());
             }
         }
         key
@@ -524,30 +524,13 @@ impl<'a, S: Spec> Walk<'a, S> {
     }
 }
 
-/// Memoized search with the sharded engine's calling convention. The
-/// monolithic walk is sequential, so `threads` is accepted and ignored:
-/// the outcome is the same for every value.
-pub fn search_with_threads<S>(
-    h: &History<S::Label>,
-    spec: &S,
-    budget: u64,
-    threads: usize,
-) -> SearchOutcome
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
-    search_with_threads_stats(h, spec, budget, threads).0
-}
-
-/// [`search_with_threads`], also returning the [`SearchStats`] of the run.
+/// [`search_with_budget`], also returning the [`SearchStats`] of the run.
 /// The outcome component is identical to the plain entry point's; the
 /// stats are diagnostic only.
-pub fn search_with_threads_stats<S>(
+pub fn search_with_stats<S>(
     h: &History<S::Label>,
     spec: &S,
     budget: u64,
-    _threads: usize,
 ) -> (SearchOutcome, SearchStats)
 where
     S: Spec + Sync,
@@ -608,7 +591,7 @@ where
     S: Spec + Sync,
     S::Label: Sync,
 {
-    search_with_threads(h, spec, budget, 1)
+    search_with_stats(h, spec, budget).0
 }
 
 #[cfg(test)]
@@ -701,7 +684,7 @@ mod tests {
         let h = impossible(14);
         let budget = 2_000_000;
         assert_eq!(
-            search_with_threads(&h, &CtrSpec, budget, 1),
+            search_with_budget(&h, &CtrSpec, budget),
             SearchOutcome::NotLinearizable
         );
         assert_eq!(
@@ -711,38 +694,13 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_thread_count_independent() {
-        for h in [impossible(8), {
-            let mut h = History::new();
-            let a = h.push(OpRecord::new(L::Inc, r(0)), []);
-            h.push(OpRecord::new(L::Inc, r(1)), []);
-            h.push(OpRecord::new(L::Read(1), r(0)), [a]);
-            h
-        }] {
-            let seq = search_with_threads_stats(&h, &CtrSpec, u64::MAX, 1);
-            for threads in [0, 2, 3, 8] {
-                let other = search_with_threads_stats(&h, &CtrSpec, u64::MAX, threads);
-                assert_eq!(seq.0, other.0, "outcome must not depend on thread count");
-                assert_eq!(
-                    (seq.1.nodes_expanded, seq.1.memo_hits),
-                    (other.1.nodes_expanded, other.1.memo_hits),
-                    "one sequential walk whatever is requested"
-                );
-                assert_eq!(other.1.threads, 1);
-            }
-        }
-    }
-
-    #[test]
     fn budget_exhaustion_is_reported_deterministically() {
         let h = impossible(10);
         // Too small to finish: the one global counter stops the walk after
-        // exactly `budget` expansions, at every requested thread count.
-        for threads in [1, 2, 4] {
-            let (tiny, stats) = search_with_threads_stats(&h, &CtrSpec, 50, threads);
-            assert_eq!(tiny, SearchOutcome::BudgetExhausted);
-            assert_eq!(stats.nodes_expanded, 50);
-        }
+        // exactly `budget` expansions.
+        let (tiny, stats) = search_with_stats(&h, &CtrSpec, 50);
+        assert_eq!(tiny, SearchOutcome::BudgetExhausted);
+        assert_eq!(stats.nodes_expanded, 50);
         assert_eq!(
             search_with_budget(&h, &CtrSpec, 0),
             SearchOutcome::BudgetExhausted
@@ -758,7 +716,7 @@ mod tests {
         let a = h.push(OpRecord::new(L::Inc, r(0)), []);
         let b = h.push(OpRecord::new(L::Inc, r(1)), []);
         h.push(OpRecord::new(L::Read(2), r(2)), [a, b]);
-        let (out, stats) = search_with_threads_stats(&h, &CtrSpec, 3, 1);
+        let (out, stats) = search_with_stats(&h, &CtrSpec, 3);
         assert!(out.is_linearizable());
         assert_eq!(stats.nodes_expanded, 3);
         assert_eq!(
@@ -772,7 +730,7 @@ mod tests {
         // Refuting k concurrent increments expands each of the 2^k placed
         // sets once; per-first-operation tables would re-explore the shared
         // sub-DAG under every root.
-        let (out, stats) = search_with_threads_stats(&impossible(10), &CtrSpec, u64::MAX, 1);
+        let (out, stats) = search_with_stats(&impossible(10), &CtrSpec, u64::MAX);
         assert_eq!(out, SearchOutcome::NotLinearizable);
         assert_eq!(stats.nodes_expanded, 1 << 10);
         assert_eq!(stats.memo_entries, 1 << 10);

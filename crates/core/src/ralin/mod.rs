@@ -47,6 +47,7 @@
 
 mod brute;
 mod check;
+mod config;
 mod guided;
 pub mod memo;
 pub mod monitor;
@@ -55,9 +56,7 @@ pub mod sharded;
 pub use brute::{count_linearizations, search_brute, search_brute_with_budget};
 pub use check::{check_linearization, Violation};
 pub use guided::{check_guided, check_rewritten, execution_order_of, timestamp_order_of};
-pub use memo::{
-    search, search_with_budget, search_with_threads, search_with_threads_stats, SearchStats,
-};
+pub use memo::{search, search_with_budget, search_with_stats, SearchStats};
 pub use monitor::{monitor_history, Monitor, MonitorFeed, MonitorStats, Verdict};
 pub use sharded::{
     search_sharded, search_sharded_with_budget, search_sharded_with_threads,
@@ -255,7 +254,7 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    search_with_threads_stats(&rewritten.history, spec, u64::MAX, 1)
+    search_with_stats(&rewritten.history, spec, u64::MAX)
 }
 
 /// [`ra_search`] with a node budget: the memoized engine expands at most

@@ -11,8 +11,8 @@
 //! configurations instead of re-searching the history, in the
 //! induction-style per-op shape of "Automatically Verifying
 //! Replication-aware Linearizability" (arXiv 2502.19967). It shares only
-//! the key-fold helpers with the batch engine; the two decide
-//! independently, which is what the cross-check suites rely on.
+//! the key-fold helpers of `ralin::config` with the batch engine; the
+//! two decide independently, which is what the cross-check suites rely on.
 //!
 //! The monitor consumes an open-ended op/delivery stream. The live
 //! configuration set `R` is kept *eagerly closed*: every configuration
@@ -49,6 +49,7 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
+use super::config::{fold_frontier_hash, fold_mask_word, fold_query_frontier, CONFIG_KEY_SEED};
 use crate::bitset::BitSet;
 use crate::history::{History, Parts};
 use crate::ids::ReplicaId;
@@ -57,63 +58,6 @@ use crate::spec::{
     advance_states, mix64, states_admit, states_canonical_hash, states_set_eq, Spec,
 };
 use ral_obs as obs;
-
-/// Seed of the canonical configuration key (the FNV-64 offset basis, shared
-/// with [`crate::spec::fingerprint`]). The fold helpers below are shared
-/// with the memoized search, which keys its failed-configuration table the
-/// same way.
-pub(crate) const CONFIG_KEY_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one placement-mask word into a configuration key.
-pub(crate) fn fold_mask_word(key: u64, word: u64) -> u64 {
-    mix64(key ^ word)
-}
-
-/// Folds the canonical hash of the main spec frontier (or, in the monitor,
-/// of the absorbed base states) into a configuration key.
-pub(crate) fn fold_frontier_hash(key: u64, frontier_hash: u64) -> u64 {
-    mix64(key ^ frontier_hash)
-}
-
-/// Folds one pending query's justification frontier into a configuration
-/// key. The rotation decorrelates it from the main frontier fold.
-pub(crate) fn fold_query_frontier(key: u64, query: usize, qfront_hash: u64) -> u64 {
-    mix64(key ^ (query as u64) ^ qfront_hash.rotate_left(17))
-}
-
-/// Replays `updates` from the initial state, returning the reachable state
-/// set, or `None` if the sequence is not admitted by `spec`. Shared by the
-/// per-shard admissibility checks in [`super::sharded`].
-pub(crate) fn replay_updates<'l, S, I>(spec: &S, updates: I) -> Option<Vec<S::State>>
-where
-    S: Spec,
-    I: IntoIterator<Item = &'l S::Label>,
-    S::Label: 'l,
-{
-    let mut states = vec![spec.initial()];
-    for l in updates {
-        states = advance_states(spec, &states, l);
-        if states.is_empty() {
-            return None;
-        }
-    }
-    Some(states)
-}
-
-/// Returns `true` if `updates` is admitted by `spec` and, when `query` is
-/// given, some reached state admits it — the shape of every
-/// `ShardableSpec::admits_shard` implementation.
-pub(crate) fn replay_admits<'l, S, I>(spec: &S, updates: I, query: Option<&S::Label>) -> bool
-where
-    S: Spec,
-    I: IntoIterator<Item = &'l S::Label>,
-    S::Label: 'l,
-{
-    match replay_updates(spec, updates) {
-        None => false,
-        Some(states) => query.is_none_or(|q| states_admit(spec, &states, q)),
-    }
-}
 
 /// The monitor's rolling judgement about the stream consumed so far.
 ///
@@ -527,7 +471,7 @@ impl<S: Spec> Monitor<S> {
         }
         let r = replica.0 as usize;
         assert!(r < self.frontiers.len(), "replica out of range");
-        debug_assert!(first_unseen <= self.n, "cannot have seen unfed ops");
+        // An over-claimed frontier means "has seen everything fed so far".
         let f = first_unseen.min(self.n);
         if f > self.frontiers[r] {
             self.frontiers[r] = f;
@@ -972,12 +916,12 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
 
     /// Feeds one replica seen-frontier observation in *original* id space
     /// (`first_unseen` = the first original op the replica has not seen).
+    /// A frontier beyond the operations fed so far is clamped, as in
+    /// [`Monitor::observe_frontier`]: it means "has seen everything fed".
     pub fn observe_frontier(&mut self, replica: ReplicaId, first_unseen: usize) -> Verdict {
-        let mapped = if first_unseen == 0 {
-            0
-        } else {
-            debug_assert!(first_unseen <= self.parts.len());
-            self.parts[first_unseen - 1].update() + 1
+        let mapped = match first_unseen.min(self.parts.len()) {
+            0 => 0,
+            f => self.parts[f - 1].update() + 1,
         };
         self.monitor.observe_frontier(replica, mapped)
     }
@@ -1192,11 +1136,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_helpers_admit_and_refute() {
-        let inc = L::Inc;
-        assert!(replay_admits(&CtrSpec, [&inc, &inc], Some(&L::Read(2))));
-        assert!(!replay_admits(&CtrSpec, [&inc], Some(&L::Read(2))));
-        let set = O::Set;
-        assert!(!replay_admits(&OnceSpec, [&set, &set], None));
+    fn feed_clamps_an_over_claimed_frontier() {
+        let run = |first_unseen| {
+            let mut feed: MonitorFeed<L, Identity, CtrSpec> =
+                MonitorFeed::new(Identity, CtrSpec, 1);
+            feed.feed_op(&L::Inc, &BitSet::new());
+            let verdict = feed.observe_frontier(r(0), first_unseen);
+            (verdict, feed.monitor().settled())
+        };
+        assert_eq!(run(1), (Verdict::Ok, 1));
+        assert_eq!(run(5), run(1), "seen more than was fed = seen all of it");
     }
 }

@@ -46,8 +46,9 @@
 //!   weakening.
 
 use super::check::check_linearization;
-use super::memo::{search_with_threads_stats, SearchStats};
-use super::{monitor, Linearization, SearchOutcome};
+use super::config::replay_admits;
+use super::memo::{search_with_stats, SearchStats};
+use super::{Linearization, SearchOutcome};
 use crate::compose::{ComposedLabel, EitherLabel, MultiObjSpec, PairSpec};
 use crate::history::History;
 use crate::ids::ObjId;
@@ -160,16 +161,9 @@ where
 {
     /// Runs the complete memoized search on one shard (a sub-history whose
     /// operations all belong to `obj`) against the per-object component
-    /// specification. `budget` and `threads` as in
-    /// [`super::memo::search_with_threads`]; the
-    /// returned witness is in shard-local indices.
-    fn search_shard(
-        &self,
-        obj: ObjId,
-        shard: &History<Self::Label>,
-        budget: u64,
-        threads: usize,
-    ) -> SearchOutcome;
+    /// specification. `budget` as in [`super::memo::search_with_budget`];
+    /// the returned witness is in shard-local indices.
+    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome;
 
     /// [`ShardableSpec::search_shard`], also returning the
     /// [`SearchStats`] of the shard walk. The default implementation
@@ -181,10 +175,9 @@ where
         obj: ObjId,
         shard: &History<Self::Label>,
         budget: u64,
-        threads: usize,
     ) -> (SearchOutcome, SearchStats) {
         (
-            self.search_shard(obj, shard, budget, threads),
+            self.search_shard(obj, shard, budget),
             SearchStats::default(),
         )
     }
@@ -209,14 +202,8 @@ where
     S: Spec + Sync,
     S::Label: Sync,
 {
-    fn search_shard(
-        &self,
-        obj: ObjId,
-        shard: &History<Self::Label>,
-        budget: u64,
-        threads: usize,
-    ) -> SearchOutcome {
-        self.search_shard_with_stats(obj, shard, budget, threads).0
+    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
+        self.search_shard_with_stats(obj, shard, budget).0
     }
 
     fn search_shard_with_stats(
@@ -224,10 +211,9 @@ where
         _obj: ObjId,
         shard: &History<Self::Label>,
         budget: u64,
-        threads: usize,
     ) -> (SearchOutcome, SearchStats) {
         let inner = shard.clone().map(|l| l.label);
-        search_with_threads_stats(&inner, self.inner(), budget, threads)
+        search_with_stats(&inner, self.inner(), budget)
     }
 
     fn admits_shard(
@@ -236,7 +222,7 @@ where
         updates: &[&Self::Label],
         query: Option<&Self::Label>,
     ) -> bool {
-        monitor::replay_admits(
+        replay_admits(
             self.inner(),
             updates.iter().map(|l| &l.label),
             query.map(|q| &q.label),
@@ -251,14 +237,8 @@ where
     S1::Label: Sync,
     S2::Label: Sync,
 {
-    fn search_shard(
-        &self,
-        obj: ObjId,
-        shard: &History<Self::Label>,
-        budget: u64,
-        threads: usize,
-    ) -> SearchOutcome {
-        self.search_shard_with_stats(obj, shard, budget, threads).0
+    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
+        self.search_shard_with_stats(obj, shard, budget).0
     }
 
     fn search_shard_with_stats(
@@ -266,20 +246,19 @@ where
         obj: ObjId,
         shard: &History<Self::Label>,
         budget: u64,
-        threads: usize,
     ) -> (SearchOutcome, SearchStats) {
         if obj == ObjId(0) {
             let inner = shard.clone().map(|l| match l {
                 EitherLabel::First(a) => a,
                 EitherLabel::Second(_) => unreachable!("shard of object 0 holds First labels only"),
             });
-            search_with_threads_stats(&inner, self.first(), budget, threads)
+            search_with_stats(&inner, self.first(), budget)
         } else {
             let inner = shard.clone().map(|l| match l {
                 EitherLabel::Second(b) => b,
                 EitherLabel::First(_) => unreachable!("shard of object 1 holds Second labels only"),
             });
-            search_with_threads_stats(&inner, self.second(), budget, threads)
+            search_with_stats(&inner, self.second(), budget)
         }
     }
 
@@ -290,7 +269,7 @@ where
         query: Option<&Self::Label>,
     ) -> bool {
         if obj == ObjId(0) {
-            monitor::replay_admits(
+            replay_admits(
                 self.first(),
                 updates.iter().map(|l| match l {
                     EitherLabel::First(a) => a,
@@ -304,7 +283,7 @@ where
                 }),
             )
         } else {
-            monitor::replay_admits(
+            replay_admits(
                 self.second(),
                 updates.iter().map(|l| match l {
                     EitherLabel::Second(b) => b,
@@ -427,7 +406,7 @@ pub fn stitch_witness<L>(
 /// Sharded complete search with an explicit thread count (`0` =
 /// automatic, as for `RAL_CHECK_THREADS`). See the module docs for the
 /// decision structure; the outcome agrees with
-/// [`super::memo::search_with_threads`] on every
+/// [`super::memo::search_with_budget`] on every
 /// history (budgets excepted — shard budgets are per shard, so compare
 /// exhaustion only qualitatively across engines).
 pub fn search_sharded_with_threads<S>(
@@ -470,7 +449,7 @@ where
     let shards = shard_history(h);
     if shards.len() <= 1 {
         // One object: sharding adds nothing over the monolithic engine.
-        let (out, mut stats) = search_with_threads_stats(h, spec, budget, threads);
+        let (out, mut stats) = search_with_stats(h, spec, budget);
         stats.shards = shards.len() as u64;
         return (out, stats);
     }
@@ -482,7 +461,7 @@ where
     obs::counter("ralin.shards", shards.len() as u64);
     let results = run_pool(pool, shards.len(), |i| {
         let s0 = obs::wallclock::now_nanos();
-        let res = spec.search_shard_with_stats(shards[i].obj, &shards[i].history, budget, 1);
+        let res = spec.search_shard_with_stats(shards[i].obj, &shards[i].history, budget);
         obs::observe(
             "ralin.shard_nanos",
             obs::wallclock::now_nanos().saturating_sub(s0),
@@ -530,7 +509,7 @@ where
     // genuinely non-compositional history from an unlucky stitch.
     stats.fallback = true;
     obs::counter("ralin.fallback", 1);
-    let (out, fallback_stats) = search_with_threads_stats(h, spec, budget, threads);
+    let (out, fallback_stats) = search_with_stats(h, spec, budget);
     stats.merge(&fallback_stats);
     finish(out, stats)
 }

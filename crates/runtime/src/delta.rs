@@ -40,7 +40,6 @@
 //! full-state run converges to. `ral_verify::delta` checks that equivalence
 //! differentially on every scenario in the `ral-sim` corpus.
 
-use crate::exec::{self, ExecConfig};
 use crate::gen::GenCtx;
 use crate::membership::Member;
 use crate::state_based::{StateBased, StateOutcome};
@@ -84,10 +83,7 @@ pub enum DeltaOutcome<R, S, D> {
 pub trait DeltaCrdt: StateBased {
     /// A join decomposition fragment: the unit shipped by the delta
     /// transport. Often the state type itself (a sparse fragment of it).
-    /// `Send + Sync` because buffered deltas travel with their node across
-    /// executor workers and messages are read concurrently during the
-    /// parallel apply phase of [`DeltaCluster::sync_all`].
-    type Delta: Clone + Debug + PartialEq + Send + Sync;
+    type Delta: Clone + Debug + PartialEq;
 
     /// The delta of one local transition `pre → post` (with `pre ⊑ post`
     /// up to the mutation's own effect): a minimal `d` with
@@ -328,7 +324,6 @@ pub struct DeltaCluster<C: DeltaCrdt> {
     history: History<C::Label>,
     next_uid: u64,
     stats: DeltaStats,
-    exec: ExecConfig,
 }
 
 /// A successful invocation on a [`DeltaCluster`].
@@ -347,16 +342,6 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     ///
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, config: DeltaConfig, n_replicas: usize) -> Self {
-        Self::with_exec(crdt, config, n_replicas, ExecConfig::from_env())
-    }
-
-    /// Creates a cluster with an explicit executor configuration (see
-    /// [`DeltaCluster::new`] for the default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_replicas` is zero.
-    pub fn with_exec(crdt: C, config: DeltaConfig, n_replicas: usize, exec: ExecConfig) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
         let replicas = (0..n_replicas)
             .map(|_| {
@@ -384,19 +369,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             history: History::new(),
             next_uid: 0,
             stats: DeltaStats::default(),
-            exec,
         }
-    }
-
-    /// Replaces the executor configuration (parallelism of the
-    /// [`DeltaCluster::sync_all`] apply phases; never affects outcomes).
-    pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
-    /// The executor configuration.
-    pub fn exec(&self) -> &ExecConfig {
-        &self.exec
     }
 
     /// Number of replicas.
@@ -734,23 +707,19 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         self.apply_round(start);
     }
 
-    // Applies every message from `start` onwards at every replica — the
-    // parallel apply phase of a sync round. Each closure mutates only its
-    // own node's core while reading the shared message log, so sharding
-    // replicas across executor workers cannot change any outcome; message
-    // ids stay sequentially assigned because all sends happen before.
+    // Applies every message from `start` onwards at every replica, in
+    // ascending replica order — the apply phase of a sync round (all of the
+    // round's sends happen before it).
     fn apply_round(&mut self, start: usize) {
-        let crdt = &self.crdt;
         let round = &self.messages[start..];
-        let (applies, report) =
-            exec::for_each_replica(&self.exec, &mut self.replicas, |i, node| {
-                node.core.member.expect_up("apply at", ReplicaId(i as u32));
-                for (j, message) in round.iter().enumerate() {
-                    apply_message(crdt, start + j, message, i, &mut node.core);
-                }
-                round.len() as u64
-            });
-        record_sync_obs(&applies, &report);
+        for (i, node) in self.replicas.iter_mut().enumerate() {
+            node.core.member.expect_up("apply at", ReplicaId(i as u32));
+            for (j, message) in round.iter().enumerate() {
+                apply_message(&self.crdt, start + j, message, i, &mut node.core);
+            }
+        }
+        let applies = (round.len() * self.replicas.len()) as u64;
+        obs::observe("runtime.delta.sync_batch", applies);
     }
 
     /// Checks the lattice laws on the current replica states (as
@@ -819,9 +788,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
 }
 
 // The message-apply body, shared by targeted [`DeltaCluster::apply`] and the
-// parallel apply phases of [`DeltaCluster::sync_all`]. Mutates only `core`
-// (the receiving replica) while reading the immutable message — the
-// parallel-safety contract of [`exec::for_each_replica`].
+// apply phases of [`DeltaCluster::sync_all`].
 fn apply_message<C: DeltaCrdt>(
     crdt: &C,
     msg: usize,
@@ -872,19 +839,6 @@ fn apply_message<C: DeltaCrdt>(
         .max(message.clock)
         .max(crdt.clock_floor(&core.state));
     changed
-}
-
-// Reports one sync round's apply-phase metrics on the caller thread after
-// the executor has joined: total applies plus the per-worker split.
-fn record_sync_obs(applies: &[u64], report: &exec::ExecReport) {
-    let total: u64 = applies.iter().sum();
-    obs::observe("runtime.delta.sync_batch", total);
-    let mut start = 0;
-    for (worker, &size) in report.shard_sizes.iter().enumerate() {
-        let shard: u64 = applies[start..start + size].iter().sum();
-        obs::counter_keyed("runtime.exec.worker_merges", worker as u64, shard);
-        start += size;
-    }
 }
 
 #[cfg(test)]
@@ -1172,34 +1126,5 @@ mod tests {
         let m = c.gossip(r(0));
         c.crash(r(1));
         c.apply(r(1), m);
-    }
-
-    #[test]
-    fn parallel_sync_matches_sequential_byte_for_byte() {
-        let run = |exec: ExecConfig| {
-            let mut c = DeltaCluster::with_exec(GSet, DeltaConfig { resync_after: 8 }, 10, exec);
-            for i in 0..200u32 {
-                if i % 23 == 7 {
-                    c.crash(r(i % 10));
-                    c.restart(r(i % 10));
-                }
-                c.invoke(r(i % 10), Call::Add(i % 50)).unwrap();
-                if i % 17 == 5 {
-                    c.sync_all();
-                }
-            }
-            c.sync_all();
-            assert!(c.converged());
-            let states: Vec<Vec<u32>> = (0..10).map(|i| c.state(r(i)).clone()).collect();
-            (states, format!("{:?}", c.history()))
-        };
-        let base = run(ExecConfig::sequential());
-        for exec in [
-            ExecConfig::free(2),
-            ExecConfig::free(8),
-            ExecConfig::seeded(4, 9),
-        ] {
-            assert_eq!(run(exec), base, "sync_all outcome changed under {exec:?}");
-        }
     }
 }

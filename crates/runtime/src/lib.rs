@@ -23,18 +23,18 @@
 //! * [`schedule`] — seeded random schedulers driving clusters through
 //!   interleavings, plus convergence helpers.
 //!
-//! Since the mailbox refactor, all four transports share one delivery core:
+//! The transports share one delivery core:
 //!
 //! * [`membership`] — per-replica liveness (crash/restart) and visibility
 //!   (seen-set) bookkeeping, the [`membership::Member`] every node embeds;
 //! * [`mailbox`] — per-replica delivery queues over a cluster-wide pool of
-//!   immutable [`mailbox::DeliveryRecord`]s, drained in one ascending pass;
-//! * [`exec`] — the sharded executor running per-replica work (mailbox
-//!   drains, merge phases) across a worker pool. Parallelism is configured
-//!   by [`exec::ExecConfig`] (`RAL_RUNTIME_THREADS`) and is **outcome
-//!   invariant by construction**: a drain mutates only its own replica's
-//!   node while reading immutable shared records, so histories and traces
-//!   are byte-identical at every thread count, seeded or free-running.
+//!   immutable [`mailbox::DeliveryRecord`]s, and the one copy of op-based
+//!   delivery both broadcast transports run: preconditions, holdback
+//!   `receive`, and the single ascending drain pass.
+//!
+//! Delivery is sequential, as in the paper's interleaving semantics: one
+//! OPERATION, EFFECTOR or merge step at one replica at a time, and
+//! `deliver_all` / `sync_all` visit the replicas in ascending order.
 //!
 //! All three cluster kinds expose targeted per-message delivery
 //! (`can_deliver`/`deliver`, `apply`) and crash/restart entry points; the
@@ -42,7 +42,6 @@
 //! (latency, partitions, crashes, topologies) on top of them.
 
 pub mod delta;
-pub mod exec;
 pub mod gen;
 pub mod mailbox;
 pub mod membership;
@@ -52,7 +51,6 @@ pub mod schedule;
 pub mod state_based;
 
 pub use delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaOutcome, DeltaStats};
-pub use exec::{ExecConfig, ExecMode, ExecReport};
 pub use gen::{GenCtx, GenOutcome};
 pub use mailbox::{DeliveryRecord, Mailbox, Received};
 pub use membership::Member;

@@ -13,20 +13,25 @@
 //! applies whatever causal delivery admits, and keeps the rest in the
 //! backlog. Because record ids ascend with operation ids and every causal
 //! predecessor of a record has a smaller id, **one ascending pass reaches
-//! the fixpoint** — no retry loop — and because a drain writes nothing but
-//! its own replica's node, drains for different replicas can run on
-//! different worker threads (see [`crate::exec`]) without changing a single
-//! byte of any history or trace.
+//! the fixpoint** — no retry loop. A drain writes nothing but its own
+//! replica's node, and `deliver_all` drains the replicas in ascending
+//! order: one EFFECTOR step at one replica at a time, the interleaving
+//! semantics of Figure 7.
 //!
 //! The pending set is pruned lazily: whether an id is still pending is
 //! decided by the replica's seen-set (see [`crate::membership::Member`]),
 //! never by per-record flags — own-origin records and targeted deliveries
 //! are simply skipped as already seen — so broadcasting, draining, and
 //! targeted delivery all agree by construction.
+//!
+//! The delivery logic itself lives here once, for both transports: the
+//! precondition trio (`deliverable_into` / `can_deliver` / `deliver`), the
+//! holdback `receive` loop and the `drain` pass, generic over a `Delivery`
+//! — the transport's admission predicate and apply step, the only two
+//! things that differ between them.
 
-use ral_obs as obs;
-
-use crate::exec::ExecReport;
+use crate::membership::Member;
+use ral_core::ids::ReplicaId;
 
 /// One replicated effector, broadcast at invoke time and applied at most
 /// once per replica.
@@ -144,43 +149,215 @@ impl Mailbox {
     }
 }
 
-/// What one replica's drain did: how many pool entries it probed for
-/// deliverability and how many effectors it applied. The probe count is the
-/// complexity witness regression tests pin (one probe per pending pair, no
-/// fixpoint re-scans); the applied count feeds the obs batch metrics.
+/// What a drain did: how many pending candidates it started from, how many
+/// pool entries it probed for deliverability and how many effectors it
+/// applied. The probe count is the complexity witness regression tests pin
+/// (one probe per pending pair, no fixpoint re-scans); depth and applied
+/// feed the obs mailbox metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DrainStats {
+pub(crate) struct DrainStats {
+    /// Pending candidates (including lazily-pruned ids) before the drain.
+    pub(crate) depth: u64,
     /// Deliverability checks performed.
-    pub probes: u64,
+    pub(crate) probes: u64,
     /// Effectors applied.
-    pub applied: u64,
+    pub(crate) applied: u64,
 }
 
-/// Obs metric names for one transport's drain (names must be `'static` for
-/// the recorder).
-pub(crate) struct DrainObs {
-    /// Histogram: total pending candidates across all mailboxes before the
-    /// drain.
-    pub depth: &'static str,
-    /// Histogram: effectors applied by this drain (the batch size).
-    pub batch: &'static str,
-    /// Keyed counter: effectors applied per executor worker.
-    pub per_worker: &'static str,
+/// What a broadcast transport plugs into the shared delivery path: its
+/// admission predicate and its apply step. Everything else about op-based
+/// delivery is the functions below.
+pub(crate) trait Delivery {
+    /// The per-replica data the apply step writes: state(s) and clock(s).
+    type Data;
+    /// Effector payloads.
+    type Eff;
+    /// Transport-specific record metadata.
+    type Meta;
+
+    /// Whether causal delivery admits `rec` at a replica whose seen-set is
+    /// `member`'s (liveness and duplicates are the callers' checks).
+    fn admits(&self, member: &Member, rec: &DeliveryRecord<Self::Eff, Self::Meta>) -> bool;
+
+    /// Applies `rec`'s effector and clock to a replica's data.
+    fn apply(&self, data: &mut Self::Data, rec: &DeliveryRecord<Self::Eff, Self::Meta>);
 }
 
-/// Records one drain's mailbox metrics, on the caller thread, after the
-/// executor has joined — obs stays inert and its event order deterministic
-/// no matter how many workers ran.
-pub(crate) fn record_drain(names: &DrainObs, depth: usize, stats: &[DrainStats], rep: &ExecReport) {
-    obs::observe(names.depth, depth as u64);
-    let applied: u64 = stats.iter().map(|s| s.applied).sum();
-    obs::observe(names.batch, applied);
-    let mut start = 0;
-    for (worker, &size) in rep.shard_sizes.iter().enumerate() {
-        let shard: u64 = stats[start..start + size].iter().map(|s| s.applied).sum();
-        obs::counter_keyed(names.per_worker, worker as u64, shard);
-        start += size;
+type Record<T> = DeliveryRecord<<T as Delivery>::Eff, <T as Delivery>::Meta>;
+
+/// One replica of a broadcast transport. Everything in it is durable
+/// (data, seen-set and clocks survive a crash): losing an applied effector
+/// would be unrecoverable under exactly-once delivery, so a crash only
+/// *halts* the replica. Undelivered effectors stay queued in the mailbox
+/// and are re-delivered after restart.
+#[derive(Clone)]
+pub(crate) struct Node<D> {
+    pub(crate) data: D,
+    pub(crate) member: Member,
+    pub(crate) mailbox: Mailbox,
+}
+
+impl<D> Node<D> {
+    pub(crate) fn new(data: D) -> Self {
+        Node {
+            data,
+            member: Member::new(),
+            mailbox: Mailbox::new(),
+        }
     }
+}
+
+/// The EFFECTOR step proper, preconditions already established.
+fn admit<T: Delivery>(rules: &T, node: &mut Node<T::Data>, rec: &Record<T>) {
+    rules.apply(&mut node.data, rec);
+    node.member.observe(rec.op);
+}
+
+/// Non-panicking probe for [`deliver`]: the replica is up, has not applied
+/// `rec`, and causal delivery admits it now.
+pub(crate) fn can_deliver<T: Delivery>(rules: &T, node: &Node<T::Data>, rec: &Record<T>) -> bool {
+    node.member.is_up() && !node.member.has_seen(rec.op) && rules.admits(&node.member, rec)
+}
+
+/// Fills `out` (cleared first) with the pending ids deliverable at `node`,
+/// ascending. Empty while the replica is crashed.
+pub(crate) fn deliverable_into<T: Delivery>(
+    rules: &T,
+    node: &Node<T::Data>,
+    records: &[Record<T>],
+    out: &mut Vec<usize>,
+) {
+    out.clear();
+    if !node.member.is_up() {
+        return;
+    }
+    let pending = node.mailbox.pending(records.len());
+    out.extend(pending.filter(|&d| can_deliver(rules, node, &records[d])));
+}
+
+/// Delivers `rec` at `node`, which is replica `r` (the EFFECTOR rule).
+///
+/// # Panics
+///
+/// Panics if the replica is crashed, the effector was already applied
+/// there, or causal delivery would be violated.
+pub(crate) fn deliver<T: Delivery>(
+    rules: &T,
+    node: &mut Node<T::Data>,
+    rec: &Record<T>,
+    r: ReplicaId,
+) {
+    node.member.expect_up("deliver at", r);
+    assert!(
+        !node.member.has_seen(rec.op),
+        "effector of operation {} already applied at {r}",
+        rec.op
+    );
+    assert!(
+        rules.admits(&node.member, rec),
+        "causal delivery violated: operation {} has undelivered predecessors at {r}",
+        rec.op
+    );
+    admit(rules, node, rec);
+}
+
+/// Handles a network arrival of delivery `d` at `node` with causal
+/// holdback: duplicates are ignored, out-of-order (or crashed-target)
+/// arrivals are buffered in the mailbox, and an in-order arrival is applied
+/// together with every held delivery it unblocks.
+pub(crate) fn receive<T: Delivery>(
+    rules: &T,
+    node: &mut Node<T::Data>,
+    records: &[Record<T>],
+    d: usize,
+) -> Received {
+    let rec = &records[d];
+    if node.member.has_seen(rec.op) {
+        return Received::Ignored;
+    }
+    if !can_deliver(rules, node, rec) {
+        node.mailbox.hold(d);
+        return Received::Held;
+    }
+    admit(rules, node, rec);
+    let mut applied = 1;
+    let mut held = node.mailbox.take_held();
+    while let Some(pos) = held
+        .iter()
+        .position(|&h| can_deliver(rules, node, &records[h]))
+    {
+        let h = held.swap_remove(pos);
+        admit(rules, node, &records[h]);
+        applied += 1;
+    }
+    node.mailbox.restore_held(held);
+    Received::Applied(applied)
+}
+
+/// One drain probe of a pending record: skipped if already seen (an own
+/// operation, or applied through a targeted deliver), applied if admitted.
+/// Returns `true` if the record stays blocked.
+fn probe<T: Delivery>(
+    rules: &T,
+    node: &mut Node<T::Data>,
+    rec: &Record<T>,
+    stats: &mut DrainStats,
+) -> bool {
+    if node.member.has_seen(rec.op) {
+        return false;
+    }
+    stats.probes += 1;
+    let admitted = rules.admits(&node.member, rec);
+    if admitted {
+        admit(rules, node, rec);
+        stats.applied += 1;
+    }
+    !admitted
+}
+
+/// Drains one replica's mailbox: a single ascending pass, compacting the
+/// blocked survivors in place (zero allocation).
+fn drain<T: Delivery>(rules: &T, node: &mut Node<T::Data>, records: &[Record<T>]) -> DrainStats {
+    let mut stats = DrainStats {
+        depth: node.mailbox.depth(records.len()) as u64,
+        ..DrainStats::default()
+    };
+    if !node.member.is_up() {
+        // Crashed replicas keep their backlog for after restart.
+        return stats;
+    }
+    // Blocked backlog first, then the unexamined pool suffix — backlog ids
+    // all precede the cursor, so the whole pass is ascending.
+    let mut backlog = node.mailbox.take_backlog();
+    backlog.retain(|&d| probe(rules, node, &records[d], &mut stats));
+    for (d, rec) in records.iter().enumerate().skip(node.mailbox.cursor()) {
+        if probe(rules, node, rec, &mut stats) {
+            backlog.push(d);
+        }
+    }
+    node.mailbox.advance_cursor(records.len());
+    node.mailbox.restore_backlog(backlog);
+    let member = &node.member;
+    node.mailbox
+        .prune_held(|&id| !member.has_seen(records[id].op));
+    stats
+}
+
+/// Delivers every pending effector everywhere: one [`drain`] per replica,
+/// in ascending replica order. Returns the summed stats.
+pub(crate) fn drain_all<T: Delivery>(
+    rules: &T,
+    nodes: &mut [Node<T::Data>],
+    records: &[Record<T>],
+) -> DrainStats {
+    let mut total = DrainStats::default();
+    for node in nodes {
+        let stats = drain(rules, node, records);
+        total.depth += stats.depth;
+        total.probes += stats.probes;
+        total.applied += stats.applied;
+    }
+    total
 }
 
 /// How a driver's `receive` handled an inbound message.

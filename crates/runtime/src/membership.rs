@@ -25,9 +25,8 @@ use ral_core::ids::ReplicaId;
 /// The seen-set is the ground truth for delivery state: an operation's
 /// effector has been applied at this replica **iff** its history index is in
 /// `seen` (origins insert at invoke time, receivers insert at delivery
-/// time). Transports therefore need no per-record `delivered` flags — which
-/// is what makes per-replica delivery drains embarrassingly parallel: a
-/// drain reads shared immutable records and writes only its own `Member`.
+/// time). Transports therefore need no per-record `delivered` flags: a
+/// drain reads shared immutable records and writes only its own replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Member {
     seen: BitSet,

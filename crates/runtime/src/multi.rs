@@ -10,16 +10,14 @@
 //! single clock spanning all of them.
 //!
 //! Replication plumbing is the shared delivery core ([`crate::mailbox`] +
-//! [`crate::membership`]); per-object causal delivery is certified in O(1)
-//! against the target's seen frontier, falling back to the cluster's
-//! per-object op index only when the seen-set has holes.
-//! [`MultiCluster::deliver_all`] drains each replica's mailbox in one
-//! ascending pass, sharded across the configured [`exec`]
-//! workers.
+//! [`crate::membership`]): every delivery entry point is the
+//! [`crate::mailbox`] function [`Cluster`](crate::op_based::Cluster) calls
+//! too, under this transport's rule. Per-object causal delivery is
+//! certified in O(1) against the target's seen frontier, falling back to
+//! the cluster's per-object op index only when the seen-set has holes.
 
-use crate::exec::{self, ExecConfig};
 use crate::gen::{GenCtx, GenOutcome};
-use crate::mailbox::{self, DeliveryRecord, DrainObs, DrainStats, Mailbox, Received};
+use crate::mailbox::{self, Delivery, DeliveryRecord, Node, Received};
 use crate::membership::Member;
 use crate::op_based::{Invoked, OpBased};
 use ral_core::compose::ObjLabel;
@@ -40,14 +38,13 @@ pub enum TsMode {
     Shared,
 }
 
+/// A replica's data: one state per object, and one Lamport clock per
+/// object ([`TsMode::PerObject`]) or a single shared one
+/// ([`TsMode::Shared`]).
 #[derive(Clone)]
-struct MultiNode<S> {
+struct Locals<S> {
     states: Vec<S>,
-    // Liveness + seen-set; composed replica state is durable, as in
-    // [`crate::op_based::Cluster`].
-    member: Member,
     clocks: Vec<u64>,
-    mailbox: Mailbox,
 }
 
 /// Composed-transport record metadata: just the target object. The op's
@@ -63,55 +60,87 @@ struct MultiMeta {
 
 type MultiRecord<E> = DeliveryRecord<E, MultiMeta>;
 
-/// A cluster replicating `n` objects of the same data type.
-// Cloning forks the whole composed configuration — the branch point of
-// `ral-analyze`'s timestamp-discipline search.
+/// Per-object causal delivery: what [`crate::mailbox`] reads while it
+/// writes a replica.
 #[derive(Clone)]
-pub struct MultiCluster<C: OpBased> {
+struct PerObject<C: OpBased> {
     crdt: C,
     mode: TsMode,
-    n_objects: usize,
-    replicas: Vec<MultiNode<C::State>>,
-    records: Vec<MultiRecord<C::Eff>>,
     // Per-object index of every op issued on that object, ascending — the
     // candidate pool the slow-path causal check scans (a hole-free replica
     // never touches it).
     obj_ops: Vec<Vec<usize>>,
     history: History<ObjLabel<C::Label>>,
-    next_uid: u64,
-    exec: ExecConfig,
 }
 
-const MULTI_DRAIN_OBS: DrainObs = DrainObs {
-    depth: "runtime.multi.mailbox.depth",
-    batch: "runtime.multi.mailbox.batch",
-    per_worker: "runtime.exec.worker_deliveries",
-};
+impl<C: OpBased> PerObject<C> {
+    fn clock_slot(&self, obj: usize) -> usize {
+        match self.mode {
+            TsMode::PerObject => obj,
+            TsMode::Shared => 0,
+        }
+    }
+}
+
+impl<C: OpBased> Delivery for PerObject<C> {
+    type Data = Locals<C::State>;
+    type Eff = C::Eff;
+    type Meta = MultiMeta;
+
+    /// Every same-object predecessor applied.
+    ///
+    /// Tiered: every predecessor of `rec.op` has a smaller id, so a member
+    /// whose seen [`frontier`](Member::frontier) has reached `rec.op`
+    /// admits it in O(1) — the only path a steady-state drain ever takes. A
+    /// member with holes above its frontier narrows `obj_ops` (all ops on
+    /// this object, ascending) to the candidates between frontier and
+    /// `rec.op`, and only then consults the history's exact pred set.
+    /// Outcomes are identical on every tier.
+    fn admits(&self, member: &Member, rec: &MultiRecord<C::Eff>) -> bool {
+        if rec.op <= member.frontier() {
+            return true;
+        }
+        let same_obj = &self.obj_ops[rec.meta.obj];
+        let cut = same_obj.partition_point(|&p| p < rec.op);
+        let lo = same_obj.partition_point(|&p| p < member.frontier());
+        let candidates = &same_obj[lo..cut];
+        if candidates.is_empty() {
+            return true;
+        }
+        let preds = self.history.preds(rec.op);
+        candidates
+            .iter()
+            .all(|&p| member.has_seen(p) || !preds.contains(p))
+    }
+
+    fn apply(&self, data: &mut Locals<C::State>, rec: &MultiRecord<C::Eff>) {
+        let slot = self.clock_slot(rec.meta.obj);
+        if let Some(eff) = &rec.eff {
+            self.crdt.apply(&mut data.states[rec.meta.obj], eff);
+        }
+        data.clocks[slot] = data.clocks[slot].max(rec.clock);
+    }
+}
+
+/// A cluster replicating `n` objects of the same data type.
+// Cloning forks the whole composed configuration — the branch point of
+// `ral-analyze`'s timestamp-discipline search.
+#[derive(Clone)]
+pub struct MultiCluster<C: OpBased> {
+    rules: PerObject<C>,
+    replicas: Vec<Node<Locals<C::State>>>,
+    records: Vec<MultiRecord<C::Eff>>,
+    next_uid: u64,
+}
 
 impl<C: OpBased> MultiCluster<C> {
     /// Creates a cluster of `n_replicas` replicas, each holding `n_objects`
-    /// objects, under the given timestamp discipline, with the executor
-    /// `RAL_RUNTIME_THREADS` configures (sequential when unset).
+    /// objects, under the given timestamp discipline.
     ///
     /// # Panics
     ///
     /// Panics if `n_replicas` or `n_objects` is zero.
     pub fn new(crdt: C, n_objects: usize, n_replicas: usize, mode: TsMode) -> Self {
-        MultiCluster::with_exec(crdt, n_objects, n_replicas, mode, ExecConfig::from_env())
-    }
-
-    /// [`MultiCluster::new`] with an explicit executor configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_replicas` or `n_objects` is zero.
-    pub fn with_exec(
-        crdt: C,
-        n_objects: usize,
-        n_replicas: usize,
-        mode: TsMode,
-        exec: ExecConfig,
-    ) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
         assert!(n_objects > 0, "a composition needs at least one object");
         let clock_slots = match mode {
@@ -119,40 +148,29 @@ impl<C: OpBased> MultiCluster<C> {
             TsMode::Shared => 1,
         };
         let replicas = (0..n_replicas)
-            .map(|_| MultiNode {
-                states: (0..n_objects).map(|_| crdt.initial()).collect(),
-                member: Member::new(),
-                clocks: vec![0; clock_slots],
-                mailbox: Mailbox::new(),
+            .map(|_| {
+                Node::new(Locals {
+                    states: (0..n_objects).map(|_| crdt.initial()).collect(),
+                    clocks: vec![0; clock_slots],
+                })
             })
             .collect();
         MultiCluster {
-            crdt,
-            mode,
-            n_objects,
+            rules: PerObject {
+                crdt,
+                mode,
+                obj_ops: vec![Vec::new(); n_objects],
+                history: History::new(),
+            },
             replicas,
             records: Vec::new(),
-            obj_ops: vec![Vec::new(); n_objects],
-            history: History::new(),
             next_uid: 0,
-            exec,
         }
-    }
-
-    /// Replaces the executor configuration (delivery semantics are
-    /// executor-invariant; this changes only how drains are scheduled).
-    pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
-    /// The executor configuration delivery drains run under.
-    pub fn exec(&self) -> &ExecConfig {
-        &self.exec
     }
 
     /// Number of composed objects.
     pub fn n_objects(&self) -> usize {
-        self.n_objects
+        self.rules.obj_ops.len()
     }
 
     /// Number of replicas.
@@ -162,66 +180,62 @@ impl<C: OpBased> MultiCluster<C> {
 
     /// The timestamp discipline of this composition.
     pub fn mode(&self) -> TsMode {
-        self.mode
+        self.rules.mode
     }
 
     /// The state of object `obj` at replica `r`.
     pub fn state(&self, r: ReplicaId, obj: ObjId) -> &C::State {
-        &self.replicas[r.0 as usize].states[obj.0 as usize]
+        &self.replicas[r.0 as usize].data.states[obj.0 as usize]
     }
 
     /// The composed history recorded so far (global visibility).
     pub fn history(&self) -> &History<ObjLabel<C::Label>> {
-        &self.history
+        &self.rules.history
     }
 
     /// Consumes the cluster, returning its history.
     pub fn into_history(self) -> History<ObjLabel<C::Label>> {
-        self.history
-    }
-
-    fn clock_slot(&self, obj: usize) -> usize {
-        match self.mode {
-            TsMode::PerObject => obj,
-            TsMode::Shared => 0,
-        }
+        self.rules.history
     }
 
     /// Invokes `call` on object `obj` at replica `r`.
     ///
     /// Returns `None` if the generator refuses the call.
     pub fn invoke(&mut self, r: ReplicaId, obj: ObjId, call: C::Call) -> Option<Invoked<C::Ret>> {
-        let idx = r.0 as usize;
         let o = obj.0 as usize;
-        assert!(o < self.n_objects, "object {obj} out of range");
-        let slot = self.clock_slot(o);
-        let node = &self.replicas[idx];
+        assert!(o < self.n_objects(), "object {obj} out of range");
+        let slot = self.rules.clock_slot(o);
+        let PerObject {
+            crdt,
+            obj_ops,
+            history,
+            ..
+        } = &mut self.rules;
+        let node = &mut self.replicas[r.0 as usize];
         node.member.expect_up("invoke at", r);
-        let mut ctx = GenCtx::new(r, node.clocks[slot], self.next_uid);
-        match self.crdt.generator(&node.states[o], &call, &mut ctx) {
+        let mut ctx = GenCtx::new(r, node.data.clocks[slot], self.next_uid);
+        match crdt.generator(&node.data.states[o], &call, &mut ctx) {
             GenOutcome::Refused => None,
             GenOutcome::Done { ret, eff } => {
-                let label = ObjLabel::new(obj, self.crdt.label(&call, &ret));
+                let label = ObjLabel::new(obj, crdt.label(&call, &ret));
                 let record = match ctx.issued_ts() {
                     Some(ts) => OpRecord::with_ts(label, r, ts),
                     None => OpRecord::new(label, r),
                 };
-                let node = &mut self.replicas[idx];
-                let op = self.history.push_set(record, node.member.seen().clone());
-                node.clocks[slot] = ctx.clock();
+                let op = history.push_set(record, node.member.seen().clone());
+                node.data.clocks[slot] = ctx.clock();
                 self.next_uid = ctx.uid_counter();
                 if let Some(eff) = &eff {
-                    self.crdt.apply(&mut node.states[o], eff);
+                    crdt.apply(&mut node.data.states[o], eff);
                 }
                 node.member.observe(op);
-                let clock = node.clocks[slot];
                 // Appending to the shared pool IS the broadcast: every other
                 // replica's mailbox cursor lies at or below the new id.
-                self.obj_ops[o].push(op);
+                obj_ops[o].push(op);
                 self.records.push(DeliveryRecord {
                     op,
                     eff,
-                    clock,
+                    clock: node.data.clocks[slot],
                     meta: MultiMeta { obj: o },
                 });
                 Some(Invoked { ret, op })
@@ -251,10 +265,7 @@ impl<C: OpBased> MultiCluster<C> {
     /// applied, and per-object causal delivery admits it now.
     pub fn can_deliver(&self, r: ReplicaId, d: usize) -> bool {
         let node = &self.replicas[r.0 as usize];
-        let rec = &self.records[d];
-        node.member.is_up()
-            && !node.member.has_seen(rec.op)
-            && same_obj_deliverable::<C>(rec, &node.member, &self.history, &self.obj_ops)
+        mailbox::can_deliver(&self.rules, node, &self.records[d])
     }
 
     /// Whether replica `r` is running (not crashed).
@@ -292,19 +303,8 @@ impl<C: OpBased> MultiCluster<C> {
     /// (cleared first) — the allocation-free form the schedule drivers
     /// probe with on every delivery step.
     pub fn deliverable_into(&self, r: ReplicaId, out: &mut Vec<usize>) {
-        out.clear();
         let node = &self.replicas[r.0 as usize];
-        if !node.member.is_up() {
-            return;
-        }
-        for d in node.mailbox.pending(self.records.len()) {
-            let rec = &self.records[d];
-            if !node.member.has_seen(rec.op)
-                && same_obj_deliverable::<C>(rec, &node.member, &self.history, &self.obj_ops)
-            {
-                out.push(d);
-            }
-        }
+        mailbox::deliverable_into(&self.rules, node, &self.records, out);
     }
 
     /// Delivers pending effector `delivery` at replica `r`.
@@ -313,26 +313,8 @@ impl<C: OpBased> MultiCluster<C> {
     ///
     /// Panics on double delivery or a per-object causal violation.
     pub fn deliver(&mut self, r: ReplicaId, delivery: usize) {
-        let idx = r.0 as usize;
-        let slot = self.clock_slot(self.records[delivery].meta.obj);
-        let node = &mut self.replicas[idx];
-        node.member.expect_up("deliver at", r);
-        let rec = &self.records[delivery];
-        assert!(
-            !node.member.has_seen(rec.op),
-            "effector of operation {} already applied at {r}",
-            rec.op
-        );
-        assert!(
-            same_obj_deliverable::<C>(rec, &node.member, &self.history, &self.obj_ops),
-            "causal delivery violated for object o{} at {r}",
-            rec.meta.obj
-        );
-        if let Some(eff) = &rec.eff {
-            self.crdt.apply(&mut node.states[rec.meta.obj], eff);
-        }
-        node.clocks[slot] = node.clocks[slot].max(rec.clock);
-        node.member.observe(rec.op);
+        let node = &mut self.replicas[r.0 as usize];
+        mailbox::deliver(&self.rules, node, &self.records[delivery], r);
     }
 
     /// Handles a network arrival of delivery `d` at replica `r` with causal
@@ -340,31 +322,15 @@ impl<C: OpBased> MultiCluster<C> {
     /// arrivals are buffered in the replica's mailbox, and an in-order
     /// arrival is applied together with every held delivery it unblocks.
     pub fn receive(&mut self, r: ReplicaId, d: usize) -> Received {
-        let idx = r.0 as usize;
-        if self.is_delivered(d, r) {
-            return Received::Ignored;
-        }
-        if !self.can_deliver(r, d) {
-            self.replicas[idx].mailbox.hold(d);
-            return Received::Held;
-        }
-        self.deliver(r, d);
-        let mut applied = 1;
-        let mut held = self.replicas[idx].mailbox.take_held();
-        while let Some(pos) = held.iter().position(|&h| self.can_deliver(r, h)) {
-            let h = held.swap_remove(pos);
-            self.deliver(r, h);
-            applied += 1;
-        }
-        self.replicas[idx].mailbox.restore_held(held);
-        Received::Applied(applied)
+        let node = &mut self.replicas[r.0 as usize];
+        mailbox::receive(&self.rules, node, &self.records, d)
     }
 
     /// Delivers every pending effector everywhere.
     ///
     /// Linear in the outstanding work: one pass per replica over its
-    /// mailbox queue, in delivery-creation order, sharded across the
-    /// configured executor. Ascending order is what makes a single pass
+    /// mailbox queue, in delivery-creation order, replicas in ascending
+    /// order. Ascending order is what makes a single pass
     /// complete — every same-object causal predecessor of a delivery was
     /// created earlier, so by the time a delivery is probed its
     /// predecessors have either originated at this replica or been applied
@@ -379,146 +345,33 @@ impl<C: OpBased> MultiCluster<C> {
     /// [`MultiCluster::deliver_all`], returning the number of
     /// per-delivery deliverability probes performed — the regression hook
     /// pinning the drain's linearity (at most one probe per outstanding
-    /// (delivery, replica) pair and per drain call). Deliberately not
-    /// `pub`: the probe count is an implementation detail of the drain,
-    /// not an API contract.
-    fn deliver_all_counting(&mut self) -> u64 {
+    /// (delivery, replica) pair and per drain call). Crate-private: the
+    /// probe count is an implementation detail of the drain, not an API
+    /// contract.
+    pub(crate) fn deliver_all_counting(&mut self) -> u64 {
         let _span = obs::span("runtime.multi.drain");
-        let total = self.records.len();
-        let depth: usize = self.replicas.iter().map(|n| n.mailbox.depth(total)).sum();
-        let crdt = &self.crdt;
-        let records = &self.records;
-        let history = &self.history;
-        let obj_ops = &self.obj_ops;
-        let mode = self.mode;
-        let (stats, report) = exec::for_each_replica(&self.exec, &mut self.replicas, |_, node| {
-            drain_node(crdt, records, history, obj_ops, mode, node)
-        });
-        let probes: u64 = stats.iter().map(|s| s.probes).sum();
-        if probes > 0 {
-            obs::counter("runtime.multi.probes", probes);
+        let stats = mailbox::drain_all(&self.rules, &mut self.replicas, &self.records);
+        if stats.probes > 0 {
+            obs::counter("runtime.multi.probes", stats.probes);
         }
-        mailbox::record_drain(&MULTI_DRAIN_OBS, depth, &stats, &report);
-        probes
+        obs::observe("runtime.multi.mailbox.depth", stats.depth);
+        obs::observe("runtime.multi.mailbox.batch", stats.applied);
+        stats.probes
     }
 
     /// Returns `true` if every object has converged across replicas.
     pub fn converged(&self) -> bool {
-        (0..self.n_objects).all(|o| {
+        (0..self.n_objects()).all(|o| {
             self.replicas
                 .windows(2)
-                .all(|w| w[0].states[o] == w[1].states[o])
+                .all(|w| w[0].data.states[o] == w[1].data.states[o])
         })
     }
-}
-
-/// Per-object causal deliverability: every same-object predecessor applied.
-///
-/// Tiered: every predecessor of `rec.op` has a smaller id, so a member whose
-/// seen [`frontier`](Member::frontier) has reached `rec.op` admits it in
-/// O(1) — the only path a steady-state drain ever takes. A member with holes
-/// above its frontier narrows `obj_ops` (all ops on this object, ascending)
-/// to the candidates between frontier and `rec.op`, and only then consults
-/// the history's exact pred set. Outcomes are identical on every tier.
-fn same_obj_deliverable<C: OpBased>(
-    rec: &MultiRecord<C::Eff>,
-    member: &Member,
-    history: &History<ObjLabel<C::Label>>,
-    obj_ops: &[Vec<usize>],
-) -> bool {
-    if rec.op <= member.frontier() {
-        return true;
-    }
-    let same_obj = &obj_ops[rec.meta.obj];
-    let cut = same_obj.partition_point(|&p| p < rec.op);
-    let lo = same_obj.partition_point(|&p| p < member.frontier());
-    let candidates = &same_obj[lo..cut];
-    if candidates.is_empty() {
-        return true;
-    }
-    let preds = history.preds(rec.op);
-    candidates
-        .iter()
-        .all(|&p| member.has_seen(p) || !preds.contains(p))
-}
-
-/// Drains one replica's mailbox: a single ascending pass under per-object
-/// causal delivery, compacting survivors in place. Writes only `node`.
-fn drain_node<C: OpBased>(
-    crdt: &C,
-    records: &[MultiRecord<C::Eff>],
-    history: &History<ObjLabel<C::Label>>,
-    obj_ops: &[Vec<usize>],
-    mode: TsMode,
-    node: &mut MultiNode<C::State>,
-) -> DrainStats {
-    let mut stats = DrainStats::default();
-    if !node.member.is_up() {
-        // Crashed replicas keep their backlog for after restart.
-        return stats;
-    }
-    // Blocked backlog first, then the unexamined pool suffix — backlog ids
-    // all precede the cursor, so the whole pass is ascending.
-    let mut backlog = node.mailbox.take_backlog();
-    let mut write = 0;
-    for read in 0..backlog.len() {
-        let d = backlog[read];
-        let rec = &records[d];
-        if node.member.has_seen(rec.op) {
-            continue; // applied earlier through a targeted deliver
-        }
-        stats.probes += 1;
-        if same_obj_deliverable::<C>(rec, &node.member, history, obj_ops) {
-            apply_record(crdt, mode, node, rec);
-            stats.applied += 1;
-        } else {
-            backlog[write] = d;
-            write += 1;
-        }
-    }
-    backlog.truncate(write);
-    for (d, rec) in records.iter().enumerate().skip(node.mailbox.cursor()) {
-        if node.member.has_seen(rec.op) {
-            continue; // own operation, or applied through a targeted deliver
-        }
-        stats.probes += 1;
-        if same_obj_deliverable::<C>(rec, &node.member, history, obj_ops) {
-            apply_record(crdt, mode, node, rec);
-            stats.applied += 1;
-        } else {
-            backlog.push(d);
-        }
-    }
-    node.mailbox.advance_cursor(records.len());
-    node.mailbox.restore_backlog(backlog);
-    let member = &node.member;
-    node.mailbox
-        .prune_held(|&id| !member.has_seen(records[id].op));
-    stats
-}
-
-/// Applies one admitted record at a node: effector, clock slot, seen-set.
-fn apply_record<C: OpBased>(
-    crdt: &C,
-    mode: TsMode,
-    node: &mut MultiNode<C::State>,
-    rec: &MultiRecord<C::Eff>,
-) {
-    let slot = match mode {
-        TsMode::PerObject => rec.meta.obj,
-        TsMode::Shared => 0,
-    };
-    if let Some(eff) = &rec.eff {
-        crdt.apply(&mut node.states[rec.meta.obj], eff);
-    }
-    node.clocks[slot] = node.clocks[slot].max(rec.clock);
-    node.member.observe(rec.op);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecMode;
     use ral_core::timestamp::Ts;
 
     /// A register that stores the last written value with its timestamp.
@@ -770,29 +623,72 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drain_matches_sequential_byte_for_byte() {
-        let run = |exec: ExecConfig| {
-            let mut c = MultiCluster::with_exec(TsReg, 16, 10, TsMode::Shared, exec);
-            for i in 0..400u32 {
-                c.invoke(r(i % 10), o(i % 16), Call::Write(i)).unwrap();
-                if i % 37 == 11 {
-                    c.deliver_all();
+    fn one_object_composition_delivers_exactly_like_the_single_cluster() {
+        // Both façades run the same `mailbox` functions; with one object
+        // "same-object predecessors" is "all predecessors", so a script
+        // played in lockstep must be indistinguishable step by step.
+        use crate::op_based::Cluster;
+        enum Step {
+            Invoke(u32, u32),
+            Receive(u32, usize, Received),
+            Crash(u32),
+            Restart(u32),
+            Drain,
+        }
+        use Step::*;
+        let script = [
+            Invoke(0, 1), // d0
+            Invoke(0, 2), // d1, sees d0
+            Invoke(1, 3), // d2, concurrent
+            Receive(2, 1, Received::Held),
+            Receive(2, 2, Received::Applied(1)), // leaves a hole below it
+            Receive(2, 0, Received::Applied(2)), // unblocks d1
+            Receive(2, 1, Received::Ignored),
+            Crash(1),
+            Invoke(2, 4),                  // d3
+            Receive(1, 3, Received::Held), // down: buffered
+            Drain,
+            Restart(1),
+            Drain,
+        ];
+        let mut single = Cluster::new(TsReg, 3);
+        let mut multi = MultiCluster::new(TsReg, 1, 3, TsMode::Shared);
+        for step in script {
+            match step {
+                Invoke(rep, v) => assert_eq!(
+                    single.invoke(r(rep), Call::Write(v)),
+                    multi.invoke(r(rep), o(0), Call::Write(v))
+                ),
+                Receive(rep, d, expected) => {
+                    assert_eq!(single.receive(r(rep), d), expected, "d{d} at r{rep}");
+                    assert_eq!(multi.receive(r(rep), d), expected, "d{d} at r{rep}");
+                }
+                Crash(rep) => {
+                    single.crash(r(rep));
+                    multi.crash(r(rep));
+                }
+                Restart(rep) => {
+                    single.restart(r(rep));
+                    multi.restart(r(rep));
+                }
+                Drain => {
+                    let probes = single.deliver_all_counting();
+                    assert!(probes > 0, "the script leaves every drain work to do");
+                    assert_eq!(multi.deliver_all_counting(), probes);
                 }
             }
-            c.deliver_all();
-            assert!(c.converged());
-            format!("{:?}", c.into_history())
-        };
-        let baseline = run(ExecConfig::sequential());
-        for exec in [
-            ExecConfig::free(2),
-            ExecConfig::free(8),
-            ExecConfig {
-                threads: 8,
-                mode: ExecMode::Seeded(3),
-            },
-        ] {
-            assert_eq!(run(exec), baseline, "{exec:?}: history drifted");
         }
+        assert!(single.converged() && multi.converged());
+        for (i, node) in multi.replicas.iter().enumerate() {
+            let rep = r(i as u32);
+            assert_eq!(multi.state(rep, o(0)), single.state(rep));
+            assert_eq!(node.member.seen(), single.seen(rep));
+            assert_eq!(node.member.frontier(), single.seen_frontier(rep));
+        }
+        assert_eq!(
+            format!("{:?}", multi.into_history().map(|l| l.label)),
+            format!("{:?}", single.into_history()),
+            "histories must be equal up to the object tag"
+        );
     }
 }

@@ -10,16 +10,15 @@
 //! operation visible to it).
 //!
 //! Replication plumbing is the shared delivery core: invocations append an
-//! immutable [`DeliveryRecord`] and post its id to every peer's
-//! [`Mailbox`]; [`Cluster::deliver_all`] drains
-//! each mailbox in one ascending pass, sharded across the configured
-//! [`exec`] workers — see the [`crate::mailbox`] module docs
-//! for why one pass reaches the fixpoint and why the drains parallelize
-//! without changing a byte of any history.
+//! immutable [`DeliveryRecord`] to the pool every replica's
+//! [`Mailbox`](crate::mailbox::Mailbox) reads, and every delivery entry
+//! point is the [`crate::mailbox`] function of the same name under this
+//! transport's rule — all visible predecessors applied. See the module docs
+//! there for why [`Cluster::deliver_all`]'s one ascending pass per replica
+//! reaches the fixpoint.
 
-use crate::exec::{self, ExecConfig};
 use crate::gen::{GenCtx, GenOutcome};
-use crate::mailbox::{self, DeliveryRecord, DrainObs, DrainStats, Mailbox, Received};
+use crate::mailbox::{self, Delivery, DeliveryRecord, Node, Received};
 use crate::membership::Member;
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
@@ -28,23 +27,18 @@ use ral_obs as obs;
 use std::fmt::Debug;
 
 /// An operation-based CRDT, in the style of Listings 1–5.
-///
-/// The `Send + Sync` bounds (on the descriptor and its associated data)
-/// exist for the sharded executor: delivery drains may run on worker
-/// threads, which share the descriptor and the record pool immutably.
-/// Every shipped CRDT is plain data, so the bounds cost nothing.
-pub trait OpBased: Sync {
+pub trait OpBased {
     /// Replica state (the `payload` declaration).
-    type State: Clone + Debug + PartialEq + Send + Sync;
+    type State: Clone + Debug + PartialEq;
     /// A method invocation: name plus arguments.
     type Call: Clone + Debug;
     /// Return values.
     type Ret: Clone + Debug + PartialEq;
     /// Effector payloads (the arguments the generator passes to the
     /// effector).
-    type Eff: Clone + Debug + Send + Sync;
+    type Eff: Clone + Debug;
     /// Operation labels `m(a) ⇒ b` as recorded in histories.
-    type Label: Clone + Debug + Send + Sync;
+    type Label: Clone + Debug;
 
     /// The initial replica state.
     fn initial(&self) -> Self::State;
@@ -77,17 +71,42 @@ pub struct Invoked<R> {
     pub op: usize,
 }
 
+/// A replica's data: the object state and one Lamport clock.
 #[derive(Clone)]
-struct ReplicaNode<S> {
+struct Local<S> {
     state: S,
-    // Liveness + seen-set. Op-based replica state is durable (state, seen,
-    // clock survive a crash): losing an applied effector would be
-    // unrecoverable under exactly-once delivery, so a crash only *halts*
-    // the replica. Undelivered effectors stay queued in the mailbox and
-    // are re-delivered after restart.
-    member: Member,
     clock: u64,
-    mailbox: Mailbox,
+}
+
+/// Single-object causal delivery: what [`crate::mailbox`] reads while it
+/// writes a replica.
+#[derive(Clone)]
+struct Causal<C: OpBased> {
+    crdt: C,
+    history: History<C::Label>,
+}
+
+impl<C: OpBased> Delivery for Causal<C> {
+    type Data = Local<C::State>;
+    type Eff = C::Eff;
+    type Meta = ();
+
+    /// Every visible predecessor applied. Every predecessor of `op` has a
+    /// smaller history index, so a member whose seen
+    /// [`frontier`](Member::frontier) has reached `op` admits it without
+    /// touching the pred set — the O(1) path steady-state drains always
+    /// take; a seen-set with holes pays the exact subset check. Both tiers
+    /// decide identically.
+    fn admits(&self, member: &Member, rec: &DeliveryRecord<C::Eff>) -> bool {
+        rec.op <= member.frontier() || self.history.preds(rec.op).is_subset(member.seen())
+    }
+
+    fn apply(&self, data: &mut Local<C::State>, rec: &DeliveryRecord<C::Eff>) {
+        if let Some(eff) = &rec.eff {
+            self.crdt.apply(&mut data.state, eff);
+        }
+        data.clock = data.clock.max(rec.clock);
+    }
 }
 
 /// A single replicated object: `n` replicas, a shared pool of effector
@@ -137,66 +156,38 @@ struct ReplicaNode<S> {
 // is what `ral-analyze`'s bounded-exhaustive search branches on.
 #[derive(Clone)]
 pub struct Cluster<C: OpBased> {
-    crdt: C,
-    replicas: Vec<ReplicaNode<C::State>>,
+    rules: Causal<C>,
+    replicas: Vec<Node<Local<C::State>>>,
     records: Vec<DeliveryRecord<C::Eff>>,
-    history: History<C::Label>,
     next_uid: u64,
-    exec: ExecConfig,
 }
-
-const OP_DRAIN_OBS: DrainObs = DrainObs {
-    depth: "runtime.mailbox.depth",
-    batch: "runtime.mailbox.batch",
-    per_worker: "runtime.exec.worker_deliveries",
-};
 
 impl<C: OpBased> Cluster<C> {
     /// Creates a cluster of `n_replicas` replicas, all in the initial
-    /// state, with the executor `RAL_RUNTIME_THREADS` configures
-    /// (sequential when unset).
+    /// state.
     ///
     /// # Panics
     ///
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, n_replicas: usize) -> Self {
-        Cluster::with_exec(crdt, n_replicas, ExecConfig::from_env())
-    }
-
-    /// [`Cluster::new`] with an explicit executor configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_replicas` is zero.
-    pub fn with_exec(crdt: C, n_replicas: usize, exec: ExecConfig) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
         let replicas = (0..n_replicas)
-            .map(|_| ReplicaNode {
-                state: crdt.initial(),
-                member: Member::new(),
-                clock: 0,
-                mailbox: Mailbox::new(),
+            .map(|_| {
+                Node::new(Local {
+                    state: crdt.initial(),
+                    clock: 0,
+                })
             })
             .collect();
         Cluster {
-            crdt,
+            rules: Causal {
+                crdt,
+                history: History::new(),
+            },
             replicas,
             records: Vec::new(),
-            history: History::new(),
             next_uid: 0,
-            exec,
         }
-    }
-
-    /// Replaces the executor configuration (delivery semantics are
-    /// executor-invariant; this changes only how drains are scheduled).
-    pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
-    /// The executor configuration delivery drains run under.
-    pub fn exec(&self) -> &ExecConfig {
-        &self.exec
     }
 
     /// Number of replicas.
@@ -206,22 +197,22 @@ impl<C: OpBased> Cluster<C> {
 
     /// The CRDT descriptor.
     pub fn crdt(&self) -> &C {
-        &self.crdt
+        &self.rules.crdt
     }
 
     /// The state of replica `r`.
     pub fn state(&self, r: ReplicaId) -> &C::State {
-        &self.replicas[r.0 as usize].state
+        &self.replicas[r.0 as usize].data.state
     }
 
     /// The history recorded so far.
     pub fn history(&self) -> &History<C::Label> {
-        &self.history
+        &self.rules.history
     }
 
     /// Consumes the cluster, returning its history.
     pub fn into_history(self) -> History<C::Label> {
-        self.history
+        self.rules.history
     }
 
     /// The set of operations whose effector has been applied at replica `r`.
@@ -237,33 +228,31 @@ impl<C: OpBased> Cluster<C> {
     ///
     /// Panics if the replica is crashed (see [`Cluster::crash`]).
     pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<Invoked<C::Ret>> {
-        let idx = r.0 as usize;
-        let node = &self.replicas[idx];
+        let Causal { crdt, history } = &mut self.rules;
+        let node = &mut self.replicas[r.0 as usize];
         node.member.expect_up("invoke at", r);
-        let mut ctx = GenCtx::new(r, node.clock, self.next_uid);
-        match self.crdt.generator(&node.state, &call, &mut ctx) {
+        let mut ctx = GenCtx::new(r, node.data.clock, self.next_uid);
+        match crdt.generator(&node.data.state, &call, &mut ctx) {
             GenOutcome::Refused => None,
             GenOutcome::Done { ret, eff } => {
-                let label = self.crdt.label(&call, &ret);
+                let label = crdt.label(&call, &ret);
                 let record = match ctx.issued_ts() {
                     Some(ts) => OpRecord::with_ts(label, r, ts),
                     None => OpRecord::new(label, r),
                 };
-                let node = &mut self.replicas[idx];
-                let op = self.history.push_set(record, node.member.seen().clone());
-                node.clock = ctx.clock();
+                let op = history.push_set(record, node.member.seen().clone());
+                node.data.clock = ctx.clock();
                 self.next_uid = ctx.uid_counter();
                 if let Some(eff) = &eff {
-                    self.crdt.apply(&mut node.state, eff);
+                    crdt.apply(&mut node.data.state, eff);
                 }
                 node.member.observe(op);
-                let clock = node.clock;
                 // Appending to the shared pool IS the broadcast: every other
                 // replica's mailbox cursor lies at or below the new id.
                 self.records.push(DeliveryRecord {
                     op,
                     eff,
-                    clock,
+                    clock: node.data.clock,
                     meta: (),
                 });
                 Some(Invoked { ret, op })
@@ -284,19 +273,8 @@ impl<C: OpBased> Cluster<C> {
     /// first) — the allocation-free form the schedule drivers probe with on
     /// every delivery step.
     pub fn deliverable_into(&self, r: ReplicaId, out: &mut Vec<usize>) {
-        out.clear();
         let node = &self.replicas[r.0 as usize];
-        if !node.member.is_up() {
-            return;
-        }
-        for d in node.mailbox.pending(self.records.len()) {
-            let rec = &self.records[d];
-            if !node.member.has_seen(rec.op)
-                && causally_admitted(&node.member, rec.op, &self.history)
-            {
-                out.push(d);
-            }
-        }
+        mailbox::deliverable_into(&self.rules, node, &self.records, out);
     }
 
     /// Delivers pending effector `delivery` (an index into the deliverable
@@ -307,25 +285,8 @@ impl<C: OpBased> Cluster<C> {
     /// Panics if the effector was already applied at `r` or if causal
     /// delivery would be violated.
     pub fn deliver(&mut self, r: ReplicaId, delivery: usize) {
-        let idx = r.0 as usize;
-        let node = &mut self.replicas[idx];
-        node.member.expect_up("deliver at", r);
-        let rec = &self.records[delivery];
-        assert!(
-            !node.member.has_seen(rec.op),
-            "effector of operation {} already applied at {r}",
-            rec.op
-        );
-        assert!(
-            causally_admitted(&node.member, rec.op, &self.history),
-            "causal delivery violated: operation {} has undelivered predecessors at {r}",
-            rec.op
-        );
-        if let Some(eff) = &rec.eff {
-            self.crdt.apply(&mut node.state, eff);
-        }
-        node.clock = node.clock.max(rec.clock);
-        node.member.observe(rec.op);
+        let node = &mut self.replicas[r.0 as usize];
+        mailbox::deliver(&self.rules, node, &self.records[delivery], r);
     }
 
     /// Handles a network arrival of delivery `d` at replica `r` with causal
@@ -333,31 +294,14 @@ impl<C: OpBased> Cluster<C> {
     /// arrivals are buffered in the replica's mailbox, and an in-order
     /// arrival is applied together with every held delivery it unblocks.
     pub fn receive(&mut self, r: ReplicaId, d: usize) -> Received {
-        let idx = r.0 as usize;
-        if self.is_delivered(d, r) {
-            return Received::Ignored;
-        }
-        if !self.can_deliver(r, d) {
-            self.replicas[idx].mailbox.hold(d);
-            return Received::Held;
-        }
-        self.deliver(r, d);
-        let mut applied = 1;
-        let mut held = self.replicas[idx].mailbox.take_held();
-        while let Some(pos) = held.iter().position(|&h| self.can_deliver(r, h)) {
-            let h = held.swap_remove(pos);
-            self.deliver(r, h);
-            applied += 1;
-        }
-        self.replicas[idx].mailbox.restore_held(held);
-        Received::Applied(applied)
+        let node = &mut self.replicas[r.0 as usize];
+        mailbox::receive(&self.rules, node, &self.records, d)
     }
 
     /// Delivers every pending effector everywhere, respecting causal order.
     ///
-    /// One ascending mailbox pass per replica — complete without a fixpoint
-    /// loop (see [`crate::mailbox`]) — with the per-replica drains sharded
-    /// across the configured executor.
+    /// One ascending mailbox pass per replica, replicas in ascending order
+    /// — complete without a fixpoint loop (see [`crate::mailbox`]).
     pub fn deliver_all(&mut self) {
         self.deliver_all_counting();
     }
@@ -365,9 +309,7 @@ impl<C: OpBased> Cluster<C> {
     /// [`Cluster::deliver_all`], then reports each replica's updated
     /// seen-frontier (first unseen operation id) to `observe` — the hook a
     /// streaming RA-linearizability monitor uses to learn causal stability
-    /// from mailbox drains. Replicas are reported in ascending id order
-    /// regardless of how the executor sharded the drain, so observers see
-    /// a deterministic stream.
+    /// from mailbox drains. Replicas are reported in ascending id order.
     pub fn deliver_all_observed(&mut self, mut observe: impl FnMut(ReplicaId, usize)) {
         self.deliver_all_counting();
         for (i, node) in self.replicas.iter().enumerate() {
@@ -384,31 +326,26 @@ impl<C: OpBased> Cluster<C> {
     /// [`Cluster::deliver_all`], returning the number of deliverability
     /// probes performed — the regression hook pinning the drain's linearity
     /// (at most one probe per outstanding (record, replica) pair per
-    /// drain). Deliberately not `pub`: an implementation detail, not an
-    /// API contract.
-    fn deliver_all_counting(&mut self) -> u64 {
+    /// drain). Crate-private: an implementation detail, not an API
+    /// contract.
+    pub(crate) fn deliver_all_counting(&mut self) -> u64 {
         let _span = obs::span("runtime.deliver_all");
         obs::counter("runtime.deliver_rounds", 1);
-        let total = self.records.len();
-        let depth: usize = self.replicas.iter().map(|n| n.mailbox.depth(total)).sum();
-        let crdt = &self.crdt;
-        let history = &self.history;
-        let records = &self.records;
-        let (stats, report) = exec::for_each_replica(&self.exec, &mut self.replicas, |_, node| {
-            drain_node(crdt, history, records, node)
-        });
-        let applied: u64 = stats.iter().map(|s| s.applied).sum();
-        if applied > 0 {
-            obs::counter("runtime.deliveries", applied);
+        let stats = mailbox::drain_all(&self.rules, &mut self.replicas, &self.records);
+        if stats.applied > 0 {
+            obs::counter("runtime.deliveries", stats.applied);
         }
-        mailbox::record_drain(&OP_DRAIN_OBS, depth, &stats, &report);
-        stats.iter().map(|s| s.probes).sum()
+        obs::observe("runtime.mailbox.depth", stats.depth);
+        obs::observe("runtime.mailbox.batch", stats.applied);
+        stats.probes
     }
 
     /// Returns `true` if all replicas are in the same state (strong eventual
     /// consistency requires this once every effector is delivered).
     pub fn converged(&self) -> bool {
-        self.replicas.windows(2).all(|w| w[0].state == w[1].state)
+        self.replicas
+            .windows(2)
+            .all(|w| w[0].data.state == w[1].data.state)
     }
 
     /// The history index of pending delivery `d`.
@@ -454,10 +391,7 @@ impl<C: OpBased> Cluster<C> {
     /// admits it now.
     pub fn can_deliver(&self, r: ReplicaId, d: usize) -> bool {
         let node = &self.replicas[r.0 as usize];
-        let rec = &self.records[d];
-        node.member.is_up()
-            && !node.member.has_seen(rec.op)
-            && causally_admitted(&node.member, rec.op, &self.history)
+        mailbox::can_deliver(&self.rules, node, &self.records[d])
     }
 
     /// Whether replica `r` is running (not crashed).
@@ -486,83 +420,9 @@ impl<C: OpBased> Cluster<C> {
     }
 }
 
-/// Causal deliverability of `op` at a member. Every predecessor of `op` has
-/// a smaller history index, so a member whose seen
-/// [`frontier`](Member::frontier) has reached `op` admits it without
-/// touching the pred set — the O(1) path steady-state drains always take;
-/// a seen-set with holes pays the exact subset check. Both tiers decide
-/// identically.
-fn causally_admitted<L>(member: &Member, op: usize, history: &History<L>) -> bool {
-    op <= member.frontier() || history.preds(op).is_subset(member.seen())
-}
-
-/// Drains one replica's mailbox: a single ascending pass, compacting
-/// survivors in place (zero allocation). Reads only shared immutable data
-/// and writes only `node` — the property the executor's parallelism rests
-/// on.
-fn drain_node<C: OpBased>(
-    crdt: &C,
-    history: &History<C::Label>,
-    records: &[DeliveryRecord<C::Eff>],
-    node: &mut ReplicaNode<C::State>,
-) -> DrainStats {
-    let mut stats = DrainStats::default();
-    if !node.member.is_up() {
-        // Crashed replicas keep their backlog for after restart.
-        return stats;
-    }
-    // Blocked backlog first, then the unexamined pool suffix — backlog ids
-    // all precede the cursor, so the whole pass is ascending.
-    let mut backlog = node.mailbox.take_backlog();
-    let mut write = 0;
-    for read in 0..backlog.len() {
-        let d = backlog[read];
-        let rec = &records[d];
-        if node.member.has_seen(rec.op) {
-            continue; // applied earlier through a targeted deliver
-        }
-        stats.probes += 1;
-        if causally_admitted(&node.member, rec.op, history) {
-            if let Some(eff) = &rec.eff {
-                crdt.apply(&mut node.state, eff);
-            }
-            node.clock = node.clock.max(rec.clock);
-            node.member.observe(rec.op);
-            stats.applied += 1;
-        } else {
-            backlog[write] = d;
-            write += 1;
-        }
-    }
-    backlog.truncate(write);
-    for (d, rec) in records.iter().enumerate().skip(node.mailbox.cursor()) {
-        if node.member.has_seen(rec.op) {
-            continue; // own operation, or applied through a targeted deliver
-        }
-        stats.probes += 1;
-        if causally_admitted(&node.member, rec.op, history) {
-            if let Some(eff) = &rec.eff {
-                crdt.apply(&mut node.state, eff);
-            }
-            node.clock = node.clock.max(rec.clock);
-            node.member.observe(rec.op);
-            stats.applied += 1;
-        } else {
-            backlog.push(d);
-        }
-    }
-    node.mailbox.advance_cursor(records.len());
-    node.mailbox.restore_backlog(backlog);
-    let member = &node.member;
-    node.mailbox
-        .prune_held(|&id| !member.has_seen(records[id].op));
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecMode;
 
     /// An add-only set used to exercise the cluster plumbing.
     struct GSet;
@@ -786,42 +646,5 @@ mod tests {
         assert!(c.converged());
         // A drained cluster re-drains for free.
         assert_eq!(c.deliver_all_counting(), 0);
-    }
-
-    #[test]
-    fn parallel_drain_matches_sequential_byte_for_byte() {
-        let run = |exec: ExecConfig| {
-            let mut c = Cluster::with_exec(GSet, 6, exec);
-            for i in 0..120u32 {
-                // r2 is down for the middle third of the run.
-                if i == 60 {
-                    c.crash(r(2));
-                }
-                if i == 90 {
-                    c.restart(r(2));
-                }
-                if !(i % 6 == 2 && (60..90).contains(&i)) {
-                    c.invoke(r(i % 6), Call::Add(i % 40)).unwrap();
-                }
-                if i % 13 == 5 {
-                    c.deliver_all();
-                }
-            }
-            c.restart_all();
-            c.deliver_all();
-            assert!(c.converged());
-            format!("{:?}", c.into_history())
-        };
-        let baseline = run(ExecConfig::sequential());
-        for exec in [
-            ExecConfig::free(2),
-            ExecConfig::free(8),
-            ExecConfig {
-                threads: 8,
-                mode: ExecMode::Seeded(7),
-            },
-        ] {
-            assert_eq!(run(exec), baseline, "{exec:?}: history drifted");
-        }
     }
 }

@@ -7,14 +7,8 @@
 //! applied several times, at any subset of replicas, in any order, or never
 //! (Appendix D.2) — convergence must come from the lattice laws alone.
 //!
-//! Liveness and visibility bookkeeping live in the shared
-//! [`Member`]; [`StateCluster::sync_all`]'s
-//! apply phase runs replica-parallel on the configured
-//! [`exec`] workers (a merge mutates only the receiving node
-//! while reading the immutable message log, so per-replica outcomes are
-//! thread-count-invariant by construction).
+//! Liveness and visibility bookkeeping live in the shared [`Member`].
 
-use crate::exec::{self, ExecConfig};
 use crate::gen::GenCtx;
 use crate::membership::Member;
 use ral_core::bitset::BitSet;
@@ -39,14 +33,9 @@ pub enum StateOutcome<R, S> {
 }
 
 /// A state-based CRDT, in the style of Listings 7–10.
-///
-/// The `Send + Sync` bounds exist for the sharded executor: `sync_all`'s
-/// apply phase may merge on worker threads, which share the descriptor and
-/// the message log immutably. Every shipped CRDT is plain data, so the
-/// bounds cost nothing.
-pub trait StateBased: Sync {
+pub trait StateBased {
     /// Replica state; the carrier of the join semilattice.
-    type State: Clone + Debug + PartialEq + Send + Sync;
+    type State: Clone + Debug + PartialEq;
     /// A method invocation: name plus arguments.
     type Call: Clone + Debug;
     /// Return values.
@@ -169,27 +158,15 @@ pub struct StateCluster<C: StateBased> {
     messages: Vec<Message<C::State>>,
     history: History<C::Label>,
     next_uid: u64,
-    exec: ExecConfig,
 }
 
 impl<C: StateBased> StateCluster<C> {
-    /// Creates a cluster of `n_replicas` replicas in the initial state,
-    /// with the executor `RAL_RUNTIME_THREADS` configures (sequential when
-    /// unset).
+    /// Creates a cluster of `n_replicas` replicas in the initial state.
     ///
     /// # Panics
     ///
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, n_replicas: usize) -> Self {
-        StateCluster::with_exec(crdt, n_replicas, ExecConfig::from_env())
-    }
-
-    /// [`StateCluster::new`] with an explicit executor configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_replicas` is zero.
-    pub fn with_exec(crdt: C, n_replicas: usize, exec: ExecConfig) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
         let replicas = (0..n_replicas)
             .map(|_| StateNode {
@@ -205,15 +182,7 @@ impl<C: StateBased> StateCluster<C> {
             messages: Vec::new(),
             history: History::new(),
             next_uid: 0,
-            exec,
         }
-    }
-
-    /// Replaces the executor configuration (sync semantics are
-    /// executor-invariant; this changes only how apply phases are
-    /// scheduled).
-    pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.exec = exec;
     }
 
     /// Number of replicas.
@@ -333,24 +302,22 @@ impl<C: StateBased> StateCluster<C> {
     /// Broadcasts every replica's current state and applies all snapshots
     /// everywhere — one full synchronization round.
     ///
-    /// Sends are sequential (message ids stay deterministic); the apply
-    /// phase runs replica-parallel on the configured executor, each node
-    /// merging the round's snapshots in message order.
+    /// All sends come first; then each replica, in ascending order, merges
+    /// the round's snapshots in message order.
     pub fn sync_all(&mut self) {
         let snapshot_start = self.messages.len();
         for r in 0..self.replicas.len() {
             self.send(ReplicaId(r as u32));
         }
-        let crdt = &self.crdt;
         let round = &self.messages[snapshot_start..];
-        let (merges, report) = exec::for_each_replica(&self.exec, &mut self.replicas, |i, node| {
+        for (i, node) in self.replicas.iter_mut().enumerate() {
             node.member.expect_up("apply at", ReplicaId(i as u32));
             for msg in round {
-                apply_message(crdt, msg, node);
+                apply_message(&self.crdt, msg, node);
             }
-            round.len() as u64
-        });
-        record_sync_obs(&merges, &report);
+        }
+        let merges = (round.len() * self.replicas.len()) as u64;
+        obs::observe("runtime.state.sync_batch", merges);
     }
 
     /// Returns `true` if all replicas hold the same state.
@@ -419,25 +386,11 @@ impl<C: StateBased> StateCluster<C> {
 }
 
 /// Merges one snapshot message into one node — the core of both the
-/// targeted [`StateCluster::apply`] and the parallel `sync_all` phase.
-/// Mutates only `node`; the message log is read-only.
+/// targeted [`StateCluster::apply`] and `sync_all`.
 fn apply_message<C: StateBased>(crdt: &C, msg: &Message<C::State>, node: &mut StateNode<C::State>) {
     node.state = crdt.merge(&node.state, &msg.state);
     node.member.merge_seen(&msg.seen);
     node.clock = node.clock.max(msg.clock).max(crdt.clock_floor(&node.state));
-}
-
-/// Obs metrics for one `sync_all` round, emitted on the caller thread
-/// after the executor joined.
-fn record_sync_obs(merges: &[u64], report: &exec::ExecReport) {
-    let total: u64 = merges.iter().sum();
-    obs::observe("runtime.state.sync_batch", total);
-    let mut start = 0;
-    for (worker, &size) in report.shard_sizes.iter().enumerate() {
-        let shard: u64 = merges[start..start + size].iter().sum();
-        obs::counter_keyed("runtime.exec.worker_merges", worker as u64, shard);
-        start += size;
-    }
 }
 
 #[cfg(test)]

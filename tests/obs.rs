@@ -19,7 +19,7 @@
 
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
-use ral_core::ralin::search_with_threads_stats;
+use ral_core::ralin::search_with_stats;
 use ral_core::rng::Rng;
 use ral_crdts::op::or_set::OrSet;
 use ral_crdts::state::pn_counter::PnCounter;
@@ -102,8 +102,7 @@ fn impossible_history(n: usize) -> History<CounterOp> {
 fn checker_counters_agree_with_search_stats() {
     let _guard = OBS_LOCK.lock().unwrap();
     let h = impossible_history(10);
-    let ((outcome, stats), snap) =
-        recorded(|| search_with_threads_stats(&h, &CounterSpec, u64::MAX, 1));
+    let ((outcome, stats), snap) = recorded(|| search_with_stats(&h, &CounterSpec, u64::MAX));
     assert!(outcome.is_refuted());
     assert!(snap.has_span("ralin.search"));
     assert_eq!(
@@ -185,7 +184,7 @@ fn perfetto_export_is_golden() {
     assert!(trace.contains("\"name\": \"sim.final_sync\""));
     assert_eq!(
         fnv1a(trace.as_bytes()),
-        17_355_052_159_729_752_074,
+        8_299_106_443_037_103_021,
         "golden Perfetto trace drifted ({} bytes)",
         trace.len()
     );

@@ -16,7 +16,7 @@ use ral_core::ids::ReplicaId;
 use ral_core::label::{Identity, Rewrite};
 use ral_core::ralin::{
     check_guided, count_linearizations, search_brute_with_budget, search_with_budget,
-    search_with_threads, search_with_threads_stats, SearchOutcome, Strategy,
+    search_with_stats, SearchOutcome, Strategy,
 };
 use ral_core::rng::run_seeded_cases;
 use ral_core::spec::Spec;
@@ -157,8 +157,7 @@ fn or_set_never_refuted() {
 /// neither engine comes close.
 const CROSS_BUDGET: u64 = 2_000_000;
 
-/// Asserts brute ≡ memo(1 thread) ≡ memo(3 threads) on one rewritten
-/// history. When either engine exhausts its (engine-specific) budget only
+/// Asserts brute ≡ memo on one rewritten history. When either engine exhausts its (engine-specific) budget only
 /// the absence of contradiction is required.
 fn cross_check<S>(h: &History<S::Label>, spec: &S)
 where
@@ -166,23 +165,18 @@ where
     S::Label: Sync,
 {
     let brute = search_brute_with_budget(h, spec, CROSS_BUDGET);
-    let memo_seq = search_with_threads(h, spec, CROSS_BUDGET, 1);
-    let memo_par = search_with_threads(h, spec, CROSS_BUDGET, 3);
-    assert_eq!(
-        memo_seq, memo_par,
-        "memo outcome must be thread-count independent"
-    );
+    let memo = search_with_budget(h, spec, CROSS_BUDGET);
     if matches!(brute, SearchOutcome::BudgetExhausted)
-        || matches!(memo_seq, SearchOutcome::BudgetExhausted)
+        || matches!(memo, SearchOutcome::BudgetExhausted)
     {
-        let contradictory = (brute.is_linearizable() && memo_seq.is_refuted())
-            || (brute.is_refuted() && memo_seq.is_linearizable());
+        let contradictory = (brute.is_linearizable() && memo.is_refuted())
+            || (brute.is_refuted() && memo.is_linearizable());
         assert!(
             !contradictory,
-            "engines contradict each other: brute={brute:?} memo={memo_seq:?}"
+            "engines contradict each other: brute={brute:?} memo={memo:?}"
         );
     } else {
-        assert_eq!(brute, memo_seq, "memo must be bit-identical to brute");
+        assert_eq!(brute, memo, "memo must be bit-identical to brute");
     }
 }
 
@@ -382,12 +376,7 @@ fn memo_matches_brute_on_refutations() {
 
 /// Refutations are where memoization earns its keep: at `n ≥ 8`
 /// concurrent increments the impossible-read walk revisits placed-set
-/// configurations, so the reported hit rate is non-zero — and because a
-/// refutation runs every branch to completion, the exploration counters
-/// are identical at any thread count (the [`SearchStats`] determinism
-/// contract).
-///
-/// [`SearchStats`]: ral_core::ralin::SearchStats
+/// configurations, so the reported hit rate is non-zero.
 #[test]
 fn refuting_runs_hit_the_memo_table() {
     use ral_core::history::OpRecord;
@@ -403,30 +392,11 @@ fn refuting_runs_hit_the_memo_table() {
             incs,
         );
 
-        let (seq, seq_stats) = search_with_threads_stats(&h, &CounterSpec, u64::MAX, 1);
-        assert!(seq.is_refuted(), "n = {n}");
-        assert!(
-            seq_stats.memo_hits > 0,
-            "n = {n}: no memo hits on a refutation"
-        );
-        assert!(seq_stats.memo_hit_rate() > 0.0, "n = {n}");
-        assert!(seq_stats.nodes_expanded > 0, "n = {n}");
-
-        let (par, par_stats) = search_with_threads_stats(&h, &CounterSpec, u64::MAX, 3);
-        assert!(par.is_refuted(), "n = {n}");
-        assert_eq!(
-            (
-                seq_stats.nodes_expanded,
-                seq_stats.memo_hits,
-                seq_stats.prune_causes()
-            ),
-            (
-                par_stats.nodes_expanded,
-                par_stats.memo_hits,
-                par_stats.prune_causes()
-            ),
-            "n = {n}: refuting-run exploration counters must be thread-count independent"
-        );
+        let (outcome, stats) = search_with_stats(&h, &CounterSpec, u64::MAX);
+        assert!(outcome.is_refuted(), "n = {n}");
+        assert!(stats.memo_hits > 0, "n = {n}: no memo hits on a refutation");
+        assert!(stats.memo_hit_rate() > 0.0, "n = {n}");
+        assert!(stats.nodes_expanded > 0, "n = {n}");
     }
 }
 

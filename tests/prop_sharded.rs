@@ -13,8 +13,8 @@ use ral_core::history::{rewrite_history, History, OpRecord};
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::label::{Identity, Rewrite};
 use ral_core::ralin::{
-    check_linearization, search_brute_with_budget, search_sharded_with_threads,
-    search_with_threads, SearchOutcome,
+    check_linearization, search_brute_with_budget, search_sharded_with_threads, search_with_budget,
+    SearchOutcome,
 };
 use ral_core::rng::{run_seeded_cases, Rng};
 use ral_core::spec::Spec;
@@ -69,7 +69,7 @@ where
     S::Label: ral_core::compose::ComposedLabel + Sync,
 {
     let brute = search_brute_with_budget(h, spec, CROSS_BUDGET);
-    let memo = search_with_threads(h, spec, CROSS_BUDGET, 1);
+    let memo = search_with_budget(h, spec, CROSS_BUDGET);
     let sharded_seq = search_sharded_with_threads(h, spec, CROSS_BUDGET, 1);
     let sharded_par = search_sharded_with_threads(h, spec, CROSS_BUDGET, 3);
     assert_eq!(

@@ -8,7 +8,7 @@ use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
 use ral_core::label::Identity;
 use ral_core::ralin::{
-    ra_search_with_budget, ra_search_with_stats, search_with_threads_stats, SearchOutcome,
+    ra_search_with_budget, ra_search_with_stats, search_with_stats, SearchOutcome,
 };
 use ral_core::rng::Rng;
 use ral_crdts::op::counter::OpCounter;
@@ -106,13 +106,11 @@ fn refutation_expands_each_configuration_once() {
     let (outcome, stats) = ra_search_with_stats(&h, &Identity, &CounterSpec);
     assert_eq!(outcome, SearchOutcome::NotLinearizable);
     assert_eq!(stats.nodes_expanded, 346);
-    // The facade and the engine's own entry point are the same walk, at
-    // every requested thread count: one table, not one per first operation.
-    for threads in [0, 1, 3] {
-        let (direct, direct_stats) = search_with_threads_stats(&h, &CounterSpec, u64::MAX, threads);
-        assert_eq!(direct, outcome);
-        assert_eq!(direct_stats.nodes_expanded, 346, "threads = {threads}");
-    }
+    // The facade and the engine's own entry point are the same walk: one
+    // table, not one per first operation.
+    let (direct, direct_stats) = search_with_stats(&h, &CounterSpec, u64::MAX);
+    assert_eq!(direct, outcome);
+    assert_eq!(direct_stats.nodes_expanded, 346);
 }
 
 #[test]
