@@ -84,8 +84,9 @@ step env RAL_OBS=1 RAL_OBS_OUT="$PWD/OBS_trace.json" cargo run --offline --examp
 step cargo run --offline --release -p ral-fuzz -- --quick --seed 1 --min-coverage 900 --report "$PWD/FUZZ_report.json"
 step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --no-report
 # Static-analysis gate: bounded-exhaustive simulation-obligation checking
-# over every shipped CRDT plus the workspace determinism lint. Exits
-# non-zero on any undischarged obligation, unrefuted negative fixture,
+# over every shipped CRDT plus the workspace determinism lint (its
+# `thread-spawn` rule is what holds "no library code spawns a thread").
+# Exits non-zero on any undischarged obligation, unrefuted negative fixture,
 # lint hit, or stale allowlist entry, and persists the machine-readable
 # verdicts per commit.
 step cargo run --offline --release -p ral-analyze -- --report "$PWD/ANALYZE_report.json"

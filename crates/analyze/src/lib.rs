@@ -22,8 +22,9 @@
 //! * **Determinism lint** ([`lint`]) — a hand-rolled Rust lexer (no `syn`)
 //!   that walks the workspace sources and fails on nondeterminism hazards:
 //!   hash-ordered collections in trace-affecting crates, wall-clock reads
-//!   outside `crates/bench`, environment reads outside `ral_core::env`, and
-//!   thread-identity reads anywhere. Audited exceptions live in an
+//!   outside `crates/bench`, environment reads outside `ral_core::env`,
+//!   thread-identity reads anywhere, and thread spawns or core-count reads
+//!   outside the benchmark packages. Audited exceptions live in an
 //!   allowlist file with mandatory justifications.
 //!
 //! [`registry`] runs the obligation engines over every shipped CRDT and the

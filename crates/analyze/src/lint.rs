@@ -2,7 +2,7 @@
 //!
 //! Everything this repository verifies rests on runs being **replayable**:
 //! the brute checker, the RA-linearization search, and the simulation
-//! corpus all assume that the same seed produces the same trace. Four
+//! corpus all assume that the same seed produces the same trace. Five
 //! std-library conveniences silently break that assumption, so this module
 //! bans them at the token level across the workspace:
 //!
@@ -19,6 +19,12 @@
 //!   [`ral_core::env`] module, the single exempt file.
 //! * **`thread-id`** — `thread::current()` names/ids vary per run and per
 //!   machine; nothing that can reach an output path may use them.
+//! * **`thread-spawn`** — `thread::spawn`/`thread::scope`/
+//!   `thread::Builder` and `available_parallelism`: every library path is
+//!   one sequential walk, so no cost or counter depends on the core count
+//!   or a schedule. The benchmark packages (`crates/bench`,
+//!   `pipeline_bench`) are exempt — they report the core count next to
+//!   their numbers.
 //!
 //! The scanner is a hand-rolled lexer (no `syn`, no dependencies): it
 //! strips nested block comments, line comments, strings, raw strings, and
@@ -42,11 +48,14 @@ pub const RULE_CLOCK: &str = "wall-clock";
 pub const RULE_ENV: &str = "env-read";
 /// Rule id: `thread::current()` anywhere.
 pub const RULE_THREAD: &str = "thread-id";
+/// Rule id: spawning threads or reading the core count outside the
+/// benchmark packages.
+pub const RULE_SPAWN: &str = "thread-spawn";
 /// Rule id: malformed allowlist entry (missing justification).
 pub const RULE_ALLOWLIST: &str = "allowlist-format";
 
 /// All scanner rules, for reports and docs.
-pub const RULES: [&str; 4] = [RULE_HASH, RULE_CLOCK, RULE_ENV, RULE_THREAD];
+pub const RULES: [&str; 5] = [RULE_HASH, RULE_CLOCK, RULE_ENV, RULE_THREAD, RULE_SPAWN];
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -134,7 +143,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
     Ok(outcome)
 }
 
-/// Applies all four rules to one file's source text. Pure — this is the
+/// Applies all five rules to one file's source text. Pure — this is the
 /// entry point the self-tests drive directly.
 pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintHit> {
     let tokens = tokenize(content);
@@ -167,6 +176,10 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<LintHit> {
                 push(RULE_ENV, *line)
             }
             "thread" if path_call(&tokens, i, &["current"]) => push(RULE_THREAD, *line),
+            "thread" if path_call(&tokens, i, &["spawn", "scope", "Builder"]) => {
+                push(RULE_SPAWN, *line)
+            }
+            "available_parallelism" => push(RULE_SPAWN, *line),
             _ => {}
         }
     }
@@ -189,6 +202,10 @@ fn exempt(rule: &str, rel_path: &str) -> bool {
         RULE_HASH | RULE_CLOCK => rel_path.starts_with("crates/bench/"),
         // The one place allowed to read the process environment.
         RULE_ENV => rel_path == "crates/core/src/env.rs",
+        // Benchmarks report the core count next to their numbers.
+        RULE_SPAWN => {
+            rel_path.starts_with("crates/bench/") || rel_path.starts_with("pipeline_bench/")
+        }
         _ => false,
     }
 }
@@ -479,5 +496,15 @@ mod tests {
     fn thread_current_flags_everywhere_even_bench() {
         let src = "let id = std::thread::current().id();\n";
         assert_eq!(scan_source("crates/bench/src/lib.rs", src).len(), 1);
+    }
+
+    #[test]
+    fn thread_spawn_flags_outside_the_benchmark_packages() {
+        let src = "std::thread::scope(|s| { s.spawn(|| ()); });\nlet h = thread::spawn(|| ());\nlet n = std::thread::available_parallelism();\nstd::thread::sleep(d);\n";
+        let hits = scan_source("crates/core/src/ralin/sharded.rs", src);
+        assert_eq!(hits.iter().map(|h| h.line).collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(hits.iter().all(|h| h.rule == RULE_SPAWN));
+        assert!(scan_source("crates/bench/src/lib.rs", src).is_empty());
+        assert!(scan_source("pipeline_bench/src/measure.rs", src).is_empty());
     }
 }

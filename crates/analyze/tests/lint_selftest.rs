@@ -7,7 +7,7 @@
 //! constructs without failing the gate they exist to test.
 
 use ral_analyze::lint::{
-    lint_workspace, scan_source, RULE_CLOCK, RULE_ENV, RULE_HASH, RULE_THREAD,
+    lint_workspace, scan_source, RULE_CLOCK, RULE_ENV, RULE_HASH, RULE_SPAWN, RULE_THREAD,
 };
 use std::path::Path;
 
@@ -25,6 +25,7 @@ fn each_rule_fires_on_its_fixture() {
         ("uses_wall_clock.rs", RULE_CLOCK),
         ("uses_env_read.rs", RULE_ENV),
         ("uses_thread_id.rs", RULE_THREAD),
+        ("uses_thread_spawn.rs", RULE_SPAWN),
     ];
     for (file, rule) in cases {
         // Scan under a synthetic non-exempt path: the rules must judge the

@@ -7,9 +7,7 @@
 //! (Theorem 5.5) pays the *sum* — project per object, search every shard,
 //! stitch the witnesses. The `composed_scaling` group measures both
 //! engines on the same histories so the `monolithic/k` ÷ `sharded/k`
-//! ratio in `BENCH_composed_scaling.json` is the headline speedup; the
-//! `composed_sharded_parallel` group adds the `RAL_CHECK_THREADS` pool
-//! spreading shards over all cores.
+//! ratio in `BENCH_composed_scaling.json` is the headline speedup.
 //!
 //! Run with `cargo bench -p ral-bench --bench composed_scaling`.
 
@@ -17,7 +15,7 @@ use ral_bench::{bench_group, bench_main, BenchmarkId, Criterion};
 use ral_core::compose::{MultiObjRewrite, MultiObjSpec};
 use ral_core::history::rewrite_history;
 use ral_core::history::History;
-use ral_core::ralin::{search_sharded_with_threads, search_with_budget};
+use ral_core::ralin::{search_sharded_with_budget, search_with_budget};
 use ral_core::rng::Rng;
 use ral_crdts::op::or_set::{OrSet, OrSetCall, OrSetRewrite};
 use ral_runtime::multi::{MultiCluster, TsMode};
@@ -69,7 +67,7 @@ fn composed_scaling(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sharded", objects), &h, |b, h| {
             b.iter(|| {
-                let outcome = search_sharded_with_threads(h, &spec, u64::MAX, 1);
+                let outcome = search_sharded_with_budget(h, &spec, u64::MAX);
                 assert!(outcome.is_linearizable());
                 black_box(outcome)
             })
@@ -78,27 +76,5 @@ fn composed_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sharded search with the shard pool on all cores
-/// (`RAL_CHECK_THREADS`-style `threads = 0`). Shards are independent
-/// problems, so the pool can stack on the algorithmic win — though at
-/// these shard sizes (tens of µs of search each) thread startup roughly
-/// offsets it; the pool pays off as per-shard work grows.
-fn composed_sharded_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("composed_sharded_parallel");
-    group.sample_size(10);
-    for objects in [16usize, 32] {
-        let h = composed_history(objects, 7);
-        let spec = MultiObjSpec::new(OrSetSpec::new(), objects);
-        group.bench_with_input(BenchmarkId::from_parameter(objects), &h, |b, h| {
-            b.iter(|| {
-                let outcome = search_sharded_with_threads(h, &spec, u64::MAX, 0);
-                assert!(outcome.is_linearizable());
-                black_box(outcome)
-            })
-        });
-    }
-    group.finish();
-}
-
-bench_group!(composed, composed_scaling, composed_sharded_parallel);
+bench_group!(composed, composed_scaling);
 bench_main!(composed);

@@ -9,12 +9,10 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 /// An element of the data domain: any cloneable, totally ordered, hashable
-/// value (e.g. `char`, `u32`, `String`). `Send + Sync` because replica
-/// states (and the elements inside them) migrate across the runtime's
-/// executor workers during parallel delivery rounds.
-pub trait Elem: Clone + Debug + Eq + Ord + Hash + Send + Sync {}
+/// value (e.g. `char`, `u32`, `String`).
+pub trait Elem: Clone + Debug + Eq + Ord + Hash {}
 
-impl<T: Clone + Debug + Eq + Ord + Hash + Send + Sync> Elem for T {}
+impl<T: Clone + Debug + Eq + Ord + Hash> Elem for T {}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,6 @@
 //! |---|---|---|---|
 //! | `RAL_PROP_SEED` | [`prop_seed`] | unset | replay exactly one property case with this seed |
 //! | `RAL_PROP_CASES` | [`prop_cases`] | per-suite | run this many property cases |
-//! | `RAL_CHECK_THREADS` | [`check_threads`] | `0` (auto) | size of the sharded RA-lin search's shard pool |
 //! | `RAL_BENCH_QUICK` | [`bench_quick`] | unset | bench harness quick mode (shorter samples) |
 //! | `RAL_BENCH_JSON` | [`bench_json`] | unset | bench harness JSON output path |
 //! | `RAL_OBS` | [`obs`] | unset | enable `ral-obs` recording in obs-aware entry points |
@@ -22,7 +21,7 @@
 //! All accessors are **read-once-per-call** (no caching): overrides behave
 //! the same whether set before launch or mid-test via `std::env::set_var`.
 //! A set-but-unparseable value panics instead of silently falling back — a
-//! typo'd reproduction seed or thread count must fail loudly.
+//! typo'd reproduction seed must fail loudly.
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -68,39 +67,6 @@ pub fn prop_seed() -> Option<u64> {
 /// Panics on an unparseable value.
 pub fn prop_cases() -> Option<u64> {
     env_u64("RAL_PROP_CASES")
-}
-
-/// Parses a thread-count value. `None` (unset) and `"0"` both mean the
-/// variable's documented default (automatic for the checker, sequential
-/// for the runtime).
-///
-/// # Panics
-///
-/// Panics on an unparseable value — silently ignoring a typo'd override
-/// would let "parallel" runs pass sequentially.
-pub(crate) fn threads_from(name: &str, raw: Option<String>) -> usize {
-    match raw {
-        None => 0,
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) => v,
-            Err(_) => {
-                panic!("invalid {name}={raw:?}: expected a non-negative thread count")
-            }
-        },
-    }
-}
-
-/// `RAL_CHECK_THREADS` — size of the pool the sharded RA-linearization
-/// search spreads its per-object shards over (each shard, like the
-/// monolithic search, is one sequential walk). `0` or unset means
-/// automatic (sequential for small histories, all available cores above
-/// the parallel threshold).
-///
-/// # Panics
-///
-/// Panics on an unparseable value.
-pub fn check_threads() -> usize {
-    threads_from("RAL_CHECK_THREADS", std::env::var("RAL_CHECK_THREADS").ok())
 }
 
 /// `RAL_BENCH_QUICK` — when set (to anything), the bench harness runs with
@@ -163,16 +129,6 @@ mod tests {
         assert_eq!(parse_u64("0Xff"), Some(0xFF));
         assert_eq!(parse_u64("nope"), None);
         assert_eq!(parse_u64(""), None);
-    }
-
-    #[test]
-    fn threads_parse_and_default() {
-        assert_eq!(threads_from("RAL_CHECK_THREADS", None), 0);
-        assert_eq!(threads_from("RAL_CHECK_THREADS", Some("0".into())), 0);
-        assert_eq!(threads_from("RAL_CHECK_THREADS", Some(" 4 ".into())), 4);
-        let caught =
-            std::panic::catch_unwind(|| threads_from("RAL_CHECK_THREADS", Some("lots".into())));
-        assert!(caught.is_err(), "unparseable thread count must panic");
     }
 
     #[test]

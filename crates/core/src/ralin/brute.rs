@@ -13,8 +13,7 @@
 //! re-derives every query justification from scratch. The **memoized
 //! engine** ([`super::memo`], the default behind [`super::search`]) decides
 //! the same question orders of magnitude faster; this module remains the
-//! independent ground truth the property suites cross-check against, and
-//! the only complete engine usable with non-`Sync` specifications.
+//! independent ground truth the property suites cross-check against.
 //!
 //! Budget semantics: every call of the recursive step charges one node,
 //! except a *completed* linearization (depth = history length), which is

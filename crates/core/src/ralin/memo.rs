@@ -50,9 +50,8 @@
 //!   once.
 //!
 //! The walk is deterministic, so outcomes, witnesses and every exploration
-//! counter of [`SearchStats`] repeat exactly. `RAL_CHECK_THREADS` does not
-//! reach this engine: it sizes the pool [`super::sharded`] spreads
-//! independent per-object shards over, each shard being one such walk.
+//! counter of [`SearchStats`] repeat exactly — also through
+//! [`super::sharded`], which runs one such walk per object shard.
 //!
 //! # Budget semantics
 //!
@@ -82,10 +81,10 @@ const MEMO_CAP: usize = 1 << 20;
 /// [`super::ra_search_with_stats`], [`super::ra_search_sharded_with_stats`]).
 ///
 /// The counts describe *work done*, not the verdict. Every walk is
-/// sequential and the shard pool runs every shard to completion, so the
-/// exploration counters (`nodes_expanded`, `memo_hits`, the prune
-/// breakdown) are deterministic for witnesses and refutations alike, at
-/// every thread count. The `*_nanos` fields are wall-clock measurements
+/// sequential and the sharded engine walks every shard to completion, so
+/// the exploration counters (`nodes_expanded`, `memo_hits`, the prune
+/// breakdown) are deterministic for witnesses and refutations alike.
+/// The `*_nanos` fields are wall-clock measurements
 /// and never deterministic. None of this feeds back into the search —
 /// verdicts and witnesses are bit-identical whether or not anyone looks at
 /// the stats.
@@ -115,14 +114,11 @@ pub struct SearchStats {
     /// Whether the sharded engine fell back to the whole-history search
     /// (the Figure 10 regime).
     pub fallback: bool,
-    /// Wall-clock nanoseconds summed over walks — the "area" of a sharded
-    /// search; `busy_nanos / elapsed_nanos` approximates pool utilization.
+    /// Wall-clock nanoseconds summed over walks; in a sharded search
+    /// `elapsed_nanos - busy_nanos` is projection, stitch and validation.
     pub busy_nanos: u64,
     /// Wall-clock nanoseconds from entry to verdict.
     pub elapsed_nanos: u64,
-    /// Worker threads the search ran on (`1` for a single walk; the pool
-    /// size for a sharded search).
-    pub threads: u64,
 }
 
 impl SearchStats {
@@ -147,8 +143,8 @@ impl SearchStats {
     }
 
     /// Accumulates `other` into `self`: counts and `busy_nanos` add,
-    /// `fallback` ORs, `threads` and `elapsed_nanos` take the maximum
-    /// (callers overwrite both with the whole-search values afterwards).
+    /// `fallback` ORs, `elapsed_nanos` takes the maximum (callers
+    /// overwrite it with the whole-search value afterwards).
     pub fn merge(&mut self, other: &SearchStats) {
         self.nodes_expanded += other.nodes_expanded;
         self.memo_hits += other.memo_hits;
@@ -160,7 +156,6 @@ impl SearchStats {
         self.fallback |= other.fallback;
         self.busy_nanos += other.busy_nanos;
         self.elapsed_nanos = self.elapsed_nanos.max(other.elapsed_nanos);
-        self.threads = self.threads.max(other.threads);
     }
 }
 
@@ -527,15 +522,11 @@ impl<'a, S: Spec> Walk<'a, S> {
 /// [`search_with_budget`], also returning the [`SearchStats`] of the run.
 /// The outcome component is identical to the plain entry point's; the
 /// stats are diagnostic only.
-pub fn search_with_stats<S>(
+pub fn search_with_stats<S: Spec>(
     h: &History<S::Label>,
     spec: &S,
     budget: u64,
-) -> (SearchOutcome, SearchStats)
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
+) -> (SearchOutcome, SearchStats) {
     let t0 = obs::wallclock::now_nanos();
     let _span = obs::span("ralin.search");
     let shape = Shape::of(h);
@@ -551,7 +542,6 @@ where
         prune_dead_pending_query: w.prune_dead_pending_query,
         busy_nanos: elapsed,
         elapsed_nanos: elapsed,
-        threads: 1,
         ..SearchStats::default()
     };
     emit_obs(&stats);
@@ -576,21 +566,13 @@ where
 ///
 /// This is the memoized engine (see the module docs). Use
 /// [`super::search_brute`] to force the naive seed-era enumeration.
-pub fn search<S>(h: &History<S::Label>, spec: &S) -> SearchOutcome
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
+pub fn search<S: Spec>(h: &History<S::Label>, spec: &S) -> SearchOutcome {
     search_with_budget(h, spec, u64::MAX)
 }
 
 /// Memoized search expanding at most `budget` configurations (one global
 /// counter; see the module docs).
-pub fn search_with_budget<S>(h: &History<S::Label>, spec: &S, budget: u64) -> SearchOutcome
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
+pub fn search_with_budget<S: Spec>(h: &History<S::Label>, spec: &S, budget: u64) -> SearchOutcome {
     search_with_stats(h, spec, budget).0
 }
 
@@ -791,16 +773,5 @@ mod tests {
         h.push(OpRecord::new(OnceL::Read(1), r(0)), [a, b]);
         assert_eq!(search(&h, &OnceSpec), SearchOutcome::NotLinearizable);
         assert_eq!(brute::search_brute(&h, &OnceSpec), search(&h, &OnceSpec));
-    }
-
-    #[test]
-    fn thread_override_parsing() {
-        use crate::env::threads_from;
-        assert_eq!(threads_from("RAL_CHECK_THREADS", None), 0);
-        assert_eq!(threads_from("RAL_CHECK_THREADS", Some("0".into())), 0);
-        assert_eq!(threads_from("RAL_CHECK_THREADS", Some(" 4 ".into())), 4);
-        let caught =
-            std::panic::catch_unwind(|| threads_from("RAL_CHECK_THREADS", Some("lots".into())));
-        assert!(caught.is_err(), "typo'd override must fail loudly");
     }
 }

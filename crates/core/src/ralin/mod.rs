@@ -26,14 +26,13 @@
 //!   need "no linearization exists") at useful history sizes;
 //! * [`search_sharded`] (module [`sharded`]) decides *composed* histories
 //!   per object — the compositional route Theorem 5.5 licenses for `⊗ts`:
-//!   shard, search every shard with the memoized engine (shards spread
-//!   over the `RAL_CHECK_THREADS` pool), stitch the witnesses, and fall
-//!   back to the whole-history search when the stitch fails, so it agrees
-//!   with [`search`] even on non-compositional `⊗` histories (Figure 10);
+//!   shard, search every shard with the memoized engine, stitch the
+//!   witnesses, and fall back to the whole-history search when the stitch
+//!   fails, so it agrees with [`search`] even on non-compositional `⊗`
+//!   histories (Figure 10);
 //! * [`search_brute`] is the seed's naive permutation enumeration —
 //!   factorially slower, kept as the independent ground truth the
-//!   property suites cross-check the memoized engine against, and the
-//!   only complete engine for non-`Sync` specifications;
+//!   property suites cross-check the memoized engine against;
 //! * [`Monitor`] (module [`monitor`]) is the *streaming* checker: a
 //!   per-event `advance(op | delivery) → Verdict` that extends live
 //!   configuration frontiers instead of re-searching, with a
@@ -59,8 +58,8 @@ pub use guided::{check_guided, check_rewritten, execution_order_of, timestamp_or
 pub use memo::{search, search_with_budget, search_with_stats, SearchStats};
 pub use monitor::{monitor_history, Monitor, MonitorFeed, MonitorStats, Verdict};
 pub use sharded::{
-    search_sharded, search_sharded_with_budget, search_sharded_with_threads,
-    search_sharded_with_threads_stats, shard_history, ShardableSpec,
+    search_sharded, search_sharded_with_budget, search_sharded_with_stats, shard_history,
+    ShardableSpec,
 };
 
 use crate::compose::ComposedLabel;
@@ -233,8 +232,7 @@ where
 pub fn ra_search<In, R, S>(h: &History<In>, rw: &R, spec: &S) -> SearchOutcome
 where
     R: Rewrite<In, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     ra_search_with_budget(h, rw, spec, u64::MAX)
 }
@@ -250,8 +248,7 @@ pub fn ra_search_with_stats<In, R, S>(
 ) -> (SearchOutcome, SearchStats)
 where
     R: Rewrite<In, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let rewritten = rewrite_history(h, rw);
     search_with_stats(&rewritten.history, spec, u64::MAX)
@@ -268,17 +265,16 @@ pub fn ra_search_with_budget<In, R, S>(
 ) -> SearchOutcome
 where
     R: Rewrite<In, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let rewritten = rewrite_history(h, rw);
     search_with_budget(&rewritten.history, spec, budget)
 }
 
 /// [`ra_search`] for composed histories, decided per object: rewrite,
-/// project into per-object shards, run the memoized engine on every shard
-/// across the `RAL_CHECK_THREADS` pool, and stitch the per-object
-/// witnesses into one validated global linearization ([`sharded`]).
+/// project into per-object shards, run the memoized engine on every
+/// shard, and stitch the per-object witnesses into one validated global
+/// linearization ([`sharded`]).
 ///
 /// Sound over the unrestricted composition `⊗`, where per-object
 /// RA-linearizability does *not* imply composed RA-linearizability
@@ -335,8 +331,8 @@ where
 pub fn ra_search_sharded<In, R, S>(h: &History<In>, rw: &R, spec: &S) -> SearchOutcome
 where
     R: Rewrite<In, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let rewritten = rewrite_history(h, rw);
     search_sharded(&rewritten.history, spec)
@@ -352,16 +348,11 @@ pub fn ra_search_sharded_with_stats<In, R, S>(
 ) -> (SearchOutcome, SearchStats)
 where
     R: Rewrite<In, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let rewritten = rewrite_history(h, rw);
-    search_sharded_with_threads_stats(
-        &rewritten.history,
-        spec,
-        u64::MAX,
-        crate::env::check_threads(),
-    )
+    search_sharded_with_stats(&rewritten.history, spec, u64::MAX)
 }
 
 /// [`ra_search_sharded`] with a node budget, applied per shard (and to
@@ -374,8 +365,8 @@ pub fn ra_search_sharded_with_budget<In, R, S>(
 ) -> SearchOutcome
 where
     R: Rewrite<In, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let rewritten = rewrite_history(h, rw);
     search_sharded_with_budget(&rewritten.history, spec, budget)
@@ -383,8 +374,7 @@ where
 
 /// [`ra_search`] on the naive seed-era engine ([`search_brute`]): rewrite,
 /// then enumerate permutations. Factorially slower than [`ra_search`] —
-/// kept for cross-checks against the memoized engine and for
-/// specifications that are not `Sync`.
+/// kept for cross-checks against the memoized engine.
 pub fn ra_search_brute<In, R, S>(h: &History<In>, rw: &R, spec: &S) -> SearchOutcome
 where
     R: Rewrite<In, Out = S::Label>,

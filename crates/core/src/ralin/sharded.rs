@@ -17,9 +17,8 @@
 //!    global history.
 //! 2. **Search every shard independently** with the memoized engine,
 //!    against the per-object component specification
-//!    ([`ShardableSpec::search_shard`]), distributing shards over the
-//!    `RAL_CHECK_THREADS` pool — the shards are independent problems, each
-//!    one sequential walk. The cost is the *sum* of per-object
+//!    ([`ShardableSpec::search_shard`]), one sequential walk per shard in
+//!    ascending-object order. The cost is the *sum* of per-object
 //!    exponentials instead of their product.
 //! 3. **Stitch** the per-object witnesses into one global linearization:
 //!    a topological merge of `vis ∪ (per-object witness order)`
@@ -56,51 +55,6 @@ use crate::label::SpecLabel;
 use crate::spec::Spec;
 use ral_obs as obs;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Histories smaller than this keep the shard pool sequential under
-/// automatic thread selection: the walks finish faster than threads spawn.
-const PARALLEL_MIN_OPS: usize = 16;
-
-/// Resolves a requested thread count against history size and job count.
-/// `0` = automatic: sequential below [`PARALLEL_MIN_OPS`], all available
-/// cores above.
-fn effective_threads(requested: usize, n_ops: usize, jobs: usize) -> usize {
-    let t = if requested == 0 {
-        if n_ops < PARALLEL_MIN_OPS {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |v| v.get())
-        }
-    } else {
-        requested
-    };
-    t.clamp(1, jobs.max(1))
-}
-
-/// Runs `jobs` closures on `threads` workers pulling job indices from a
-/// shared counter (idle workers steal whatever job is next).
-fn run_pool<T: Send, F: Fn(usize) -> T + Sync>(threads: usize, jobs: usize, f: F) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                let out = f(i);
-                *slots[i].lock().expect("result slot") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("job result"))
-        .collect()
-}
 
 /// One object's projection of a composed history.
 #[derive(Clone, Debug)]
@@ -197,11 +151,7 @@ where
     ) -> bool;
 }
 
-impl<S> ShardableSpec for MultiObjSpec<S>
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
+impl<S: Spec> ShardableSpec for MultiObjSpec<S> {
     fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
         self.search_shard_with_stats(obj, shard, budget).0
     }
@@ -230,13 +180,7 @@ where
     }
 }
 
-impl<S1, S2> ShardableSpec for PairSpec<S1, S2>
-where
-    S1: Spec + Sync,
-    S2: Spec + Sync,
-    S1::Label: Sync,
-    S2::Label: Sync,
-{
+impl<S1: Spec, S2: Spec> ShardableSpec for PairSpec<S1, S2> {
     fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
         self.search_shard_with_stats(obj, shard, budget).0
     }
@@ -403,39 +347,19 @@ pub fn stitch_witness<L>(
     crate::compose::kahn_smallest_first(indegree, &successors)
 }
 
-/// Sharded complete search with an explicit thread count (`0` =
-/// automatic, as for `RAL_CHECK_THREADS`). See the module docs for the
-/// decision structure; the outcome agrees with
-/// [`super::memo::search_with_budget`] on every
-/// history (budgets excepted — shard budgets are per shard, so compare
-/// exhaustion only qualitatively across engines).
-pub fn search_sharded_with_threads<S>(
-    h: &History<S::Label>,
-    spec: &S,
-    budget: u64,
-    threads: usize,
-) -> SearchOutcome
-where
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
-{
-    search_sharded_with_threads_stats(h, spec, budget, threads).0
-}
-
-/// [`search_sharded_with_threads`], also returning the merged
+/// [`search_sharded_with_budget`], also returning the merged
 /// [`SearchStats`] of every shard walk (plus the monolithic fallback's,
 /// when taken). `stats.shards` counts the shards searched and
 /// `stats.fallback` reports the Figure 10 regime; determinism caveats as
 /// in [`SearchStats`].
-pub fn search_sharded_with_threads_stats<S>(
+pub fn search_sharded_with_stats<S>(
     h: &History<S::Label>,
     spec: &S,
     budget: u64,
-    threads: usize,
 ) -> (SearchOutcome, SearchStats)
 where
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let t0 = obs::wallclock::now_nanos();
     let _span = obs::span("ralin.search_sharded");
@@ -453,32 +377,28 @@ where
         stats.shards = shards.len() as u64;
         return (out, stats);
     }
-    // Shards are independent problems: spread them over the pool, each
-    // shard walking sequentially (each gets the full budget — exhaustion
-    // is per shard). Results are combined in ascending-object order, so
-    // the outcome is thread-count independent.
-    let pool = effective_threads(threads, h.len(), shards.len());
+    // Shards are independent problems, walked in ascending-object order;
+    // each gets the full budget (exhaustion is per shard) and every shard
+    // is walked even after one refutes, so the merged stats count them all.
     obs::counter("ralin.shards", shards.len() as u64);
-    let results = run_pool(pool, shards.len(), |i| {
+    let mut stats = SearchStats::default();
+    let mut outcomes = Vec::with_capacity(shards.len());
+    for shard in &shards {
         let s0 = obs::wallclock::now_nanos();
-        let res = spec.search_shard_with_stats(shards[i].obj, &shards[i].history, budget);
+        let (outcome, shard_stats) =
+            spec.search_shard_with_stats(shard.obj, &shard.history, budget);
         obs::observe(
             "ralin.shard_nanos",
             obs::wallclock::now_nanos().saturating_sub(s0),
         );
-        res
-    });
-    let mut stats = SearchStats::default();
-    for (_, shard_stats) in &results {
-        stats.merge(shard_stats);
+        stats.merge(&shard_stats);
+        outcomes.push(outcome);
     }
     stats.shards = shards.len() as u64;
     let finish = |outcome: SearchOutcome, mut stats: SearchStats| {
-        stats.threads = pool as u64;
         stats.elapsed_nanos = obs::wallclock::now_nanos().saturating_sub(t0);
         (outcome, stats)
     };
-    let outcomes: Vec<SearchOutcome> = results.into_iter().map(|(o, _)| o).collect();
     if outcomes.iter().any(SearchOutcome::is_refuted) {
         // A global witness would project to a witness of every shard
         // (ShardableSpec's factorization contract), so this is final.
@@ -514,26 +434,28 @@ where
     finish(out, stats)
 }
 
-/// Sharded complete search of a composed history; thread count from
-/// `RAL_CHECK_THREADS`. Agrees with [`super::search`] on every history
-/// (see the module docs), while paying the sum — not the product — of the
-/// per-object search costs.
+/// Sharded complete search of a composed history. Agrees with
+/// [`super::search`] on every history (see the module docs), while paying
+/// the sum — not the product — of the per-object search costs.
 pub fn search_sharded<S>(h: &History<S::Label>, spec: &S) -> SearchOutcome
 where
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     search_sharded_with_budget(h, spec, u64::MAX)
 }
 
 /// [`search_sharded`] with a per-shard node budget (the monolithic
-/// fallback, when taken, receives the same budget).
+/// fallback, when taken, receives the same budget). The outcome agrees
+/// with [`super::memo::search_with_budget`] on every history (budgets
+/// excepted — shard budgets are per shard, so compare exhaustion only
+/// qualitatively across engines).
 pub fn search_sharded_with_budget<S>(h: &History<S::Label>, spec: &S, budget: u64) -> SearchOutcome
 where
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
-    search_sharded_with_threads(h, spec, budget, crate::env::check_threads())
+    search_sharded_with_stats(h, spec, budget).0
 }
 
 #[cfg(test)]
@@ -636,17 +558,40 @@ mod tests {
         assert!(search(&h, &spec).is_refuted());
     }
 
+    /// A specification that is not `Sync` (it holds an `Rc`) goes through
+    /// both complete engines and agrees with the naive one.
     #[test]
-    fn outcome_is_thread_count_independent() {
-        let h = two_counter_history();
-        let spec = MultiObjSpec::new(Ctr, 2);
-        let seq = search_sharded_with_threads(&h, &spec, u64::MAX, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                seq,
-                search_sharded_with_threads(&h, &spec, u64::MAX, threads)
-            );
+    fn non_sync_spec_goes_through_memo_and_sharded() {
+        use crate::ralin::{search_brute, search_with_budget};
+        use std::rc::Rc;
+
+        struct RcCtr(Rc<i64>);
+
+        impl Spec for RcCtr {
+            type Label = L;
+            type State = i64;
+            fn initial(&self) -> i64 {
+                *self.0
+            }
+            fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+                Ctr.step(s, l)
+            }
         }
+
+        let mut flat = History::new();
+        let a = flat.push(OpRecord::new(L::Inc, r(0)), []);
+        flat.push(OpRecord::new(L::Inc, r(1)), []);
+        flat.push(OpRecord::new(L::Read(1), r(0)), [a]);
+        let spec = RcCtr(Rc::new(0));
+        assert_eq!(
+            search_with_budget(&flat, &spec, u64::MAX),
+            search_brute(&flat, &spec)
+        );
+
+        let h = two_counter_history();
+        let spec = MultiObjSpec::new(spec, 2);
+        assert!(search_sharded_with_budget(&h, &spec, u64::MAX).is_linearizable());
+        assert!(search_brute(&h, &spec).is_linearizable());
     }
 
     #[test]

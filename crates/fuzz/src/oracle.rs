@@ -1,15 +1,18 @@
 //! The fuzzing oracle: replay one [`FuzzScenario`] and decide what it
 //! proved.
 //!
-//! Every run goes through the same three gates, strongest first:
+//! Every run goes through the same three gates:
 //!
-//! 1. **Convergence** after the driver's final sync — the paper's "all
+//! 1. **Lattice laws** on the surviving states (gossip transports only) —
+//!    the join-semilattice obligations of Appendix D. First, because a
+//!    broken join usually diverges as well and this verdict names the
+//!    cause (the [`super::scenario::Family::SummingCounter`] negative
+//!    control trips exactly here).
+//! 2. **Convergence** after the driver's final sync — the paper's "all
 //!    updates eventually visible everywhere" hypothesis. A correct CRDT can
 //!    *never* fail this, whatever the network did, so a failure is a
 //!    finding on its own (the [`super::scenario::Family::BrokenCounter`]
 //!    negative control trips exactly here).
-//! 2. **Lattice laws** on the surviving states (gossip transports only) —
-//!    the join-semilattice obligations of Appendix D.
 //! 3. **Checker cross-check** of the recorded history through
 //!    [`ral_verify::crosscheck`]: guided strategy vs complete memoized
 //!    search vs brute-force reference (single-object), or sharded vs
@@ -47,7 +50,7 @@ use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
 use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
-use ral_sim::sim::{self, SimStats};
+use ral_sim::sim::{self, SimRun, SimStats};
 use ral_spec::addat::AddAt3Spec;
 use ral_spec::counter::CounterSpec;
 use ral_spec::register::{MvRegSpec, RegSpec};
@@ -297,6 +300,58 @@ fn capped<St, Call>(
     }
 }
 
+// What is left of a run once its driver is consumed — all the shared tail
+// ([`conclude`]) needs, whatever the transport.
+struct Finished<L> {
+    run: SimRun,
+    converged: bool,
+    /// `true` on transports without a join.
+    laws_hold: bool,
+    history: History<L>,
+    /// Transport-specific dims, on top of [`all_dims`].
+    extra_dims: Vec<usize>,
+}
+
+// The one run-to-`Observation` tail: the lattice and convergence gates,
+// then `cross_check` on the recorded history — only when a budget was
+// supplied (trace-only replays and the negative controls skip it).
+fn conclude<L>(
+    sc: &FuzzScenario,
+    budget: Option<u64>,
+    done: Finished<L>,
+    cross_check: impl FnOnce(&History<L>, u64) -> HistoryVerdict,
+) -> Observation {
+    let h = &done.history;
+    let (verdict, detail) = if !done.laws_hold {
+        (
+            VerdictKind::LatticeBroken,
+            "surviving states violate the join-semilattice laws".into(),
+        )
+    } else if !done.converged {
+        (
+            VerdictKind::Diverged,
+            "replicas disagree after final sync".into(),
+        )
+    } else {
+        match budget {
+            Some(budget) => fold(cross_check(h, budget)),
+            None => (VerdictKind::Pass, String::new()),
+        }
+    };
+    let mut dims = all_dims(sc, &done.run.stats, h);
+    dims.extend(done.extra_dims);
+    dims.sort_unstable();
+    dims.dedup();
+    Observation {
+        verdict,
+        detail,
+        dims,
+        invokes: done.run.stats.invokes as u64,
+        history_len: h.len(),
+        trace: done.run.trace.render(),
+    }
+}
+
 fn op_case<C, R, S, F>(
     sc: &FuzzScenario,
     budget: Option<u64>,
@@ -309,8 +364,7 @@ fn op_case<C, R, S, F>(
 where
     C: OpBased,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     let mut driver = OpDriver::new(
@@ -319,30 +373,16 @@ where
         capped(sc.max_invokes, call_gen),
     );
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let converged = driver.converged();
-    let h = driver.into_cluster().into_history();
-    let dims = all_dims(sc, &run.stats, &h);
-    let (verdict, detail) = if !converged {
-        diverged()
-    } else {
-        checked(budget, || {
-            fold(crosscheck::op_oracle(
-                &h,
-                rw,
-                spec,
-                strategy,
-                budget.unwrap(),
-            ))
-        })
+    let done = Finished {
+        run,
+        converged: driver.converged(),
+        laws_hold: true,
+        history: driver.into_cluster().into_history(),
+        extra_dims: Vec::new(),
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
+    conclude(sc, budget, done, |h, budget| {
+        crosscheck::op_oracle(h, rw, spec, strategy, budget)
+    })
 }
 
 fn state_case<C, R, S, F>(
@@ -357,8 +397,7 @@ fn state_case<C, R, S, F>(
 where
     C: StateBased,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     let mut driver = StateDriver::new(
@@ -367,33 +406,16 @@ where
         capped(sc.max_invokes, call_gen),
     );
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let converged = driver.converged();
-    let lattice_ok = driver.cluster().check_lattice_laws();
-    let h = driver.into_cluster().into_history();
-    let dims = all_dims(sc, &run.stats, &h);
-    let (verdict, detail) = if !converged {
-        diverged()
-    } else if !lattice_ok {
-        lattice_broken()
-    } else {
-        checked(budget, || {
-            fold(crosscheck::op_oracle(
-                &h,
-                rw,
-                spec,
-                strategy,
-                budget.unwrap(),
-            ))
-        })
+    let done = Finished {
+        run,
+        converged: driver.converged(),
+        laws_hold: driver.cluster().check_lattice_laws(),
+        history: driver.into_cluster().into_history(),
+        extra_dims: Vec::new(),
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
+    conclude(sc, budget, done, |h, budget| {
+        crosscheck::op_oracle(h, rw, spec, strategy, budget)
+    })
 }
 
 fn delta_case<C, R, S, F>(
@@ -408,8 +430,7 @@ fn delta_case<C, R, S, F>(
 where
     C: DeltaCrdt,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     let config = DeltaConfig {
@@ -422,40 +443,24 @@ where
         capped(sc.max_invokes, call_gen),
     );
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let converged = driver.converged();
-    let lattice_ok = driver.cluster().check_lattice_laws();
     let delta_stats = driver.cluster().stats();
-    let h = driver.into_cluster().into_history();
-    let mut dims = all_dims(sc, &run.stats, &h);
+    let mut extra_dims = Vec::new();
     if delta_stats.resyncs > 0 {
-        dims.push(dim("delta_resync"));
+        extra_dims.push(dim("delta_resync"));
     }
     if delta_stats.gc_entries > 0 {
-        dims.push(dim("delta_gc"));
+        extra_dims.push(dim("delta_gc"));
     }
-    let (verdict, detail) = if !converged {
-        diverged()
-    } else if !lattice_ok {
-        lattice_broken()
-    } else {
-        checked(budget, || {
-            fold(crosscheck::op_oracle(
-                &h,
-                rw,
-                spec,
-                strategy,
-                budget.unwrap(),
-            ))
-        })
+    let done = Finished {
+        run,
+        converged: driver.converged(),
+        laws_hold: driver.cluster().check_lattice_laws(),
+        history: driver.into_cluster().into_history(),
+        extra_dims,
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
+    conclude(sc, budget, done, |h, budget| {
+        crosscheck::op_oracle(h, rw, spec, strategy, budget)
+    })
 }
 
 fn multi_case<C, R, S, F>(
@@ -469,8 +474,8 @@ fn multi_case<C, R, S, F>(
 where
     C: OpBased,
     R: Rewrite<ObjLabel<C::Label>, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
     F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
 {
     let cluster = MultiCluster::new(
@@ -493,26 +498,21 @@ where
     });
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
     let converged = driver.converged();
-    let h = driver.into_cluster().into_history();
-    let mut dims = all_dims(sc, &run.stats, &h);
-    if cross_object_interleave(&h) {
-        dims.push(dim("cross_object_interleave"));
+    let history = driver.into_cluster().into_history();
+    let mut extra_dims = Vec::new();
+    if cross_object_interleave(&history) {
+        extra_dims.push(dim("cross_object_interleave"));
     }
-    let (verdict, detail) = if !converged {
-        diverged()
-    } else {
-        checked(budget, || {
-            fold(crosscheck::composed_oracle(&h, rw, spec, budget.unwrap()))
-        })
+    let done = Finished {
+        run,
+        converged,
+        laws_hold: true,
+        history,
+        extra_dims,
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
+    conclude(sc, budget, done, |h, budget| {
+        crosscheck::composed_oracle(h, rw, spec, budget)
+    })
 }
 
 // Negative control: convergence is the only oracle a broken op-based
@@ -530,22 +530,14 @@ fn broken_case(sc: &FuzzScenario) -> Observation {
         }),
     );
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let converged = driver.converged();
-    let h = driver.into_cluster().into_history();
-    let dims = all_dims(sc, &run.stats, &h);
-    let (verdict, detail) = if converged {
-        (VerdictKind::Pass, String::new())
-    } else {
-        diverged()
+    let done = Finished {
+        run,
+        converged: driver.converged(),
+        laws_hold: true,
+        history: driver.into_cluster().into_history(),
+        extra_dims: Vec::new(),
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
+    conclude(sc, None, done, |_, _| unreachable!("no budget, no check"))
 }
 
 // Negative control: the summing "join" breaks idempotence, so the lattice
@@ -557,51 +549,14 @@ fn summing_case(sc: &FuzzScenario) -> Observation {
         capped(sc.max_invokes, |_: &mut Rng, _, _| Some(SumCall::Inc)),
     );
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let converged = driver.converged();
-    let lattice_ok = driver.cluster().check_lattice_laws();
-    let h = driver.into_cluster().into_history();
-    let dims = all_dims(sc, &run.stats, &h);
-    let (verdict, detail) = if !lattice_ok {
-        lattice_broken()
-    } else if !converged {
-        diverged()
-    } else {
-        (VerdictKind::Pass, String::new())
+    let done = Finished {
+        run,
+        converged: driver.converged(),
+        laws_hold: driver.cluster().check_lattice_laws(),
+        history: driver.into_cluster().into_history(),
+        extra_dims: Vec::new(),
     };
-    observe(
-        verdict,
-        detail,
-        dims,
-        &run.stats,
-        h.len(),
-        run.trace.render(),
-    )
-}
-
-fn diverged() -> (VerdictKind, String) {
-    (
-        VerdictKind::Diverged,
-        "replicas disagree after final sync".into(),
-    )
-}
-
-fn lattice_broken() -> (VerdictKind, String) {
-    (
-        VerdictKind::LatticeBroken,
-        "surviving states violate the join-semilattice laws".into(),
-    )
-}
-
-// Runs the history cross-check only when a budget was supplied (trace-only
-// replays skip it).
-fn checked(
-    budget: Option<u64>,
-    run: impl FnOnce() -> (VerdictKind, String),
-) -> (VerdictKind, String) {
-    match budget {
-        Some(_) => run(),
-        None => (VerdictKind::Pass, String::new()),
-    }
+    conclude(sc, None, done, |_, _| unreachable!("no budget, no check"))
 }
 
 fn fold(v: HistoryVerdict) -> (VerdictKind, String) {
@@ -620,29 +575,9 @@ fn fold(v: HistoryVerdict) -> (VerdictKind, String) {
     }
 }
 
-fn observe(
-    verdict: VerdictKind,
-    detail: String,
-    mut dims: Vec<usize>,
-    stats: &SimStats,
-    history_len: usize,
-    trace: String,
-) -> Observation {
-    dims.sort_unstable();
-    dims.dedup();
-    Observation {
-        verdict,
-        detail,
-        dims,
-        invokes: stats.invokes as u64,
-        history_len,
-        trace,
-    }
-}
-
 // The structural dimensions a run exercised: scenario shape + engine fault
 // counters + history concurrency. Transport-specific dims (delta resync,
-// cross-object interleave) are appended by the case functions.
+// cross-object interleave) arrive as `Finished::extra_dims`.
 fn all_dims<L>(sc: &FuzzScenario, stats: &SimStats, h: &History<L>) -> Vec<usize> {
     let mut dims = Vec::new();
     dims.push(match sc.n_replicas {

@@ -14,7 +14,7 @@
 //!
 //! When recording is on, each thread appends to its own *lane* — a buffer
 //! registered in a global registry on first use, surviving thread exit so
-//! scoped worker threads (the checker pool) keep their events. Lane ids
+//! a caller's scoped worker threads keep their events. Lane ids
 //! are assigned in registration order, never from OS thread identity
 //! (which the workspace determinism lint bans). A lane stops recording
 //! (and counts drops instead) once it holds [`capacity`] events.

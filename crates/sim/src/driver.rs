@@ -123,8 +123,8 @@ where
         &self.cluster
     }
 
-    /// Mutable access to the underlying cluster (executor configuration,
-    /// targeted fault injection in tests).
+    /// Mutable access to the underlying cluster (targeted fault injection
+    /// in tests).
     pub fn cluster_mut(&mut self) -> &mut Cluster<C> {
         &mut self.cluster
     }

@@ -35,7 +35,8 @@
 //! * [`sim`] — the engine ([`run`]);
 //! * [`trace`] — the byte-comparable event record;
 //! * [`scenario`] — the named corpus (`geo_3dc`, `flaky_wan`,
-//!   `rolling_restart`, `split_brain_heal`, `delta_wan`, `gossip_50`).
+//!   `rolling_restart`, `split_brain_heal`, `delta_wan`, `multi_mix`,
+//!   `gossip_50`, `lan_tight`).
 //!
 //! # Example
 //!

@@ -67,8 +67,7 @@ pub fn op_oracle<In, R, S>(
 ) -> HistoryVerdict
 where
     R: Rewrite<In, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let guided_ok = ra_check(h, rw, spec, strategy).is_ok();
     let searched = ra_search_with_budget(h, rw, spec, budget);
@@ -113,8 +112,8 @@ where
 pub fn composed_oracle<In, R, S>(h: &History<In>, rw: &R, spec: &S, budget: u64) -> HistoryVerdict
 where
     R: Rewrite<In, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let sharded = ra_search_sharded_with_budget(h, rw, spec, budget);
     let memo = ra_search_with_budget(h, rw, spec, budget);

@@ -128,8 +128,7 @@ where
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mut report = Report::new(format!("RA-Search@{}", scenario.name));
     for seed in seeds {
@@ -182,8 +181,7 @@ where
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mut report = Report::new(format!("RA-Monitor@{}", scenario.name));
     for seed in seeds {
@@ -254,8 +252,8 @@ where
     F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
     R: Rewrite<ObjLabel<C::Label>, Out = S::Label>,
-    S: ShardableSpec + Sync,
-    S::Label: ComposedLabel + Sync,
+    S: ShardableSpec,
+    S::Label: ComposedLabel,
 {
     let mut report = Report::new(format!("Sharded-RA-Search@{}", scenario.name));
     for seed in seeds {

@@ -149,8 +149,7 @@ fn sharded_search_histories<L, R, S>(
 where
     L: Clone + std::fmt::Debug,
     R: Rewrite<L, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mrw = MultiObjRewrite::new(rw);
     let mspec = MultiObjSpec::new(spec, SHARD_OBJECTS);
@@ -179,8 +178,7 @@ fn search_histories<L, R, S>(
 ) -> (u64, u64)
 where
     R: Rewrite<L, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mut total = 0;
     let mut failures = 0;

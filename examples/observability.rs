@@ -23,7 +23,7 @@ use ral_core::compose::{MultiObjRewrite, MultiObjSpec};
 use ral_core::history::rewrite_history;
 use ral_core::ids::ObjId;
 use ral_core::label::Identity;
-use ral_core::ralin::{search_sharded_with_threads_stats, SearchOutcome};
+use ral_core::ralin::{search_sharded_with_stats, SearchOutcome};
 use ral_core::rng::Rng;
 use ral_crdts::op::counter::OpCounter;
 use ral_runtime::multi::{MultiCluster, TsMode};
@@ -68,12 +68,7 @@ fn main() {
     // --- the profiled checker run ----------------------------------------
     let rewritten = rewrite_history(&history, &MultiObjRewrite::new(Identity));
     let spec = MultiObjSpec::new(CounterSpec, N_OBJECTS);
-    let (outcome, stats) = search_sharded_with_threads_stats(
-        &rewritten.history,
-        &spec,
-        BUDGET,
-        ral_core::env::check_threads(),
-    );
+    let (outcome, stats) = search_sharded_with_stats(&rewritten.history, &spec, BUDGET);
     match outcome {
         SearchOutcome::Linearizable(lin) => {
             println!(

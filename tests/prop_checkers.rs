@@ -159,11 +159,7 @@ const CROSS_BUDGET: u64 = 2_000_000;
 
 /// Asserts brute ≡ memo on one rewritten history. When either engine exhausts its (engine-specific) budget only
 /// the absence of contradiction is required.
-fn cross_check<S>(h: &History<S::Label>, spec: &S)
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
+fn cross_check<S: Spec>(h: &History<S::Label>, spec: &S) {
     let brute = search_brute_with_budget(h, spec, CROSS_BUDGET);
     let memo = search_with_budget(h, spec, CROSS_BUDGET);
     if matches!(brute, SearchOutcome::BudgetExhausted)
@@ -198,8 +194,7 @@ fn cross_check_op<C, R, S>(
 ) where
     C: OpBased + Clone,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mut c = Cluster::new(crdt, 3);
     drive_op_based(&mut c, &cross_cfg(steps), seed, &mut gen);
@@ -216,8 +211,7 @@ fn cross_check_state<C, S>(
     mut gen: impl FnMut(&mut ral_core::rng::Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) where
     C: StateBased + Clone,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
     Identity: Rewrite<C::Label, Out = S::Label>,
 {
     let mut c = StateCluster::new(crdt, 3);

@@ -13,7 +13,7 @@ use ral_core::history::{rewrite_history, History, OpRecord};
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::label::{Identity, Rewrite};
 use ral_core::ralin::{
-    check_linearization, search_brute_with_budget, search_sharded_with_threads, search_with_budget,
+    check_linearization, search_brute_with_budget, search_sharded_with_budget, search_with_budget,
     SearchOutcome,
 };
 use ral_core::rng::{run_seeded_cases, Rng};
@@ -65,25 +65,20 @@ fn composition_shape(rng: &mut Rng) -> (usize, TsMode) {
 /// sharded witness must validate end to end.
 fn cross_check_composed<S>(h: &History<S::Label>, spec: &S)
 where
-    S: ral_core::ralin::ShardableSpec + Sync,
-    S::Label: ral_core::compose::ComposedLabel + Sync,
+    S: ral_core::ralin::ShardableSpec,
+    S::Label: ral_core::compose::ComposedLabel,
 {
     let brute = search_brute_with_budget(h, spec, CROSS_BUDGET);
     let memo = search_with_budget(h, spec, CROSS_BUDGET);
-    let sharded_seq = search_sharded_with_threads(h, spec, CROSS_BUDGET, 1);
-    let sharded_par = search_sharded_with_threads(h, spec, CROSS_BUDGET, 3);
-    assert_eq!(
-        sharded_seq, sharded_par,
-        "sharded outcome must be thread-count independent"
-    );
-    if let SearchOutcome::Linearizable(lin) = &sharded_seq {
+    let sharded = search_sharded_with_budget(h, spec, CROSS_BUDGET);
+    if let SearchOutcome::Linearizable(lin) = &sharded {
         assert_eq!(
             check_linearization(h, spec, &lin.order),
             Ok(()),
             "sharded witness must validate against the composed history"
         );
     }
-    let engines = [&brute, &memo, &sharded_seq];
+    let engines = [&brute, &memo, &sharded];
     if engines
         .iter()
         .any(|o| matches!(o, SearchOutcome::BudgetExhausted))
@@ -92,14 +87,14 @@ where
         let refuted = engines.iter().any(|o| o.is_refuted());
         assert!(
             !(lin && refuted),
-            "engines contradict each other: brute={brute:?} memo={memo:?} sharded={sharded_seq:?}"
+            "engines contradict each other: brute={brute:?} memo={memo:?} sharded={sharded:?}"
         );
     } else {
         assert_eq!(brute.is_linearizable(), memo.is_linearizable());
         assert_eq!(
             memo.is_linearizable(),
-            sharded_seq.is_linearizable(),
-            "sharded verdict must agree with the monolithic engine: memo={memo:?} sharded={sharded_seq:?}"
+            sharded.is_linearizable(),
+            "sharded verdict must agree with the monolithic engine: memo={memo:?} sharded={sharded:?}"
         );
     }
 }
@@ -118,8 +113,7 @@ fn cross_check_multi<C, R, S>(
 ) where
     C: OpBased,
     R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec + Sync,
-    S::Label: Sync,
+    S: Spec,
 {
     let mut c = MultiCluster::new(crdt, objects, 3, mode);
     drive_multi(&mut c, &small_cfg(steps), seed, gen);
