@@ -5,7 +5,8 @@
 //! Run with `cargo bench -p ral-bench --bench fig12_table`.
 
 use ral_bench::{bench_group, bench_main, Criterion};
-use ral_verify::table;
+use ral_verify::families as f;
+use ral_verify::table::{self, op_row, state_row};
 use std::hint::black_box;
 
 const HISTORIES: u64 = 5;
@@ -25,15 +26,15 @@ fn bench_rows(c: &mut Criterion) {
             });
         };
     }
-    row!("counter", table::counter_row);
-    row!("pn_counter", table::pn_counter_row);
-    row!("lww_register", table::lww_register_row);
-    row!("mv_register", table::mv_register_row);
-    row!("lww_element_set", table::lww_element_set_row);
-    row!("two_phase_set", table::two_phase_set_row);
-    row!("or_set", table::or_set_row);
-    row!("rga", table::rga_row);
-    row!("wooki", table::wooki_row);
+    row!("counter", op_row::<f::Counter>);
+    row!("pn_counter", state_row::<f::PnCounter>);
+    row!("lww_register", op_row::<f::LwwRegister>);
+    row!("mv_register", state_row::<f::MvRegister>);
+    row!("lww_element_set", state_row::<f::LwwElementSet>);
+    row!("two_phase_set", state_row::<f::TwoPhaseSet>);
+    row!("or_set", op_row::<f::OrSet>);
+    row!("rga", op_row::<f::Rga>);
+    row!("wooki", op_row::<f::Wooki>);
     group.finish();
 
     // Print the reproduced table once, alongside the timings.

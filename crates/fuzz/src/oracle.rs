@@ -28,41 +28,21 @@
 use crate::coverage::dim;
 use crate::scenario::{Family, FuzzScenario, FuzzTopology, Transport};
 use ral_analyze::fixtures::{BrokenCall, BrokenCounter, SumCall, SummingCounter};
-use ral_core::compose::{ComposedLabel, MultiObjRewrite, MultiObjSpec, ObjLabel};
+use ral_core::compose::{MultiObjRewrite, MultiObjSpec, ObjLabel};
 use ral_core::history::History;
-use ral_core::ids::{ObjId, ReplicaId};
-use ral_core::label::{Identity, Rewrite};
-use ral_core::ralin::{ShardableSpec, Strategy};
+use ral_core::ids::ReplicaId;
+use ral_core::label::Rewrite;
+use ral_core::ralin::Strategy;
 use ral_core::rng::Rng;
 use ral_core::spec::Spec;
-use ral_crdts::op::counter::OpCounter;
-use ral_crdts::op::lww_register::LwwRegister;
-use ral_crdts::op::or_set::{OrSet, OrSetRewrite};
-use ral_crdts::op::rga::Rga;
-use ral_crdts::op::rga_addat::RgaAddAt;
-use ral_crdts::op::wooki::Wooki;
-use ral_crdts::state::lww_element_set::LwwElementSet;
-use ral_crdts::state::mv_register::MvRegister;
-use ral_crdts::state::pn_counter::PnCounter;
-use ral_crdts::state::two_phase_set::TwoPhaseSet;
 use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
 use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::sim::{self, SimRun, SimStats};
-use ral_spec::addat::AddAt3Spec;
-use ral_spec::counter::CounterSpec;
-use ral_spec::register::{MvRegSpec, RegSpec};
-use ral_spec::rga::RgaSpec;
-use ral_spec::set::{OrSetSpec, SetSpec};
-use ral_spec::wooki::WookiSpec;
 use ral_verify::crosscheck::{self, HistoryVerdict};
-use ral_verify::workloads;
-
-/// Wooki's spec is exponential in concurrent inserts; the workload caps
-/// inserts per replica at this many.
-const WOOKI_INSERT_LIMIT: u16 = 5;
+use ral_verify::families::{self, OpFamily, Scale, StateFamily};
 
 /// What one replayed scenario proved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -139,144 +119,24 @@ pub fn replay_trace(sc: &FuzzScenario) -> String {
     dispatch(sc, None).trace
 }
 
+// One arm per family: the transport it runs on and its roster entry — the
+// (crdt, γ, spec, strategy, workload) tuple lives in `ral_verify::families`.
 fn dispatch(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
     match sc.family {
-        Family::OpCounter => op_case(
-            sc,
-            budget,
-            OpCounter,
-            &Identity,
-            &CounterSpec,
-            OpCounter::STRATEGY,
-            |rng, _, _| Some(workloads::counter(rng)),
-        ),
-        Family::OpLwwRegister => op_case(
-            sc,
-            budget,
-            LwwRegister::<u8>::new(),
-            &Identity,
-            &RegSpec::new(),
-            LwwRegister::<u8>::STRATEGY,
-            |rng, _, _| Some(workloads::lww_register(rng)),
-        ),
-        Family::OpOrSet => op_case(
-            sc,
-            budget,
-            OrSet::<u8>::new(),
-            &OrSetRewrite::new(),
-            &OrSetSpec::new(),
-            OrSet::<u8>::STRATEGY,
-            |rng, _, _| Some(workloads::or_set(rng)),
-        ),
-        Family::OpRga => {
-            let mut next = 0u16;
-            op_case(
-                sc,
-                budget,
-                Rga::<u16>::new(),
-                &Identity,
-                &RgaSpec::new(),
-                Rga::<u16>::STRATEGY,
-                move |rng, _, st| workloads::rga(rng, st, &mut next),
-            )
-        }
-        Family::OpRgaAddAt => {
-            let mut next = 0u16;
-            op_case(
-                sc,
-                budget,
-                RgaAddAt::<u16>::new(),
-                &Identity,
-                &AddAt3Spec::new(),
-                RgaAddAt::<u16>::STRATEGY,
-                move |rng, _, st| workloads::rga_addat(rng, st, &mut next),
-            )
-        }
-        Family::OpWooki => {
-            let mut next = 0u16;
-            op_case(
-                sc,
-                budget,
-                Wooki::<u16>::new(),
-                &Identity,
-                &WookiSpec::new(),
-                Wooki::<u16>::STRATEGY,
-                move |rng, _, st| workloads::wooki(rng, st, &mut next, WOOKI_INSERT_LIMIT),
-            )
-        }
-        Family::StatePnCounter => state_case(
-            sc,
-            budget,
-            PnCounter,
-            &Identity,
-            &CounterSpec,
-            PnCounter::STRATEGY,
-            |rng, _, _| Some(workloads::pn_counter(rng)),
-        ),
-        Family::StateMvRegister => state_case(
-            sc,
-            budget,
-            MvRegister::<u8>::new(),
-            &Identity,
-            &MvRegSpec::new(),
-            MvRegister::<u8>::STRATEGY,
-            |rng, _, _| Some(workloads::mv_register(rng)),
-        ),
-        Family::StateLwwElementSet => state_case(
-            sc,
-            budget,
-            LwwElementSet::<u8>::new(),
-            &Identity,
-            &SetSpec::new(),
-            LwwElementSet::<u8>::STRATEGY,
-            |rng, _, _| Some(workloads::lww_element_set(rng)),
-        ),
-        Family::StateTwoPhaseSet => {
-            let mut next = 0u16;
-            state_case(
-                sc,
-                budget,
-                TwoPhaseSet::<u16>::new(),
-                &Identity,
-                &SetSpec::new(),
-                TwoPhaseSet::<u16>::STRATEGY,
-                move |rng, _, st| workloads::two_phase_set(rng, st, &mut next),
-            )
-        }
-        Family::DeltaPnCounter => delta_case(
-            sc,
-            budget,
-            PnCounter,
-            &Identity,
-            &CounterSpec,
-            PnCounter::STRATEGY,
-            |rng, _, _| Some(workloads::pn_counter(rng)),
-        ),
-        Family::DeltaLwwElementSet => delta_case(
-            sc,
-            budget,
-            LwwElementSet::<u8>::new(),
-            &Identity,
-            &SetSpec::new(),
-            LwwElementSet::<u8>::STRATEGY,
-            |rng, _, _| Some(workloads::lww_element_set(rng)),
-        ),
-        Family::MultiCounter => multi_case(
-            sc,
-            budget,
-            OpCounter,
-            &MultiObjRewrite::new(Identity),
-            &MultiObjSpec::new(CounterSpec, sc.n_objects as usize),
-            |rng, _, _, _| Some(workloads::counter(rng)),
-        ),
-        Family::MultiLwwRegister => multi_case(
-            sc,
-            budget,
-            LwwRegister::<u8>::new(),
-            &MultiObjRewrite::new(Identity),
-            &MultiObjSpec::new(RegSpec::new(), sc.n_objects as usize),
-            |rng, _, _, _| Some(workloads::lww_register(rng)),
-        ),
+        Family::OpCounter => op_case::<families::Counter>(sc, budget),
+        Family::OpLwwRegister => op_case::<families::LwwRegister>(sc, budget),
+        Family::OpOrSet => op_case::<families::OrSet>(sc, budget),
+        Family::OpRga => op_case::<families::Rga>(sc, budget),
+        Family::OpRgaAddAt => op_case::<families::RgaAddAt>(sc, budget),
+        Family::OpWooki => op_case::<families::Wooki>(sc, budget),
+        Family::StatePnCounter => state_case::<families::PnCounter>(sc, budget),
+        Family::StateMvRegister => state_case::<families::MvRegister>(sc, budget),
+        Family::StateLwwElementSet => state_case::<families::LwwElementSet>(sc, budget),
+        Family::StateTwoPhaseSet => state_case::<families::TwoPhaseSet>(sc, budget),
+        Family::DeltaPnCounter => delta_case::<families::PnCounter>(sc, budget),
+        Family::DeltaLwwElementSet => delta_case::<families::LwwElementSet>(sc, budget),
+        Family::MultiCounter => multi_case::<families::Counter>(sc, budget),
+        Family::MultiLwwRegister => multi_case::<families::LwwRegister>(sc, budget),
         Family::BrokenCounter => broken_case(sc),
         Family::SummingCounter => summing_case(sc),
     }
@@ -312,14 +172,18 @@ struct Finished<L> {
     extra_dims: Vec<usize>,
 }
 
+// A history cross-check with its search budget.
+type CrossCheck<'a, L> = &'a dyn Fn(&History<L>, u64) -> HistoryVerdict;
+
 // The one run-to-`Observation` tail: the lattice and convergence gates,
-// then `cross_check` on the recorded history — only when a budget was
-// supplied (trace-only replays and the negative controls skip it).
+// then `cross_check` on the recorded history — when the family has one
+// (the negative controls do not) and a budget was supplied (trace-only
+// replays skip it).
 fn conclude<L>(
     sc: &FuzzScenario,
     budget: Option<u64>,
     done: Finished<L>,
-    cross_check: impl FnOnce(&History<L>, u64) -> HistoryVerdict,
+    cross_check: Option<CrossCheck<'_, L>>,
 ) -> Observation {
     let h = &done.history;
     let (verdict, detail) = if !done.laws_hold {
@@ -333,9 +197,9 @@ fn conclude<L>(
             "replicas disagree after final sync".into(),
         )
     } else {
-        match budget {
-            Some(budget) => fold(cross_check(h, budget)),
-            None => (VerdictKind::Pass, String::new()),
+        match (cross_check, budget) {
+            (Some(cross_check), Some(budget)) => fold(cross_check(h, budget)),
+            _ => (VerdictKind::Pass, String::new()),
         }
     };
     let mut dims = all_dims(sc, &done.run.stats, h);
@@ -352,96 +216,116 @@ fn conclude<L>(
     }
 }
 
-fn op_case<C, R, S, F>(
-    sc: &FuzzScenario,
-    budget: Option<u64>,
-    crdt: C,
-    rw: &R,
-    spec: &S,
+// The cross-check of every single-object transport: guided strategy vs
+// complete search vs streaming monitor (vs brute force when small).
+fn single_object<L, R, S>(
+    rw: R,
+    spec: S,
     strategy: Strategy,
-    call_gen: F,
-) -> Observation
+) -> impl Fn(&History<L>, u64) -> HistoryVerdict
 where
-    C: OpBased,
-    R: Rewrite<C::Label, Out = S::Label>,
+    R: Rewrite<L, Out = S::Label>,
     S: Spec,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
-    let mut driver = OpDriver::new(
-        crdt,
-        sc.n_replicas as usize,
-        capped(sc.max_invokes, call_gen),
-    );
+    move |h, budget| crosscheck::op_oracle(h, &rw, &spec, strategy, budget)
+}
+
+fn op_case<F: OpFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
+    let done = run_op(sc, F::crdt(), F::calls(Scale::Searched));
+    let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
+    conclude(sc, budget, done, Some(&check))
+}
+
+fn state_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
+    let done = run_state(sc, F::crdt(), F::calls(Scale::Searched));
+    let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
+    conclude(sc, budget, done, Some(&check))
+}
+
+fn delta_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation
+where
+    F::Crdt: DeltaCrdt,
+{
+    let done = run_delta(sc, F::crdt(), F::calls(Scale::Searched));
+    let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
+    conclude(sc, budget, done, Some(&check))
+}
+
+// Sharded vs whole-history search over `n_objects` instances of the entry.
+fn multi_case<F: OpFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
+    let done = run_multi(sc, F::crdt(), F::calls(Scale::Searched));
+    let rw = MultiObjRewrite::new(F::rewrite());
+    let spec = MultiObjSpec::new(F::spec(), sc.n_objects as usize);
+    let check = |h: &History<_>, budget| crosscheck::composed_oracle(h, &rw, &spec, budget);
+    conclude(sc, budget, done, Some(&check))
+}
+
+// Negative control: convergence is the only oracle a broken op-based
+// counter needs — its non-commutative effectors diverge on their own.
+fn broken_case(sc: &FuzzScenario) -> Observation {
+    let done = run_op(sc, BrokenCounter, |rng: &mut Rng, _, _: &_| {
+        Some(if rng.random_bool(0.7) {
+            BrokenCall::Inc
+        } else {
+            BrokenCall::Dec
+        })
+    });
+    conclude(sc, None, done, None)
+}
+
+// Negative control: the summing "join" breaks idempotence, so the lattice
+// laws catch it even when the states happen to agree.
+fn summing_case(sc: &FuzzScenario) -> Observation {
+    let done = run_state(sc, SummingCounter, |_: &mut Rng, _, _: &_| {
+        Some(SumCall::Inc)
+    });
+    conclude(sc, None, done, None)
+}
+
+fn run_op<C: OpBased>(
+    sc: &FuzzScenario,
+    crdt: C,
+    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+) -> Finished<C::Label> {
+    let calls = capped(sc.max_invokes, calls);
+    let mut driver = OpDriver::new(crdt, sc.n_replicas as usize, calls);
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let done = Finished {
+    Finished {
         run,
         converged: driver.converged(),
         laws_hold: true,
         history: driver.into_cluster().into_history(),
         extra_dims: Vec::new(),
-    };
-    conclude(sc, budget, done, |h, budget| {
-        crosscheck::op_oracle(h, rw, spec, strategy, budget)
-    })
+    }
 }
 
-fn state_case<C, R, S, F>(
+fn run_state<C: StateBased>(
     sc: &FuzzScenario,
-    budget: Option<u64>,
     crdt: C,
-    rw: &R,
-    spec: &S,
-    strategy: Strategy,
-    call_gen: F,
-) -> Observation
-where
-    C: StateBased,
-    R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-{
-    let mut driver = StateDriver::new(
-        crdt,
-        sc.n_replicas as usize,
-        capped(sc.max_invokes, call_gen),
-    );
+    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+) -> Finished<C::Label> {
+    let calls = capped(sc.max_invokes, calls);
+    let mut driver = StateDriver::new(crdt, sc.n_replicas as usize, calls);
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let done = Finished {
+    Finished {
         run,
         converged: driver.converged(),
         laws_hold: driver.cluster().check_lattice_laws(),
         history: driver.into_cluster().into_history(),
         extra_dims: Vec::new(),
-    };
-    conclude(sc, budget, done, |h, budget| {
-        crosscheck::op_oracle(h, rw, spec, strategy, budget)
-    })
+    }
 }
 
-fn delta_case<C, R, S, F>(
+fn run_delta<C: DeltaCrdt>(
     sc: &FuzzScenario,
-    budget: Option<u64>,
     crdt: C,
-    rw: &R,
-    spec: &S,
-    strategy: Strategy,
-    call_gen: F,
-) -> Observation
-where
-    C: DeltaCrdt,
-    R: Rewrite<C::Label, Out = S::Label>,
-    S: Spec,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-{
+    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+) -> Finished<C::Label> {
     let config = DeltaConfig {
         resync_after: sc.resync_after as usize,
     };
-    let mut driver = DeltaDriver::new(
-        crdt,
-        config,
-        sc.n_replicas as usize,
-        capped(sc.max_invokes, call_gen),
-    );
+    let calls = capped(sc.max_invokes, calls);
+    let mut driver = DeltaDriver::new(crdt, config, sc.n_replicas as usize, calls);
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
     let delta_stats = driver.cluster().stats();
     let mut extra_dims = Vec::new();
@@ -451,51 +335,29 @@ where
     if delta_stats.gc_entries > 0 {
         extra_dims.push(dim("delta_gc"));
     }
-    let done = Finished {
+    Finished {
         run,
         converged: driver.converged(),
         laws_hold: driver.cluster().check_lattice_laws(),
         history: driver.into_cluster().into_history(),
         extra_dims,
-    };
-    conclude(sc, budget, done, |h, budget| {
-        crosscheck::op_oracle(h, rw, spec, strategy, budget)
-    })
+    }
 }
 
-fn multi_case<C, R, S, F>(
+// One cap across all objects: every object draws from the same workload.
+fn run_multi<C: OpBased>(
     sc: &FuzzScenario,
-    budget: Option<u64>,
     crdt: C,
-    rw: &R,
-    spec: &S,
-    call_gen: F,
-) -> Observation
-where
-    C: OpBased,
-    R: Rewrite<ObjLabel<C::Label>, Out = S::Label>,
-    S: ShardableSpec,
-    S::Label: ComposedLabel,
-    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
-{
+    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+) -> Finished<ObjLabel<C::Label>> {
     let cluster = MultiCluster::new(
         crdt,
         sc.n_objects as usize,
         sc.n_replicas as usize,
         sc.ts_mode,
     );
-    // The per-object cap wrapper has a different workload shape, so the
-    // invoke budget is threaded by hand here.
-    let mut left = sc.max_invokes;
-    let mut call_gen = call_gen;
-    let mut driver = MultiDriver::new(cluster, move |rng, r, obj, st| {
-        if left == 0 {
-            return None;
-        }
-        let call = call_gen(rng, r, obj, st)?;
-        left -= 1;
-        Some(call)
-    });
+    let mut calls = capped(sc.max_invokes, calls);
+    let mut driver = MultiDriver::new(cluster, move |rng, r, _obj, st| calls(rng, r, st));
     let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
     let converged = driver.converged();
     let history = driver.into_cluster().into_history();
@@ -503,60 +365,13 @@ where
     if cross_object_interleave(&history) {
         extra_dims.push(dim("cross_object_interleave"));
     }
-    let done = Finished {
+    Finished {
         run,
         converged,
         laws_hold: true,
         history,
         extra_dims,
-    };
-    conclude(sc, budget, done, |h, budget| {
-        crosscheck::composed_oracle(h, rw, spec, budget)
-    })
-}
-
-// Negative control: convergence is the only oracle a broken op-based
-// counter needs — its non-commutative effectors diverge on their own.
-fn broken_case(sc: &FuzzScenario) -> Observation {
-    let mut driver = OpDriver::new(
-        BrokenCounter,
-        sc.n_replicas as usize,
-        capped(sc.max_invokes, |rng: &mut Rng, _, _| {
-            Some(if rng.random_bool(0.7) {
-                BrokenCall::Inc
-            } else {
-                BrokenCall::Dec
-            })
-        }),
-    );
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let done = Finished {
-        run,
-        converged: driver.converged(),
-        laws_hold: true,
-        history: driver.into_cluster().into_history(),
-        extra_dims: Vec::new(),
-    };
-    conclude(sc, None, done, |_, _| unreachable!("no budget, no check"))
-}
-
-// Negative control: the summing "join" breaks idempotence, so the lattice
-// laws catch it even when the states happen to agree.
-fn summing_case(sc: &FuzzScenario) -> Observation {
-    let mut driver = StateDriver::new(
-        SummingCounter,
-        sc.n_replicas as usize,
-        capped(sc.max_invokes, |_: &mut Rng, _, _| Some(SumCall::Inc)),
-    );
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
-    let done = Finished {
-        run,
-        converged: driver.converged(),
-        laws_hold: driver.cluster().check_lattice_laws(),
-        history: driver.into_cluster().into_history(),
-        extra_dims: Vec::new(),
-    };
-    conclude(sc, None, done, |_, _| unreachable!("no budget, no check"))
+    }
 }
 
 fn fold(v: HistoryVerdict) -> (VerdictKind, String) {

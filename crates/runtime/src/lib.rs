@@ -36,7 +36,7 @@
 //! OPERATION, EFFECTOR or merge step at one replica at a time, and
 //! `deliver_all` / `sync_all` visit the replicas in ascending order.
 //!
-//! All three cluster kinds expose targeted per-message delivery
+//! All four cluster kinds expose targeted per-message delivery
 //! (`can_deliver`/`deliver`, `apply`) and crash/restart entry points; the
 //! `ral-sim` crate builds a deterministic discrete-event network simulator
 //! (latency, partitions, crashes, topologies) on top of them.

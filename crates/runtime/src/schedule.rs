@@ -210,10 +210,10 @@ impl Partition {
     }
 }
 
-/// Drives an operation-based cluster with a partition in force for the
-/// first `heal_after` steps: deliveries whose origin lies across the
-/// partition are withheld. After the last step the partition heals and
-/// everything is delivered.
+/// Drives an operation-based cluster with a partition in force for every
+/// scheduler step: deliveries whose origin lies across the partition are
+/// withheld. The partition heals only at the final synchronization
+/// ([`ScheduleConfig::final_sync`]), which delivers everything.
 pub fn drive_op_based_partitioned<C, F>(
     cluster: &mut Cluster<C>,
     cfg: &ScheduleConfig,

@@ -1,5 +1,5 @@
 //! Drivers: the adapter between the transport-level simulator and the
-//! paper's three cluster kinds.
+//! runtime's four cluster kinds.
 //!
 //! The engine thinks in *messages* — opaque ids created by invocations or
 //! gossip ticks and routed per destination. A [`Driver`] translates those

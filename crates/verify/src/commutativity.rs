@@ -10,6 +10,7 @@
 //! application orders must yield the same state.
 
 use crate::report::Report;
+use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::op_based::{Cluster, OpBased};
@@ -26,39 +27,43 @@ pub fn check_op_based<C, F>(
     n_replicas: usize,
     steps: usize,
     seeds: Range<u64>,
-    mut call_gen: F,
+    call_gen: F,
 ) -> Report
 where
     C: OpBased + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
-    let mut report = Report::new("Commutativity");
-    for seed in seeds {
-        let mut cluster = Cluster::new(crdt.clone(), n_replicas);
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..steps {
-            let r = ReplicaId(rng.random_range(0..n_replicas) as u32);
-            if rng.random_bool(0.6) {
-                if let Some(call) = call_gen(&mut rng, r, cluster.state(r)) {
-                    cluster.invoke(r, call);
-                }
-            } else {
-                let ds = cluster.deliverable(r);
-                if !ds.is_empty() {
-                    let d = ds[rng.random_range(0..ds.len())];
-                    cluster.deliver(r, d);
-                }
-            }
-            check_pending_pairs(&cluster, &mut report);
-        }
-        cluster.deliver_all();
-        if !cluster.converged() {
-            report.fail(format!("seed {seed}: replicas did not converge"));
-        } else {
-            report.pass();
+    let mut pairs = PendingPairs::new();
+    walk::op_based(crdt, n_replicas, steps, seeds, call_gen, &mut [&mut pairs]);
+    pairs.report
+}
+
+/// The Commutativity obligation as an observer of [`walk::op_based`].
+pub(crate) struct PendingPairs {
+    pub(crate) report: Report,
+}
+
+impl PendingPairs {
+    pub(crate) fn new() -> Self {
+        PendingPairs {
+            report: Report::new("Commutativity"),
         }
     }
-    report
+}
+
+impl<C: OpBased> Observer<C> for PendingPairs {
+    fn step(&mut self, cluster: &Cluster<C>, _r: ReplicaId, _step: &Step<'_, C::State>) {
+        check_pending_pairs(cluster, &mut self.report);
+    }
+
+    fn seed_done(&mut self, seed: u64, converged: bool) {
+        if converged {
+            self.report.pass();
+        } else {
+            self.report
+                .fail(format!("seed {seed}: replicas did not converge"));
+        }
+    }
 }
 
 fn check_pending_pairs<C: OpBased>(cluster: &Cluster<C>, report: &mut Report) {

@@ -9,6 +9,7 @@
 //! every intermediate instant.
 
 use crate::report::Report;
+use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::op_based::{Cluster, OpBased};
@@ -23,39 +24,43 @@ pub fn check_op_based<C, F>(
     n_replicas: usize,
     steps: usize,
     seeds: Range<u64>,
-    mut call_gen: F,
+    call_gen: F,
 ) -> Report
 where
     C: OpBased + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
-    let mut report = Report::new("StrongEventualConsistency");
-    for seed in seeds {
-        let mut cluster = Cluster::new(crdt.clone(), n_replicas);
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..steps {
-            let r = ReplicaId(rng.random_range(0..n_replicas) as u32);
-            if rng.random_bool(0.6) {
-                if let Some(call) = call_gen(&mut rng, r, cluster.state(r)) {
-                    cluster.invoke(r, call);
-                }
-            } else {
-                let ds = cluster.deliverable(r);
-                if !ds.is_empty() {
-                    let d = ds[rng.random_range(0..ds.len())];
-                    cluster.deliver(r, d);
-                }
-            }
-            check_equal_views_equal_states(&cluster, &mut report);
-        }
-        cluster.deliver_all();
-        if cluster.converged() {
-            report.pass();
-        } else {
-            report.fail(format!("seed {seed}: no convergence after full delivery"));
+    let mut views = EqualViews::new();
+    walk::op_based(crdt, n_replicas, steps, seeds, call_gen, &mut [&mut views]);
+    views.report
+}
+
+/// The SEC obligation as an observer of [`walk::op_based`].
+pub(crate) struct EqualViews {
+    pub(crate) report: Report,
+}
+
+impl EqualViews {
+    pub(crate) fn new() -> Self {
+        EqualViews {
+            report: Report::new("StrongEventualConsistency"),
         }
     }
-    report
+}
+
+impl<C: OpBased> Observer<C> for EqualViews {
+    fn step(&mut self, cluster: &Cluster<C>, _r: ReplicaId, _step: &Step<'_, C::State>) {
+        check_equal_views_equal_states(cluster, &mut self.report);
+    }
+
+    fn seed_done(&mut self, seed: u64, converged: bool) {
+        if converged {
+            self.report.pass();
+        } else {
+            self.report
+                .fail(format!("seed {seed}: no convergence after full delivery"));
+        }
+    }
 }
 
 fn check_equal_views_equal_states<C: OpBased>(cluster: &Cluster<C>, report: &mut Report) {
@@ -128,12 +133,13 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::workloads;
     use ral_crdts::op::or_set::OrSet;
     use ral_crdts::state::pn_counter::PnCounter;
     use ral_runtime::gen::{GenCtx, GenOutcome};
+    use ral_spec::register::RegOp;
 
     #[test]
     fn or_set_satisfies_sec() {
@@ -151,16 +157,18 @@ mod tests {
         assert!(report.ok(), "{report}");
     }
 
-    /// A CRDT whose effector depends on arrival order: SEC must fail.
+    /// A CRDT whose effector depends on arrival order: SEC must fail. Its
+    /// histories are register writes only, so they linearize regardless
+    /// (what `scenarios`' convergence-gate test relies on).
     #[derive(Clone)]
-    struct LastArrival;
+    pub(crate) struct LastArrival;
 
     impl OpBased for LastArrival {
         type State = i64;
         type Call = i64;
         type Ret = ();
         type Eff = i64;
-        type Label = i64;
+        type Label = RegOp<i64>;
         fn initial(&self) -> i64 {
             0
         }
@@ -170,8 +178,8 @@ mod tests {
         fn apply(&self, st: &mut i64, eff: &i64) {
             *st = *eff;
         }
-        fn label(&self, call: &i64, _ret: &()) -> i64 {
-            *call
+        fn label(&self, call: &i64, _ret: &()) -> RegOp<i64> {
+            RegOp::Write(*call)
         }
     }
 

@@ -156,7 +156,11 @@ where
 /// [`Verdict::Exhausted`] (the streaming live-config cap) is not a verdict
 /// and never disagrees — like batch budget exhaustion, it only counts as
 /// undecided.
-fn streaming_disagreement(v: Verdict, batch: &SearchOutcome, n: usize) -> Option<String> {
+pub(crate) fn streaming_disagreement(
+    v: Verdict,
+    batch: &SearchOutcome,
+    n: usize,
+) -> Option<String> {
     match (v, batch) {
         (Verdict::Ok, SearchOutcome::NotLinearizable) => Some(format!(
             "streaming monitor accepts the {n}-op history but the batch search refutes it"

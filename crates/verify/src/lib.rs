@@ -39,12 +39,14 @@ pub mod commutativity;
 pub mod convergence;
 pub mod crosscheck;
 pub mod delta;
+pub mod families;
 pub mod obligations;
 pub mod refinement;
 pub mod report;
 pub mod scenarios;
 pub mod state_props;
 pub mod table;
+mod walk;
 pub mod workloads;
 
 pub use report::Report;

@@ -15,8 +15,10 @@
 //! every generator execution and every effector delivery.
 
 use crate::report::Report;
+use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::label::{Rewrite, Rewritten, SpecLabel};
+use ral_core::ralin::Strategy;
 use ral_core::rng::Rng;
 use ral_core::spec::Spec;
 use ral_core::timestamp::Ts;
@@ -31,6 +33,17 @@ pub enum Mode {
     /// `Refinement_ts` (Section 4.2): an effector whose timestamp is below
     /// some timestamp already in the state is exempt.
     Timestamped,
+}
+
+/// The flavour a linearization class calls for: execution-order types
+/// prove `Refinement`, timestamp-order types `Refinement_ts`.
+impl From<Strategy> for Mode {
+    fn from(strategy: Strategy) -> Self {
+        match strategy {
+            Strategy::ExecutionOrder => Mode::Plain,
+            Strategy::TimestampOrder => Mode::Timestamped,
+        }
+    }
 }
 
 /// Checks Refinement (or `Refinement_ts`) for an operation-based CRDT.
@@ -49,7 +62,7 @@ pub fn check_op_based<C, S, R, FA, FT, F>(
     n_replicas: usize,
     steps: usize,
     seeds: Range<u64>,
-    mut call_gen: F,
+    call_gen: F,
 ) -> Report
 where
     C: OpBased + Clone,
@@ -59,75 +72,97 @@ where
     FT: Fn(&C::State) -> Vec<Ts>,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
-    let name = match mode {
-        Mode::Plain => "Refinement",
-        Mode::Timestamped => "Refinement_ts",
-    };
-    let mut report = Report::new(name);
-    for seed in seeds.clone() {
-        let mut cluster = Cluster::new(crdt.clone(), n_replicas);
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..steps {
-            let r = ReplicaId(rng.random_range(0..n_replicas) as u32);
-            if rng.random_bool(0.6) {
-                let Some(call) = call_gen(&mut rng, r, cluster.state(r)) else {
-                    continue;
-                };
-                let before = cluster.state(r).clone();
-                let Some(inv) = cluster.invoke(r, call) else {
-                    continue;
-                };
-                let after = cluster.state(r).clone();
-                let label = cluster.history().label(inv.op).clone();
-                check_generator_and_origin_effector::<C, S, R, FA>(
-                    spec,
-                    rewrite,
-                    &abs,
-                    &label,
-                    &before,
-                    &after,
-                    &mut report,
-                );
-            } else {
-                let ds = cluster.deliverable(r);
-                if ds.is_empty() {
-                    continue;
-                }
-                let d = ds[rng.random_range(0..ds.len())];
-                let op = cluster.delivery_op(d);
-                let has_eff = cluster.delivery_eff(d).is_some();
-                let before = cluster.state(r).clone();
-                let op_ts = cluster.history().op(op).ts;
-                cluster.deliver(r, d);
-                let after = cluster.state(r).clone();
-                if !has_eff {
+    let mut simulation = Simulation::new(spec, rewrite, mode, abs, state_ts);
+    walk::op_based(
+        crdt,
+        n_replicas,
+        steps,
+        seeds,
+        call_gen,
+        &mut [&mut simulation],
+    );
+    simulation.report
+}
+
+/// The Refinement obligation as an observer of [`walk::op_based`]: every
+/// generator execution and every effector delivery is discharged as the
+/// walk performs it.
+pub(crate) struct Simulation<'a, S, R, FA, FT> {
+    spec: &'a S,
+    rewrite: &'a R,
+    mode: Mode,
+    abs: FA,
+    state_ts: FT,
+    pub(crate) report: Report,
+}
+
+impl<'a, S, R, FA, FT> Simulation<'a, S, R, FA, FT> {
+    pub(crate) fn new(spec: &'a S, rewrite: &'a R, mode: Mode, abs: FA, state_ts: FT) -> Self {
+        let name = match mode {
+            Mode::Plain => "Refinement",
+            Mode::Timestamped => "Refinement_ts",
+        };
+        Simulation {
+            spec,
+            rewrite,
+            mode,
+            abs,
+            state_ts,
+            report: Report::new(name),
+        }
+    }
+}
+
+impl<C, S, R, FA, FT> Observer<C> for Simulation<'_, S, R, FA, FT>
+where
+    C: OpBased,
+    S: Spec,
+    R: Rewrite<C::Label, Out = S::Label>,
+    FA: Fn(&C::State) -> S::State,
+    FT: Fn(&C::State) -> Vec<Ts>,
+{
+    fn step(&mut self, cluster: &Cluster<C>, r: ReplicaId, step: &Step<'_, C::State>) {
+        let after = cluster.state(r);
+        let report = &mut self.report;
+        match *step {
+            Step::Idle => {}
+            Step::Invoked { op, before } => check_generator_and_origin_effector::<C, S, R, FA>(
+                self.spec,
+                self.rewrite,
+                &self.abs,
+                cluster.history().label(op),
+                before,
+                after,
+                report,
+            ),
+            Step::Delivered { delivery, before } => {
+                let op = cluster.delivery_op(delivery);
+                if cluster.delivery_eff(delivery).is_none() {
                     // Identity effector: the state must not change.
                     if before == after {
                         report.pass();
                     } else {
                         report.fail(format!("identity effector of {op} changed the state"));
                     }
-                    continue;
+                    return;
                 }
-                if mode == Mode::Timestamped {
-                    if let Some(ts) = op_ts {
-                        if state_ts(&before).iter().any(|t| ts < *t) {
+                if self.mode == Mode::Timestamped {
+                    if let Some(ts) = cluster.history().op(op).ts {
+                        if (self.state_ts)(before).iter().any(|t| ts < *t) {
                             // Exempt under Refinement_ts.
                             report.pass();
-                            continue;
+                            return;
                         }
                     }
                 }
-                let label = cluster.history().label(op).clone();
-                let update = match rewrite.rewrite(&label) {
+                let update = match self.rewrite.rewrite(cluster.history().label(op)) {
                     Rewritten::One(l) => l,
                     Rewritten::Split { update, .. } => update,
                 };
-                check_effector_step(spec, &abs, &update, op, &before, &after, &mut report);
+                check_effector_step(self.spec, &self.abs, &update, op, before, after, report);
             }
         }
     }
-    report
 }
 
 fn check_generator_and_origin_effector<C, S, R, FA>(

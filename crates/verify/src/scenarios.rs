@@ -14,13 +14,14 @@
 //!   recorded under partitions/crashes/latency, still RA-linearizes with
 //!   the strategy Figure 12 claims for it.
 
+use crate::crosscheck::streaming_disagreement;
 use crate::report::Report;
 use ral_core::compose::{ComposedLabel, ObjLabel};
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::label::Rewrite;
 use ral_core::ralin::{
     ra_check, ra_search_sharded_with_budget, ra_search_with_budget, SearchOutcome, ShardableSpec,
-    Strategy, Verdict,
+    Strategy,
 };
 use ral_core::rng::Rng;
 use ral_core::spec::Spec;
@@ -31,6 +32,35 @@ use ral_sim::driver::{Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::scenario::Scenario;
 use ral_sim::{sim, MonitoredDriver};
 use std::ops::Range;
+
+// The per-seed skeleton of every entry point: build a driver, run it
+// through the scenario, require convergence after the final sync, then let
+// `judge` have the finished driver. A diverged run fails whatever its
+// history would have proved — the checkers assume the paper's "all updates
+// eventually visible everywhere" hypothesis.
+fn converged_runs<D: Driver>(
+    name: &str,
+    scenario: &Scenario,
+    seeds: Range<u64>,
+    mut build: impl FnMut() -> D,
+    mut judge: impl FnMut(D) -> Result<(), String>,
+) -> Report {
+    let mut report = Report::new(format!("{name}@{}", scenario.name));
+    for seed in seeds {
+        let mut driver = build();
+        sim::run(&mut driver, &scenario.cfg, seed);
+        let outcome = if driver.converged() {
+            judge(driver)
+        } else {
+            Err("replicas diverged after final sync".into())
+        };
+        match outcome {
+            Ok(()) => report.pass(),
+            Err(why) => report.fail(format!("seed {seed}: {why}")),
+        }
+    }
+    report
+}
 
 /// Checks strong eventual consistency of a state-based CRDT under a named
 /// scenario: for every seed, the replicas converge after the final
@@ -49,19 +79,19 @@ where
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
 {
-    let mut report = Report::new(format!("Convergence@{}", scenario.name));
-    for seed in seeds {
-        let mut driver = StateDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen());
-        sim::run(&mut driver, &scenario.cfg, seed);
-        if !driver.converged() {
-            report.fail(format!("seed {seed}: replicas diverged after final sync"));
-        } else if !driver.cluster().check_lattice_laws() {
-            report.fail(format!("seed {seed}: lattice laws violated"));
-        } else {
-            report.pass();
-        }
-    }
-    report
+    converged_runs(
+        "Convergence",
+        scenario,
+        seeds,
+        || StateDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen()),
+        |driver| {
+            if driver.cluster().check_lattice_laws() {
+                Ok(())
+            } else {
+                Err("lattice laws violated".into())
+            }
+        },
+    )
 }
 
 /// Checks RA-linearizability of an op-based CRDT under a named scenario:
@@ -83,24 +113,19 @@ where
     R: Rewrite<C::Label, Out = S::Label>,
     S: Spec,
 {
-    let mut report = Report::new(format!("RA-Linearizability@{}", scenario.name));
-    for seed in seeds {
-        let mut driver = OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen());
-        sim::run(&mut driver, &scenario.cfg, seed);
-        if !driver.converged() {
-            report.fail(format!("seed {seed}: replicas diverged after final sync"));
-            continue;
-        }
-        let history = driver.into_cluster().into_history();
-        match ra_check(&history, rw, spec, strategy) {
-            Ok(_) => report.pass(),
-            Err(v) => report.fail(format!(
-                "seed {seed}: history of {} ops not RA-linearizable: {v:?}",
-                history.len()
-            )),
-        }
-    }
-    report
+    converged_runs(
+        "RA-Linearizability",
+        scenario,
+        seeds,
+        || OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen()),
+        |driver| {
+            let history = driver.into_cluster().into_history();
+            let ops = history.len();
+            ra_check(&history, rw, spec, strategy)
+                .map(drop)
+                .map_err(|v| format!("history of {ops} ops not RA-linearizable: {v:?}"))
+        },
+    )
 }
 
 /// Decides RA-linearizability of an op-based CRDT's scenario histories
@@ -113,7 +138,8 @@ where
 /// failing guided strategy says nothing; a refutation here is a
 /// counterexample), at sizes the naive seed-era enumeration could not
 /// touch. An exhausted budget is reported as its own failure, so an
-/// undecided history can never pass silently.
+/// undecided history can never pass silently — and so is a run whose
+/// replicas diverged, even when its history happens to linearize.
 pub fn op_search_in<C, F, M, R, S>(
     crdt: C,
     scenario: &Scenario,
@@ -130,23 +156,25 @@ where
     R: Rewrite<C::Label, Out = S::Label>,
     S: Spec,
 {
-    let mut report = Report::new(format!("RA-Search@{}", scenario.name));
-    for seed in seeds {
-        let mut driver = OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen());
-        sim::run(&mut driver, &scenario.cfg, seed);
-        let history = driver.into_cluster().into_history();
-        let ops = history.len();
-        match ra_search_with_budget(&history, rw, spec, budget) {
-            SearchOutcome::Linearizable(_) => report.pass(),
-            SearchOutcome::NotLinearizable => report.fail(format!(
-                "seed {seed}: history of {ops} ops admits no RA-linearization"
-            )),
-            SearchOutcome::BudgetExhausted => report.fail(format!(
-                "seed {seed}: search over {ops} ops undecided within {budget} nodes"
-            )),
-        }
-    }
-    report
+    converged_runs(
+        "RA-Search",
+        scenario,
+        seeds,
+        || OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen()),
+        |driver| {
+            let history = driver.into_cluster().into_history();
+            let ops = history.len();
+            match ra_search_with_budget(&history, rw, spec, budget) {
+                SearchOutcome::Linearizable(_) => Ok(()),
+                SearchOutcome::NotLinearizable => {
+                    Err(format!("history of {ops} ops admits no RA-linearization"))
+                }
+                SearchOutcome::BudgetExhausted => Err(format!(
+                    "search over {ops} ops undecided within {budget} nodes"
+                )),
+            }
+        },
+    )
 }
 
 /// Verifies an op-based CRDT *while the scenario runs*: every seed wraps
@@ -156,15 +184,16 @@ where
 /// end-of-stream verdict is cross-checked against the batch search
 /// ([`ra_search_with_budget`]) on the recorded history.
 ///
-/// Three obligations per seed:
+/// Past the convergence gate every entry point shares, three obligations
+/// per seed:
 ///
 /// 1. **agreement** — a definite streaming verdict must match the batch
-///    outcome ([`Verdict::Exhausted`] and budget exhaustion are undecided,
+///    outcome (`Verdict::Exhausted` and budget exhaustion are undecided,
 ///    never disagreement — but both are still reported as failures here,
 ///    because an undecided corpus run means the harness chose a scenario
 ///    the monitor cannot carry);
 /// 2. **acceptance** — the corpus histories are RA-linearizable, so the
-///    verdict must be [`Verdict::Ok`];
+///    verdict must be `Verdict::Ok`;
 /// 3. **stability** — the final sync drains every mailbox, so every
 ///    operation must have settled and the live window collapsed to zero.
 pub fn monitor_in<C, F, M, R, S>(
@@ -183,44 +212,35 @@ where
     R: Rewrite<C::Label, Out = S::Label>,
     S: Spec,
 {
-    let mut report = Report::new(format!("RA-Monitor@{}", scenario.name));
-    for seed in seeds {
-        let inner = OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen());
-        let mut driver = MonitoredDriver::new(inner, rw, spec);
-        sim::run(&mut driver, &scenario.cfg, seed);
-        let verdict = driver.verdict();
-        let stats = driver.stats().clone();
-        let history = driver.into_inner().into_cluster().into_history();
-        let ops = history.len();
-        let batch = ra_search_with_budget(&history, rw, spec, budget);
-        let disagreement = matches!(
-            (verdict, &batch),
-            (Verdict::Ok, SearchOutcome::NotLinearizable)
-                | (
-                    Verdict::Deferred | Verdict::Violated,
-                    SearchOutcome::Linearizable(_)
-                )
-        );
-        if disagreement {
-            report.fail(format!(
-                "seed {seed}: streaming verdict {verdict:?} contradicts the batch \
-                 search on the {ops}-op history"
-            ));
-        } else if !verdict.is_ok() {
-            report.fail(format!(
-                "seed {seed}: monitored run of {ops} ops ended {verdict:?}"
-            ));
-        } else if stats.settled != ops as u64 || stats.live_window != 0 {
-            report.fail(format!(
-                "seed {seed}: final sync left {} of {ops} ops unsettled (live window {})",
-                ops as u64 - stats.settled,
-                stats.live_window
-            ));
-        } else {
-            report.pass();
-        }
-    }
-    report
+    converged_runs(
+        "RA-Monitor",
+        scenario,
+        seeds,
+        || {
+            let inner = OpDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen());
+            MonitoredDriver::new(inner, rw, spec)
+        },
+        |driver| {
+            let verdict = driver.verdict();
+            let stats = driver.stats().clone();
+            let history = driver.into_inner().into_cluster().into_history();
+            let ops = history.len();
+            let batch = ra_search_with_budget(&history, rw, spec, budget);
+            if let Some(disagreement) = streaming_disagreement(verdict, &batch, ops) {
+                Err(disagreement)
+            } else if !verdict.is_ok() {
+                Err(format!("monitored run of {ops} ops ended {verdict:?}"))
+            } else if stats.settled != ops as u64 || stats.live_window != 0 {
+                Err(format!(
+                    "final sync left {} of {ops} ops unsettled (live window {})",
+                    ops as u64 - stats.settled,
+                    stats.live_window
+                ))
+            } else {
+                Ok(())
+            }
+        },
+    )
 }
 
 /// Decides RA-linearizability of a *composed* workload outright with the
@@ -255,29 +275,34 @@ where
     S: ShardableSpec,
     S::Label: ComposedLabel,
 {
-    let mut report = Report::new(format!("Sharded-RA-Search@{}", scenario.name));
-    for seed in seeds {
-        let cluster = MultiCluster::new(crdt.clone(), n_objects, scenario.cfg.n_replicas, mode);
-        let mut driver = MultiDriver::new(cluster, mk_call_gen());
-        sim::run(&mut driver, &scenario.cfg, seed);
-        let history = driver.into_cluster().into_history();
-        let ops = history.len();
-        match ra_search_sharded_with_budget(&history, rw, spec, budget) {
-            SearchOutcome::Linearizable(_) => report.pass(),
-            SearchOutcome::NotLinearizable => report.fail(format!(
-                "seed {seed}: composed history of {ops} ops over {n_objects} objects admits no RA-linearization"
-            )),
-            SearchOutcome::BudgetExhausted => report.fail(format!(
-                "seed {seed}: sharded search over {ops} ops undecided within {budget} nodes/shard"
-            )),
-        }
-    }
-    report
+    converged_runs(
+        "Sharded-RA-Search",
+        scenario,
+        seeds,
+        || {
+            let cluster = MultiCluster::new(crdt.clone(), n_objects, scenario.cfg.n_replicas, mode);
+            MultiDriver::new(cluster, mk_call_gen())
+        },
+        |driver| {
+            let history = driver.into_cluster().into_history();
+            let ops = history.len();
+            match ra_search_sharded_with_budget(&history, rw, spec, budget) {
+                SearchOutcome::Linearizable(_) => Ok(()),
+                SearchOutcome::NotLinearizable => Err(format!(
+                    "composed history of {ops} ops over {n_objects} objects admits no RA-linearization"
+                )),
+                SearchOutcome::BudgetExhausted => Err(format!(
+                    "sharded search over {ops} ops undecided within {budget} nodes/shard"
+                )),
+            }
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::tests::LastArrival;
     use crate::workloads;
     use ral_core::compose::{MultiObjRewrite, MultiObjSpec};
     use ral_core::label::Identity;
@@ -285,6 +310,7 @@ mod tests {
     use ral_crdts::state::pn_counter::PnCounter;
     use ral_sim::scenario;
     use ral_spec::counter::CounterSpec;
+    use ral_spec::register::RegSpec;
 
     #[test]
     fn pn_counter_survives_the_flaky_wan() {
@@ -306,6 +332,30 @@ mod tests {
             || |rng: &mut Rng, _, _| Some(workloads::counter(rng)),
         );
         assert!(report.ok(), "{report}");
+    }
+
+    #[test]
+    fn diverged_run_fails_the_search_even_though_its_history_linearizes() {
+        // LastArrival's replicas keep whichever write arrived last, so the
+        // healed split brain leaves them disagreeing — while the recorded
+        // history is writes only, which a register admits in any order.
+        let report = op_search_in(
+            LastArrival,
+            &scenario::split_brain_heal(),
+            &Identity,
+            &RegSpec::new(),
+            2_000_000,
+            0..2,
+            || |rng: &mut Rng, _, _: &i64| Some(rng.random_range(0..100)),
+        );
+        assert!(!report.ok());
+        assert_eq!(report.failures.len(), 2, "{report}");
+        for failure in &report.failures {
+            assert!(
+                failure.contains("diverged"),
+                "unexpected failure: {failure}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,37 @@
 //! histories with the claimed strategy. The resulting classification must
 //! match the paper's table exactly.
 
-use ral_verify::{fig12_rows, render_fig12};
+use ral_verify::{fig12_rows, render_fig12, Fig12Row};
+
+/// The table followed by one `{row} {obligation}` line per obligation — the
+/// two blocks `examples/fig12_report.rs` prints.
+fn report(rows: &[Fig12Row]) -> String {
+    let mut out = render_fig12(rows);
+    for row in rows {
+        for obligation in &row.obligations {
+            out.push_str(&format!("{} {obligation}\n", row.name));
+        }
+    }
+    out
+}
+
+/// Pins every cell and every per-obligation check count byte for byte (as
+/// does the golden assertion in the test below), so a refactor that shifts
+/// a seed offset, an RNG draw or a workload cannot pass on verdicts alone.
+#[test]
+fn fig12_quick_report_matches_its_golden_file() {
+    let golden = include_str!("golden/fig12_h3_seed1000.txt");
+    assert_eq!(report(&fig12_rows(3, 1000)), golden);
+}
 
 #[test]
 fn fig12_reproduces_the_paper_table() {
     let rows = fig12_rows(10, 42);
+    assert_eq!(
+        report(&rows),
+        include_str!("golden/fig12_h10_seed42.txt"),
+        "Figure 12 report drifted from the golden file"
+    );
     assert_eq!(rows.len(), 9, "Figure 12 has nine rows");
 
     let expected = [

@@ -182,7 +182,7 @@ fn rga_addat_linearizes_under_split_brain() {
 }
 
 /// Wooki's nondeterministic specification makes checking exponential in
-/// concurrent inserts (see `wooki_row` in `ral_verify::table`), so its
+/// concurrent inserts (see `Wooki` in `ral_verify::families`), so its
 /// split-brain workload is deliberately sparse: few inserts, occasional
 /// reads, most turns skipped. The *scenario* — both partitions, full
 /// duration — is unchanged.
