@@ -90,6 +90,15 @@ step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --
 # lint hit, or stale allowlist entry, and persists the machine-readable
 # verdicts per commit.
 step cargo run --offline --release -p ral-analyze -- --report "$PWD/ANALYZE_report.json"
+# The obligation sections of that report (everything but its `lint` line,
+# whose `files_scanned` moves with every added file) are pinned byte for
+# byte: exploration order, dedup keys and check order decide every
+# `configs` / `checks` count and every shrunk trace, so a change to the
+# explorer or to a model shows up here even when the gate stays green.
+# (`cargo test` holds the scope-2 twin, golden/analyze_k2.json.)
+echo
+echo "==> diff ANALYZE_report.json (minus lint) crates/analyze/tests/golden/analyze_k3.json"
+sed '/^  "lint":/d' ANALYZE_report.json | diff - crates/analyze/tests/golden/analyze_k3.json
 
 echo
 echo "CI green: fmt, clippy, docs, build, examples, tests, benches, pipeline smoke, fuzz smoke, analyze gate all pass offline."

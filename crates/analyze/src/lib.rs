@@ -4,9 +4,12 @@
 //! Two engines behind one CLI ([`main`](../ral_analyze/index.html)) and one
 //! CI step:
 //!
-//! * **Obligation analyzer** ([`op_engine`], [`state_engine`],
-//!   [`ts_engine`]) — bounded-exhaustive discharge of the paper's
-//!   replication-aware simulation obligations. Where
+//! * **Obligation analyzer** — bounded-exhaustive discharge of the paper's
+//!   replication-aware simulation obligations: one private `explorer`
+//!   (the depth-first walk over reachable configurations, the witness, its
+//!   shrinking and replay) over three models ([`op_engine`],
+//!   [`state_engine`], [`ts_engine`]), each holding only its cluster's
+//!   transitions and predicates. Where
 //!   `ral_verify::state_props` / `commutativity` *sample* the obligations on
 //!   seeded random executions, the analyzer enumerates **every** cluster
 //!   configuration reachable within a scope bound `k` (every
@@ -31,6 +34,7 @@
 //! deliberately broken [`fixtures`]; [`report`] serializes everything to
 //! `ANALYZE_report.json` for the CI artifact.
 
+mod explorer;
 pub mod fixtures;
 pub mod lint;
 pub mod op_engine;
@@ -42,14 +46,3 @@ pub mod state_engine;
 pub mod ts_engine;
 
 pub use outcome::{Obligation, TypeReport, Violation};
-
-/// FNV-1a 64-bit hash, used to dedup explored configurations without
-/// retaining their full rendered keys.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}

@@ -21,15 +21,16 @@
 //! * **`quiescent-convergence`** — strong eventual consistency: once no
 //!   delivery is pending, all replicas hold equal states.
 //!
-//! A violated obligation halts the search; the witness trace is shrunk with
-//! [`shrink_trace`] to a 1-minimal replayable event sequence.
+//! The walk, the witness and its shrinking are the private `explorer`
+//! module's; this one is the `Model` of a [`Cluster`] and the three
+//! predicates above.
 
-use crate::outcome::{Sink, TypeReport, Violation};
-use crate::shrink::shrink_trace;
+use crate::explorer::{check_ts_discipline, explore, write_history_key, Model};
+use crate::outcome::{Sink, TypeReport};
 use ral_core::ids::ReplicaId;
 use ral_core::scope::SmallScope;
 use ral_runtime::op_based::{Cluster, OpBased};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
 
 /// Obligation key: Prop1 effector commutativity of concurrent operations.
@@ -39,16 +40,13 @@ pub const OB_TS: &str = "ts-discipline";
 /// Obligation key: equal states once no delivery is pending.
 pub const OB_CONVERGE: &str = "quiescent-convergence";
 
-/// One event of an operation-based execution trace.
-///
-/// `id` names the invocation stably across shrinking: a [`OpEvent::Deliver`]
-/// refers to the invocation by `id`, not by position, so removing unrelated
-/// events never re-targets a delivery.
+/// One event of an operation-based execution trace (single-object or
+/// composed).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OpEvent<Call> {
+pub(crate) enum OpEvent<Call> {
     /// Run the generator of `call` at `replica`.
     Invoke {
-        /// Stable invocation id (dense in the original trace).
+        /// Stable invocation id.
         id: usize,
         /// Origin replica.
         replica: u32,
@@ -75,16 +73,6 @@ impl<Call: Debug> fmt::Display for OpEvent<Call> {
     }
 }
 
-/// Renders a trace as the replayable fixture format used in reports and
-/// golden files.
-pub fn render_op_trace<Call: Debug>(n_replicas: usize, events: &[OpEvent<Call>]) -> String {
-    let mut out = format!("cluster with {n_replicas} replicas\n");
-    for ev in events {
-        let _ = writeln!(out, "{ev}");
-    }
-    out
-}
-
 /// The result of analyzing one operation-based CRDT.
 pub struct OpAnalysis {
     /// Per-obligation verdicts.
@@ -95,168 +83,111 @@ pub struct OpAnalysis {
     pub state_keys: BTreeSet<String>,
 }
 
-struct Node<C: OpBased> {
-    cluster: Cluster<C>,
-    trace: Vec<OpEvent<C::Call>>,
-    updates: usize,
-}
-
 /// Exhaustively explores `crdt` within scope `k` and discharges (or refutes,
 /// with a shrunk counterexample) the operation-based obligations.
 pub fn analyze_op<C>(crdt: &C, name: &str, k: usize) -> OpAnalysis
 where
     C: OpBased + SmallScope<Call = <C as OpBased>::Call> + Clone,
 {
-    let n = crdt.scope_replicas(k);
-    let mut sink = Sink::new();
-    sink.touch(OB_COMMUTE);
-    sink.touch(OB_TS);
-    sink.touch(OB_CONVERGE);
-    let mut state_keys = BTreeSet::new();
-    let mut seen_configs = BTreeSet::new();
-    let root = Node {
-        cluster: Cluster::new(crdt.clone(), n),
-        trace: Vec::new(),
-        updates: 0,
+    let root = OpModel {
+        cluster: Cluster::new(crdt.clone(), crdt.scope_replicas(k)),
+        invoked: Vec::new(),
     };
-    seen_configs.insert(crate::fnv1a(config_key(&root.cluster, 0).as_bytes()));
-    let mut stack = vec![root];
-    let mut configs = 0usize;
-    let mut witness: Option<Vec<OpEvent<<C as OpBased>::Call>>> = None;
-
-    while let Some(node) = stack.pop() {
-        configs += 1;
-        for r in 0..n {
-            state_keys.insert(format!("{:?}", node.cluster.state(ReplicaId(r as u32))));
-        }
-        check_config(&node.cluster, &mut sink);
-        if sink.violation().is_some() {
-            witness = Some(node.trace);
-            break;
-        }
-        for r in 0..n {
-            for d in node.cluster.deliverable(ReplicaId(r as u32)) {
-                let mut next = node.cluster.clone();
-                next.deliver(ReplicaId(r as u32), d);
-                let key = crate::fnv1a(config_key(&next, node.updates).as_bytes());
-                if seen_configs.insert(key) {
-                    let mut trace = node.trace.clone();
-                    // Delivery ids are dense, one per successful invocation,
-                    // so in the unshrunk trace delivery `d` is invocation `d`.
-                    trace.push(OpEvent::Deliver {
-                        replica: r as u32,
-                        of: d,
-                    });
-                    stack.push(Node {
-                        cluster: next,
-                        trace,
-                        updates: node.updates,
-                    });
-                }
-            }
-        }
-        // Invokes pushed last, so the LIFO stack explores invoke-rich
-        // (shallow, concurrency-heavy) configurations first: a broken type
-        // is then caught by the root-cause obligation (e.g. a
-        // non-commutative pair of concurrent effectors) before one of its
-        // downstream symptoms (divergence at quiescence) deep in a
-        // fully-delivered path.
-        if node.updates < k {
-            for r in 0..n {
-                for call in crdt.scope_calls(node.updates, k) {
-                    let mut next = node.cluster.clone();
-                    if next.invoke(ReplicaId(r as u32), call.clone()).is_none() {
-                        continue; // generator refused: outside the client obligation
-                    }
-                    let key = crate::fnv1a(config_key(&next, node.updates + 1).as_bytes());
-                    if seen_configs.insert(key) {
-                        let mut trace = node.trace.clone();
-                        trace.push(OpEvent::Invoke {
-                            id: node.updates,
-                            replica: r as u32,
-                            call,
-                        });
-                        stack.push(Node {
-                            cluster: next,
-                            trace,
-                            updates: node.updates + 1,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let violation = witness.map(|trace| {
-        let kind = sink.violation().expect("witness implies violation").0;
-        let shrunk = shrink_trace(&trace, |candidate| {
-            replay_op(crdt, n, candidate).1.violated(kind)
-        });
-        let detail = replay_op(crdt, n, &shrunk)
-            .1
-            .violation()
-            .map(|(_, d)| d.to_string())
-            .unwrap_or_default();
-        let ops = shrunk
-            .iter()
-            .filter(|e| matches!(e, OpEvent::Invoke { .. }))
-            .count();
-        Violation {
-            detail,
-            trace: render_op_trace(n, &shrunk),
-            ops,
+    let mut state_keys = BTreeSet::new();
+    let report = explore(&root, name, k, |config| {
+        for r in 0..config.cluster.n_replicas() {
+            state_keys.insert(format!("{:?}", config.cluster.state(ReplicaId(r as u32))));
         }
     });
-    OpAnalysis {
-        report: TypeReport {
-            name: name.to_string(),
-            style: "op",
-            scope: k,
-            configs,
-            obligations: sink.into_obligations(violation),
-        },
-        state_keys,
-    }
+    OpAnalysis { report, state_keys }
 }
 
-/// Replays a (possibly shrunk) trace with skip-inapplicable semantics,
-/// running the per-configuration checks after every event.
-///
-/// Inapplicable events — a refused invoke, a delivery whose invocation was
-/// removed, already applied, or not yet causally admissible — are skipped,
-/// which is what makes arbitrary subsets of a witness trace replayable.
-pub(crate) fn replay_op<C>(
-    crdt: &C,
-    n_replicas: usize,
-    events: &[OpEvent<<C as OpBased>::Call>],
-) -> (Cluster<C>, Sink)
+/// A [`Cluster`] configuration.
+#[derive(Clone)]
+struct OpModel<C: OpBased> {
+    cluster: Cluster<C>,
+    /// Ids of the invocations that took effect, by delivery id: the cluster
+    /// numbers deliveries densely, one per successful invocation, so in the
+    /// unshrunk trace delivery `d` is invocation `d`.
+    invoked: Vec<usize>,
+}
+
+impl<C> Model for OpModel<C>
 where
-    C: OpBased + Clone,
+    C: OpBased + SmallScope<Call = <C as OpBased>::Call> + Clone,
 {
-    let mut cluster = Cluster::new(crdt.clone(), n_replicas);
-    let mut sink = Sink::new();
-    // Invocation id -> delivery id, for the invokes that survived.
-    let mut delivery_of: BTreeMap<usize, usize> = BTreeMap::new();
-    check_config(&cluster, &mut sink);
-    for ev in events {
-        match ev {
-            OpEvent::Invoke { id, replica, call } => {
-                let d = cluster.n_deliveries();
-                if cluster.invoke(ReplicaId(*replica), call.clone()).is_some() {
-                    delivery_of.insert(*id, d);
-                }
+    const STYLE: &'static str = "op";
+    type Event = OpEvent<<C as OpBased>::Call>;
+
+    fn obligations(&self) -> Vec<&'static str> {
+        vec![OB_COMMUTE, OB_TS, OB_CONVERGE]
+    }
+
+    fn enabled(&self, k: usize) -> Vec<Self::Event> {
+        let n = self.cluster.n_replicas() as u32;
+        let mut events = Vec::new();
+        for replica in 0..n {
+            for of in self.cluster.deliverable(ReplicaId(replica)) {
+                events.push(OpEvent::Deliver { replica, of });
             }
-            OpEvent::Deliver { replica, of } => {
-                if let Some(&d) = delivery_of.get(of) {
-                    if cluster.can_deliver(ReplicaId(*replica), d) {
-                        cluster.deliver(ReplicaId(*replica), d);
-                    }
+        }
+        // Invokes last, so the LIFO walk explores invoke-rich (shallow,
+        // concurrency-heavy) configurations first: a broken type is then
+        // caught by the root-cause obligation (e.g. a non-commutative pair
+        // of concurrent effectors) before one of its downstream symptoms
+        // (divergence at quiescence) deep in a fully-delivered path.
+        let id = self.invoked.len();
+        if id < k {
+            for replica in 0..n {
+                for call in self.cluster.crdt().scope_calls(id, k) {
+                    events.push(OpEvent::Invoke { id, replica, call });
                 }
             }
         }
-        check_config(&cluster, &mut sink);
+        events
     }
-    (cluster, sink)
+
+    fn apply(&mut self, ev: &Self::Event, _sink: &mut Sink) -> bool {
+        match ev {
+            OpEvent::Invoke { id, replica, call } => {
+                // A refusing generator puts the call outside the client
+                // obligation.
+                let invoked = self.cluster.invoke(ReplicaId(*replica), call.clone());
+                if invoked.is_some() {
+                    self.invoked.push(*id);
+                }
+                invoked.is_some()
+            }
+            // Skipped when the invocation was removed, already applied
+            // here, or not yet causally admissible.
+            OpEvent::Deliver { replica, of } => {
+                let r = ReplicaId(*replica);
+                match self.invoked.iter().position(|id| id == of) {
+                    Some(d) if self.cluster.can_deliver(r, d) => {
+                        self.cluster.deliver(r, d);
+                        true
+                    }
+                    _ => false,
+                }
+            }
+        }
+    }
+
+    fn check(&self, sink: &mut Sink) {
+        check_config(&self.cluster, sink);
+    }
+
+    fn key(&self) -> String {
+        config_key(&self.cluster)
+    }
+
+    fn header(&self) -> String {
+        format!("cluster with {} replicas\n", self.cluster.n_replicas())
+    }
+
+    fn is_update(ev: &Self::Event) -> bool {
+        matches!(ev, OpEvent::Invoke { .. })
+    }
 }
 
 /// Discharges the operation-based obligations on one configuration.
@@ -293,29 +224,8 @@ fn check_config<C: OpBased>(cluster: &Cluster<C>, sink: &mut Sink) {
         }
     }
 
-    // Timestamp discipline: strictly above everything visible, globally
-    // unique. `preds` is the origin's full applied set at invocation time,
-    // so it is exactly the visible operations.
     let h = cluster.history();
-    for i in 0..h.len() {
-        let Some(ts) = h.op(i).ts else { continue };
-        for p in h.preds(i).iter() {
-            sink.check(OB_TS, Some(ts) > h.op(p).ts, || {
-                format!(
-                    "op {i} generated ts {ts} not above visible op {p} \
-                     (ts {:?})",
-                    h.op(p).ts
-                )
-            });
-        }
-        for j in 0..i {
-            if h.op(j).ts == Some(ts) {
-                sink.check(OB_TS, false, || {
-                    format!("ops {j} and {i} share timestamp {ts}")
-                });
-            }
-        }
-    }
+    check_ts_discipline(h, OB_TS, |_, _| true, sink);
 
     // Strong eventual consistency at quiescence.
     if cluster.pending() == 0 && !h.is_empty() {
@@ -332,9 +242,8 @@ fn check_config<C: OpBased>(cluster: &Cluster<C>, sink: &mut Sink) {
 /// sets, the delivery pool with per-replica delivery bits, and the history
 /// (labels, origins, timestamps, visibility). Two configurations with equal
 /// keys have identical futures, so the search visits each key once.
-fn config_key<C: OpBased>(cluster: &Cluster<C>, updates: usize) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "u{updates};");
+fn config_key<C: OpBased>(cluster: &Cluster<C>) -> String {
+    let mut s = format!("u{};", cluster.n_deliveries());
     let n = cluster.n_replicas();
     for r in 0..n {
         let r = ReplicaId(r as u32);
@@ -361,23 +270,15 @@ fn config_key<C: OpBased>(cluster: &Cluster<C>, updates: usize) -> String {
         }
         s.push(';');
     }
-    let h = cluster.history();
-    for i in 0..h.len() {
-        let _ = write!(
-            s,
-            "H{:?}|{:?}|{:?}|{:?};",
-            h.label(i),
-            h.op(i).replica,
-            h.op(i).ts,
-            h.preds(i).iter().collect::<Vec<_>>()
-        );
-    }
+    write_history_key(&mut s, cluster.history());
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::{render_trace, replay};
+    use ral_crdts::op::counter::CounterCall;
     use ral_crdts::OpCounter;
 
     #[test]
@@ -391,6 +292,13 @@ mod tests {
         assert!(analysis.state_keys.contains("-2"));
     }
 
+    fn root(n_replicas: usize) -> OpModel<OpCounter> {
+        OpModel {
+            cluster: Cluster::new(OpCounter, n_replicas),
+            invoked: Vec::new(),
+        }
+    }
+
     /// Deliveries target invocations by id, so shrinking one invoke out of a
     /// trace must not re-target the remaining deliveries.
     #[test]
@@ -401,16 +309,16 @@ mod tests {
             OpEvent::Invoke {
                 id: 1,
                 replica: 0,
-                call: ral_crdts::op::counter::CounterCall::Inc,
+                call: CounterCall::Inc,
             },
             OpEvent::Deliver { replica: 1, of: 0 },
             OpEvent::Deliver { replica: 1, of: 1 },
             OpEvent::Deliver { replica: 2, of: 1 },
         ];
-        let (cluster, sink) = replay_op(&OpCounter, 3, &events);
+        let (config, sink) = replay(&root(3), &events);
         assert!(sink.violation().is_none());
-        assert!(cluster.converged());
-        assert_eq!(cluster.state(ReplicaId(1)), &1);
+        assert!(config.cluster.converged());
+        assert_eq!(config.cluster.state(ReplicaId(1)), &1);
     }
 
     #[test]
@@ -419,13 +327,12 @@ mod tests {
             OpEvent::Invoke {
                 id: 0,
                 replica: 0,
-                call: ral_crdts::op::counter::CounterCall::Inc,
+                call: CounterCall::Inc,
             },
             OpEvent::Deliver { replica: 1, of: 0 },
         ];
-        let text = render_op_trace(3, &events);
         assert_eq!(
-            text,
+            render_trace(&root(3), &events),
             "cluster with 3 replicas\ninvoke#0 at r0: Inc\ndeliver invoke#0 at r1\n"
         );
     }

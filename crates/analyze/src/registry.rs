@@ -3,19 +3,17 @@
 //! Every shipped CRDT is analyzed by the engine matching its replication
 //! style, the two-object composition is analyzed under both timestamp
 //! modes, and the two negative fixtures are analyzed *expecting* a
-//! refutation. Keeping the roster in one place means the CLI, the CI gate,
-//! and the integration tests cannot drift apart on what "all shipped
-//! types" means.
+//! refutation. The shipped descriptors come from [`ral_verify::families`],
+//! so the gate explores the element types Figure 12 and the fuzzer run.
+//! Keeping the roster in one place means the CLI, the CI gate, and the
+//! integration tests cannot drift apart on what "all shipped types" means.
 
 use crate::fixtures::{BrokenCounter, SummingCounter};
 use crate::op_engine::analyze_op;
 use crate::outcome::TypeReport;
 use crate::state_engine::analyze_state;
 use crate::ts_engine::analyze_ts;
-use ral_crdts::{
-    LwwElementSet, LwwRegister, MvRegister, OpCounter, OrSet, PnCounter, Rga, RgaAddAt,
-    TwoPhaseSet, Wooki,
-};
+use ral_verify::families::{self, OpFamily, StateFamily};
 
 /// Analyzes every shipped CRDT (both styles) plus the composed cluster at
 /// scope `k`; the returned reports must all be discharged for the gate to
@@ -23,17 +21,17 @@ use ral_crdts::{
 pub fn analyze_shipped(k: usize) -> Vec<TypeReport> {
     let mut out = vec![
         // Operation-based types (Section 4 / Appendix C).
-        analyze_op(&OpCounter, "OpCounter", k).report,
-        analyze_op(&LwwRegister::<u8>::new(), "LwwRegister<u8>", k).report,
-        analyze_op(&OrSet::<u8>::new(), "OrSet<u8>", k).report,
-        analyze_op(&Rga::<u16>::new(), "Rga<u16>", k).report,
-        analyze_op(&RgaAddAt::<u16>::new(), "RgaAddAt<u16>", k).report,
-        analyze_op(&Wooki::<u16>::new(), "Wooki<u16>", k).report,
+        analyze_op(&families::Counter::crdt(), "OpCounter", k).report,
+        analyze_op(&families::LwwRegister::crdt(), "LwwRegister<u8>", k).report,
+        analyze_op(&families::OrSet::crdt(), "OrSet<u8>", k).report,
+        analyze_op(&families::Rga::crdt(), "Rga<u16>", k).report,
+        analyze_op(&families::RgaAddAt::crdt(), "RgaAddAt<u16>", k).report,
+        analyze_op(&families::Wooki::crdt(), "Wooki<u16>", k).report,
         // State-based types (Appendix D) — also exercises the delta laws.
-        analyze_state(&PnCounter, "PnCounter", k).report,
-        analyze_state(&MvRegister::<u8>::new(), "MvRegister<u8>", k).report,
-        analyze_state(&LwwElementSet::<u8>::new(), "LwwElementSet<u8>", k).report,
-        analyze_state(&TwoPhaseSet::<u16>::new(), "TwoPhaseSet<u16>", k).report,
+        analyze_state(&families::PnCounter::crdt(), "PnCounter", k).report,
+        analyze_state(&families::MvRegister::crdt(), "MvRegister<u8>", k).report,
+        analyze_state(&families::LwwElementSet::crdt(), "LwwElementSet<u8>", k).report,
+        analyze_state(&families::TwoPhaseSet::crdt(), "TwoPhaseSet<u16>", k).report,
     ];
     // Composed cluster under ⊗ and ⊗ts (Section 5).
     out.extend(analyze_ts(k));

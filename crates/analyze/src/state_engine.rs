@@ -26,17 +26,18 @@
 //! * **`delta-laws`** — decomposition (on invocation edges), resynchronization
 //!   and batching (on configuration state pairs/triples) of [`DeltaCrdt`].
 //!
-//! Violations are shrunk to 1-minimal replayable traces, exactly as in
-//! [`crate::op_engine`].
+//! The walk, the witness and its shrinking are the private `explorer`
+//! module's; this one is the `Model` of a [`StateCluster`] under those
+//! budgets and the predicates above.
 
-use crate::outcome::{Sink, TypeReport, Violation};
-use crate::shrink::shrink_trace;
+use crate::explorer::{check_ts_discipline, explore, write_history_key, Model};
+use crate::outcome::{Sink, TypeReport};
 use ral_core::ids::ReplicaId;
 use ral_core::scope::SmallScope;
 use ral_crdts::state::local::{EffectorClass, LocalEffector};
 use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::state_based::{StateBased, StateCluster};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
 
 /// Obligation key: Prop1/Prop1′ local-effector commutativity.
@@ -65,10 +66,10 @@ pub const MAX_SENDS: usize = 2;
 
 /// One event of a state-based execution trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StEvent<Call> {
+enum StEvent<Call> {
     /// Execute `call` locally at `replica`.
     Invoke {
-        /// Stable invocation id (dense in the original trace).
+        /// Stable invocation id.
         id: usize,
         /// Origin replica.
         replica: u32,
@@ -77,7 +78,7 @@ pub enum StEvent<Call> {
     },
     /// Snapshot `replica`'s state into a message.
     Send {
-        /// Stable message id (dense in the original trace).
+        /// Stable message id.
         id: usize,
         /// Sending replica.
         replica: u32,
@@ -103,15 +104,6 @@ impl<Call: Debug> fmt::Display for StEvent<Call> {
     }
 }
 
-/// Renders a trace as the replayable fixture format.
-pub fn render_state_trace<Call: Debug>(n_replicas: usize, events: &[StEvent<Call>]) -> String {
-    let mut out = format!("cluster with {n_replicas} replicas\n");
-    for ev in events {
-        let _ = writeln!(out, "{ev}");
-    }
-    out
-}
-
 /// The result of analyzing one state-based CRDT.
 pub struct StateAnalysis {
     /// Per-obligation verdicts.
@@ -120,227 +112,135 @@ pub struct StateAnalysis {
     pub state_keys: BTreeSet<String>,
 }
 
-struct Node<C: StateBased> {
-    cluster: StateCluster<C>,
-    trace: Vec<StEvent<<C as StateBased>::Call>>,
-    updates: usize,
-    sends: usize,
-    /// `(replica, message)` pairs already applied on this path.
-    applied: BTreeSet<(u32, usize)>,
-}
-
 /// Exhaustively explores `crdt` within scope `k` and discharges (or refutes,
 /// with a shrunk counterexample) the state-based obligations.
 pub fn analyze_state<C>(crdt: &C, name: &str, k: usize) -> StateAnalysis
 where
     C: LocalEffector + DeltaCrdt + SmallScope<Call = <C as StateBased>::Call> + Clone,
 {
-    let n = crdt.scope_replicas(k);
-    let mut sink = Sink::new();
-    for ob in [
-        OB_PROP1, OB_PROP2, OB_PROP3, OB_PROP4, OB_PROP5, OB_TS, OB_DELTA,
-    ] {
-        sink.touch(ob);
-    }
-    if crdt.class() == EffectorClass::Idempotent {
-        sink.touch(OB_PROP6);
-    }
-    if crdt.class() == EffectorClass::UniquelyIdentified {
-        sink.touch(OB_ARG_ORDER);
-    }
-    let mut state_keys = BTreeSet::new();
-    let mut seen_configs = BTreeSet::new();
-    let root = Node {
-        cluster: StateCluster::new(crdt.clone(), n),
-        trace: Vec::new(),
-        updates: 0,
-        sends: 0,
+    let root = StateModel {
+        cluster: StateCluster::new(crdt.clone(), crdt.scope_replicas(k)),
+        sent: Vec::new(),
         applied: BTreeSet::new(),
     };
-    seen_configs.insert(crate::fnv1a(config_key(&root.cluster).as_bytes()));
-    let mut stack = vec![root];
-    let mut configs = 0usize;
-    let mut witness: Option<Vec<StEvent<<C as StateBased>::Call>>> = None;
-
-    'search: while let Some(node) = stack.pop() {
-        configs += 1;
-        for r in 0..n {
-            state_keys.insert(format!("{:?}", node.cluster.state(ReplicaId(r as u32))));
-        }
-        check_config(crdt, &node.cluster, &mut sink);
-        if sink.violation().is_some() {
-            witness = Some(node.trace);
-            break;
-        }
-        if node.updates < k {
-            for r in 0..n {
-                for call in crdt.scope_calls(node.updates, k) {
-                    let mut next = node.cluster.clone();
-                    let pre = next.state(ReplicaId(r as u32)).clone();
-                    let Some(inv) = next.invoke(ReplicaId(r as u32), call.clone()) else {
-                        continue;
-                    };
-                    check_invoke_edge(crdt, &pre, &next, inv.op, &mut sink);
-                    let mut trace = node.trace.clone();
-                    trace.push(StEvent::Invoke {
-                        id: node.updates,
-                        replica: r as u32,
-                        call,
-                    });
-                    if sink.violation().is_some() {
-                        witness = Some(trace);
-                        break 'search;
-                    }
-                    let key = crate::fnv1a(config_key_of(&next, &node.applied).as_bytes());
-                    if seen_configs.insert(key) {
-                        stack.push(Node {
-                            cluster: next,
-                            trace,
-                            updates: node.updates + 1,
-                            sends: node.sends,
-                            applied: node.applied.clone(),
-                        });
-                    }
-                }
-            }
-        }
-        if node.sends < MAX_SENDS {
-            for r in 0..n {
-                let mut next = node.cluster.clone();
-                next.send(ReplicaId(r as u32));
-                let key = crate::fnv1a(config_key_of(&next, &node.applied).as_bytes());
-                if seen_configs.insert(key) {
-                    let mut trace = node.trace.clone();
-                    trace.push(StEvent::Send {
-                        id: node.sends,
-                        replica: r as u32,
-                    });
-                    stack.push(Node {
-                        cluster: next,
-                        trace,
-                        updates: node.updates,
-                        sends: node.sends + 1,
-                        applied: node.applied.clone(),
-                    });
-                }
-            }
-        }
-        for m in 0..node.cluster.n_messages() {
-            for r in 0..n {
-                // Skip the origin (its state already dominates the snapshot)
-                // and duplicate applications on the same path.
-                if node.cluster.message_origin(m) == ReplicaId(r as u32)
-                    || node.applied.contains(&(r as u32, m))
-                {
-                    continue;
-                }
-                let mut next = node.cluster.clone();
-                next.apply(ReplicaId(r as u32), m);
-                let mut applied = node.applied.clone();
-                applied.insert((r as u32, m));
-                let key = crate::fnv1a(config_key_of(&next, &applied).as_bytes());
-                if seen_configs.insert(key) {
-                    let mut trace = node.trace.clone();
-                    // Message ids are dense: message `m` is send id `m`.
-                    trace.push(StEvent::Apply {
-                        replica: r as u32,
-                        of: m,
-                    });
-                    stack.push(Node {
-                        cluster: next,
-                        trace,
-                        updates: node.updates,
-                        sends: node.sends,
-                        applied,
-                    });
-                }
-            }
-        }
-    }
-
-    let violation = witness.map(|trace| {
-        let kind = sink.violation().expect("witness implies violation").0;
-        let shrunk = shrink_trace(&trace, |candidate| {
-            replay_state(crdt, n, candidate).1.violated(kind)
-        });
-        let detail = replay_state(crdt, n, &shrunk)
-            .1
-            .violation()
-            .map(|(_, d)| d.to_string())
-            .unwrap_or_default();
-        let ops = shrunk
-            .iter()
-            .filter(|e| matches!(e, StEvent::Invoke { .. }))
-            .count();
-        Violation {
-            detail,
-            trace: render_state_trace(n, &shrunk),
-            ops,
+    let mut state_keys = BTreeSet::new();
+    let report = explore(&root, name, k, |config| {
+        for r in 0..config.cluster.n_replicas() {
+            state_keys.insert(format!("{:?}", config.cluster.state(ReplicaId(r as u32))));
         }
     });
-    StateAnalysis {
-        report: TypeReport {
-            name: name.to_string(),
-            style: "state",
-            scope: k,
-            configs,
-            obligations: sink.into_obligations(violation),
-        },
-        state_keys,
-    }
+    StateAnalysis { report, state_keys }
 }
 
-/// Replays a (possibly shrunk) trace with skip-inapplicable semantics,
-/// running edge checks on every surviving invocation and the configuration
-/// checks after every event.
-pub(crate) fn replay_state<C>(
-    crdt: &C,
-    n_replicas: usize,
-    events: &[StEvent<<C as StateBased>::Call>],
-) -> (StateCluster<C>, Sink)
+/// A [`StateCluster`] configuration.
+#[derive(Clone)]
+struct StateModel<C: StateBased> {
+    cluster: StateCluster<C>,
+    /// Ids of the sends on this path, by message index (the cluster numbers
+    /// messages densely, so in the unshrunk trace message `m` is send `m`).
+    sent: Vec<usize>,
+    /// `(replica, message)` pairs already applied on this path.
+    applied: BTreeSet<(u32, usize)>,
+}
+
+impl<C> Model for StateModel<C>
 where
-    C: LocalEffector + DeltaCrdt + Clone,
+    C: LocalEffector + DeltaCrdt + SmallScope<Call = <C as StateBased>::Call> + Clone,
 {
-    let mut cluster = StateCluster::new(crdt.clone(), n_replicas);
-    let mut sink = Sink::new();
-    // Send id -> message index, for the sends that survived shrinking.
-    let mut message_of: BTreeMap<usize, usize> = BTreeMap::new();
-    check_config(crdt, &cluster, &mut sink);
-    for ev in events {
+    const STYLE: &'static str = "state";
+    type Event = StEvent<<C as StateBased>::Call>;
+
+    fn obligations(&self) -> Vec<&'static str> {
+        let mut obs = vec![
+            OB_PROP1, OB_PROP2, OB_PROP3, OB_PROP4, OB_PROP5, OB_TS, OB_DELTA,
+        ];
+        match self.cluster.crdt().class() {
+            EffectorClass::Idempotent => obs.push(OB_PROP6),
+            EffectorClass::UniquelyIdentified => obs.push(OB_ARG_ORDER),
+            EffectorClass::Cumulative => {}
+        }
+        obs
+    }
+
+    fn enabled(&self, k: usize) -> Vec<Self::Event> {
+        let n = self.cluster.n_replicas() as u32;
+        let mut events = Vec::new();
+        let id = self.cluster.history().len();
+        if id < k {
+            for replica in 0..n {
+                for call in self.cluster.crdt().scope_calls(id, k) {
+                    events.push(StEvent::Invoke { id, replica, call });
+                }
+            }
+        }
+        let id = self.cluster.n_messages();
+        if id < MAX_SENDS {
+            events.extend((0..n).map(|replica| StEvent::Send { id, replica }));
+        }
+        for of in 0..self.cluster.n_messages() {
+            for replica in 0..n {
+                // Skip the origin (its state already dominates the snapshot)
+                // and duplicate applications on the same path.
+                if self.cluster.message_origin(of) != ReplicaId(replica)
+                    && !self.applied.contains(&(replica, of))
+                {
+                    events.push(StEvent::Apply { replica, of });
+                }
+            }
+        }
+        events
+    }
+
+    fn apply(&mut self, ev: &Self::Event, sink: &mut Sink) -> bool {
         match ev {
             StEvent::Invoke { replica, call, .. } => {
                 let r = ReplicaId(*replica);
-                let pre = cluster.state(r).clone();
-                if let Some(inv) = cluster.invoke(r, call.clone()) {
-                    check_invoke_edge(crdt, &pre, &cluster, inv.op, &mut sink);
-                }
+                let pre = self.cluster.state(r).clone();
+                let Some(inv) = self.cluster.invoke(r, call.clone()) else {
+                    return false;
+                };
+                check_invoke_edge(&pre, &self.cluster, inv.op, sink);
             }
             StEvent::Send { id, replica } => {
-                let m = cluster.send(ReplicaId(*replica));
-                message_of.insert(*id, m);
+                self.cluster.send(ReplicaId(*replica));
+                self.sent.push(*id);
             }
+            // Skipped when the send was removed.
             StEvent::Apply { replica, of } => {
-                if let Some(&m) = message_of.get(of) {
-                    cluster.apply(ReplicaId(*replica), m);
-                }
+                let Some(m) = self.sent.iter().position(|id| id == of) else {
+                    return false;
+                };
+                self.cluster.apply(ReplicaId(*replica), m);
+                self.applied.insert((*replica, m));
             }
         }
-        check_config(crdt, &cluster, &mut sink);
+        true
     }
-    (cluster, sink)
+
+    fn check(&self, sink: &mut Sink) {
+        check_config(&self.cluster, sink);
+    }
+
+    fn key(&self) -> String {
+        config_key(&self.cluster, &self.applied)
+    }
+
+    fn header(&self) -> String {
+        format!("cluster with {} replicas\n", self.cluster.n_replicas())
+    }
+
+    fn is_update(ev: &Self::Event) -> bool {
+        matches!(ev, StEvent::Invoke { .. })
+    }
 }
 
 /// Prop5 and the delta decomposition law on one invocation edge
 /// `pre → post` (the cluster's `op`-th history record).
-fn check_invoke_edge<C>(
-    crdt: &C,
-    pre: &C::State,
-    cluster: &StateCluster<C>,
-    op: usize,
-    sink: &mut Sink,
-) where
+fn check_invoke_edge<C>(pre: &C::State, cluster: &StateCluster<C>, op: usize, sink: &mut Sink)
+where
     C: LocalEffector + DeltaCrdt,
 {
+    let crdt = cluster.crdt();
     let record = cluster.history().op(op);
     let post = cluster.state(record.replica);
     match crdt.effector_arg(&record.label, record.replica, record.ts) {
@@ -374,10 +274,11 @@ fn check_invoke_edge<C>(
 
 /// Discharges the configuration-level obligations over the state set
 /// (replica states + in-flight snapshots) and the recorded history.
-fn check_config<C>(crdt: &C, cluster: &StateCluster<C>, sink: &mut Sink)
+fn check_config<C>(cluster: &StateCluster<C>, sink: &mut Sink)
 where
     C: LocalEffector + DeltaCrdt,
 {
+    let crdt = cluster.crdt();
     let n = cluster.n_replicas();
     let mut states: Vec<&C::State> = (0..n).map(|r| cluster.state(ReplicaId(r as u32))).collect();
     states.extend((0..cluster.n_messages()).map(|m| cluster.message_state(m)));
@@ -531,25 +432,7 @@ where
         }
     }
 
-    // Timestamp discipline.
-    for i in 0..h.len() {
-        let Some(ts) = h.op(i).ts else { continue };
-        for p in h.preds(i).iter() {
-            sink.check(OB_TS, Some(ts) > h.op(p).ts, || {
-                format!(
-                    "op {i} generated ts {ts} not above visible op {p} (ts {:?})",
-                    h.op(p).ts
-                )
-            });
-        }
-        for j in 0..i {
-            if h.op(j).ts == Some(ts) {
-                sink.check(OB_TS, false, || {
-                    format!("ops {j} and {i} share timestamp {ts}")
-                });
-            }
-        }
-    }
+    check_ts_discipline(h, OB_TS, |_, _| true, sink);
 
     // Delta laws: resynchronization and batching.
     for a in &states {
@@ -571,14 +454,10 @@ where
     }
 }
 
-fn config_key<C: StateBased>(node_cluster: &StateCluster<C>) -> String {
-    config_key_of(node_cluster, &BTreeSet::new())
-}
-
 /// A canonical rendering of a configuration: replica states and seen sets,
 /// in-flight messages (origin, state, seen), which (replica, message) pairs
 /// this path has applied, and the history.
-fn config_key_of<C: StateBased>(
+fn config_key<C: StateBased>(
     cluster: &StateCluster<C>,
     applied: &BTreeSet<(u32, usize)>,
 ) -> String {
@@ -603,17 +482,7 @@ fn config_key_of<C: StateBased>(
         );
     }
     let _ = write!(s, "A{applied:?};");
-    let h = cluster.history();
-    for i in 0..h.len() {
-        let _ = write!(
-            s,
-            "H{:?}|{:?}|{:?}|{:?};",
-            h.label(i),
-            h.op(i).replica,
-            h.op(i).ts,
-            h.preds(i).iter().collect::<Vec<_>>()
-        );
-    }
+    write_history_key(&mut s, cluster.history());
     s
 }
 
@@ -632,6 +501,11 @@ mod tests {
     #[test]
     fn replay_skips_events_of_removed_sends() {
         use ral_crdts::state::pn_counter::PnCall;
+        let root = StateModel {
+            cluster: StateCluster::new(PnCounter, 3),
+            sent: Vec::new(),
+            applied: BTreeSet::new(),
+        };
         let events = vec![
             StEvent::Invoke {
                 id: 0,
@@ -643,8 +517,9 @@ mod tests {
             StEvent::Send { id: 1, replica: 0 },
             StEvent::Apply { replica: 1, of: 1 },
         ];
-        let (cluster, sink) = replay_state(&PnCounter, 3, &events);
+        let (config, sink) = crate::explorer::replay(&root, &events);
         assert!(sink.violation().is_none());
+        let cluster = &config.cluster;
         assert_eq!(cluster.state(ReplicaId(0)), cluster.state(ReplicaId(1)));
     }
 }

@@ -21,13 +21,17 @@
 //!   anomaly that makes `⊗` weaker than `⊗ts` and breaks compositionality
 //!   for timestamp-ordered types. Failing to reach it would mean the
 //!   per-object mode silently degenerated into the shared one.
+//!
+//! The walk, the witness and its shrinking are the private `explorer`
+//! module's; this one is the `Model` of a [`MultiCluster`] in either mode
+//! and the reachability row.
 
+use crate::explorer::{check_ts_discipline, explore, write_history_key, Model};
+use crate::op_engine::OpEvent;
 use crate::outcome::{Obligation, Sink, TypeReport, Violation};
-use crate::shrink::shrink_trace;
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_crdts::op::lww_register::{LwwRegister, RegCall};
 use ral_runtime::multi::{MultiCluster, TsMode};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 
 /// Obligation key: global freshness + uniqueness under `⊗ts`.
@@ -42,51 +46,18 @@ const N_OBJECTS: usize = 2;
 /// Number of replicas in the explored cluster.
 const N_REPLICAS: usize = 2;
 
-/// One event of a composed execution trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TsEvent {
-    /// Write `value` to object `obj` at `replica`.
-    Invoke {
-        /// Stable invocation id.
-        id: usize,
-        /// Origin replica.
-        replica: u32,
-        /// Target object.
-        obj: u32,
-        /// Written value.
-        value: u8,
-    },
-    /// Apply the effector of invocation `of` at `replica`.
-    Deliver {
-        /// Receiving replica.
-        replica: u32,
-        /// The `id` of the [`TsEvent::Invoke`] whose effector is applied.
-        of: usize,
-    },
+/// A write of `value` to object `obj`, rendered `o<obj>.Write(<value>)` in
+/// traces.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ObjWrite {
+    obj: u32,
+    value: u8,
 }
 
-impl fmt::Display for TsEvent {
+impl fmt::Debug for ObjWrite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TsEvent::Invoke {
-                id,
-                replica,
-                obj,
-                value,
-            } => write!(f, "invoke#{id} at r{replica}: o{obj}.Write({value})"),
-            TsEvent::Deliver { replica, of } => write!(f, "deliver invoke#{of} at r{replica}"),
-        }
+        write!(f, "o{}.Write({})", self.obj, self.value)
     }
-}
-
-/// Renders a trace as the replayable fixture format.
-pub fn render_ts_trace(mode: TsMode, events: &[TsEvent]) -> String {
-    let mut out =
-        format!("composed cluster: {N_OBJECTS} objects, {N_REPLICAS} replicas, {mode:?}\n");
-    for ev in events {
-        let _ = writeln!(out, "{ev}");
-    }
-    out
 }
 
 /// Explores both composition modes at scope `k`; returns one report per
@@ -98,223 +69,149 @@ pub fn analyze_ts(k: usize) -> Vec<TypeReport> {
     ]
 }
 
-struct Node {
-    cluster: MultiCluster<LwwRegister<u8>>,
-    trace: Vec<TsEvent>,
-    updates: usize,
-}
-
 fn analyze_mode(mode: TsMode, k: usize) -> TypeReport {
-    let kind = match mode {
-        TsMode::PerObject => OB_PER_OBJECT,
-        TsMode::Shared => OB_SHARED,
+    let name = match mode {
+        TsMode::PerObject => "LwwRegister ⊗ (per-object ts)",
+        TsMode::Shared => "LwwRegister ⊗ts (shared ts)",
     };
-    let mut sink = Sink::new();
-    sink.touch(kind);
-    let mut seen_configs = BTreeSet::new();
-    let root = Node {
-        cluster: MultiCluster::new(LwwRegister::new(), N_OBJECTS, N_REPLICAS, mode),
-        trace: Vec::new(),
-        updates: 0,
-    };
-    seen_configs.insert(crate::fnv1a(config_key(&root.cluster, 0).as_bytes()));
-    let mut stack = vec![root];
-    let mut configs = 0usize;
-    let mut witness: Option<Vec<TsEvent>> = None;
-    let mut inversion: Option<Vec<TsEvent>> = None;
-
-    while let Some(node) = stack.pop() {
-        configs += 1;
-        check_config(&node.cluster, mode, &mut sink);
-        if sink.violation().is_some() {
-            witness = Some(node.trace);
-            break;
-        }
-        if inversion.is_none() && has_inversion(&node.cluster) {
-            inversion = Some(node.trace.clone());
-        }
-        if node.updates < k {
-            for r in 0..N_REPLICAS {
-                for obj in 0..N_OBJECTS {
-                    let value = 10 + node.updates as u8;
-                    let mut next = node.cluster.clone();
-                    if next
-                        .invoke(
-                            ReplicaId(r as u32),
-                            ObjId(obj as u32),
-                            RegCall::Write(value),
-                        )
-                        .is_none()
-                    {
-                        continue;
-                    }
-                    let key = crate::fnv1a(config_key(&next, node.updates + 1).as_bytes());
-                    if seen_configs.insert(key) {
-                        let mut trace = node.trace.clone();
-                        trace.push(TsEvent::Invoke {
-                            id: node.updates,
-                            replica: r as u32,
-                            obj: obj as u32,
-                            value,
-                        });
-                        stack.push(Node {
-                            cluster: next,
-                            trace,
-                            updates: node.updates + 1,
-                        });
-                    }
-                }
-            }
-        }
-        for r in 0..N_REPLICAS {
-            for d in node.cluster.deliverable(ReplicaId(r as u32)) {
-                let mut next = node.cluster.clone();
-                next.deliver(ReplicaId(r as u32), d);
-                let key = crate::fnv1a(config_key(&next, node.updates).as_bytes());
-                if seen_configs.insert(key) {
-                    let mut trace = node.trace.clone();
-                    trace.push(TsEvent::Deliver {
-                        replica: r as u32,
-                        of: d,
-                    });
-                    stack.push(Node {
-                        cluster: next,
-                        trace,
-                        updates: node.updates,
-                    });
-                }
-            }
-        }
-    }
-
-    let violation = witness.map(|trace| {
-        let shrunk = shrink_trace(&trace, |candidate| {
-            replay_ts(mode, candidate).1.violated(kind)
-        });
-        let detail = replay_ts(mode, &shrunk)
-            .1
-            .violation()
-            .map(|(_, d)| d.to_string())
-            .unwrap_or_default();
-        let ops = shrunk
-            .iter()
-            .filter(|e| matches!(e, TsEvent::Invoke { .. }))
-            .count();
-        Violation {
-            detail,
-            trace: render_ts_trace(mode, &shrunk),
-            ops,
-        }
+    let mut inversion = false;
+    let mut report = explore(&TsModel::new(mode, mode), name, k, |config| {
+        inversion = inversion || has_inversion(&config.cluster);
     });
-    let mut obligations = sink.into_obligations(violation);
     if mode == TsMode::PerObject {
         // Reachability obligation: discharged iff the anomaly was found.
         // The reachability *refutation* carries no trace — there is nothing
         // to replay when the whole bounded space lacks the configuration.
-        let violation = if inversion.is_some() {
-            None
-        } else {
-            Some(Violation {
-                detail: "no cross-object timestamp inversion reachable under ⊗ — \
-                         the per-object mode degenerated into the shared one"
-                    .to_string(),
-                trace: String::new(),
-                ops: 0,
-            })
-        };
-        obligations.push(Obligation {
+        let violation = (!inversion).then(|| Violation {
+            detail: "no cross-object timestamp inversion reachable under ⊗ — \
+                     the per-object mode degenerated into the shared one"
+                .to_string(),
+            trace: String::new(),
+            ops: 0,
+        });
+        report.obligations.push(Obligation {
             name: OB_INVERSION.to_string(),
-            checks: configs as u64,
+            checks: report.configs as u64,
             violation,
         });
     }
-    TypeReport {
-        name: match mode {
-            TsMode::PerObject => "LwwRegister ⊗ (per-object ts)".to_string(),
-            TsMode::Shared => "LwwRegister ⊗ts (shared ts)".to_string(),
-        },
-        style: "composed",
-        scope: k,
-        configs,
-        obligations,
+    report
+}
+
+/// A [`MultiCluster`] configuration, checked against the discipline of
+/// `discipline` — the cluster's own mode in every shipped analysis.
+#[derive(Clone)]
+struct TsModel {
+    cluster: MultiCluster<LwwRegister<u8>>,
+    discipline: TsMode,
+    /// Ids of the invocations that took effect, by delivery id (dense, one
+    /// per successful invocation).
+    invoked: Vec<usize>,
+}
+
+impl TsModel {
+    fn new(mode: TsMode, discipline: TsMode) -> Self {
+        TsModel {
+            cluster: MultiCluster::new(LwwRegister::new(), N_OBJECTS, N_REPLICAS, mode),
+            discipline,
+            invoked: Vec::new(),
+        }
+    }
+
+    fn obligation(&self) -> &'static str {
+        match self.discipline {
+            TsMode::PerObject => OB_PER_OBJECT,
+            TsMode::Shared => OB_SHARED,
+        }
     }
 }
 
-/// Replays a trace with skip-inapplicable semantics, running the discipline
-/// checks after every event.
-pub(crate) fn replay_ts(mode: TsMode, events: &[TsEvent]) -> (MultiCluster<LwwRegister<u8>>, Sink) {
-    let mut cluster = MultiCluster::new(LwwRegister::new(), N_OBJECTS, N_REPLICAS, mode);
-    let mut sink = Sink::new();
-    let mut delivery_of: BTreeMap<usize, usize> = BTreeMap::new();
-    check_config(&cluster, mode, &mut sink);
-    for ev in events {
-        match ev {
-            TsEvent::Invoke {
-                id,
-                replica,
-                obj,
-                value,
-            } => {
-                let d = cluster.n_deliveries();
-                if cluster
-                    .invoke(ReplicaId(*replica), ObjId(*obj), RegCall::Write(*value))
-                    .is_some()
-                {
-                    delivery_of.insert(*id, d);
+impl Model for TsModel {
+    const STYLE: &'static str = "composed";
+    type Event = OpEvent<ObjWrite>;
+
+    fn obligations(&self) -> Vec<&'static str> {
+        vec![self.obligation()]
+    }
+
+    fn enabled(&self, k: usize) -> Vec<Self::Event> {
+        let mut events = Vec::new();
+        let id = self.invoked.len();
+        if id < k {
+            for replica in 0..N_REPLICAS as u32 {
+                for obj in 0..N_OBJECTS as u32 {
+                    let value = 10 + id as u8;
+                    let call = ObjWrite { obj, value };
+                    events.push(OpEvent::Invoke { id, replica, call });
                 }
             }
-            TsEvent::Deliver { replica, of } => {
-                if let Some(&d) = delivery_of.get(of) {
-                    if cluster.can_deliver(ReplicaId(*replica), d) {
-                        cluster.deliver(ReplicaId(*replica), d);
+        }
+        for replica in 0..N_REPLICAS as u32 {
+            for of in self.cluster.deliverable(ReplicaId(replica)) {
+                events.push(OpEvent::Deliver { replica, of });
+            }
+        }
+        events
+    }
+
+    fn apply(&mut self, ev: &Self::Event, _sink: &mut Sink) -> bool {
+        match *ev {
+            OpEvent::Invoke { id, replica, call } => {
+                let write = RegCall::Write(call.value);
+                let invoked = self
+                    .cluster
+                    .invoke(ReplicaId(replica), ObjId(call.obj), write);
+                if invoked.is_some() {
+                    self.invoked.push(id);
+                }
+                invoked.is_some()
+            }
+            OpEvent::Deliver { replica, of } => {
+                let r = ReplicaId(replica);
+                match self.invoked.iter().position(|&id| id == of) {
+                    Some(d) if self.cluster.can_deliver(r, d) => {
+                        self.cluster.deliver(r, d);
+                        true
                     }
+                    _ => false,
                 }
             }
         }
-        check_config(&cluster, mode, &mut sink);
     }
-    (cluster, sink)
-}
 
-/// The discipline each mode promises, checked over the composed history.
-fn check_config(cluster: &MultiCluster<LwwRegister<u8>>, mode: TsMode, sink: &mut Sink) {
-    let h = cluster.history();
-    let kind = match mode {
-        TsMode::PerObject => OB_PER_OBJECT,
-        TsMode::Shared => OB_SHARED,
-    };
-    for i in 0..h.len() {
-        let Some(ts) = h.op(i).ts else { continue };
-        let obj = h.label(i).obj;
-        for p in h.preds(i).iter() {
-            let same_obj = h.label(p).obj == obj;
-            if mode == TsMode::Shared || same_obj {
-                sink.check(kind, Some(ts) > h.op(p).ts, || {
-                    format!(
-                        "op {i} (object {obj}) generated ts {ts} not above visible \
-                         op {p} (object {}, ts {:?})",
-                        h.label(p).obj,
-                        h.op(p).ts
-                    )
-                });
-            }
-        }
-        for j in 0..i {
-            let unique_scope = mode == TsMode::Shared || h.label(j).obj == obj;
-            if unique_scope && h.op(j).ts == Some(ts) {
-                sink.check(kind, false, || {
-                    format!("ops {j} and {i} share timestamp {ts}")
-                });
-            }
-        }
+    /// The discipline each mode promises, checked over the composed history.
+    fn check(&self, sink: &mut Sink) {
+        let h = self.cluster.history();
+        let shared = self.discipline == TsMode::Shared;
+        check_ts_discipline(
+            h,
+            self.obligation(),
+            |i, j| shared || h.label(i).obj == h.label(j).obj,
+            sink,
+        );
+    }
+
+    fn key(&self) -> String {
+        config_key(&self.cluster)
+    }
+
+    fn header(&self) -> String {
+        format!(
+            "composed cluster: {N_OBJECTS} objects, {N_REPLICAS} replicas, {:?}\n",
+            self.cluster.mode()
+        )
+    }
+
+    fn is_update(ev: &Self::Event) -> bool {
+        matches!(ev, OpEvent::Invoke { .. })
     }
 }
 
 /// A canonical rendering of a composed configuration: per-replica object
 /// states, delivery status bits, and the history (labels, origins,
 /// timestamps, visibility).
-fn config_key(cluster: &MultiCluster<LwwRegister<u8>>, updates: usize) -> String {
-    let mut s = format!("u{updates};");
+fn config_key(cluster: &MultiCluster<LwwRegister<u8>>) -> String {
+    let mut s = format!("u{};", cluster.n_deliveries());
     for r in 0..N_REPLICAS {
         for obj in 0..N_OBJECTS {
             let _ = write!(
@@ -330,17 +227,7 @@ fn config_key(cluster: &MultiCluster<LwwRegister<u8>>, updates: usize) -> String
             .collect();
         let _ = write!(s, "D{}|{bits:?};", cluster.delivery_op(d));
     }
-    let h = cluster.history();
-    for i in 0..h.len() {
-        let _ = write!(
-            s,
-            "H{:?}|{:?}|{:?}|{:?};",
-            h.label(i),
-            h.op(i).replica,
-            h.op(i).ts,
-            h.preds(i).iter().collect::<Vec<_>>()
-        );
-    }
+    write_history_key(&mut s, cluster.history());
     s
 }
 
@@ -387,5 +274,25 @@ mod tests {
             .obligations
             .iter()
             .all(|o| o.name != OB_INVERSION));
+    }
+
+    /// The composed model's refutation path: a `⊗` cluster does not keep the
+    /// `⊗ts` discipline, and the shrunk witness is Figure 10 itself — a
+    /// write that sees a write to the other object, yet draws a timestamp
+    /// from its own object's generator that is not above it.
+    #[test]
+    fn per_object_cluster_is_refuted_against_the_shared_discipline() {
+        let root = TsModel::new(TsMode::PerObject, TsMode::Shared);
+        let explored = explore(&root, "⊗ against ⊗ts", 2, |_| {});
+        let [row] = &explored.obligations[..] else {
+            panic!("one discipline row expected");
+        };
+        assert_eq!(row.name, OB_SHARED);
+        let v = row.violation.as_ref().expect("refuted");
+        assert_eq!(v.ops, 2);
+        assert_eq!(
+            v.trace,
+            include_str!("../tests/fixtures/fig10_inversion.txt")
+        );
     }
 }

@@ -13,10 +13,22 @@
 //!   [`SmallScope`] call pool and the scope's update budget) visits is a
 //!   state the exhaustive search also visited — i.e. the bounded search
 //!   really does subsume the random one at equal scope.
+//!
+//! The scope-2 analyses run here are also the ones that hold
+//! `golden/analyze_k2.json` — the obligation sections of the scope-2
+//! `ANALYZE_report.json`, byte for byte — so the debug profile explores
+//! each type once: every scope-2 analysis below checks its own row, and
+//! `remaining_rows_match_the_scope_2_golden` covers the six cheap rows no
+//! other test here computes.
 
 use ral_analyze::fixtures::{BrokenCall, BrokenCounter, SumCall, SummingCounter};
+use ral_analyze::lint::LintOutcome;
 use ral_analyze::op_engine::analyze_op;
+use ral_analyze::registry::analyze_fixtures;
+use ral_analyze::report::render_report;
 use ral_analyze::state_engine::{analyze_state, MAX_SENDS};
+use ral_analyze::ts_engine::analyze_ts;
+use ral_analyze::TypeReport;
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_core::scope::SmallScope;
@@ -124,6 +136,27 @@ where
     keys
 }
 
+/// `report`'s row, exactly as `ANALYZE_report.json` prints it, must be a row
+/// of the scope-2 golden: every `configs` and `checks` count, and for a
+/// fixture the obligation, detail, `ops` and shrunk trace of its refutation.
+fn assert_golden_row(report: &TypeReport, fixture: bool) {
+    let one = std::slice::from_ref(report);
+    let (shipped, fixtures): (&[TypeReport], &[TypeReport]) =
+        if fixture { (&[], one) } else { (one, &[]) };
+    let json = render_report(2, shipped, fixtures, &LintOutcome::default());
+    let row = json
+        .lines()
+        .find(|l| l.starts_with("    {"))
+        .expect("one report renders one row");
+    assert!(
+        include_str!("golden/analyze_k2.json")
+            .lines()
+            .any(|l| l.trim_end_matches(',') == row),
+        "{} drifted from golden/analyze_k2.json:\n{row}",
+        report.name
+    );
+}
+
 fn assert_subset(name: &str, walked: &BTreeSet<String>, explored: &BTreeSet<String>) {
     for s in walked {
         assert!(
@@ -157,8 +190,9 @@ fn op_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("LwwRegister", &op_walk(&reg, 3), &a.state_keys);
 
     let set = OrSet::<u8>::new();
-    let a = analyze_op(&set, "OrSet", 2);
+    let a = analyze_op(&set, "OrSet<u8>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let s = commutativity::check_op_based(set, 3, STEPS, SEEDS, |rng, _, _| {
         Some(workloads::or_set(rng))
     });
@@ -166,8 +200,9 @@ fn op_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("OrSet", &op_walk(&set, 2), &a.state_keys);
 
     let rga = Rga::<u16>::new();
-    let a = analyze_op(&rga, "Rga", 2);
+    let a = analyze_op(&rga, "Rga<u16>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let mut next = 100u16;
     let s = commutativity::check_op_based(rga, 3, STEPS, SEEDS, |rng, _, state| {
         workloads::rga(rng, state, &mut next)
@@ -176,8 +211,9 @@ fn op_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("Rga", &op_walk(&rga, 2), &a.state_keys);
 
     let rga = RgaAddAt::<u16>::new();
-    let a = analyze_op(&rga, "RgaAddAt", 2);
+    let a = analyze_op(&rga, "RgaAddAt<u16>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let mut next = 100u16;
     let s = commutativity::check_op_based(rga, 3, STEPS, SEEDS, |rng, _, state| {
         workloads::rga_addat(rng, state, &mut next)
@@ -186,8 +222,9 @@ fn op_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("RgaAddAt", &op_walk(&rga, 2), &a.state_keys);
 
     let wooki = Wooki::<u16>::new();
-    let a = analyze_op(&wooki, "Wooki", 2);
+    let a = analyze_op(&wooki, "Wooki<u16>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let mut next = 100u16;
     let s = commutativity::check_op_based(wooki, 3, STEPS, SEEDS, |rng, _, state| {
         workloads::wooki(rng, state, &mut next, 120)
@@ -200,6 +237,7 @@ fn op_types_agree_with_seeded_suite_and_subsume_its_walks() {
 fn state_types_agree_with_seeded_suite_and_subsume_its_walks() {
     let a = analyze_state(&PnCounter, "PnCounter", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let s = state_props::check_state_based(PnCounter, 3, STEPS, SEEDS, |rng, _, _| {
         Some(workloads::pn_counter(rng))
     });
@@ -207,8 +245,9 @@ fn state_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("PnCounter", &state_walk(&PnCounter, 2), &a.state_keys);
 
     let reg = MvRegister::<u8>::new();
-    let a = analyze_state(&reg, "MvRegister", 2);
+    let a = analyze_state(&reg, "MvRegister<u8>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let s = state_props::check_state_based(reg, 3, STEPS, SEEDS, |rng, _, _| {
         Some(workloads::mv_register(rng))
     });
@@ -216,8 +255,9 @@ fn state_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("MvRegister", &state_walk(&reg, 2), &a.state_keys);
 
     let set = LwwElementSet::<u8>::new();
-    let a = analyze_state(&set, "LwwElementSet", 2);
+    let a = analyze_state(&set, "LwwElementSet<u8>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let s = state_props::check_state_based(set, 3, STEPS, SEEDS, |rng, _, _| {
         Some(workloads::lww_element_set(rng))
     });
@@ -225,14 +265,28 @@ fn state_types_agree_with_seeded_suite_and_subsume_its_walks() {
     assert_subset("LwwElementSet", &state_walk(&set, 2), &a.state_keys);
 
     let set = TwoPhaseSet::<u16>::new();
-    let a = analyze_state(&set, "TwoPhaseSet", 2);
+    let a = analyze_state(&set, "TwoPhaseSet<u16>", 2);
     assert!(a.report.discharged(), "{}", a.report);
+    assert_golden_row(&a.report, false);
     let mut next = 100u16;
     let s = state_props::check_state_based(set, 3, STEPS, SEEDS, |rng, _, state| {
         workloads::two_phase_set(rng, state, &mut next)
     });
     assert!(s.ok(), "seeded suite disagrees on TwoPhaseSet: {s:?}");
     assert_subset("TwoPhaseSet", &state_walk(&set, 2), &a.state_keys);
+}
+
+#[test]
+fn remaining_rows_match_the_scope_2_golden() {
+    assert_golden_row(&analyze_op(&OpCounter, "OpCounter", 2).report, false);
+    let reg = LwwRegister::<u8>::new();
+    assert_golden_row(&analyze_op(&reg, "LwwRegister<u8>", 2).report, false);
+    for report in analyze_ts(2) {
+        assert_golden_row(&report, false);
+    }
+    for report in analyze_fixtures(2) {
+        assert_golden_row(&report, true);
+    }
 }
 
 #[test]

@@ -14,9 +14,9 @@
 //!
 //! [`SmallScope`] is what a CRDT contributes to that search: the finite call
 //! pool to enumerate at each step, and the number of replicas to model. The
-//! exploration itself — breadth-first search over cluster configurations,
-//! obligation checks, and delta-debugging of counterexamples — lives in the
-//! `ral-analyze` crate; implementations for the shipped data types live next
+//! exploration itself — a depth-first (LIFO) walk over cluster
+//! configurations, obligation checks, and delta-debugging of counterexamples
+//! — lives in the `ral-analyze` crate; implementations for the shipped data types live next
 //! to the CRDTs in `ral-crdts`.
 
 use std::fmt::Debug;

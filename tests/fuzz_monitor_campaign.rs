@@ -1,7 +1,7 @@
 //! The streaming monitor under fuzz: a full campaign of generated
 //! scenario streams, every replay cross-checked by the oracle's monitor
-//! arms (batch closure vs memo, end-of-stream streaming verdict vs batch)
-//! alongside the established deciders.
+//! arm (end-of-stream streaming verdict vs batch) alongside the
+//! established deciders.
 //!
 //! The shipped CRDT families are correct, so the campaign must end with
 //! zero findings — in particular zero `disagreement` verdicts, which is
