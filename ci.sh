@@ -48,20 +48,20 @@ step cargo bench --offline --bench checker_scaling -- --quick --save "$PWD/BENCH
 # persisted BENCH_composed_scaling.json tracks the sharded speedup
 # (monolithic/k ÷ sharded/k) per commit.
 step cargo bench --offline --bench composed_scaling -- --quick --save "$PWD/BENCH_composed_scaling.json"
-# Runtime-throughput smoke: delivery rate of the shared mailbox drain, one
-# series per façade — the 50×32 multi_mix-class workload through
-# MultiCluster and a 50-replica single-object Cluster. The
-# bench asserts convergence of every run, and the persisted
-# BENCH_runtime_throughput.json tracks delivered effectors/sec per commit
-# (the benchmark name encodes the deterministic event count, so
-# median_ns → events/sec needs no extra metadata).
-step cargo bench --offline --bench runtime_throughput -- --quick --save "$PWD/BENCH_runtime_throughput.json"
 # Streaming-monitor smoke: monitored ops/sec replaying churn histories of
 # 1k/10k/100k operations. Every replay must end accepted and fully
-# settled (the bench asserts both), and the printed peak live window /
-# live configs pin the O(window) retention claim per commit via
-# BENCH_monitor_streaming.json.
+# settled (the bench asserts both); BENCH_monitor_streaming.json carries
+# each stream's operation count in `elements` next to its median replay
+# time, and the printed peak live window / live configs show the
+# O(window) retention claim per commit.
 step cargo bench --offline --bench monitor_streaming -- --quick --save "$PWD/BENCH_monitor_streaming.json"
+# Delta-transport smoke: the same seeded gossip mesh at 5/15/50 replicas
+# through full-state and delta replication. The bench asserts that every
+# run converges and that the delta transport ships strictly fewer payload
+# bytes than full-state at every size, so a transport regression fails
+# this step; BENCH_delta_bandwidth.json carries each run's bytes in
+# `elements` next to its median time.
+step cargo bench --offline --bench delta_bandwidth -- --quick --save "$PWD/BENCH_delta_bandwidth.json"
 # End-to-end pipeline smoke: the `pipeline` benchmark package's own tests
 # (it lives outside the workspace, so the plain test run above does not
 # reach it). Its smoke test runs every workload in `--quick` mode, traced
@@ -101,4 +101,4 @@ echo "==> diff ANALYZE_report.json (minus lint) crates/analyze/tests/golden/anal
 sed '/^  "lint":/d' ANALYZE_report.json | diff - crates/analyze/tests/golden/analyze_k3.json
 
 echo
-echo "CI green: fmt, clippy, docs, build, examples, tests, benches, pipeline smoke, fuzz smoke, analyze gate all pass offline."
+echo "CI green: fmt, clippy, docs, build, examples, tests, the four scaling benches (checker, composed, monitor, delta), pipeline smoke, fuzz smoke, analyze gate all pass offline."

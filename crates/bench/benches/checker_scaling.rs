@@ -409,4 +409,22 @@ bench_group!(
     obs_overhead,
     wooki_checker_scaling
 );
-bench_main!(scaling);
+bench_main!(scaling; SERIES);
+
+/// Every series this target emits, in order (held by `Harness::finalize`;
+/// the history sizes in the names are fixed by the seeds above).
+const SERIES: &str = "\
+    guided_eo/17 guided_eo/29 guided_eo/53 guided_eo/100 guided_eo/196 guided_eo/392 \
+    brute_force/6 brute_force/8 brute_force/9 brute_force/12 brute_force/13 \
+    memo_search/13 memo_search/24 memo_search/44 memo_search/83 \
+    brute_refute/4 brute_refute/5 brute_refute/6 brute_refute/7 brute_refute/8 \
+    memo_refute/8 memo_refute/12 memo_refute/14 \
+    refute_budget_1m/brute/16 refute_budget_1m/memo/16 \
+    guided_refute/4 guided_refute/5 guided_refute/6 guided_refute/7 guided_refute/8 \
+    guided_refute/64 guided_refute/512 \
+    facade_witness/42 facade_witness/84 facade_witness/174 \
+    facade_refute/42 facade_refute/84 facade_refute/174 \
+    obs_overhead/off/12 obs_overhead/on/12 \
+    wooki_frontier/9 wooki_frontier/18 wooki_frontier/26 \
+    wooki_constraint_graph/15 wooki_constraint_graph/55 wooki_constraint_graph/119 \
+    wooki_constraint_graph/220";

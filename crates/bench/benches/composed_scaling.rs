@@ -77,4 +77,12 @@ fn composed_scaling(c: &mut Criterion) {
 }
 
 bench_group!(composed, composed_scaling);
-bench_main!(composed);
+bench_main!(composed; SERIES);
+
+/// Every series this target emits, in order (held by `Harness::finalize`).
+const SERIES: &str = "\
+    composed_scaling/monolithic/2 composed_scaling/sharded/2 \
+    composed_scaling/monolithic/4 composed_scaling/sharded/4 \
+    composed_scaling/monolithic/8 composed_scaling/sharded/8 \
+    composed_scaling/monolithic/16 composed_scaling/sharded/16 \
+    composed_scaling/monolithic/32 composed_scaling/sharded/32";

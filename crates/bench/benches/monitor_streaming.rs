@@ -7,11 +7,11 @@
 //! retained state O(window)); the measured region is the monitor alone,
 //! replaying the recorded stream event by event. Every replay must end
 //! accepted (`Verdict::Ok`) and fully settled, so a monitor regression
-//! fails the bench outright rather than skewing it. The benchmark name
-//! encodes the operation count (`{n}ops`), making the JSON report
-//! (median_ns per replay) yield monitored ops/sec directly; the derived
-//! rate and the peak live window / configuration counts are printed per
-//! size before sampling.
+//! fails the bench outright rather than skewing it. A series is named by
+//! the stream length asked for; the operations the generated stream
+//! really holds travel in the record's `elements`, so the JSON report
+//! yields monitored ops/sec as `elements` ÷ `median_ns`. The peak live
+//! window / configuration counts are printed per size before sampling.
 //!
 //! Run with `cargo bench -p ral-bench --bench monitor_streaming`.
 
@@ -29,7 +29,6 @@ use ral_sim::sim::{self, SimConfig};
 use ral_sim::time::SimTime;
 use ral_verify::workloads;
 use std::hint::black_box;
-use std::time::Instant;
 
 type CtrLabel = <OpCounter as OpBased>::Label;
 
@@ -122,19 +121,17 @@ fn churn_replays(c: &mut Criterion) {
     group.sample_size(11);
     for n_ops in SIZES {
         let h = churn_history(n_ops);
-        let start = Instant::now();
         let stats = replay(&h);
         eprintln!(
-            "monitor_streaming: {} ops — ~{:.0} monitored ops/sec, peak live window {}, \
-             peak live configs {}, {} compactions",
+            "monitor_streaming: {} ops — peak live window {}, peak live configs {}, \
+             {} compactions",
             h.len(),
-            h.len() as f64 / start.elapsed().as_secs_f64(),
             stats.peak_live_window,
             stats.peak_live_configs,
             stats.compactions
         );
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{n_ops}ops")),
+            BenchmarkId::from_parameter(n_ops).elements(h.len() as u64),
             &h,
             |b, h| b.iter(|| black_box(replay(h))),
         );
@@ -143,4 +140,8 @@ fn churn_replays(c: &mut Criterion) {
 }
 
 bench_group!(monitor_streaming, churn_replays);
-bench_main!(monitor_streaming);
+bench_main!(monitor_streaming; SERIES);
+
+/// Every series this target emits, in order (held by `Harness::finalize`).
+const SERIES: &str = "monitor_streaming/churn_4r/1000 monitor_streaming/churn_4r/10000 \
+    monitor_streaming/churn_4r/100000";

@@ -3,8 +3,11 @@
 //! replacement, so `cargo bench` works offline with zero external crates.
 //!
 //! Each bench target is a plain binary (`harness = false` in
-//! `Cargo.toml`) built from [`bench_group!`] + [`bench_main!`]. The
-//! measurement protocol per benchmark:
+//! `Cargo.toml`) built from [`bench_group!`] + [`bench_main!`]. A target
+//! exists only if it sweeps a parameter every workload of the end-to-end
+//! `pipeline` benchmark (`BENCHMARK.json`) holds fixed *and* `ci.sh` runs
+//! it; `tests/registry.rs` holds the manifest, `benches/` and `ci.sh`
+//! equal. The measurement protocol per benchmark:
 //!
 //! 1. **warmup** — run the closure for ~`warmup` wall time to stabilise
 //!    caches and frequency scaling;
@@ -15,14 +18,19 @@
 //!
 //! Every run prints a human-readable line per benchmark and, at process
 //! exit, a JSON document on stdout (between `BENCH-JSON-BEGIN`/`END`
-//! markers) for machine consumption. Passing `--save <path>` (or setting
-//! `RAL_BENCH_JSON=<path>` in the environment) writes the JSON to a file
-//! instead.
+//! markers) for machine consumption. Passing `--save <path>` writes the
+//! JSON to a file instead.
 //!
 //! A benchmark name passed as a CLI argument filters (substring match),
-//! mirroring libtest: `cargo bench --bench figures -- fig5`.
+//! mirroring libtest: `cargo bench --bench checker_scaling -- facade`.
+//!
+//! A benchmark's name never carries a quantity read off a run: every
+//! target declares its full series list and [`Harness::finalize`] refuses
+//! a run that emitted anything else, so two reports always diff series by
+//! series. What a run measured about its *input* (operations replayed,
+//! bytes shipped) travels in [`Record::elements`].
 
-use std::fmt::Write as _;
+use ral_obs::json::{json_string, validate};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -31,6 +39,9 @@ use std::time::{Duration, Instant};
 pub struct Record {
     /// Full benchmark name (`group/function/param`).
     pub name: String,
+    /// Units of work one iteration processes (operations, bytes), when
+    /// the benchmark declared them ([`BenchmarkId::elements`]).
+    pub elements: Option<u64>,
     /// Samples actually collected.
     pub samples: usize,
     /// Iterations per sample.
@@ -45,35 +56,13 @@ pub struct Record {
     pub max: Duration,
 }
 
-/// Escapes `s` as a JSON string literal (quotes included). Rust's `{:?}`
-/// is close but not JSON: it renders non-ASCII as `\u{b5}`-style escapes
-/// that no JSON parser accepts.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl Record {
     fn to_json(&self) -> String {
         format!(
-            "{{\"name\":{},\"samples\":{},\"iters_per_sample\":{},\
+            "{{\"name\":{},\"elements\":{},\"samples\":{},\"iters_per_sample\":{},\
              \"median_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
             json_string(&self.name),
+            self.elements.map_or("null".to_string(), |n| n.to_string()),
             self.samples,
             self.iters_per_sample,
             self.median.as_nanos(),
@@ -105,33 +94,28 @@ fn human(d: Duration) -> String {
 #[derive(Clone, Debug)]
 pub struct BenchmarkId {
     id: String,
+    elements: Option<u64>,
 }
 
 impl BenchmarkId {
     /// A function name plus a parameter, rendered `name/param`.
     pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{}/{}", name.into(), parameter),
-        }
+        Self::from_parameter(format!("{}/{}", name.into(), parameter))
     }
 
     /// Just a parameter (the group name already identifies the function).
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
             id: parameter.to_string(),
+            elements: None,
         }
     }
-}
 
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(id: String) -> Self {
-        BenchmarkId { id }
+    /// Declares how many units of work one iteration processes
+    /// ([`Record::elements`]; `elements / median` is the rate).
+    pub fn elements(mut self, n: u64) -> Self {
+        self.elements = Some(n);
+        self
     }
 }
 
@@ -141,6 +125,7 @@ pub struct Bencher<'a> {
     sample_size: usize,
     record: Option<Record>,
     name: String,
+    elements: Option<u64>,
 }
 
 impl Bencher<'_> {
@@ -173,6 +158,7 @@ impl Bencher<'_> {
         let mean = per_iter_times.iter().sum::<Duration>() / per_iter_times.len() as u32;
         self.record = Some(Record {
             name: self.name.clone(),
+            elements: self.elements,
             samples: per_iter_times.len(),
             iters_per_sample: iters,
             median,
@@ -198,85 +184,53 @@ pub struct Harness {
 /// `fn bench(c: &mut Criterion)` signatures.
 pub type Criterion = Harness;
 
-impl Default for Harness {
-    fn default() -> Self {
-        Harness::from_args(std::env::args().skip(1))
-    }
-}
+const USAGE: &str = "usage: cargo bench --bench <target> -- [--quick] [--save <path>] [<filter>]";
 
 impl Harness {
-    /// Builds a harness from CLI-style arguments (used by [`bench_main!`]).
+    /// The harness [`bench_main!`] runs, built from the process arguments.
+    /// A bad argument prints the usage on stderr and exits with status 2:
+    /// a typo in `ci.sh` must fail the step, not run some other benchmark.
+    pub fn from_env() -> Self {
+        Harness::from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Builds a harness from CLI-style arguments.
     ///
     /// Recognised: `--save <path>` (JSON destination), `--quick` (fewer,
-    /// shorter samples), and a free-form substring filter. Flags libtest
-    /// passes to bench binaries (`--bench`, `--test`) are ignored.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut filter = None;
-        let mut quick = ral_core::env::bench_quick();
-        let mut save_path = ral_core::env::bench_json();
+    /// shorter samples), and a free-form substring filter. The flags cargo
+    /// and libtest pass to every bench binary (`--bench`, `--test`,
+    /// `--nocapture`) are accepted and ignored; any other `--flag`, and a
+    /// `--save` without a path, is an error.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let (mut filter, mut quick, mut save_path) = (None, false, None);
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--bench" | "--test" | "--nocapture" => {}
-                "--save" => {
-                    if let Some(path) = args.next() {
-                        save_path = Some(PathBuf::from(path));
-                    }
-                }
+                "--save" => match args.next() {
+                    Some(path) if !path.starts_with("--") => save_path = Some(PathBuf::from(path)),
+                    _ => return Err("--save needs a path".to_string()),
+                },
                 "--quick" => quick = true,
-                a if a.starts_with("--") => {}
+                a if a.starts_with("--") => return Err(format!("unknown flag {a}")),
                 a => filter = Some(a.to_string()),
             }
         }
-        Harness {
-            warmup: if quick {
-                Duration::from_millis(20)
-            } else {
-                Duration::from_millis(300)
-            },
-            sample_time: if quick {
-                Duration::from_millis(10)
-            } else {
-                Duration::from_millis(60)
-            },
+        Ok(Harness {
+            warmup: Duration::from_millis(if quick { 20 } else { 300 }),
+            sample_time: Duration::from_millis(if quick { 10 } else { 60 }),
             default_sample_size: if quick { 5 } else { 21 },
             filter,
             save_path,
             records: Vec::new(),
-        }
+        })
     }
 
     fn wants(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
-    }
-
-    fn run_one(&mut self, name: String, sample_size: usize, f: impl FnOnce(&mut Bencher<'_>)) {
-        if !self.wants(&name) {
-            return;
-        }
-        let mut bencher = Bencher {
-            harness: self,
-            sample_size,
-            record: None,
-            name: name.clone(),
-        };
-        f(&mut bencher);
-        if let Some(record) = bencher.record {
-            eprintln!(
-                "bench {:<44} median {:>10}   (mean {}, {} samples x {} iters)",
-                record.name,
-                human(record.median),
-                human(record.mean),
-                record.samples,
-                record.iters_per_sample,
-            );
-            self.records.push(record);
-        }
-    }
-
-    /// Measures a single standalone benchmark.
-    pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher<'_>)) {
-        self.run_one(name.to_string(), self.default_sample_size, f);
     }
 
     /// Opens a named group; benchmarks inside are reported as
@@ -291,23 +245,35 @@ impl Harness {
 
     /// Renders all collected records as a JSON array.
     pub fn json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 == self.records.len() { "" } else { "," };
-            let _ = writeln!(out, "  {}{}", r.to_json(), sep);
-        }
-        out.push(']');
-        out
+        let rows: Vec<String> = self.records.iter().map(Record::to_json).collect();
+        format!("[\n  {}\n]", rows.join(",\n  "))
     }
 
-    /// Emits the JSON report: to the `--save` path (or `RAL_BENCH_JSON`)
-    /// if given, else to stdout between explicit markers. Called once by
-    /// [`bench_main!`].
-    pub fn finalize(&self) {
+    /// Holds the run to the target's declared series: the names measured
+    /// must be exactly the whitespace-separated `series` (those the filter
+    /// selects), in order.
+    fn assert_series(&self, series: &str) {
+        let declared: Vec<&str> = series
+            .split_whitespace()
+            .filter(|n| self.wants(n))
+            .collect();
+        let emitted: Vec<&str> = self.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            emitted, declared,
+            "the series this run emitted are not the ones the target declares"
+        );
+    }
+
+    /// Holds the run to the target's declared `series` (a panic otherwise)
+    /// and emits the JSON report: to the `--save` path if given, else to
+    /// stdout between explicit markers. Called once by [`bench_main!`].
+    pub fn finalize(&self, series: &str) {
+        self.assert_series(series);
         if self.records.is_empty() {
             return;
         }
         let json = self.json();
+        validate(&json).expect("the bench report is valid JSON");
         match &self.save_path {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &json) {
@@ -340,13 +306,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Measures `group/id`.
-    pub fn bench_function(&mut self, id: impl Into<BenchmarkId>, f: impl FnOnce(&mut Bencher<'_>)) {
-        let name = format!("{}/{}", self.name, id.into().id);
-        let samples = self.sample_size.unwrap_or(self.harness.default_sample_size);
-        self.harness.run_one(name, samples, f);
-    }
-
     /// Measures `group/id`, passing `input` through to the closure.
     pub fn bench_with_input<I: ?Sized>(
         &mut self,
@@ -354,7 +313,32 @@ impl BenchmarkGroup<'_> {
         input: &I,
         f: impl FnOnce(&mut Bencher<'_>, &I),
     ) {
-        self.bench_function(id, |b| f(b, input));
+        let name = format!("{}/{}", self.name, id.id);
+        if !self.harness.wants(&name) {
+            return;
+        }
+        let mut bencher = Bencher {
+            harness: self.harness,
+            sample_size: self.sample_size.unwrap_or(self.harness.default_sample_size),
+            record: None,
+            name,
+            elements: id.elements,
+        };
+        f(&mut bencher, input);
+        if let Some(record) = bencher.record {
+            let elements = record
+                .elements
+                .map_or_else(String::new, |n| format!(", {n} elements"));
+            eprintln!(
+                "bench {:<44} median {:>10}   (mean {}, {} samples x {} iters{elements})",
+                record.name,
+                human(record.median),
+                human(record.mean),
+                record.samples,
+                record.iters_per_sample,
+            );
+            self.harness.records.push(record);
+        }
     }
 
     /// Ends the group (kept for criterion source compatibility).
@@ -373,15 +357,15 @@ macro_rules! bench_group {
 }
 
 /// Declares `main` for a bench binary: builds a [`Harness`] from CLI
-/// args, runs the groups, and emits the JSON report. Drop-in for
-/// `criterion_main!`.
+/// args, runs the groups, holds the run to the target's declared series
+/// list and emits the JSON report.
 #[macro_export]
 macro_rules! bench_main {
-    ($($group:path),+ $(,)?) => {
+    ($($group:path),+; $series:expr) => {
         fn main() {
-            let mut harness = $crate::Harness::default();
+            let mut harness = $crate::Harness::from_env();
             $( $group(&mut harness); )+
-            harness.finalize();
+            harness.finalize($series);
         }
     };
 }
@@ -390,21 +374,31 @@ macro_rules! bench_main {
 mod tests {
     use super::*;
 
+    fn parse(args: &str) -> Result<Harness, String> {
+        Harness::from_args(args.split_whitespace().map(String::from))
+    }
+
     fn quiet_harness() -> Harness {
-        let mut h = Harness::from_args(["--quick".to_string()]);
+        let mut h = parse("--quick").unwrap();
         h.warmup = Duration::from_micros(200);
         h.sample_time = Duration::from_micros(100);
         h.default_sample_size = 3;
         h
     }
 
+    /// Measures a no-op as `grp/<id>`.
+    fn bench(h: &mut Harness, id: BenchmarkId) {
+        h.benchmark_group("grp")
+            .bench_with_input(id, &(), |b, _| b.iter(|| ()));
+    }
+
     #[test]
     fn measures_and_records() {
         let mut h = quiet_harness();
-        h.bench_function("tiny", |b| b.iter(|| std::hint::black_box(1 + 1)));
+        bench(&mut h, BenchmarkId::from_parameter("tiny"));
         assert_eq!(h.records.len(), 1);
         let r = &h.records[0];
-        assert_eq!(r.name, "tiny");
+        assert_eq!(r.name, "grp/tiny");
         assert!(r.min <= r.median && r.median <= r.max);
         assert!(r.iters_per_sample >= 1);
     }
@@ -417,7 +411,7 @@ mod tests {
         g.bench_with_input(BenchmarkId::from_parameter(32), &32u64, |b, &n| {
             b.iter(|| std::hint::black_box(n * 2))
         });
-        g.bench_function(BenchmarkId::new("f", 7), |b| b.iter(|| ()));
+        g.bench_with_input(BenchmarkId::new("f", 7), &(), |b, _| b.iter(|| ()));
         g.finish();
         assert_eq!(h.records[0].name, "grp/32");
         assert_eq!(h.records[0].samples, 5);
@@ -428,30 +422,53 @@ mod tests {
     fn filter_skips_non_matching() {
         let mut h = quiet_harness();
         h.filter = Some("keep".to_string());
-        h.bench_function("keep_this", |b| b.iter(|| ()));
-        h.bench_function("drop_this", |b| b.iter(|| ()));
+        bench(&mut h, BenchmarkId::from_parameter("keep_this"));
+        bench(&mut h, BenchmarkId::from_parameter("drop_this"));
         assert_eq!(h.records.len(), 1);
-        assert_eq!(h.records[0].name, "keep_this");
+        assert_eq!(h.records[0].name, "grp/keep_this");
+        // The declared list is filtered the same way before it is compared.
+        h.assert_series("grp/keep_this grp/drop_this");
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
-        // Non-ASCII passes through raw — valid JSON, unlike {:?}'s \u{b5}.
-        assert_eq!(json_string("5µs"), "\"5µs\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn cargo_and_libtest_flags_are_accepted() {
+        let h = parse("--quick --save o.json memo --bench --test --nocapture").unwrap();
+        assert_eq!(h.default_sample_size, 5);
+        assert_eq!(h.save_path, Some(PathBuf::from("o.json")));
+        assert_eq!(h.filter.as_deref(), Some("memo"));
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn unknown_flag_is_an_error() {
+        assert_eq!(parse("--qiuck").err().unwrap(), "unknown flag --qiuck");
+    }
+
+    #[test]
+    fn save_without_a_path_is_an_error() {
+        // Cargo appends `--bench` after the user's arguments, so a bare
+        // `--save` is followed by a flag, not by nothing.
+        for args in ["--save", "--quick --save --bench"] {
+            assert_eq!(parse(args).err().unwrap(), "--save needs a path");
+        }
+    }
+
+    #[test]
+    fn json_report_is_valid_and_carries_elements() {
         let mut h = quiet_harness();
-        h.bench_function("a", |b| b.iter(|| ()));
-        h.bench_function("b", |b| b.iter(|| ()));
+        bench(&mut h, BenchmarkId::new("with \"quotes\"", 1).elements(42));
+        bench(&mut h, BenchmarkId::from_parameter("bare"));
+        assert_eq!(h.records[0].elements, Some(42));
         let json = h.json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"name\"").count(), 2);
-        assert_eq!(json.matches("median_ns").count(), 2);
+        validate(&json).expect("strictly valid JSON");
+        assert!(json.contains(r#"{"name":"grp/with \"quotes\"/1","elements":42,"#));
+        assert!(json.contains(r#"{"name":"grp/bare","elements":null,"#));
+    }
+
+    #[test]
+    #[should_panic(expected = "not the ones the target declares")]
+    fn a_series_the_target_does_not_declare_fails_the_run() {
+        let mut h = quiet_harness();
+        bench(&mut h, BenchmarkId::from_parameter("1658kB"));
+        h.assert_series("grp/50rep");
     }
 }

@@ -11,8 +11,6 @@
 //! |---|---|---|---|
 //! | `RAL_PROP_SEED` | [`prop_seed`] | unset | replay exactly one property case with this seed |
 //! | `RAL_PROP_CASES` | [`prop_cases`] | per-suite | run this many property cases |
-//! | `RAL_BENCH_QUICK` | [`bench_quick`] | unset | bench harness quick mode (shorter samples) |
-//! | `RAL_BENCH_JSON` | [`bench_json`] | unset | bench harness JSON output path |
 //! | `RAL_OBS` | [`obs`] | unset | enable `ral-obs` recording in obs-aware entry points |
 //! | `RAL_OBS_OUT` | [`obs_out`] | unset | destination for the Perfetto trace the observability example writes |
 //! | `RAL_OBS_CAPACITY` | [`obs_capacity`] | per-lane default | `ral-obs` per-lane event capacity |
@@ -67,18 +65,6 @@ pub fn prop_seed() -> Option<u64> {
 /// Panics on an unparseable value.
 pub fn prop_cases() -> Option<u64> {
     env_u64("RAL_PROP_CASES")
-}
-
-/// `RAL_BENCH_QUICK` — when set (to anything), the bench harness runs with
-/// shorter warmup and fewer samples, as `--quick` does.
-pub fn bench_quick() -> bool {
-    std::env::var_os("RAL_BENCH_QUICK").is_some()
-}
-
-/// `RAL_BENCH_JSON` — default destination for the bench harness's JSON
-/// report, overridable per run with `--save <path>`.
-pub fn bench_json() -> Option<PathBuf> {
-    std::env::var_os("RAL_BENCH_JSON").map(PathBuf::from)
 }
 
 /// `RAL_OBS` — when set to anything but `"0"` (or the empty string),

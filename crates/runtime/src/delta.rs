@@ -722,9 +722,13 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         obs::observe("runtime.delta.sync_batch", applies);
     }
 
-    /// Checks the lattice laws on the current replica states (as
-    /// [`StateCluster::check_lattice_laws`]) plus the delta batching law
-    /// on the buffered deltas.
+    /// Spot-checks the same three lattice laws on the current replica
+    /// states as [`StateCluster::check_lattice_laws`] (idempotence,
+    /// commutativity, upper bound) plus the delta *resync* law on every pair
+    /// of them: joining `b`'s full delta into `a` is merging with `b`.
+    /// Buffered deltas are not inspected, and the decomposition and batching
+    /// laws are not checked here; `ral-analyze`'s `delta-laws` row
+    /// discharges all three.
     ///
     /// [`StateCluster::check_lattice_laws`]: crate::state_based::StateCluster::check_lattice_laws
     pub fn check_lattice_laws(&self) -> bool {

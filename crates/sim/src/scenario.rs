@@ -256,9 +256,9 @@ pub fn gossip_50() -> Scenario {
 }
 
 /// `n` replicas gossiping over a uniformly jittered mesh with light faults
-/// — the events/sec scaling scenario, parametric in the mesh size
-/// ([`gossip_50`] is the named corpus entry; the `sim_scaling` bench also
-/// runs 5 and 15).
+/// — the mesh-size scaling scenario, parametric in the replica count
+/// ([`gossip_50`] is the named corpus entry; the `delta_bandwidth` bench
+/// also runs 5 and 15).
 pub fn gossip(n: usize) -> Scenario {
     Scenario {
         name: "gossip",

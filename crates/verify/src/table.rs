@@ -89,7 +89,7 @@ const SHARD_SEED_OFFSET: u64 = 0x5A4DED;
 /// The row of an operation-based roster entry: Commutativity, Refinement
 /// (or `Refinement_ts`, by the entry's linearization class) and SEC
 /// observed on one walk, then the three history columns.
-pub fn op_row<F: Fig12Op>(histories: u64, seed0: u64) -> Fig12Row {
+fn op_row<F: Fig12Op>(histories: u64, seed0: u64) -> Fig12Row {
     let (spec, rewrite) = (F::spec(), F::rewrite());
     let mut pairs = PendingPairs::new();
     let mode = Mode::from(F::STRATEGY);
@@ -115,7 +115,7 @@ pub fn op_row<F: Fig12Op>(histories: u64, seed0: u64) -> Fig12Row {
 
 /// The row of a state-based roster entry: Prop1–Prop6 with the lattice
 /// laws and SEC, then the three history columns.
-pub fn state_row<F: StateFamily>(histories: u64, seed0: u64) -> Fig12Row {
+fn state_row<F: StateFamily>(histories: u64, seed0: u64) -> Fig12Row {
     let steps = Scale::Obligations.schedule().steps;
     let calls = || F::calls(Scale::Obligations);
     let obligations = vec![
