@@ -9,6 +9,8 @@
 //! replay helpers are the per-object admissibility check of
 //! [`super::sharded`].
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::spec::{advance_states, mix64, states_admit, Spec};
 
 /// Seed of the canonical configuration key (the FNV-64 offset basis, shared
@@ -31,6 +33,30 @@ pub(crate) fn fold_frontier_hash(key: u64, frontier_hash: u64) -> u64 {
 pub(crate) fn fold_query_frontier(key: u64, query: usize, qfront_hash: u64) -> u64 {
     mix64(key ^ (query as u64) ^ qfront_hash.rotate_left(17))
 }
+
+/// Hasher of a table keyed by finished configuration keys: the last fold of
+/// every key is a [`mix64`], so the key serves as its own hash.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`std::hash::BuildHasher`] of [`KeyHasher`].
+pub(crate) type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
 
 /// Replays `updates` from the initial state, returning the reachable state
 /// set, or `None` if the sequence is not admitted by `spec`. Shared by the

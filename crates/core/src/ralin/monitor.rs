@@ -36,6 +36,13 @@
 //! O(concurrent window), not O(history length) — the property the
 //! `monitor_streaming` bench and the 100k-op churn test pin.
 //!
+//! An event pays for what it changes, not for what is retained: children
+//! are filled into recycled configurations, pruning filters the live set
+//! in place, the dedup index is rebuilt without allocating, closure walks
+//! the open window only, the watermark is kept by a count of the replicas
+//! sitting at it, and state-set hashes are stored where the sets are
+//! produced (docs/MONITOR.md, "What an event costs").
+//!
 //! # Verdicts
 //!
 //! Prefix RA-linearizability is *not* monotone (a currently-linearizable
@@ -49,7 +56,9 @@
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-use super::config::{fold_frontier_hash, fold_mask_word, fold_query_frontier, CONFIG_KEY_SEED};
+use super::config::{
+    fold_frontier_hash, fold_mask_word, fold_query_frontier, BuildKeyHasher, CONFIG_KEY_SEED,
+};
 use crate::bitset::BitSet;
 use crate::history::{History, Parts};
 use crate::ids::ReplicaId;
@@ -172,9 +181,18 @@ struct OpMeta<S: Spec> {
     watchers: Vec<usize>,
 }
 
+/// The justification frontier of one pending query.
+#[derive(Clone, Debug)]
+struct QFront<St> {
+    query: usize,
+    states: Vec<St>,
+    /// Canonical hash of `states`, computed where the set is produced.
+    hash: u64,
+}
+
 /// One live configuration: a placement of a subset of the known ops,
 /// closed under visibility, with the state needed to extend it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Config<St> {
     /// Window-relative placement mask: bit `i - base` set iff op `i` is
     /// placed. Words below the settled base are compacted away.
@@ -187,14 +205,35 @@ struct Config<St> {
     /// States after replaying the settled placement-order prefix — the
     /// base every *future* query's justification starts from.
     qbase: Vec<St>,
+    /// Canonical hash of `qbase`, computed where the set is produced.
+    qbase_hash: u64,
     /// Placed updates not yet absorbed into `qbase`, in placement order
     /// (absolute ids).
     rem: Vec<usize>,
     /// Justification frontiers of pending queries, ascending by query id;
     /// every pending query is registered at arrival.
-    qfronts: Vec<(usize, Vec<St>)>,
+    qfronts: Vec<QFront<St>>,
     /// Canonical key (see the `fold_*` helpers).
     key: u64,
+    /// Next configuration with the same key (the dedup index chain).
+    next: Option<usize>,
+}
+
+impl<St> Config<St> {
+    /// A configuration holding no buffer yet.
+    fn unallocated() -> Self {
+        Config {
+            mask: Vec::new(),
+            placed: 0,
+            frontier: Vec::new(),
+            qbase: Vec::new(),
+            qbase_hash: 0,
+            rem: Vec::new(),
+            qfronts: Vec::new(),
+            key: 0,
+            next: None,
+        }
+    }
 }
 
 /// Why a candidate placement was rejected.
@@ -207,6 +246,12 @@ enum Prune {
 /// Default cap on live configurations before the monitor declares
 /// [`Verdict::Exhausted`].
 const DEFAULT_MAX_LIVE_CONFIGS: usize = 1 << 14;
+
+/// Retired configurations kept for reuse. The steady state retires one
+/// configuration per settled op and builds one per arriving op, so a few
+/// suffice; the bound keeps a collapsing partition tail (hundreds pruned
+/// at one settlement) from pinning its buffers.
+const MAX_SPARE_CONFIGS: usize = 32;
 
 /// The incremental RA-linearizability engine.
 ///
@@ -272,15 +317,23 @@ pub struct Monitor<S: Spec> {
     /// Settled watermark: minimum replica seen-frontier; every op below it
     /// is placed in every live configuration.
     watermark: usize,
+    /// Replicas whose seen-frontier equals `watermark`; the minimum can
+    /// only move when the last of them advances.
+    at_watermark: usize,
     /// First op id whose metadata is still retained.
     meta_base: usize,
     meta: Vec<OpMeta<S>>,
     /// Per-replica seen-frontiers (first unseen op id), monotone.
     frontiers: Vec<usize>,
     configs: Vec<Config<S::State>>,
-    /// Canonical key → indices into `configs`. Point lookups only, never
+    /// Canonical key → first index into `configs` with that key; the rest
+    /// follow through [`Config::next`]. Point lookups only, never
     /// iterated, so it cannot leak iteration nondeterminism.
-    index: HashMap<u64, Vec<usize>>,
+    index: HashMap<u64, usize, BuildKeyHasher>,
+    /// Retired configurations (pruned, merged or rejected): specification
+    /// states dropped, buffers kept for [`Monitor::try_extend`] to refill.
+    /// At most [`MAX_SPARE_CONFIGS`].
+    spare: Vec<Config<S::State>>,
     verdict: Verdict,
     max_live_configs: usize,
     stats: MonitorStats,
@@ -314,7 +367,40 @@ fn configs_equal<St: PartialEq>(a: &Config<St>, b: &Config<St>) -> bool {
         && a.qfronts
             .iter()
             .zip(&b.qfronts)
-            .all(|(x, y)| x.0 == y.0 && states_set_eq(&x.1, &y.1))
+            .all(|(x, y)| x.query == y.query && states_set_eq(&x.states, &y.states))
+}
+
+/// Moves a configuration that left the live set to the spare list (or
+/// drops it when the list is full). Its specification states are dropped
+/// either way — a spare holds buffers, never a document.
+fn retire<St>(spare: &mut Vec<Config<St>>, mut c: Config<St>) {
+    if spare.len() < MAX_SPARE_CONFIGS {
+        c.frontier.clear();
+        c.qbase.clear();
+        c.qfronts.clear();
+        spare.push(c);
+    }
+}
+
+/// Keeps the configurations `keep` accepts, in place and in order; retires
+/// the rest and returns how many there were.
+fn retain_configs<St>(
+    configs: &mut Vec<Config<St>>,
+    spare: &mut Vec<Config<St>>,
+    mut keep: impl FnMut(&mut Config<St>) -> bool,
+) -> u64 {
+    let mut kept = 0;
+    for i in 0..configs.len() {
+        if keep(&mut configs[i]) {
+            configs.swap(kept, i);
+            kept += 1;
+        }
+    }
+    let pruned = configs.len() - kept;
+    for c in configs.drain(kept..) {
+        retire(spare, c);
+    }
+    pruned as u64
 }
 
 impl<S: Spec> Monitor<S> {
@@ -327,27 +413,23 @@ impl<S: Spec> Monitor<S> {
             n: 0,
             base: 0,
             watermark: 0,
+            at_watermark: n_replicas,
             meta_base: 0,
             meta: Vec::new(),
             frontiers: vec![0; n_replicas],
             configs: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
+            spare: Vec::new(),
             verdict: Verdict::Ok,
             max_live_configs: DEFAULT_MAX_LIVE_CONFIGS,
             stats: MonitorStats::default(),
         };
-        let mut root = Config {
-            mask: Vec::new(),
-            placed: 0,
-            frontier: vec![m.spec.initial()],
-            qbase: vec![m.spec.initial()],
-            rem: Vec::new(),
-            qfronts: Vec::new(),
-            key: 0,
-        };
-        root.key = m.config_key(&root);
-        m.index.entry(root.key).or_default().push(0);
+        let mut root = Config::unallocated();
+        root.frontier.push(m.spec.initial());
+        root.qbase.push(m.spec.initial());
+        root.qbase_hash = states_canonical_hash(&m.spec, &root.qbase);
         m.configs.push(root);
+        m.rebuild_index();
         m.stats.live_configs = 1;
         m.stats.peak_live_configs = 1;
         m
@@ -429,12 +511,12 @@ impl<S: Spec> Monitor<S> {
             // Register as a watcher of every visible unsettled update.
             let meta_base = self.meta_base;
             let blocks = preds.blocks();
-            for (j, &word) in blocks.iter().enumerate().skip(self.base / 64) {
+            for (j, &word) in blocks.iter().enumerate().skip(self.watermark / 64) {
                 let mut bits = word;
                 while bits != 0 {
                     let u = j * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if u >= self.base && !self.meta[u - meta_base].is_query {
+                    if u >= self.watermark && !self.meta[u - meta_base].is_query {
                         self.meta[u - meta_base].watchers.push(id);
                     }
                 }
@@ -474,9 +556,14 @@ impl<S: Spec> Monitor<S> {
         // An over-claimed frontier means "has seen everything fed so far".
         let f = first_unseen.min(self.n);
         if f > self.frontiers[r] {
+            if self.frontiers[r] == self.watermark {
+                self.at_watermark -= 1;
+            }
             self.frontiers[r] = f;
-            let wm = self.frontiers.iter().copied().min().unwrap_or(0);
-            if wm > self.watermark {
+            if self.at_watermark == 0 {
+                // The last replica at the old minimum moved: find the new one.
+                let wm = self.frontiers.iter().copied().min().unwrap_or(0);
+                self.at_watermark = self.frontiers.iter().filter(|&&f| f == wm).count();
                 self.settle(wm);
             }
         }
@@ -506,11 +593,9 @@ impl<S: Spec> Monitor<S> {
             .take()
             .expect("preds retained for live ops");
         let label_missing = "label retained inside the live window";
-        let mut kept = Vec::with_capacity(self.configs.len());
-        let mut pruned = 0u64;
-        for mut c in std::mem::take(&mut self.configs) {
+        let pruned = retain_configs(&mut self.configs, &mut self.spare, |c| {
             let mut states = c.qbase.clone();
-            let mut dead = false;
+            let mut replayed = false;
             for &u in &c.rem {
                 if u < vis_floor || preds.contains(u) {
                     let lbl = self.meta[u - self.meta_base]
@@ -519,21 +604,25 @@ impl<S: Spec> Monitor<S> {
                         .expect(label_missing);
                     states = advance_states(&self.spec, &states, lbl);
                     if states.is_empty() {
-                        dead = true;
-                        break;
+                        return false;
                     }
+                    replayed = true;
                 }
             }
-            if dead {
-                pruned += 1;
-                continue;
-            }
-            c.qfronts.push((q, states));
-            kept.push(c);
-        }
+            let hash = if replayed {
+                states_canonical_hash(&self.spec, &states)
+            } else {
+                c.qbase_hash
+            };
+            c.qfronts.push(QFront {
+                query: q,
+                states,
+                hash,
+            });
+            true
+        });
         self.meta[q - self.meta_base].preds = Some(preds);
         self.stats.prune_dead_pending_query += pruned;
-        self.configs = kept;
         self.rebuild_index();
         if self.configs.is_empty() {
             self.fail(Verdict::Violated);
@@ -558,7 +647,9 @@ impl<S: Spec> Monitor<S> {
                 return;
             }
             self.stats.expansions += 1;
-            for x in self.base..self.n {
+            // Ops below the watermark are placed in every live
+            // configuration, hence in every child of one.
+            for x in self.watermark..self.n {
                 self.try_extend(idx, x);
             }
             idx += 1;
@@ -586,114 +677,118 @@ impl<S: Spec> Monitor<S> {
                 return; // not yet enabled
             }
         }
-        match self.make_child(parent, x) {
-            Ok(child) => self.insert_or_merge(child),
+        let mut child = self.spare.pop().unwrap_or_else(Config::unallocated);
+        match self.fill_child(&mut child, parent, x) {
+            Ok(()) => return self.insert_or_merge(child),
             Err(Prune::FrontierDeath) => self.stats.prune_frontier_death += 1,
             Err(Prune::QueryUnjustified) => self.stats.prune_query_unjustified += 1,
             Err(Prune::DeadPendingQuery) => self.stats.prune_dead_pending_query += 1,
         }
+        retire(&mut self.spare, child);
     }
 
-    /// Builds the child configuration `parent + x`, or the prune cause.
-    fn make_child(&self, parent: usize, x: usize) -> Result<Config<S::State>, Prune> {
+    /// Overwrites `child` (a spare: its buffers are reused, none of its
+    /// contents survive) with the configuration `parent + x`, or returns
+    /// the prune cause and leaves `child` unspecified.
+    fn fill_child(
+        &self,
+        child: &mut Config<S::State>,
+        parent: usize,
+        x: usize,
+    ) -> Result<(), Prune> {
         let m = &self.meta[x - self.meta_base];
         let label = m.label.as_ref().expect("label retained");
         let p = &self.configs[parent];
-        let bit = x - self.base;
-        let mut mask = p.mask.clone();
-        mask[bit / 64] |= 1 << (bit % 64);
-        let placed = p.placed + 1;
-        let registered = "query frontiers exist from arrival";
-        let mut child = if m.is_query {
+        if m.is_query {
             let i = p
                 .qfronts
-                .binary_search_by_key(&x, |e| e.0)
-                .expect(registered);
-            if !states_admit(&self.spec, &p.qfronts[i].1, label) {
+                .binary_search_by_key(&x, |e| e.query)
+                .expect("query frontiers exist from arrival");
+            if !states_admit(&self.spec, &p.qfronts[i].states, label) {
                 return Err(Prune::QueryUnjustified);
             }
-            Config {
-                mask,
-                placed,
-                frontier: p.frontier.clone(),
-                qbase: p.qbase.clone(),
-                rem: p.rem.clone(),
-                qfronts: p.qfronts.iter().filter(|e| e.0 != x).cloned().collect(),
-                key: 0,
-            }
+            child.frontier.clone_from(&p.frontier);
+            child.rem.clone_from(&p.rem);
+            child.qfronts.clear();
+            child
+                .qfronts
+                .extend(p.qfronts.iter().filter(|e| e.query != x).cloned());
         } else {
             let frontier = advance_states(&self.spec, &p.frontier, label);
             if frontier.is_empty() {
                 return Err(Prune::FrontierDeath);
             }
-            let mut qfronts = p.qfronts.clone();
-            for &q in &m.watchers {
-                if q < self.base {
-                    continue; // settled, hence placed everywhere
-                }
-                let qbit = q - self.base;
-                if mask[qbit / 64] & (1 << (qbit % 64)) != 0 {
-                    continue; // already placed in this configuration
-                }
-                let i = qfronts.binary_search_by_key(&q, |e| e.0).expect(registered);
-                let next = advance_states(&self.spec, &qfronts[i].1, label);
-                if next.is_empty() {
-                    return Err(Prune::DeadPendingQuery);
-                }
-                qfronts[i].1 = next;
+            child.frontier = frontier;
+            child.rem.clone_from(&p.rem);
+            child.rem.push(x);
+            // `p.qfronts` holds exactly the queries pending in `p`; those
+            // that see `x` (its watchers, ascending like every id list
+            // here) advance over it, the others carry over.
+            child.qfronts.clear();
+            for e in &p.qfronts {
+                child
+                    .qfronts
+                    .push(if m.watchers.binary_search(&e.query).is_ok() {
+                        let states = advance_states(&self.spec, &e.states, label);
+                        if states.is_empty() {
+                            return Err(Prune::DeadPendingQuery);
+                        }
+                        QFront {
+                            query: e.query,
+                            hash: states_canonical_hash(&self.spec, &states),
+                            states,
+                        }
+                    } else {
+                        e.clone()
+                    });
             }
-            let mut rem = p.rem.clone();
-            rem.push(x);
-            Config {
-                mask,
-                placed,
-                frontier,
-                qbase: p.qbase.clone(),
-                rem,
-                qfronts,
-                key: 0,
-            }
-        };
-        child.key = self.config_key(&child);
-        Ok(child)
+        }
+        let bit = x - self.base;
+        child.mask.clone_from(&p.mask);
+        child.mask[bit / 64] |= 1 << (bit % 64);
+        child.placed = p.placed + 1;
+        child.qbase.clone_from(&p.qbase);
+        child.qbase_hash = p.qbase_hash;
+        child.key = self.config_key(child);
+        Ok(())
     }
 
-    /// Canonical key of a configuration. Trailing zero mask words are
-    /// skipped so the window can grow without rekeying.
+    /// Canonical key of a configuration, folded from the hashes stored
+    /// beside its state sets. Trailing zero mask words are skipped so the
+    /// window can grow without rekeying.
     fn config_key(&self, c: &Config<S::State>) -> u64 {
+        debug_assert_eq!(c.qbase_hash, states_canonical_hash(&self.spec, &c.qbase));
         let mut key = CONFIG_KEY_SEED;
         let tail = c.mask.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
         for &w in &c.mask[..tail] {
             key = fold_mask_word(key, w);
         }
-        key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.qbase));
+        key = fold_frontier_hash(key, c.qbase_hash);
         for &u in &c.rem {
             key = mix64(key ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         }
-        for (q, states) in &c.qfronts {
-            key = fold_query_frontier(key, *q, states_canonical_hash(&self.spec, states));
+        for qf in &c.qfronts {
+            debug_assert_eq!(qf.hash, states_canonical_hash(&self.spec, &qf.states));
+            key = fold_query_frontier(key, qf.query, qf.hash);
         }
         key
     }
 
     /// Inserts `child` unless an equal configuration is already live.
-    fn insert_or_merge(&mut self, child: Config<S::State>) {
-        let equal = self.index.get(&child.key).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&i| configs_equal(&self.configs[i], &child))
-        });
-        match equal {
-            Some(&i) => {
+    fn insert_or_merge(&mut self, mut child: Config<S::State>) {
+        let head = self.index.get(&child.key).copied();
+        let mut at = head;
+        while let Some(i) = at {
+            if configs_equal(&self.configs[i], &child) {
                 self.stats.dedup_hits += 1;
                 debug_assert!(states_set_eq(&self.configs[i].frontier, &child.frontier));
+                return retire(&mut self.spare, child);
             }
-            None => {
-                let i = self.configs.len();
-                self.index.entry(child.key).or_default().push(i);
-                self.configs.push(child);
-            }
+            at = self.configs[i].next;
         }
+        child.next = head;
+        self.index.insert(child.key, self.configs.len());
+        self.configs.push(child);
     }
 
     /// Applies the causal-stability rule after the watermark advances to
@@ -702,22 +797,15 @@ impl<S: Spec> Monitor<S> {
     /// mask words and metadata out of the live window.
     fn settle(&mut self, wm: usize) {
         debug_assert!(wm > self.watermark && wm <= self.n);
-        let lo = self.watermark - self.base;
+        let old_wm = self.watermark;
+        let lo = old_wm - self.base;
         let hi = wm - self.base;
         self.watermark = wm;
         self.stats.settled = wm as u64;
         self.stats.live_window = (self.n - wm) as u64;
-        let mut kept = Vec::with_capacity(self.configs.len());
-        let mut pruned = 0u64;
-        for c in std::mem::take(&mut self.configs) {
-            if range_all_set(&c.mask, lo, hi) {
-                kept.push(c);
-            } else {
-                pruned += 1;
-            }
-        }
-        self.stats.prune_unsettled += pruned;
-        self.configs = kept;
+        self.stats.prune_unsettled += retain_configs(&mut self.configs, &mut self.spare, |c| {
+            range_all_set(&c.mask, lo, hi)
+        });
         if self.configs.is_empty() {
             self.fail(Verdict::Violated);
             return;
@@ -726,21 +814,23 @@ impl<S: Spec> Monitor<S> {
         // base states; stragglers (settled ops placed after a still-live
         // one) stay in `rem` and are bounded by the concurrent window.
         let label_missing = "label retained for unabsorbed placements";
-        for i in 0..self.configs.len() {
-            let k = self.configs[i].rem.iter().take_while(|&&u| u < wm).count();
-            for j in 0..k {
-                let u = self.configs[i].rem[j];
+        for c in &mut self.configs {
+            let k = c.rem.iter().take_while(|&&u| u < wm).count();
+            if k == 0 {
+                continue;
+            }
+            for u in c.rem.drain(..k) {
                 let lbl = self.meta[u - self.meta_base]
                     .label
                     .as_ref()
                     .expect(label_missing);
-                let next = advance_states(&self.spec, &self.configs[i].qbase, lbl);
-                debug_assert!(!next.is_empty(), "absorbed prefix replays a live frontier");
-                self.configs[i].qbase = next;
+                c.qbase = advance_states(&self.spec, &c.qbase, lbl);
+                debug_assert!(
+                    !c.qbase.is_empty(),
+                    "absorbed prefix replays a live frontier"
+                );
             }
-            if k > 0 {
-                self.configs[i].rem.drain(..k);
-            }
+            c.qbase_hash = states_canonical_hash(&self.spec, &c.qbase);
         }
         // Compact whole settled words out of the window.
         let new_base = wm & !63;
@@ -767,7 +857,7 @@ impl<S: Spec> Monitor<S> {
         }
         // Settled ops are placed everywhere: their predecessor sets and
         // watcher lists can never be consulted again.
-        for id in self.meta_base.max(self.base.min(wm))..wm {
+        for id in old_wm.max(self.meta_base)..wm {
             let m = &mut self.meta[id - self.meta_base];
             m.preds = None;
             m.watchers = Vec::new();
@@ -784,7 +874,7 @@ impl<S: Spec> Monitor<S> {
         for i in 0..self.configs.len() {
             let key = self.config_key(&self.configs[i]);
             self.configs[i].key = key;
-            self.index.entry(key).or_default().push(i);
+            self.configs[i].next = self.index.insert(key, i);
         }
     }
 
@@ -801,12 +891,15 @@ impl<S: Spec> Monitor<S> {
         };
     }
 
-    /// Enters a sticky terminal verdict and releases tracking state.
+    /// Enters a sticky terminal verdict and releases tracking state: no
+    /// later event reads a configuration or an op's metadata again.
     fn fail(&mut self, v: Verdict) {
         debug_assert!(v.is_sticky());
         self.verdict = v;
         self.configs = Vec::new();
-        self.index = HashMap::new();
+        self.index = HashMap::default();
+        self.spare = Vec::new();
+        self.meta = Vec::new();
         self.stats.live_configs = 0;
     }
 }
@@ -826,8 +919,11 @@ pub struct MonitorFeed<In, R: Rewrite<In>, S: Spec<Label = R::Out>> {
     monitor: Monitor<S>,
     parts: Vec<Parts>,
     /// Original ids below this are wholly settled; their predecessors are
-    /// implied and skipped when building rewritten visibility sets, which
-    /// keeps each feed O(concurrent window) instead of O(history).
+    /// implied and skipped when building rewritten visibility sets, so a
+    /// feed scans and inserts O(concurrent window) predecessors. The set
+    /// it builds is still an absolute-indexed [`BitSet`]: one allocation
+    /// of `id / 64` words per operation whose window is not empty — the
+    /// one O(history / 64) term left on the per-event path.
     orig_floor: usize,
     _in: PhantomData<fn(&In)>,
 }
@@ -1133,6 +1229,36 @@ mod tests {
         assert_eq!(m.verdict(), Verdict::Exhausted);
         assert_eq!(m.advance_op(L::Inc, BitSet::new()), Verdict::Exhausted);
         assert_eq!(m.live_configs(), 0);
+    }
+
+    /// `fail` releases everything a later event could only have read
+    /// through a live configuration — the metadata of a window that was
+    /// wide enough to exhaust included — while the verdict, the counters
+    /// and the id accounting go on as before.
+    #[test]
+    fn sticky_verdict_releases_all_tracking_state() {
+        let mut m = Monitor::new_streaming(CtrSpec, 1).with_max_live_configs(8);
+        m.advance_op(L::Inc, BitSet::new());
+        assert_eq!(m.observe_frontier(r(0), 1), Verdict::Ok);
+        assert!(!m.spare.is_empty(), "settlement retires the pruned parent");
+        m.advance_op(L::Inc, bits([0]));
+        m.advance_op(L::Inc, bits([0]));
+        assert!(!m.verdict().is_sticky());
+        assert!(m.meta.len() >= 2, "the open window holds its metadata");
+        assert_eq!(m.advance_op(L::Inc, bits([0])), Verdict::Exhausted);
+        assert_eq!(m.meta.capacity(), 0);
+        assert_eq!(m.spare.capacity(), 0);
+        assert_eq!(m.configs.capacity(), 0);
+        assert_eq!(m.index.capacity(), 0);
+        let stats = m.stats().clone();
+        assert_eq!(m.advance_op(L::Read(9), bits([0])), Verdict::Exhausted);
+        assert_eq!(m.observe_frontier(r(0), 5), Verdict::Exhausted);
+        assert_eq!(m.len(), 5);
+        assert_eq!(m.settled(), 1);
+        assert_eq!(m.stats().ops, stats.ops + 1);
+        assert_eq!(m.stats().queries, stats.queries + 1);
+        assert_eq!(m.stats().expansions, stats.expansions);
+        assert!(m.meta.is_empty());
     }
 
     #[test]
