@@ -14,6 +14,7 @@ use crate::outcome::{Sink, TypeReport, Violation};
 use crate::shrink::shrink_trace;
 use ral_core::history::History;
 use ral_core::spec::fingerprint;
+use ral_runtime::laws::Checks;
 use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
 

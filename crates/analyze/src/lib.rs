@@ -9,17 +9,17 @@
 //!   (the depth-first walk over reachable configurations, the witness, its
 //!   shrinking and replay) over three models ([`op_engine`],
 //!   [`state_engine`], [`ts_engine`]), each holding only its cluster's
-//!   transitions and predicates. Where
-//!   `ral_verify::state_props` / `commutativity` *sample* the obligations on
-//!   seeded random executions, the analyzer enumerates **every** cluster
-//!   configuration reachable within a scope bound `k` (every
+//!   transitions and the predicates that are the analyzer's own. Where
+//!   `ral_verify::state_props` / `commutativity` judge *sampled* seeded
+//!   executions, the analyzer enumerates **every** cluster configuration
+//!   reachable within a scope bound `k` (every
 //!   [`SmallScope`](ral_core::scope::SmallScope) generator call, origin
-//!   replica, and message interleaving) and checks each obligation on each
-//!   configuration: Prop1/Prop1′ effector commutativity, Prop2/Prop3
-//!   merge-effector exchange, Prop4 merge ACI + idempotence + monotonicity
-//!   w.r.t. `leq`, Prop5 origin replay, Prop6 idempotent re-application,
-//!   the delta laws, and timestamp-discipline conformance for both
-//!   composition modes `⊗` / `⊗ts`. A violation is shrunk
+//!   replica, and message interleaving) and judges each with the same
+//!   statements: effector commutativity, Prop1–Prop3, Prop5, Prop6 and the
+//!   argument order from `ral-verify`, the five lattice laws and the three
+//!   delta laws from `ral_runtime::laws`, plus its own timestamp-discipline
+//!   conformance for both composition modes `⊗` / `⊗ts` and quiescent
+//!   convergence. A violation is shrunk
 //!   delta-debugging-style ([`shrink`]) to a 1-minimal event trace and
 //!   printed as a replayable fixture.
 //! * **Determinism lint** ([`lint`]) — a hand-rolled Rust lexer (no `syn`)

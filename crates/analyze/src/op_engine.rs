@@ -14,7 +14,8 @@
 //!   concurrent operations are both deliverable at a replica (under causal
 //!   delivery, simultaneous deliverability *implies* concurrency), applying
 //!   them in either order must yield the same state. This is the premise of
-//!   the paper's Theorem 4.2 for operation-based types.
+//!   the paper's Theorem 4.2 for operation-based types; the statement is
+//!   [`ral_verify::commutativity::check_pending_pairs`].
 //! * **`ts-discipline`** — the OPERATION rule's side condition (Figure 7):
 //!   every generated timestamp strictly exceeds every timestamp visible at
 //!   the origin, and timestamps are globally unique.
@@ -22,19 +23,20 @@
 //!   delivery is pending, all replicas hold equal states.
 //!
 //! The walk, the witness and its shrinking are the private `explorer`
-//! module's; this one is the `Model` of a [`Cluster`] and the three
+//! module's; this one is the `Model` of a [`Cluster`] and the last two
 //! predicates above.
 
 use crate::explorer::{check_ts_discipline, explore, write_history_key, Model};
 use crate::outcome::{Sink, TypeReport};
 use ral_core::ids::ReplicaId;
 use ral_core::scope::SmallScope;
+use ral_runtime::laws::Checks;
 use ral_runtime::op_based::{Cluster, OpBased};
+use ral_verify::commutativity::check_pending_pairs;
 use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
 
-/// Obligation key: Prop1 effector commutativity of concurrent operations.
-pub const OB_COMMUTE: &str = "effector-commutativity";
+pub use ral_verify::commutativity::OB_COMMUTE;
 /// Obligation key: timestamp freshness + uniqueness (Figure 7 side condition).
 pub const OB_TS: &str = "ts-discipline";
 /// Obligation key: equal states once no delivery is pending.
@@ -194,36 +196,7 @@ where
 fn check_config<C: OpBased>(cluster: &Cluster<C>, sink: &mut Sink) {
     let n = cluster.n_replicas();
 
-    // Prop1: effectors of concurrent operations commute. Two deliveries that
-    // are simultaneously deliverable at `r` are necessarily of concurrent
-    // operations: if one saw the other, causal delivery would force the seen
-    // one to be applied (hence not deliverable) first.
-    for r in 0..n {
-        let r = ReplicaId(r as u32);
-        let ds = cluster.deliverable(r);
-        for (i, &d1) in ds.iter().enumerate() {
-            for &d2 in &ds[i + 1..] {
-                let (Some(e1), Some(e2)) = (cluster.delivery_eff(d1), cluster.delivery_eff(d2))
-                else {
-                    continue; // identity effectors commute trivially
-                };
-                let mut ab = cluster.state(r).clone();
-                cluster.crdt().apply(&mut ab, e1);
-                cluster.crdt().apply(&mut ab, e2);
-                let mut ba = cluster.state(r).clone();
-                cluster.crdt().apply(&mut ba, e2);
-                cluster.crdt().apply(&mut ba, e1);
-                sink.check(OB_COMMUTE, ab == ba, || {
-                    format!(
-                        "concurrent effectors {e1:?} and {e2:?} do not commute on \
-                         state {:?} at {r}: {ab:?} vs {ba:?}",
-                        cluster.state(r)
-                    )
-                });
-            }
-        }
-    }
-
+    check_pending_pairs(cluster, sink);
     let h = cluster.history();
     check_ts_discipline(h, OB_TS, |_, _| true, sink);
 

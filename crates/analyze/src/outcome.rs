@@ -1,5 +1,6 @@
 //! Result types shared by the obligation engines.
 
+use ral_runtime::laws::Checks;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -89,17 +90,19 @@ pub(crate) struct Sink {
     violation: Option<(&'static str, String)>,
 }
 
-impl Sink {
-    pub(crate) fn new() -> Self {
-        Sink::default()
-    }
-
-    /// Records one check of `kind`; on the first failure, captures `detail`.
-    pub(crate) fn check(&mut self, kind: &'static str, ok: bool, detail: impl FnOnce() -> String) {
+/// Records one check of `kind`; on the first failure, captures `detail`.
+impl Checks for Sink {
+    fn check(&mut self, kind: &'static str, ok: bool, detail: impl FnOnce() -> String) {
         *self.counts.entry(kind).or_insert(0) += 1;
         if !ok && self.violation.is_none() {
             self.violation = Some((kind, detail()));
         }
+    }
+}
+
+impl Sink {
+    pub(crate) fn new() -> Self {
+        Sink::default()
     }
 
     /// Ensures `kind` appears in the output even if no check of it ran.

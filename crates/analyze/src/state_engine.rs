@@ -7,7 +7,8 @@
 //! duplicate is a merge of a state already below the receiver — the lattice
 //! checks on each configuration cover it). On every configuration the engine
 //! discharges the Appendix D obligations over the *configuration's state
-//! set* — every replica state plus every in-flight snapshot:
+//! set* — every replica state plus every in-flight snapshot — with the
+//! statements of [`ral_verify::state_props`] and [`ral_runtime::laws`]:
 //!
 //! * **`prop1-commutativity`** — local effectors commute (restricted to
 //!   concurrent operations for the uniquely-identified class, Prop1;
@@ -28,7 +29,8 @@
 //!
 //! The walk, the witness and its shrinking are the private `explorer`
 //! module's; this one is the `Model` of a [`StateCluster`] under those
-//! budgets and the predicates above.
+//! budgets, handing each configuration and invocation edge to the
+//! predicates above (only `ts-discipline` is stated in this crate).
 
 use crate::explorer::{check_ts_discipline, explore, write_history_key, Model};
 use crate::outcome::{Sink, TypeReport};
@@ -36,28 +38,17 @@ use ral_core::ids::ReplicaId;
 use ral_core::scope::SmallScope;
 use ral_crdts::state::local::{EffectorClass, LocalEffector};
 use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::laws;
 use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_verify::state_props;
 use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
 
-/// Obligation key: Prop1/Prop1′ local-effector commutativity.
-pub const OB_PROP1: &str = "prop1-commutativity";
-/// Obligation key: Prop2 merge/effector exchange under `P`.
-pub const OB_PROP2: &str = "prop2-merge-exchange";
-/// Obligation key: Prop3 apply-on-both-sides exchange.
-pub const OB_PROP3: &str = "prop3-shared-apply";
-/// Obligation key: Prop4 + lattice laws (ACI, upper bound, monotonicity).
-pub const OB_PROP4: &str = "prop4-lattice";
-/// Obligation key: Prop5 invocation-vs-local-effector agreement.
-pub const OB_PROP5: &str = "prop5-origin-replay";
-/// Obligation key: Prop6 idempotent re-application.
-pub const OB_PROP6: &str = "prop6-idempotent-apply";
-/// Obligation key: Lemma E.1/E.2 argument uniqueness and order.
-pub const OB_ARG_ORDER: &str = "arg-order";
+pub use ral_runtime::laws::{OB_DELTA, OB_PROP4};
+pub use ral_verify::state_props::{OB_ARG_ORDER, OB_PROP1, OB_PROP2, OB_PROP3, OB_PROP5, OB_PROP6};
+
 /// Obligation key: timestamp freshness + uniqueness.
 pub const OB_TS: &str = "ts-discipline";
-/// Obligation key: the four delta laws of [`DeltaCrdt`].
-pub const OB_DELTA: &str = "delta-laws";
 
 /// Bound on snapshot messages per explored execution. Two snapshots suffice
 /// to cross two concurrent updates both ways — the shape every merge
@@ -240,218 +231,28 @@ fn check_invoke_edge<C>(pre: &C::State, cluster: &StateCluster<C>, op: usize, si
 where
     C: LocalEffector + DeltaCrdt,
 {
-    let crdt = cluster.crdt();
     let record = cluster.history().op(op);
     let post = cluster.state(record.replica);
-    match crdt.effector_arg(&record.label, record.replica, record.ts) {
-        Some(arg) => {
-            let mut replay = pre.clone();
-            crdt.apply_arg(&mut replay, &arg);
-            sink.check(OB_PROP5, replay == *post, || {
-                format!(
-                    "Prop5: apply_arg({arg:?}) on {pre:?} gives {replay:?}, \
-                     but the invocation produced {post:?}"
-                )
-            });
-        }
-        None => {
-            sink.check(OB_PROP5, pre == post, || {
-                format!("Prop5: query changed the state from {pre:?} to {post:?}")
-            });
-        }
-    }
-    if pre != post {
-        let delta = crdt.diff(pre, post);
-        let rejoined = crdt.join(pre, &delta);
-        sink.check(OB_DELTA, rejoined == *post, || {
-            format!(
-                "delta decomposition: join(pre, diff(pre, post)) = {rejoined:?} \
-                 but post = {post:?}"
-            )
-        });
-    }
+    state_props::check_invoke_edge(cluster.crdt(), pre, post, record, sink);
+    laws::delta_decomposition(cluster.crdt(), pre, post, sink);
 }
 
-/// Discharges the configuration-level obligations over the state set
-/// (replica states + in-flight snapshots) and the recorded history.
+/// Discharges the configuration-level obligations over the distinct states
+/// of the configuration (replica states + in-flight snapshots) and the
+/// recorded history.
 fn check_config<C>(cluster: &StateCluster<C>, sink: &mut Sink)
 where
     C: LocalEffector + DeltaCrdt,
 {
     let crdt = cluster.crdt();
-    let n = cluster.n_replicas();
-    let mut states: Vec<&C::State> = (0..n).map(|r| cluster.state(ReplicaId(r as u32))).collect();
-    states.extend((0..cluster.n_messages()).map(|m| cluster.message_state(m)));
-    // Equal states are interchangeable in every check below.
-    let mut uniq: Vec<&C::State> = Vec::new();
-    for s in states {
-        if !uniq.contains(&s) {
-            uniq.push(s);
-        }
-    }
-    let states = uniq;
-
+    let replicas = (0..cluster.n_replicas()).map(|r| cluster.state(ReplicaId(r as u32)));
+    let snapshots = (0..cluster.n_messages()).map(|m| cluster.message_state(m));
+    let states = laws::distinct(replicas.chain(snapshots));
     let h = cluster.history();
-    let args: Vec<(usize, C::Arg)> = (0..h.len())
-        .filter_map(|i| {
-            crdt.effector_arg(h.label(i), h.op(i).replica, h.op(i).ts)
-                .map(|a| (i, a))
-        })
-        .collect();
-
-    // Prop4 + lattice laws first: they are the foundation the other
-    // properties quantify over, so a type that is not even a semilattice
-    // (e.g. the SummingCounter fixture) is reported as a lattice violation
-    // rather than as whichever of Prop1–Prop3 happens to trip over it.
-    for a in &states {
-        sink.check(OB_PROP4, crdt.merge(a, a) == **a, || {
-            format!("merge is not idempotent on {a:?}")
-        });
-        for b in &states {
-            let ab = crdt.merge(a, b);
-            sink.check(OB_PROP4, ab == crdt.merge(b, a), || {
-                format!("merge is not commutative on {a:?} / {b:?}")
-            });
-            sink.check(OB_PROP4, crdt.leq(a, &ab) && crdt.leq(b, &ab), || {
-                format!("merge of {a:?} / {b:?} is not an upper bound w.r.t. leq")
-            });
-            for c in &states {
-                sink.check(
-                    OB_PROP4,
-                    crdt.merge(&ab, c) == crdt.merge(a, &crdt.merge(b, c)),
-                    || format!("merge is not associative on {a:?} / {b:?} / {c:?}"),
-                );
-                if crdt.leq(a, b) {
-                    sink.check(
-                        OB_PROP4,
-                        crdt.leq(&crdt.merge(a, c), &crdt.merge(b, c)),
-                        || {
-                            format!(
-                                "merge is not monotone: {a:?} ⊑ {b:?} but not after merging {c:?}"
-                            )
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    // Prop1 / Prop1′.
-    for (i, (op1, a1)) in args.iter().enumerate() {
-        for (op2, a2) in &args[i + 1..] {
-            if crdt.class() == EffectorClass::UniquelyIdentified && !h.concurrent(*op1, *op2) {
-                continue;
-            }
-            for s in &states {
-                let mut ab = (*s).clone();
-                crdt.apply_arg(&mut ab, a1);
-                crdt.apply_arg(&mut ab, a2);
-                let mut ba = (*s).clone();
-                crdt.apply_arg(&mut ba, a2);
-                crdt.apply_arg(&mut ba, a1);
-                sink.check(OB_PROP1, ab == ba, || {
-                    format!("Prop1: {a1:?} and {a2:?} do not commute on {s:?}: {ab:?} vs {ba:?}")
-                });
-            }
-        }
-    }
-
-    // Prop2 / Prop3.
-    let unconditional_p3 = crdt.class() != EffectorClass::UniquelyIdentified;
-    for s1 in &states {
-        for s2 in &states {
-            for (_, arg) in &args {
-                let p_both = crdt.p_pred(s1, arg) && crdt.p_pred(s2, arg);
-                if p_both {
-                    let mut applied2 = (*s2).clone();
-                    crdt.apply_arg(&mut applied2, arg);
-                    let lhs = crdt.merge(s1, &applied2);
-                    let mut rhs = crdt.merge(s1, s2);
-                    crdt.apply_arg(&mut rhs, arg);
-                    sink.check(OB_PROP2, lhs == rhs, || {
-                        format!("Prop2 fails for {arg:?} on {s1:?} / {s2:?}")
-                    });
-                }
-                if p_both || unconditional_p3 {
-                    let mut applied1 = (*s1).clone();
-                    crdt.apply_arg(&mut applied1, arg);
-                    let mut applied2 = (*s2).clone();
-                    crdt.apply_arg(&mut applied2, arg);
-                    let lhs = crdt.merge(&applied1, &applied2);
-                    let mut rhs = crdt.merge(s1, s2);
-                    crdt.apply_arg(&mut rhs, arg);
-                    sink.check(OB_PROP3, lhs == rhs, || {
-                        format!("Prop3 fails for {arg:?} on {s1:?} / {s2:?}")
-                    });
-                }
-            }
-        }
-    }
-
-    // Prop6 (idempotent class).
-    if crdt.class() == EffectorClass::Idempotent {
-        for s in &states {
-            for (_, arg) in &args {
-                let mut once = (*s).clone();
-                crdt.apply_arg(&mut once, arg);
-                let mut twice = once.clone();
-                crdt.apply_arg(&mut twice, arg);
-                sink.check(OB_PROP6, once == twice, || {
-                    format!("Prop6: {arg:?} is not idempotent on {s:?}")
-                });
-            }
-        }
-    }
-
-    // Lemma E.1/E.2 (uniquely-identified class).
-    if crdt.class() == EffectorClass::UniquelyIdentified {
-        for (i, (op1, a1)) in args.iter().enumerate() {
-            for (op2, a2) in &args[i + 1..] {
-                sink.check(OB_ARG_ORDER, a1 != a2, || {
-                    format!("argument {a1:?} of ops {op1}/{op2} is not unique")
-                });
-                if a1 == a2 {
-                    continue;
-                }
-                if h.sees(*op2, *op1) {
-                    sink.check(OB_ARG_ORDER, crdt.arg_lt(a1, a2), || {
-                        format!("visibility {op1}≺{op2} but not {a1:?} < {a2:?}")
-                    });
-                } else if h.sees(*op1, *op2) {
-                    sink.check(OB_ARG_ORDER, crdt.arg_lt(a2, a1), || {
-                        format!("visibility {op2}≺{op1} but not {a2:?} < {a1:?}")
-                    });
-                } else if crdt.concurrent_incomparable() {
-                    sink.check(
-                        OB_ARG_ORDER,
-                        !crdt.arg_lt(a1, a2) && !crdt.arg_lt(a2, a1),
-                        || format!("concurrent ops {op1}, {op2} have comparable args"),
-                    );
-                }
-            }
-        }
-    }
-
+    let args = state_props::effector_args(crdt, h);
+    state_props::check_config(crdt, h, &states, &args, sink);
     check_ts_discipline(h, OB_TS, |_, _| true, sink);
-
-    // Delta laws: resynchronization and batching.
-    for a in &states {
-        for b in &states {
-            let resync = crdt.join(a, &crdt.full_delta(b));
-            sink.check(OB_DELTA, resync == crdt.merge(a, b), || {
-                format!("delta resync: join(a, full_delta(b)) ≠ merge(a, b) for {a:?} / {b:?}")
-            });
-            for t in &states {
-                let da = crdt.full_delta(a);
-                let db = crdt.full_delta(b);
-                let one_by_one = crdt.join(&crdt.join(t, &da), &db);
-                let batched = crdt.join(t, &crdt.join_deltas(&da, &db));
-                sink.check(OB_DELTA, one_by_one == batched, || {
-                    format!("delta batching differs on {t:?} with deltas of {a:?} / {b:?}")
-                });
-            }
-        }
-    }
+    laws::delta_laws(crdt, &states, sink);
 }
 
 /// A canonical rendering of a configuration: replica states and seen sets,

@@ -1,9 +1,15 @@
-//! Cross-validation of the two verification layers.
+//! Cross-validation of the two verification walks.
 //!
-//! The repo now has two independent ways to check the paper's obligations:
-//! the seeded random suites in `ral-verify` (sampling, deep executions) and
-//! the bounded-exhaustive engines in `ral-analyze` (complete, shallow
-//! executions). They must never disagree:
+//! The repo has two independent ways to *produce the configurations* the
+//! paper's obligations are judged on: the seeded random suites in
+//! `ral-verify` (sampling, deep executions) and the bounded-exhaustive
+//! engines in `ral-analyze` (complete, shallow executions). The obligations
+//! themselves are stated once (`ral_runtime::laws`,
+//! `ral_verify::{state_props, commutativity}`) and both walks report into
+//! them, so agreement here shows neither walk misses what the other
+//! reaches; that the predicates can fail at all is shown by the mutant
+//! tables beside them, the two fixtures below and Figure 10
+//! (`fixtures/fig10_inversion.txt`). The walks must never disagree:
 //!
 //! * on every **shipped** CRDT, the analyzer discharges and the seeded
 //!   suite passes;

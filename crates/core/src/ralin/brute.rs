@@ -141,88 +141,6 @@ pub fn search_brute_with_budget<S: Spec>(
     }
 }
 
-/// Counts all valid RA-linearizations of `h` (up to `budget` search nodes;
-/// completed linearizations are free, so an exactly-sufficient budget
-/// reports `completed = true`).
-///
-/// Returns `(count, completed)`; `completed` is `false` if the budget ran
-/// out. Useful for ablation benchmarks on the size of the witness space.
-pub fn count_linearizations<S: Spec>(h: &History<S::Label>, spec: &S, budget: u64) -> (u64, bool) {
-    struct Counter<'a, S: Spec> {
-        inner: Search<'a, S>,
-        count: u64,
-    }
-    impl<S: Spec> Counter<'_, S> {
-        fn dfs(&mut self, depth: usize, frontier: &Frontier<'_, S>) {
-            if depth == self.inner.h.len() {
-                self.count += 1;
-                return;
-            }
-            if self.inner.budget == 0 {
-                self.inner.exhausted = true;
-                return;
-            }
-            self.inner.budget -= 1;
-            for x in 0..self.inner.h.len() {
-                if self.inner.placed[x] || self.inner.missing[x] != 0 {
-                    continue;
-                }
-                self.inner.placed[x] = true;
-                self.inner.pos[x] = depth;
-
-                let feasible;
-                let mut next_frontier = None;
-                if self.inner.h.label(x).is_update() {
-                    let mut f = frontier.clone();
-                    feasible = f.advance(self.inner.h.label(x));
-                    next_frontier = Some(f);
-                } else {
-                    feasible = query_justified(self.inner.h, self.inner.spec, x, &self.inner.pos);
-                }
-
-                if feasible {
-                    for succ in 0..self.inner.h.len() {
-                        if self.inner.h.sees(succ, x) {
-                            self.inner.missing[succ] -= 1;
-                        }
-                    }
-                    match &next_frontier {
-                        Some(f) => self.dfs(depth + 1, f),
-                        None => self.dfs(depth + 1, frontier),
-                    }
-                    for succ in 0..self.inner.h.len() {
-                        if self.inner.h.sees(succ, x) {
-                            self.inner.missing[succ] += 1;
-                        }
-                    }
-                }
-
-                self.inner.pos[x] = usize::MAX;
-                self.inner.placed[x] = false;
-                if self.inner.exhausted {
-                    return;
-                }
-            }
-        }
-    }
-    let mut c = Counter {
-        inner: Search {
-            h,
-            spec,
-            missing: init_missing(h),
-            placed: vec![false; h.len()],
-            pos: vec![usize::MAX; h.len()],
-            order: Vec::new(),
-            budget,
-            exhausted: false,
-        },
-        count: 0,
-    };
-    let frontier = Frontier::new(spec);
-    c.dfs(0, &frontier);
-    (c.count, !c.inner.exhausted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,44 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn counts_all_witnesses() {
-        // Two concurrent adds, no queries: both orders are valid.
-        let mut h = History::new();
-        h.push(OpRecord::new(L::Add(1), r(0)), []);
-        h.push(OpRecord::new(L::Add(2), r(1)), []);
-        let (count, complete) = count_linearizations(&h, &SetSpec, u64::MAX);
-        assert!(complete);
-        assert_eq!(count, 2);
-    }
-
-    #[test]
-    fn count_respects_visibility() {
-        let mut h = History::new();
-        let a = h.push(OpRecord::new(L::Add(1), r(0)), []);
-        h.push(OpRecord::new(L::Add(2), r(0)), [a]);
-        let (count, complete) = count_linearizations(&h, &SetSpec, u64::MAX);
-        assert!(complete);
-        assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn count_with_exact_budget_is_complete() {
-        // Regression for the budget off-by-one in the counter: two
-        // concurrent adds explore 3 charged nodes (root + one per first
-        // placement); the two completed leaves are free. An exact budget
-        // must report the exact count as complete.
-        let mut h = History::new();
-        h.push(OpRecord::new(L::Add(1), r(0)), []);
-        h.push(OpRecord::new(L::Add(2), r(1)), []);
-        assert_eq!(count_linearizations(&h, &SetSpec, 3), (2, true));
-        // One node short: the second branch is cut mid-way.
-        assert_eq!(count_linearizations(&h, &SetSpec, 2), (1, false));
-    }
-
-    #[test]
     fn empty_history_is_linearizable() {
         let h: History<L> = History::new();
         assert!(search_brute(&h, &SetSpec).is_linearizable());
-        assert_eq!(count_linearizations(&h, &SetSpec, 100), (1, true));
     }
 }

@@ -14,8 +14,7 @@
 
 use super::check::{check_linearization, Violation};
 use super::{Linearization, Strategy};
-use crate::history::{rewrite_history, History};
-use crate::label::Rewrite;
+use crate::history::History;
 use crate::spec::Spec;
 use crate::timestamp::Ts;
 
@@ -54,26 +53,6 @@ pub fn check_guided<S: Spec>(
     };
     check_linearization(h, spec, &order)?;
     Ok(Linearization { order })
-}
-
-/// Rewrites a history with `γ` and then checks the guided linearization —
-/// convenience over [`rewrite_history`] + [`check_guided`].
-///
-/// # Errors
-///
-/// Propagates the [`Violation`] from [`check_guided`].
-pub fn check_rewritten<In, R, S>(
-    h: &History<In>,
-    rw: &R,
-    spec: &S,
-    strategy: Strategy,
-) -> Result<Linearization, Violation>
-where
-    R: Rewrite<In, Out = S::Label>,
-    S: Spec,
-{
-    let rewritten = rewrite_history(h, rw);
-    check_guided(&rewritten.history, spec, strategy)
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ const MEMO_CAP: usize = 1 << 20;
 
 /// Diagnostic counters of one complete search, returned by the `_stats`
 /// entry points ([`search_with_stats`],
-/// [`super::ra_search_with_stats`], [`super::ra_search_sharded_with_stats`]).
+/// [`super::ra_search_with_stats`], [`super::search_sharded_with_stats`]).
 ///
 /// The counts describe *work done*, not the verdict. Every walk is
 /// sequential and the sharded engine walks every shard to completion, so

@@ -52,9 +52,9 @@ pub mod memo;
 pub mod monitor;
 pub mod sharded;
 
-pub use brute::{count_linearizations, search_brute, search_brute_with_budget};
+pub use brute::{search_brute, search_brute_with_budget};
 pub use check::{check_linearization, Violation};
-pub use guided::{check_guided, check_rewritten, execution_order_of, timestamp_order_of};
+pub use guided::{check_guided, execution_order_of, timestamp_order_of};
 pub use memo::{search, search_with_budget, search_with_stats, SearchStats};
 pub use monitor::{monitor_history, Monitor, MonitorFeed, MonitorStats, Verdict};
 pub use sharded::{
@@ -336,23 +336,6 @@ where
 {
     let rewritten = rewrite_history(h, rw);
     search_sharded(&rewritten.history, spec)
-}
-
-/// [`ra_search_sharded`], also returning the merged [`SearchStats`] of
-/// every shard walk; `stats.shards` and `stats.fallback` report the
-/// sharding shape and the Figure 10 fallback regime.
-pub fn ra_search_sharded_with_stats<In, R, S>(
-    h: &History<In>,
-    rw: &R,
-    spec: &S,
-) -> (SearchOutcome, SearchStats)
-where
-    R: Rewrite<In, Out = S::Label>,
-    S: ShardableSpec,
-    S::Label: ComposedLabel,
-{
-    let rewritten = rewrite_history(h, rw);
-    search_sharded_with_stats(&rewritten.history, spec, u64::MAX)
 }
 
 /// [`ra_search_sharded`] with a node budget, applied per shard (and to

@@ -17,8 +17,8 @@
 //!    global history.
 //! 2. **Search every shard independently** with the memoized engine,
 //!    against the per-object component specification
-//!    ([`ShardableSpec::search_shard`]), one sequential walk per shard in
-//!    ascending-object order. The cost is the *sum* of per-object
+//!    ([`ShardableSpec::search_shard_with_stats`]), one sequential walk per
+//!    shard in ascending-object order. The cost is the *sum* of per-object
 //!    exponentials instead of their product.
 //! 3. **Stitch** the per-object witnesses into one global linearization:
 //!    a topological merge of `vis ∪ (per-object witness order)`
@@ -115,26 +115,15 @@ where
 {
     /// Runs the complete memoized search on one shard (a sub-history whose
     /// operations all belong to `obj`) against the per-object component
-    /// specification. `budget` as in [`super::memo::search_with_budget`];
-    /// the returned witness is in shard-local indices.
-    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome;
-
-    /// [`ShardableSpec::search_shard`], also returning the
-    /// [`SearchStats`] of the shard walk. The default implementation
-    /// delegates to `search_shard` and reports empty stats; the built-in
-    /// composed specifications override it so the sharded engine's merged
-    /// stats reflect real per-shard work.
+    /// specification, returning the outcome and the [`SearchStats`] of the
+    /// shard walk. `budget` as in [`super::memo::search_with_budget`]; the
+    /// returned witness is in shard-local indices.
     fn search_shard_with_stats(
         &self,
         obj: ObjId,
         shard: &History<Self::Label>,
         budget: u64,
-    ) -> (SearchOutcome, SearchStats) {
-        (
-            self.search_shard(obj, shard, budget),
-            SearchStats::default(),
-        )
-    }
+    ) -> (SearchOutcome, SearchStats);
 
     /// Component-level admission: runs `updates` (labels of `obj`, in
     /// candidate order) through the per-object specification and, when
@@ -152,10 +141,6 @@ where
 }
 
 impl<S: Spec> ShardableSpec for MultiObjSpec<S> {
-    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
-        self.search_shard_with_stats(obj, shard, budget).0
-    }
-
     fn search_shard_with_stats(
         &self,
         _obj: ObjId,
@@ -181,10 +166,6 @@ impl<S: Spec> ShardableSpec for MultiObjSpec<S> {
 }
 
 impl<S1: Spec, S2: Spec> ShardableSpec for PairSpec<S1, S2> {
-    fn search_shard(&self, obj: ObjId, shard: &History<Self::Label>, budget: u64) -> SearchOutcome {
-        self.search_shard_with_stats(obj, shard, budget).0
-    }
-
     fn search_shard_with_stats(
         &self,
         obj: ObjId,

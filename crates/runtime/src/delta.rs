@@ -41,6 +41,7 @@
 //! differentially on every scenario in the `ral-sim` corpus.
 
 use crate::gen::GenCtx;
+use crate::laws;
 use crate::membership::Member;
 use crate::state_based::{StateBased, StateOutcome};
 use ral_core::bitset::BitSet;
@@ -68,10 +69,10 @@ pub enum DeltaOutcome<R, S, D> {
 
 /// A state-based CRDT with delta mutators.
 ///
-/// Implementations must satisfy the **delta laws** (checked by the unit
-/// tests of each implementation and differentially by
-/// `ral_verify::delta`), for all reachable states `s`, `t` and mutation
-/// deltas `a`, `b`:
+/// Implementations must satisfy the **delta laws** (stated in
+/// [`crate::laws`], discharged by [`DeltaCluster::check_lattice_laws`] and
+/// `ral-analyze`, and checked differentially by `ral_verify::delta`), for
+/// all reachable states `s`, `t` and mutation deltas `a`, `b`:
 ///
 /// 1. *decomposition* — if [`StateBased::invoke`] moves `s` to `s'`, then
 ///    `join(s, diff(s, s')) == s'`;
@@ -722,36 +723,15 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         obs::observe("runtime.delta.sync_batch", applies);
     }
 
-    /// Spot-checks the same three lattice laws on the current replica
-    /// states as [`StateCluster::check_lattice_laws`] (idempotence,
-    /// commutativity, upper bound) plus the delta *resync* law on every pair
-    /// of them: joining `b`'s full delta into `a` is merging with `b`.
-    /// Buffered deltas are not inspected, and the decomposition and batching
-    /// laws are not checked here; `ral-analyze`'s `delta-laws` row
-    /// discharges all three.
-    ///
-    /// [`StateCluster::check_lattice_laws`]: crate::state_based::StateCluster::check_lattice_laws
+    /// Whether the five join-semilattice laws ([`laws::lattice_laws`]) and
+    /// the delta resync and batching laws ([`laws::delta_laws`]) hold on the
+    /// distinct current replica states. Buffered deltas are not inspected.
     pub fn check_lattice_laws(&self) -> bool {
-        let states: Vec<&C::State> = self.replicas.iter().map(|n| &n.core.state).collect();
-        for a in &states {
-            if self.crdt.merge(a, a) != **a {
-                return false;
-            }
-            for b in &states {
-                let ab = self.crdt.merge(a, b);
-                if ab != self.crdt.merge(b, a) {
-                    return false;
-                }
-                if !self.crdt.leq(a, &ab) || !self.crdt.leq(b, &ab) {
-                    return false;
-                }
-                // Resync law: joining b's full delta is merging with b.
-                if self.crdt.join(a, &self.crdt.full_delta(b)) != ab {
-                    return false;
-                }
-            }
-        }
-        true
+        let states = laws::distinct(self.replicas.iter().map(|n| &n.core.state));
+        let mut all_hold = true;
+        laws::lattice_laws(&self.crdt, &states, &mut all_hold);
+        laws::delta_laws(&self.crdt, &states, &mut all_hold);
+        all_hold
     }
 
     /// Whether replica `r` is running (not crashed).

@@ -20,6 +20,9 @@
 //!   delta-mutator API and [`delta::DeltaCluster`], a bandwidth-proportional
 //!   transport with per-replica delta buffers, interval batching,
 //!   ack-driven garbage collection, and full-state resync fallback;
+//! * [`laws`] — the join-semilattice laws and the delta laws, stated once
+//!   for every gate that discharges them, and the [`laws::Checks`] sink
+//!   they report into;
 //! * [`schedule`] — seeded random schedulers driving clusters through
 //!   interleavings, plus convergence helpers.
 //!
@@ -43,6 +46,7 @@
 
 pub mod delta;
 pub mod gen;
+pub mod laws;
 pub mod mailbox;
 pub mod membership;
 pub mod multi;

@@ -10,6 +10,7 @@
 //! Liveness and visibility bookkeeping live in the shared [`Member`].
 
 use crate::gen::GenCtx;
+use crate::laws;
 use crate::membership::Member;
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
@@ -325,30 +326,13 @@ impl<C: StateBased> StateCluster<C> {
         self.replicas.windows(2).all(|w| w[0].state == w[1].state)
     }
 
-    /// Spot-checks three lattice laws on the current replica states: merge
-    /// is idempotent, commutative, and an upper bound w.r.t. `leq`. Neither
-    /// associativity nor monotonicity is checked here:
-    /// `ral_verify::state_props` adds associativity on sampled executions,
-    /// and `ral-analyze`'s `prop4-lattice` row discharges all five on every
-    /// configuration within its scope, in-flight snapshots included.
+    /// Whether the five join-semilattice laws ([`laws::lattice_laws`]) hold
+    /// on the distinct current replica states.
     pub fn check_lattice_laws(&self) -> bool {
-        let states: Vec<&C::State> = self.replicas.iter().map(|n| &n.state).collect();
-        for a in &states {
-            if self.crdt.merge(a, a) != **a {
-                return false;
-            }
-            for b in &states {
-                let ab = self.crdt.merge(a, b);
-                let ba = self.crdt.merge(b, a);
-                if ab != ba {
-                    return false;
-                }
-                if !self.crdt.leq(a, &ab) || !self.crdt.leq(b, &ab) {
-                    return false;
-                }
-            }
-        }
-        true
+        let states = laws::distinct(self.replicas.iter().map(|n| &n.state));
+        let mut all_hold = true;
+        laws::lattice_laws(&self.crdt, &states, &mut all_hold);
+        all_hold
     }
 
     /// Whether replica `r` is running (not crashed).

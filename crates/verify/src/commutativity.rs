@@ -9,12 +9,15 @@
 //! concurrent operations are simultaneously deliverable at a replica, both
 //! application orders must yield the same state.
 
-use crate::report::Report;
+use crate::report::{Checks, Report};
 use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::op_based::{Cluster, OpBased};
 use std::ops::Range;
+
+/// Obligation key: effector commutativity of concurrent operations.
+pub const OB_COMMUTE: &str = "effector-commutativity";
 
 /// Checks Commutativity for an operation-based CRDT over seeded random
 /// executions.
@@ -57,46 +60,46 @@ impl<C: OpBased> Observer<C> for PendingPairs {
     }
 
     fn seed_done(&mut self, seed: u64, converged: bool) {
-        if converged {
-            self.report.pass();
-        } else {
-            self.report
-                .fail(format!("seed {seed}: replicas did not converge"));
-        }
+        self.report.check("convergence", converged, || {
+            format!("seed {seed}: replicas did not converge")
+        });
     }
 }
 
-fn check_pending_pairs<C: OpBased>(cluster: &Cluster<C>, report: &mut Report) {
-    let h = cluster.history();
+/// Effector commutativity on one configuration: whenever the effectors of
+/// two operations are both deliverable at a replica, applying them in either
+/// order yields the same state. Under causal delivery two simultaneously
+/// deliverable effectors are necessarily of concurrent operations: if one
+/// saw the other, the seen one would have to be applied (hence no longer
+/// deliverable) first.
+pub fn check_pending_pairs<C: OpBased>(cluster: &Cluster<C>, sink: &mut impl Checks) {
+    let (crdt, h) = (cluster.crdt(), cluster.history());
     for r in 0..cluster.n_replicas() {
         let r = ReplicaId(r as u32);
         let ds = cluster.deliverable(r);
         for (i, &d1) in ds.iter().enumerate() {
             for &d2 in &ds[i + 1..] {
-                let (op1, op2) = (cluster.delivery_op(d1), cluster.delivery_op(d2));
                 debug_assert!(
-                    h.concurrent(op1, op2),
+                    h.concurrent(cluster.delivery_op(d1), cluster.delivery_op(d2)),
                     "simultaneously deliverable effectors must be concurrent"
                 );
                 let (Some(e1), Some(e2)) = (cluster.delivery_eff(d1), cluster.delivery_eff(d2))
                 else {
-                    continue; // identity effectors trivially commute
+                    continue; // identity effectors commute trivially
                 };
-                let crdt = cluster.crdt();
-                let mut one_two = cluster.state(r).clone();
-                crdt.apply(&mut one_two, e1);
-                crdt.apply(&mut one_two, e2);
-                let mut two_one = cluster.state(r).clone();
-                crdt.apply(&mut two_one, e2);
-                crdt.apply(&mut two_one, e1);
-                if one_two == two_one {
-                    report.pass();
-                } else {
-                    report.fail(format!(
-                        "effectors of operations {op1} and {op2} do not commute at {r}: \
-                         {one_two:?} vs {two_one:?}"
-                    ));
-                }
+                let mut ab = cluster.state(r).clone();
+                crdt.apply(&mut ab, e1);
+                crdt.apply(&mut ab, e2);
+                let mut ba = cluster.state(r).clone();
+                crdt.apply(&mut ba, e2);
+                crdt.apply(&mut ba, e1);
+                sink.check(OB_COMMUTE, ab == ba, || {
+                    format!(
+                        "concurrent effectors {e1:?} and {e2:?} do not commute on \
+                         state {:?} at {r}: {ab:?} vs {ba:?}",
+                        cluster.state(r)
+                    )
+                });
             }
         }
     }

@@ -8,11 +8,12 @@
 //! operations are in the *same state*, not just after full delivery but at
 //! every intermediate instant.
 
-use crate::report::Report;
+use crate::report::{Checks, Report};
 use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::op_based::{Cluster, OpBased};
+use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
 use ral_runtime::state_based::{StateBased, StateCluster};
 use std::ops::Range;
 
@@ -54,12 +55,9 @@ impl<C: OpBased> Observer<C> for EqualViews {
     }
 
     fn seed_done(&mut self, seed: u64, converged: bool) {
-        if converged {
-            self.report.pass();
-        } else {
-            self.report
-                .fail(format!("seed {seed}: no convergence after full delivery"));
-        }
+        self.report.check("convergence", converged, || {
+            format!("seed {seed}: no convergence after full delivery")
+        });
     }
 }
 
@@ -68,13 +66,11 @@ fn check_equal_views_equal_states<C: OpBased>(cluster: &Cluster<C>, report: &mut
         for b in a + 1..cluster.n_replicas() {
             let (ra, rb) = (ReplicaId(a as u32), ReplicaId(b as u32));
             if cluster.seen(ra) == cluster.seen(rb) {
-                if cluster.state(ra) == cluster.state(rb) {
-                    report.pass();
-                } else {
-                    report.fail(format!(
-                        "replicas {ra} and {rb} saw the same operations but diverged"
-                    ));
-                }
+                report.check(
+                    "equal-views",
+                    cluster.state(ra) == cluster.state(rb),
+                    || format!("replicas {ra} and {rb} saw the same operations but diverged"),
+                );
             }
         }
     }
@@ -94,40 +90,25 @@ where
     C: StateBased + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
+    // Invocations, sends and applies at 2 : 1 : 1, no final sync: the
+    // lattice laws are judged on the diverged states the schedule leaves.
+    let schedule = ScheduleConfig {
+        steps,
+        invoke_weight: 1,
+        deliver_weight: 1,
+        final_sync: false,
+    };
     let mut report = Report::new("StrongEventualConsistency");
     for seed in seeds {
         let mut cluster = StateCluster::new(crdt.clone(), n_replicas);
-        let mut rng = Rng::seed_from_u64(seed);
-        for _ in 0..steps {
-            let r = ReplicaId(rng.random_range(0..n_replicas) as u32);
-            match rng.random_range(0..4u8) {
-                0 | 1 => {
-                    if let Some(call) = call_gen(&mut rng, r, cluster.state(r)) {
-                        cluster.invoke(r, call);
-                    }
-                }
-                2 => {
-                    cluster.send(r);
-                }
-                _ => {
-                    if cluster.n_messages() > 0 {
-                        let m = rng.random_range(0..cluster.n_messages());
-                        cluster.apply(r, m);
-                    }
-                }
-            }
-        }
-        if !cluster.check_lattice_laws() {
-            report.fail(format!("seed {seed}: lattice laws violated"));
-        } else {
-            report.pass();
-        }
+        drive_state_based(&mut cluster, &schedule, seed, &mut call_gen);
+        report.check("lattice-laws", cluster.check_lattice_laws(), || {
+            format!("seed {seed}: lattice laws violated")
+        });
         cluster.sync_all();
-        if cluster.converged() {
-            report.pass();
-        } else {
-            report.fail(format!("seed {seed}: no convergence after sync round"));
-        }
+        report.check("convergence", cluster.converged(), || {
+            format!("seed {seed}: no convergence after sync round")
+        });
     }
     report
 }

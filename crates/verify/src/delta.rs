@@ -36,6 +36,7 @@
 //! [`DeltaCluster`]: ral_runtime::delta::DeltaCluster
 
 use crate::report::Report;
+use crate::scenarios::converged_runs;
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
@@ -229,20 +230,19 @@ where
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
 {
-    let mut report = Report::new(format!("DeltaConvergence@{}", scenario.name));
-    for seed in seeds {
-        let mut driver =
-            DeltaDriver::new(crdt.clone(), config, scenario.cfg.n_replicas, mk_call_gen());
-        sim::run(&mut driver, &scenario.cfg, seed);
-        if !driver.converged() {
-            report.fail(format!("seed {seed}: replicas diverged after final sync"));
-        } else if !driver.cluster().check_lattice_laws() {
-            report.fail(format!("seed {seed}: lattice/delta laws violated"));
-        } else {
-            report.pass();
-        }
-    }
-    report
+    converged_runs(
+        "DeltaConvergence",
+        scenario,
+        seeds,
+        || DeltaDriver::new(crdt.clone(), config, scenario.cfg.n_replicas, mk_call_gen()),
+        |driver| {
+            if driver.cluster().check_lattice_laws() {
+                Ok(())
+            } else {
+                Err("lattice/delta laws violated".into())
+            }
+        },
+    )
 }
 
 /// Runs one seeded scenario under both transports (independently, not in

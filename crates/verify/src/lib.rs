@@ -12,7 +12,8 @@
 //!   refinement mapping `abs` ([`refinement`]);
 //! * **Prop1–Prop6** with predicates `P1`/`P2` (Appendix D) — the
 //!   state-based analogues relating local effectors and `merge`
-//!   ([`state_props`]), plus the join-semilattice laws;
+//!   ([`state_props`]), on top of the join-semilattice laws of
+//!   [`ral_runtime::laws`];
 //! * **strong eventual consistency** ([`convergence`]) — equal views imply
 //!   equal states, the observable consequence of RA-linearizability
 //!   (Section 7).
@@ -20,7 +21,9 @@
 //! Instead of discharging them symbolically, this crate checks the *same*
 //! obligations on systematically explored reachable states from seeded
 //! random executions — a counterexample to any obligation would manifest as
-//! a concrete failing state here.
+//! a concrete failing state here. Each obligation is one function reporting
+//! into a [`report::Checks`] sink; `ral-analyze` calls the same functions on
+//! every configuration within a small scope.
 //!
 //! [`table`] assembles everything into the paper's headline artifact: the
 //! Figure 12 table of nine CRDTs, each with its implementation style and

@@ -14,7 +14,7 @@
 //! The checker replays seeded executions and discharges the obligation at
 //! every generator execution and every effector delivery.
 
-use crate::report::Report;
+use crate::report::{Checks, Report};
 use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::label::{Rewrite, Rewritten, SpecLabel};
@@ -24,6 +24,11 @@ use ral_core::spec::Spec;
 use ral_core::timestamp::Ts;
 use ral_runtime::op_based::{Cluster, OpBased};
 use std::ops::Range;
+
+/// Check kind: simulating effectors.
+const EFFECTOR: &str = "simulating-effectors";
+/// Check kind: simulating generators.
+const GENERATOR: &str = "simulating-generators";
 
 /// Which flavour of the obligation to check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,11 +144,9 @@ where
                 let op = cluster.delivery_op(delivery);
                 if cluster.delivery_eff(delivery).is_none() {
                     // Identity effector: the state must not change.
-                    if before == after {
-                        report.pass();
-                    } else {
-                        report.fail(format!("identity effector of {op} changed the state"));
-                    }
+                    report.check(EFFECTOR, before == after, || {
+                        format!("identity effector of {op} changed the state")
+                    });
                     return;
                 }
                 if self.mode == Mode::Timestamped {
@@ -184,16 +187,12 @@ fn check_generator_and_origin_effector<C, S, R, FA>(
             if l.is_query() {
                 // Simulating generators: abs(σ) —ℓ→ abs(σ).
                 let a = abs(before);
-                if spec.step(&a, &l).contains(&a) {
-                    report.pass();
-                } else {
-                    report.fail(format!("query {l:?} not simulated at {a:?}"));
-                }
-                if before == after {
-                    report.pass();
-                } else {
-                    report.fail(format!("query {l:?} changed the replica state"));
-                }
+                report.check(GENERATOR, spec.step(&a, &l).contains(&a), || {
+                    format!("query {l:?} not simulated at {a:?}")
+                });
+                report.check(GENERATOR, before == after, || {
+                    format!("query {l:?} changed the replica state")
+                });
             } else {
                 // Origin effector: timestamps are fresh at the origin, so
                 // the obligation applies in both modes.
@@ -202,13 +201,9 @@ fn check_generator_and_origin_effector<C, S, R, FA>(
         }
         Rewritten::Split { query, update } => {
             let a = abs(before);
-            if spec.step(&a, &query).contains(&a) {
-                report.pass();
-            } else {
-                report.fail(format!(
-                    "query part {query:?} of a query-update not simulated at {a:?}"
-                ));
-            }
+            report.check(GENERATOR, spec.step(&a, &query).contains(&a), || {
+                format!("query part {query:?} of a query-update not simulated at {a:?}")
+            });
             check_effector_step(spec, abs, &update, usize::MAX, before, after, report);
         }
     }
@@ -228,18 +223,18 @@ fn check_effector_step<S, St, FA>(
 {
     let a_before = abs(before);
     let a_after = abs(after);
-    if spec.step(&a_before, update).contains(&a_after) {
-        report.pass();
-    } else {
-        let what = if op == usize::MAX {
-            "origin effector".to_string()
-        } else {
-            format!("effector of operation {op}")
-        };
-        report.fail(format!(
-            "{what} {update:?} not simulated: {a_before:?} -/-> {a_after:?}"
-        ));
-    }
+    report.check(
+        EFFECTOR,
+        spec.step(&a_before, update).contains(&a_after),
+        || {
+            let what = if op == usize::MAX {
+                "origin effector".to_string()
+            } else {
+                format!("effector of operation {op}")
+            };
+            format!("{what} {update:?} not simulated: {a_before:?} -/-> {a_after:?}")
+        },
+    );
 }
 
 #[cfg(test)]

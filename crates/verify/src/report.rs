@@ -1,5 +1,6 @@
 //! Verification reports: how many obligations were checked and which failed.
 
+pub use ral_runtime::laws::Checks;
 use std::fmt;
 
 /// The outcome of checking a family of proof obligations.
@@ -49,6 +50,17 @@ impl Report {
             if self.failures.len() < 16 {
                 self.failures.push(format!("{}: {}", other.name, f));
             }
+        }
+    }
+}
+
+/// One check is one pass or one failure described as `kind: detail`.
+impl Checks for Report {
+    fn check(&mut self, kind: &'static str, ok: bool, detail: impl FnOnce() -> String) {
+        if ok {
+            self.pass();
+        } else {
+            self.fail(format!("{kind}: {}", detail()));
         }
     }
 }

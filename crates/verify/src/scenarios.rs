@@ -38,7 +38,7 @@ use std::ops::Range;
 // `judge` have the finished driver. A diverged run fails whatever its
 // history would have proved — the checkers assume the paper's "all updates
 // eventually visible everywhere" hypothesis.
-fn converged_runs<D: Driver>(
+pub(crate) fn converged_runs<D: Driver>(
     name: &str,
     scenario: &Scenario,
     seeds: Range<u64>,
