@@ -43,10 +43,13 @@ step cargo bench --offline --no-run
 # regression fails this step outright.
 # (the bench binary runs from the package dir, so pass an absolute path)
 step cargo bench --offline --bench checker_scaling -- --quick --save "$PWD/BENCH_checker_scaling.json"
-# Compositional-checker smoke: sharded vs monolithic memo on composed
-# histories (objects × ops). The bench asserts every outcome, and the
-# persisted BENCH_composed_scaling.json tracks the sharded speedup
-# (monolithic/k ÷ sharded/k) per commit.
+# Compositional-checker smoke: guided-first sharded search vs monolithic
+# memo on composed OR-Set histories (objects × ops), plus sharded_ts/k on
+# LWW-register histories that only the composed timestamp order decides.
+# The bench asserts every outcome, and the persisted
+# BENCH_composed_scaling.json tracks the sharded speedup (monolithic/k ÷
+# sharded/k) per commit, each record with its operation count in
+# `elements`.
 step cargo bench --offline --bench composed_scaling -- --quick --save "$PWD/BENCH_composed_scaling.json"
 # Streaming-monitor smoke: monitored ops/sec replaying churn histories of
 # 1k/10k/100k operations. Every replay must end accepted and fully

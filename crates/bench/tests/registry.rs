@@ -59,3 +59,27 @@ fn manifest_benches_dir_ci_and_workflow_name_the_same_targets() {
     assert_eq!(run, saved, "ci.sh: --bench <t> saves BENCH_<t>.json");
     assert_eq!(saved, uploaded, "ci.sh artifacts vs ci.yml uploads");
 }
+
+/// `composed_scaling` sweeps the object count for three series; a size one
+/// of them skips, or a record without `elements` (ns/op and the growth per
+/// doubling could not be read off the report), fails here.
+#[test]
+fn composed_scaling_times_every_series_at_every_size_with_elements() {
+    let source = read("benches/composed_scaling.rs");
+    assert_eq!(
+        source.matches("BenchmarkId::new(").count(),
+        source.matches(".elements(").count(),
+        "every BenchmarkId declares its elements"
+    );
+    let declared = source.split_once("const SERIES").expect("SERIES").1;
+    let sizes = |series: &str| -> Vec<&str> {
+        let prefix = format!("composed_scaling/{series}/");
+        let names = declared.split(|c: char| c.is_whitespace() || c == '"' || c == ';');
+        names
+            .filter_map(|name| name.strip_prefix(&prefix))
+            .collect()
+    };
+    assert!(!sizes("monolithic").is_empty());
+    assert_eq!(sizes("sharded"), sizes("monolithic"));
+    assert_eq!(sizes("sharded_ts"), sizes("monolithic"));
+}

@@ -126,6 +126,16 @@ impl BitSet {
         &self.blocks
     }
 
+    /// A copy without trailing all-zero blocks: the block vector that
+    /// inserting the elements one by one builds, so the copy is `==` to a
+    /// set collected from [`BitSet::iter`].
+    pub(crate) fn trimmed(&self) -> BitSet {
+        let used = self.blocks.iter().rposition(|&b| b != 0);
+        BitSet {
+            blocks: self.blocks[..used.map_or(0, |j| j + 1)].to_vec(),
+        }
+    }
+
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {

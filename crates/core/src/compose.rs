@@ -420,7 +420,11 @@ pub fn compose_disjoint<L: Clone + Debug>(parts: &[History<L>]) -> History<ObjLa
     out
 }
 
-fn project_objects<L: ComposedLabel + Clone + Debug>(h: &History<L>) -> History<ObjLabel<()>> {
+/// The history with every label reduced to its object tag — all that
+/// [`composed_timestamp_order`] reads.
+pub(crate) fn project_objects<L: ComposedLabel + Clone + Debug>(
+    h: &History<L>,
+) -> History<ObjLabel<()>> {
     let mut out = History::new();
     for (i, op) in h.iter() {
         let record = crate::history::OpRecord {

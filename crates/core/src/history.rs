@@ -283,7 +283,13 @@ where
     let mut out = History::new();
     let mut parts: Vec<Parts> = Vec::with_capacity(h.len());
     for (i, op) in h.iter() {
-        let pred_updates: BitSet = h.preds(i).iter().map(|p| parts[p].update()).collect();
+        // Until the first split every earlier operation kept its index, so
+        // the predecessor set is the original one, copied word by word.
+        let pred_updates: BitSet = if out.len() == i {
+            h.preds(i).trimmed()
+        } else {
+            h.preds(i).iter().map(|p| parts[p].update()).collect()
+        };
         match rw.rewrite(&op.label) {
             Rewritten::One(l) => {
                 let idx = out.push_set(

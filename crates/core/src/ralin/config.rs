@@ -77,19 +77,19 @@ where
     Some(states)
 }
 
-/// Returns `true` if `updates` is admitted by `spec` and, when `query` is
-/// given, some reached state admits it — the shape of every
-/// `ShardableSpec::admits_shard` implementation.
-pub(crate) fn replay_admits<'l, S, I>(spec: &S, updates: I, query: Option<&S::Label>) -> bool
+/// Returns `true` if `updates` is admitted by `spec` and every label of
+/// `queries` is admitted by some state reached — the shape of every
+/// `ShardableSpec::admits_shard` implementation: one replay, however many
+/// queries share the sequence.
+pub(crate) fn replay_admits<'l, S, U, Q>(spec: &S, updates: U, queries: Q) -> bool
 where
     S: Spec,
-    I: IntoIterator<Item = &'l S::Label>,
+    U: IntoIterator<Item = &'l S::Label>,
+    Q: IntoIterator<Item = &'l S::Label>,
     S::Label: 'l,
 {
-    match replay_updates(spec, updates) {
-        None => false,
-        Some(states) => query.is_none_or(|q| states_admit(spec, &states, q)),
-    }
+    replay_updates(spec, updates)
+        .is_some_and(|states| queries.into_iter().all(|q| states_admit(spec, &states, q)))
 }
 
 #[cfg(test)]
@@ -134,8 +134,10 @@ mod tests {
     #[test]
     fn replay_helpers_admit_and_refute() {
         let set = O::Set;
-        assert!(replay_admits(&OnceSpec, [&set], Some(&O::IsSet(true))));
-        assert!(!replay_admits(&OnceSpec, [], Some(&O::IsSet(true))));
-        assert!(!replay_admits(&OnceSpec, [&set, &set], None));
+        let (yes, no) = (O::IsSet(true), O::IsSet(false));
+        assert!(replay_admits(&OnceSpec, [&set], [&yes, &yes]));
+        assert!(!replay_admits(&OnceSpec, [&set], [&yes, &no]));
+        assert!(!replay_admits(&OnceSpec, [], [&yes]));
+        assert!(!replay_admits(&OnceSpec, [&set, &set], []));
     }
 }

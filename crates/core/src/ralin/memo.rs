@@ -64,7 +64,7 @@
 
 use super::check::check_linearization;
 use super::config;
-use super::{Linearization, SearchOutcome};
+use super::{Linearization, SearchOutcome, Strategy};
 use crate::history::History;
 use crate::label::SpecLabel;
 use crate::spec::{Frontier, Spec};
@@ -109,7 +109,13 @@ pub struct SearchStats {
     /// justification frontier died before the query was placed — the cut
     /// the naive engine lacks.
     pub prune_dead_pending_query: u64,
-    /// Shards searched (sharded engine only; `0` for the monolithic one).
+    /// The constructive witness the sharded engine validated instead of
+    /// searching — execution order (Theorem 5.3) or the composed timestamp
+    /// order (Theorem 5.5); `None` when shards were searched, and always
+    /// for the monolithic engine.
+    pub guided: Option<Strategy>,
+    /// Shards searched (sharded engine only; `0` for the monolithic one
+    /// and on a `guided` hit).
     pub shards: u64,
     /// Whether the sharded engine fell back to the whole-history search
     /// (the Figure 10 regime).
@@ -143,8 +149,9 @@ impl SearchStats {
     }
 
     /// Accumulates `other` into `self`: counts and `busy_nanos` add,
-    /// `fallback` ORs, `elapsed_nanos` takes the maximum (callers
-    /// overwrite it with the whole-search value afterwards).
+    /// `fallback` ORs, `guided` keeps the first hit, `elapsed_nanos` takes
+    /// the maximum (callers overwrite it with the whole-search value
+    /// afterwards).
     pub fn merge(&mut self, other: &SearchStats) {
         self.nodes_expanded += other.nodes_expanded;
         self.memo_hits += other.memo_hits;
@@ -152,6 +159,7 @@ impl SearchStats {
         self.prune_frontier_death += other.prune_frontier_death;
         self.prune_query_unjustified += other.prune_query_unjustified;
         self.prune_dead_pending_query += other.prune_dead_pending_query;
+        self.guided = self.guided.or(other.guided);
         self.shards += other.shards;
         self.fallback |= other.fallback;
         self.busy_nanos += other.busy_nanos;

@@ -25,11 +25,14 @@
 //!   establishes the paper's *negative* results (Figures 5a, 9, 10, 14
 //!   need "no linearization exists") at useful history sizes;
 //! * [`search_sharded`] (module [`sharded`]) decides *composed* histories
-//!   per object — the compositional route Theorem 5.5 licenses for `⊗ts`:
-//!   shard, search every shard with the memoized engine, stitch the
-//!   witnesses, and fall back to the whole-history search when the stitch
-//!   fails, so it agrees with [`search`] even on non-compositional `⊗`
-//!   histories (Figure 10);
+//!   guided-first: it validates the linearization Section 5 constructs —
+//!   execution order (Theorem 5.3), then the composed timestamp order
+//!   (Theorem 5.5) where the history carries timestamps — in one
+//!   per-object pass, and only on a miss shards the history, searches
+//!   every shard with the memoized engine and stitches the witnesses,
+//!   falling back to the whole-history search when the stitch fails, so it
+//!   agrees with [`search`] even on non-compositional `⊗` histories
+//!   (Figure 10);
 //! * [`search_brute`] is the seed's naive permutation enumeration —
 //!   factorially slower, kept as the independent ground truth the
 //!   property suites cross-check the memoized engine against;
@@ -272,19 +275,23 @@ where
 }
 
 /// [`ra_search`] for composed histories, decided per object: rewrite,
-/// project into per-object shards, run the memoized engine on every
-/// shard, and stitch the per-object witnesses into one validated global
-/// linearization ([`sharded`]).
+/// then validate the witness Section 5 names in advance — execution order
+/// (Theorem 5.3) or, for timestamped histories, the composed timestamp
+/// order (Theorem 5.5) — component by component; only when neither
+/// validates, project into per-object shards, run the memoized engine on
+/// every shard, and stitch the per-object witnesses into one validated
+/// global linearization ([`sharded`]).
 ///
 /// Sound over the unrestricted composition `⊗`, where per-object
 /// RA-linearizability does *not* imply composed RA-linearizability
 /// (Figure 10): a shard refutation refutes globally, and a Linearizable
-/// verdict is only reported when the stitched witness passes
-/// [`check_linearization`] — otherwise the search falls back to the
-/// whole-history memoized engine, so the verdict agrees with
-/// [`ra_search`] on every history. The win is Theorem 5.5's regime: the
-/// search cost is the *sum* of the per-object exponentials instead of
-/// the product.
+/// verdict is only reported for an order that passes the per-component
+/// statement of Definition 3.5 (equivalent to [`check_linearization`],
+/// which debug builds re-run on it) — otherwise the search falls back to
+/// the whole-history memoized engine, so the verdict agrees with
+/// [`ra_search`] on every history. The win is Section 5's regime: a
+/// history its theorems cover costs one validation pass, and any other
+/// the *sum* of the per-object exponentials instead of the product.
 ///
 /// # Examples
 ///
@@ -339,7 +346,8 @@ where
 }
 
 /// [`ra_search_sharded`] with a node budget, applied per shard (and to
-/// the monolithic fallback when the stitch fails).
+/// the monolithic fallback when the stitch fails); a history one of the
+/// constructive witnesses decides spends none of it.
 pub fn ra_search_sharded_with_budget<In, R, S>(
     h: &History<In>,
     rw: &R,

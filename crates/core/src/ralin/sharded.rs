@@ -1,29 +1,38 @@
-//! Sharded compositional search over composed histories (Section 5).
+//! Guided-first compositional checking of composed histories (Section 5).
 //!
 //! A composed history interleaves operations on several objects, and the
 //! monolithic complete search ([`super::memo`]) pays for that dearly: its
 //! configuration space is (up to memoization) the *product* of the
-//! per-object configuration spaces — exponential in the **total** number
-//! of concurrent operations, with every specification step cloning the
-//! whole vector of per-object abstract states. Theorem 5.5 is what makes
-//! a cheaper route sound for the shared-timestamp composition `⊗ts`:
-//! RA-linearizability is compositional there, so per-object reasoning
-//! suffices. This module exploits exactly that structure:
+//! per-object configuration spaces, with every specification step cloning
+//! the whole vector of per-object abstract states. Section 5 says more
+//! than "objects are independent": it names the composed linearization in
+//! advance. [`search_sharded_with_stats`] therefore works in this order:
 //!
-//! 1. **Project** the composed history into per-object sub-histories
-//!    ([`shard_history`]): each shard keeps the operations of one object
-//!    with visibility restricted to same-object edges (the projection of
-//!    `vis` used throughout Section 5), plus an index map back to the
-//!    global history.
-//! 2. **Search every shard independently** with the memoized engine,
-//!    against the per-object component specification
-//!    ([`ShardableSpec::search_shard_with_stats`]), one sequential walk per
-//!    shard in ascending-object order. The cost is the *sum* of per-object
-//!    exponentials instead of their product.
-//! 3. **Stitch** the per-object witnesses into one global linearization:
-//!    a topological merge of `vis ∪ (per-object witness order)`
-//!    ([`stitch_witness`]), validated end to end with
-//!    [`super::check_linearization`].
+//! 1. **Try the paper's witnesses.** Index order — execution order, the
+//!    Theorem 4.4 / 5.3 witness, consistent with `vis` by
+//!    [`History::push`]'s construction — and, when some operation carries
+//!    a timestamp, [`composed_timestamp_order`] (the Theorem 4.6 / 5.5
+//!    witness, where `vis ∪ ≺ts` is acyclic). The first candidate that
+//!    `validate_composed` accepts *is* the witness: no projection, no
+//!    walk, no stitch. Which candidates apply is read off the history.
+//! 2. **Validate per component.** `validate_composed` checks all of
+//!    Definition 3.5 — the same conditions as
+//!    [`super::check_linearization`] — through
+//!    [`ShardableSpec::admits_shard`], so a specification step touches one
+//!    component state and every distinct visible update set of an object
+//!    is replayed once.
+//! 3. **On a miss, search.** Project the history into per-object
+//!    sub-histories ([`shard_history`]: same-object visibility plus an
+//!    index map back), decide every shard with the memoized engine
+//!    ([`ShardableSpec::search_shard_with_stats`], one sequential walk per
+//!    shard in ascending-object order — the *sum* of the per-object
+//!    exponentials, not their product), merge the witnesses topologically
+//!    over `vis ∪ (per-object witness order)` ([`stitch_witness`]) and put
+//!    the stitched order through the validator of step 2.
+//!
+//! When index order is valid, its projection is every shard's
+//! smallest-first witness and the smallest-first merge returns `0..n`, so
+//! a step-1 hit on index order returns exactly the order step 3 would.
 //!
 //! # Soundness over the unrestricted `⊗`
 //!
@@ -36,19 +45,21 @@
 //!   projects to a valid per-object one (the composed specifications
 //!   implementing [`ShardableSpec`] factor into independent per-object
 //!   components), so no shard of a linearizable history can refute;
-//! * a **Linearizable verdict is only reported once the stitched witness
-//!   validates** against the full composed history. When the merge is
-//!   cyclic or the stitched order exhibits a violation (as Figure 10
-//!   forces), the search **falls back to the whole-history memoized
-//!   engine**, so [`search_sharded`] agrees with [`super::search`] on
-//!   every history — the sharded path is an optimization, never a
-//!   weakening.
+//! * a **Linearizable verdict is only reported for an order the validator
+//!   accepted**. When both candidates miss and the merge is cyclic or the
+//!   stitched order exhibits a violation (as Figure 10 forces), the search
+//!   **falls back to the whole-history memoized engine**, so
+//!   [`search_sharded`] agrees with [`super::search`] on every history —
+//!   this path is an optimization, never a weakening.
 
 use super::check::check_linearization;
 use super::config::replay_admits;
 use super::memo::{search_with_stats, SearchStats};
-use super::{Linearization, SearchOutcome};
-use crate::compose::{ComposedLabel, EitherLabel, MultiObjSpec, PairSpec};
+use super::{Linearization, SearchOutcome, Strategy};
+use crate::bitset::BitSet;
+use crate::compose::{
+    composed_timestamp_order, project_objects, ComposedLabel, EitherLabel, MultiObjSpec, PairSpec,
+};
 use crate::history::History;
 use crate::ids::ObjId;
 use crate::label::SpecLabel;
@@ -87,7 +98,7 @@ pub fn shard_history<L: ComposedLabel + Clone + std::fmt::Debug>(h: &History<L>)
             history: History::new(),
             to_global: Vec::new(),
         });
-        let preds: crate::bitset::BitSet = h
+        let preds: BitSet = h
             .preds(i)
             .iter()
             .filter(|&p| h.label(p).object() == obj)
@@ -126,18 +137,14 @@ where
     ) -> (SearchOutcome, SearchStats);
 
     /// Component-level admission: runs `updates` (labels of `obj`, in
-    /// candidate order) through the per-object specification and, when
-    /// `query` is given, checks that it is admitted afterwards.
+    /// candidate order) through the per-object specification once and
+    /// checks that every label of `queries` (queries of `obj`) is admitted
+    /// afterwards.
     ///
-    /// This is what lets the stitched witness be validated in per-object
+    /// This is what lets a candidate order be validated in per-object
     /// terms — O(1)-sized component states instead of whole composed
     /// vectors; by the factorization contract the two views agree.
-    fn admits_shard(
-        &self,
-        obj: ObjId,
-        updates: &[&Self::Label],
-        query: Option<&Self::Label>,
-    ) -> bool;
+    fn admits_shard(&self, obj: ObjId, updates: &[&Self::Label], queries: &[&Self::Label]) -> bool;
 }
 
 impl<S: Spec> ShardableSpec for MultiObjSpec<S> {
@@ -155,13 +162,29 @@ impl<S: Spec> ShardableSpec for MultiObjSpec<S> {
         &self,
         _obj: ObjId,
         updates: &[&Self::Label],
-        query: Option<&Self::Label>,
+        queries: &[&Self::Label],
     ) -> bool {
         replay_admits(
             self.inner(),
             updates.iter().map(|l| &l.label),
-            query.map(|q| &q.label),
+            queries.iter().map(|l| &l.label),
         )
+    }
+}
+
+/// The label of object 0 of a [`PairSpec`] composition.
+fn first<A, B>(l: &EitherLabel<A, B>) -> &A {
+    match l {
+        EitherLabel::First(a) => a,
+        EitherLabel::Second(_) => unreachable!("object 0 holds First labels only"),
+    }
+}
+
+/// The label of object 1 of a [`PairSpec`] composition.
+fn second<A, B>(l: &EitherLabel<A, B>) -> &B {
+    match l {
+        EitherLabel::Second(b) => b,
+        EitherLabel::First(_) => unreachable!("object 1 holds Second labels only"),
     }
 }
 
@@ -187,106 +210,87 @@ impl<S1: Spec, S2: Spec> ShardableSpec for PairSpec<S1, S2> {
         }
     }
 
-    fn admits_shard(
-        &self,
-        obj: ObjId,
-        updates: &[&Self::Label],
-        query: Option<&Self::Label>,
-    ) -> bool {
+    fn admits_shard(&self, obj: ObjId, updates: &[&Self::Label], queries: &[&Self::Label]) -> bool {
         if obj == ObjId(0) {
-            replay_admits(
-                self.first(),
-                updates.iter().map(|l| match l {
-                    EitherLabel::First(a) => a,
-                    EitherLabel::Second(_) => {
-                        unreachable!("object 0 sequence holds First labels only")
-                    }
-                }),
-                query.map(|q| match q {
-                    EitherLabel::First(a) => a,
-                    EitherLabel::Second(_) => unreachable!("object 0 query must be a First label"),
-                }),
-            )
+            let (updates, queries) = (
+                updates.iter().map(|l| first(l)),
+                queries.iter().map(|l| first(l)),
+            );
+            replay_admits(self.first(), updates, queries)
         } else {
-            replay_admits(
-                self.second(),
-                updates.iter().map(|l| match l {
-                    EitherLabel::Second(b) => b,
-                    EitherLabel::First(_) => {
-                        unreachable!("object 1 sequence holds Second labels only")
-                    }
-                }),
-                query.map(|q| match q {
-                    EitherLabel::Second(b) => b,
-                    EitherLabel::First(_) => unreachable!("object 1 query must be a Second label"),
-                }),
-            )
+            let (updates, queries) = (
+                updates.iter().map(|l| second(l)),
+                queries.iter().map(|l| second(l)),
+            );
+            replay_admits(self.second(), updates, queries)
         }
     }
 }
 
-/// Validates a stitched order against the composed history in per-object
-/// terms: conditions (i)–(iii) of Definition 3.5, with every
-/// specification step running on one component state instead of the whole
-/// composed vector. Equivalent to [`check_linearization`] for any
-/// [`ShardableSpec`] by the factorization contract — the composed
-/// frontier after a label sequence is the product of the per-object
-/// frontiers of its projections, so the update projection is admitted iff
-/// each object's projection is, and a query is justified iff every
-/// object's visible sub-sequence survives its component specification and
-/// the query's own component then admits the query label.
-fn validate_stitched<S>(h: &History<S::Label>, spec: &S, order: &[usize]) -> bool
+/// Validates a candidate order against the composed history in per-object
+/// terms: the permutation check and conditions (i)–(iii) of Definition
+/// 3.5, nothing skipped, with every specification step running on one
+/// component state instead of the whole composed vector. Equivalent to
+/// [`check_linearization`] for any [`ShardableSpec`] by the factorization
+/// contract — the composed frontier after a label sequence is the product
+/// of the per-object frontiers of its projections, so the update
+/// projection is admitted iff each object's projection is, and a query is
+/// justified iff every object's visible sub-sequence survives its
+/// component specification and the query's own component then admits the
+/// query label.
+fn validate_composed<S>(h: &History<S::Label>, spec: &S, order: &[usize]) -> bool
 where
     S: ShardableSpec,
     S::Label: ComposedLabel,
 {
-    let mut pos = vec![usize::MAX; h.len()];
-    for (p, &i) in order.iter().enumerate() {
-        pos[i] = p;
+    let n = h.len();
+    if order.len() != n {
+        return false;
     }
-    // (i) consistency with visibility.
-    for later in 0..h.len() {
-        for earlier in h.preds(later) {
-            if pos[earlier] >= pos[later] {
-                return false;
-            }
-        }
-    }
-    // (ii) update projection admitted, one component at a time.
-    let mut updates: BTreeMap<ObjId, Vec<&S::Label>> = BTreeMap::new();
+    // Permutation and (i): every operation once, after everything it sees.
+    // Alongside, per object, its updates in candidate order.
+    let mut placed = BitSet::with_capacity(n);
+    let mut updates: BTreeMap<ObjId, Vec<usize>> = BTreeMap::new();
     for &i in order {
-        let l = h.label(i);
-        if l.is_update() {
-            updates.entry(l.object()).or_default().push(l);
-        }
-    }
-    for (&obj, seq) in &updates {
-        if !spec.admits_shard(obj, seq, None) {
+        if i >= n || !h.preds(i).is_subset(&placed) || !placed.insert(i) {
             return false;
         }
+        let of_object = updates.entry(h.label(i).object()).or_default();
+        if h.label(i).is_update() {
+            of_object.push(i);
+        }
     }
-    // (iii) every query justified by its visible updates in seq order.
-    for q in 0..h.len() {
-        let ql = h.label(q);
-        if !ql.is_query() {
-            continue;
+    let queries: Vec<usize> = (0..n).filter(|&q| h.label(q).is_query()).collect();
+    for (&obj, seq) in &updates {
+        // (ii) the object's update projection is admitted.
+        let all: Vec<&S::Label> = seq.iter().map(|&u| h.label(u)).collect();
+        if !spec.admits_shard(obj, &all, &[]) {
+            return false;
         }
-        let mut visible: Vec<usize> = h
-            .preds(q)
-            .iter()
-            .filter(|&u| h.label(u).is_update())
-            .collect();
-        visible.sort_by_key(|&u| pos[u]);
-        let mut groups: BTreeMap<ObjId, Vec<&S::Label>> = BTreeMap::new();
-        for u in visible {
-            let l = h.label(u);
-            groups.entry(l.object()).or_default().push(l);
+        // (iii) every query's visible subset of `seq` as a bit mask over
+        // it; queries are grouped by mask so each distinct visible
+        // sub-sequence is replayed once — admitted for every query that
+        // sees it, and justifying those among them that are on `obj`.
+        let words = seq.len().div_ceil(64).max(1);
+        let mut masks = vec![0u64; queries.len() * words];
+        for (mask, &q) in masks.chunks_mut(words).zip(&queries) {
+            for (j, _) in seq.iter().enumerate().filter(|&(_, &u)| h.sees(q, u)) {
+                mask[j / 64] |= 1 << (j % 64);
+            }
         }
-        // The query's own component must admit `ql` even when no update of
-        // its object is visible.
-        groups.entry(ql.object()).or_default();
-        for (&obj, seq) in &groups {
-            if !spec.admits_shard(obj, seq, (obj == ql.object()).then_some(ql)) {
+        let mut groups: BTreeMap<&[u64], Vec<&S::Label>> = BTreeMap::new();
+        for (mask, &q) in masks.chunks(words).zip(&queries) {
+            let own = groups.entry(mask).or_default();
+            if h.label(q).object() == obj {
+                own.push(h.label(q));
+            }
+        }
+        for (seen, own) in groups {
+            let visible: Vec<&S::Label> = (0..seq.len())
+                .filter(|j| seen[j / 64] >> (j % 64) & 1 == 1)
+                .map(|j| all[j])
+                .collect();
+            if !spec.admits_shard(obj, &visible, &own) {
                 return false;
             }
         }
@@ -328,11 +332,13 @@ pub fn stitch_witness<L>(
     crate::compose::kahn_smallest_first(indegree, &successors)
 }
 
-/// [`search_sharded_with_budget`], also returning the merged
-/// [`SearchStats`] of every shard walk (plus the monolithic fallback's,
-/// when taken). `stats.shards` counts the shards searched and
-/// `stats.fallback` reports the Figure 10 regime; determinism caveats as
-/// in [`SearchStats`].
+/// [`search_sharded_with_budget`], also returning the [`SearchStats`] of
+/// the decision: `stats.guided` names the constructive witness that
+/// validated (no shard is projected or walked then, so `shards` and the
+/// exploration counters read 0); on a miss the stats of every shard walk
+/// are merged (plus the monolithic fallback's, when taken), `stats.shards`
+/// counts the shards searched and `stats.fallback` reports the Figure 10
+/// regime. Determinism caveats as in [`SearchStats`].
 pub fn search_sharded_with_stats<S>(
     h: &History<S::Label>,
     spec: &S,
@@ -350,6 +356,30 @@ where
     }
     if budget == 0 {
         return (SearchOutcome::BudgetExhausted, SearchStats::default());
+    }
+    let finish = |outcome: SearchOutcome, mut stats: SearchStats| {
+        stats.elapsed_nanos = obs::wallclock::now_nanos().saturating_sub(t0);
+        (outcome, stats)
+    };
+    // The witnesses Section 5 constructs, before any search: execution
+    // order (Thm. 5.3), then the composed timestamp order (Thm. 5.5) where
+    // the history carries timestamps and `vis ∪ ≺ts` is acyclic.
+    for strategy in [Strategy::ExecutionOrder, Strategy::TimestampOrder] {
+        let order = match strategy {
+            Strategy::ExecutionOrder => Some((0..h.len()).collect()),
+            Strategy::TimestampOrder => (h.iter().any(|(_, op)| op.ts.is_some()))
+                .then(|| composed_timestamp_order(&project_objects(h)))
+                .flatten(),
+        };
+        if let Some(order) = order.filter(|order| validate_composed(h, spec, order)) {
+            debug_assert!(check_linearization(h, spec, &order).is_ok());
+            obs::counter("ralin.guided_hit", 1);
+            let stats = SearchStats {
+                guided: Some(strategy),
+                ..SearchStats::default()
+            };
+            return finish(SearchOutcome::Linearizable(Linearization { order }), stats);
+        }
     }
     let shards = shard_history(h);
     if shards.len() <= 1 {
@@ -376,10 +406,6 @@ where
         outcomes.push(outcome);
     }
     stats.shards = shards.len() as u64;
-    let finish = |outcome: SearchOutcome, mut stats: SearchStats| {
-        stats.elapsed_nanos = obs::wallclock::now_nanos().saturating_sub(t0);
-        (outcome, stats)
-    };
     if outcomes.iter().any(SearchOutcome::is_refuted) {
         // A global witness would project to a witness of every shard
         // (ShardableSpec's factorization contract), so this is final.
@@ -399,11 +425,10 @@ where
             _ => unreachable!("refutations and exhaustion handled above"),
         })
         .collect();
-    if let Some(order) = stitch_witness(h, &shard_orders) {
-        if validate_stitched(h, spec, &order) {
-            debug_assert!(check_linearization(h, spec, &order).is_ok());
-            return finish(SearchOutcome::Linearizable(Linearization { order }), stats);
-        }
+    let stitched = stitch_witness(h, &shard_orders);
+    if let Some(order) = stitched.filter(|order| validate_composed(h, spec, order)) {
+        debug_assert!(check_linearization(h, spec, &order).is_ok());
+        return finish(SearchOutcome::Linearizable(Linearization { order }), stats);
     }
     // Every shard linearizes but no global witness could be stitched —
     // the Figure 10 regime. Only the whole-history engine can tell a
@@ -429,8 +454,9 @@ where
 /// [`search_sharded`] with a per-shard node budget (the monolithic
 /// fallback, when taken, receives the same budget). The outcome agrees
 /// with [`super::memo::search_with_budget`] on every history (budgets
-/// excepted — shard budgets are per shard, so compare exhaustion only
-/// qualitatively across engines).
+/// excepted — shard budgets are per shard, and a history one of the
+/// constructive witnesses decides costs no budget at all, so compare
+/// exhaustion only qualitatively across engines).
 pub fn search_sharded_with_budget<S>(h: &History<S::Label>, spec: &S, budget: u64) -> SearchOutcome
 where
     S: ShardableSpec,
@@ -447,17 +473,19 @@ mod tests {
     use crate::ids::ReplicaId;
     use crate::label::{Kind, SpecLabel};
     use crate::ralin::search;
+    use crate::timestamp::Ts;
 
     #[derive(Clone, Debug, PartialEq)]
     enum L {
         Inc,
+        Set(i64),
         Read(i64),
     }
 
     impl SpecLabel for L {
         fn kind(&self) -> Kind {
             match self {
-                L::Inc => Kind::Update,
+                L::Inc | L::Set(_) => Kind::Update,
                 L::Read(_) => Kind::Query,
             }
         }
@@ -475,6 +503,7 @@ mod tests {
         fn step(&self, s: &i64, l: &L) -> Vec<i64> {
             match l {
                 L::Inc => vec![s + 1],
+                L::Set(v) => vec![*v],
                 L::Read(k) if k == s => vec![*s],
                 L::Read(_) => vec![],
             }
@@ -605,28 +634,239 @@ mod tests {
         assert!(search_sharded(&bad, &spec).is_refuted());
     }
 
-    /// A history whose shards linearize individually but whose stitched
-    /// witness cannot exist: the Figure 10 shape, minimized. The fallback
-    /// to the monolithic engine must produce the refutation.
+    /// Figure 10, minimized: on each object a read pins the order of two
+    /// concurrent writes (`a` before `b`, `c` before `d`) while
+    /// cross-object visibility says `d ≺ a` and `b ≺ c` — a cycle no global
+    /// order escapes, though each object linearizes on its own. With
+    /// `timestamps`, per-object clocks agree with the pinned orders, so
+    /// `vis ∪ ≺ts` is the same cycle.
+    fn figure_10_shape(timestamps: bool) -> History<ObjLabel<L>> {
+        let mut h = History::new();
+        let mut write = |obj: u32, v: i64, replica: u32, ts: u64, preds: Vec<usize>| {
+            let mut record = OpRecord::new(ObjLabel::new(o(obj), L::Set(v)), r(replica));
+            record.ts = timestamps.then(|| Ts::new(ts, r(replica)));
+            h.push(record, preds)
+        };
+        let d = write(1, 4, 0, 2, vec![]);
+        let a = write(0, 1, 0, 1, vec![d]);
+        let b = write(0, 2, 1, 2, vec![]);
+        let c = write(1, 3, 1, 1, vec![b]);
+        h.push(OpRecord::new(ObjLabel::new(o(0), L::Read(2)), r(2)), [a, b]);
+        h.push(OpRecord::new(ObjLabel::new(o(1), L::Read(4)), r(2)), [c, d]);
+        h
+    }
+
+    /// The whole-history fallback is reachable and decides: every shard
+    /// linearizes, both constructive witnesses miss, the stitch is cyclic.
     #[test]
-    fn stitch_failure_falls_back_to_monolithic() {
-        // Spec whose reads pin the exact per-object order.
-        let mut h: History<ObjLabel<L>> = History::new();
-        // o0: two concurrent incs; a read on each side pinning opposite
-        // orders is impossible — but keep each SHARD consistent and make
-        // the conflict purely cross-object via visibility:
-        //   o0.inc (x) ; o1.inc (y) sees x ; o0.read(1) sees x and y.
-        // plus an o1 read forcing y before the o0 read's justification.
-        // Simplest executable check: the composed verdicts agree with the
-        // monolithic engine on a visibility chain that the stitch handles.
-        let x = h.push(OpRecord::new(ObjLabel::new(o(0), L::Inc), r(0)), []);
-        let y = h.push(OpRecord::new(ObjLabel::new(o(1), L::Inc), r(0)), [x]);
-        h.push(OpRecord::new(ObjLabel::new(o(0), L::Read(1)), r(1)), [x, y]);
+    fn figure_10_shape_misses_both_candidates_and_falls_back() {
         let spec = MultiObjSpec::new(Ctr, 2);
-        assert_eq!(
-            search_sharded(&h, &spec).is_linearizable(),
-            search(&h, &spec).is_linearizable()
+        for timestamps in [false, true] {
+            let h = figure_10_shape(timestamps);
+            for shard in shard_history(&h) {
+                let (outcome, _) = spec.search_shard_with_stats(shard.obj, &shard.history, 99);
+                assert!(outcome.is_linearizable(), "shard {:?}", shard.obj);
+            }
+            let index_order: Vec<usize> = (0..h.len()).collect();
+            assert!(!validate_composed(&h, &spec, &index_order));
+            // Without timestamps the second candidate does not apply;
+            // with them `vis ∪ ≺ts` is cyclic.
+            let ts_order = composed_timestamp_order(&project_objects(&h));
+            assert_eq!(ts_order.is_none(), timestamps);
+            let (outcome, stats) = search_sharded_with_stats(&h, &spec, u64::MAX);
+            assert_eq!(outcome, SearchOutcome::NotLinearizable);
+            assert_eq!(
+                (stats.guided, stats.shards, stats.fallback),
+                (None, 2, true)
+            );
+            assert!(search(&h, &spec).is_refuted());
+        }
+    }
+
+    /// Figure 9's history — `r0` runs `o0.inc · o1.inc`, `r1` runs
+    /// `o1.inc · o0.inc`, nothing delivered — is decided by execution
+    /// order alone: no shard is projected, no configuration expanded.
+    #[test]
+    fn figure_9_shape_hits_execution_order_without_a_walk() {
+        let mut h = History::new();
+        let d = h.push(OpRecord::new(ObjLabel::new(o(0), L::Inc), r(0)), []);
+        h.push(OpRecord::new(ObjLabel::new(o(1), L::Inc), r(0)), [d]);
+        let b = h.push(OpRecord::new(ObjLabel::new(o(1), L::Inc), r(1)), []);
+        h.push(OpRecord::new(ObjLabel::new(o(0), L::Inc), r(1)), [b]);
+        let (outcome, stats) = search_sharded_with_stats(&h, &MultiObjSpec::new(Ctr, 2), 1);
+        let witness = Linearization {
+            order: vec![0, 1, 2, 3],
+        };
+        assert_eq!(outcome, SearchOutcome::Linearizable(witness));
+        assert_eq!(stats.guided, Some(Strategy::ExecutionOrder));
+        assert_eq!((stats.shards, stats.nodes_expanded), (0, 0));
+    }
+
+    /// Two last-writer-wins registers under `⊗ts`: on each the write
+    /// generated first carries the larger timestamp and a read sees both,
+    /// so execution order misses and the composed timestamp order hits.
+    #[test]
+    fn shared_timestamp_registers_hit_timestamp_order() {
+        let mut h = History::new();
+        for (obj, base) in [(0u32, 0usize), (1, 3)] {
+            let write = |v: i64, replica: u32, ts: u64| {
+                let label = ObjLabel::new(o(obj), L::Set(v));
+                OpRecord::with_ts(label, r(replica), Ts::new(ts, r(replica)))
+            };
+            h.push(write(1, 0, 2 * u64::from(obj) + 2), []);
+            h.push(write(2, 1, 2 * u64::from(obj) + 1), []);
+            let read = OpRecord::new(ObjLabel::new(o(obj), L::Read(1)), r(0));
+            h.push(read, [base, base + 1]);
+        }
+        let spec = MultiObjSpec::new(Ctr, 2);
+        let index_order: Vec<usize> = (0..h.len()).collect();
+        assert!(!validate_composed(&h, &spec, &index_order));
+        let (outcome, stats) = search_sharded_with_stats(&h, &spec, 1);
+        let witness = Linearization {
+            order: vec![1, 0, 2, 4, 3, 5],
+        };
+        assert_eq!(outcome, SearchOutcome::Linearizable(witness));
+        assert_eq!(stats.guided, Some(Strategy::TimestampOrder));
+        assert_eq!((stats.shards, stats.nodes_expanded), (0, 0));
+    }
+
+    /// Calls `f` on every permutation of `0..n` (Heap's algorithm).
+    fn for_each_permutation(n: usize, mut f: impl FnMut(&[usize])) {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut count = vec![0; n];
+        f(&order);
+        let mut i = 0;
+        while i < n {
+            if count[i] < i {
+                order.swap(if i % 2 == 0 { 0 } else { count[i] }, i);
+                f(&order);
+                count[i] += 1;
+                i = 0;
+            } else {
+                count[i] = 0;
+                i += 1;
+            }
+        }
+    }
+
+    /// Holds `validate_composed` equal to `check_linearization` on every
+    /// permutation of `h` and on non-permutations; returns how many
+    /// permutations are linearizations.
+    fn validator_matches_checker<S>(h: &History<S::Label>, spec: &S) -> usize
+    where
+        S: ShardableSpec,
+        S::Label: ComposedLabel,
+    {
+        let n = h.len();
+        let mut accepted = 0;
+        for_each_permutation(n, |order| {
+            let expected = check_linearization(h, spec, order).is_ok();
+            assert_eq!(validate_composed(h, spec, order), expected, "{order:?}");
+            accepted += usize::from(expected);
+        });
+        let mut short: Vec<usize> = (0..n).collect();
+        let (mut duplicate, mut out_of_range) = (short.clone(), short.clone());
+        short.pop();
+        duplicate[n - 1] = 0;
+        out_of_range[0] = n;
+        for bad in [short, duplicate, out_of_range] {
+            assert!(check_linearization(h, spec, &bad).is_err());
+            assert!(!validate_composed(h, spec, &bad), "{bad:?}");
+        }
+        accepted
+    }
+
+    /// A switch whose updates are not total: `On` needs it off, `Off`
+    /// needs it on — so a *sub-sequence* of an admitted update sequence
+    /// can be rejected, which counters and sets never exhibit.
+    #[derive(Clone, Debug)]
+    struct Toggle;
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum T {
+        On,
+        Off,
+        IsOn(bool),
+    }
+
+    impl SpecLabel for T {
+        fn kind(&self) -> Kind {
+            match self {
+                T::IsOn(_) => Kind::Query,
+                _ => Kind::Update,
+            }
+        }
+    }
+
+    impl Spec for Toggle {
+        type Label = T;
+        type State = bool;
+        fn initial(&self) -> bool {
+            false
+        }
+        fn step(&self, s: &bool, l: &T) -> Vec<bool> {
+            match l {
+                T::On if !s => vec![true],
+                T::Off if *s => vec![false],
+                T::IsOn(k) if k == s => vec![*s],
+                _ => vec![],
+            }
+        }
+    }
+
+    /// The validator is only `debug_assert`ed against the reference on
+    /// orders it accepts; a wrong rejection would silently send every
+    /// history down the slow path. So: equality on every order.
+    #[test]
+    fn validator_equals_check_linearization_on_every_permutation() {
+        // MultiObjSpec, seven operations, cross-object visibility.
+        let mut h = two_counter_history();
+        let e = h.push(OpRecord::new(ObjLabel::new(o(0), L::Inc), r(1)), []);
+        h.push(OpRecord::new(ObjLabel::new(o(0), L::Read(2)), r(1)), [0, e]);
+        h.push(OpRecord::new(ObjLabel::new(o(1), L::Read(1)), r(0)), [1, e]);
+        let accepted = validator_matches_checker(&h, &MultiObjSpec::new(Ctr, 2));
+        assert!(0 < accepted && accepted < 5040, "{accepted}");
+
+        // Figure 10's shape: no order at all is a linearization.
+        let spec = MultiObjSpec::new(Ctr, 2);
+        assert_eq!(validator_matches_checker(&figure_10_shape(true), &spec), 0);
+
+        // PairSpec, with a query on each side seeing across objects.
+        let mut h: History<EitherLabel<L, T>> = History::new();
+        let a = h.push(OpRecord::new(EitherLabel::First(L::Inc), r(0)), []);
+        let b = h.push(OpRecord::new(EitherLabel::Second(T::On), r(1)), [a]);
+        h.push(OpRecord::new(EitherLabel::First(L::Read(1)), r(0)), [a, b]);
+        h.push(
+            OpRecord::new(EitherLabel::Second(T::IsOn(true)), r(1)),
+            [a, b],
         );
+        h.push(OpRecord::new(EitherLabel::Second(T::Off), r(0)), [b]);
+        let accepted = validator_matches_checker(&h, &PairSpec::new(Ctr, Toggle));
+        assert!(0 < accepted && accepted < 120, "{accepted}");
+
+        // Non-total updates: `on · off · on` is admitted, and a query on
+        // the *other* object decides the history by what it sees of it —
+        // all three (justified) or the two `on`s only (their sub-sequence
+        // is rejected, so no order justifies the query).
+        for (sees_off, linearizable) in [(true, true), (false, false)] {
+            let mut h: History<ObjLabel<T>> = History::new();
+            let on1 = h.push(OpRecord::new(ObjLabel::new(o(0), T::On), r(0)), []);
+            let off = h.push(OpRecord::new(ObjLabel::new(o(0), T::Off), r(0)), [on1]);
+            let on2 = h.push(OpRecord::new(ObjLabel::new(o(0), T::On), r(0)), [on1, off]);
+            let seen = [on1, on2].into_iter().chain(sees_off.then_some(off));
+            h.push(
+                OpRecord::new(ObjLabel::new(o(1), T::IsOn(false)), r(1)),
+                seen,
+            );
+            h.push(
+                OpRecord::new(ObjLabel::new(o(0), T::IsOn(true)), r(1)),
+                [on1],
+            );
+            let spec = MultiObjSpec::new(Toggle, 2);
+            let accepted = validator_matches_checker(&h, &spec);
+            assert_eq!(accepted > 0, linearizable, "{accepted}");
+            assert_eq!(search_sharded(&h, &spec), search(&h, &spec));
+        }
     }
 
     #[test]

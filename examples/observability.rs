@@ -4,8 +4,11 @@
 //! The `multi_mix` scenario (50 replicas × 32 composed counters, a
 //! partition split and three crash bounces) runs under the deterministic
 //! simulator with recording on, then the recorded composed history is
-//! decided by the sharded compositional search. Everything the stack
-//! emits — per-event sim spans, per-link delivery counters, checker
+//! decided by the sharded compositional search — by validating execution
+//! order, the witness Theorem 5.3 constructs, without a single shard walk.
+//! A second call on the same history with its last read tampered misses
+//! that witness and is refuted by the per-object walks. Everything the
+//! stack emits — per-event sim spans, per-link delivery counters, checker
 //! node/memo/prune counters — lands in one trace you can open at
 //! <https://ui.perfetto.dev>.
 //!
@@ -19,23 +22,38 @@
 //! instrumented fast path), prints the checker statistics, and writes
 //! nothing — so the example is also a smoke test of the inert path.
 
-use ral_core::compose::{MultiObjRewrite, MultiObjSpec};
+use ral_core::compose::{MultiObjRewrite, MultiObjSpec, ObjLabel};
 use ral_core::history::rewrite_history;
 use ral_core::ids::ObjId;
-use ral_core::label::Identity;
-use ral_core::ralin::{search_sharded_with_stats, SearchOutcome};
+use ral_core::label::{Identity, SpecLabel};
+use ral_core::ralin::{search_sharded_with_stats, SearchOutcome, SearchStats};
 use ral_core::rng::Rng;
 use ral_crdts::op::counter::OpCounter;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_sim::driver::{Driver, MultiDriver};
 use ral_sim::scenario;
 use ral_sim::sim;
-use ral_spec::counter::CounterSpec;
+use ral_spec::counter::{CounterOp, CounterSpec};
 use std::path::PathBuf;
 
 const N_OBJECTS: usize = 32;
 const SEED: u64 = 42;
 const BUDGET: u64 = 5_000_000;
+
+fn print_stats(stats: &SearchStats) {
+    println!(
+        "  guided {:?}, shards {} (fallback: {}), nodes expanded {}, memo hits {} ({:.1}% hit rate)",
+        stats.guided,
+        stats.shards,
+        stats.fallback,
+        stats.nodes_expanded,
+        stats.memo_hits,
+        stats.memo_hit_rate() * 100.0
+    );
+    for (cause, n) in stats.prune_causes() {
+        println!("  pruned by {cause}: {n}");
+    }
+}
 
 fn main() {
     let recording = ral_core::env::obs();
@@ -79,17 +97,27 @@ fn main() {
         SearchOutcome::NotLinearizable => panic!("multi_mix history must linearize"),
         SearchOutcome::BudgetExhausted => panic!("search undecided within {BUDGET} nodes"),
     }
-    println!(
-        "  shards {} (fallback: {}), nodes expanded {}, memo hits {} ({:.1}% hit rate)",
-        stats.shards,
-        stats.fallback,
-        stats.nodes_expanded,
-        stats.memo_hits,
-        stats.memo_hit_rate() * 100.0
-    );
-    for (cause, n) in stats.prune_causes() {
-        println!("  pruned by {cause}: {n}");
-    }
+    print_stats(&stats);
+
+    // The same history with its last read claiming one more than it saw:
+    // no constructive witness validates, so the shards are walked.
+    let last_read = (0..rewritten.history.len())
+        .rfind(|&i| rewritten.history.label(i).is_query())
+        .expect("multi_mix reads");
+    let mut index = 0;
+    let tampered = rewritten.history.map(|l| {
+        index += 1;
+        match l.label {
+            CounterOp::Read(v) if index - 1 == last_read => {
+                ObjLabel::new(l.obj, CounterOp::Read(v + 1))
+            }
+            _ => l,
+        }
+    });
+    let (outcome, stats) = search_sharded_with_stats(&tampered, &spec, BUDGET);
+    assert_eq!(outcome, SearchOutcome::NotLinearizable);
+    println!("sharded search, last read tampered: refuted");
+    print_stats(&stats);
 
     // --- export ------------------------------------------------------------
     if !recording {

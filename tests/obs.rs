@@ -17,9 +17,10 @@
 //! [`SimStats`]: ral_sim::sim::SimStats
 //! [`SearchStats`]: ral_core::ralin::SearchStats
 
+use ral_core::compose::{MultiObjSpec, ObjLabel};
 use ral_core::history::{History, OpRecord};
-use ral_core::ids::ReplicaId;
-use ral_core::ralin::search_with_stats;
+use ral_core::ids::{ObjId, ReplicaId};
+use ral_core::ralin::{search_sharded_with_stats, search_with_stats};
 use ral_core::rng::Rng;
 use ral_crdts::op::or_set::OrSet;
 use ral_crdts::state::pn_counter::PnCounter;
@@ -119,6 +120,45 @@ fn checker_counters_agree_with_search_stats() {
         stats.memo_hits > 0,
         "the refutation must revisit configurations"
     );
+}
+
+/// The sharded facade says which path decided, identically in its stats
+/// and its counters: a constructive-witness hit emits `ralin.guided_hit`
+/// and no shard counter; a miss emits the shard counters and no hit.
+#[test]
+fn sharded_counters_agree_with_search_stats() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let spec = MultiObjSpec::new(CounterSpec, 2);
+    for read in [1, 2] {
+        let mut h = History::new();
+        let a = h.push(
+            OpRecord::new(ObjLabel::new(ObjId(0), CounterOp::Inc), ReplicaId(0)),
+            [],
+        );
+        let b = h.push(
+            OpRecord::new(ObjLabel::new(ObjId(1), CounterOp::Inc), ReplicaId(1)),
+            [a],
+        );
+        let label = ObjLabel::new(ObjId(1), CounterOp::Read(read));
+        h.push(OpRecord::new(label, ReplicaId(1)), [a, b]);
+        let ((outcome, stats), snap) = recorded(|| search_sharded_with_stats(&h, &spec, u64::MAX));
+        assert_eq!(outcome.is_linearizable(), read == 1);
+        assert_eq!(stats.guided.is_some(), read == 1);
+        assert!(snap.has_span("ralin.search_sharded"));
+        assert_eq!(
+            snap.counter_total("ralin.guided_hit"),
+            u64::from(stats.guided.is_some())
+        );
+        assert_eq!(snap.counter_total("ralin.shards"), stats.shards);
+        assert_eq!(
+            snap.counter_total("ralin.nodes_expanded"),
+            stats.nodes_expanded
+        );
+        assert_eq!(
+            snap.counter_total("ralin.fallback"),
+            u64::from(stats.fallback)
+        );
+    }
 }
 
 /// FNV-1a, 64-bit — enough to pin a golden byte string without embedding

@@ -7,10 +7,16 @@
 //! (`RAL_PROP_SEED=<seed> cargo test ...`).
 
 use ral_core::bitset::BitSet;
-use ral_core::history::{History, OpRecord};
+use ral_core::history::{rewrite_history, History, OpRecord};
 use ral_core::ids::ReplicaId;
+use ral_core::label::{Identity, Kind, Rewrite, Rewritten, SpecLabel};
 use ral_core::rng::{run_seeded_cases, Rng};
 use ral_core::timestamp::Ts;
+use ral_crdts::op::counter::OpCounter;
+use ral_crdts::op::or_set::{OrSet, OrSetRewrite};
+use ral_runtime::op_based::Cluster;
+use ral_runtime::schedule::{drive_op_based, ScheduleConfig};
+use ral_verify::workloads;
 use std::collections::BTreeSet;
 
 /// A random vector whose length is drawn from `0..max_len`.
@@ -166,5 +172,120 @@ fn virtual_ts_monotone() {
                 );
             }
         }
+    });
+}
+
+/// Definition 3.7 one predecessor bit at a time, through [`History::push`]:
+/// the reference [`rewrite_history`] must stay `==` to (block vectors of
+/// the predecessor sets included) while it copies predecessor words for
+/// the prefix in which nothing has split yet.
+fn rewrite_bit_by_bit<In, R: Rewrite<In>>(h: &History<In>, rw: &R) -> History<R::Out> {
+    let mut out = History::new();
+    let mut update_of: Vec<usize> = Vec::new();
+    for (i, op) in h.iter() {
+        let preds: Vec<usize> = h.preds(i).iter().map(|p| update_of[p]).collect();
+        let (replica, ts) = (op.replica, op.ts);
+        match rw.rewrite(&op.label) {
+            Rewritten::One(label) => {
+                update_of.push(out.push(OpRecord { label, replica, ts }, preds));
+            }
+            Rewritten::Split { query, update } => {
+                let query = OpRecord::new(query, replica);
+                let q = out.push(query, preds);
+                let update = OpRecord {
+                    label: update,
+                    replica,
+                    ts,
+                };
+                update_of.push(out.push(update, [q]));
+            }
+        }
+    }
+    out
+}
+
+/// Where an operation of [`SplitFrom`]'s image came from.
+#[derive(Clone, Debug, PartialEq)]
+enum Part {
+    Whole(usize),
+    Query(usize),
+    Update(usize),
+}
+
+impl SpecLabel for Part {
+    fn kind(&self) -> Kind {
+        match self {
+            Part::Query(_) => Kind::Query,
+            _ => Kind::Update,
+        }
+    }
+}
+
+/// Splits every third label from `self.0` on, so the first split can sit
+/// anywhere in a history — or nowhere.
+struct SplitFrom(usize);
+
+impl Rewrite<usize> for SplitFrom {
+    type Out = Part;
+
+    fn rewrite(&self, &label: &usize) -> Rewritten<Part> {
+        if label >= self.0 && label % 3 == 0 {
+            Rewritten::Split {
+                query: Part::Query(label),
+                update: Part::Update(label),
+            }
+        } else {
+            Rewritten::One(Part::Whole(label))
+        }
+    }
+}
+
+/// Random DAGs whose first split sits at the start, mid-way or nowhere,
+/// with predecessor sets that carry trailing all-zero blocks.
+#[test]
+fn rewrite_history_equals_the_bit_by_bit_construction() {
+    run_seeded_cases("rewrite_history_bit_by_bit", 256, |_, rng| {
+        let plain = random_history(&random_edges(rng, 30));
+        let mut h: History<usize> = History::new();
+        for (i, op) in plain.iter() {
+            let mut preds = plain.preds(i).clone();
+            if rng.random_bool(0.5) {
+                preds.insert(500);
+                preds.remove(500);
+            }
+            h.push_set(op.clone(), preds);
+        }
+        let rw = SplitFrom(rng.random_range(0..=h.len()));
+        assert_eq!(
+            rewrite_history(&h, &rw).history,
+            rewrite_bit_by_bit(&h, &rw)
+        );
+    });
+}
+
+/// The same on recorded executions: OR-Set histories under the rewriting
+/// that splits their removes, counter histories under [`Identity`].
+#[test]
+fn rewrite_history_equals_the_bit_by_bit_construction_on_cluster_histories() {
+    run_seeded_cases("rewrite_history_cluster", 32, |seed, _| {
+        let cfg = ScheduleConfig::default();
+        let mut sets = Cluster::new(OrSet::<u8>::new(), 3);
+        drive_op_based(&mut sets, &cfg, seed, |rng, _, _| {
+            Some(workloads::or_set(rng))
+        });
+        let (h, rw) = (sets.into_history(), OrSetRewrite::new());
+        assert_eq!(
+            rewrite_history(&h, &rw).history,
+            rewrite_bit_by_bit(&h, &rw)
+        );
+        let mut counters = Cluster::new(OpCounter, 3);
+        drive_op_based(&mut counters, &cfg, seed, |rng, _, _| {
+            Some(workloads::counter(rng))
+        });
+        let h = counters.into_history();
+        assert_eq!(
+            rewrite_history(&h, &Identity).history,
+            rewrite_bit_by_bit(&h, &Identity)
+        );
     });
 }

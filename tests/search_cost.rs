@@ -2,20 +2,28 @@
 //! expansion counts: a history that linearizes is decided in about one
 //! expansion per operation — however many operations could go first and
 //! however wide the partition — and a refutation expands every distinct
-//! reachable configuration exactly once.
+//! reachable configuration exactly once. A composed history that one of
+//! the paper's constructive witnesses decides costs the sharded facade no
+//! expansion at all, and a bounded number of specification steps.
 
+use ral_core::compose::{MultiObjSpec, ObjLabel};
 use ral_core::history::{History, OpRecord};
-use ral_core::ids::ReplicaId;
-use ral_core::label::Identity;
+use ral_core::ids::{ObjId, ReplicaId};
+use ral_core::label::{Identity, SpecLabel};
 use ral_core::ralin::{
-    ra_search_with_budget, ra_search_with_stats, search_with_stats, SearchOutcome,
+    check_linearization, ra_search_with_budget, ra_search_with_stats, search_sharded_with_stats,
+    search_with_stats, shard_history, SearchOutcome, Strategy,
 };
 use ral_core::rng::Rng;
+use ral_core::spec::Spec;
 use ral_crdts::op::counter::OpCounter;
+use ral_runtime::multi::{MultiCluster, TsMode};
+use ral_runtime::schedule::{drive_multi, ScheduleConfig};
 use ral_sim::driver::{Driver, OpDriver};
 use ral_sim::{scenario, sim};
 use ral_spec::counter::{CounterOp, CounterSpec};
 use ral_verify::workloads;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// `k` replicas partitioned from the start: each alternates an increment
@@ -44,17 +52,28 @@ fn split_brain_counter(k: usize, rounds: usize) -> History<CounterOp> {
     h
 }
 
-/// `h` with its last operation — a read — claiming one more than it saw.
-fn tamper_last_read(h: History<CounterOp>) -> History<CounterOp> {
-    let last = h.len() - 1;
+/// `h` with its last read rewritten by `tamper`.
+fn tamper_last_read<L: SpecLabel>(h: History<L>, tamper: impl Fn(L) -> L) -> History<L> {
+    let last = (0..h.len())
+        .rfind(|&i| h.label(i).is_query())
+        .expect("a read");
     let mut i = 0;
     h.map(|l| {
         i += 1;
-        match l {
-            CounterOp::Read(v) if i - 1 == last => CounterOp::Read(v + 1),
-            l => l,
+        if i - 1 == last {
+            tamper(l)
+        } else {
+            l
         }
     })
+}
+
+/// A read claiming one more than it saw.
+fn one_more(l: CounterOp) -> CounterOp {
+    match l {
+        CounterOp::Read(v) => CounterOp::Read(v + 1),
+        l => l,
+    }
 }
 
 /// Distinct configurations a search of counter history `h` can reach when
@@ -98,7 +117,7 @@ fn witness_costs_one_expansion_per_operation() {
 
 #[test]
 fn refutation_expands_each_configuration_once() {
-    let h = tamper_last_read(split_brain_counter(3, 3));
+    let h = tamper_last_read(split_brain_counter(3, 3), one_more);
     let bad = h.len() - 1;
     // (2·3+1)³ split-phase placed sets, the full one extended by the
     // 2² subsets of the two placeable heal reads: 343 + 4 − 1.
@@ -134,4 +153,117 @@ fn full_length_split_brain_heal_is_decided_without_backtracking() {
         ra_search_with_budget(&h, &Identity, &CounterSpec, n + 1),
         outcome
     );
+}
+
+/// [`CounterSpec`], counting every [`Spec::step`] call made through it.
+#[derive(Default)]
+struct CountingSpec {
+    steps: Cell<u64>,
+}
+
+impl Spec for CountingSpec {
+    type Label = CounterOp;
+    type State = <CounterSpec as Spec>::State;
+
+    fn initial(&self) -> Self::State {
+        CounterSpec.initial()
+    }
+
+    fn step(&self, state: &Self::State, label: &CounterOp) -> Vec<Self::State> {
+        self.steps.set(self.steps.get() + 1);
+        CounterSpec.step(state, label)
+    }
+
+    fn state_fingerprint(&self, state: &Self::State) -> u64 {
+        CounterSpec.state_fingerprint(state)
+    }
+}
+
+/// A converged three-replica run over `objects` composed counters, about
+/// twenty operations per object.
+fn composed_counters(objects: usize) -> History<ObjLabel<CounterOp>> {
+    let mut cluster = MultiCluster::new(OpCounter, objects, 3, TsMode::Shared);
+    let cfg = ScheduleConfig {
+        steps: objects * 30,
+        ..ScheduleConfig::default()
+    };
+    drive_multi(&mut cluster, &cfg, 5, |rng: &mut Rng, _, _, _| {
+        Some(workloads::counter(rng))
+    });
+    assert!(cluster.converged());
+    cluster.into_history()
+}
+
+/// What validating one order of `h` per component may cost in
+/// [`Spec::step`] calls: one per update (condition (ii)), one per query
+/// (its admission), and one replay of every *distinct* (object, visible
+/// update set) pair — the sum of those sets' sizes — however many queries
+/// see the same set.
+fn validation_step_bound(h: &History<ObjLabel<CounterOp>>) -> u64 {
+    let objects: BTreeSet<ObjId> = h.iter().map(|(_, op)| op.label.obj).collect();
+    let mut distinct: BTreeSet<(ObjId, Vec<usize>)> = BTreeSet::new();
+    for q in (0..h.len()).filter(|&q| h.label(q).is_query()) {
+        for &obj in &objects {
+            let seen = h.preds(q).iter();
+            let of_obj = seen.filter(|&u| h.label(u).is_update() && h.label(u).obj == obj);
+            distinct.insert((obj, of_obj.collect()));
+        }
+    }
+    let replays: usize = distinct.iter().map(|(_, seen)| seen.len()).sum();
+    (replays + h.len()) as u64
+}
+
+#[test]
+fn composed_witness_costs_no_walk_and_one_replay_per_distinct_visible_set() {
+    for objects in [4usize, 8] {
+        let h = composed_counters(objects);
+        let spec = MultiObjSpec::new(CountingSpec::default(), objects);
+        let (outcome, stats) = search_sharded_with_stats(&h, &spec, u64::MAX);
+        let SearchOutcome::Linearizable(witness) = outcome else {
+            panic!("a recorded counter run must linearize: {outcome:?}");
+        };
+        assert_eq!(stats.guided, Some(Strategy::ExecutionOrder));
+        assert_eq!((stats.shards, stats.nodes_expanded), (0, 0));
+        // A debug build re-checks the accepted order against the composed
+        // specification (`debug_assert!`); that replay is not validation.
+        let mut steps = spec.inner().steps.replace(0);
+        if cfg!(debug_assertions) {
+            assert_eq!(check_linearization(&h, &spec, &witness.order), Ok(()));
+            steps -= spec.inner().steps.get();
+        }
+        let bound = validation_step_bound(&h);
+        assert!(steps <= bound, "{steps} steps, bound {bound}");
+        // Replaying every query's visible updates query by query — what
+        // condition (iii) costs without the sharing — takes more.
+        let per_query: usize = (0..h.len())
+            .filter(|&q| h.label(q).is_query())
+            .map(|q| {
+                h.preds(q)
+                    .iter()
+                    .filter(|&u| h.label(u).is_update())
+                    .count()
+            })
+            .sum();
+        assert!(bound < (per_query + h.len()) as u64, "{bound}, {per_query}");
+
+        // A tampered read misses both witnesses and is refuted by the very
+        // shard walks the search made before it tried them first.
+        let bad = tamper_last_read(h, |l| ObjLabel::new(l.obj, one_more(l.label)));
+        let spec = MultiObjSpec::new(CounterSpec, objects);
+        let (outcome, stats) = search_sharded_with_stats(&bad, &spec, u64::MAX);
+        assert_eq!(outcome, SearchOutcome::NotLinearizable);
+        assert_eq!((stats.guided, stats.fallback), (None, false));
+        let walks: Vec<u64> = shard_history(&bad)
+            .iter()
+            .map(|shard| {
+                let flat = shard.history.clone().map(|l| l.label);
+                search_with_stats(&flat, &CounterSpec, u64::MAX)
+                    .1
+                    .nodes_expanded
+            })
+            .collect();
+        assert_eq!(stats.shards, objects as u64);
+        assert_eq!(walks.len(), objects);
+        assert_eq!(stats.nodes_expanded, walks.iter().sum::<u64>());
+    }
 }
