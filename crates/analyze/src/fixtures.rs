@@ -111,8 +111,8 @@ impl StateBased for SummingCounter {
     }
 
     // BUG: addition is not a least upper bound (not idempotent).
-    fn merge(&self, a: &i64, b: &i64) -> i64 {
-        a + b
+    fn merge_into(&self, a: &mut i64, b: &i64) {
+        *a += b;
     }
 
     fn leq(&self, a: &i64, b: &i64) -> bool {
@@ -158,12 +158,13 @@ impl ral_runtime::delta::DeltaCrdt for SummingCounter {
         post - pre
     }
 
-    fn join(&self, state: &i64, delta: &i64) -> i64 {
-        state + delta
+    fn join_into(&self, state: &mut i64, delta: &i64) -> bool {
+        *state += delta;
+        *delta != 0
     }
 
-    fn join_deltas(&self, a: &i64, b: &i64) -> i64 {
-        a + b
+    fn join_deltas_into(&self, a: &mut i64, b: &i64) {
+        *a += b;
     }
 
     fn full_delta(&self, state: &i64) -> i64 {

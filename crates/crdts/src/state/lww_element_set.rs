@@ -8,12 +8,13 @@
 //! effectors are **uniquely identified** by their timestamps (Appendix D.3).
 
 use crate::state::local::{EffectorClass, LocalEffector};
+use crate::state::union_into;
 use ral_core::elem::Elem;
 use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
 use ral_core::timestamp::Ts;
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCrdt, DeltaOutcome};
 use ral_runtime::gen::GenCtx;
 use ral_runtime::state_based::{StateBased, StateOutcome};
 use ral_spec::set::SetOp;
@@ -44,17 +45,37 @@ pub struct LwwSetState<E> {
 impl<E: Elem> LwwSetState<E> {
     /// The visible set: elements with an add-stamp above all their
     /// remove-stamps.
+    ///
+    /// Both sets are ordered by `(element, timestamp)`, so one pass over
+    /// each suffices: an element is visible iff its largest add-stamp
+    /// exceeds its largest remove-stamp.
     pub fn view(&self) -> BTreeSet<E> {
-        self.added
-            .iter()
-            .filter(|(a, ts)| {
-                self.removed
-                    .iter()
-                    .filter(|(b, _)| b == a)
-                    .all(|(_, rts)| rts < ts)
-            })
-            .map(|(a, _)| a.clone())
-            .collect()
+        let mut adds = self.added.iter().peekable();
+        let mut removes = self.removed.iter().peekable();
+        let mut view = BTreeSet::new();
+        while let Some((a, ts)) = adds.next() {
+            if adds.peek().is_some_and(|(next, _)| next == a) {
+                continue; // not `a`'s largest add-stamp
+            }
+            let mut last_remove = None;
+            while let Some((b, rts)) = removes.next_if(|(b, _)| b <= a) {
+                if b == a {
+                    last_remove = Some(rts); // ascending: ends on the largest
+                }
+            }
+            if last_remove.is_none_or(|rts| rts < ts) {
+                view.insert(a.clone());
+            }
+        }
+        view
+    }
+
+    // `self ⊔= other`: plain union of both pair sets. Returns whether `self`
+    // grew.
+    fn absorb(&mut self, other: &Self) -> bool {
+        let added = union_into(&mut self.added, &other.added);
+        let removed = union_into(&mut self.removed, &other.removed);
+        added || removed
     }
 
     /// The largest timestamp counter stored anywhere in the payload.
@@ -174,29 +195,15 @@ impl<E: Elem> StateBased for LwwElementSet<E> {
         call: &LwwSetCall<E>,
         ctx: &mut GenCtx,
     ) -> StateOutcome<Option<BTreeSet<E>>, LwwSetState<E>> {
-        match call {
-            LwwSetCall::Add(a) => {
-                let mut next = state.clone();
-                next.added.insert((a.clone(), ctx.fresh_ts()));
-                StateOutcome::Done { ret: None, next }
-            }
-            LwwSetCall::Remove(a) => {
-                let mut next = state.clone();
-                next.removed.insert((a.clone(), ctx.fresh_ts()));
-                StateOutcome::Done { ret: None, next }
-            }
-            LwwSetCall::Read => StateOutcome::Done {
-                ret: Some(state.view()),
-                next: state.clone(),
-            },
+        // A mutator *is* the join of its one-pair delta.
+        match self.invoke_delta(state, call, ctx) {
+            DeltaOutcome::Done { ret, next, .. } => StateOutcome::Done { ret, next },
+            DeltaOutcome::Refused => StateOutcome::Refused,
         }
     }
 
-    fn merge(&self, a: &LwwSetState<E>, b: &LwwSetState<E>) -> LwwSetState<E> {
-        LwwSetState {
-            added: a.added.union(&b.added).cloned().collect(),
-            removed: a.removed.union(&b.removed).cloned().collect(),
-        }
+    fn merge_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) {
+        a.absorb(b);
     }
 
     fn leq(&self, a: &LwwSetState<E>, b: &LwwSetState<E>) -> bool {
@@ -229,12 +236,12 @@ impl<E: Elem> DeltaCrdt for LwwElementSet<E> {
         }
     }
 
-    fn join(&self, state: &LwwSetState<E>, delta: &LwwSetState<E>) -> LwwSetState<E> {
-        self.merge(state, delta)
+    fn join_into(&self, state: &mut LwwSetState<E>, delta: &LwwSetState<E>) -> bool {
+        state.absorb(delta)
     }
 
-    fn join_deltas(&self, a: &LwwSetState<E>, b: &LwwSetState<E>) -> LwwSetState<E> {
-        self.merge(a, b)
+    fn join_deltas_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) {
+        a.absorb(b);
     }
 
     fn full_delta(&self, state: &LwwSetState<E>) -> LwwSetState<E> {
@@ -249,6 +256,36 @@ impl<E: Elem> DeltaCrdt for LwwElementSet<E> {
         // Two length headers plus (element + 12-byte Lamport timestamp)
         // per pair in either set.
         16 + (size_of::<E>() + 12) * (state.added.len() + state.removed.len())
+    }
+
+    /// Hands back the freshly stamped pair itself instead of diffing two
+    /// full states for it (the provided method compares `next` with `state`
+    /// and walks both sets twice per update).
+    fn invoke_delta(
+        &self,
+        state: &LwwSetState<E>,
+        call: &LwwSetCall<E>,
+        ctx: &mut GenCtx,
+    ) -> DeltaOutcome<Option<BTreeSet<E>>, LwwSetState<E>, LwwSetState<E>> {
+        let mut delta = self.initial(0);
+        match call {
+            LwwSetCall::Add(a) => delta.added.insert((a.clone(), ctx.fresh_ts())),
+            LwwSetCall::Remove(a) => delta.removed.insert((a.clone(), ctx.fresh_ts())),
+            LwwSetCall::Read => {
+                return DeltaOutcome::Done {
+                    ret: Some(state.view()),
+                    next: state.clone(),
+                    delta: None,
+                }
+            }
+        };
+        let mut next = state.clone();
+        next.absorb(&delta);
+        DeltaOutcome::Done {
+            ret: None,
+            next,
+            delta: Some(delta),
+        }
     }
 }
 
@@ -423,6 +460,89 @@ mod tests {
         assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
         // One pair beats the whole history on the wire.
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
+    }
+
+    /// Listing 8's definition, word for word: an add-stamp above *all* of
+    /// the element's remove-stamps. Quadratic; the oracle for `view`.
+    fn view_by_definition(s: &LwwSetState<u8>) -> BTreeSet<u8> {
+        s.added
+            .iter()
+            .filter(|(a, ts)| {
+                s.removed
+                    .iter()
+                    .filter(|(b, _)| b == a)
+                    .all(|(_, rts)| rts < ts)
+            })
+            .map(|(a, _)| *a)
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_view_equals_the_definition_on_random_payloads() {
+        use ral_core::rng::run_seeded_cases;
+        run_seeded_cases("lww_view_one_pass", 256, |_, rng| {
+            // Few elements, few counters, three replicas: equal counters on
+            // different replicas, stamps shared between the two sets, and
+            // elements present only in `removed` all occur.
+            let mut s = LwwSetState::<u8>::default();
+            for _ in 0..rng.random_range(0..24usize) {
+                let pair = (
+                    rng.random_range(0..5u8),
+                    Ts::new(rng.random_range(1..5u64), r(rng.random_range(0..3u32))),
+                );
+                if rng.random_bool(0.5) {
+                    s.added.insert(pair);
+                } else {
+                    s.removed.insert(pair);
+                }
+            }
+            assert_eq!(s.view(), view_by_definition(&s), "payload {s:?}");
+        });
+    }
+
+    #[test]
+    fn view_edge_cases_follow_the_definition() {
+        let ts = |c, rep| Ts::new(c, r(rep));
+        let mut s = LwwSetState::<u8>::default();
+        // Only removed: never visible. Equal counters: replica breaks the tie.
+        s.removed.insert((1, ts(3, 0)));
+        s.added.insert((2, ts(2, 0)));
+        s.removed.insert((2, ts(2, 1)));
+        s.added.insert((3, ts(2, 1)));
+        s.removed.insert((3, ts(2, 0)));
+        // The very same stamp on both sides: the remove is not *below* it.
+        s.added.insert((4, ts(5, 2)));
+        s.removed.insert((4, ts(5, 2)));
+        assert_eq!(s.view(), BTreeSet::from([3]));
+        assert_eq!(s.view(), view_by_definition(&s));
+    }
+
+    #[test]
+    fn invoke_delta_override_equals_the_provided_diffing_one() {
+        use ral_core::rng::Rng;
+        let c = LwwElementSet::<u8>::new();
+        let mut rng = Rng::seed_from_u64(0x1ee7);
+        let (mut state, mut clock) = (c.initial(3), 0);
+        for _ in 0..200 {
+            let call = match rng.random_range(0..4u8) {
+                0 | 1 => LwwSetCall::Add(rng.random_range(0..6)),
+                2 => LwwSetCall::Remove(rng.random_range(0..6)),
+                _ => LwwSetCall::Read,
+            };
+            let origin = r(rng.random_range(0..3u32));
+            let (mut ours, mut theirs) =
+                (GenCtx::new(origin, clock, 0), GenCtx::new(origin, clock, 0));
+            let got = c.invoke_delta(&state, &call, &mut ours);
+            // What `DeltaCrdt::invoke_delta` provides: invoke, then diff.
+            let StateOutcome::Done { ret, next } = c.invoke(&state, &call, &mut theirs) else {
+                panic!("the LWW set never refuses")
+            };
+            let delta = (next != state).then(|| c.diff(&state, &next));
+            clock = theirs.clock();
+            state = next.clone();
+            assert_eq!(got, DeltaOutcome::Done { ret, next, delta });
+            assert_eq!(ours.clock(), clock);
+        }
     }
 
     #[test]

@@ -11,3 +11,15 @@ pub mod lww_element_set;
 pub mod mv_register;
 pub mod pn_counter;
 pub mod two_phase_set;
+
+use std::collections::BTreeSet;
+
+/// `a ∪= b` in place — the join of the two set-union lattices. Only the
+/// elements `a` lacks are cloned and inserted, so a small `b` costs
+/// `O(|b| log |a|)` whatever `a` holds. Returns whether `a` grew.
+fn union_into<T: Ord + Clone>(a: &mut BTreeSet<T>, b: &BTreeSet<T>) -> bool {
+    let fresh: Vec<T> = b.difference(a).cloned().collect();
+    let grew = !fresh.is_empty();
+    a.extend(fresh);
+    grew
+}

@@ -54,6 +54,27 @@ impl<E: Elem> MvState<E> {
     pub fn values(&self) -> BTreeSet<E> {
         self.pairs.iter().map(|(a, _)| a.clone()).collect()
     }
+
+    // `self ⊔= other`: the pairs of either side that no pair of the other
+    // strictly dominates. Only the incoming survivors `self` lacks are
+    // cloned. Returns whether `self` changed.
+    fn absorb(&mut self, other: &Self) -> bool {
+        let dominated_by = |v: &VersionVec, by: &Self| by.pairs.iter().any(|(_, w)| vv_lt(v, w));
+        // Decided against `self` as it stands, before anything is pruned.
+        let incoming: Vec<(E, VersionVec)> = other
+            .pairs
+            .iter()
+            .filter(|pair| !dominated_by(&pair.1, self) && !self.pairs.contains(pair))
+            .cloned()
+            .collect();
+        let (len, width) = (self.pairs.len(), self.width);
+        self.pairs.retain(|(_, v)| !dominated_by(v, other));
+        let pruned = self.pairs.len() < len;
+        let grew = !incoming.is_empty();
+        self.pairs.extend(incoming);
+        self.width = width.max(other.width);
+        pruned || grew || self.width != width
+    }
 }
 
 /// The state-based MV-Register CRDT.
@@ -161,20 +182,8 @@ impl<E: Elem> StateBased for MvRegister<E> {
         }
     }
 
-    fn merge(&self, a: &MvState<E>, b: &MvState<E>) -> MvState<E> {
-        let keep = |from: &MvState<E>, other: &MvState<E>| {
-            from.pairs
-                .iter()
-                .filter(|(_, v)| !other.pairs.iter().any(|(_, w)| vv_lt(v, w)))
-                .cloned()
-                .collect::<BTreeSet<_>>()
-        };
-        let mut pairs = keep(a, b);
-        pairs.extend(keep(b, a));
-        MvState {
-            width: a.width.max(b.width),
-            pairs,
-        }
+    fn merge_into(&self, a: &mut MvState<E>, b: &MvState<E>) {
+        a.absorb(b);
     }
 
     fn leq(&self, a: &MvState<E>, b: &MvState<E>) -> bool {
@@ -207,12 +216,12 @@ impl<E: Elem> DeltaCrdt for MvRegister<E> {
         }
     }
 
-    fn join(&self, state: &MvState<E>, delta: &MvState<E>) -> MvState<E> {
-        self.merge(state, delta)
+    fn join_into(&self, state: &mut MvState<E>, delta: &MvState<E>) -> bool {
+        state.absorb(delta)
     }
 
-    fn join_deltas(&self, a: &MvState<E>, b: &MvState<E>) -> MvState<E> {
-        self.merge(a, b)
+    fn join_deltas_into(&self, a: &mut MvState<E>, b: &MvState<E>) {
+        a.absorb(b);
     }
 
     fn full_delta(&self, state: &MvState<E>) -> MvState<E> {

@@ -118,11 +118,9 @@ impl StateBased for PnCounter {
         }
     }
 
-    fn merge(&self, a: &PnState, b: &PnState) -> PnState {
-        PnState {
-            p: a.p.iter().zip(&b.p).map(|(x, y)| *x.max(y)).collect(),
-            n: a.n.iter().zip(&b.n).map(|(x, y)| *x.max(y)).collect(),
-        }
+    fn merge_into(&self, a: &mut PnState, b: &PnState) {
+        max_into(&mut a.p, &b.p);
+        max_into(&mut a.n, &b.n);
     }
 
     fn leq(&self, a: &PnState, b: &PnState) -> bool {
@@ -151,16 +149,36 @@ pub struct PnDelta {
     pub n: Vec<(u32, u64)>,
 }
 
-// Merges `(slot, value)` maps by pointwise maximum, keeping slots sorted.
-fn join_slots(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut out = a.to_vec();
+// Raises each slot of `a` to the same slot of `b`.
+fn max_into(a: &mut [u64], b: &[u64]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = (*x).max(*y);
+    }
+}
+
+// Merges the `(slot, value)` map `b` into `a` by pointwise maximum, keeping
+// slots sorted.
+fn join_slots_into(a: &mut Vec<(u32, u64)>, b: &[(u32, u64)]) {
     for &(slot, v) in b {
-        match out.binary_search_by_key(&slot, |e| e.0) {
-            Ok(i) => out[i].1 = out[i].1.max(v),
-            Err(i) => out.insert(i, (slot, v)),
+        match a.binary_search_by_key(&slot, |e| e.0) {
+            Ok(i) => a[i].1 = a[i].1.max(v),
+            Err(i) => a.insert(i, (slot, v)),
         }
     }
-    out
+}
+
+// Raises the dense slots of `dense` to the sparse entries of `slots`;
+// returns whether any slot rose.
+fn raise_slots(dense: &mut [u64], slots: &[(u32, u64)]) -> bool {
+    let mut rose = false;
+    for &(slot, v) in slots {
+        let s = &mut dense[slot as usize];
+        if v > *s {
+            *s = v;
+            rose = true;
+        }
+    }
+    rose
 }
 
 // The sparse entries of `post` that exceed `pre` (pointwise).
@@ -182,24 +200,15 @@ impl DeltaCrdt for PnCounter {
         }
     }
 
-    fn join(&self, state: &PnState, delta: &PnDelta) -> PnState {
-        let mut next = state.clone();
-        for &(slot, v) in &delta.p {
-            let s = &mut next.p[slot as usize];
-            *s = (*s).max(v);
-        }
-        for &(slot, v) in &delta.n {
-            let s = &mut next.n[slot as usize];
-            *s = (*s).max(v);
-        }
-        next
+    fn join_into(&self, state: &mut PnState, delta: &PnDelta) -> bool {
+        let p = raise_slots(&mut state.p, &delta.p);
+        let n = raise_slots(&mut state.n, &delta.n);
+        p || n
     }
 
-    fn join_deltas(&self, a: &PnDelta, b: &PnDelta) -> PnDelta {
-        PnDelta {
-            p: join_slots(&a.p, &b.p),
-            n: join_slots(&a.n, &b.n),
-        }
+    fn join_deltas_into(&self, a: &mut PnDelta, b: &PnDelta) {
+        join_slots_into(&mut a.p, &b.p);
+        join_slots_into(&mut a.n, &b.n);
     }
 
     fn full_delta(&self, state: &PnState) -> PnDelta {

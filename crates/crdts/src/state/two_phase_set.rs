@@ -8,11 +8,12 @@
 //! (Figure 12).
 
 use crate::state::local::{EffectorClass, LocalEffector};
+use crate::state::union_into;
 use ral_core::elem::Elem;
 use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCrdt, DeltaOutcome};
 use ral_runtime::gen::GenCtx;
 use ral_runtime::state_based::{StateBased, StateOutcome};
 use ral_spec::set::SetOp;
@@ -44,6 +45,14 @@ impl<E: Elem> TwoPState<E> {
     /// The visible set `A \ R`.
     pub fn view(&self) -> BTreeSet<E> {
         self.added.difference(&self.removed).cloned().collect()
+    }
+
+    // `self ⊔= other`: plain union of both sets. Returns whether `self`
+    // grew.
+    fn absorb(&mut self, other: &Self) -> bool {
+        let added = union_into(&mut self.added, &other.added);
+        let removed = union_into(&mut self.removed, &other.removed);
+        added || removed
     }
 }
 
@@ -132,40 +141,17 @@ impl<E: Elem> StateBased for TwoPhaseSet<E> {
         &self,
         state: &TwoPState<E>,
         call: &TwoPCall<E>,
-        _ctx: &mut GenCtx,
+        ctx: &mut GenCtx,
     ) -> StateOutcome<Option<BTreeSet<E>>, TwoPState<E>> {
-        match call {
-            TwoPCall::Add(a) => {
-                // Client obligation: a value is added at most once, and never
-                // after its removal.
-                if state.added.contains(a) || state.removed.contains(a) {
-                    return StateOutcome::Refused;
-                }
-                let mut next = state.clone();
-                next.added.insert(a.clone());
-                StateOutcome::Done { ret: None, next }
-            }
-            TwoPCall::Remove(a) => {
-                // Precondition of Listing 10: a ∈ A ∧ a ∉ R.
-                if !state.added.contains(a) || state.removed.contains(a) {
-                    return StateOutcome::Refused;
-                }
-                let mut next = state.clone();
-                next.removed.insert(a.clone());
-                StateOutcome::Done { ret: None, next }
-            }
-            TwoPCall::Read => StateOutcome::Done {
-                ret: Some(state.view()),
-                next: state.clone(),
-            },
+        // A mutator *is* the join of its one-element delta.
+        match self.invoke_delta(state, call, ctx) {
+            DeltaOutcome::Done { ret, next, .. } => StateOutcome::Done { ret, next },
+            DeltaOutcome::Refused => StateOutcome::Refused,
         }
     }
 
-    fn merge(&self, a: &TwoPState<E>, b: &TwoPState<E>) -> TwoPState<E> {
-        TwoPState {
-            added: a.added.union(&b.added).cloned().collect(),
-            removed: a.removed.union(&b.removed).cloned().collect(),
-        }
+    fn merge_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) {
+        a.absorb(b);
     }
 
     fn leq(&self, a: &TwoPState<E>, b: &TwoPState<E>) -> bool {
@@ -194,12 +180,12 @@ impl<E: Elem> DeltaCrdt for TwoPhaseSet<E> {
         }
     }
 
-    fn join(&self, state: &TwoPState<E>, delta: &TwoPState<E>) -> TwoPState<E> {
-        self.merge(state, delta)
+    fn join_into(&self, state: &mut TwoPState<E>, delta: &TwoPState<E>) -> bool {
+        state.absorb(delta)
     }
 
-    fn join_deltas(&self, a: &TwoPState<E>, b: &TwoPState<E>) -> TwoPState<E> {
-        self.merge(a, b)
+    fn join_deltas_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) {
+        a.absorb(b);
     }
 
     fn full_delta(&self, state: &TwoPState<E>) -> TwoPState<E> {
@@ -213,6 +199,48 @@ impl<E: Elem> DeltaCrdt for TwoPhaseSet<E> {
     fn state_bytes(&self, state: &TwoPState<E>) -> usize {
         // Two length headers plus the raw elements of both sets.
         16 + size_of::<E>() * (state.added.len() + state.removed.len())
+    }
+
+    /// Hands back the added element or the new tombstone itself instead of
+    /// diffing two full states for it.
+    fn invoke_delta(
+        &self,
+        state: &TwoPState<E>,
+        call: &TwoPCall<E>,
+        _ctx: &mut GenCtx,
+    ) -> DeltaOutcome<Option<BTreeSet<E>>, TwoPState<E>, TwoPState<E>> {
+        let mut delta = self.initial(0);
+        match call {
+            TwoPCall::Add(a) => {
+                // Client obligation: a value is added at most once, and never
+                // after its removal.
+                if state.added.contains(a) || state.removed.contains(a) {
+                    return DeltaOutcome::Refused;
+                }
+                delta.added.insert(a.clone());
+            }
+            TwoPCall::Remove(a) => {
+                // Precondition of Listing 10: a ∈ A ∧ a ∉ R.
+                if !state.added.contains(a) || state.removed.contains(a) {
+                    return DeltaOutcome::Refused;
+                }
+                delta.removed.insert(a.clone());
+            }
+            TwoPCall::Read => {
+                return DeltaOutcome::Done {
+                    ret: Some(state.view()),
+                    next: state.clone(),
+                    delta: None,
+                }
+            }
+        }
+        let mut next = state.clone();
+        next.absorb(&delta);
+        DeltaOutcome::Done {
+            ret: None,
+            next,
+            delta: Some(delta),
+        }
     }
 }
 
@@ -380,6 +408,43 @@ mod tests {
         );
         assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
+    }
+
+    #[test]
+    fn invoke_delta_override_equals_the_provided_diffing_one() {
+        use ral_core::rng::Rng;
+        let c = TwoPhaseSet::<u8>::new();
+        let mut rng = Rng::seed_from_u64(0x2b5e7);
+        let mut state = c.initial(3);
+        let (mut done, mut refused) = (0, 0);
+        for _ in 0..300 {
+            // A small domain, so re-adds and removals of absent or already
+            // removed values (the refusals) are as common as mutations.
+            let call = match rng.random_range(0..4u8) {
+                0 | 1 => TwoPCall::Add(rng.random_range(0..24)),
+                2 => TwoPCall::Remove(rng.random_range(0..24)),
+                _ => TwoPCall::Read,
+            };
+            let mut ctx = GenCtx::new(r(0), 0, 0);
+            let got = c.invoke_delta(&state, &call, &mut ctx);
+            // What `DeltaCrdt::invoke_delta` provides: invoke, then diff.
+            let expected = match c.invoke(&state, &call, &mut ctx) {
+                StateOutcome::Refused => {
+                    refused += 1;
+                    DeltaOutcome::Refused
+                }
+                StateOutcome::Done { ret, next } => {
+                    done += 1;
+                    let delta = (next != state).then(|| c.diff(&state, &next));
+                    DeltaOutcome::Done { ret, next, delta }
+                }
+            };
+            assert_eq!(got, expected, "{call:?} at {state:?}");
+            if let DeltaOutcome::Done { next, .. } = got {
+                state = next;
+            }
+        }
+        assert!(done > 50 && refused > 50, "{done} done, {refused} refused");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! * [`DeltaCrdt`] — the delta-mutator API a state-based CRDT implements on
 //!   top of [`StateBased`]: `diff` (the join decomposition of one
-//!   mutation), `join` / `join_deltas`, `full_delta` (the whole state as a
+//!   mutation), `join_into` / `join_deltas_into` (the in-place joins every
+//!   receive and every batch run), `full_delta` (the whole state as a
 //!   delta, for resynchronization), and the wire-size model
 //!   (`delta_bytes` / `state_bytes`) the simulator's bandwidth accounting
 //!   uses;
@@ -49,6 +50,7 @@ use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
 use ral_obs as obs;
 use std::fmt::Debug;
+use std::rc::Rc;
 
 /// The result of invoking a delta mutator: the classic [`StateOutcome`]
 /// plus the join decomposition of the state change.
@@ -81,6 +83,13 @@ pub enum DeltaOutcome<R, S, D> {
 /// 4. *lattice* — `join` inherits idempotence, commutativity, and
 ///    associativity from `merge`, so duplicated and reordered deliveries
 ///    are harmless.
+///
+/// The laws are stated over the by-value [`DeltaCrdt::join`] /
+/// [`DeltaCrdt::join_deltas`], which are nothing but clone-then-mutate
+/// wrappers around the two **required** in-place methods — so they are laws
+/// about [`DeltaCrdt::join_into`] / [`DeltaCrdt::join_deltas_into`], the
+/// code the transport runs, and moving to the in-place form changed none of
+/// them.
 pub trait DeltaCrdt: StateBased {
     /// A join decomposition fragment: the unit shipped by the delta
     /// transport. Often the state type itself (a sparse fragment of it).
@@ -91,11 +100,34 @@ pub trait DeltaCrdt: StateBased {
     /// `join(pre, d) == post`.
     fn diff(&self, pre: &Self::State, post: &Self::State) -> Self::Delta;
 
-    /// Joins a delta into a state (the least upper bound in the lattice).
-    fn join(&self, state: &Self::State, delta: &Self::Delta) -> Self::State;
+    /// Joins `delta` into `state` in place (the least upper bound in the
+    /// lattice) and returns whether `state` changed. **Required**; every
+    /// receive runs it, so it should cost what the delta adds, not the size
+    /// of the state. The returned flag is load-bearing — it decides whether
+    /// a delivery counts as applied — and debug builds of [`DeltaCluster`]
+    /// check it against a before/after comparison.
+    fn join_into(&self, state: &mut Self::State, delta: &Self::Delta) -> bool;
 
-    /// Joins two deltas into one batched delta.
-    fn join_deltas(&self, a: &Self::Delta, b: &Self::Delta) -> Self::Delta;
+    /// Joins delta `b` into delta `a` in place — one step of folding a
+    /// batch. **Required**.
+    fn join_deltas_into(&self, a: &mut Self::Delta, b: &Self::Delta);
+
+    /// [`DeltaCrdt::join_into`] by value: clones `state` and joins into the
+    /// copy. Provided for the law checkers and tests; implementations do
+    /// not override it.
+    fn join(&self, state: &Self::State, delta: &Self::Delta) -> Self::State {
+        let mut out = state.clone();
+        self.join_into(&mut out, delta);
+        out
+    }
+
+    /// [`DeltaCrdt::join_deltas_into`] by value. Provided; implementations
+    /// do not override it.
+    fn join_deltas(&self, a: &Self::Delta, b: &Self::Delta) -> Self::Delta {
+        let mut out = a.clone();
+        self.join_deltas_into(&mut out, b);
+        out
+    }
 
     /// The whole state as a delta — the payload of a full-state resync.
     fn full_delta(&self, state: &Self::State) -> Self::Delta;
@@ -144,7 +176,9 @@ impl Default for DeltaConfig {
 }
 
 /// One buffered local mutation, awaiting acknowledgment by every peer.
-#[derive(Clone, Debug)]
+/// Immutable once buffered, so the live buffer and the durable checkpoint
+/// share each entry.
+#[derive(Debug)]
 struct DeltaEntry<D> {
     /// Per-origin sequence number (1-based, contiguous).
     seq: u64,
@@ -161,17 +195,19 @@ struct DeltaEntry<D> {
 }
 
 // The replicated per-node bookkeeping; `durable` holds a complete copy, so
-// checkpointing and crash recovery are plain clones.
+// checkpointing and crash recovery are plain clones — cheap ones: the state
+// and the buffered entries are reference-counted, and `Rc::make_mut` copies
+// the state once on the first write after a checkpoint.
 #[derive(Clone, Debug)]
 struct DeltaCore<S, D> {
-    state: S,
+    state: Rc<S>,
     /// Liveness and visibility bookkeeping. Cloning the core clones the
     /// member too, so a durable checkpoint carries the seen-set and a crash
     /// restores it alongside the state.
     member: Member,
     clock: u64,
     /// Unacknowledged local mutations, ascending contiguous `seq`.
-    buffer: Vec<DeltaEntry<D>>,
+    buffer: Vec<Rc<DeltaEntry<D>>>,
     /// Sequence number of the next local mutation (1-based; `next_seq - 1`
     /// is the newest existing mutation).
     next_seq: u64,
@@ -290,11 +326,11 @@ pub struct DeltaStats {
 /// #         if !next.contains(c) { next.push(*c); next.sort_unstable(); }
 /// #         StateOutcome::Done { ret: (), next }
 /// #     }
-/// #     fn merge(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-/// #         let mut out = a.clone();
-/// #         out.extend(b.iter().copied().filter(|x| !a.contains(x)));
-/// #         out.sort_unstable();
-/// #         out
+/// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+/// #         for x in b {
+/// #             if !a.contains(x) { a.push(*x); }
+/// #         }
+/// #         a.sort_unstable();
 /// #     }
 /// #     fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool { a.iter().all(|x| b.contains(x)) }
 /// #     fn label(&self, c: &u32, _r: &()) -> u32 { *c }
@@ -304,8 +340,12 @@ pub struct DeltaStats {
 /// #     fn diff(&self, pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
 /// #         post.iter().filter(|x| !pre.contains(x)).copied().collect()
 /// #     }
-/// #     fn join(&self, s: &Vec<u32>, d: &Vec<u32>) -> Vec<u32> { self.merge(s, d) }
-/// #     fn join_deltas(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> { self.merge(a, b) }
+/// #     fn join_into(&self, s: &mut Vec<u32>, d: &Vec<u32>) -> bool {
+/// #         let before = s.len();
+/// #         self.merge_into(s, d);
+/// #         s.len() > before
+/// #     }
+/// #     fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) { self.merge_into(a, b) }
 /// #     fn full_delta(&self, s: &Vec<u32>) -> Vec<u32> { s.clone() }
 /// #     fn delta_bytes(&self, d: &Vec<u32>) -> usize { 4 * d.len() }
 /// #     fn state_bytes(&self, s: &Vec<u32>) -> usize { 4 * s.len() }
@@ -347,7 +387,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         let replicas = (0..n_replicas)
             .map(|_| {
                 let core = DeltaCore {
-                    state: crdt.initial(n_replicas),
+                    state: Rc::new(crdt.initial(n_replicas)),
                     member: Member::new(),
                     clock: 0,
                     buffer: Vec::new(),
@@ -445,7 +485,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                     .push_set(record, node.core.member.seen().clone());
                 node.core.clock = ctx.clock();
                 self.next_uid = ctx.uid_counter();
-                node.core.state = next;
+                node.core.state = Rc::new(next);
                 node.core.member.observe(op);
                 if let Some(delta) = delta {
                     let seq = node.core.next_seq;
@@ -455,8 +495,11 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                     // transitive knowledge.
                     let mut seen = BitSet::new();
                     seen.insert(op);
-                    node.core.buffer.push(DeltaEntry { seq, delta, seen });
+                    node.core
+                        .buffer
+                        .push(Rc::new(DeltaEntry { seq, delta, seen }));
                 }
+                debug_assert_clock_covers_state(&self.crdt, &node.core);
                 node.durable = node.core.clone();
                 Some(DeltaInvoked { ret, op })
             }
@@ -478,15 +521,20 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     pub fn ingest_local(&mut self, r: ReplicaId, delta: C::Delta) {
         let node = &mut self.replicas[r.0 as usize];
         node.core.member.expect_up("ingest at", r);
-        node.core.state = self.crdt.join(&node.core.state, &delta);
+        self.crdt
+            .join_into(Rc::make_mut(&mut node.core.state), &delta);
+        // The delta was stamped elsewhere: keep the Lamport clock ahead of
+        // whatever it carried, as a receive would.
+        node.core.clock = node.core.clock.max(self.crdt.clock_floor(&node.core.state));
         let seq = node.core.next_seq;
         node.core.next_seq += 1;
         // No history op backs an ingested delta, so it conveys no labels.
-        node.core.buffer.push(DeltaEntry {
+        node.core.buffer.push(Rc::new(DeltaEntry {
             seq,
             delta,
             seen: BitSet::new(),
-        });
+        }));
+        debug_assert_clock_covers_state(&self.crdt, &node.core);
         node.durable = node.core.clone();
     }
 
@@ -558,22 +606,19 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             }
         } else if !node.core.buffer.is_empty() && oldest_needed <= newest {
             // Interval batching: one joined delta covering every entry
-            // from the oldest unacknowledged onwards.
-            let entries: Vec<&DeltaEntry<C::Delta>> = node
-                .core
-                .buffer
-                .iter()
-                .filter(|e| e.seq >= oldest_needed)
-                .collect();
-            let mut joined = entries[0].delta.clone();
-            let mut seen = entries[0].seen.clone();
-            for e in &entries[1..] {
-                joined = self.crdt.join_deltas(&joined, &e.delta);
+            // from the oldest unacknowledged onwards, folded in place.
+            let mut entries = node.core.buffer.iter().filter(|e| e.seq >= oldest_needed);
+            let first = entries.next().expect("newest entry is unacknowledged");
+            let mut joined = first.delta.clone();
+            let mut seen = first.seen.clone();
+            let (from, mut upto) = (first.seq, first.seq);
+            for e in entries {
+                self.crdt.join_deltas_into(&mut joined, &e.delta);
                 seen.union_with(&e.seen);
+                upto = e.seq;
             }
             self.stats.batches += 1;
             obs::counter("runtime.delta.batches", 1);
-            let (from, upto) = (entries[0].seq, entries.last().unwrap().seq);
             self.messages.push(DeltaMessage {
                 origin: r,
                 seen,
@@ -607,10 +652,29 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         self.messages.len() - 1
     }
 
-    /// Number of messages created so far (never consumed — the network may
-    /// duplicate deliveries arbitrarily).
+    /// Number of messages created so far (ids are never reused — the
+    /// network may duplicate deliveries arbitrarily).
     pub fn n_messages(&self) -> usize {
         self.messages.len()
+    }
+
+    /// Declares that the network will not deliver message `msg` again: its
+    /// payload is dropped and what remains is the heartbeat the origin
+    /// could have sent instead (header and acks, no delta, no labels).
+    /// Applying a released message afterwards changes no state — exactly a
+    /// dropped message, which Appendix D.2 already allows — while its acks
+    /// are still honoured. [`DeltaCluster::message_bytes`] describes the
+    /// heartbeat from then on, so wire accounting reads it before.
+    pub fn release(&mut self, msg: usize) {
+        let message = &mut self.messages[msg];
+        let (DeltaPayload::Batch { upto, .. } | DeltaPayload::Resync { upto, .. }) =
+            message.payload;
+        message.payload = DeltaPayload::Batch {
+            from: upto + 1,
+            upto,
+            delta: None,
+        };
+        message.seen = BitSet::new();
     }
 
     /// The replica that sent message `msg`.
@@ -727,7 +791,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// the delta resync and batching laws ([`laws::delta_laws`]) hold on the
     /// distinct current replica states. Buffered deltas are not inspected.
     pub fn check_lattice_laws(&self) -> bool {
-        let states = laws::distinct(self.replicas.iter().map(|n| &n.core.state));
+        let states = laws::distinct(self.replicas.iter().map(|n| &*n.core.state));
         let mut all_hold = true;
         laws::lattice_laws(&self.crdt, &states, &mut all_hold);
         laws::delta_laws(&self.crdt, &states, &mut all_hold);
@@ -756,6 +820,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         let node = &mut self.replicas[r.0 as usize];
         node.core = node.durable.clone();
         node.core.member.crash();
+        debug_assert_clock_covers_state(&self.crdt, &node.core);
     }
 
     /// Restarts a crashed replica from its durable checkpoint.
@@ -769,6 +834,36 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             node.core.member.restart();
         }
     }
+}
+
+// The invariant that lets a receive re-read `clock_floor` (an O(state) scan)
+// only when its join changed the state: every path that writes the state
+// leaves the Lamport clock at or above every timestamp stored in it.
+fn debug_assert_clock_covers_state<C: DeltaCrdt>(crdt: &C, core: &DeltaCore<C::State, C::Delta>) {
+    debug_assert!(
+        core.clock >= crdt.clock_floor(&core.state),
+        "Lamport clock {} fell behind a stored timestamp (floor {})",
+        core.clock,
+        crdt.clock_floor(&core.state)
+    );
+}
+
+// Joins `delta` into the node state in place, copying the state first only
+// if a checkpoint still shares it. Every delivered payload is joined:
+// whether it adds anything is `join_into`'s business, never tested here. The
+// flag it returns decides `Applied` vs `Ignored` and whether the clock floor
+// is re-read, so debug builds hold it to its definition.
+fn join_checked<C: DeltaCrdt>(crdt: &C, state: &mut Rc<C::State>, delta: &C::Delta) -> bool {
+    #[cfg(debug_assertions)]
+    let before = C::State::clone(state);
+    let changed = crdt.join_into(Rc::make_mut(state), delta);
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        changed,
+        before != **state,
+        "join_into misreported whether it changed the state"
+    );
+    changed
 }
 
 // The message-apply body, shared by targeted [`DeltaCluster::apply`] and the
@@ -798,17 +893,13 @@ fn apply_message<C: DeltaCrdt>(
     let mut changed = false;
     match &message.payload {
         DeltaPayload::Resync { upto, delta } => {
-            let next = crdt.join(&core.state, delta);
-            changed = next != core.state;
-            core.state = next;
+            changed = join_checked(crdt, &mut core.state, delta);
             core.applied_upto[o] = core.applied_upto[o].max(*upto);
             core.member.merge_seen(&message.seen);
         }
         DeltaPayload::Batch { from, upto, delta } => {
             if let Some(delta) = delta {
-                let next = crdt.join(&core.state, delta);
-                changed = next != core.state;
-                core.state = next;
+                changed = join_checked(crdt, &mut core.state, delta);
                 if *from <= core.applied_upto[o] + 1 {
                     // Contiguous: the batch closes every gap up to
                     // `upto`, so its label set is fully reflected.
@@ -818,10 +909,11 @@ fn apply_message<C: DeltaCrdt>(
             }
         }
     }
-    core.clock = core
-        .clock
-        .max(message.clock)
-        .max(crdt.clock_floor(&core.state));
+    core.clock = core.clock.max(message.clock);
+    if changed {
+        core.clock = core.clock.max(crdt.clock_floor(&core.state));
+    }
+    debug_assert_clock_covers_state(crdt, core);
     changed
 }
 
@@ -829,9 +921,22 @@ fn apply_message<C: DeltaCrdt>(
 mod tests {
     use super::*;
 
-    /// A grow-only set with sparse deltas, for transport-level tests.
+    /// A grow-only set with sparse deltas, for transport-level tests —
+    /// optionally breaking one clause of the transport's contract.
     #[derive(Clone)]
-    struct GSet;
+    struct GSet(Bug);
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Bug {
+        None,
+        /// `join_into` reports "unchanged" whatever it did.
+        LyingJoin,
+        /// The elements count as timestamps (`clock_floor` is the largest),
+        /// yet `invoke` stores them without advancing the Lamport clock.
+        StaleClock,
+    }
+
+    const GSET: GSet = GSet(Bug::None);
 
     #[derive(Clone, Debug, PartialEq)]
     enum Call {
@@ -874,15 +979,13 @@ mod tests {
             }
         }
 
-        fn merge(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-            let mut out = a.clone();
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
             for x in b {
-                if !out.contains(x) {
-                    out.push(*x);
+                if !a.contains(x) {
+                    a.push(*x);
                 }
             }
-            out.sort_unstable();
-            out
+            a.sort_unstable();
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
@@ -891,6 +994,13 @@ mod tests {
 
         fn label(&self, call: &Call, _ret: &Vec<u32>) -> Call {
             call.clone()
+        }
+
+        fn clock_floor(&self, state: &Vec<u32>) -> u64 {
+            match self.0 {
+                Bug::StaleClock => state.last().map_or(0, |x| *x as u64),
+                _ => 0,
+            }
         }
     }
 
@@ -901,12 +1011,14 @@ mod tests {
             post.iter().filter(|x| !pre.contains(x)).copied().collect()
         }
 
-        fn join(&self, state: &Vec<u32>, delta: &Vec<u32>) -> Vec<u32> {
-            self.merge(state, delta)
+        fn join_into(&self, state: &mut Vec<u32>, delta: &Vec<u32>) -> bool {
+            let before = state.len();
+            self.merge_into(state, delta);
+            state.len() > before && self.0 != Bug::LyingJoin
         }
 
-        fn join_deltas(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-            self.merge(a, b)
+        fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+            self.merge_into(a, b);
         }
 
         fn full_delta(&self, state: &Vec<u32>) -> Vec<u32> {
@@ -927,7 +1039,7 @@ mod tests {
     }
 
     fn cluster(n: usize) -> DeltaCluster<GSet> {
-        DeltaCluster::new(GSet, DeltaConfig::default(), n)
+        DeltaCluster::new(GSET, DeltaConfig::default(), n)
     }
 
     #[test]
@@ -1026,7 +1138,7 @@ mod tests {
 
     #[test]
     fn buffer_overflow_falls_back_to_resync() {
-        let mut c = DeltaCluster::new(GSet, DeltaConfig { resync_after: 3 }, 2);
+        let mut c = DeltaCluster::new(GSET, DeltaConfig { resync_after: 3 }, 2);
         // No acks ever flow (no gossip from r1): the buffer outgrows the
         // horizon and the next gossip ships the whole state.
         for x in 0..5 {
@@ -1086,7 +1198,7 @@ mod tests {
         // A batch of everything costs as much as the state itself here
         // (G-Set deltas are the new elements), never more.
         assert!(
-            c.message_bytes(batch, r(1)) <= 40 + GSet.state_bytes(c.state(r(0))),
+            c.message_bytes(batch, r(1)) <= 40 + GSET.state_bytes(c.state(r(0))),
             "batch should not exceed header + full state"
         );
     }
@@ -1110,5 +1222,90 @@ mod tests {
         let m = c.gossip(r(0));
         c.crash(r(1));
         c.apply(r(1), m);
+    }
+
+    #[test]
+    fn released_messages_keep_their_acks_and_nothing_else() {
+        let mut c = cluster(2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let batch = c.gossip(r(0));
+        c.apply(r(1), batch);
+        // r1's reply carries a payload of its own and the ack for `batch`.
+        c.invoke(r(1), Call::Add(2)).unwrap();
+        let reply = c.gossip(r(1));
+        let wire = c.message_bytes(reply, r(0));
+        c.release(reply);
+        assert!(c.message(reply).is_heartbeat());
+        assert!(c.message_bytes(reply, r(0)) < wire, "sized before release");
+        // Applied after its release it is a dropped message with a live
+        // header: nothing joins, nothing becomes visible, the ack lands.
+        assert!(!c.apply(r(0), reply));
+        assert_eq!(c.state(r(0)), &vec![1]);
+        c.gossip(r(0));
+        assert_eq!(c.buffered(r(0)), 0, "the released message's ack was taken");
+        // A released resync likewise.
+        let mut c = DeltaCluster::new(GSET, DeltaConfig { resync_after: 0 }, 2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let resync = c.gossip(r(0));
+        assert!(c.message(resync).is_resync());
+        c.release(resync);
+        assert!(!c.apply(r(1), resync));
+        assert_eq!(c.state(r(1)), &Vec::<u32>::new());
+    }
+
+    #[test]
+    fn checkpoints_share_state_and_buffer_with_the_live_core() {
+        let mut c = cluster(2);
+        for x in 0..8 {
+            c.invoke(r(0), Call::Add(x)).unwrap();
+        }
+        let node = &c.replicas[0];
+        assert!(Rc::ptr_eq(&node.core.state, &node.durable.state));
+        for (live, kept) in node.core.buffer.iter().zip(&node.durable.buffer) {
+            assert!(Rc::ptr_eq(live, kept));
+        }
+        // The first write after the checkpoint copies; the checkpoint stays.
+        c.invoke(r(1), Call::Add(99)).unwrap();
+        let m = c.gossip(r(1));
+        c.apply(r(0), m);
+        let node = &c.replicas[0];
+        assert!(!Rc::ptr_eq(&node.core.state, &node.durable.state));
+        assert_eq!(*node.durable.state, (0..8).collect::<Vec<u32>>());
+        c.crash(r(0));
+        c.restart(r(0));
+        assert_eq!(c.state(r(0)), &(0..8).collect::<Vec<u32>>());
+    }
+
+    // The two debug-build checks behind "a receive re-reads `clock_floor`
+    // only when `join_into` reports a change": each must trip on its mutant.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "join_into misreported whether it changed the state")]
+    fn a_lying_join_into_is_caught_on_receive() {
+        let mut c = DeltaCluster::new(GSet(Bug::LyingJoin), DeltaConfig::default(), 2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let m = c.gossip(r(0));
+        c.apply(r(1), m);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fell behind a stored timestamp")]
+    fn a_clock_behind_the_state_is_caught_where_it_arises() {
+        let mut c = DeltaCluster::new(GSet(Bug::StaleClock), DeltaConfig::default(), 2);
+        c.invoke(r(0), Call::Add(7));
+    }
+
+    #[test]
+    fn ingest_local_keeps_the_clock_ahead_of_foreign_stamps() {
+        // With the elements read as timestamps, ingesting `[7]` must lift
+        // the clock to 7 — the invariant every later receive relies on.
+        let mut c = DeltaCluster::new(GSet(Bug::StaleClock), DeltaConfig::default(), 2);
+        c.ingest_local(r(0), vec![7]);
+        assert_eq!(c.replicas[0].core.clock, 7);
+        let m = c.gossip(r(0));
+        c.apply(r(1), m);
+        c.apply(r(1), m);
+        assert_eq!(c.replicas[1].core.clock, 7);
     }
 }

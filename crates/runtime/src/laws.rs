@@ -149,8 +149,8 @@ mod tests {
         Batching,
     }
 
-    /// A max-register: `merge`, `join` and `join_deltas` are `max`, `leq` is
-    /// `≤`, a delta is the new value — with one seeded bug.
+    /// A max-register: `merge_into`, `join_into` and `join_deltas_into` are
+    /// `max`, `leq` is `≤`, a delta is the new value — with one seeded bug.
     struct Max(Bug);
 
     impl StateBased for Max {
@@ -170,13 +170,14 @@ mod tests {
             }
         }
 
-        fn merge(&self, a: &u32, b: &u32) -> u32 {
-            match self.0 {
-                Bug::Commutative => *a,
-                Bug::UpperBound => *a.min(b),
-                Bug::Associative if a != b => a.max(b) + 1,
-                _ => *a.max(b),
-            }
+        fn merge_into(&self, a: &mut u32, b: &u32) {
+            let (x, y) = (*a, *b);
+            *a = match self.0 {
+                Bug::Commutative => x,
+                Bug::UpperBound => x.min(y),
+                Bug::Associative if x != y => x.max(y) + 1,
+                _ => x.max(y),
+            };
         }
 
         fn leq(&self, a: &u32, b: &u32) -> bool {
@@ -199,12 +200,16 @@ mod tests {
             })
         }
 
-        fn join(&self, state: &u32, delta: &u32) -> u32 {
-            *state.max(delta)
+        fn join_into(&self, state: &mut u32, delta: &u32) -> bool {
+            let grows = delta > state;
+            *state = (*state).max(*delta);
+            grows
         }
 
-        fn join_deltas(&self, a: &u32, b: &u32) -> u32 {
-            *(if self.0 == Bug::Batching { a } else { a.max(b) })
+        fn join_deltas_into(&self, a: &mut u32, b: &u32) {
+            if self.0 != Bug::Batching {
+                *a = (*a).max(*b);
+            }
         }
 
         fn full_delta(&self, state: &u32) -> u32 {

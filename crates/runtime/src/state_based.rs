@@ -7,6 +7,12 @@
 //! applied several times, at any subset of replicas, in any order, or never
 //! (Appendix D.2) — convergence must come from the lattice laws alone.
 //!
+//! The join runs in place ([`StateBased::merge_into`]) on every delivery,
+//! and a replica's state, its durable checkpoint and the snapshots taken of
+//! it share one copy-on-write allocation, so a receive costs what the
+//! message adds and a send costs nothing; `docs/RUNTIME.md` ("Lattice
+//! transports") has the whole story, including [`StateCluster::release`].
+//!
 //! Liveness and visibility bookkeeping live in the shared [`Member`].
 
 use crate::gen::GenCtx;
@@ -17,6 +23,7 @@ use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
 use ral_obs as obs;
 use std::fmt::Debug;
+use std::rc::Rc;
 
 /// The result of invoking a method on a state-based CRDT.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,8 +63,21 @@ pub trait StateBased {
         ctx: &mut GenCtx,
     ) -> StateOutcome<Self::Ret, Self::State>;
 
-    /// The least upper bound of two replica states.
-    fn merge(&self, a: &Self::State, b: &Self::State) -> Self::State;
+    /// Joins `b` into `a`: afterwards `a` holds the least upper bound of the
+    /// two states. This is the **required** form and the one every receive
+    /// runs, so its cost should be what `b` adds to `a`, not the size of
+    /// `a`. The lattice laws of [`crate::laws`] are stated over
+    /// [`StateBased::merge`], i.e. over this method.
+    fn merge_into(&self, a: &mut Self::State, b: &Self::State);
+
+    /// The least upper bound of two replica states, by value: clones `a`
+    /// and runs [`StateBased::merge_into`]. Provided for the law checkers
+    /// and tests; implementations do not override it.
+    fn merge(&self, a: &Self::State, b: &Self::State) -> Self::State {
+        let mut out = a.clone();
+        self.merge_into(&mut out, b);
+        out
+    }
 
     /// The lattice order (`compare` in the listings): `a ⊑ b`.
     fn leq(&self, a: &Self::State, b: &Self::State) -> bool;
@@ -75,7 +95,11 @@ pub trait StateBased {
 
 #[derive(Clone)]
 struct StateNode<S> {
-    state: S,
+    // One allocation shared with the durable checkpoint and with every
+    // snapshot message taken since the last write: checkpointing and sending
+    // bump the count, and `Rc::make_mut` copies the state once on the first
+    // write after a share.
+    state: Rc<S>,
     // Liveness + seen-set.
     member: Member,
     clock: u64,
@@ -84,7 +108,7 @@ struct StateNode<S> {
     // only lose *merged-in* remote knowledge — which the unreliable network
     // may re-merge at any time, making the loss indistinguishable from a
     // dropped message (Appendix D.2).
-    durable: (S, BitSet, u64),
+    durable: (Rc<S>, BitSet, u64),
 }
 
 /// A snapshot message: the sending replica's state plus the set of
@@ -93,7 +117,7 @@ struct StateNode<S> {
 #[derive(Clone, Debug)]
 pub struct Message<S> {
     seen: BitSet,
-    state: S,
+    state: Rc<S>,
     clock: u64,
     origin: ReplicaId,
 }
@@ -132,11 +156,11 @@ pub struct Invoked<R> {
 /// #         if !next.contains(c) { next.push(*c); next.sort_unstable(); }
 /// #         StateOutcome::Done { ret: (), next }
 /// #     }
-/// #     fn merge(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-/// #         let mut out = a.clone();
-/// #         out.extend(b.iter().copied().filter(|x| !a.contains(x)));
-/// #         out.sort_unstable();
-/// #         out
+/// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+/// #         for x in b {
+/// #             if !a.contains(x) { a.push(*x); }
+/// #         }
+/// #         a.sort_unstable();
 /// #     }
 /// #     fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool { a.iter().all(|x| b.contains(x)) }
 /// #     fn label(&self, c: &u32, _r: &()) -> u32 { *c }
@@ -159,6 +183,8 @@ pub struct StateCluster<C: StateBased> {
     messages: Vec<Message<C::State>>,
     history: History<C::Label>,
     next_uid: u64,
+    // ⊥, the initial state: what a released message's payload becomes.
+    bottom: Rc<C::State>,
 }
 
 impl<C: StateBased> StateCluster<C> {
@@ -169,12 +195,13 @@ impl<C: StateBased> StateCluster<C> {
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, n_replicas: usize) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
+        let bottom = Rc::new(crdt.initial(n_replicas));
         let replicas = (0..n_replicas)
             .map(|_| StateNode {
-                state: crdt.initial(n_replicas),
+                state: Rc::clone(&bottom),
                 member: Member::new(),
                 clock: 0,
-                durable: (crdt.initial(n_replicas), BitSet::new(), 0),
+                durable: (Rc::clone(&bottom), BitSet::new(), 0),
             })
             .collect();
         StateCluster {
@@ -183,6 +210,7 @@ impl<C: StateBased> StateCluster<C> {
             messages: Vec::new(),
             history: History::new(),
             next_uid: 0,
+            bottom,
         }
     }
 
@@ -247,15 +275,21 @@ impl<C: StateBased> StateCluster<C> {
                 let op = self.history.push_set(record, node.member.seen().clone());
                 node.clock = ctx.clock();
                 self.next_uid = ctx.uid_counter();
-                node.state = next;
+                node.state = Rc::new(next);
                 node.member.observe(op);
-                node.durable = (node.state.clone(), node.member.seen().clone(), node.clock);
+                node.durable = (
+                    Rc::clone(&node.state),
+                    node.member.seen().clone(),
+                    node.clock,
+                );
                 Some(Invoked { ret, op })
             }
         }
     }
 
     /// Snapshots replica `r`'s state into a message; returns the message id.
+    /// The snapshot shares the replica's state allocation — nothing is
+    /// copied until the replica next writes to it.
     ///
     /// # Panics
     ///
@@ -265,7 +299,7 @@ impl<C: StateBased> StateCluster<C> {
         node.member.expect_up("send from", r);
         self.messages.push(Message {
             seen: node.member.seen().clone(),
-            state: node.state.clone(),
+            state: Rc::clone(&node.state),
             clock: node.clock,
             origin: r,
         });
@@ -282,10 +316,21 @@ impl<C: StateBased> StateCluster<C> {
         &self.messages[msg].state
     }
 
-    /// Number of messages in flight (messages are never consumed — the
-    /// network may duplicate them arbitrarily).
+    /// Number of messages created so far (ids are never reused — the
+    /// network may duplicate deliveries arbitrarily).
     pub fn n_messages(&self) -> usize {
         self.messages.len()
+    }
+
+    /// Declares that the network will not deliver message `msg` again: its
+    /// payload (state and label set) is replaced with ⊥, the initial state,
+    /// so whatever the snapshot alone kept alive is freed. Applying a
+    /// released message afterwards merges ⊥ — a no-op, exactly a dropped
+    /// message, which Appendix D.2 already allows.
+    pub fn release(&mut self, msg: usize) {
+        let message = &mut self.messages[msg];
+        message.state = Rc::clone(&self.bottom);
+        message.seen = BitSet::new();
     }
 
     /// Applies message `msg` at replica `r` (merging states). May be called
@@ -329,7 +374,7 @@ impl<C: StateBased> StateCluster<C> {
     /// Whether the five join-semilattice laws ([`laws::lattice_laws`]) hold
     /// on the distinct current replica states.
     pub fn check_lattice_laws(&self) -> bool {
-        let states = laws::distinct(self.replicas.iter().map(|n| &n.state));
+        let states = laws::distinct(self.replicas.iter().map(|n| &*n.state));
         let mut all_hold = true;
         laws::lattice_laws(&self.crdt, &states, &mut all_hold);
         all_hold
@@ -344,7 +389,11 @@ impl<C: StateBased> StateCluster<C> {
     /// remote knowledge) becomes the durable state a crash recovers to.
     pub fn persist(&mut self, r: ReplicaId) {
         let node = &mut self.replicas[r.0 as usize];
-        node.durable = (node.state.clone(), node.member.seen().clone(), node.clock);
+        node.durable = (
+            Rc::clone(&node.state),
+            node.member.seen().clone(),
+            node.clock,
+        );
     }
 
     /// Crashes replica `r`: the process halts and its volatile state is
@@ -355,7 +404,7 @@ impl<C: StateBased> StateCluster<C> {
     pub fn crash(&mut self, r: ReplicaId) {
         let node = &mut self.replicas[r.0 as usize];
         node.member.crash();
-        node.state = node.durable.0.clone();
+        node.state = Rc::clone(&node.durable.0);
         node.member.restore_seen(node.durable.1.clone());
         node.clock = node.durable.2;
     }
@@ -374,9 +423,11 @@ impl<C: StateBased> StateCluster<C> {
 }
 
 /// Merges one snapshot message into one node — the core of both the
-/// targeted [`StateCluster::apply`] and `sync_all`.
+/// targeted [`StateCluster::apply`] and `sync_all`. Every message is merged:
+/// whether it adds anything is `merge_into`'s business, never tested here
+/// (a skipped "redundant" merge would hide a non-idempotent one).
 fn apply_message<C: StateBased>(crdt: &C, msg: &Message<C::State>, node: &mut StateNode<C::State>) {
-    node.state = crdt.merge(&node.state, &msg.state);
+    crdt.merge_into(Rc::make_mut(&mut node.state), &msg.state);
     node.member.merge_seen(&msg.seen);
     node.clock = node.clock.max(msg.clock).max(crdt.clock_floor(&node.state));
 }
@@ -429,15 +480,13 @@ mod tests {
             }
         }
 
-        fn merge(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-            let mut out = a.clone();
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
             for x in b {
-                if !out.contains(x) {
-                    out.push(*x);
+                if !a.contains(x) {
+                    a.push(*x);
                 }
             }
-            out.sort_unstable();
-            out
+            a.sort_unstable();
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
@@ -547,6 +596,37 @@ mod tests {
         c.crash(r(1));
         c.restart(r(1));
         assert_eq!(c.state(r(1)), &vec![1], "checkpoint survived the crash");
+    }
+
+    #[test]
+    fn snapshots_share_the_state_until_the_next_write() {
+        let mut c = StateCluster::new(GSet, 2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let m = c.send(r(0));
+        let node = &c.replicas[0];
+        assert!(Rc::ptr_eq(&node.state, &c.messages[m].state));
+        assert!(Rc::ptr_eq(&node.state, &node.durable.0));
+        // A write after the share copies; snapshot and checkpoint stay put.
+        c.invoke(r(1), Call::Add(2)).unwrap();
+        let other = c.send(r(1));
+        c.apply(r(0), other);
+        assert_eq!(c.state(r(0)), &vec![1, 2]);
+        assert_eq!(c.message_state(m), &vec![1]);
+        assert_eq!(*c.replicas[0].durable.0, vec![1]);
+    }
+
+    #[test]
+    fn a_released_message_is_a_dropped_message() {
+        let mut c = StateCluster::new(GSet, 2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let m = c.send(r(0));
+        c.release(m);
+        assert_eq!(c.message_state(m), &Vec::<u32>::new());
+        assert!(c.message_seen(m).is_empty());
+        c.apply(r(1), m);
+        assert_eq!(c.state(r(1)), &Vec::<u32>::new());
+        assert!(c.seen(r(1)).is_empty(), "no effect, so no visibility");
+        assert_eq!(c.message_origin(m), r(0));
     }
 
     #[test]

@@ -79,6 +79,16 @@ pub trait Driver {
         0
     }
 
+    /// Tells the driver that no transmission of message `m` is in flight
+    /// any more: the engine will never hand `m` to [`Driver::receive`]
+    /// again, so whatever only `m` keeps alive may be freed. Called on
+    /// loss-tolerant transports only (`RELIABLE = false`), after the last
+    /// queued arrival of `m` was delivered or dropped — and therefore after
+    /// every [`Driver::message_bytes`] read of `m`, which happens at routing
+    /// time. Releasing changes memory, never behaviour; the default keeps
+    /// everything.
+    fn release(&mut self, _m: usize) {}
+
     /// Whether replica `r` is currently up.
     fn is_up(&self, r: ReplicaId) -> bool;
 
@@ -301,6 +311,10 @@ where
             .map_or(0, |f| 12 + f(self.cluster.message_state(m)))
     }
 
+    fn release(&mut self, m: usize) {
+        self.cluster.release(m);
+    }
+
     fn is_up(&self, r: ReplicaId) -> bool {
         self.cluster.is_up(r)
     }
@@ -407,6 +421,10 @@ where
 
     fn message_bytes(&self, m: usize, to: ReplicaId) -> usize {
         self.cluster.message_bytes(m, to)
+    }
+
+    fn release(&mut self, m: usize) {
+        self.cluster.release(m);
     }
 
     fn is_up(&self, r: ReplicaId) -> bool {

@@ -58,8 +58,8 @@
 //! #         next[ctx.replica().0 as usize] += 1;
 //! #         StateOutcome::Done { ret: (), next }
 //! #     }
-//! #     fn merge(&self, a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
-//! #         a.iter().zip(b).map(|(x, y)| *x.max(y)).collect()
+//! #     fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+//! #         for (x, y) in a.iter_mut().zip(b) { *x = (*x).max(*y); }
 //! #     }
 //! #     fn leq(&self, a: &Vec<i64>, b: &Vec<i64>) -> bool {
 //! #         a.iter().zip(b).all(|(x, y)| x <= y)

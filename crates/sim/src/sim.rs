@@ -17,7 +17,10 @@
 //!   predecessors are held back by the driver;
 //! * **lossy** drivers (state-based, Appendix D.2) see drops, duplicates,
 //!   and reordering exactly as configured — crashed receivers simply lose
-//!   the message, which the merge discipline tolerates.
+//!   the message, which the merge discipline tolerates. A lossy arrival is
+//!   never re-queued, so the engine knows when the last transmission of a
+//!   message is spent and tells the driver ([`Driver::release`]): the
+//!   payload may be freed, since nothing will deliver it again.
 
 use crate::driver::{Driver, Received};
 use crate::fault::FaultPlan;
@@ -166,6 +169,9 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
     let mut trace = Trace::new();
     let mut stats = SimStats::default();
     let mut routed = 0usize; // messages already put on links
+                             // Queued arrivals per message, kept for loss-tolerant transports only:
+                             // when a count reaches zero the driver may release the payload.
+    let mut in_flight: Vec<u32> = Vec::new();
     let mut now = SimTime::ZERO;
 
     // Everything recorded until these guards drop carries sim-tick
@@ -221,6 +227,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     &mut stats,
                     now,
                     &mut routed,
+                    &mut in_flight,
                 );
                 queue.push(
                     now + cfg.invoke_every.sample(&mut rng).max(1),
@@ -243,6 +250,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     &mut stats,
                     now,
                     &mut routed,
+                    &mut in_flight,
                 );
                 queue.push(
                     now + cfg.gossip_every.sample(&mut rng).max(1),
@@ -267,6 +275,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                         stats.dropped += 1;
                         obs::counter_keyed("sim.link.dropped", link, 1);
                         trace.push(now, TraceEvent::Drop { msg, to });
+                        arrival_spent(driver, &mut in_flight, msg);
                     }
                     continue;
                 }
@@ -292,6 +301,9 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     Received::Ignored => {
                         trace.push(now, TraceEvent::Ignore { msg, to });
                     }
+                }
+                if !D::RELIABLE {
+                    arrival_spent(driver, &mut in_flight, msg);
                 }
             }
             Event::PartitionStart(w) => {
@@ -330,10 +342,23 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
     }
 }
 
+// One queued arrival of `msg` on a loss-tolerant transport is spent — landed
+// or lost, never re-queued. After the last one nothing can deliver `msg`
+// again, and the driver may free its payload.
+fn arrival_spent<D: Driver>(driver: &mut D, in_flight: &mut [u32], msg: usize) {
+    in_flight[msg] -= 1;
+    if in_flight[msg] == 0 {
+        driver.release(msg);
+    }
+}
+
 // Routes every message the driver created since the last call: one
 // transmission per destination, with latency sampled per link and faults
 // applied on loss-tolerant transports. Destination order is replica order,
-// so RNG consumption is deterministic.
+// so RNG consumption is deterministic. On loss-tolerant transports the
+// queued arrivals are counted per message in `in_flight` (reliable runs
+// never touch it), and a message whose every transmission was lost at once
+// is released on the spot.
 #[allow(clippy::too_many_arguments)]
 fn route_new<D: Driver>(
     driver: &mut D,
@@ -344,10 +369,12 @@ fn route_new<D: Driver>(
     stats: &mut SimStats,
     now: SimTime,
     routed: &mut usize,
+    in_flight: &mut Vec<u32>,
 ) {
     while *routed < driver.n_messages() {
         let msg = *routed;
         *routed += 1;
+        let mut queued = 0;
         let from = driver.origin(msg);
         for to in 0..cfg.n_replicas {
             let to = ReplicaId(to as u32);
@@ -379,6 +406,7 @@ fn route_new<D: Driver>(
                 },
             );
             queue.push(now + delay, Event::Arrive { to, msg });
+            queued += 1;
             if !D::RELIABLE && rng.random_bool(cfg.network.faults.duplicate) {
                 let delay = cfg.network.delay(rng, from, to).max(1);
                 stats.duplicated += 1;
@@ -399,6 +427,13 @@ fn route_new<D: Driver>(
                     },
                 );
                 queue.push(now + delay, Event::Arrive { to, msg });
+                queued += 1;
+            }
+        }
+        if !D::RELIABLE {
+            in_flight.push(queued); // message ids are dense: this is slot `msg`
+            if queued == 0 {
+                driver.release(msg);
             }
         }
     }
@@ -454,8 +489,10 @@ mod tests {
             next[ctx.replica().0 as usize] += 1;
             StateOutcome::Done { ret: (), next }
         }
-        fn merge(&self, a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
-            a.iter().zip(b).map(|(x, y)| *x.max(y)).collect()
+        fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = (*x).max(*y);
+            }
         }
         fn leq(&self, a: &Vec<i64>, b: &Vec<i64>) -> bool {
             a.iter().zip(b).all(|(x, y)| x <= y)

@@ -338,8 +338,10 @@ mod tests {
             StateOutcome::Done { ret: (), next }
         }
 
-        fn merge(&self, a: &Vec<u32>, b: &Vec<u32>) -> Vec<u32> {
-            a.iter().zip(b).map(|(x, y)| *x.max(y)).collect()
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = (*x).max(*y);
+            }
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
