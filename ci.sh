@@ -33,10 +33,12 @@ step cargo test -q --offline
 # Explicit sim-suite step: names the scenario suites in CI output so a
 # regression there is immediately attributable (the plain run above already
 # executes them; this re-run costs ~3s) — determinism, fault tolerance,
-# "release changes memory, never behaviour", and the lattice transports'
-# cost contract in deterministic clone counts (a receive costs what the
-# message changes; snapshots and checkpoints cost nothing).
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test runtime_cost
+# "release changes memory, never behaviour", and two cost contracts in
+# deterministic clone counts: the lattice transports' (a receive costs what
+# the message changes; snapshots and checkpoints cost nothing) and the
+# list specifications' (a document edit copies the document once; reads,
+# rejected labels and fingerprints copy nothing).
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test runtime_cost --test spec_cost
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

@@ -16,6 +16,7 @@ use ral_core::timestamp::Ts;
 use ral_runtime::gen::{GenCtx, GenOutcome};
 use ral_runtime::op_based::OpBased;
 use ral_spec::rga::{Anchor, RgaOp};
+use ral_spec::seq::Doc;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
@@ -46,8 +47,15 @@ pub enum RgaEff<E> {
     Tomb(E),
 }
 
-/// Replica state: the timestamp tree plus the tombstone set.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Replica state: the timestamp tree plus the tombstone set, and the tree's
+/// pre-order kept flat beside it.
+///
+/// The tree is the source of truth; `order` is what reading it in
+/// pre-order yields (Listing 1), maintained per effector — the same flat
+/// shape [`crate::op::wooki::WookiState`] has. Reads, `abs` and the
+/// workloads' anchor draws are one pass over it, and nothing recurses on
+/// the depth of the tree.
+#[derive(Clone, PartialEq, Eq)]
 pub struct RgaState<E: Elem> {
     /// Children of each node, sorted by descending timestamp.
     children: BTreeMap<Anchor<E>, Vec<(Ts, E)>>,
@@ -55,6 +63,8 @@ pub struct RgaState<E: Elem> {
     present: BTreeMap<E, Ts>,
     /// Tombstoned (conceptually erased) elements.
     tomb: BTreeSet<E>,
+    /// Every element in pre-order, flagged when tombstoned.
+    order: Vec<(E, bool)>,
 }
 
 impl<E: Elem> RgaState<E> {
@@ -63,6 +73,7 @@ impl<E: Elem> RgaState<E> {
             children: BTreeMap::new(),
             present: BTreeMap::new(),
             tomb: BTreeSet::new(),
+            order: Vec::new(),
         }
     }
 
@@ -86,30 +97,91 @@ impl<E: Elem> RgaState<E> {
         &self.tomb
     }
 
-    fn walk(&self, node: &Anchor<E>, include_tombstoned: bool, out: &mut Vec<E>) {
-        if let Some(kids) = self.children.get(node) {
-            for (_, elem) in kids {
-                if include_tombstoned || !self.tomb.contains(elem) {
-                    out.push(elem.clone());
-                }
-                self.walk(&Anchor::Elem(elem.clone()), include_tombstoned, out);
-            }
-        }
-    }
-
     /// Pre-order traversal skipping tombstones — the `read()` result.
     pub fn visible(&self) -> Vec<E> {
-        let mut out = Vec::new();
-        self.walk(&Anchor::Head, false, &mut out);
-        out
+        self.order
+            .iter()
+            .filter(|(_, dead)| !dead)
+            .map(|(e, _)| e.clone())
+            .collect()
     }
 
     /// Pre-order traversal including tombstoned elements — the sequence `l`
     /// of the abstract state.
     pub fn all_elements(&self) -> Vec<E> {
+        self.order.iter().map(|(e, _)| e.clone()).collect()
+    }
+
+    /// Index in `order` of `elem`, searched from the back: the scan is
+    /// linear wherever the element is, and typing anchors at the end.
+    fn index_of(&self, elem: &E) -> usize {
+        self.order
+            .iter()
+            .rposition(|(e, _)| e == elem)
+            .expect("causal delivery guarantees the anchor")
+    }
+
+    /// Adds `elem` under `parent` at timestamp `ts` — to the tree, and to
+    /// `order` where the pre-order puts it: right after its parent when it
+    /// is the first (largest-timestamp) child, otherwise right after the
+    /// last descendant of its preceding sibling.
+    fn insert(&mut self, parent: &Anchor<E>, ts: Ts, elem: &E) {
+        let kids = self.children.entry(parent.clone()).or_default();
+        // Siblings are kept in descending timestamp order.
+        let at = kids.partition_point(|(t, _)| *t > ts);
+        let mut before = match at {
+            0 => parent.clone(),
+            _ => Anchor::Elem(kids[at - 1].1.clone()),
+        };
+        kids.insert(at, (ts, elem.clone()));
+        if at > 0 {
+            while let Some((_, last)) = self.children.get(&before).and_then(|k| k.last()) {
+                before = Anchor::Elem(last.clone());
+            }
+        }
+        let pos = match &before {
+            Anchor::Head => 0,
+            Anchor::Elem(b) => self.index_of(b) + 1,
+        };
+        self.order.insert(pos, (elem.clone(), false));
+        self.present.insert(elem.clone(), ts);
+    }
+
+    fn tombstone(&mut self, elem: &E) {
+        if self.tomb.insert(elem.clone()) {
+            let i = self.index_of(elem);
+            self.order[i].1 = true;
+        }
+    }
+
+    /// Listing 1's read, verbatim: the recursive pre-order walk of the tree
+    /// that `order` replaces — the oracle `order` is tested against.
+    #[cfg(test)]
+    pub(crate) fn listing1_walk(&self, include_tombstoned: bool) -> Vec<E> {
+        fn walk<E: Elem>(s: &RgaState<E>, node: &Anchor<E>, all: bool, out: &mut Vec<E>) {
+            if let Some(kids) = s.children.get(node) {
+                for (_, elem) in kids {
+                    if all || !s.tomb.contains(elem) {
+                        out.push(elem.clone());
+                    }
+                    walk(s, &Anchor::Elem(elem.clone()), all, out);
+                }
+            }
+        }
         let mut out = Vec::new();
-        self.walk(&Anchor::Head, true, &mut out);
+        walk(self, &Anchor::Head, include_tombstoned, &mut out);
         out
+    }
+}
+
+/// Renders the tree and the tombstone set (`order` is derived from them).
+impl<E: Elem> std::fmt::Debug for RgaState<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RgaState")
+            .field("children", &self.children)
+            .field("present", &self.present)
+            .field("tomb", &self.tomb)
+            .finish()
     }
 }
 
@@ -147,9 +219,10 @@ impl<E> Rga<E> {
 
 impl<E: Elem> Rga<E> {
     /// The refinement mapping `abs` of Example 4.5: the pre-order traversal
-    /// (ignoring tombstones for membership in `l`) plus the tombstone set.
-    pub fn abs(state: &RgaState<E>) -> (Vec<E>, BTreeSet<E>) {
-        (state.all_elements(), state.tomb.clone())
+    /// (ignoring tombstones for membership in `l`) plus the tombstone set,
+    /// read off the flat pre-order in one pass.
+    pub fn abs(state: &RgaState<E>) -> Doc<E> {
+        state.order.iter().cloned().collect()
     }
 
     /// All timestamps stored in the state (for `Refinement_ts`).
@@ -225,16 +298,8 @@ impl<E: Elem> OpBased for Rga<E> {
 
     fn apply(&self, state: &mut RgaState<E>, eff: &RgaEff<E>) {
         match eff {
-            RgaEff::Insert { parent, ts, elem } => {
-                let kids = state.children.entry(parent.clone()).or_default();
-                // Siblings are kept in descending timestamp order.
-                let at = kids.partition_point(|(t, _)| *t > *ts);
-                kids.insert(at, (*ts, elem.clone()));
-                state.present.insert(elem.clone(), *ts);
-            }
-            RgaEff::Tomb(elem) => {
-                state.tomb.insert(elem.clone());
-            }
+            RgaEff::Insert { parent, ts, elem } => state.insert(parent, *ts, elem),
+            RgaEff::Tomb(elem) => state.tombstone(elem),
         }
     }
 
@@ -271,7 +336,7 @@ impl<E: Elem + From<u8>> SmallScope for Rga<E> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ral_core::ids::ReplicaId;
     use ral_core::label::Identity;
@@ -399,15 +464,126 @@ mod tests {
         assert!(failed_eo, "expected some history to refute execution order");
     }
 
+    /// Holds `order` to Listing 1's recursive walk of the same tree.
+    pub(crate) fn assert_listing1(state: &RgaState<u16>) {
+        assert_eq!(state.visible(), state.listing1_walk(false));
+        assert_eq!(state.all_elements(), state.listing1_walk(true));
+    }
+
+    /// (widest sibling group, deepest node) of a replica's tree.
+    pub(crate) fn tree_shape(state: &RgaState<u16>) -> (usize, usize) {
+        let widest = state.children.values().map(Vec::len).max().unwrap_or(0);
+        let (mut deepest, mut level) = (0, vec![Anchor::Head]);
+        while !level.is_empty() {
+            level = level
+                .iter()
+                .filter_map(|n| state.children.get(n))
+                .flatten()
+                .map(|(_, e)| Anchor::Elem(*e))
+                .collect();
+            deepest += usize::from(!level.is_empty());
+        }
+        (widest, deepest)
+    }
+
+    #[test]
+    fn flat_order_is_listing1_under_random_causal_delivery() {
+        let (mut siblings, mut under_tomb, mut depth) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let n = 3 + (seed % 3) as usize;
+            let mut c = Cluster::new(Rga::<u16>::new(), n);
+            let (mut next, mut last) = (0u16, vec![None; n]);
+            let cfg = ScheduleConfig {
+                steps: 160,
+                invoke_weight: 1,
+                deliver_weight: 1,
+                final_sync: true,
+            };
+            drive_op_based(&mut c, &cfg, seed, |rng, r, state| {
+                assert_listing1(state);
+                let visible = state.visible();
+                let roll: u8 = rng.random_range(0..10);
+                if roll < 6 || visible.is_empty() {
+                    // Mostly type after this replica's last insert (deep
+                    // chains), sometimes anchor anywhere (siblings).
+                    let anchor = match (last[r.0 as usize], roll) {
+                        (Some(x), 0..=3) if !state.is_tombstoned(&x) => Anchor::Elem(x),
+                        _ if visible.is_empty() || roll == 5 => Anchor::Head,
+                        _ => Anchor::Elem(visible[rng.random_range(0..visible.len())]),
+                    };
+                    next += 1;
+                    last[r.0 as usize] = Some(next);
+                    Some(RgaCall::AddAfter(anchor, next))
+                } else if roll < 8 {
+                    Some(RgaCall::Remove(visible[rng.random_range(0..visible.len())]))
+                } else {
+                    Some(RgaCall::Read)
+                }
+            });
+            assert!(c.converged(), "seed {seed} did not converge");
+            for r in 0..n {
+                assert_listing1(c.state(ReplicaId(r as u32)));
+            }
+            let (wide, deep) = tree_shape(c.state(r(0)));
+            siblings += usize::from(wide >= 3);
+            depth = depth.max(deep);
+            // An insert concurrent with the removal of its anchor is applied
+            // under a tombstoned parent at the remover's replica.
+            let h = c.history();
+            for (i, op) in h.iter() {
+                if let RgaOp::AddAfter(Anchor::Elem(b), _) = &op.label {
+                    under_tomb += h
+                        .iter()
+                        .filter(|(j, o)| o.label == RgaOp::Remove(*b) && h.concurrent(i, *j))
+                        .count();
+                }
+            }
+        }
+        assert!(siblings >= 20, "sibling groups of three: {siblings} runs");
+        assert!(under_tomb >= 50, "inserts under tombstones: {under_tomb}");
+        assert!(depth >= 12, "deepest chain: {depth}");
+    }
+
+    #[test]
+    fn typing_100k_characters_reads_back_without_recursion() {
+        // Each character is inserted after the previous one: a chain as deep
+        // as the document is long, which overflowed the recursive walk.
+        const N: u32 = 100_000;
+        let rga = Rga::<u32>::new();
+        let mut state = rga.initial();
+        let mut parent = Anchor::Head;
+        for x in 0..N {
+            let ts = Ts::new(u64::from(x) + 1, ReplicaId(0));
+            rga.apply(
+                &mut state,
+                &RgaEff::Insert {
+                    parent,
+                    ts,
+                    elem: x,
+                },
+            );
+            parent = Anchor::Elem(x);
+        }
+        rga.apply(&mut state, &RgaEff::Tomb(7));
+        let typed: Vec<u32> = (0..N).collect();
+        assert_eq!(state.all_elements(), typed);
+        let visible = state.visible();
+        assert_eq!((visible.len(), visible[7]), (N as usize - 1, 8));
+        let doc = Rga::abs(&state);
+        assert_eq!(doc.len(), N as usize);
+        assert!(doc.reads(&visible));
+    }
+
     #[test]
     fn abs_projects_tree_to_sequence() {
         let mut c = Cluster::new(Rga::<char>::new(), 1);
         c.invoke(r(0), RgaCall::AddAfter(head(), 'a')).unwrap();
         c.invoke(r(0), RgaCall::AddAfter(after('a'), 'b')).unwrap();
         c.invoke(r(0), RgaCall::Remove('a')).unwrap();
-        let (l, t) = Rga::abs(c.state(r(0)));
-        assert_eq!(l, vec!['a', 'b']);
-        assert_eq!(t, BTreeSet::from(['a']));
+        assert_eq!(
+            Rga::abs(c.state(r(0))),
+            Doc::from_iter([('a', true), ('b', false)])
+        );
         assert_eq!(c.state(r(0)).visible(), vec!['b']);
     }
 }

@@ -263,6 +263,7 @@ impl<E: Elem + From<u8>> SmallScope for RgaAddAt<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::rga::tests::{assert_listing1, tree_shape};
     use ral_core::ids::ReplicaId;
     use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
@@ -305,6 +306,41 @@ mod tests {
         c.invoke(r(1), AddAtCall::AddAt('b', 0)).unwrap();
         c.deliver_all();
         assert!(c.converged());
+    }
+
+    #[test]
+    fn flat_order_is_listing1_under_random_causal_delivery() {
+        let mut siblings = 0;
+        for seed in 0..24u64 {
+            let n = 3 + (seed % 3) as usize;
+            let mut c = Cluster::new(RgaAddAt::<u16>::new(), n);
+            let mut next: u16 = 0;
+            let cfg = ScheduleConfig {
+                steps: 160,
+                invoke_weight: 1,
+                deliver_weight: 1,
+                final_sync: true,
+            };
+            drive_op_based(&mut c, &cfg, seed, |rng, _, state| {
+                assert_listing1(state);
+                let visible = state.visible();
+                if rng.random_range(0..10u8) < 7 || visible.is_empty() {
+                    next += 1;
+                    let k = rng.random_range(0..=visible.len() + 1);
+                    Some(AddAtCall::AddAt(next, k))
+                } else {
+                    Some(AddAtCall::Remove(
+                        visible[rng.random_range(0..visible.len())],
+                    ))
+                }
+            });
+            assert!(c.converged(), "seed {seed} did not converge");
+            for r in 0..n {
+                assert_listing1(c.state(ReplicaId(r as u32)));
+            }
+            siblings += usize::from(tree_shape(c.state(r(0))).0 >= 3);
+        }
+        assert!(siblings >= 20, "sibling groups of three: {siblings} runs");
     }
 
     #[test]

@@ -15,8 +15,8 @@ use ral_core::scope::SmallScope;
 use ral_core::timestamp::Ts;
 use ral_runtime::gen::{GenCtx, GenOutcome};
 use ral_runtime::op_based::OpBased;
+use ral_spec::seq::Doc;
 use ral_spec::wooki::{WookiAnchor, WookiOp};
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 /// A W-character: identifier (timestamp), value, degree, and visibility
@@ -79,15 +79,6 @@ impl<E: Elem> WookiState<E> {
     /// All values in list order, including removed ones (the abstract `l`).
     pub fn all_values(&self) -> Vec<E> {
         self.chars.iter().map(|w| w.value.clone()).collect()
-    }
-
-    /// The removed values (the abstract tombstone set `T`).
-    pub fn tombstones(&self) -> BTreeSet<E> {
-        self.chars
-            .iter()
-            .filter(|w| !w.visible)
-            .map(|w| w.value.clone())
-            .collect()
     }
 
     /// The W-characters, for inspection.
@@ -191,9 +182,13 @@ impl<E> Wooki<E> {
 }
 
 impl<E: Elem> Wooki<E> {
-    /// The refinement mapping `abs` onto `Spec(Wooki)` states.
-    pub fn abs(state: &WookiState<E>) -> (Vec<E>, BTreeSet<E>) {
-        (state.all_values(), state.tombstones())
+    /// The refinement mapping `abs` onto `Spec(Wooki)` states, in one pass.
+    pub fn abs(state: &WookiState<E>) -> Doc<E> {
+        state
+            .chars
+            .iter()
+            .map(|w| (w.value.clone(), !w.visible))
+            .collect()
     }
 
     /// All timestamps stored in the state.

@@ -15,11 +15,10 @@
 //! RA-linearizable w.r.t. the first two; Lemma C.2 proves it **is** w.r.t.
 //! the third. All three are reproduced in `tests/fig14_addat.rs`.
 
-use crate::seq::{is_subsequence, position_of, without};
+use crate::seq::{is_subsequence, position_of, Doc};
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
 use ral_core::spec::Spec;
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 /// Labels for the return-free `addAt` interface (specs 1 and 2).
@@ -152,67 +151,56 @@ impl<E> std::fmt::Debug for AddAt2Spec<E> {
     }
 }
 
-/// Abstract state `(l, T)` shared by `Spec(addAt2)` and `Spec(addAt3)`.
-pub type AddAtState<E> = (Vec<E>, BTreeSet<E>);
-
 impl<E: Elem> Spec for AddAt2Spec<E> {
     type Label = AddAtOp<E>;
-    type State = AddAtState<E>;
+    /// The abstract state `(l, T)`.
+    type State = Doc<E>;
 
-    fn initial(&self) -> Self::State {
-        (Vec::new(), BTreeSet::new())
+    fn initial(&self) -> Doc<E> {
+        Doc::new()
     }
 
-    fn state_fingerprint(&self, state: &Self::State) -> u64 {
-        // All abstract states in this crate are `Hash`: skip the default
-        // `Debug`-formatting path in the memoized checker's hot loop.
-        ral_core::spec::fingerprint(state)
+    fn state_fingerprint(&self, state: &Doc<E>) -> u64 {
+        state.fingerprint()
     }
 
-    fn step(&self, state: &Self::State, label: &AddAtOp<E>) -> Vec<Self::State> {
-        let (l, t) = state;
+    fn step(&self, l: &Doc<E>, label: &AddAtOp<E>) -> Vec<Doc<E>> {
         match label {
             AddAtOp::AddAt(a, k) => {
                 if l.contains(a) {
                     return vec![];
                 }
+                // Rule 1: split l = l1 · l2 with |l1 / T| = k, in increasing
+                // |l1|. `visible` is |l[..p] / T|; once it passes k no later
+                // split qualifies. `a` is fresh, so no two splits coincide.
                 let mut succs = Vec::new();
-                // Rule 1: split l = l1 · l2 with |l1 / T| = k.
+                let mut visible = 0;
+                let mut flags = l.iter().map(|(_, dead)| dead);
                 for p in 0..=l.len() {
-                    let visible_prefix = l[..p].iter().filter(|x| !t.contains(*x)).count();
-                    if visible_prefix == *k {
-                        let mut next = l.clone();
-                        next.insert(p, a.clone());
-                        let cand = (next, t.clone());
-                        if !succs.contains(&cand) {
-                            succs.push(cand);
+                    if visible == *k {
+                        succs.push(l.insert(p, a.clone()));
+                    }
+                    if flags.next() == Some(false) {
+                        visible += 1;
+                        if visible > *k {
+                            break;
                         }
                     }
                 }
-                // Rule 2: |l / T| < k appends at the end.
-                let visible = l.iter().filter(|x| !t.contains(*x)).count();
+                // Rule 2: |l / T| < k appends at the end (then no split
+                // qualified above).
                 if visible < *k {
-                    let mut next = l.clone();
-                    next.push(a.clone());
-                    let cand = (next, t.clone());
-                    if !succs.contains(&cand) {
-                        succs.push(cand);
-                    }
+                    succs.push(l.insert(l.len(), a.clone()));
                 }
                 succs
             }
-            AddAtOp::Remove(a) => {
-                if !l.contains(a) {
-                    return vec![];
-                }
-                let mut tomb = t.clone();
-                tomb.insert(a.clone());
-                vec![(l.clone(), tomb)]
-            }
+            AddAtOp::Remove(a) => match l.position(a) {
+                Some(p) => vec![l.tombstone(p)],
+                None => vec![],
+            },
             AddAtOp::Read(s) => {
-                let tomb: Vec<E> = t.iter().cloned().collect();
-                if &without(l, &tomb) == s {
-                    vec![state.clone()]
+                if l.reads(s) {
+                    vec![l.clone()]
                 } else {
                     vec![]
                 }
@@ -282,20 +270,18 @@ impl<E> std::fmt::Debug for AddAt3Spec<E> {
 
 impl<E: Elem> Spec for AddAt3Spec<E> {
     type Label = AddAtRetOp<E>;
-    type State = AddAtState<E>;
+    /// The abstract state `(l, T)`, as in `Spec(addAt2)`.
+    type State = Doc<E>;
 
-    fn initial(&self) -> Self::State {
-        (Vec::new(), BTreeSet::new())
+    fn initial(&self) -> Doc<E> {
+        Doc::new()
     }
 
-    fn state_fingerprint(&self, state: &Self::State) -> u64 {
-        // All abstract states in this crate are `Hash`: skip the default
-        // `Debug`-formatting path in the memoized checker's hot loop.
-        ral_core::spec::fingerprint(state)
+    fn state_fingerprint(&self, state: &Doc<E>) -> u64 {
+        state.fingerprint()
     }
 
-    fn step(&self, state: &Self::State, label: &AddAtRetOp<E>) -> Vec<Self::State> {
-        let (l, t) = state;
+    fn step(&self, l: &Doc<E>, label: &AddAtRetOp<E>) -> Vec<Doc<E>> {
         match label {
             AddAtRetOp::AddAt(a, k, s) => {
                 if l.contains(a) {
@@ -309,33 +295,31 @@ impl<E: Elem> Spec for AddAt3Spec<E> {
                 if s1.len() != *k && !(s1.len() < *k && s2.is_empty()) {
                     return vec![];
                 }
-                let observed: Vec<E> = s1.iter().chain(s2).cloned().collect();
-                if !is_subsequence(&observed, l) {
+                // `s1 · s2` is the part of `l` the origin had observed.
+                if !is_subsequence(s1.iter().chain(s2), l.elements()) {
                     return vec![];
                 }
                 let at = match s1.last() {
                     None => 0,
-                    Some(b) => match position_of(l, b) {
+                    Some(b) => match l.position(b) {
                         Some(p) => p + 1,
                         None => return vec![],
                     },
                 };
-                let mut next = l.clone();
-                next.insert(at, a.clone());
-                vec![(next, t.clone())]
+                vec![l.insert(at, a.clone())]
             }
             AddAtRetOp::Remove(a, s) => {
-                if !l.contains(a) || s.contains(a) || !is_subsequence(s, l) {
+                if s.contains(a) || !is_subsequence(s, l.elements()) {
                     return vec![];
                 }
-                let mut tomb = t.clone();
-                tomb.insert(a.clone());
-                vec![(l.clone(), tomb)]
+                match l.position(a) {
+                    Some(p) => vec![l.tombstone(p)],
+                    None => vec![],
+                }
             }
             AddAtRetOp::Read(s) => {
-                let tomb: Vec<E> = t.iter().cloned().collect();
-                if &without(l, &tomb) == s {
-                    vec![state.clone()]
+                if l.reads(s) {
+                    vec![l.clone()]
                 } else {
                     vec![]
                 }

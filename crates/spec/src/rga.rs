@@ -1,17 +1,16 @@
 //! `Spec(RGA)` — Example 3.3: a list with an add-after interface and a
 //! tombstone set.
 //!
-//! The abstract state is `(l, T)`: `l` lists every inserted value (removed
-//! or not) and `T` is the tombstone set. `addAfter(b, a)` inserts the fresh
-//! value `a` immediately after `b` (or at the head for `b = ◦`); note that
-//! `b` may already be tombstoned — the implementation allows inserting after
-//! a removed element, and so must the specification.
+//! The abstract state is `(l, T)` — a [`Doc`]: `l` lists every inserted
+//! value (removed or not) and `T` is the tombstone set. `addAfter(b, a)`
+//! inserts the fresh value `a` immediately after `b` (or at the head for
+//! `b = ◦`); note that `b` may already be tombstoned — the implementation
+//! allows inserting after a removed element, and so must the specification.
 
-use crate::seq::{position_of, without};
+use crate::seq::Doc;
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
 use ral_core::spec::Spec;
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 /// The first argument of `addAfter`: either the sentinel `◦` or an element
@@ -91,25 +90,20 @@ impl<E> std::fmt::Debug for RgaSpec<E> {
     }
 }
 
-/// Abstract state `(l, T)` of `Spec(RGA)`.
-pub type RgaState<E> = (Vec<E>, BTreeSet<E>);
-
 impl<E: Elem> Spec for RgaSpec<E> {
     type Label = RgaOp<E>;
-    type State = RgaState<E>;
+    /// The abstract state `(l, T)`.
+    type State = Doc<E>;
 
-    fn initial(&self) -> Self::State {
-        (Vec::new(), BTreeSet::new())
+    fn initial(&self) -> Doc<E> {
+        Doc::new()
     }
 
-    fn state_fingerprint(&self, state: &Self::State) -> u64 {
-        // All abstract states in this crate are `Hash`: skip the default
-        // `Debug`-formatting path in the memoized checker's hot loop.
-        ral_core::spec::fingerprint(state)
+    fn state_fingerprint(&self, state: &Doc<E>) -> u64 {
+        state.fingerprint()
     }
 
-    fn step(&self, state: &Self::State, label: &RgaOp<E>) -> Vec<Self::State> {
-        let (l, t) = state;
+    fn step(&self, l: &Doc<E>, label: &RgaOp<E>) -> Vec<Doc<E>> {
         match label {
             RgaOp::AddAfter(anchor, a) => {
                 if l.contains(a) {
@@ -117,27 +111,20 @@ impl<E: Elem> Spec for RgaSpec<E> {
                 }
                 let at = match anchor {
                     Anchor::Head => 0,
-                    Anchor::Elem(b) => match position_of(l, b) {
+                    Anchor::Elem(b) => match l.position(b) {
                         Some(p) => p + 1,
                         None => return vec![], // `b` must be present
                     },
                 };
-                let mut next = l.clone();
-                next.insert(at, a.clone());
-                vec![(next, t.clone())]
+                vec![l.insert(at, a.clone())]
             }
-            RgaOp::Remove(b) => {
-                if !l.contains(b) {
-                    return vec![]; // precondition: b ∈ l
-                }
-                let mut tomb = t.clone();
-                tomb.insert(b.clone());
-                vec![(l.clone(), tomb)]
-            }
+            RgaOp::Remove(b) => match l.position(b) {
+                Some(p) => vec![l.tombstone(p)],
+                None => vec![], // precondition: b ∈ l
+            },
             RgaOp::Read(s) => {
-                let tomb: Vec<E> = t.iter().cloned().collect();
-                if &without(l, &tomb) == s {
-                    vec![state.clone()]
+                if l.reads(s) {
+                    vec![l.clone()]
                 } else {
                     vec![]
                 }

@@ -5,11 +5,10 @@
 //! is genuinely **nondeterministic** and the implementation's conflict
 //! resolution (degrees + identifier order) deterministically refines it.
 
-use crate::seq::{position_of, without};
+use crate::seq::Doc;
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
 use ral_core::spec::Spec;
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 /// An anchor of `addBetween`: one of the sentinels or an element.
@@ -96,25 +95,20 @@ impl<E> std::fmt::Debug for WookiSpec<E> {
     }
 }
 
-/// Abstract state `(l, T)` of `Spec(Wooki)`.
-pub type WookiState<E> = (Vec<E>, BTreeSet<E>);
-
 impl<E: Elem> Spec for WookiSpec<E> {
     type Label = WookiOp<E>;
-    type State = WookiState<E>;
+    /// The abstract state `(l, T)`.
+    type State = Doc<E>;
 
-    fn initial(&self) -> Self::State {
-        (Vec::new(), BTreeSet::new())
+    fn initial(&self) -> Doc<E> {
+        Doc::new()
     }
 
-    fn state_fingerprint(&self, state: &Self::State) -> u64 {
-        // All abstract states in this crate are `Hash`: skip the default
-        // `Debug`-formatting path in the memoized checker's hot loop.
-        ral_core::spec::fingerprint(state)
+    fn state_fingerprint(&self, state: &Doc<E>) -> u64 {
+        state.fingerprint()
     }
 
-    fn step(&self, state: &Self::State, label: &WookiOp<E>) -> Vec<Self::State> {
-        let (l, t) = state;
+    fn step(&self, l: &Doc<E>, label: &WookiOp<E>) -> Vec<Doc<E>> {
         match label {
             WookiOp::AddBetween(a, b, c) => {
                 if l.contains(b) {
@@ -124,7 +118,7 @@ impl<E: Elem> Spec for WookiSpec<E> {
                 // first legal index, `hi` the last.
                 let lo = match a {
                     WookiAnchor::Begin => 0,
-                    WookiAnchor::Elem(x) => match position_of(l, x) {
+                    WookiAnchor::Elem(x) => match l.position(x) {
                         Some(p) => p + 1,
                         None => return vec![],
                     },
@@ -132,7 +126,7 @@ impl<E: Elem> Spec for WookiSpec<E> {
                 };
                 let hi = match c {
                     WookiAnchor::End => l.len(),
-                    WookiAnchor::Elem(y) => match position_of(l, y) {
+                    WookiAnchor::Elem(y) => match l.position(y) {
                         Some(p) => p,
                         None => return vec![],
                     },
@@ -141,26 +135,15 @@ impl<E: Elem> Spec for WookiSpec<E> {
                 if lo > hi {
                     return vec![]; // a must precede c
                 }
-                (lo..=hi)
-                    .map(|at| {
-                        let mut next = l.clone();
-                        next.insert(at, b.clone());
-                        (next, t.clone())
-                    })
-                    .collect()
+                (lo..=hi).map(|at| l.insert(at, b.clone())).collect()
             }
-            WookiOp::Remove(a) => {
-                if !l.contains(a) {
-                    return vec![];
-                }
-                let mut tomb = t.clone();
-                tomb.insert(a.clone());
-                vec![(l.clone(), tomb)]
-            }
+            WookiOp::Remove(a) => match l.position(a) {
+                Some(p) => vec![l.tombstone(p)],
+                None => vec![],
+            },
             WookiOp::Read(s) => {
-                let tomb: Vec<E> = t.iter().cloned().collect();
-                if &without(l, &tomb) == s {
-                    vec![state.clone()]
+                if l.reads(s) {
+                    vec![l.clone()]
                 } else {
                     vec![]
                 }

@@ -77,7 +77,7 @@ fn wrong_abs_is_refuted() {
         &AddAt3Spec::new(),
         &Identity,
         Mode::Timestamped,
-        |st| (st.all_elements(), std::collections::BTreeSet::new()),
+        |st| st.all_elements().into_iter().map(|e| (e, false)).collect(),
         Rga::<u16>::state_timestamps,
         3,
         40,
