@@ -111,8 +111,9 @@ impl StateBased for SummingCounter {
     }
 
     // BUG: addition is not a least upper bound (not idempotent).
-    fn merge_into(&self, a: &mut i64, b: &i64) {
+    fn merge_into(&self, a: &mut i64, b: &i64) -> bool {
         *a += b;
+        *b != 0
     }
 
     fn leq(&self, a: &i64, b: &i64) -> bool {
@@ -165,10 +166,6 @@ impl ral_runtime::delta::DeltaCrdt for SummingCounter {
 
     fn join_deltas_into(&self, a: &mut i64, b: &i64) {
         *a += b;
-    }
-
-    fn full_delta(&self, state: &i64) -> i64 {
-        *state
     }
 
     fn delta_bytes(&self, _delta: &i64) -> usize {

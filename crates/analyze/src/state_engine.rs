@@ -24,8 +24,8 @@
 //! * **`arg-order`** — argument uniqueness and visibility-consistency
 //!   (Lemmas E.1/E.2, uniquely-identified class only);
 //! * **`ts-discipline`** — the Lamport side condition of Figure 7;
-//! * **`delta-laws`** — decomposition (on invocation edges), resynchronization
-//!   and batching (on configuration state pairs/triples) of [`DeltaCrdt`].
+//! * **`delta-laws`** — decomposition (on invocation edges) and batching
+//!   (on configuration state triples) of [`DeltaCrdt`].
 //!
 //! The walk, the witness and its shrinking are the private `explorer`
 //! module's; this one is the `Model` of a [`StateCluster`] under those
@@ -125,7 +125,7 @@ where
 
 /// A [`StateCluster`] configuration.
 #[derive(Clone)]
-struct StateModel<C: StateBased> {
+struct StateModel<C: DeltaCrdt> {
     cluster: StateCluster<C>,
     /// Ids of the sends on this path, by message index (the cluster numbers
     /// messages densely, so in the unshrunk trace message `m` is send `m`).
@@ -252,16 +252,13 @@ where
     let args = state_props::effector_args(crdt, h);
     state_props::check_config(crdt, h, &states, &args, sink);
     check_ts_discipline(h, OB_TS, |_, _| true, sink);
-    laws::delta_laws(crdt, &states, sink);
+    laws::delta_laws(crdt, &crdt.initial(cluster.n_replicas()), &states, sink);
 }
 
 /// A canonical rendering of a configuration: replica states and seen sets,
 /// in-flight messages (origin, state, seen), which (replica, message) pairs
 /// this path has applied, and the history.
-fn config_key<C: StateBased>(
-    cluster: &StateCluster<C>,
-    applied: &BTreeSet<(u32, usize)>,
-) -> String {
+fn config_key<C: DeltaCrdt>(cluster: &StateCluster<C>, applied: &BTreeSet<(u32, usize)>) -> String {
     let mut s = String::new();
     let n = cluster.n_replicas();
     for r in 0..n {

@@ -42,6 +42,7 @@ use ral_crdts::{
     LwwElementSet, LwwRegister, MvRegister, OpCounter, OrSet, PnCounter, Rga, RgaAddAt,
     TwoPhaseSet, Wooki,
 };
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::op_based::{Cluster, OpBased};
 use ral_runtime::state_based::{StateBased, StateCluster};
 use ral_verify::{commutativity, state_props, workloads};
@@ -99,7 +100,7 @@ where
 /// at-most-once-apply budgets.
 fn state_walk<C>(crdt: &C, k: usize) -> BTreeSet<String>
 where
-    C: StateBased + SmallScope<Call = <C as StateBased>::Call> + Clone,
+    C: DeltaCrdt + SmallScope<Call = <C as StateBased>::Call> + Clone,
 {
     let n = crdt.scope_replicas(k);
     let mut cluster = StateCluster::new(crdt.clone(), n);

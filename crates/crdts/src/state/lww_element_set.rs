@@ -202,8 +202,8 @@ impl<E: Elem> StateBased for LwwElementSet<E> {
         }
     }
 
-    fn merge_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) {
-        a.absorb(b);
+    fn merge_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) -> bool {
+        a.absorb(b)
     }
 
     fn leq(&self, a: &LwwSetState<E>, b: &LwwSetState<E>) -> bool {
@@ -242,10 +242,6 @@ impl<E: Elem> DeltaCrdt for LwwElementSet<E> {
 
     fn join_deltas_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) {
         a.absorb(b);
-    }
-
-    fn full_delta(&self, state: &LwwSetState<E>) -> LwwSetState<E> {
-        state.clone()
     }
 
     fn delta_bytes(&self, delta: &LwwSetState<E>) -> usize {
@@ -448,7 +444,7 @@ mod tests {
         assert_eq!(delta.added, BTreeSet::from([('c', Ts::new(3, r(0)))]));
         assert!(delta.removed.is_empty());
         assert_eq!(c.join(&pre, &delta), next);
-        // Batching and resync.
+        // Batching.
         let mut post2 = next.clone();
         post2.removed.insert(('a', Ts::new(4, r(0))));
         let d2 = c.diff(&next, &post2);
@@ -457,7 +453,6 @@ mod tests {
             c.join(&c.join(&other, &delta), &d2),
             c.join(&other, &c.join_deltas(&delta, &d2))
         );
-        assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
         // One pair beats the whole history on the wire.
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
     }

@@ -182,8 +182,8 @@ impl<E: Elem> StateBased for MvRegister<E> {
         }
     }
 
-    fn merge_into(&self, a: &mut MvState<E>, b: &MvState<E>) {
-        a.absorb(b);
+    fn merge_into(&self, a: &mut MvState<E>, b: &MvState<E>) -> bool {
+        a.absorb(b)
     }
 
     fn leq(&self, a: &MvState<E>, b: &MvState<E>) -> bool {
@@ -222,10 +222,6 @@ impl<E: Elem> DeltaCrdt for MvRegister<E> {
 
     fn join_deltas_into(&self, a: &mut MvState<E>, b: &MvState<E>) {
         a.absorb(b);
-    }
-
-    fn full_delta(&self, state: &MvState<E>) -> MvState<E> {
-        state.clone()
     }
 
     fn delta_bytes(&self, delta: &MvState<E>) -> usize {
@@ -393,8 +389,7 @@ mod tests {
         };
         let joined = c.join(&other, &delta);
         assert_eq!(joined.values(), BTreeSet::from(['c', 'd']));
-        // Resync law and idempotence.
-        assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
+        // Idempotence.
         assert_eq!(c.join(&joined, &delta), joined);
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
     }

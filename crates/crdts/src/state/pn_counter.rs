@@ -118,9 +118,10 @@ impl StateBased for PnCounter {
         }
     }
 
-    fn merge_into(&self, a: &mut PnState, b: &PnState) {
-        max_into(&mut a.p, &b.p);
-        max_into(&mut a.n, &b.n);
+    fn merge_into(&self, a: &mut PnState, b: &PnState) -> bool {
+        let p = max_into(&mut a.p, &b.p);
+        let n = max_into(&mut a.n, &b.n);
+        p || n
     }
 
     fn leq(&self, a: &PnState, b: &PnState) -> bool {
@@ -149,11 +150,17 @@ pub struct PnDelta {
     pub n: Vec<(u32, u64)>,
 }
 
-// Raises each slot of `a` to the same slot of `b`.
-fn max_into(a: &mut [u64], b: &[u64]) {
+// Raises each slot of `a` to the same slot of `b`; returns whether any
+// slot rose.
+fn max_into(a: &mut [u64], b: &[u64]) -> bool {
+    let mut rose = false;
     for (x, y) in a.iter_mut().zip(b) {
-        *x = (*x).max(*y);
+        if *y > *x {
+            *x = *y;
+            rose = true;
+        }
     }
+    rose
 }
 
 // Merges the `(slot, value)` map `b` into `a` by pointwise maximum, keeping
@@ -209,13 +216,6 @@ impl DeltaCrdt for PnCounter {
     fn join_deltas_into(&self, a: &mut PnDelta, b: &PnDelta) {
         join_slots_into(&mut a.p, &b.p);
         join_slots_into(&mut a.n, &b.n);
-    }
-
-    fn full_delta(&self, state: &PnState) -> PnDelta {
-        PnDelta {
-            p: diff_slots(&vec![0; state.p.len()], &state.p),
-            n: diff_slots(&vec![0; state.n.len()], &state.n),
-        }
     }
 
     fn delta_bytes(&self, delta: &PnDelta) -> usize {
@@ -384,8 +384,6 @@ mod tests {
             c.join(&c.join(&other, &delta), &d2),
             c.join(&other, &c.join_deltas(&delta, &d2))
         );
-        // Resync: joining the full delta is merging.
-        assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
         // Joins are idempotent.
         let joined = c.join(&other, &delta);
         assert_eq!(c.join(&joined, &delta), joined);

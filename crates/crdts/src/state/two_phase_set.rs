@@ -150,8 +150,8 @@ impl<E: Elem> StateBased for TwoPhaseSet<E> {
         }
     }
 
-    fn merge_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) {
-        a.absorb(b);
+    fn merge_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) -> bool {
+        a.absorb(b)
     }
 
     fn leq(&self, a: &TwoPState<E>, b: &TwoPState<E>) -> bool {
@@ -186,10 +186,6 @@ impl<E: Elem> DeltaCrdt for TwoPhaseSet<E> {
 
     fn join_deltas_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) {
         a.absorb(b);
-    }
-
-    fn full_delta(&self, state: &TwoPState<E>) -> TwoPState<E> {
-        state.clone()
     }
 
     fn delta_bytes(&self, delta: &TwoPState<E>) -> usize {
@@ -391,7 +387,7 @@ mod tests {
         let delta = delta.expect("add is a mutation");
         assert_eq!(delta.added, BTreeSet::from(['c']));
         assert!(delta.removed.is_empty());
-        // Decomposition, batching, resync.
+        // Decomposition and batching.
         assert_eq!(c.join(&pre, &delta), next);
         let d2 = c.diff(&next, &{
             let mut s = next.clone();
@@ -406,7 +402,6 @@ mod tests {
             c.join(&c.join(&other, &delta), &d2),
             c.join(&other, &c.join_deltas(&delta, &d2))
         );
-        assert_eq!(c.join(&other, &c.full_delta(&pre)), c.merge(&other, &pre));
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
     }
 

@@ -38,7 +38,6 @@ use ral_core::spec::Spec;
 use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
-use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::sim::{self, SimRun, SimStats};
 use ral_verify::crosscheck::{self, HistoryVerdict};
@@ -242,10 +241,7 @@ fn state_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observa
     conclude(sc, budget, done, Some(&check))
 }
 
-fn delta_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation
-where
-    F::Crdt: DeltaCrdt,
-{
+fn delta_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
     let done = run_delta(sc, F::crdt(), F::calls(Scale::Searched));
     let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
     conclude(sc, budget, done, Some(&check))
@@ -299,7 +295,7 @@ fn run_op<C: OpBased>(
     }
 }
 
-fn run_state<C: StateBased>(
+fn run_state<C: DeltaCrdt>(
     sc: &FuzzScenario,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,

@@ -19,8 +19,7 @@
 //! * [`DeltaCrdt`] — the delta-mutator API a state-based CRDT implements on
 //!   top of [`StateBased`]: `diff` (the join decomposition of one
 //!   mutation), `join_into` / `join_deltas_into` (the in-place joins every
-//!   receive and every batch run), `full_delta` (the whole state as a
-//!   delta, for resynchronization), and the wire-size model
+//!   receive and every batch run), and the wire-size model
 //!   (`delta_bytes` / `state_bytes`) the simulator's bandwidth accounting
 //!   uses;
 //! * [`DeltaCluster`] — the replicated transport: per-replica **delta
@@ -44,7 +43,7 @@
 use crate::gen::GenCtx;
 use crate::laws;
 use crate::membership::Member;
-use crate::state_based::{StateBased, StateOutcome};
+use crate::state_based::{Invoked, StateBased, StateOutcome};
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
@@ -79,10 +78,12 @@ pub enum DeltaOutcome<R, S, D> {
 /// 1. *decomposition* — if [`StateBased::invoke`] moves `s` to `s'`, then
 ///    `join(s, diff(s, s')) == s'`;
 /// 2. *batching* — `join(join(t, a), b) == join(t, join_deltas(a, b))`;
-/// 3. *resync* — `join(t, full_delta(s)) == merge(t, s)`;
-/// 4. *lattice* — `join` inherits idempotence, commutativity, and
+/// 3. *lattice* — `join` inherits idempotence, commutativity, and
 ///    associativity from `merge`, so duplicated and reordered deliveries
 ///    are harmless.
+///
+/// A resync ships the state itself and is joined with
+/// [`StateBased::merge_into`], so it needs no law beyond the lattice laws.
 ///
 /// The laws are stated over the by-value [`DeltaCrdt::join`] /
 /// [`DeltaCrdt::join_deltas`], which are nothing but clone-then-mutate
@@ -128,9 +129,6 @@ pub trait DeltaCrdt: StateBased {
         self.join_deltas_into(&mut out, b);
         out
     }
-
-    /// The whole state as a delta — the payload of a full-state resync.
-    fn full_delta(&self, state: &Self::State) -> Self::Delta;
 
     /// Wire size of a delta in bytes, under the crate's serialization
     /// model (sparse encodings for vector payloads, elements at
@@ -229,6 +227,7 @@ struct DeltaCore<S, D> {
     ack_msg: Vec<u64>,
 }
 
+#[derive(Clone)]
 struct DeltaNode<S, D> {
     core: DeltaCore<S, D>,
     durable: DeltaCore<S, D>,
@@ -236,7 +235,7 @@ struct DeltaNode<S, D> {
 
 /// What a delta message carries.
 #[derive(Clone, Debug)]
-pub enum DeltaPayload<D> {
+pub enum DeltaPayload<S, D> {
     /// A joined batch of the origin's mutations `from ..= upto`
     /// (`delta: None` with `from > upto` is a pure ack/heartbeat).
     Batch {
@@ -252,25 +251,26 @@ pub enum DeltaPayload<D> {
     Resync {
         /// The newest origin sequence number the state reflects.
         upto: u64,
-        /// The origin's whole state as a delta.
-        delta: D,
+        /// The origin's whole state, shared with the origin until it next
+        /// writes.
+        state: Rc<S>,
     },
 }
 
 /// A delta-transport message: batch or resync, plus the piggybacked ack
 /// vector and history metadata.
 #[derive(Clone, Debug)]
-pub struct DeltaMessage<D> {
+pub struct DeltaMessage<S, D> {
     origin: ReplicaId,
     seen: BitSet,
     clock: u64,
     /// The origin's `applied_upto` vector at send time — its acks, from
     /// which each receiver reads the entry about itself.
     acks: Vec<u64>,
-    payload: DeltaPayload<D>,
+    payload: DeltaPayload<S, D>,
 }
 
-impl<D> DeltaMessage<D> {
+impl<S, D> DeltaMessage<S, D> {
     /// Whether this message is a full-state resynchronization.
     pub fn is_resync(&self) -> bool {
         matches!(self.payload, DeltaPayload::Resync { .. })
@@ -279,6 +279,20 @@ impl<D> DeltaMessage<D> {
     /// Whether this message is a pure ack/heartbeat (no payload).
     pub fn is_heartbeat(&self) -> bool {
         matches!(self.payload, DeltaPayload::Batch { delta: None, .. })
+    }
+
+    /// The state a resync carries; `None` for a batch or a heartbeat.
+    pub fn state(&self) -> Option<&S> {
+        match &self.payload {
+            DeltaPayload::Resync { state, .. } => Some(state),
+            DeltaPayload::Batch { .. } => None,
+        }
+    }
+
+    /// The label set `L` (Appendix D.2) the message conveys; empty once
+    /// released.
+    pub fn seen(&self) -> &BitSet {
+        &self.seen
     }
 }
 
@@ -297,9 +311,8 @@ pub struct DeltaStats {
 
 /// A cluster of replicas of one delta-state CRDT.
 ///
-/// The client-facing surface mirrors [`StateCluster`]
-/// (`invoke`/`gossip`/`apply`, crash/restart from durable checkpoints,
-/// convergence probes); what changes is the payload of every message.
+/// The one lattice delivery core: [`StateCluster`] is this cluster with
+/// every message a [`DeltaCluster::resync`].
 ///
 /// [`StateCluster`]: crate::state_based::StateCluster
 ///
@@ -326,11 +339,13 @@ pub struct DeltaStats {
 /// #         if !next.contains(c) { next.push(*c); next.sort_unstable(); }
 /// #         StateOutcome::Done { ret: (), next }
 /// #     }
-/// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+/// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
+/// #         let before = a.len();
 /// #         for x in b {
 /// #             if !a.contains(x) { a.push(*x); }
 /// #         }
 /// #         a.sort_unstable();
+/// #         a.len() > before
 /// #     }
 /// #     fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool { a.iter().all(|x| b.contains(x)) }
 /// #     fn label(&self, c: &u32, _r: &()) -> u32 { *c }
@@ -340,13 +355,8 @@ pub struct DeltaStats {
 /// #     fn diff(&self, pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
 /// #         post.iter().filter(|x| !pre.contains(x)).copied().collect()
 /// #     }
-/// #     fn join_into(&self, s: &mut Vec<u32>, d: &Vec<u32>) -> bool {
-/// #         let before = s.len();
-/// #         self.merge_into(s, d);
-/// #         s.len() > before
-/// #     }
-/// #     fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) { self.merge_into(a, b) }
-/// #     fn full_delta(&self, s: &Vec<u32>) -> Vec<u32> { s.clone() }
+/// #     fn join_into(&self, s: &mut Vec<u32>, d: &Vec<u32>) -> bool { self.merge_into(s, d) }
+/// #     fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) { self.merge_into(a, b); }
 /// #     fn delta_bytes(&self, d: &Vec<u32>) -> usize { 4 * d.len() }
 /// #     fn state_bytes(&self, s: &Vec<u32>) -> usize { 4 * s.len() }
 /// # }
@@ -357,23 +367,15 @@ pub struct DeltaStats {
 /// cluster.apply(ReplicaId(1), msg);
 /// assert_eq!(cluster.state(ReplicaId(1)), &vec![7]);
 /// ```
+#[derive(Clone)]
 pub struct DeltaCluster<C: DeltaCrdt> {
     crdt: C,
     config: DeltaConfig,
     replicas: Vec<DeltaNode<C::State, C::Delta>>,
-    messages: Vec<DeltaMessage<C::Delta>>,
+    messages: Vec<DeltaMessage<C::State, C::Delta>>,
     history: History<C::Label>,
     next_uid: u64,
     stats: DeltaStats,
-}
-
-/// A successful invocation on a [`DeltaCluster`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaInvoked<R> {
-    /// Return value.
-    pub ret: R,
-    /// Index of the operation in the cluster's history.
-    pub op: usize,
 }
 
 impl<C: DeltaCrdt> DeltaCluster<C> {
@@ -428,6 +430,11 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         &self.replicas[r.0 as usize].core.state
     }
 
+    /// The set of operations replica `r` has performed or applied.
+    pub fn seen(&self, r: ReplicaId) -> &BitSet {
+        self.replicas[r.0 as usize].core.member.seen()
+    }
+
     /// The history recorded so far.
     ///
     /// Visibility is tracked *per applied payload*: a delta batch conveys
@@ -466,7 +473,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// # Panics
     ///
     /// Panics if the replica is crashed.
-    pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<DeltaInvoked<C::Ret>> {
+    pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<Invoked<C::Ret>> {
         let idx = r.0 as usize;
         let node = &self.replicas[idx];
         node.core.member.expect_up("invoke at", r);
@@ -501,7 +508,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                 }
                 debug_assert_clock_covers_state(&self.crdt, &node.core);
                 node.durable = node.core.clone();
-                Some(DeltaInvoked { ret, op })
+                Some(Invoked { ret, op })
             }
         }
     }
@@ -573,41 +580,31 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         self.replicas[idx].core.member.expect_up("gossip at", r);
         self.gc(idx);
         let n = self.replicas.len();
-        let node = &mut self.replicas[idx];
+        let core = &self.replicas[idx].core;
         // The oldest sequence number some peer might still need.
         let oldest_needed = (0..n)
             .filter(|&p| p != idx)
-            .map(|p| node.core.acked[p])
+            .map(|p| core.acked[p])
             .min()
-            .unwrap_or(node.core.next_seq - 1)
+            .unwrap_or(core.next_seq - 1)
             + 1;
-        let buffer_start = node
-            .core
-            .buffer
-            .first()
-            .map_or(node.core.next_seq, |e| e.seq);
-        let newest = node.core.next_seq - 1;
+        let buffer_start = core.buffer.first().map_or(core.next_seq, |e| e.seq);
+        let newest = core.next_seq - 1;
 
         // A peer needs mutations that were garbage-collected (its ack
         // regressed after a crash, or a resync cleared the buffer and was
         // then lost) — only the whole state can catch it up — or acks
         // stopped flowing (prolonged partition) and the buffer outgrew the
         // batching horizon, so one resync supersedes it.
-        let needs_resync = (oldest_needed < buffer_start && oldest_needed <= newest)
-            || node.core.buffer.len() > self.config.resync_after;
-
-        let payload = if needs_resync {
-            self.stats.resyncs += 1;
-            obs::counter("runtime.delta.resyncs", 1);
-            node.core.buffer.clear();
-            DeltaPayload::Resync {
-                upto: newest,
-                delta: self.crdt.full_delta(&node.core.state),
-            }
-        } else if !node.core.buffer.is_empty() && oldest_needed <= newest {
+        if (oldest_needed < buffer_start && oldest_needed <= newest)
+            || core.buffer.len() > self.config.resync_after
+        {
+            return self.resync(r);
+        }
+        let (seen, payload) = if !core.buffer.is_empty() && oldest_needed <= newest {
             // Interval batching: one joined delta covering every entry
             // from the oldest unacknowledged onwards, folded in place.
-            let mut entries = node.core.buffer.iter().filter(|e| e.seq >= oldest_needed);
+            let mut entries = core.buffer.iter().filter(|e| e.seq >= oldest_needed);
             let first = entries.next().expect("newest entry is unacknowledged");
             let mut joined = first.delta.clone();
             let mut seen = first.seen.clone();
@@ -619,34 +616,60 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             }
             self.stats.batches += 1;
             obs::counter("runtime.delta.batches", 1);
-            self.messages.push(DeltaMessage {
-                origin: r,
-                seen,
-                clock: node.core.clock,
-                acks: node.core.applied_upto.clone(),
-                payload: DeltaPayload::Batch {
-                    from,
-                    upto,
-                    delta: Some(joined),
-                },
-            });
-            return self.messages.len() - 1;
+            let delta = Some(joined);
+            (seen, DeltaPayload::Batch { from, upto, delta })
         } else {
             // Nothing unacknowledged: a heartbeat still carries the ack
             // vector, which is what lets *other* replicas garbage-collect.
             self.stats.heartbeats += 1;
             obs::counter("runtime.delta.heartbeats", 1);
-            DeltaPayload::Batch {
-                from: node.core.next_seq,
-                upto: node.core.next_seq - 1,
+            let (from, upto) = (core.next_seq, newest);
+            let heartbeat = DeltaPayload::Batch {
+                from,
+                upto,
                 delta: None,
-            }
+            };
+            (core.member.seen().clone(), heartbeat)
         };
+        self.broadcast(r, seen, payload)
+    }
+
+    /// Ships replica `r`'s whole state with its transitive label set and
+    /// clock, superseding its delta buffer; returns the message id. The
+    /// message shares the replica's state allocation, so nothing is copied
+    /// until the replica next writes. This is gossip's fallback, the last
+    /// round of [`DeltaCluster::sync_all`], and every send of a
+    /// [`StateCluster`](crate::state_based::StateCluster).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica is crashed.
+    pub fn resync(&mut self, r: ReplicaId) -> usize {
+        let core = &mut self.replicas[r.0 as usize].core;
+        core.member.expect_up("send from", r);
+        core.buffer.clear();
+        self.stats.resyncs += 1;
+        obs::counter("runtime.delta.resyncs", 1);
+        let seen = core.member.seen().clone();
+        let upto = core.next_seq - 1;
+        let state = Rc::clone(&core.state);
+        self.broadcast(r, seen, DeltaPayload::Resync { upto, state })
+    }
+
+    // Records a message from `r` conveying `seen`, stamped with the origin's
+    // clock and ack vector; returns its id.
+    fn broadcast(
+        &mut self,
+        r: ReplicaId,
+        seen: BitSet,
+        payload: DeltaPayload<C::State, C::Delta>,
+    ) -> usize {
+        let core = &self.replicas[r.0 as usize].core;
         self.messages.push(DeltaMessage {
             origin: r,
-            seen: node.core.member.seen().clone(),
-            clock: node.core.clock,
-            acks: node.core.applied_upto.clone(),
+            seen,
+            clock: core.clock,
+            acks: core.applied_upto.clone(),
             payload,
         });
         self.messages.len() - 1
@@ -683,7 +706,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     }
 
     /// The message itself (payload kind probes for tests and stats).
-    pub fn message(&self, msg: usize) -> &DeltaMessage<C::Delta> {
+    pub fn message(&self, msg: usize) -> &DeltaMessage<C::State, C::Delta> {
         &self.messages[msg]
     }
 
@@ -700,7 +723,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                 DeltaPayload::Batch { delta, .. } => {
                     16 + delta.as_ref().map_or(0, |d| self.crdt.delta_bytes(d))
                 }
-                DeltaPayload::Resync { delta, .. } => 8 + self.crdt.delta_bytes(delta),
+                DeltaPayload::Resync { state, .. } => 8 + self.crdt.state_bytes(state),
             }
     }
 
@@ -751,23 +774,17 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         // A final resync round guarantees convergence even if sequence
         // gaps survived (e.g. acks regressed right before the sync): the
         // full states themselves are exchanged.
+        self.resync_round();
+    }
+
+    /// One resync round: every replica, in ascending order, ships its whole
+    /// state ([`DeltaCluster::resync`]), then every replica applies the
+    /// round's messages in message order. All replicas end in the join of
+    /// every state, whatever preceded the round.
+    pub fn resync_round(&mut self) {
         let start = self.messages.len();
         for r in 0..self.replicas.len() {
-            let idx = r;
-            let node = &mut self.replicas[idx];
-            self.stats.resyncs += 1;
-            obs::counter("runtime.delta.resyncs", 1);
-            node.core.buffer.clear();
-            self.messages.push(DeltaMessage {
-                origin: ReplicaId(r as u32),
-                seen: node.core.member.seen().clone(),
-                clock: node.core.clock,
-                acks: node.core.applied_upto.clone(),
-                payload: DeltaPayload::Resync {
-                    upto: node.core.next_seq - 1,
-                    delta: self.crdt.full_delta(&node.core.state),
-                },
-            });
+            self.resync(ReplicaId(r as u32));
         }
         self.apply_round(start);
     }
@@ -788,13 +805,14 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     }
 
     /// Whether the five join-semilattice laws ([`laws::lattice_laws`]) and
-    /// the delta resync and batching laws ([`laws::delta_laws`]) hold on the
-    /// distinct current replica states. Buffered deltas are not inspected.
+    /// the delta batching law ([`laws::delta_laws`]) hold on the distinct
+    /// current replica states. Buffered deltas are not inspected.
     pub fn check_lattice_laws(&self) -> bool {
         let states = laws::distinct(self.replicas.iter().map(|n| &*n.core.state));
+        let bottom = self.crdt.initial(self.replicas.len());
         let mut all_hold = true;
         laws::lattice_laws(&self.crdt, &states, &mut all_hold);
-        laws::delta_laws(&self.crdt, &states, &mut all_hold);
+        laws::delta_laws(&self.crdt, &bottom, &states, &mut all_hold);
         all_hold
     }
 
@@ -848,21 +866,27 @@ fn debug_assert_clock_covers_state<C: DeltaCrdt>(crdt: &C, core: &DeltaCore<C::S
     );
 }
 
-// Joins `delta` into the node state in place, copying the state first only
-// if a checkpoint still shares it. Every delivered payload is joined:
-// whether it adds anything is `join_into`'s business, never tested here. The
-// flag it returns decides `Applied` vs `Ignored` and whether the clock floor
-// is re-read, so debug builds hold it to its definition.
-fn join_checked<C: DeltaCrdt>(crdt: &C, state: &mut Rc<C::State>, delta: &C::Delta) -> bool {
-    #[cfg(debug_assertions)]
-    let before = C::State::clone(state);
-    let changed = crdt.join_into(Rc::make_mut(state), delta);
-    #[cfg(debug_assertions)]
-    assert_eq!(
-        changed,
-        before != **state,
-        "join_into misreported whether it changed the state"
-    );
+// Joins a payload into the node state in place with `join` (`name` is
+// `join_into` for a delta, `merge_into` for a resync), copying the state
+// first only if a checkpoint or snapshot still shares it. Every delivered
+// payload is joined: whether it adds anything is the join's business, never
+// tested here. The flag it returns decides `Applied` vs `Ignored` and
+// whether the clock floor is re-read, so debug builds hold it to its
+// definition.
+fn join_checked<S: Clone + PartialEq>(
+    state: &mut Rc<S>,
+    name: &str,
+    join: impl FnOnce(&mut S) -> bool,
+) -> bool {
+    let before = cfg!(debug_assertions).then(|| S::clone(state));
+    let changed = join(Rc::make_mut(state));
+    if let Some(before) = before {
+        assert_eq!(
+            changed,
+            before != **state,
+            "{name} misreported whether it changed the state"
+        );
+    }
     changed
 }
 
@@ -871,7 +895,7 @@ fn join_checked<C: DeltaCrdt>(crdt: &C, state: &mut Rc<C::State>, delta: &C::Del
 fn apply_message<C: DeltaCrdt>(
     crdt: &C,
     msg: usize,
-    message: &DeltaMessage<C::Delta>,
+    message: &DeltaMessage<C::State, C::Delta>,
     idx: usize,
     core: &mut DeltaCore<C::State, C::Delta>,
 ) -> bool {
@@ -892,14 +916,14 @@ fn apply_message<C: DeltaCrdt>(
     }
     let mut changed = false;
     match &message.payload {
-        DeltaPayload::Resync { upto, delta } => {
-            changed = join_checked(crdt, &mut core.state, delta);
+        DeltaPayload::Resync { upto, state } => {
+            changed = join_checked(&mut core.state, "merge_into", |s| crdt.merge_into(s, state));
             core.applied_upto[o] = core.applied_upto[o].max(*upto);
             core.member.merge_seen(&message.seen);
         }
         DeltaPayload::Batch { from, upto, delta } => {
             if let Some(delta) = delta {
-                changed = join_checked(crdt, &mut core.state, delta);
+                changed = join_checked(&mut core.state, "join_into", |s| crdt.join_into(s, delta));
                 if *from <= core.applied_upto[o] + 1 {
                     // Contiguous: the batch closes every gap up to
                     // `upto`, so its label set is fully reflected.
@@ -931,6 +955,8 @@ mod tests {
         None,
         /// `join_into` reports "unchanged" whatever it did.
         LyingJoin,
+        /// `merge_into` reports "unchanged" whatever it did.
+        LyingMerge,
         /// The elements count as timestamps (`clock_floor` is the largest),
         /// yet `invoke` stores them without advancing the Lamport clock.
         StaleClock,
@@ -979,13 +1005,15 @@ mod tests {
             }
         }
 
-        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
+            let before = a.len();
             for x in b {
                 if !a.contains(x) {
                     a.push(*x);
                 }
             }
             a.sort_unstable();
+            a.len() > before && self.0 != Bug::LyingMerge
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
@@ -1019,10 +1047,6 @@ mod tests {
 
         fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
             self.merge_into(a, b);
-        }
-
-        fn full_delta(&self, state: &Vec<u32>) -> Vec<u32> {
-            state.clone()
         }
 
         fn delta_bytes(&self, delta: &Vec<u32>) -> usize {
@@ -1276,8 +1300,8 @@ mod tests {
         assert_eq!(c.state(r(0)), &(0..8).collect::<Vec<u32>>());
     }
 
-    // The two debug-build checks behind "a receive re-reads `clock_floor`
-    // only when `join_into` reports a change": each must trip on its mutant.
+    // The debug-build checks behind "a receive re-reads `clock_floor` only
+    // when its join reports a change": each must trip on its mutant.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "join_into misreported whether it changed the state")]
@@ -1285,6 +1309,16 @@ mod tests {
         let mut c = DeltaCluster::new(GSet(Bug::LyingJoin), DeltaConfig::default(), 2);
         c.invoke(r(0), Call::Add(1)).unwrap();
         let m = c.gossip(r(0));
+        c.apply(r(1), m);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "merge_into misreported whether it changed the state")]
+    fn a_lying_merge_into_is_caught_on_receive() {
+        let mut c = DeltaCluster::new(GSet(Bug::LyingMerge), DeltaConfig::default(), 2);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let m = c.resync(r(0));
         c.apply(r(1), m);
     }
 

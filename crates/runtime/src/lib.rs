@@ -15,7 +15,8 @@
 //!   under the unrestricted composition `⊗` or the shared-timestamp
 //!   composition `⊗ts` (Section 5.3);
 //! * [`state_based`] — the [`state_based::StateBased`] trait and
-//!   [`state_based::StateCluster`];
+//!   [`state_based::StateCluster`], Appendix D's full-state transport as a
+//!   façade over [`delta::DeltaCluster`] that ships only resyncs;
 //! * [`delta`] — delta-state replication: the [`delta::DeltaCrdt`]
 //!   delta-mutator API and [`delta::DeltaCluster`], a bandwidth-proportional
 //!   transport with per-replica delta buffers, interval batching,
@@ -26,7 +27,9 @@
 //! * [`schedule`] — seeded random schedulers driving clusters through
 //!   interleavings, plus convergence helpers.
 //!
-//! The transports share one delivery core:
+//! Four cluster kinds run on three delivery cores — [`op_based::Cluster`]
+//! and [`multi::MultiCluster`] over [`mailbox`], and [`delta::DeltaCluster`],
+//! which [`state_based::StateCluster`] is a façade over — sharing:
 //!
 //! * [`membership`] — per-replica liveness (crash/restart) and visibility
 //!   (seen-set) bookkeeping, the [`membership::Member`] every node embeds;

@@ -1,7 +1,6 @@
 //! Per-replica membership bookkeeping shared by every transport.
 //!
-//! All four cluster kinds ([`Cluster`](crate::op_based::Cluster),
-//! [`StateCluster`](crate::state_based::StateCluster),
+//! The three delivery cores ([`Cluster`](crate::op_based::Cluster),
 //! [`DeltaCluster`](crate::delta::DeltaCluster),
 //! [`MultiCluster`](crate::multi::MultiCluster)) used to keep their own copy
 //! of the same two facts about a replica: *which operations it has applied*
@@ -14,8 +13,8 @@
 //!
 //! Clock discipline deliberately stays transport-specific: the op-based
 //! cluster carries one Lamport clock, the composed cluster a vector of
-//! per-slot clocks, and the state/delta transports checkpoint theirs into
-//! durable storage. A [`Member`] is only liveness plus visibility.
+//! per-slot clocks, and the lattice core checkpoints its clock into durable
+//! storage. A [`Member`] is only liveness plus visibility.
 
 use ral_core::bitset::BitSet;
 use ral_core::ids::ReplicaId;
@@ -120,14 +119,6 @@ impl Member {
         self.seen.union_with(other);
         self.advance_frontier();
     }
-
-    /// Replaces the seen-set wholesale — crash-recovery from a durable
-    /// checkpoint.
-    pub fn restore_seen(&mut self, seen: BitSet) {
-        self.seen = seen;
-        self.frontier = 0;
-        self.advance_frontier();
-    }
 }
 
 impl Default for Member {
@@ -177,19 +168,8 @@ mod tests {
         m.expect_up("invoke at", ReplicaId(2));
     }
 
-    #[test]
-    fn restore_seen_replaces_wholesale() {
-        let mut m = Member::new();
-        m.observe(1);
-        let mut checkpoint = BitSet::new();
-        checkpoint.insert(9);
-        m.restore_seen(checkpoint);
-        assert!(!m.has_seen(1));
-        assert!(m.has_seen(9));
-    }
-
     /// The frontier is always the first unseen id — through out-of-order
-    /// observes, merges, and wholesale restores.
+    /// observes and merges.
     #[test]
     fn frontier_is_canonical_first_unseen_id() {
         let mut m = Member::new();
@@ -206,13 +186,6 @@ mod tests {
         other.insert(5);
         m.merge_seen(&other);
         assert_eq!(m.frontier(), 4);
-
-        let mut checkpoint = BitSet::new();
-        checkpoint.insert(0);
-        checkpoint.insert(1);
-        m.restore_seen(checkpoint);
-        assert_eq!(m.frontier(), 2);
-        assert!(m.has_seen(0) && m.has_seen(1) && !m.has_seen(2));
     }
 
     /// Members that saw the same operations compare equal regardless of the

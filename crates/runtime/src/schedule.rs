@@ -15,9 +15,10 @@
 //! [`Cluster::deliver`], [`StateCluster::apply`], crash/restart) that these
 //! wrappers consume.
 
+use crate::delta::DeltaCrdt;
 use crate::multi::MultiCluster;
 use crate::op_based::{Cluster, OpBased};
-use crate::state_based::{StateBased, StateCluster};
+use crate::state_based::StateCluster;
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::rng::Rng;
 
@@ -153,7 +154,7 @@ pub fn drive_state_based<C, F>(
     seed: u64,
     mut call_gen: F,
 ) where
-    C: StateBased,
+    C: DeltaCrdt,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     let mut rng = Rng::seed_from_u64(seed);
@@ -235,7 +236,7 @@ mod tests {
     use super::*;
     use crate::gen::{GenCtx, GenOutcome};
     use crate::multi::TsMode;
-    use crate::state_based::StateOutcome;
+    use crate::state_based::{StateBased, StateOutcome};
 
     struct GCtr;
 
@@ -288,16 +289,38 @@ mod tests {
                 }
             }
         }
-        fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+        fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
+            let before = a.clone();
             for (x, y) in a.iter_mut().zip(b) {
                 *x = (*x).max(*y);
             }
+            *a != before
         }
         fn leq(&self, a: &Vec<i64>, b: &Vec<i64>) -> bool {
             a.iter().zip(b).all(|(x, y)| x <= y)
         }
         fn label(&self, call: &bool, ret: &i64) -> (bool, i64) {
             (*call, *ret)
+        }
+    }
+
+    // Whole states as deltas: all a full-state transport needs.
+    impl DeltaCrdt for GCtr {
+        type Delta = Vec<i64>;
+        fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> {
+            post.clone()
+        }
+        fn join_into(&self, state: &mut Vec<i64>, delta: &Vec<i64>) -> bool {
+            self.merge_into(state, delta)
+        }
+        fn join_deltas_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+            self.merge_into(a, b);
+        }
+        fn delta_bytes(&self, delta: &Vec<i64>) -> usize {
+            8 * delta.len()
+        }
+        fn state_bytes(&self, state: &Vec<i64>) -> usize {
+            8 * state.len()
         }
     }
 

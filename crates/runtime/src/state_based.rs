@@ -7,23 +7,16 @@
 //! applied several times, at any subset of replicas, in any order, or never
 //! (Appendix D.2) — convergence must come from the lattice laws alone.
 //!
-//! The join runs in place ([`StateBased::merge_into`]) on every delivery,
-//! and a replica's state, its durable checkpoint and the snapshots taken of
-//! it share one copy-on-write allocation, so a receive costs what the
-//! message adds and a send costs nothing; `docs/RUNTIME.md` ("Lattice
-//! transports") has the whole story, including [`StateCluster::release`].
-//!
-//! Liveness and visibility bookkeeping live in the shared [`Member`].
+//! [`StateCluster`] runs them as a façade over the delta delivery core;
+//! `docs/RUNTIME.md` ("Lattice transports") has the whole story.
 
+use crate::delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaMessage};
 use crate::gen::GenCtx;
-use crate::laws;
-use crate::membership::Member;
+pub use crate::op_based::Invoked;
 use ral_core::bitset::BitSet;
-use ral_core::history::{History, OpRecord};
+use ral_core::history::History;
 use ral_core::ids::ReplicaId;
-use ral_obs as obs;
 use std::fmt::Debug;
-use std::rc::Rc;
 
 /// The result of invoking a method on a state-based CRDT.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,12 +56,16 @@ pub trait StateBased {
         ctx: &mut GenCtx,
     ) -> StateOutcome<Self::Ret, Self::State>;
 
-    /// Joins `b` into `a`: afterwards `a` holds the least upper bound of the
-    /// two states. This is the **required** form and the one every receive
-    /// runs, so its cost should be what `b` adds to `a`, not the size of
-    /// `a`. The lattice laws of [`crate::laws`] are stated over
+    /// Joins `b` into `a` — afterwards `a` holds the least upper bound of the
+    /// two states — and returns whether `a` changed. This is the **required**
+    /// form and the one every snapshot receive runs, so its cost should be
+    /// what `b` adds to `a`, not the size of `a`. The flag is load-bearing,
+    /// like [`DeltaCrdt::join_into`]'s: a receive re-reads
+    /// [`StateBased::clock_floor`] only when it is set, and debug builds of
+    /// [`DeltaCluster`] check it against a before/after comparison. The
+    /// lattice laws of [`crate::laws`] are stated over
     /// [`StateBased::merge`], i.e. over this method.
-    fn merge_into(&self, a: &mut Self::State, b: &Self::State);
+    fn merge_into(&self, a: &mut Self::State, b: &Self::State) -> bool;
 
     /// The least upper bound of two replica states, by value: clones `a`
     /// and runs [`StateBased::merge_into`]. Provided for the law checkers
@@ -93,45 +90,16 @@ pub trait StateBased {
     }
 }
 
-#[derive(Clone)]
-struct StateNode<S> {
-    // One allocation shared with the durable checkpoint and with every
-    // snapshot message taken since the last write: checkpointing and sending
-    // bump the count, and `Rc::make_mut` copies the state once on the first
-    // write after a share.
-    state: Rc<S>,
-    // Liveness + seen-set.
-    member: Member,
-    clock: u64,
-    // Last durable checkpoint `(state, seen, clock)`. Local invocations are
-    // written ahead (invoke re-checkpoints automatically), so a crash can
-    // only lose *merged-in* remote knowledge — which the unreliable network
-    // may re-merge at any time, making the loss indistinguishable from a
-    // dropped message (Appendix D.2).
-    durable: (Rc<S>, BitSet, u64),
-}
-
-/// A snapshot message: the sending replica's state plus the set of
-/// operations it reflects (the label set `L` of Appendix D.2, used to extract
-/// visibility).
-#[derive(Clone, Debug)]
-pub struct Message<S> {
-    seen: BitSet,
-    state: Rc<S>,
-    clock: u64,
-    origin: ReplicaId,
-}
-
-/// A successful invocation on a [`StateCluster`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Invoked<R> {
-    /// Return value.
-    pub ret: R,
-    /// Index of the operation in the cluster's history.
-    pub op: usize,
-}
-
-/// A cluster of replicas of one state-based object.
+/// A cluster of replicas of one state-based object, exchanging whole-state
+/// snapshots.
+///
+/// A façade over the delta delivery core: [`StateCluster::send`] is a
+/// [`DeltaCluster::resync`] — the origin's state (shared copy-on-write, so
+/// a snapshot costs nothing until the origin next writes), its transitive
+/// label set `L` (Appendix D.2) and its clock — and an arrival merges it in
+/// place. The façade never gossips, so no delta batch, heartbeat or
+/// acknowledgment is ever in flight; a local mutation's buffered delta is
+/// simply superseded by the replica's next snapshot.
 ///
 /// # Examples
 ///
@@ -141,295 +109,206 @@ pub struct Invoked<R> {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_runtime::state_based::StateCluster;
+/// # use ral_runtime::delta::DeltaCrdt;
 /// # use ral_runtime::gen::GenCtx;
 /// # use ral_runtime::state_based::{StateBased, StateOutcome};
 /// # #[derive(Clone)]
-/// # struct GSet;
-/// # impl StateBased for GSet {
-/// #     type State = Vec<u32>;
+/// # struct MaxReg; // merge is `max`; a delta is a whole state
+/// # impl StateBased for MaxReg {
+/// #     type State = u32;
 /// #     type Call = u32;
 /// #     type Ret = ();
 /// #     type Label = u32;
-/// #     fn initial(&self, _n: usize) -> Vec<u32> { Vec::new() }
-/// #     fn invoke(&self, st: &Vec<u32>, c: &u32, _ctx: &mut GenCtx) -> StateOutcome<(), Vec<u32>> {
-/// #         let mut next = st.clone();
-/// #         if !next.contains(c) { next.push(*c); next.sort_unstable(); }
-/// #         StateOutcome::Done { ret: (), next }
+/// #     fn initial(&self, _n: usize) -> u32 { 0 }
+/// #     fn invoke(&self, s: &u32, c: &u32, _: &mut GenCtx) -> StateOutcome<(), u32> {
+/// #         StateOutcome::Done { ret: (), next: *s.max(c) }
 /// #     }
-/// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
-/// #         for x in b {
-/// #             if !a.contains(x) { a.push(*x); }
-/// #         }
-/// #         a.sort_unstable();
-/// #     }
-/// #     fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool { a.iter().all(|x| b.contains(x)) }
-/// #     fn label(&self, c: &u32, _r: &()) -> u32 { *c }
+/// #     fn merge_into(&self, a: &mut u32, b: &u32) -> bool { let up = b > a; *a = (*a).max(*b); up }
+/// #     fn leq(&self, a: &u32, b: &u32) -> bool { a <= b }
+/// #     fn label(&self, c: &u32, _: &()) -> u32 { *c }
+/// # }
+/// # impl DeltaCrdt for MaxReg {
+/// #     type Delta = u32;
+/// #     fn diff(&self, _: &u32, post: &u32) -> u32 { *post }
+/// #     fn join_into(&self, s: &mut u32, d: &u32) -> bool { self.merge_into(s, d) }
+/// #     fn join_deltas_into(&self, a: &mut u32, b: &u32) { self.merge_into(a, b); }
+/// #     fn delta_bytes(&self, _: &u32) -> usize { 4 }
+/// #     fn state_bytes(&self, _: &u32) -> usize { 4 }
 /// # }
 ///
-/// let mut cluster = StateCluster::new(GSet, 2);
+/// let mut cluster = StateCluster::new(MaxReg, 2);
 /// cluster.invoke(ReplicaId(0), 7).unwrap();
-/// assert_eq!(cluster.state(ReplicaId(1)), &Vec::<u32>::new());
+/// assert_eq!(cluster.state(ReplicaId(1)), &0);
 /// let msg = cluster.send(ReplicaId(0));
 /// cluster.apply(ReplicaId(1), msg);
 /// cluster.apply(ReplicaId(1), msg); // duplicate delivery is harmless
-/// assert_eq!(cluster.state(ReplicaId(1)), &vec![7]);
+/// assert_eq!(cluster.state(ReplicaId(1)), &7);
 /// ```
 // Cloning forks the whole configuration (replica states, in-flight
 // messages, history) — the branch point of `ral-analyze`'s search.
 #[derive(Clone)]
-pub struct StateCluster<C: StateBased> {
-    crdt: C,
-    replicas: Vec<StateNode<C::State>>,
-    messages: Vec<Message<C::State>>,
-    history: History<C::Label>,
-    next_uid: u64,
-    // ⊥, the initial state: what a released message's payload becomes.
-    bottom: Rc<C::State>,
+pub struct StateCluster<C: DeltaCrdt> {
+    core: DeltaCluster<C>,
 }
 
-impl<C: StateBased> StateCluster<C> {
+impl<C: DeltaCrdt> StateCluster<C> {
     /// Creates a cluster of `n_replicas` replicas in the initial state.
     ///
     /// # Panics
     ///
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, n_replicas: usize) -> Self {
-        assert!(n_replicas > 0, "a cluster needs at least one replica");
-        let bottom = Rc::new(crdt.initial(n_replicas));
-        let replicas = (0..n_replicas)
-            .map(|_| StateNode {
-                state: Rc::clone(&bottom),
-                member: Member::new(),
-                clock: 0,
-                durable: (Rc::clone(&bottom), BitSet::new(), 0),
-            })
-            .collect();
-        StateCluster {
-            crdt,
-            replicas,
-            messages: Vec::new(),
-            history: History::new(),
-            next_uid: 0,
-            bottom,
-        }
+        // Only gossip reads the configuration, and the façade never gossips.
+        let core = DeltaCluster::new(crdt, DeltaConfig::default(), n_replicas);
+        StateCluster { core }
     }
 
     /// Number of replicas.
     pub fn n_replicas(&self) -> usize {
-        self.replicas.len()
+        self.core.n_replicas()
     }
 
     /// The CRDT descriptor.
     pub fn crdt(&self) -> &C {
-        &self.crdt
+        self.core.crdt()
     }
 
     /// The state of replica `r`.
     pub fn state(&self, r: ReplicaId) -> &C::State {
-        &self.replicas[r.0 as usize].state
+        self.core.state(r)
     }
 
-    /// The history recorded so far.
+    /// The history recorded so far. Every snapshot conveys its origin's
+    /// whole seen-set, so visibility propagates transitively.
     pub fn history(&self) -> &History<C::Label> {
-        &self.history
+        self.core.history()
     }
 
     /// Consumes the cluster, returning its history.
     pub fn into_history(self) -> History<C::Label> {
-        self.history
+        self.core.into_history()
     }
 
     /// The set of operations replica `r` has performed or merged in.
     pub fn seen(&self, r: ReplicaId) -> &BitSet {
-        self.replicas[r.0 as usize].member.seen()
+        self.core.seen(r)
     }
 
-    /// The set of operations reflected in snapshot message `msg`.
+    /// Message `msg`: a resync until released, a heartbeat after.
+    pub fn message(&self, msg: usize) -> &DeltaMessage<C::State, C::Delta> {
+        self.core.message(msg)
+    }
+
+    /// The set of operations reflected in snapshot message `msg` (empty once
+    /// released).
     pub fn message_seen(&self, msg: usize) -> &BitSet {
-        &self.messages[msg].seen
+        self.core.message(msg).seen()
     }
 
-    /// Invokes `call` at replica `r`; returns `None` if refused.
-    ///
-    /// The invocation is written ahead: a successful call immediately
-    /// re-checkpoints the replica's durable state, so a later
-    /// [`StateCluster::crash`] never loses locally performed operations.
+    /// Invokes `call` at replica `r`; returns `None` if refused. Written
+    /// ahead: [`StateCluster::crash`] never loses a local operation.
     ///
     /// # Panics
     ///
     /// Panics if the replica is crashed.
     pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<Invoked<C::Ret>> {
-        let idx = r.0 as usize;
-        let node = &self.replicas[idx];
-        node.member.expect_up("invoke at", r);
-        let mut ctx = GenCtx::new(r, node.clock, self.next_uid);
-        match self.crdt.invoke(&node.state, &call, &mut ctx) {
-            StateOutcome::Refused => None,
-            StateOutcome::Done { ret, next } => {
-                let label = self.crdt.label(&call, &ret);
-                let record = match ctx.issued_ts() {
-                    Some(ts) => OpRecord::with_ts(label, r, ts),
-                    None => OpRecord::new(label, r),
-                };
-                let node = &mut self.replicas[idx];
-                let op = self.history.push_set(record, node.member.seen().clone());
-                node.clock = ctx.clock();
-                self.next_uid = ctx.uid_counter();
-                node.state = Rc::new(next);
-                node.member.observe(op);
-                node.durable = (
-                    Rc::clone(&node.state),
-                    node.member.seen().clone(),
-                    node.clock,
-                );
-                Some(Invoked { ret, op })
-            }
-        }
+        self.core.invoke(r, call)
     }
 
-    /// Snapshots replica `r`'s state into a message; returns the message id.
-    /// The snapshot shares the replica's state allocation — nothing is
-    /// copied until the replica next writes to it.
+    /// Snapshots replica `r`'s state into a message ([`DeltaCluster::resync`]);
+    /// returns the message id. Nothing is copied until `r` next writes.
     ///
     /// # Panics
     ///
     /// Panics if the replica is crashed.
     pub fn send(&mut self, r: ReplicaId) -> usize {
-        let node = &self.replicas[r.0 as usize];
-        node.member.expect_up("send from", r);
-        self.messages.push(Message {
-            seen: node.member.seen().clone(),
-            state: Rc::clone(&node.state),
-            clock: node.clock,
-            origin: r,
-        });
-        self.messages.len() - 1
+        self.core.resync(r)
     }
 
     /// The replica whose snapshot message `msg` carries.
     pub fn message_origin(&self, msg: usize) -> ReplicaId {
-        self.messages[msg].origin
+        self.core.message_origin(msg)
     }
 
     /// The state snapshot message `msg` carries (payload-size accounting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the message was released.
     pub fn message_state(&self, msg: usize) -> &C::State {
-        &self.messages[msg].state
+        self.core
+            .message(msg)
+            .state()
+            .expect("a released snapshot carries no state")
     }
 
-    /// Number of messages created so far (ids are never reused — the
-    /// network may duplicate deliveries arbitrarily).
+    /// Number of messages created so far (ids are never reused).
     pub fn n_messages(&self) -> usize {
-        self.messages.len()
+        self.core.n_messages()
     }
 
-    /// Declares that the network will not deliver message `msg` again: its
-    /// payload (state and label set) is replaced with ⊥, the initial state,
-    /// so whatever the snapshot alone kept alive is freed. Applying a
-    /// released message afterwards merges ⊥ — a no-op, exactly a dropped
-    /// message, which Appendix D.2 already allows.
+    /// Declares that the network will not deliver message `msg` again
+    /// ([`DeltaCluster::release`]): the snapshot becomes the heartbeat its
+    /// origin could have sent instead, which changes nothing when applied —
+    /// exactly a dropped message, which Appendix D.2 already allows.
     pub fn release(&mut self, msg: usize) {
-        let message = &mut self.messages[msg];
-        message.state = Rc::clone(&self.bottom);
-        message.seen = BitSet::new();
+        self.core.release(msg);
     }
 
-    /// Applies message `msg` at replica `r` (merging states). May be called
-    /// any number of times, in any order.
+    /// Applies message `msg` at replica `r` (merging states), any number of
+    /// times, in any order. A replica's own snapshot is never merged back
+    /// into it ([`DeltaCluster::apply`] skips the origin).
     ///
     /// # Panics
     ///
     /// Panics if the replica is crashed.
     pub fn apply(&mut self, r: ReplicaId, msg: usize) {
-        let node = &mut self.replicas[r.0 as usize];
-        node.member.expect_up("apply at", r);
-        apply_message(&self.crdt, &self.messages[msg], node);
+        self.core.apply(r, msg);
     }
 
-    /// Broadcasts every replica's current state and applies all snapshots
-    /// everywhere — one full synchronization round.
-    ///
-    /// All sends come first; then each replica, in ascending order, merges
-    /// the round's snapshots in message order.
+    /// One full synchronization round ([`DeltaCluster::resync_round`]).
     pub fn sync_all(&mut self) {
-        let snapshot_start = self.messages.len();
-        for r in 0..self.replicas.len() {
-            self.send(ReplicaId(r as u32));
-        }
-        let round = &self.messages[snapshot_start..];
-        for (i, node) in self.replicas.iter_mut().enumerate() {
-            node.member.expect_up("apply at", ReplicaId(i as u32));
-            for msg in round {
-                apply_message(&self.crdt, msg, node);
-            }
-        }
-        let merges = (round.len() * self.replicas.len()) as u64;
-        obs::observe("runtime.state.sync_batch", merges);
+        self.core.resync_round();
     }
 
     /// Returns `true` if all replicas hold the same state.
     pub fn converged(&self) -> bool {
-        self.replicas.windows(2).all(|w| w[0].state == w[1].state)
+        self.core.converged()
     }
 
-    /// Whether the five join-semilattice laws ([`laws::lattice_laws`]) hold
-    /// on the distinct current replica states.
+    /// Whether the lattice laws and the delta batching law hold on the
+    /// distinct current replica states ([`DeltaCluster::check_lattice_laws`]).
     pub fn check_lattice_laws(&self) -> bool {
-        let states = laws::distinct(self.replicas.iter().map(|n| &*n.state));
-        let mut all_hold = true;
-        laws::lattice_laws(&self.crdt, &states, &mut all_hold);
-        all_hold
+        self.core.check_lattice_laws()
     }
 
     /// Whether replica `r` is running (not crashed).
     pub fn is_up(&self, r: ReplicaId) -> bool {
-        self.replicas[r.0 as usize].member.is_up()
+        self.core.is_up(r)
     }
 
-    /// Checkpoints replica `r`: its current state (including merged-in
-    /// remote knowledge) becomes the durable state a crash recovers to.
+    /// Checkpoints replica `r`, merged-in remote knowledge included
+    /// ([`DeltaCluster::persist`]).
     pub fn persist(&mut self, r: ReplicaId) {
-        let node = &mut self.replicas[r.0 as usize];
-        node.durable = (
-            Rc::clone(&node.state),
-            node.member.seen().clone(),
-            node.clock,
-        );
+        self.core.persist(r);
     }
 
-    /// Crashes replica `r`: the process halts and its volatile state is
-    /// lost. On [`StateCluster::restart`] it recovers the last durable
-    /// checkpoint and rejoins; anything lost was merge-derived and can be
-    /// re-merged (the lattice makes recovery and message redelivery the
-    /// same operation).
+    /// Crashes replica `r` back to its last durable checkpoint
+    /// ([`DeltaCluster::crash`]). What it loses was merge-derived and can be
+    /// re-merged: the lattice makes recovery and redelivery one operation.
     pub fn crash(&mut self, r: ReplicaId) {
-        let node = &mut self.replicas[r.0 as usize];
-        node.member.crash();
-        node.state = Rc::clone(&node.durable.0);
-        node.member.restore_seen(node.durable.1.clone());
-        node.clock = node.durable.2;
+        self.core.crash(r);
     }
 
     /// Restarts a crashed replica from its durable checkpoint.
     pub fn restart(&mut self, r: ReplicaId) {
-        self.replicas[r.0 as usize].member.restart();
+        self.core.restart(r);
     }
 
     /// Restarts every crashed replica.
     pub fn restart_all(&mut self) {
-        for node in &mut self.replicas {
-            node.member.restart();
-        }
+        self.core.restart_all();
     }
-}
-
-/// Merges one snapshot message into one node — the core of both the
-/// targeted [`StateCluster::apply`] and `sync_all`. Every message is merged:
-/// whether it adds anything is `merge_into`'s business, never tested here
-/// (a skipped "redundant" merge would hide a non-idempotent one).
-fn apply_message<C: StateBased>(crdt: &C, msg: &Message<C::State>, node: &mut StateNode<C::State>) {
-    crdt.merge_into(Rc::make_mut(&mut node.state), &msg.state);
-    node.member.merge_seen(&msg.seen);
-    node.clock = node.clock.max(msg.clock).max(crdt.clock_floor(&node.state));
 }
 
 #[cfg(test)]
@@ -480,13 +359,15 @@ mod tests {
             }
         }
 
-        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
+            let before = a.len();
             for x in b {
                 if !a.contains(x) {
                     a.push(*x);
                 }
             }
             a.sort_unstable();
+            a.len() > before
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
@@ -495,6 +376,31 @@ mod tests {
 
         fn label(&self, call: &Call, _ret: &Vec<u32>) -> Call {
             call.clone()
+        }
+    }
+
+    /// Whole states as deltas: all a full-state transport needs.
+    impl DeltaCrdt for GSet {
+        type Delta = Vec<u32>;
+
+        fn diff(&self, _pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
+            post.clone()
+        }
+
+        fn join_into(&self, state: &mut Vec<u32>, delta: &Vec<u32>) -> bool {
+            self.merge_into(state, delta)
+        }
+
+        fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+            self.merge_into(a, b);
+        }
+
+        fn delta_bytes(&self, delta: &Vec<u32>) -> usize {
+            4 * delta.len()
+        }
+
+        fn state_bytes(&self, state: &Vec<u32>) -> usize {
+            4 * state.len()
         }
     }
 
@@ -603,16 +509,16 @@ mod tests {
         let mut c = StateCluster::new(GSet, 2);
         c.invoke(r(0), Call::Add(1)).unwrap();
         let m = c.send(r(0));
-        let node = &c.replicas[0];
-        assert!(Rc::ptr_eq(&node.state, &c.messages[m].state));
-        assert!(Rc::ptr_eq(&node.state, &node.durable.0));
+        assert!(std::ptr::eq(c.state(r(0)), c.message_state(m)));
         // A write after the share copies; snapshot and checkpoint stay put.
         c.invoke(r(1), Call::Add(2)).unwrap();
         let other = c.send(r(1));
         c.apply(r(0), other);
         assert_eq!(c.state(r(0)), &vec![1, 2]);
         assert_eq!(c.message_state(m), &vec![1]);
-        assert_eq!(*c.replicas[0].durable.0, vec![1]);
+        c.crash(r(0));
+        c.restart(r(0));
+        assert_eq!(c.state(r(0)), &vec![1], "the checkpoint kept its state");
     }
 
     #[test]
@@ -621,7 +527,7 @@ mod tests {
         c.invoke(r(0), Call::Add(1)).unwrap();
         let m = c.send(r(0));
         c.release(m);
-        assert_eq!(c.message_state(m), &Vec::<u32>::new());
+        assert!(c.message(m).is_heartbeat());
         assert!(c.message_seen(m).is_empty());
         c.apply(r(1), m);
         assert_eq!(c.state(r(1)), &Vec::<u32>::new());

@@ -11,10 +11,11 @@
 //!   and draining the holdback once the gap closes, so the network may
 //!   reorder freely while the replica still applies causally.
 //! * [`StateDriver`] — [`StateCluster`] (Appendix D.2): one message per
-//!   gossip tick, a whole-state snapshot. Merges tolerate loss, duplication,
-//!   and reordering, so no holdback is needed — and the driver checkpoints
-//!   each replica after every invocation (write-ahead), matching the
-//!   durability story of [`StateCluster::crash`].
+//!   gossip tick, a whole-state snapshot — a resync of the delta delivery
+//!   core, which [`StateCluster`] is a façade over. Merges tolerate loss,
+//!   duplication, and reordering, so no holdback is needed — and the
+//!   driver checkpoints each replica after every invocation (write-ahead),
+//!   matching the durability story of [`StateCluster::crash`].
 //! * [`DeltaDriver`] — [`DeltaCluster`]: one message per gossip tick, but
 //!   carrying a joined *delta batch* (or a full-state resync) rather than
 //!   the whole state — the bandwidth-proportional transport. Same fault
@@ -32,7 +33,7 @@ use ral_core::rng::Rng;
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::MultiCluster;
 use ral_runtime::op_based::{Cluster, OpBased};
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateCluster;
 
 // Causal holdback lives in the clusters' own mailboxes now; the drivers
 // reuse the runtime's arrival classification verbatim.
@@ -212,7 +213,7 @@ where
 }
 
 /// Drives a state-based [`StateCluster`].
-pub struct StateDriver<C: StateBased, F> {
+pub struct StateDriver<C: DeltaCrdt, F> {
     cluster: StateCluster<C>,
     call_gen: F,
     // Optional payload-size model: bytes of one full-state snapshot.
@@ -222,7 +223,7 @@ pub struct StateDriver<C: StateBased, F> {
 
 impl<C, F> StateDriver<C, F>
 where
-    C: StateBased,
+    C: DeltaCrdt,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     /// Wraps a fresh cluster of `n_replicas`.
@@ -263,7 +264,7 @@ where
 
 impl<C, F> Driver for StateDriver<C, F>
 where
-    C: StateBased,
+    C: DeltaCrdt,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     const RELIABLE: bool = false;

@@ -43,6 +43,7 @@
 //! ```
 //! use ral_sim::driver::{Driver, StateDriver};
 //! use ral_sim::{scenario, sim};
+//! # use ral_runtime::delta::DeltaCrdt;
 //! # use ral_runtime::gen::GenCtx;
 //! # use ral_runtime::state_based::{StateBased, StateOutcome};
 //! # #[derive(Clone)]
@@ -58,13 +59,23 @@
 //! #         next[ctx.replica().0 as usize] += 1;
 //! #         StateOutcome::Done { ret: (), next }
 //! #     }
-//! #     fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+//! #     fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
+//! #         let before = a.clone();
 //! #         for (x, y) in a.iter_mut().zip(b) { *x = (*x).max(*y); }
+//! #         *a != before
 //! #     }
 //! #     fn leq(&self, a: &Vec<i64>, b: &Vec<i64>) -> bool {
 //! #         a.iter().zip(b).all(|(x, y)| x <= y)
 //! #     }
 //! #     fn label(&self, _c: &(), _r: &()) {}
+//! # }
+//! # impl DeltaCrdt for GCtr { // whole states as deltas
+//! #     type Delta = Vec<i64>;
+//! #     fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> { post.clone() }
+//! #     fn join_into(&self, s: &mut Vec<i64>, d: &Vec<i64>) -> bool { self.merge_into(s, d) }
+//! #     fn join_deltas_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) { self.merge_into(a, b); }
+//! #     fn delta_bytes(&self, d: &Vec<i64>) -> usize { 8 * d.len() }
+//! #     fn state_bytes(&self, s: &Vec<i64>) -> usize { 8 * s.len() }
 //! # }
 //!
 //! let scenario = scenario::flaky_wan();

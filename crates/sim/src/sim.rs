@@ -445,6 +445,7 @@ mod tests {
     use crate::driver::{OpDriver, StateDriver};
     use crate::fault::{CrashPlan, FaultPlan, PartitionWindow};
     use crate::network::{LinkFaults, Topology};
+    use ral_runtime::delta::DeltaCrdt;
     use ral_runtime::gen::{GenCtx, GenOutcome};
     use ral_runtime::op_based::OpBased;
     use ral_runtime::state_based::{StateBased, StateOutcome};
@@ -489,15 +490,38 @@ mod tests {
             next[ctx.replica().0 as usize] += 1;
             StateOutcome::Done { ret: (), next }
         }
-        fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+        fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
+            let mut grew = false;
             for (x, y) in a.iter_mut().zip(b) {
+                grew |= *y > *x;
                 *x = (*x).max(*y);
             }
+            grew
         }
         fn leq(&self, a: &Vec<i64>, b: &Vec<i64>) -> bool {
             a.iter().zip(b).all(|(x, y)| x <= y)
         }
         fn label(&self, _call: &(), _ret: &()) {}
+    }
+
+    // Whole states as deltas: all a full-state transport needs.
+    impl DeltaCrdt for GCtr {
+        type Delta = Vec<i64>;
+        fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> {
+            post.clone()
+        }
+        fn join_into(&self, state: &mut Vec<i64>, delta: &Vec<i64>) -> bool {
+            self.merge_into(state, delta)
+        }
+        fn join_deltas_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) {
+            self.merge_into(a, b);
+        }
+        fn delta_bytes(&self, delta: &Vec<i64>) -> usize {
+            8 * delta.len()
+        }
+        fn state_bytes(&self, state: &Vec<i64>) -> usize {
+            8 * state.len()
+        }
     }
 
     fn small_cfg(n: usize) -> SimConfig {

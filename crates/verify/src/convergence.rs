@@ -12,9 +12,10 @@ use crate::report::{Checks, Report};
 use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::op_based::{Cluster, OpBased};
 use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateCluster;
 use std::ops::Range;
 
 /// Checks SEC for an operation-based CRDT: along random executions, any two
@@ -87,7 +88,7 @@ pub fn check_state_based<C, F>(
     mut call_gen: F,
 ) -> Report
 where
-    C: StateBased + Clone,
+    C: DeltaCrdt + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     // Invocations, sends and applies at 2 : 1 : 1, no final sync: the

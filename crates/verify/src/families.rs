@@ -19,6 +19,7 @@ use ral_core::timestamp::Ts;
 use ral_crdts::op::{counter::OpCounter, lww_register, or_set, rga, rga_addat, wooki};
 use ral_crdts::state::local::LocalEffector;
 use ral_crdts::state::{lww_element_set, mv_register, pn_counter, two_phase_set};
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::op_based::OpBased;
 use ral_runtime::schedule::ScheduleConfig;
 use ral_runtime::state_based::StateBased;
@@ -121,11 +122,10 @@ pub trait Fig12Op: OpFamily {
     }
 }
 
-/// A state-based roster entry (its delta transport included, where the
-/// CRDT implements `DeltaCrdt`).
+/// A state-based roster entry, run through both lattice transports.
 pub trait StateFamily {
     /// The CRDT descriptor.
-    type Crdt: LocalEffector + Clone + Default;
+    type Crdt: LocalEffector + DeltaCrdt + Clone + Default;
     /// The rewriting γ from implementation to specification labels.
     type Rewrite: Rewrite<<Self::Crdt as StateBased>::Label, Out = <Self::Spec as Spec>::Label>
         + Default;

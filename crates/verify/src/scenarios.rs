@@ -25,9 +25,9 @@ use ral_core::ralin::{
 };
 use ral_core::rng::Rng;
 use ral_core::spec::Spec;
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
-use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::scenario::Scenario;
 use ral_sim::{sim, MonitoredDriver};
@@ -75,7 +75,7 @@ pub fn state_converges_in<C, F, M>(
     mut mk_call_gen: M,
 ) -> Report
 where
-    C: StateBased + Clone,
+    C: DeltaCrdt + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
     M: FnMut() -> F,
 {

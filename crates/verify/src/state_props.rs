@@ -25,6 +25,7 @@ use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_crdts::state::local::{EffectorClass, LocalEffector};
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::laws;
 use ral_runtime::state_based::StateCluster;
 use std::ops::Range;
@@ -58,7 +59,7 @@ pub fn check_state_based<C, F>(
     mut call_gen: F,
 ) -> Report
 where
-    C: LocalEffector + Clone,
+    C: LocalEffector + DeltaCrdt + Clone,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 {
     let mut report = Report::new("Prop1-Prop6");
@@ -338,10 +339,13 @@ mod tests {
             StateOutcome::Done { ret: (), next }
         }
 
-        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+        fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
+            let mut grew = false;
             for (x, y) in a.iter_mut().zip(b) {
+                grew |= *y > *x;
                 *x = (*x).max(*y);
             }
+            grew
         }
 
         fn leq(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
@@ -349,6 +353,31 @@ mod tests {
         }
 
         fn label(&self, _: &(), _: &()) {}
+    }
+
+    /// Whole states as deltas: all a full-state transport needs.
+    impl DeltaCrdt for GCounter {
+        type Delta = Vec<u32>;
+
+        fn diff(&self, _pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
+            post.clone()
+        }
+
+        fn join_into(&self, state: &mut Vec<u32>, delta: &Vec<u32>) -> bool {
+            self.merge_into(state, delta)
+        }
+
+        fn join_deltas_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) {
+            self.merge_into(a, b);
+        }
+
+        fn delta_bytes(&self, delta: &Vec<u32>) -> usize {
+            4 * delta.len()
+        }
+
+        fn state_bytes(&self, state: &Vec<u32>) -> usize {
+            4 * state.len()
+        }
     }
 
     impl LocalEffector for GCounter {

@@ -29,9 +29,10 @@ use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::mv_register::MvRegister;
 use ral_crdts::state::pn_counter::PnCounter;
 use ral_crdts::state::two_phase_set::TwoPhaseSet;
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::op_based::{Cluster, OpBased};
 use ral_runtime::schedule::{drive_op_based, drive_state_based, ScheduleConfig};
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateCluster;
 use ral_spec::counter::CounterSpec;
 use ral_spec::register::{MvRegSpec, RegSpec};
 use ral_spec::rga::RgaSpec;
@@ -210,7 +211,7 @@ fn cross_check_state<C, S>(
     spec: &S,
     mut gen: impl FnMut(&mut ral_core::rng::Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) where
-    C: StateBased + Clone,
+    C: DeltaCrdt + Clone,
     S: Spec,
     Identity: Rewrite<C::Label, Out = S::Label>,
 {

@@ -18,8 +18,9 @@ use ral_crdts::op::wooki::{Wooki, WookiCall};
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall};
 use ral_crdts::state::mv_register::{MvCall, MvRegister};
 use ral_crdts::state::pn_counter::{PnCall, PnCounter};
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::op_based::Cluster;
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateCluster;
 use ral_spec::rga::Anchor;
 use ral_spec::wooki::WookiAnchor;
 
@@ -122,7 +123,7 @@ fn wooki_converges() {
 /// lattice laws hold throughout.
 #[test]
 fn state_based_converge_despite_chaos() {
-    fn chaos<C: StateBased + Clone>(
+    fn chaos<C: DeltaCrdt + Clone>(
         crdt: C,
         schedule: &[(u8, u8)],
         mut call: impl FnMut(u8) -> C::Call,

@@ -2,8 +2,10 @@
 //!
 //! On the two loss-tolerant transports the engine tells the driver when the
 //! last queued arrival of a message has been spent, and the cluster answers
-//! by replacing the message's payload with ⊥ (the initial state / a
-//! heartbeat). These tests hold that to its claim on the two lossy WAN
+//! by replacing the message's payload with ⊥: the heartbeat its origin could
+//! have sent instead, for a full-state snapshot and a delta batch alike
+//! (both ride the one lattice delivery core). These tests hold that to its
+//! claim on the two lossy WAN
 //! scenarios: a run through a wrapper that swallows every `release` has the
 //! same trace, history, final states and statistics as the plain run; every
 //! message whose arrivals were all spent really is released, and none is
@@ -227,20 +229,19 @@ fn release_changes_nothing_a_delta_run_can_observe() {
 
 #[test]
 fn released_payloads_are_bottom_after_the_run() {
-    // (That applying ⊥ / a heartbeat to a replica that lacks the payload
-    // changes nothing is pinned next to the clusters, in `ral-runtime`.)
+    // (That applying a heartbeat to a replica that lacks the payload changes
+    // nothing is pinned next to the clusters, in `ral-runtime`.)
     let sc = scenario::delta_wan();
-    let bottom = LwwSetState::default();
 
     let mut state = Watch::new(state_driver(&sc), true);
     sim::run(&mut state, &sc.cfg, 7);
     let cluster = state.inner.cluster();
     for &m in &state.released {
-        assert_eq!(cluster.message_state(m), &bottom);
+        assert!(cluster.message(m).is_heartbeat());
         assert!(cluster.message_seen(m).is_empty());
     }
-    let kept = (0..cluster.n_messages()).filter(|&m| cluster.message_state(m) != &bottom);
-    assert!(kept.count() <= cluster.n_messages() - state.released.len());
+    let kept = (0..cluster.n_messages()).filter(|&m| cluster.message(m).is_resync());
+    assert_eq!(kept.count(), cluster.n_messages() - state.released.len());
 
     let mut delta = Watch::new(delta_driver(&sc), true);
     sim::run(&mut delta, &sc.cfg, 7);
