@@ -9,7 +9,7 @@
 use ral_core::scope::SmallScope;
 use ral_runtime::gen::{GenCtx, GenOutcome};
 use ral_runtime::op_based::OpBased;
-use ral_runtime::state_based::{StateBased, StateOutcome};
+use ral_runtime::state_based::StateBased;
 
 /// Calls of [`BrokenCounter`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -101,15 +101,6 @@ impl StateBased for SummingCounter {
         0
     }
 
-    fn invoke(&self, state: &i64, call: &SumCall, _ctx: &mut GenCtx) -> StateOutcome<i64, i64> {
-        match call {
-            SumCall::Inc => StateOutcome::Done {
-                ret: state + 1,
-                next: state + 1,
-            },
-        }
-    }
-
     // BUG: addition is not a least upper bound (not idempotent).
     fn merge_into(&self, a: &mut i64, b: &i64) -> bool {
         *a += b;
@@ -154,6 +145,12 @@ impl ral_crdts::state::local::LocalEffector for SummingCounter {
 
 impl ral_runtime::delta::DeltaCrdt for SummingCounter {
     type Delta = i64;
+
+    fn invoke(&self, state: &i64, call: &SumCall, _ctx: &mut GenCtx) -> GenOutcome<i64, i64> {
+        match call {
+            SumCall::Inc => GenOutcome::update(state + 1, 1),
+        }
+    }
 
     fn diff(&self, pre: &i64, post: &i64) -> i64 {
         post - pre

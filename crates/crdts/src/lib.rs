@@ -6,17 +6,18 @@
 //! bundle:
 //!
 //! * the replicated implementation ([`ral_runtime::OpBased`] /
-//!   [`ral_runtime::StateBased`]);
+//!   [`ral_runtime::StateBased`] with [`ral_runtime::DeltaCrdt`]);
 //! * the query-update rewriting `γ` onto the label types of `ral-spec`
 //!   (identity where the paper needs none);
 //! * the refinement mapping `abs` used in the Refinement proofs
 //!   (Section 4);
 //! * the linearization class (`EO` / `TO`) claimed by Figure 12.
 //!
-//! The four state-based types additionally implement
-//! [`ral_runtime::DeltaCrdt`]: delta-returning mutators whose join
-//! decompositions feed the bandwidth-proportional delta transport
-//! ([`ral_runtime::DeltaCluster`]) instead of whole-state snapshots.
+//! A state-based type's one mutator is [`ral_runtime::DeltaCrdt::invoke`]:
+//! it returns the mutation's delta, which the cluster joins into the
+//! origin's state in place and which the bandwidth-proportional delta
+//! transport ([`ral_runtime::DeltaCluster`]) ships instead of whole-state
+//! snapshots.
 //!
 //! | Type | Module | Paper | Style | Lin |
 //! |---|---|---|---|---|

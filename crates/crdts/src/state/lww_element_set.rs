@@ -14,9 +14,9 @@ use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
 use ral_core::timestamp::Ts;
-use ral_runtime::delta::{DeltaCrdt, DeltaOutcome};
-use ral_runtime::gen::GenCtx;
-use ral_runtime::state_based::{StateBased, StateOutcome};
+use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::gen::{GenCtx, GenOutcome};
+use ral_runtime::state_based::StateBased;
 use ral_spec::set::SetOp;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
@@ -189,19 +189,6 @@ impl<E: Elem> StateBased for LwwElementSet<E> {
         }
     }
 
-    fn invoke(
-        &self,
-        state: &LwwSetState<E>,
-        call: &LwwSetCall<E>,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<Option<BTreeSet<E>>, LwwSetState<E>> {
-        // A mutator *is* the join of its one-pair delta.
-        match self.invoke_delta(state, call, ctx) {
-            DeltaOutcome::Done { ret, next, .. } => StateOutcome::Done { ret, next },
-            DeltaOutcome::Refused => StateOutcome::Refused,
-        }
-    }
-
     fn merge_into(&self, a: &mut LwwSetState<E>, b: &LwwSetState<E>) -> bool {
         a.absorb(b)
     }
@@ -229,6 +216,21 @@ impl<E: Elem> StateBased for LwwElementSet<E> {
 impl<E: Elem> DeltaCrdt for LwwElementSet<E> {
     type Delta = LwwSetState<E>;
 
+    fn invoke(
+        &self,
+        state: &LwwSetState<E>,
+        call: &LwwSetCall<E>,
+        ctx: &mut GenCtx,
+    ) -> GenOutcome<Option<BTreeSet<E>>, LwwSetState<E>> {
+        let mut delta = self.initial(0);
+        match call {
+            LwwSetCall::Add(a) => delta.added.insert((a.clone(), ctx.fresh_ts())),
+            LwwSetCall::Remove(a) => delta.removed.insert((a.clone(), ctx.fresh_ts())),
+            LwwSetCall::Read => return GenOutcome::query(Some(state.view())),
+        };
+        GenOutcome::update(None, delta)
+    }
+
     fn diff(&self, pre: &LwwSetState<E>, post: &LwwSetState<E>) -> LwwSetState<E> {
         LwwSetState {
             added: post.added.difference(&pre.added).cloned().collect(),
@@ -252,36 +254,6 @@ impl<E: Elem> DeltaCrdt for LwwElementSet<E> {
         // Two length headers plus (element + 12-byte Lamport timestamp)
         // per pair in either set.
         16 + (size_of::<E>() + 12) * (state.added.len() + state.removed.len())
-    }
-
-    /// Hands back the freshly stamped pair itself instead of diffing two
-    /// full states for it (the provided method compares `next` with `state`
-    /// and walks both sets twice per update).
-    fn invoke_delta(
-        &self,
-        state: &LwwSetState<E>,
-        call: &LwwSetCall<E>,
-        ctx: &mut GenCtx,
-    ) -> DeltaOutcome<Option<BTreeSet<E>>, LwwSetState<E>, LwwSetState<E>> {
-        let mut delta = self.initial(0);
-        match call {
-            LwwSetCall::Add(a) => delta.added.insert((a.clone(), ctx.fresh_ts())),
-            LwwSetCall::Remove(a) => delta.removed.insert((a.clone(), ctx.fresh_ts())),
-            LwwSetCall::Read => {
-                return DeltaOutcome::Done {
-                    ret: Some(state.view()),
-                    next: state.clone(),
-                    delta: None,
-                }
-            }
-        };
-        let mut next = state.clone();
-        next.absorb(&delta);
-        DeltaOutcome::Done {
-            ret: None,
-            next,
-            delta: Some(delta),
-        }
     }
 }
 
@@ -428,22 +400,22 @@ mod tests {
 
     #[test]
     fn delta_laws_hold() {
-        use ral_runtime::delta::DeltaOutcome;
         let c = LwwElementSet::<char>::new();
         let mut pre = LwwSetState::<char>::default();
         pre.added.insert(('a', Ts::new(1, r(0))));
         pre.removed.insert(('b', Ts::new(2, r(1))));
         let mut ctx = GenCtx::new(r(0), 2, 0);
-        let DeltaOutcome::Done { next, delta, .. } =
-            c.invoke_delta(&pre, &LwwSetCall::Add('c'), &mut ctx)
+        let GenOutcome::Done {
+            eff: Some(delta), ..
+        } = c.invoke(&pre, &LwwSetCall::Add('c'), &mut ctx)
         else {
-            panic!("add never refuses")
+            panic!("add is a mutation")
         };
-        let delta = delta.expect("add is a mutation");
         // The delta is exactly the one freshly stamped pair.
         assert_eq!(delta.added, BTreeSet::from([('c', Ts::new(3, r(0)))]));
         assert!(delta.removed.is_empty());
-        assert_eq!(c.join(&pre, &delta), next);
+        let next = c.join(&pre, &delta);
+        assert_eq!(c.diff(&pre, &next), delta);
         // Batching.
         let mut post2 = next.clone();
         post2.removed.insert(('a', Ts::new(4, r(0))));
@@ -513,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn invoke_delta_override_equals_the_provided_diffing_one() {
+    fn the_mutator_delta_is_the_diff_of_its_transition() {
         use ral_core::rng::Rng;
         let c = LwwElementSet::<u8>::new();
         let mut rng = Rng::seed_from_u64(0x1ee7);
@@ -524,19 +496,21 @@ mod tests {
                 2 => LwwSetCall::Remove(rng.random_range(0..6)),
                 _ => LwwSetCall::Read,
             };
-            let origin = r(rng.random_range(0..3u32));
-            let (mut ours, mut theirs) =
-                (GenCtx::new(origin, clock, 0), GenCtx::new(origin, clock, 0));
-            let got = c.invoke_delta(&state, &call, &mut ours);
-            // What `DeltaCrdt::invoke_delta` provides: invoke, then diff.
-            let StateOutcome::Done { ret, next } = c.invoke(&state, &call, &mut theirs) else {
+            let mut ctx = GenCtx::new(r(rng.random_range(0..3u32)), clock, 0);
+            let GenOutcome::Done { ret, eff } = c.invoke(&state, &call, &mut ctx) else {
                 panic!("the LWW set never refuses")
             };
-            let delta = (next != state).then(|| c.diff(&state, &next));
-            clock = theirs.clock();
-            state = next.clone();
-            assert_eq!(got, DeltaOutcome::Done { ret, next, delta });
-            assert_eq!(ours.clock(), clock);
+            clock = ctx.clock();
+            match eff {
+                // An update's one pair is what diffing the two states finds.
+                Some(delta) => {
+                    let next = c.join(&state, &delta);
+                    assert_eq!(c.diff(&state, &next), delta, "{call:?} at {state:?}");
+                    assert_eq!(ret, None);
+                    state = next;
+                }
+                None => assert_eq!(ret, Some(state.view())),
+            }
         }
     }
 

@@ -1,10 +1,11 @@
 //! State-based CRDT implementations (Appendices D and E).
 //!
-//! Every type here implements both [`ral_runtime::StateBased`] (full-state
-//! merge propagation, Appendix D.2) and [`ral_runtime::DeltaCrdt`]
-//! (delta-returning mutators for the bandwidth-proportional delta
-//! transport), plus the [`local::LocalEffector`] decomposition the
-//! Prop1–Prop6 obligations reason about.
+//! Every type here implements both [`ral_runtime::StateBased`] (the lattice
+//! full-state merge propagation runs on, Appendix D.2) and
+//! [`ral_runtime::DeltaCrdt`] (its one mutator, which returns the delta
+//! both transports join into the origin's state in place), plus the
+//! [`local::LocalEffector`] decomposition the Prop1–Prop6 obligations reason
+//! about.
 
 pub mod local;
 pub mod lww_element_set;

@@ -14,8 +14,8 @@ use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
 use ral_runtime::delta::DeltaCrdt;
-use ral_runtime::gen::GenCtx;
-use ral_runtime::state_based::{StateBased, StateOutcome};
+use ral_runtime::gen::{GenCtx, GenOutcome};
+use ral_runtime::state_based::StateBased;
 use ral_spec::register::{vv_leq, vv_lt, MvRegOp, VersionVec};
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
@@ -150,38 +150,6 @@ impl<E: Elem> StateBased for MvRegister<E> {
         }
     }
 
-    fn invoke(
-        &self,
-        state: &MvState<E>,
-        call: &MvCall<E>,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<MvRet<E>, MvState<E>> {
-        match call {
-            MvCall::Write(a) => {
-                let g = ctx.replica().0 as usize;
-                let mut v = vec![0; state.width];
-                for (_, vv) in &state.pairs {
-                    for (slot, x) in v.iter_mut().zip(vv) {
-                        *slot = (*slot).max(*x);
-                    }
-                }
-                v[g] += 1;
-                let next = MvState {
-                    width: state.width,
-                    pairs: BTreeSet::from([(a.clone(), v.clone())]),
-                };
-                StateOutcome::Done {
-                    ret: MvRet::Written(v),
-                    next,
-                }
-            }
-            MvCall::Read => StateOutcome::Done {
-                ret: MvRet::Values(state.values()),
-                next: state.clone(),
-            },
-        }
-    }
-
     fn merge_into(&self, a: &mut MvState<E>, b: &MvState<E>) -> bool {
         a.absorb(b)
     }
@@ -208,6 +176,32 @@ impl<E: Elem> StateBased for MvRegister<E> {
 /// overwrite without carrying the overwritten pairs.
 impl<E: Elem> DeltaCrdt for MvRegister<E> {
     type Delta = MvState<E>;
+
+    fn invoke(
+        &self,
+        state: &MvState<E>,
+        call: &MvCall<E>,
+        ctx: &mut GenCtx,
+    ) -> GenOutcome<MvRet<E>, MvState<E>> {
+        match call {
+            MvCall::Write(a) => {
+                let g = ctx.replica().0 as usize;
+                let mut v = vec![0; state.width];
+                for (_, vv) in &state.pairs {
+                    for (slot, x) in v.iter_mut().zip(vv) {
+                        *slot = (*slot).max(*x);
+                    }
+                }
+                v[g] += 1;
+                let delta = MvState {
+                    width: state.width,
+                    pairs: BTreeSet::from([(a.clone(), v.clone())]),
+                };
+                GenOutcome::update(MvRet::Written(v), delta)
+            }
+            MvCall::Read => GenOutcome::query(MvRet::Values(state.values())),
+        }
+    }
 
     fn diff(&self, pre: &MvState<E>, post: &MvState<E>) -> MvState<E> {
         MvState {
@@ -365,24 +359,24 @@ mod tests {
 
     #[test]
     fn delta_laws_hold() {
-        use ral_runtime::delta::DeltaOutcome;
         let c = MvRegister::<char>::new();
         let pre = MvState {
             width: 2,
             pairs: BTreeSet::from([('a', vec![1, 0]), ('b', vec![0, 1])]),
         };
         let mut ctx = GenCtx::new(r(0), 0, 0);
-        let DeltaOutcome::Done { next, delta, .. } =
-            c.invoke_delta(&pre, &MvCall::Write('c'), &mut ctx)
+        let GenOutcome::Done {
+            eff: Some(delta), ..
+        } = c.invoke(&pre, &MvCall::Write('c'), &mut ctx)
         else {
-            panic!("write never refuses")
+            panic!("write is a mutation")
         };
-        let delta = delta.expect("write is a mutation");
         // The write's delta is the singleton dominating pair…
         assert_eq!(delta.pairs, BTreeSet::from([('c', vec![2, 1])]));
         // …and joining it anywhere prunes what it overwrote.
-        assert_eq!(c.join(&pre, &delta), next);
+        let next = c.join(&pre, &delta);
         assert_eq!(next.pairs, BTreeSet::from([('c', vec![2, 1])]));
+        assert_eq!(c.diff(&pre, &next), delta);
         let other = MvState {
             width: 2,
             pairs: BTreeSet::from([('d', vec![0, 3])]),

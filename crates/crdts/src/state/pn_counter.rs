@@ -11,8 +11,8 @@ use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
 use ral_runtime::delta::DeltaCrdt;
-use ral_runtime::gen::GenCtx;
-use ral_runtime::state_based::{StateBased, StateOutcome};
+use ral_runtime::gen::{GenCtx, GenOutcome};
+use ral_runtime::state_based::StateBased;
 use ral_spec::counter::CounterOp;
 
 /// Method invocations of the PN-Counter.
@@ -90,31 +90,6 @@ impl StateBased for PnCounter {
         PnState {
             p: vec![0; n_replicas],
             n: vec![0; n_replicas],
-        }
-    }
-
-    fn invoke(
-        &self,
-        state: &PnState,
-        call: &PnCall,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<Option<i64>, PnState> {
-        let g = ctx.replica().0 as usize;
-        match call {
-            PnCall::Inc => {
-                let mut next = state.clone();
-                next.p[g] += 1;
-                StateOutcome::Done { ret: None, next }
-            }
-            PnCall::Dec => {
-                let mut next = state.clone();
-                next.n[g] += 1;
-                StateOutcome::Done { ret: None, next }
-            }
-            PnCall::Read => StateOutcome::Done {
-                ret: Some(state.value()),
-                next: state.clone(),
-            },
         }
     }
 
@@ -199,6 +174,34 @@ fn diff_slots(pre: &[u64], post: &[u64]) -> Vec<(u32, u64)> {
 
 impl DeltaCrdt for PnCounter {
     type Delta = PnDelta;
+
+    /// `inc` / `dec` ship the origin's one bumped slot.
+    fn invoke(
+        &self,
+        state: &PnState,
+        call: &PnCall,
+        ctx: &mut GenCtx,
+    ) -> GenOutcome<Option<i64>, PnDelta> {
+        let g = ctx.replica().0;
+        let bump = |slots: &[u64]| vec![(g, slots[g as usize] + 1)];
+        match call {
+            PnCall::Inc => GenOutcome::update(
+                None,
+                PnDelta {
+                    p: bump(&state.p),
+                    n: Vec::new(),
+                },
+            ),
+            PnCall::Dec => GenOutcome::update(
+                None,
+                PnDelta {
+                    p: Vec::new(),
+                    n: bump(&state.n),
+                },
+            ),
+            PnCall::Read => GenOutcome::query(Some(state.value())),
+        }
+    }
 
     fn diff(&self, pre: &PnState, post: &PnState) -> PnDelta {
         PnDelta {
@@ -348,20 +351,20 @@ mod tests {
 
     #[test]
     fn delta_laws_hold() {
-        use ral_runtime::delta::DeltaOutcome;
         let c = PnCounter;
         let pre = PnState {
             p: vec![3, 0],
             n: vec![1, 2],
         };
-        // Decomposition: one mutation's delta joined back gives the post
-        // state.
+        // The mutator ships the origin's bumped slot, and the transition it
+        // makes decomposes back into exactly that delta.
         let mut ctx = GenCtx::new(r(0), 0, 0);
-        let DeltaOutcome::Done { next, delta, .. } = c.invoke_delta(&pre, &PnCall::Inc, &mut ctx)
+        let GenOutcome::Done {
+            eff: Some(delta), ..
+        } = c.invoke(&pre, &PnCall::Inc, &mut ctx)
         else {
-            panic!("inc never refuses")
+            panic!("inc is a mutation")
         };
-        let delta = delta.expect("inc is a mutation");
         assert_eq!(
             delta,
             PnDelta {
@@ -369,7 +372,8 @@ mod tests {
                 n: vec![]
             }
         );
-        assert_eq!(c.join(&pre, &delta), next);
+        let next = c.join(&pre, &delta);
+        assert_eq!(c.diff(&pre, &next), delta);
         // Batching: joining a batch equals joining sequentially.
         let d2 = c.diff(&next, &{
             let mut s = next.clone();
@@ -390,10 +394,10 @@ mod tests {
         // A single-mutation delta is cheaper on the wire than the state.
         assert!(c.delta_bytes(&delta) < c.state_bytes(&pre));
         // Queries produce no delta.
-        let DeltaOutcome::Done { delta, .. } = c.invoke_delta(&pre, &PnCall::Read, &mut ctx) else {
-            panic!("read never refuses")
-        };
-        assert_eq!(delta, None);
+        assert_eq!(
+            c.invoke(&pre, &PnCall::Read, &mut ctx),
+            GenOutcome::query(Some(0))
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@ use ral_core::elem::Elem;
 use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
 use ral_core::scope::SmallScope;
-use ral_runtime::delta::{DeltaCrdt, DeltaOutcome};
-use ral_runtime::gen::GenCtx;
-use ral_runtime::state_based::{StateBased, StateOutcome};
+use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::gen::{GenCtx, GenOutcome};
+use ral_runtime::state_based::StateBased;
 use ral_spec::set::SetOp;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
@@ -137,19 +137,6 @@ impl<E: Elem> StateBased for TwoPhaseSet<E> {
         }
     }
 
-    fn invoke(
-        &self,
-        state: &TwoPState<E>,
-        call: &TwoPCall<E>,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<Option<BTreeSet<E>>, TwoPState<E>> {
-        // A mutator *is* the join of its one-element delta.
-        match self.invoke_delta(state, call, ctx) {
-            DeltaOutcome::Done { ret, next, .. } => StateOutcome::Done { ret, next },
-            DeltaOutcome::Refused => StateOutcome::Refused,
-        }
-    }
-
     fn merge_into(&self, a: &mut TwoPState<E>, b: &TwoPState<E>) -> bool {
         a.absorb(b)
     }
@@ -173,6 +160,34 @@ impl<E: Elem> StateBased for TwoPhaseSet<E> {
 impl<E: Elem> DeltaCrdt for TwoPhaseSet<E> {
     type Delta = TwoPState<E>;
 
+    fn invoke(
+        &self,
+        state: &TwoPState<E>,
+        call: &TwoPCall<E>,
+        _ctx: &mut GenCtx,
+    ) -> GenOutcome<Option<BTreeSet<E>>, TwoPState<E>> {
+        let mut delta = self.initial(0);
+        match call {
+            TwoPCall::Add(a) => {
+                // Client obligation: a value is added at most once, and never
+                // after its removal.
+                if state.added.contains(a) || state.removed.contains(a) {
+                    return GenOutcome::Refused;
+                }
+                delta.added.insert(a.clone());
+            }
+            TwoPCall::Remove(a) => {
+                // Precondition of Listing 10: a ∈ A ∧ a ∉ R.
+                if !state.added.contains(a) || state.removed.contains(a) {
+                    return GenOutcome::Refused;
+                }
+                delta.removed.insert(a.clone());
+            }
+            TwoPCall::Read => return GenOutcome::query(Some(state.view())),
+        }
+        GenOutcome::update(None, delta)
+    }
+
     fn diff(&self, pre: &TwoPState<E>, post: &TwoPState<E>) -> TwoPState<E> {
         TwoPState {
             added: post.added.difference(&pre.added).cloned().collect(),
@@ -195,48 +210,6 @@ impl<E: Elem> DeltaCrdt for TwoPhaseSet<E> {
     fn state_bytes(&self, state: &TwoPState<E>) -> usize {
         // Two length headers plus the raw elements of both sets.
         16 + size_of::<E>() * (state.added.len() + state.removed.len())
-    }
-
-    /// Hands back the added element or the new tombstone itself instead of
-    /// diffing two full states for it.
-    fn invoke_delta(
-        &self,
-        state: &TwoPState<E>,
-        call: &TwoPCall<E>,
-        _ctx: &mut GenCtx,
-    ) -> DeltaOutcome<Option<BTreeSet<E>>, TwoPState<E>, TwoPState<E>> {
-        let mut delta = self.initial(0);
-        match call {
-            TwoPCall::Add(a) => {
-                // Client obligation: a value is added at most once, and never
-                // after its removal.
-                if state.added.contains(a) || state.removed.contains(a) {
-                    return DeltaOutcome::Refused;
-                }
-                delta.added.insert(a.clone());
-            }
-            TwoPCall::Remove(a) => {
-                // Precondition of Listing 10: a ∈ A ∧ a ∉ R.
-                if !state.added.contains(a) || state.removed.contains(a) {
-                    return DeltaOutcome::Refused;
-                }
-                delta.removed.insert(a.clone());
-            }
-            TwoPCall::Read => {
-                return DeltaOutcome::Done {
-                    ret: Some(state.view()),
-                    next: state.clone(),
-                    delta: None,
-                }
-            }
-        }
-        let mut next = state.clone();
-        next.absorb(&delta);
-        DeltaOutcome::Done {
-            ret: None,
-            next,
-            delta: Some(delta),
-        }
     }
 }
 
@@ -372,23 +345,23 @@ mod tests {
 
     #[test]
     fn delta_laws_hold() {
-        use ral_runtime::delta::DeltaOutcome;
         let c = TwoPhaseSet::<char>::new();
         let pre = TwoPState {
             added: BTreeSet::from(['a', 'b']),
             removed: BTreeSet::from(['b']),
         };
         let mut ctx = GenCtx::new(r(0), 0, 0);
-        let DeltaOutcome::Done { next, delta, .. } =
-            c.invoke_delta(&pre, &TwoPCall::Add('c'), &mut ctx)
+        let GenOutcome::Done {
+            eff: Some(delta), ..
+        } = c.invoke(&pre, &TwoPCall::Add('c'), &mut ctx)
         else {
-            panic!("fresh add never refuses")
+            panic!("a fresh add is a mutation")
         };
-        let delta = delta.expect("add is a mutation");
         assert_eq!(delta.added, BTreeSet::from(['c']));
         assert!(delta.removed.is_empty());
         // Decomposition and batching.
-        assert_eq!(c.join(&pre, &delta), next);
+        let next = c.join(&pre, &delta);
+        assert_eq!(c.diff(&pre, &next), delta);
         let d2 = c.diff(&next, &{
             let mut s = next.clone();
             s.removed.insert('a');
@@ -406,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn invoke_delta_override_equals_the_provided_diffing_one() {
+    fn the_mutator_delta_is_the_diff_of_its_transition() {
         use ral_core::rng::Rng;
         let c = TwoPhaseSet::<u8>::new();
         let mut rng = Rng::seed_from_u64(0x2b5e7);
@@ -421,22 +394,23 @@ mod tests {
                 _ => TwoPCall::Read,
             };
             let mut ctx = GenCtx::new(r(0), 0, 0);
-            let got = c.invoke_delta(&state, &call, &mut ctx);
-            // What `DeltaCrdt::invoke_delta` provides: invoke, then diff.
-            let expected = match c.invoke(&state, &call, &mut ctx) {
-                StateOutcome::Refused => {
-                    refused += 1;
-                    DeltaOutcome::Refused
-                }
-                StateOutcome::Done { ret, next } => {
+            match c.invoke(&state, &call, &mut ctx) {
+                GenOutcome::Refused => refused += 1,
+                // An update's one element is what diffing the two states
+                // finds, and it changes the state.
+                GenOutcome::Done {
+                    eff: Some(delta), ..
+                } => {
                     done += 1;
-                    let delta = (next != state).then(|| c.diff(&state, &next));
-                    DeltaOutcome::Done { ret, next, delta }
+                    let next = c.join(&state, &delta);
+                    assert_ne!(next, state, "{call:?} at {state:?}");
+                    assert_eq!(c.diff(&state, &next), delta, "{call:?} at {state:?}");
+                    state = next;
                 }
-            };
-            assert_eq!(got, expected, "{call:?} at {state:?}");
-            if let DeltaOutcome::Done { next, .. } = got {
-                state = next;
+                GenOutcome::Done { ret, eff: None } => {
+                    done += 1;
+                    assert_eq!(ret, Some(state.view()));
+                }
             }
         }
         assert!(done > 50 && refused > 50, "{done} done, {refused} refused");

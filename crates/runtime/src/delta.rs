@@ -6,20 +6,22 @@
 //! mutations: an LWW-Element-Set snapshot carries every `(element,
 //! timestamp)` pair ever written just to communicate one `add`. Delta-state
 //! replication (Almeida, Shoker, Baquero) keeps the same join-semilattice
-//! semantics but ships **join decompositions**: each mutator also returns a
-//! *delta* — a small lattice element `d` with `next = join(state, d)` — and
-//! replicas exchange joined batches of recent deltas instead of whole
-//! states. Because deltas live in the same lattice and `join` is the same
-//! least-upper-bound, the tolerance story of Appendix D.2 is unchanged:
-//! duplicated, reordered, or re-delivered deltas are absorbed by the join
-//! laws alone.
+//! semantics but ships **join decompositions**: a mutator returns a *delta*
+//! — a small lattice element `d`, and the replica's next state is
+//! `join(state, d)` — and replicas exchange joined batches of recent deltas
+//! instead of whole states. Because deltas live in the same lattice and
+//! `join` is the same least-upper-bound, the tolerance story of Appendix
+//! D.2 is unchanged: duplicated, reordered, or re-delivered deltas are
+//! absorbed by the join laws alone.
 //!
 //! Two pieces live here:
 //!
-//! * [`DeltaCrdt`] — the delta-mutator API a state-based CRDT implements on
-//!   top of [`StateBased`]: `diff` (the join decomposition of one
-//!   mutation), `join_into` / `join_deltas_into` (the in-place joins every
-//!   receive and every batch run), and the wire-size model
+//! * [`DeltaCrdt`] — the mutator API a state-based CRDT implements on top of
+//!   [`StateBased`]: `invoke` (the one mutator: it reads the state and
+//!   returns `(ret, δ)`), `diff` (the join decomposition of a transition,
+//!   which the law checkers draw deltas with), `join_into` /
+//!   `join_deltas_into` (the in-place joins every mutation, every receive and
+//!   every batch run), and the wire-size model
 //!   (`delta_bytes` / `state_bytes`) the simulator's bandwidth accounting
 //!   uses;
 //! * [`DeltaCluster`] — the replicated transport: per-replica **delta
@@ -40,10 +42,10 @@
 //! full-state run converges to. `ral_verify::delta` checks that equivalence
 //! differentially on every scenario in the `ral-sim` corpus.
 
-use crate::gen::GenCtx;
+use crate::gen::{GenCtx, GenOutcome};
 use crate::laws;
 use crate::membership::Member;
-use crate::state_based::{Invoked, StateBased, StateOutcome};
+use crate::state_based::{Invoked, StateBased};
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
@@ -51,31 +53,20 @@ use ral_obs as obs;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-/// The result of invoking a delta mutator: the classic [`StateOutcome`]
-/// plus the join decomposition of the state change.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeltaOutcome<R, S, D> {
-    /// The method executed.
-    Done {
-        /// Return value.
-        ret: R,
-        /// New replica state, `join(old, delta)` when a delta is present.
-        next: S,
-        /// The delta to replicate; `None` for queries (identity delta).
-        delta: Option<D>,
-    },
-    /// The method's precondition does not hold.
-    Refused,
-}
-
-/// A state-based CRDT with delta mutators.
+/// A state-based CRDT with its delta mutator.
+///
+/// [`DeltaCrdt::invoke`] is the type's one mutator, for both transports: it
+/// reads the origin's state and returns the return value and the mutation's
+/// delta `δ`, and the cluster joins `δ` into the state in place with
+/// [`DeltaCrdt::join_into`] — the join every receive runs. A query returns
+/// no delta and leaves the state untouched, so it copies nothing.
 ///
 /// Implementations must satisfy the **delta laws** (stated in
 /// [`crate::laws`], discharged by [`DeltaCluster::check_lattice_laws`] and
 /// `ral-analyze`, and checked differentially by `ral_verify::delta`), for
 /// all reachable states `s`, `t` and mutation deltas `a`, `b`:
 ///
-/// 1. *decomposition* — if [`StateBased::invoke`] moves `s` to `s'`, then
+/// 1. *decomposition* — for every local transition `s → s'`,
 ///    `join(s, diff(s, s')) == s'`;
 /// 2. *batching* — `join(join(t, a), b) == join(t, join_deltas(a, b))`;
 /// 3. *lattice* — `join` inherits idempotence, commutativity, and
@@ -96,9 +87,24 @@ pub trait DeltaCrdt: StateBased {
     /// transport. Often the state type itself (a sparse fragment of it).
     type Delta: Clone + Debug + PartialEq;
 
-    /// The delta of one local transition `pre → post` (with `pre ⊑ post`
-    /// up to the mutation's own effect): a minimal `d` with
-    /// `join(pre, d) == post`.
+    /// Executes `call` at the origin replica: reads `state` and returns the
+    /// return value plus the mutation's delta (`eff`), or
+    /// [`GenOutcome::Refused`] when the method's precondition does not hold.
+    /// Queries return no delta. The cluster joins the delta into the state in
+    /// place and buffers it for replication, so the mutator never builds the
+    /// next state itself.
+    fn invoke(
+        &self,
+        state: &Self::State,
+        call: &Self::Call,
+        ctx: &mut GenCtx,
+    ) -> GenOutcome<Self::Ret, Self::Delta>;
+
+    /// The delta of a transition `pre → post` (with `pre ⊑ post` up to the
+    /// mutation's own effect): a minimal `d` with `join(pre, d) == post`.
+    /// The transport never calls it; the law checkers of [`crate::laws`]
+    /// and `ral_verify::delta`'s differential harness draw their deltas from
+    /// states with it.
     fn diff(&self, pre: &Self::State, post: &Self::State) -> Self::Delta;
 
     /// Joins `delta` into `state` in place (the least upper bound in the
@@ -137,24 +143,6 @@ pub trait DeltaCrdt: StateBased {
 
     /// Wire size of a full state snapshot in bytes, under the same model.
     fn state_bytes(&self, state: &Self::State) -> usize;
-
-    /// The delta-returning mutator: executes `call` like
-    /// [`StateBased::invoke`] and also returns the join decomposition of
-    /// the step. Queries return `delta: None`.
-    fn invoke_delta(
-        &self,
-        state: &Self::State,
-        call: &Self::Call,
-        ctx: &mut GenCtx,
-    ) -> DeltaOutcome<Self::Ret, Self::State, Self::Delta> {
-        match self.invoke(state, call, ctx) {
-            StateOutcome::Refused => DeltaOutcome::Refused,
-            StateOutcome::Done { ret, next } => {
-                let delta = (next != *state).then(|| self.diff(state, &next));
-                DeltaOutcome::Done { ret, next, delta }
-            }
-        }
-    }
 }
 
 /// Tuning knobs of the delta transport.
@@ -324,8 +312,8 @@ pub struct DeltaStats {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
-/// # use ral_runtime::gen::GenCtx;
-/// # use ral_runtime::state_based::{StateBased, StateOutcome};
+/// # use ral_runtime::gen::{GenCtx, GenOutcome};
+/// # use ral_runtime::state_based::StateBased;
 /// # #[derive(Clone)]
 /// # struct GSet;
 /// # impl StateBased for GSet {
@@ -334,11 +322,6 @@ pub struct DeltaStats {
 /// #     type Ret = ();
 /// #     type Label = u32;
 /// #     fn initial(&self, _n: usize) -> Vec<u32> { Vec::new() }
-/// #     fn invoke(&self, st: &Vec<u32>, c: &u32, _ctx: &mut GenCtx) -> StateOutcome<(), Vec<u32>> {
-/// #         let mut next = st.clone();
-/// #         if !next.contains(c) { next.push(*c); next.sort_unstable(); }
-/// #         StateOutcome::Done { ret: (), next }
-/// #     }
 /// #     fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
 /// #         let before = a.len();
 /// #         for x in b {
@@ -352,6 +335,9 @@ pub struct DeltaStats {
 /// # }
 /// # impl DeltaCrdt for GSet {
 /// #     type Delta = Vec<u32>;
+/// #     fn invoke(&self, _st: &Vec<u32>, c: &u32, _ctx: &mut GenCtx) -> GenOutcome<(), Vec<u32>> {
+/// #         GenOutcome::update((), vec![*c]) // the delta is the new element
+/// #     }
 /// #     fn diff(&self, pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
 /// #         post.iter().filter(|x| !pre.contains(x)).copied().collect()
 /// #     }
@@ -465,10 +451,11 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         self.replicas[r.0 as usize].core.buffer.len()
     }
 
-    /// Invokes `call` at replica `r` through the delta mutator; returns
-    /// `None` if refused. Mutations append their delta to the replica's
-    /// buffer and are written ahead to the durable checkpoint, so a crash
-    /// never loses locally performed operations.
+    /// Invokes `call` at replica `r` through [`DeltaCrdt::invoke`]; returns
+    /// `None` if refused. A mutation's delta is joined into the state in
+    /// place — a query touches nothing — appended to the replica's buffer,
+    /// and written ahead to the durable checkpoint, so a crash never loses
+    /// locally performed operations.
     ///
     /// # Panics
     ///
@@ -478,39 +465,32 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         let node = &self.replicas[idx];
         node.core.member.expect_up("invoke at", r);
         let mut ctx = GenCtx::new(r, node.core.clock, self.next_uid);
-        match self.crdt.invoke_delta(&node.core.state, &call, &mut ctx) {
-            DeltaOutcome::Refused => None,
-            DeltaOutcome::Done { ret, next, delta } => {
-                let label = self.crdt.label(&call, &ret);
-                let record = match ctx.issued_ts() {
-                    Some(ts) => OpRecord::with_ts(label, r, ts),
-                    None => OpRecord::new(label, r),
-                };
-                let node = &mut self.replicas[idx];
-                let op = self
-                    .history
-                    .push_set(record, node.core.member.seen().clone());
-                node.core.clock = ctx.clock();
-                self.next_uid = ctx.uid_counter();
-                node.core.state = Rc::new(next);
-                node.core.member.observe(op);
-                if let Some(delta) = delta {
-                    let seq = node.core.next_seq;
-                    node.core.next_seq += 1;
-                    // The entry's label set is this op alone: a delta
-                    // carries this mutation's effect, not the origin's
-                    // transitive knowledge.
-                    let mut seen = BitSet::new();
-                    seen.insert(op);
-                    node.core
-                        .buffer
-                        .push(Rc::new(DeltaEntry { seq, delta, seen }));
-                }
-                debug_assert_clock_covers_state(&self.crdt, &node.core);
-                node.durable = node.core.clone();
-                Some(Invoked { ret, op })
-            }
+        let GenOutcome::Done { ret, eff } = self.crdt.invoke(&node.core.state, &call, &mut ctx)
+        else {
+            return None;
+        };
+        let label = self.crdt.label(&call, &ret);
+        let record = match ctx.issued_ts() {
+            Some(ts) => OpRecord::with_ts(label, r, ts),
+            None => OpRecord::new(label, r),
+        };
+        let node = &mut self.replicas[idx];
+        let op = self
+            .history
+            .push_set(record, node.core.member.seen().clone());
+        node.core.clock = ctx.clock();
+        self.next_uid = ctx.uid_counter();
+        node.core.member.observe(op);
+        if let Some(delta) = eff {
+            // The entry's label set is this op alone: a delta carries this
+            // mutation's effect, not the origin's transitive knowledge.
+            let mut seen = BitSet::new();
+            seen.insert(op);
+            push_local(&self.crdt, &mut node.core, delta, seen);
         }
+        debug_assert_clock_covers_state(&self.crdt, &node.core);
+        node.durable = node.core.clone();
+        Some(Invoked { ret, op })
     }
 
     /// Records an externally produced local mutation delta at replica `r`,
@@ -528,19 +508,11 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     pub fn ingest_local(&mut self, r: ReplicaId, delta: C::Delta) {
         let node = &mut self.replicas[r.0 as usize];
         node.core.member.expect_up("ingest at", r);
-        self.crdt
-            .join_into(Rc::make_mut(&mut node.core.state), &delta);
+        // No history op backs an ingested delta, so it conveys no labels.
+        push_local(&self.crdt, &mut node.core, delta, BitSet::new());
         // The delta was stamped elsewhere: keep the Lamport clock ahead of
         // whatever it carried, as a receive would.
         node.core.clock = node.core.clock.max(self.crdt.clock_floor(&node.core.state));
-        let seq = node.core.next_seq;
-        node.core.next_seq += 1;
-        // No history op backs an ingested delta, so it conveys no labels.
-        node.core.buffer.push(Rc::new(DeltaEntry {
-            seq,
-            delta,
-            seen: BitSet::new(),
-        }));
         debug_assert_clock_covers_state(&self.crdt, &node.core);
         node.durable = node.core.clone();
     }
@@ -866,6 +838,21 @@ fn debug_assert_clock_covers_state<C: DeltaCrdt>(crdt: &C, core: &DeltaCore<C::S
     );
 }
 
+// Joins a local mutation's delta into the node state in place — copying the
+// state first only if a checkpoint or snapshot still shares it — and buffers
+// it under the next sequence number, conveying `seen`.
+fn push_local<C: DeltaCrdt>(
+    crdt: &C,
+    core: &mut DeltaCore<C::State, C::Delta>,
+    delta: C::Delta,
+    seen: BitSet,
+) {
+    crdt.join_into(Rc::make_mut(&mut core.state), &delta);
+    let seq = core.next_seq;
+    core.next_seq += 1;
+    core.buffer.push(Rc::new(DeltaEntry { seq, delta, seen }));
+}
+
 // Joins a payload into the node state in place with `join` (`name` is
 // `join_into` for a delta, `merge_into` for a resync), copying the state
 // first only if a checkpoint or snapshot still shares it. Every delivered
@@ -980,31 +967,6 @@ mod tests {
             Vec::new()
         }
 
-        fn invoke(
-            &self,
-            state: &Vec<u32>,
-            call: &Call,
-            _ctx: &mut GenCtx,
-        ) -> StateOutcome<Vec<u32>, Vec<u32>> {
-            match call {
-                Call::Add(x) => {
-                    let mut next = state.clone();
-                    if !next.contains(x) {
-                        next.push(*x);
-                        next.sort_unstable();
-                    }
-                    StateOutcome::Done {
-                        ret: Vec::new(),
-                        next,
-                    }
-                }
-                Call::Read => StateOutcome::Done {
-                    ret: state.clone(),
-                    next: state.clone(),
-                },
-            }
-        }
-
         fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
             let before = a.len();
             for x in b {
@@ -1034,6 +996,19 @@ mod tests {
 
     impl DeltaCrdt for GSet {
         type Delta = Vec<u32>;
+
+        fn invoke(
+            &self,
+            state: &Vec<u32>,
+            call: &Call,
+            _ctx: &mut GenCtx,
+        ) -> GenOutcome<Vec<u32>, Vec<u32>> {
+            match call {
+                Call::Add(x) if !state.contains(x) => GenOutcome::update(Vec::new(), vec![*x]),
+                Call::Add(_) => GenOutcome::query(Vec::new()),
+                Call::Read => GenOutcome::query(state.clone()),
+            }
+        }
 
         fn diff(&self, pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
             post.iter().filter(|x| !pre.contains(x)).copied().collect()

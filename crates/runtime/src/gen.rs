@@ -11,7 +11,9 @@
 use ral_core::ids::{ReplicaId, Uid};
 use ral_core::timestamp::Ts;
 
-/// The result of running a generator at the origin replica.
+/// The result of running a generator at the origin replica: an op-based
+/// generator ([`crate::op_based::OpBased::generator`]) or a state-based
+/// mutator ([`crate::delta::DeltaCrdt::invoke`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GenOutcome<R, E> {
     /// The operation executed: it returns `ret` and broadcasts `eff` (or
@@ -19,8 +21,9 @@ pub enum GenOutcome<R, E> {
     Done {
         /// Return value `b` of the label `m(a) ⇒ b`.
         ret: R,
-        /// The effector to apply at every replica; `None` for queries
-        /// (identity effector).
+        /// What every replica applies, the origin included: the effector of
+        /// an op-based type, the delta of a state-based one. `None` for
+        /// queries (identity effector).
         eff: Option<E>,
     },
     /// The generator's precondition does not hold at the replica; no

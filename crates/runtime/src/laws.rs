@@ -134,8 +134,7 @@ pub fn delta_laws<C: DeltaCrdt>(
 mod tests {
     use super::*;
     use crate::delta::{DeltaCluster, DeltaConfig};
-    use crate::gen::GenCtx;
-    use crate::state_based::StateOutcome;
+    use crate::gen::{GenCtx, GenOutcome};
     use ral_core::ids::ReplicaId;
 
     /// The one law a [`Max`] breaks.
@@ -164,13 +163,6 @@ mod tests {
             0
         }
 
-        fn invoke(&self, state: &u32, call: &u32, _ctx: &mut GenCtx) -> StateOutcome<(), u32> {
-            StateOutcome::Done {
-                ret: (),
-                next: *state.max(call),
-            }
-        }
-
         fn merge_into(&self, a: &mut u32, b: &u32) -> bool {
             let (x, y) = (*a, *b);
             *a = match self.0 {
@@ -193,6 +185,10 @@ mod tests {
 
     impl DeltaCrdt for Max {
         type Delta = u32;
+
+        fn invoke(&self, _state: &u32, call: &u32, _ctx: &mut GenCtx) -> GenOutcome<(), u32> {
+            GenOutcome::update((), *call)
+        }
 
         fn diff(&self, pre: &u32, post: &u32) -> u32 {
             *(if self.0 == Bug::Decomposition {

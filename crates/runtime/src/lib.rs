@@ -14,11 +14,13 @@
 //! * [`multi`] — [`multi::MultiCluster`]: several objects of one data type
 //!   under the unrestricted composition `⊗` or the shared-timestamp
 //!   composition `⊗ts` (Section 5.3);
-//! * [`state_based`] — the [`state_based::StateBased`] trait and
-//!   [`state_based::StateCluster`], Appendix D's full-state transport as a
-//!   façade over [`delta::DeltaCluster`] that ships only resyncs;
-//! * [`delta`] — delta-state replication: the [`delta::DeltaCrdt`]
-//!   delta-mutator API and [`delta::DeltaCluster`], a bandwidth-proportional
+//! * [`state_based`] — the [`state_based::StateBased`] lattice (initial
+//!   state, `merge_into`, `leq`, labels) and [`state_based::StateCluster`],
+//!   Appendix D's full-state transport as a façade over
+//!   [`delta::DeltaCluster`] that ships only resyncs;
+//! * [`delta`] — delta-state replication: [`delta::DeltaCrdt`], whose one
+//!   mutator `invoke` reads the state and returns `(ret, δ)` as a
+//!   [`gen::GenOutcome`], and [`delta::DeltaCluster`], a bandwidth-proportional
 //!   transport with per-replica delta buffers, interval batching,
 //!   ack-driven garbage collection, and full-state resync fallback;
 //! * [`laws`] — the join-semilattice laws and the delta laws, stated once
@@ -57,10 +59,10 @@ pub mod op_based;
 pub mod schedule;
 pub mod state_based;
 
-pub use delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaOutcome, DeltaStats};
+pub use delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaStats};
 pub use gen::{GenCtx, GenOutcome};
 pub use mailbox::{DeliveryRecord, Mailbox, Received};
 pub use membership::Member;
 pub use multi::{MultiCluster, TsMode};
 pub use op_based::{Cluster, OpBased};
-pub use state_based::{StateBased, StateCluster, StateOutcome};
+pub use state_based::{StateBased, StateCluster};

@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::gen::{GenCtx, GenOutcome};
     use crate::multi::TsMode;
-    use crate::state_based::{StateBased, StateOutcome};
+    use crate::state_based::StateBased;
 
     struct GCtr;
 
@@ -272,23 +272,6 @@ mod tests {
         fn initial(&self, n: usize) -> Vec<i64> {
             vec![0; n]
         }
-        fn invoke(
-            &self,
-            st: &Vec<i64>,
-            call: &bool,
-            ctx: &mut GenCtx,
-        ) -> StateOutcome<i64, Vec<i64>> {
-            if *call {
-                let mut next = st.clone();
-                next[ctx.replica().0 as usize] += 1;
-                StateOutcome::Done { ret: 0, next }
-            } else {
-                StateOutcome::Done {
-                    ret: st.iter().sum(),
-                    next: st.clone(),
-                }
-            }
-        }
         fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
             let before = a.clone();
             for (x, y) in a.iter_mut().zip(b) {
@@ -307,6 +290,20 @@ mod tests {
     // Whole states as deltas: all a full-state transport needs.
     impl DeltaCrdt for GCtr {
         type Delta = Vec<i64>;
+        fn invoke(
+            &self,
+            st: &Vec<i64>,
+            call: &bool,
+            ctx: &mut GenCtx,
+        ) -> GenOutcome<i64, Vec<i64>> {
+            if *call {
+                let mut delta = st.clone();
+                delta[ctx.replica().0 as usize] += 1;
+                GenOutcome::update(0, delta)
+            } else {
+                GenOutcome::query(st.iter().sum())
+            }
+        }
         fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> {
             post.clone()
         }

@@ -11,29 +11,16 @@
 //! `docs/RUNTIME.md` ("Lattice transports") has the whole story.
 
 use crate::delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaMessage};
-use crate::gen::GenCtx;
 pub use crate::op_based::Invoked;
 use ral_core::bitset::BitSet;
 use ral_core::history::History;
 use ral_core::ids::ReplicaId;
 use std::fmt::Debug;
 
-/// The result of invoking a method on a state-based CRDT.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StateOutcome<R, S> {
-    /// The method executed, returning `ret` and moving the replica to
-    /// `next`.
-    Done {
-        /// Return value.
-        ret: R,
-        /// New replica state (equal to the old one for queries).
-        next: S,
-    },
-    /// The method's precondition does not hold.
-    Refused,
-}
-
-/// A state-based CRDT, in the style of Listings 7–10.
+/// The lattice of a state-based CRDT, in the style of Listings 7–10: its
+/// states, their join and order, and its labels. The type's one mutator is
+/// [`DeltaCrdt::invoke`], which reads the origin's state and returns the
+/// delta the cluster joins into it in place.
 pub trait StateBased {
     /// Replica state; the carrier of the join semilattice.
     type State: Clone + Debug + PartialEq;
@@ -47,14 +34,6 @@ pub trait StateBased {
     /// The initial replica state. Vector-clock based types (MV-Register,
     /// PN-Counter) size their payload by `n_replicas`.
     fn initial(&self, n_replicas: usize) -> Self::State;
-
-    /// Executes `call` locally at the origin replica.
-    fn invoke(
-        &self,
-        state: &Self::State,
-        call: &Self::Call,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<Self::Ret, Self::State>;
 
     /// Joins `b` into `a` — afterwards `a` holds the least upper bound of the
     /// two states — and returns whether `a` changed. This is the **required**
@@ -110,8 +89,8 @@ pub trait StateBased {
 /// use ral_core::ids::ReplicaId;
 /// use ral_runtime::state_based::StateCluster;
 /// # use ral_runtime::delta::DeltaCrdt;
-/// # use ral_runtime::gen::GenCtx;
-/// # use ral_runtime::state_based::{StateBased, StateOutcome};
+/// # use ral_runtime::gen::{GenCtx, GenOutcome};
+/// # use ral_runtime::state_based::StateBased;
 /// # #[derive(Clone)]
 /// # struct MaxReg; // merge is `max`; a delta is a whole state
 /// # impl StateBased for MaxReg {
@@ -120,15 +99,15 @@ pub trait StateBased {
 /// #     type Ret = ();
 /// #     type Label = u32;
 /// #     fn initial(&self, _n: usize) -> u32 { 0 }
-/// #     fn invoke(&self, s: &u32, c: &u32, _: &mut GenCtx) -> StateOutcome<(), u32> {
-/// #         StateOutcome::Done { ret: (), next: *s.max(c) }
-/// #     }
 /// #     fn merge_into(&self, a: &mut u32, b: &u32) -> bool { let up = b > a; *a = (*a).max(*b); up }
 /// #     fn leq(&self, a: &u32, b: &u32) -> bool { a <= b }
 /// #     fn label(&self, c: &u32, _: &()) -> u32 { *c }
 /// # }
 /// # impl DeltaCrdt for MaxReg {
 /// #     type Delta = u32;
+/// #     fn invoke(&self, _: &u32, c: &u32, _: &mut GenCtx) -> GenOutcome<(), u32> {
+/// #         GenOutcome::update((), *c)
+/// #     }
 /// #     fn diff(&self, _: &u32, post: &u32) -> u32 { *post }
 /// #     fn join_into(&self, s: &mut u32, d: &u32) -> bool { self.merge_into(s, d) }
 /// #     fn join_deltas_into(&self, a: &mut u32, b: &u32) { self.merge_into(a, b); }
@@ -314,6 +293,7 @@ impl<C: DeltaCrdt> StateCluster<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{GenCtx, GenOutcome};
 
     /// A grow-only set as a join semilattice.
     struct GSet;
@@ -332,31 +312,6 @@ mod tests {
 
         fn initial(&self, _n: usize) -> Vec<u32> {
             Vec::new()
-        }
-
-        fn invoke(
-            &self,
-            state: &Vec<u32>,
-            call: &Call,
-            _ctx: &mut GenCtx,
-        ) -> StateOutcome<Vec<u32>, Vec<u32>> {
-            match call {
-                Call::Add(x) => {
-                    let mut next = state.clone();
-                    if !next.contains(x) {
-                        next.push(*x);
-                        next.sort_unstable();
-                    }
-                    StateOutcome::Done {
-                        ret: Vec::new(),
-                        next,
-                    }
-                }
-                Call::Read => StateOutcome::Done {
-                    ret: state.clone(),
-                    next: state.clone(),
-                },
-            }
         }
 
         fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
@@ -382,6 +337,19 @@ mod tests {
     /// Whole states as deltas: all a full-state transport needs.
     impl DeltaCrdt for GSet {
         type Delta = Vec<u32>;
+
+        fn invoke(
+            &self,
+            state: &Vec<u32>,
+            call: &Call,
+            _ctx: &mut GenCtx,
+        ) -> GenOutcome<Vec<u32>, Vec<u32>> {
+            match call {
+                Call::Add(x) if !state.contains(x) => GenOutcome::update(Vec::new(), vec![*x]),
+                Call::Add(_) => GenOutcome::query(Vec::new()),
+                Call::Read => GenOutcome::query(state.clone()),
+            }
+        }
 
         fn diff(&self, _pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
             post.clone()

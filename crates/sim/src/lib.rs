@@ -44,8 +44,8 @@
 //! use ral_sim::driver::{Driver, StateDriver};
 //! use ral_sim::{scenario, sim};
 //! # use ral_runtime::delta::DeltaCrdt;
-//! # use ral_runtime::gen::GenCtx;
-//! # use ral_runtime::state_based::{StateBased, StateOutcome};
+//! # use ral_runtime::gen::{GenCtx, GenOutcome};
+//! # use ral_runtime::state_based::StateBased;
 //! # #[derive(Clone)]
 //! # struct GCtr;
 //! # impl StateBased for GCtr {
@@ -54,11 +54,6 @@
 //! #     type Ret = ();
 //! #     type Label = ();
 //! #     fn initial(&self, n: usize) -> Vec<i64> { vec![0; n] }
-//! #     fn invoke(&self, st: &Vec<i64>, _c: &(), ctx: &mut GenCtx) -> StateOutcome<(), Vec<i64>> {
-//! #         let mut next = st.clone();
-//! #         next[ctx.replica().0 as usize] += 1;
-//! #         StateOutcome::Done { ret: (), next }
-//! #     }
 //! #     fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
 //! #         let before = a.clone();
 //! #         for (x, y) in a.iter_mut().zip(b) { *x = (*x).max(*y); }
@@ -71,6 +66,11 @@
 //! # }
 //! # impl DeltaCrdt for GCtr { // whole states as deltas
 //! #     type Delta = Vec<i64>;
+//! #     fn invoke(&self, st: &Vec<i64>, _c: &(), ctx: &mut GenCtx) -> GenOutcome<(), Vec<i64>> {
+//! #         let mut next = st.clone();
+//! #         next[ctx.replica().0 as usize] += 1;
+//! #         GenOutcome::update((), next)
+//! #     }
 //! #     fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> { post.clone() }
 //! #     fn join_into(&self, s: &mut Vec<i64>, d: &Vec<i64>) -> bool { self.merge_into(s, d) }
 //! #     fn join_deltas_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) { self.merge_into(a, b); }

@@ -448,7 +448,7 @@ mod tests {
     use ral_runtime::delta::DeltaCrdt;
     use ral_runtime::gen::{GenCtx, GenOutcome};
     use ral_runtime::op_based::OpBased;
-    use ral_runtime::state_based::{StateBased, StateOutcome};
+    use ral_runtime::state_based::StateBased;
 
     /// A grow-only counter in both styles, for engine-level tests.
     #[derive(Clone)]
@@ -480,16 +480,6 @@ mod tests {
         fn initial(&self, n: usize) -> Vec<i64> {
             vec![0; n]
         }
-        fn invoke(
-            &self,
-            st: &Vec<i64>,
-            _call: &(),
-            ctx: &mut GenCtx,
-        ) -> StateOutcome<(), Vec<i64>> {
-            let mut next = st.clone();
-            next[ctx.replica().0 as usize] += 1;
-            StateOutcome::Done { ret: (), next }
-        }
         fn merge_into(&self, a: &mut Vec<i64>, b: &Vec<i64>) -> bool {
             let mut grew = false;
             for (x, y) in a.iter_mut().zip(b) {
@@ -507,6 +497,11 @@ mod tests {
     // Whole states as deltas: all a full-state transport needs.
     impl DeltaCrdt for GCtr {
         type Delta = Vec<i64>;
+        fn invoke(&self, st: &Vec<i64>, _call: &(), ctx: &mut GenCtx) -> GenOutcome<(), Vec<i64>> {
+            let mut next = st.clone();
+            next[ctx.replica().0 as usize] += 1;
+            GenOutcome::update((), next)
+        }
         fn diff(&self, _pre: &Vec<i64>, post: &Vec<i64>) -> Vec<i64> {
             post.clone()
         }

@@ -268,8 +268,8 @@ mod tests {
     use ral_crdts::state::mv_register::MvRegister;
     use ral_crdts::state::pn_counter::PnCounter;
     use ral_crdts::state::two_phase_set::TwoPhaseSet;
-    use ral_runtime::gen::GenCtx;
-    use ral_runtime::state_based::{StateBased, StateOutcome};
+    use ral_runtime::gen::{GenCtx, GenOutcome};
+    use ral_runtime::state_based::StateBased;
 
     #[test]
     fn pn_counter_satisfies_props() {
@@ -330,15 +330,6 @@ mod tests {
             vec![0; n_replicas]
         }
 
-        fn invoke(&self, state: &Vec<u32>, _: &(), ctx: &mut GenCtx) -> StateOutcome<(), Vec<u32>> {
-            let mut next = state.clone();
-            self.apply_arg(&mut next, &(ctx.replica().0 as usize));
-            if self.0 == Bug::Prop5 {
-                next[0] += 1; // the invocation does more than its effector
-            }
-            StateOutcome::Done { ret: (), next }
-        }
-
         fn merge_into(&self, a: &mut Vec<u32>, b: &Vec<u32>) -> bool {
             let mut grew = false;
             for (x, y) in a.iter_mut().zip(b) {
@@ -358,6 +349,15 @@ mod tests {
     /// Whole states as deltas: all a full-state transport needs.
     impl DeltaCrdt for GCounter {
         type Delta = Vec<u32>;
+
+        fn invoke(&self, state: &Vec<u32>, _: &(), ctx: &mut GenCtx) -> GenOutcome<(), Vec<u32>> {
+            let mut next = state.clone();
+            self.apply_arg(&mut next, &(ctx.replica().0 as usize));
+            if self.0 == Bug::Prop5 {
+                next[0] += 1; // the invocation does more than its effector
+            }
+            GenOutcome::update((), next)
+        }
 
         fn diff(&self, _pre: &Vec<u32>, post: &Vec<u32>) -> Vec<u32> {
             post.clone()

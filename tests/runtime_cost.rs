@@ -1,7 +1,8 @@
 //! The cost contract of the lattice delivery core, in deterministic counts:
-//! a receive costs what the message changes, a snapshot, a resync and a
-//! write-ahead checkpoint cost nothing, and a replica state is copied once
-//! per write-after-share — never per send, per invoke and per receive.
+//! a receive costs what the message changes, a snapshot, a resync, a
+//! write-ahead checkpoint and a read cost nothing, and a replica state is
+//! copied once per write-after-share — never per send, per invoke and per
+//! receive.
 //!
 //! The element type counts its own clones, so most numbers below are counts
 //! of element copies, not times; one test counts `clock_floor` scans
@@ -14,9 +15,9 @@
 
 use ral_core::ids::ReplicaId;
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall, LwwSetState};
-use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt, DeltaOutcome};
-use ral_runtime::gen::GenCtx;
-use ral_runtime::state_based::{StateBased, StateCluster, StateOutcome};
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
+use ral_runtime::gen::{GenCtx, GenOutcome};
+use ral_runtime::state_based::{StateBased, StateCluster};
 use std::cell::Cell;
 
 thread_local! {
@@ -170,12 +171,29 @@ fn a_write_ahead_invoke_clones_no_buffered_delta() {
     assert_eq!(c.buffered(r(0)), 64);
     let held = pairs(c.state(r(0)));
     let (clones, _) = clones_during(|| c.invoke(r(0), LwwSetCall::Add(Counted(64))).unwrap());
-    // `StateBased::invoke` returns the next state by value (one copy of
-    // the 64 pairs); the mutation itself clones its element into the delta,
-    // the state and the label. The checkpoint of state + 65 buffered
-    // entries adds nothing.
+    // The state is shared with the last checkpoint, so joining the delta
+    // into it copies the 64 pairs once (write-after-share); the mutation
+    // itself clones its element into the delta, the state and the label.
+    // The checkpoint of state + 65 buffered entries adds nothing.
     assert_eq!(clones, held + 3);
     assert_eq!(c.buffered(r(0)), 65);
+}
+
+#[test]
+fn a_read_invoke_copies_no_state() {
+    let mut c = DeltaCluster::new(Lww::new(), DeltaConfig::default(), 2);
+    for x in 0..64 {
+        c.invoke(r(0), LwwSetCall::Add(Counted(x))).unwrap();
+    }
+    let state: *const LwwSetState<Counted> = c.state(r(0));
+    let (clones, read) = clones_during(|| c.invoke(r(0), LwwSetCall::Read).unwrap());
+    let view = read.ret.expect("a read returns the view").len() as u64;
+    assert_eq!(view, 64);
+    // What a read copies is its answer — the view, and the label's copy of
+    // it — never the 64 pairs of the state, which stays where it was.
+    assert_eq!(clones, 2 * view);
+    assert!(std::ptr::eq(state, c.state(r(0))), "a read moved the state");
+    assert_eq!(c.buffered(r(0)), 64, "a read buffers no delta");
 }
 
 #[test]
@@ -237,15 +255,6 @@ impl StateBased for Floors {
         self.0.initial(n)
     }
 
-    fn invoke(
-        &self,
-        state: &Self::State,
-        call: &Self::Call,
-        ctx: &mut GenCtx,
-    ) -> StateOutcome<Self::Ret, Self::State> {
-        self.0.invoke(state, call, ctx)
-    }
-
     fn merge_into(&self, a: &mut Self::State, b: &Self::State) -> bool {
         self.0.merge_into(a, b)
     }
@@ -267,6 +276,15 @@ impl StateBased for Floors {
 impl DeltaCrdt for Floors {
     type Delta = LwwSetState<Counted>;
 
+    fn invoke(
+        &self,
+        state: &Self::State,
+        call: &Self::Call,
+        ctx: &mut GenCtx,
+    ) -> GenOutcome<Self::Ret, Self::Delta> {
+        self.0.invoke(state, call, ctx)
+    }
+
     fn diff(&self, pre: &Self::State, post: &Self::State) -> Self::Delta {
         self.0.diff(pre, post)
     }
@@ -285,15 +303,6 @@ impl DeltaCrdt for Floors {
 
     fn state_bytes(&self, state: &Self::State) -> usize {
         self.0.state_bytes(state)
-    }
-
-    fn invoke_delta(
-        &self,
-        state: &Self::State,
-        call: &Self::Call,
-        ctx: &mut GenCtx,
-    ) -> DeltaOutcome<Self::Ret, Self::State, Self::Delta> {
-        self.0.invoke_delta(state, call, ctx)
     }
 }
 

@@ -44,17 +44,18 @@ use ral_sim::time::SimTime;
 use ral_verify::workloads;
 
 /// The full-state cluster as it stood before the façade, verbatim but for
-/// its rustdoc example and the one line marked below.
+/// its rustdoc example and the lines marked below.
 #[allow(dead_code)] // a copy: not every accessor is exercised
 mod oracle {
     use ral_core::bitset::BitSet;
     use ral_core::history::{History, OpRecord};
     use ral_core::ids::ReplicaId;
     use ral_obs as obs;
-    use ral_runtime::gen::GenCtx;
+    use ral_runtime::delta::DeltaCrdt;
+    use ral_runtime::gen::{GenCtx, GenOutcome};
     use ral_runtime::laws;
     use ral_runtime::membership::Member;
-    use ral_runtime::state_based::{StateBased, StateOutcome};
+    use ral_runtime::state_based::StateBased;
     use std::rc::Rc;
 
     #[derive(Clone)]
@@ -109,7 +110,8 @@ mod oracle {
         bottom: Rc<C::State>,
     }
 
-    impl<C: StateBased> StateCluster<C> {
+    // `DeltaCrdt` (formerly `StateBased`): the type's mutator lives there.
+    impl<C: DeltaCrdt> StateCluster<C> {
         /// Creates a cluster of `n_replicas` replicas in the initial state.
         ///
         /// # Panics
@@ -186,8 +188,14 @@ mod oracle {
             node.member.expect_up("invoke at", r);
             let mut ctx = GenCtx::new(r, node.clock, self.next_uid);
             match self.crdt.invoke(&node.state, &call, &mut ctx) {
-                StateOutcome::Refused => None,
-                StateOutcome::Done { ret, next } => {
+                GenOutcome::Refused => None,
+                GenOutcome::Done { ret, eff } => {
+                    // Formerly returned by the mutator: the next state by
+                    // value, which is the old state joined with the delta.
+                    let next = match &eff {
+                        Some(delta) => self.crdt.join(&node.state, delta),
+                        None => C::State::clone(&node.state),
+                    };
                     let label = self.crdt.label(&call, &ret);
                     let record = match ctx.issued_ts() {
                         Some(ts) => OpRecord::with_ts(label, r, ts),
