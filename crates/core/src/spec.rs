@@ -143,6 +143,20 @@ pub(crate) fn advance_states<S: Spec>(
     states: &[S::State],
     label: &S::Label,
 ) -> Vec<S::State> {
+    if let [state] = states {
+        // One state — every run of a deterministic specification: its
+        // successor set is the result, deduplicated in place.
+        let mut next = spec.step(state, label);
+        let mut i = 1;
+        while i < next.len() {
+            if next[..i].contains(&next[i]) {
+                next.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        return next;
+    }
     let mut next: Vec<S::State> = Vec::new();
     for st in states {
         for succ in spec.step(st, label) {
@@ -329,6 +343,37 @@ mod tests {
         f.advance(&L::Write(5));
         // {5,6} x write(5) = {5,6} again, deduplicated
         assert_eq!(f.states().len(), 2);
+    }
+
+    /// A write that lists some successors twice.
+    struct Stutter;
+
+    impl Spec for Stutter {
+        type Label = L;
+        type State = i64;
+        fn initial(&self) -> i64 {
+            0
+        }
+        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+            match l {
+                L::Write(v) => vec![*v, *v + 1, *v, *v + 2, *v + 1],
+                L::Read(v) if v == s => vec![*s, *s],
+                L::Read(_) => vec![],
+            }
+        }
+    }
+
+    #[test]
+    fn one_state_steps_to_its_successors_deduplicated_in_order() {
+        let spec = Stutter;
+        let mut f = Frontier::new(&spec);
+        assert!(f.advance(&L::Read(0)));
+        assert_eq!(f.states(), &[0]);
+        assert!(f.advance(&L::Write(4)));
+        assert_eq!(f.states(), &[4, 5, 6]);
+        // Three states: the general path, same discipline.
+        assert!(f.advance(&L::Write(1)));
+        assert_eq!(f.states(), &[1, 2, 3]);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! Modules:
 //!
 //! * [`time`] — the virtual clock ([`SimTime`]);
-//! * [`queue`] — the `(time, sequence)`-ordered event queue;
+//! * [`queue`] — the `(time, sequence)`-ordered event queue: a calendar of
+//!   FIFO buckets over the run's link horizon, an overflow heap beyond it;
 //! * [`network`] — topologies, latency distributions, link faults;
 //! * [`fault`] — scheduled partitions and crash/restart plans;
 //! * [`driver`] — the [`Driver`] trait adapting the cluster kinds
@@ -33,7 +34,8 @@
 //! * [`monitored`] — [`MonitoredDriver`], an [`OpDriver`] wrapper that
 //!   verifies RA-linearizability continuously while the engine runs;
 //! * [`sim`] — the engine ([`run`]);
-//! * [`trace`] — the byte-comparable event record;
+//! * [`trace`] — the byte-comparable event record, one packed 8-byte word
+//!   an entry;
 //! * [`scenario`] — the named corpus (`geo_3dc`, `flaky_wan`,
 //!   `rolling_restart`, `split_brain_heal`, `delta_wan`, `multi_mix`,
 //!   `gossip_50`, `lan_tight`).

@@ -134,6 +134,15 @@ impl Network {
         }
     }
 
+    /// The longest delay any link can sample.
+    pub fn max_delay(&self) -> u64 {
+        let max = |l: &Latency| l.base.saturating_add(l.jitter);
+        match &self.topology {
+            Topology::Uniform(l) => max(l),
+            Topology::DataCenters { intra, inter, .. } => max(intra).max(max(inter)),
+        }
+    }
+
     /// Samples the delay of one `from → to` transmission.
     pub fn delay(&self, rng: &mut Rng, from: ReplicaId, to: ReplicaId) -> u64 {
         self.topology.link(from, to).sample(rng)
@@ -157,6 +166,9 @@ mod tests {
             assert!((10..=15).contains(&d), "{d} out of 10..=15");
         }
         assert_eq!(Latency::fixed(3).sample(&mut rng), 3);
+        let most = |l| Network::perfect(Topology::Uniform(l)).max_delay();
+        assert_eq!(most(l), 15);
+        assert_eq!(most(Latency::jittered(u64::MAX, 1)), u64::MAX);
     }
 
     #[test]
@@ -169,6 +181,7 @@ mod tests {
         assert_eq!(topo.link(r(0), r(1)), Latency::fixed(1));
         assert_eq!(topo.link(r(0), r(2)), Latency::fixed(60));
         assert_eq!(topo.n_replicas(), Some(3));
+        assert_eq!(Network::perfect(topo).max_delay(), 60);
         assert_eq!(Topology::Uniform(Latency::fixed(5)).n_replicas(), None);
     }
 }

@@ -165,7 +165,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
         "driver and config disagree on the cluster size"
     );
     let mut rng = Rng::seed_from_u64(seed);
-    let mut queue = EventQueue::new();
+    let mut queue = EventQueue::new(cfg.network.max_delay().max(cfg.network.retry));
     let mut trace = Trace::new();
     let mut stats = SimStats::default();
     let mut routed = 0usize; // messages already put on links
@@ -585,7 +585,6 @@ mod tests {
         let run = run(&mut driver, &cfg, 5);
         let crashes = run
             .trace
-            .entries()
             .iter()
             .filter(|(_, e)| matches!(e, TraceEvent::Crash { .. }))
             .count();

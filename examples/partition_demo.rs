@@ -41,7 +41,7 @@ fn main() {
         "the partitions forced {} retransmissions and {} causal holdbacks",
         run.stats.retried, run.stats.held
     );
-    for (t, e) in run.trace.entries() {
+    for (t, e) in run.trace.iter() {
         if matches!(
             e,
             TraceEvent::PartitionStart { .. } | TraceEvent::PartitionEnd { .. }

@@ -1,0 +1,272 @@
+//! The simulator's cost contract on a 50-replica reliable fan-out: a
+//! broadcast costs what it delivers.
+//!
+//! A test binary of its own, because it installs a counting
+//! `#[global_allocator]`. Every operation is broadcast to the other 49
+//! replicas, so a run is almost all transmissions and arrivals. Scheduling
+//! them (the event queue), recording them (the trace) and applying them
+//! must not allocate per event; what is left is amortised growth. The
+//! trace must hold an entry in at most 16 bytes of heap.
+//!
+//! The one allocation an operation does keep is the replica's seen-set,
+//! copied into the history as the operation's visibility. That copy is the
+//! record the checkers read, not overhead, so it is pinned at exactly one
+//! per operation for both op-based cluster kinds.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ral_core::ids::{ObjId, ReplicaId};
+use ral_core::rng::Rng;
+use ral_crdts::op::counter::{CounterCall, OpCounter};
+use ral_runtime::multi::{MultiCluster, TsMode};
+use ral_sim::driver::{Driver, MultiDriver, OpDriver, Received};
+use ral_sim::fault::FaultPlan;
+use ral_sim::network::{Latency, LinkFaults, Network, Topology};
+use ral_sim::sim::{self, SimConfig};
+use ral_sim::time::SimTime;
+use ral_sim::trace::TraceEvent;
+
+/// Allocations made outside [`Driver::invoke`] (the engine and the
+/// receives) and inside it.
+const ENGINE: usize = 0;
+const INVOKE: usize = 1;
+
+thread_local! {
+    static PHASE: Cell<usize> = const { Cell::new(ENGINE) };
+    static ALLOCATIONS: [Cell<u64>; 2] = const { [Cell::new(0), Cell::new(0)] };
+    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting (per thread) every call that hands out
+/// a block, by phase, and the bytes handed back.
+struct Counting;
+
+fn count_allocation() {
+    let _ = PHASE.try_with(|phase| {
+        let _ = ALLOCATIONS.try_with(|a| a[phase.get()].set(a[phase.get()].get() + 1));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the accounting touches only
+// thread-local counters and never the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREED_BYTES.try_with(|f| f.set(f.get() + layout.size() as u64));
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        let _ = FREED_BYTES.try_with(|f| f.set(f.get() + layout.size() as u64));
+        // SAFETY: as in `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations(phase: usize) -> u64 {
+    ALLOCATIONS.with(|a| a[phase].get())
+}
+
+fn freed_bytes() -> u64 {
+    FREED_BYTES.with(Cell::get)
+}
+
+/// A driver that attributes the allocations of each invocation to
+/// [`INVOKE`] and counts the successful invocations past `warm` by how
+/// many allocations each made: none, one, two, more.
+struct Phased<D> {
+    inner: D,
+    warm: usize,
+    invoked: usize,
+    made: [u64; 4],
+}
+
+impl<D> Phased<D> {
+    fn new(inner: D, warm: usize) -> Self {
+        Phased {
+            inner,
+            warm,
+            invoked: 0,
+            made: [0; 4],
+        }
+    }
+}
+
+impl<D: Driver> Driver for Phased<D> {
+    const RELIABLE: bool = D::RELIABLE;
+    const GOSSIPS: bool = D::GOSSIPS;
+
+    fn n_replicas(&self) -> usize {
+        self.inner.n_replicas()
+    }
+
+    fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool {
+        let before = allocations(INVOKE);
+        PHASE.with(|p| p.set(INVOKE));
+        let ok = self.inner.invoke(rng, r);
+        PHASE.with(|p| p.set(ENGINE));
+        if ok {
+            self.invoked += 1;
+            if self.invoked > self.warm {
+                let made = allocations(INVOKE) - before;
+                self.made[made.min(3) as usize] += 1;
+            }
+        }
+        ok
+    }
+
+    fn gossip(&mut self, r: ReplicaId) -> bool {
+        self.inner.gossip(r)
+    }
+
+    fn n_messages(&self) -> usize {
+        self.inner.n_messages()
+    }
+
+    fn origin(&self, m: usize) -> ReplicaId {
+        self.inner.origin(m)
+    }
+
+    fn receive(&mut self, r: ReplicaId, m: usize) -> Received {
+        self.inner.receive(r, m)
+    }
+
+    fn message_bytes(&self, m: usize, to: ReplicaId) -> usize {
+        self.inner.message_bytes(m, to)
+    }
+
+    fn release(&mut self, m: usize) {
+        self.inner.release(m)
+    }
+
+    fn is_up(&self, r: ReplicaId) -> bool {
+        self.inner.is_up(r)
+    }
+
+    fn crash(&mut self, r: ReplicaId) {
+        self.inner.crash(r)
+    }
+
+    fn restart(&mut self, r: ReplicaId) {
+        self.inner.restart(r)
+    }
+
+    fn final_sync(&mut self) {
+        self.inner.final_sync()
+    }
+
+    fn converged(&self) -> bool {
+        self.inner.converged()
+    }
+}
+
+const REPLICAS: usize = 50;
+
+/// The streaming benchmark's fan-out shape: 50 replicas on a 1–3-tick
+/// LAN, each invoking every 2 000–4 000 ticks, no faults.
+fn fanout() -> SimConfig {
+    SimConfig {
+        n_replicas: REPLICAS,
+        duration: SimTime(40_000),
+        invoke_every: Latency::jittered(2_000, 2_000),
+        gossip_every: Latency::jittered(20, 25),
+        network: Network {
+            topology: Topology::Uniform(Latency::jittered(1, 2)),
+            faults: LinkFaults::NONE,
+            retry: 10,
+        },
+        faults: FaultPlan::none(),
+        final_sync: true,
+    }
+}
+
+fn counter_call(rng: &mut Rng) -> CounterCall {
+    if rng.random_bool(0.8) {
+        CounterCall::Inc
+    } else {
+        CounterCall::Read
+    }
+}
+
+/// Runs `driver` through the fan-out and checks the contract: engine and
+/// receives at most 0.01 allocations per delivered arrival, at most 16
+/// bytes of trace heap per entry, and one allocation — the seen-set copy
+/// — per operation: never none, and only amortised growth beside it.
+fn check_contract<D: Driver>(name: &str, driver: D) {
+    let cfg = fanout();
+    let mut driver = Phased::new(driver, REPLICAS);
+    let engine_before = allocations(ENGINE);
+    let run = sim::run(&mut driver, &cfg, 1000);
+    let engine = allocations(ENGINE) - engine_before;
+    assert!(driver.converged(), "{name}: no convergence");
+
+    let delivered = run
+        .trace
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::Deliver { .. }))
+        .count() as u64;
+    assert!(
+        delivered >= 40 * run.stats.invokes as u64,
+        "{name}: a fan-out delivers every operation to the other replicas"
+    );
+    assert!(
+        engine * 100 <= delivered,
+        "{name}: {engine} engine and receive allocations for {delivered} delivered arrivals"
+    );
+
+    let entries = run.trace.len() as u64;
+    let freed_before = freed_bytes();
+    drop(run.trace);
+    let trace_heap = freed_bytes() - freed_before;
+    assert!(
+        trace_heap <= 16 * entries,
+        "{name}: {trace_heap} trace heap bytes for {entries} entries"
+    );
+
+    // Growth of the history and the delivery pool lands on a few
+    // invocations; every other one allocates the seen-set copy alone.
+    let [none, one, two, more] = driver.made;
+    let measured = none + one + two + more;
+    assert!(measured * 2 >= run.stats.invokes as u64);
+    assert_eq!(none, 0, "{name}: an operation kept no seen-set copy");
+    assert!(
+        one * 10 >= measured * 9,
+        "{name}: {one} of {measured} operations allocate once ({two} twice, {more} more)"
+    );
+}
+
+#[test]
+fn op_based_fan_out_costs_what_it_delivers() {
+    let driver = OpDriver::new(OpCounter, REPLICAS, |rng: &mut Rng, _, _| {
+        Some(counter_call(rng))
+    });
+    check_contract("Cluster", driver);
+}
+
+#[test]
+fn composed_fan_out_costs_what_it_delivers() {
+    let cluster = MultiCluster::new(OpCounter, 8, REPLICAS, TsMode::Shared);
+    let driver = MultiDriver::new(cluster, |rng: &mut Rng, _, _: ObjId, _: &i64| {
+        Some(counter_call(rng))
+    });
+    check_contract("MultiCluster", driver);
+}

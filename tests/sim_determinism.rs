@@ -9,6 +9,7 @@
 
 use ral_core::ids::ObjId;
 use ral_core::rng::Rng;
+use ral_core::spec::Fnv64;
 use ral_crdts::op::counter::OpCounter;
 use ral_crdts::op::lww_register::LwwRegister;
 use ral_crdts::op::or_set::OrSet;
@@ -20,6 +21,7 @@ use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::scenario::{self, Scenario};
 use ral_sim::sim;
 use ral_verify::workloads;
+use std::hash::Hasher;
 
 /// Trace bytes and history bytes of one run.
 type RunBytes = (Vec<u8>, Vec<u8>);
@@ -123,6 +125,73 @@ fn every_corpus_scenario_is_byte_deterministic() {
             sc.name
         );
     }
+}
+
+/// FNV-1a of `bytes`: enough to pin a rendering without embedding it.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// The golden lines of one driver: one per corpus scenario × seed, holding
+/// the FNV-1a of the rendered trace and of the `Debug` history.
+fn golden_lines(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) -> Vec<String> {
+    let mut out = Vec::new();
+    for sc in scenario::all() {
+        for seed in [1u64, 7, 1000] {
+            let (trace, history) = runner(&sc, seed);
+            out.push(format!(
+                "{driver} {} seed={seed} trace={:016x} history={:016x}",
+                sc.name,
+                fnv(&trace),
+                fnv(&history)
+            ));
+        }
+    }
+    out
+}
+
+/// Every corpus scenario through `driver` matches the runs recorded in
+/// `tests/golden/sim_traces.txt`. The reruns above compare a run only with
+/// itself, so a reordering that is merely self-consistent — a different
+/// tie-break in the event queue, a trace record that renders differently —
+/// passes them and fails here.
+fn assert_golden(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) {
+    let want: Vec<&str> = include_str!("golden/sim_traces.txt")
+        .lines()
+        .filter(|l| l.split(' ').next() == Some(driver))
+        .collect();
+    let got = golden_lines(driver, runner);
+    assert_eq!(
+        want.len(),
+        got.len(),
+        "tests/golden/sim_traces.txt covers other {driver} runs; these are:\n{}",
+        got.join("\n")
+    );
+    for (w, g) in want.iter().zip(&got) {
+        assert_eq!(w, g, "run drifted from tests/golden/sim_traces.txt");
+    }
+}
+
+#[test]
+fn op_driver_runs_match_their_golden_hashes() {
+    assert_golden("op", op_run);
+}
+
+#[test]
+fn state_driver_runs_match_their_golden_hashes() {
+    assert_golden("state", state_run);
+}
+
+#[test]
+fn delta_driver_runs_match_their_golden_hashes() {
+    assert_golden("delta", delta_run);
+}
+
+#[test]
+fn multi_driver_runs_match_their_golden_hashes() {
+    assert_golden("multi", multi_run);
 }
 
 /// Both cluster kinds over the *same* scenario must be independently

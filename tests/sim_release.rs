@@ -161,10 +161,9 @@ fn release_is_unobservable<D: Driver>(
         // or still has an arrival queued past the end of the run.
         let routed = run
             .trace
-            .entries()
             .iter()
             .filter_map(|(_, e)| match e {
-                TraceEvent::Send { msg, .. } | TraceEvent::Drop { msg, .. } => Some(*msg),
+                TraceEvent::Send { msg, .. } | TraceEvent::Drop { msg, .. } => Some(msg),
                 _ => None,
             })
             .max()
