@@ -33,19 +33,24 @@ step cargo test -q --offline
 # Explicit sim-suite step: names the scenario suites in CI output so a
 # regression there is immediately attributable (the plain run above already
 # executes them) — determinism, fault tolerance, "release changes memory,
-# never behaviour", and three cost contracts in deterministic counts: the
+# never behaviour", and four cost contracts in deterministic counts: the
 # simulator's (on a 50-replica fan-out the engine allocates at most 0.01
 # times per delivered arrival, the trace holds an entry in at most 16 bytes,
 # and an operation's one allocation is its seen-set copy), the lattice
 # core's (a receive costs what the message changes, a stale snapshot scans
-# no clock floor; snapshots, resyncs and checkpoints cost nothing) and the
-# list specifications' (a document edit copies the document once; reads,
-# rejected labels and fingerprints copy nothing). The last three suites are
-# what checks that the full-state transport is a façade over the delta
-# core: delta ≡ full state over the scenario corpus, every in-place join and
-# its changed-flag against a by-value reference, and the façade against a
-# copy of the full-state cluster it replaced.
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test runtime_cost --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity
+# no clock floor; snapshots, resyncs and checkpoints cost nothing), the
+# op-based holdback's (on `batch_composed`'s cases a receive probes at most
+# twice per held record it releases, a replica missing no same-object
+# operation scans at most one candidate per receive, and 10⁴ reverse-order
+# arrivals release in linear probes) and the list specifications' (a
+# document edit copies the document once; reads, rejected labels and
+# fingerprints copy nothing). `holdback_parity` holds the filed holdback to
+# a copy of the rescanning one it replaced, step by step. The last three
+# suites are what checks that the full-state transport is a façade over the
+# delta core: delta ≡ full state over the scenario corpus, every in-place
+# join and its changed-flag against a by-value reference, and the façade
+# against a copy of the full-state cluster it replaced.
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

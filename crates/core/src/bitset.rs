@@ -98,6 +98,24 @@ impl BitSet {
             .all(|(a, b)| a & b == 0)
     }
 
+    /// The smallest element of `self` at or above `from` that is not in
+    /// `other`, or `None` if `self` has none. Word-parallel: it masks off the
+    /// bits below `from` and tests `self & !other` a block at a time, so it
+    /// never walks the elements `other` already holds.
+    pub fn first_missing(&self, other: &BitSet, from: usize) -> Option<usize> {
+        let start = from / BITS;
+        let mut below = (1u64 << (from % BITS)) - 1;
+        for (idx, &b) in self.blocks.iter().enumerate().skip(start) {
+            let o = other.blocks.get(idx).copied().unwrap_or(0);
+            let missing = b & !o & !below;
+            if missing != 0 {
+                return Some(idx * BITS + missing.trailing_zeros() as usize);
+            }
+            below = 0;
+        }
+        None
+    }
+
     /// Number of elements in the set.
     pub fn len(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()

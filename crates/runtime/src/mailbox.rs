@@ -24,14 +24,30 @@
 //! are simply skipped as already seen — so broadcasting, draining, and
 //! targeted delivery all agree by construction.
 //!
+//! Out-of-order network arrivals wait in the mailbox's **holdback**, the
+//! classic causal-broadcast holdback queue: an arrival causal delivery does
+//! not admit yet is *filed under* the one predecessor operation it still
+//! lacks, which the transport's rule names. Applying an operation wakes
+//! only the arrivals filed under it; a woken arrival that lacks another
+//! predecessor is filed again under that one. Every held arrival is either
+//! *ready* — held while the replica was down, or woken by a targeted
+//! `deliver` — or filed under an operation the replica has not seen (a
+//! drain applies the whole pool, so it empties the holdback). So an
+//! in-order arrival re-examines the ready ones and what it wakes, smallest
+//! id first, and releases exactly the causal closure a rescan of every held
+//! arrival would: a receive costs what it releases, not what is held.
+//!
 //! The delivery logic itself lives here once, for both transports: the
 //! precondition trio (`deliverable_into` / `can_deliver` / `deliver`), the
 //! holdback `receive` loop and the `drain` pass, generic over a `Delivery`
-//! — the transport's admission predicate and apply step, the only two
-//! things that differ between them.
+//! — the transport's admission rule and apply step, the only two things
+//! that differ between them.
 
 use crate::membership::Member;
 use ral_core::ids::ReplicaId;
+use ral_obs as obs;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// One replicated effector, broadcast at invoke time and applied at most
 /// once per replica.
@@ -61,14 +77,16 @@ pub struct DeliveryRecord<E, M = ()> {
 /// queued (broadcast is O(1): appending to the pool addresses everyone).
 /// `backlog` holds examined-but-blocked ids — records below the cursor
 /// whose causal predecessors were missing at drain time — kept ascending.
-/// `held` buffers out-of-order network arrivals: ids a simulator handed to
-/// [`receive`](crate::op_based::Cluster::receive) before causal delivery
-/// admitted them.
+/// The holdback buffers out-of-order network arrivals: ids a simulator
+/// handed to [`receive`](crate::op_based::Cluster::receive) before causal
+/// delivery admitted them, each either `ready` to be re-examined or
+/// `waiting` on the one predecessor operation it was filed under.
 #[derive(Clone, Debug, Default)]
 pub struct Mailbox {
     cursor: usize,
     backlog: Vec<usize>,
-    held: Vec<usize>,
+    ready: BinaryHeap<Reverse<usize>>,
+    waiting: BTreeSet<(usize, usize)>,
 }
 
 impl Mailbox {
@@ -117,35 +135,51 @@ impl Mailbox {
         self.backlog = backlog;
     }
 
-    /// Buffers an out-of-order arrival for later causal re-examination.
-    pub fn hold(&mut self, id: usize) {
-        self.held.push(id);
+    /// Holds arrival `id` as ready: the next holdback pass re-examines it.
+    pub(crate) fn hold(&mut self, id: usize) {
+        self.ready.push(Reverse(id));
     }
 
-    /// The held (out-of-order) arrivals, in arrival order.
-    pub fn held(&self) -> &[usize] {
-        &self.held
+    /// Holds arrival `id` until operation `pred`, which it lacks, is
+    /// applied. Filing the same arrival under the same operation twice
+    /// holds it once.
+    pub(crate) fn file(&mut self, pred: usize, id: usize) {
+        self.waiting.insert((pred, id));
     }
 
-    /// Moves the held buffer out for a holdback drain (the swap-remove scan
-    /// the sim drivers have always used); hand it back via
-    /// [`Mailbox::restore_held`].
-    pub fn take_held(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.held)
+    /// Operation `op` was applied: every arrival filed under it becomes
+    /// ready.
+    pub(crate) fn wake(&mut self, op: usize) {
+        if self.waiting.is_empty() {
+            // Every admit calls this; most replicas hold nothing.
+            return;
+        }
+        while let Some(&(pred, id)) = self.waiting.range((op, 0)..).next() {
+            if pred != op {
+                break;
+            }
+            self.waiting.remove(&(pred, id));
+            self.ready.push(Reverse(id));
+        }
     }
 
-    /// Returns the held buffer after a holdback drain.
-    pub fn restore_held(&mut self, held: Vec<usize>) {
-        debug_assert!(self.held.is_empty(), "restore over a non-empty holdback");
-        self.held = held;
+    /// Takes the smallest ready arrival out of the holdback.
+    pub(crate) fn next_ready(&mut self) -> Option<usize> {
+        self.ready.pop().map(|Reverse(id)| id)
     }
 
-    /// Drops held entries that no longer need holding (`keep` is typically
-    /// "not yet seen"). Removal preserves order and only ever drops
-    /// undeliverable-as-held entries, so holdback scans are unaffected.
-    pub fn prune_held(&mut self, keep: impl FnMut(&usize) -> bool) {
-        let mut keep = keep;
-        self.held.retain(|id| keep(id));
+    /// Number of held arrivals, ready and filed. A ready entry may repeat
+    /// an arrival or name one a targeted deliver has since applied; the
+    /// next holdback pass drops those.
+    pub(crate) fn held_len(&self) -> usize {
+        self.ready.len() + self.waiting.len()
+    }
+
+    /// Drops every held arrival: what a drain of a running replica, which
+    /// applies every record in the pool, leaves of the holdback.
+    pub(crate) fn clear_holdback(&mut self) {
+        self.ready.clear();
+        self.waiting.clear();
     }
 }
 
@@ -165,7 +199,7 @@ pub(crate) struct DrainStats {
 }
 
 /// What a broadcast transport plugs into the shared delivery path: its
-/// admission predicate and its apply step. Everything else about op-based
+/// admission rule and its apply step. Everything else about op-based
 /// delivery is the functions below.
 pub(crate) trait Delivery {
     /// The per-replica data the apply step writes: state(s) and clock(s).
@@ -175,12 +209,26 @@ pub(crate) trait Delivery {
     /// Transport-specific record metadata.
     type Meta;
 
-    /// Whether causal delivery admits `rec` at a replica whose seen-set is
-    /// `member`'s (liveness and duplicates are the callers' checks).
-    fn admits(&self, member: &Member, rec: &DeliveryRecord<Self::Eff, Self::Meta>) -> bool;
+    /// The causal predecessor `rec` still lacks at a replica whose seen-set
+    /// is `member`'s and whose data is `data` — an operation the replica
+    /// has not seen — or `None` if causal delivery admits `rec` now
+    /// (liveness and duplicates are the callers' checks). The holdback
+    /// files a blocked arrival under the operation returned.
+    fn missing(
+        &self,
+        member: &Member,
+        data: &Self::Data,
+        rec: &DeliveryRecord<Self::Eff, Self::Meta>,
+    ) -> Option<usize>;
 
-    /// Applies `rec`'s effector and clock to a replica's data.
-    fn apply(&self, data: &mut Self::Data, rec: &DeliveryRecord<Self::Eff, Self::Meta>);
+    /// Applies `rec`'s effector and clock to a replica's data; `member`
+    /// has already observed `rec.op`.
+    fn apply(
+        &self,
+        data: &mut Self::Data,
+        member: &Member,
+        rec: &DeliveryRecord<Self::Eff, Self::Meta>,
+    );
 }
 
 type Record<T> = DeliveryRecord<<T as Delivery>::Eff, <T as Delivery>::Meta>;
@@ -207,16 +255,22 @@ impl<D> Node<D> {
     }
 }
 
-/// The EFFECTOR step proper, preconditions already established.
+/// The EFFECTOR step proper, preconditions already established. Wakes
+/// nothing: the caller decides where the operation's held waiters go.
 fn admit<T: Delivery>(rules: &T, node: &mut Node<T::Data>, rec: &Record<T>) {
-    rules.apply(&mut node.data, rec);
     node.member.observe(rec.op);
+    rules.apply(&mut node.data, &node.member, rec);
+}
+
+/// Whether causal delivery admits `rec` at `node` now.
+fn admits<T: Delivery>(rules: &T, node: &Node<T::Data>, rec: &Record<T>) -> bool {
+    rules.missing(&node.member, &node.data, rec).is_none()
 }
 
 /// Non-panicking probe for [`deliver`]: the replica is up, has not applied
 /// `rec`, and causal delivery admits it now.
 pub(crate) fn can_deliver<T: Delivery>(rules: &T, node: &Node<T::Data>, rec: &Record<T>) -> bool {
-    node.member.is_up() && !node.member.has_seen(rec.op) && rules.admits(&node.member, rec)
+    node.member.is_up() && !node.member.has_seen(rec.op) && admits(rules, node, rec)
 }
 
 /// Fills `out` (cleared first) with the pending ids deliverable at `node`,
@@ -235,7 +289,9 @@ pub(crate) fn deliverable_into<T: Delivery>(
     out.extend(pending.filter(|&d| can_deliver(rules, node, &records[d])));
 }
 
-/// Delivers `rec` at `node`, which is replica `r` (the EFFECTOR rule).
+/// Delivers `rec` at `node`, which is replica `r` (the EFFECTOR rule). The
+/// arrivals held under `rec`'s operation become ready: the next receive
+/// re-examines them.
 ///
 /// # Panics
 ///
@@ -254,17 +310,25 @@ pub(crate) fn deliver<T: Delivery>(
         rec.op
     );
     assert!(
-        rules.admits(&node.member, rec),
+        admits(rules, node, rec),
         "causal delivery violated: operation {} has undelivered predecessors at {r}",
         rec.op
     );
     admit(rules, node, rec);
+    node.mailbox.wake(rec.op);
 }
 
 /// Handles a network arrival of delivery `d` at `node` with causal
-/// holdback: duplicates are ignored, out-of-order (or crashed-target)
-/// arrivals are buffered in the mailbox, and an in-order arrival is applied
-/// together with every held delivery it unblocks.
+/// holdback: duplicates are ignored, an arrival at a crashed replica is
+/// held ready, an out-of-order one is filed under the predecessor it
+/// lacks, and an in-order arrival is applied together with every held
+/// delivery it unblocks.
+///
+/// The unblocking pass re-examines only the ready arrivals and those the
+/// pass itself wakes, smallest id first — every predecessor of a record
+/// has a smaller id, so a woken chain releases in one probe per record.
+/// Counts its probes and releases as `runtime.holdback.probes` /
+/// `runtime.holdback.released`.
 pub(crate) fn receive<T: Delivery>(
     rules: &T,
     node: &mut Node<T::Data>,
@@ -275,22 +339,37 @@ pub(crate) fn receive<T: Delivery>(
     if node.member.has_seen(rec.op) {
         return Received::Ignored;
     }
-    if !can_deliver(rules, node, rec) {
+    if !node.member.is_up() {
         node.mailbox.hold(d);
         return Received::Held;
     }
-    admit(rules, node, rec);
-    let mut applied = 1;
-    let mut held = node.mailbox.take_held();
-    while let Some(pos) = held
-        .iter()
-        .position(|&h| can_deliver(rules, node, &records[h]))
-    {
-        let h = held.swap_remove(pos);
-        admit(rules, node, &records[h]);
-        applied += 1;
+    if let Some(pred) = rules.missing(&node.member, &node.data, rec) {
+        node.mailbox.file(pred, d);
+        return Received::Held;
     }
-    node.mailbox.restore_held(held);
+    admit(rules, node, rec);
+    node.mailbox.wake(rec.op);
+    let (mut applied, mut probes) = (1, 0);
+    while let Some(h) = node.mailbox.next_ready() {
+        let held = &records[h];
+        if node.member.has_seen(held.op) {
+            // A repeated arrival, or one a targeted deliver applied.
+            continue;
+        }
+        probes += 1;
+        match rules.missing(&node.member, &node.data, held) {
+            None => {
+                admit(rules, node, held);
+                node.mailbox.wake(held.op);
+                applied += 1;
+            }
+            Some(pred) => node.mailbox.file(pred, h),
+        }
+    }
+    if probes > 0 {
+        obs::counter("runtime.holdback.probes", probes);
+        obs::counter("runtime.holdback.released", applied as u64 - 1);
+    }
     Received::Applied(applied)
 }
 
@@ -307,7 +386,7 @@ fn probe<T: Delivery>(
         return false;
     }
     stats.probes += 1;
-    let admitted = rules.admits(&node.member, rec);
+    let admitted = admits(rules, node, rec);
     if admitted {
         admit(rules, node, rec);
         stats.applied += 1;
@@ -316,7 +395,9 @@ fn probe<T: Delivery>(
 }
 
 /// Drains one replica's mailbox: a single ascending pass, compacting the
-/// blocked survivors in place (zero allocation).
+/// blocked survivors in place (zero allocation). The pass applies every
+/// record in the pool — each after its predecessors — so it empties the
+/// holdback as well.
 fn drain<T: Delivery>(rules: &T, node: &mut Node<T::Data>, records: &[Record<T>]) -> DrainStats {
     let mut stats = DrainStats {
         depth: node.mailbox.depth(records.len()) as u64,
@@ -337,9 +418,7 @@ fn drain<T: Delivery>(rules: &T, node: &mut Node<T::Data>, records: &[Record<T>]
     }
     node.mailbox.advance_cursor(records.len());
     node.mailbox.restore_backlog(backlog);
-    let member = &node.member;
-    node.mailbox
-        .prune_held(|&id| !member.has_seen(records[id].op));
+    node.mailbox.clear_holdback();
     stats
 }
 
@@ -413,13 +492,34 @@ mod tests {
     }
 
     #[test]
+    fn a_filed_arrival_waits_for_its_operation_and_wakes_smallest_first() {
+        let mut mb = Mailbox::new();
+        mb.file(3, 9);
+        mb.file(3, 5);
+        mb.file(3, 9); // the same arrival filed again is held once
+        mb.file(4, 7);
+        assert_eq!(mb.held_len(), 3);
+        assert_eq!(mb.next_ready(), None, "filed arrivals are not ready");
+        mb.wake(2);
+        assert_eq!(mb.next_ready(), None, "nothing waits on operation 2");
+        mb.wake(3);
+        assert_eq!(mb.next_ready(), Some(5));
+        assert_eq!(mb.next_ready(), Some(9));
+        assert_eq!(mb.next_ready(), None);
+        assert_eq!(mb.held_len(), 1, "the waiter on 4 stays filed");
+    }
+
+    #[test]
     fn holdback_buffer_is_separate_and_prunable() {
         let mut mb = Mailbox::new();
-        mb.hold(9);
-        mb.hold(5);
-        assert_eq!(mb.held(), &[9, 5]);
-        mb.prune_held(|&id| id != 5);
-        assert_eq!(mb.held(), &[9]);
-        assert_eq!(mb.cursor(), 0, "pruning held leaves the cursor alone");
+        mb.hold(1);
+        mb.file(10, 3);
+        assert_eq!(mb.held_len(), 2);
+        mb.clear_holdback();
+        assert_eq!(mb.held_len(), 0);
+        assert_eq!(mb.next_ready(), None);
+        mb.wake(10);
+        assert_eq!(mb.next_ready(), None, "a cleared waiter stays gone");
+        assert_eq!(mb.cursor(), 0, "the holdback leaves the cursor alone");
     }
 }

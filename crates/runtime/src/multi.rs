@@ -12,14 +12,20 @@
 //! Replication plumbing is the shared delivery core ([`crate::mailbox`] +
 //! [`crate::membership`]): every delivery entry point is the
 //! [`crate::mailbox`] function [`Cluster`](crate::op_based::Cluster) calls
-//! too, under this transport's rule. Per-object causal delivery is
-//! certified in O(1) against the target's seen frontier, falling back to
-//! the cluster's per-object op index only when the seen-set has holes.
+//! too, under this transport's rule. Because causal delivery is per object,
+//! a replica's *global* seen frontier says little under many objects — it
+//! stalls at the first hole of any object. So each replica keeps, per
+//! object, its **seen prefix**: how many of that object's operations, in
+//! issue order, it has applied contiguously. The prefix advances when the
+//! replica applies or invokes an operation on the object, and the rule
+//! starts its search for a missing same-object predecessor there, so it
+//! decides in O(1) whenever no same-object operation is missing.
 
 use crate::gen::{GenCtx, GenOutcome};
 use crate::mailbox::{self, Delivery, DeliveryRecord, Node, Received};
 use crate::membership::Member;
 use crate::op_based::{Invoked, OpBased};
+use ral_core::bitset::BitSet;
 use ral_core::compose::ObjLabel;
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::{ObjId, ReplicaId};
@@ -38,24 +44,29 @@ pub enum TsMode {
     Shared,
 }
 
-/// A replica's data: one state per object, and one Lamport clock per
+/// A replica's data: one state per object, one Lamport clock per
 /// object ([`TsMode::PerObject`]) or a single shared one
-/// ([`TsMode::Shared`]).
+/// ([`TsMode::Shared`]), and one seen prefix per object.
 #[derive(Clone)]
 struct Locals<S> {
     states: Vec<S>,
     clocks: Vec<u64>,
+    // `prefix[o]`: the replica has applied `obj_ops[o][..prefix[o]]`, and
+    // not `obj_ops[o][prefix[o]]` — a pure function of the seen-set, kept
+    // canonical by `advance_prefix` after every apply and invoke.
+    prefix: Vec<usize>,
 }
 
-/// Composed-transport record metadata: just the target object. The op's
-/// *same-object* visibility predecessors are not materialized per record —
-/// deliverability certifies them in O(1) against the target's seen
-/// [`frontier`](Member::frontier) (every predecessor has a smaller id), and
-/// only a replica whose seen-set has holes falls back to scanning the
-/// cluster's per-object op index against the history's pred set.
+/// Composed-transport record metadata: the target object and the
+/// operation's position in that object's issue order (`obj_ops[obj][idx]`
+/// is the record's op). The op's *same-object* visibility predecessors are
+/// not materialized per record: they are the history's preds among
+/// `obj_ops[obj][..idx]`, and the rule only looks at the part of that
+/// range the target's seen prefix has not covered.
 #[derive(Clone, Debug)]
 struct MultiMeta {
     obj: usize,
+    idx: usize,
 }
 
 type MultiRecord<E> = DeliveryRecord<E, MultiMeta>;
@@ -67,8 +78,8 @@ struct PerObject<C: OpBased> {
     crdt: C,
     mode: TsMode,
     // Per-object index of every op issued on that object, ascending — the
-    // candidate pool the slow-path causal check scans (a hole-free replica
-    // never touches it).
+    // candidate pool of the causal rule, entered at the target's seen
+    // prefix.
     obj_ops: Vec<Vec<usize>>,
     history: History<ObjLabel<C::Label>>,
 }
@@ -82,43 +93,61 @@ impl<C: OpBased> PerObject<C> {
     }
 }
 
+/// Moves `prefix` past every operation of `ops` (one object's issue order)
+/// `member` has seen contiguously from it. O(1) unless the step closes a
+/// hole, and then linear in what it skips.
+fn advance_prefix(ops: &[usize], prefix: &mut usize, member: &Member) {
+    while ops.get(*prefix).is_some_and(|&p| member.has_seen(p)) {
+        *prefix += 1;
+    }
+}
+
 impl<C: OpBased> Delivery for PerObject<C> {
     type Data = Locals<C::State>;
     type Eff = C::Eff;
     type Meta = MultiMeta;
 
-    /// Every same-object predecessor applied.
+    /// The first same-object predecessor not yet applied.
     ///
-    /// Tiered: every predecessor of `rec.op` has a smaller id, so a member
-    /// whose seen [`frontier`](Member::frontier) has reached `rec.op`
-    /// admits it in O(1) — the only path a steady-state drain ever takes. A
-    /// member with holes above its frontier narrows `obj_ops` (all ops on
-    /// this object, ascending) to the candidates between frontier and
-    /// `rec.op`, and only then consults the history's exact pred set.
-    /// Outcomes are identical on every tier.
-    fn admits(&self, member: &Member, rec: &MultiRecord<C::Eff>) -> bool {
-        if rec.op <= member.frontier() {
-            return true;
-        }
-        let same_obj = &self.obj_ops[rec.meta.obj];
-        let cut = same_obj.partition_point(|&p| p < rec.op);
-        let lo = same_obj.partition_point(|&p| p < member.frontier());
-        let candidates = &same_obj[lo..cut];
-        if candidates.is_empty() {
-            return true;
+    /// The candidates are the operations on `rec`'s object issued before
+    /// it, `obj_ops[obj][..idx]`. The replica's seen prefix covers the
+    /// front of that range, so the rule starts there: when the prefix has
+    /// reached `idx` — no same-object operation missing, whatever holes the
+    /// other objects leave — it lacks nothing, in O(1). Otherwise it scans
+    /// the uncovered candidates for the first one the replica has not seen
+    /// and `rec.op` does (the history's pred set), counting the scan as
+    /// `runtime.multi.candidates`.
+    fn missing(
+        &self,
+        member: &Member,
+        data: &Locals<C::State>,
+        rec: &MultiRecord<C::Eff>,
+    ) -> Option<usize> {
+        let MultiMeta { obj, idx } = rec.meta;
+        let from = data.prefix[obj];
+        if from >= idx {
+            return None;
         }
         let preds = self.history.preds(rec.op);
-        candidates
+        let candidates = &self.obj_ops[obj][from..idx];
+        let hit = candidates
             .iter()
-            .all(|&p| member.has_seen(p) || !preds.contains(p))
+            .position(|&p| !member.has_seen(p) && preds.contains(p));
+        obs::counter(
+            "runtime.multi.candidates",
+            hit.map_or(candidates.len(), |i| i + 1) as u64,
+        );
+        hit.map(|i| candidates[i])
     }
 
-    fn apply(&self, data: &mut Locals<C::State>, rec: &MultiRecord<C::Eff>) {
-        let slot = self.clock_slot(rec.meta.obj);
+    fn apply(&self, data: &mut Locals<C::State>, member: &Member, rec: &MultiRecord<C::Eff>) {
+        let MultiMeta { obj, .. } = rec.meta;
+        let slot = self.clock_slot(obj);
         if let Some(eff) = &rec.eff {
-            self.crdt.apply(&mut data.states[rec.meta.obj], eff);
+            self.crdt.apply(&mut data.states[obj], eff);
         }
         data.clocks[slot] = data.clocks[slot].max(rec.clock);
+        advance_prefix(&self.obj_ops[obj], &mut data.prefix[obj], member);
     }
 }
 
@@ -152,6 +181,7 @@ impl<C: OpBased> MultiCluster<C> {
                 Node::new(Locals {
                     states: (0..n_objects).map(|_| crdt.initial()).collect(),
                     clocks: vec![0; clock_slots],
+                    prefix: vec![0; n_objects],
                 })
             })
             .collect();
@@ -229,14 +259,16 @@ impl<C: OpBased> MultiCluster<C> {
                     crdt.apply(&mut node.data.states[o], eff);
                 }
                 node.member.observe(op);
+                let idx = obj_ops[o].len();
+                obj_ops[o].push(op);
+                advance_prefix(&obj_ops[o], &mut node.data.prefix[o], &node.member);
                 // Appending to the shared pool IS the broadcast: every other
                 // replica's mailbox cursor lies at or below the new id.
-                obj_ops[o].push(op);
                 self.records.push(DeliveryRecord {
                     op,
                     eff,
                     clock: node.data.clocks[slot],
-                    meta: MultiMeta { obj: o },
+                    meta: MultiMeta { obj: o, idx },
                 });
                 Some(Invoked { ret, op })
             }
@@ -251,6 +283,27 @@ impl<C: OpBased> MultiCluster<C> {
     /// Total number of deliveries created so far (ids are `0..n`).
     pub fn n_deliveries(&self) -> usize {
         self.records.len()
+    }
+
+    /// The set of operations replica `r` has applied, on every object
+    /// (its own invocations count as applied).
+    pub fn seen(&self, r: ReplicaId) -> &BitSet {
+        self.replicas[r.0 as usize].member.seen()
+    }
+
+    /// Replica `r`'s seen prefix on object `obj`: how many of the
+    /// operations issued on `obj`, in issue order, it has applied
+    /// contiguously — the per-object analogue of
+    /// [`Cluster::seen_frontier`](crate::op_based::Cluster::seen_frontier),
+    /// where the causal rule starts looking for a missing predecessor.
+    pub fn seen_prefix(&self, r: ReplicaId, obj: ObjId) -> usize {
+        self.replicas[r.0 as usize].data.prefix[obj.0 as usize]
+    }
+
+    /// Number of network arrivals replica `r`'s causal holdback holds: see
+    /// [`Cluster::held`](crate::op_based::Cluster::held).
+    pub fn held(&self, r: ReplicaId) -> usize {
+        self.replicas[r.0 as usize].mailbox.held_len()
     }
 
     /// Whether delivery `d` has already been applied at replica `r` —

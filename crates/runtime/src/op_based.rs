@@ -79,7 +79,9 @@ struct Local<S> {
 }
 
 /// Single-object causal delivery: what [`crate::mailbox`] reads while it
-/// writes a replica.
+/// writes a replica. Its rule names the first visible predecessor a
+/// replica lacks — the operation the holdback files a blocked arrival
+/// under.
 #[derive(Clone)]
 struct Causal<C: OpBased> {
     crdt: C,
@@ -91,17 +93,27 @@ impl<C: OpBased> Delivery for Causal<C> {
     type Eff = C::Eff;
     type Meta = ();
 
-    /// Every visible predecessor applied. Every predecessor of `op` has a
-    /// smaller history index, so a member whose seen
-    /// [`frontier`](Member::frontier) has reached `op` admits it without
-    /// touching the pred set — the O(1) path steady-state drains always
-    /// take; a seen-set with holes pays the exact subset check. Both tiers
-    /// decide identically.
-    fn admits(&self, member: &Member, rec: &DeliveryRecord<C::Eff>) -> bool {
-        rec.op <= member.frontier() || self.history.preds(rec.op).is_subset(member.seen())
+    /// The first visible predecessor not yet applied. Every predecessor of
+    /// `op` has a smaller history index, so a member whose seen
+    /// [`frontier`](Member::frontier) has reached `op` lacks none — the
+    /// O(1) path steady-state drains always take. Otherwise the pred set is
+    /// tested against the seen-set a word at a time from the frontier up
+    /// ([`BitSet::first_missing`]); everything below the frontier is seen.
+    fn missing(
+        &self,
+        member: &Member,
+        _: &Local<C::State>,
+        rec: &DeliveryRecord<C::Eff>,
+    ) -> Option<usize> {
+        if rec.op <= member.frontier() {
+            return None;
+        }
+        self.history
+            .preds(rec.op)
+            .first_missing(member.seen(), member.frontier())
     }
 
-    fn apply(&self, data: &mut Local<C::State>, rec: &DeliveryRecord<C::Eff>) {
+    fn apply(&self, data: &mut Local<C::State>, _: &Member, rec: &DeliveryRecord<C::Eff>) {
         if let Some(eff) = &rec.eff {
             self.crdt.apply(&mut data.state, eff);
         }
@@ -369,6 +381,16 @@ impl<C: OpBased> Cluster<C> {
                     .count()
             })
             .sum()
+    }
+
+    /// Number of network arrivals replica `r`'s causal holdback holds:
+    /// [`Cluster::receive`]s answered [`Received::Held`] and not released
+    /// since. An arrival held at a crashed replica counts once per arrival,
+    /// and one a targeted [`Cluster::deliver`] applied counts until the
+    /// next receive or drain drops it; a drain of a running replica leaves
+    /// none.
+    pub fn held(&self, r: ReplicaId) -> usize {
+        self.replicas[r.0 as usize].mailbox.held_len()
     }
 
     /// Total number of deliveries created so far (one per successful

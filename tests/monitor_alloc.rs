@@ -62,10 +62,10 @@ const REPLICAS: u32 = 4;
 /// the running total) from four replicas: each sees every earlier
 /// operation, and four frontier observations settle it before the next is
 /// fed. Averaged over the second half of the stream — the first warms the
-/// recycled buffers — the monitor may allocate at most four times per
-/// operation.
+/// recycled buffers — the monitor may allocate at most two and a half
+/// times per operation (2.0 measured).
 #[test]
-fn sequential_stream_stays_within_four_allocations_per_operation() {
+fn sequential_stream_stays_within_two_and_a_half_allocations_per_operation() {
     let mut feed = MonitorFeed::new(Identity, CounterSpec, REPLICAS as usize);
     let mut seen = BitSet::with_capacity(OPS);
     let mut total = 0i64;
@@ -92,7 +92,7 @@ fn sequential_stream_stays_within_four_allocations_per_operation() {
     let allocations = ALLOCATIONS.load(Relaxed) - at_half;
     let per_op = allocations as f64 / (OPS - OPS / 2) as f64;
     assert!(
-        per_op <= 4.0,
+        per_op <= 2.5,
         "{allocations} allocations over the last {} operations = {per_op:.2} per operation",
         OPS - OPS / 2
     );

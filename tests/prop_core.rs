@@ -70,6 +70,41 @@ fn bitset_union_subset() {
     });
 }
 
+/// `first_missing` is the smallest element of `a \ b` at or above `from`,
+/// for operands of unequal lengths (one of them often empty) and `from`
+/// anywhere: inside either operand, on a 64-bit word boundary, past both.
+#[test]
+fn bitset_first_missing_matches_btreeset_model() {
+    run_seeded_cases("bitset_first_missing", 512, |_, rng| {
+        let random_set = |rng: &mut Rng| -> BTreeSet<usize> {
+            let top = [0, 1, 64, 65, 130, 400][rng.random_range(0..6usize)];
+            if top == 0 {
+                return BTreeSet::new();
+            }
+            // Sparse or dense: holes in a dense set are what the rule hunts.
+            let density = rng.random_range(1..=100u32) as f64 / 100.0;
+            (0..top).filter(|_| rng.random_bool(density)).collect()
+        };
+        let a = random_set(rng);
+        let b = random_set(rng);
+        let (ba, bb): (BitSet, BitSet) = (a.iter().copied().collect(), b.iter().copied().collect());
+        for _ in 0..16 {
+            let from = match rng.random_range(0..3u32) {
+                0 => (64 * rng.random_range(0..8usize) + rng.random_range(0..3usize))
+                    .saturating_sub(1),
+                1 => rng.random_range(0..450usize),
+                _ => a
+                    .iter()
+                    .nth(rng.random_range(0..a.len().max(1)))
+                    .copied()
+                    .unwrap_or(0),
+            };
+            let expected = a.range(from..).copied().find(|x| !b.contains(x));
+            assert_eq!(ba.first_missing(&bb, from), expected, "from {from}");
+        }
+    });
+}
+
 /// Timestamps are totally ordered and `max_ts` is commutative,
 /// associative, and idempotent with `None` as identity.
 #[test]
