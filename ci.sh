@@ -33,10 +33,12 @@ step cargo test -q --offline
 # Explicit sim-suite step: names the scenario suites in CI output so a
 # regression there is immediately attributable (the plain run above already
 # executes them) — determinism, fault tolerance, "release changes memory,
-# never behaviour", and four cost contracts in deterministic counts: the
+# never behaviour", and five cost contracts in deterministic counts: the
 # simulator's (on a 50-replica fan-out the engine allocates at most 0.01
 # times per delivered arrival, the trace holds an entry in at most 16 bytes,
-# and an operation's one allocation is its seen-set copy), the lattice
+# and an operation's seen-set copy costs at most 16 bytes), the history's
+# (`history_mem`: a seen-set copy costs its tail words, not its index, and
+# the 100k-op monitored churn holds at most 64 MiB live at its end), the lattice
 # core's (a receive costs what the message changes, a stale snapshot scans
 # no clock floor; snapshots, resyncs and checkpoints cost nothing), the
 # op-based holdback's (on `batch_composed`'s cases a receive probes at most
@@ -50,7 +52,7 @@ step cargo test -q --offline
 # delta core: delta ≡ full state over the scenario corpus, every in-place
 # join and its changed-flag against a by-value reference, and the façade
 # against a copy of the full-state cluster it replaced.
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

@@ -1,15 +1,26 @@
-//! A compact, growable bit set over `usize` indices.
+//! A compact, growable bit set over `usize` indices: a full prefix plus
+//! tail words.
 //!
-//! Visibility relations in histories are dense (operation indices are
-//! consecutive), so predecessor sets are stored as bit vectors. This gives
-//! O(1) membership tests and word-parallel unions/subset tests, which the
-//! brute-force linearization search relies on.
+//! Visibility relations in histories are prefix-heavy: an operation sees
+//! everything below its origin's seen-frontier plus a few operations above
+//! it. So a set is stored as a count `ones` of leading all-ones 64-bit words
+//! — all of `0..64·ones` — followed by the tail words that hold the rest, and
+//! a predecessor set costs its tail, not its index. Membership is O(1);
+//! unions, subset and disjointness tests and [`BitSet::first_missing`] run a
+//! word at a time across operands with different prefixes, which the
+//! linearization search and the causal delivery rule rely on.
+//!
+//! The form is canonical: leading all-ones tail words are folded into the
+//! prefix and trailing zero words are trimmed. Equal sets therefore have
+//! equal representations, whatever order built them, and the derived `Eq`
+//! and `Hash` agree with set equality.
 
 use std::fmt;
 
 const BITS: usize = 64;
 
-/// A growable set of `usize` values backed by a vector of 64-bit blocks.
+/// A growable set of `usize` values: all of `0..64·ones`, plus tail words
+/// for the values above.
 ///
 /// # Examples
 ///
@@ -22,94 +33,201 @@ const BITS: usize = 64;
 /// assert!(s.contains(3));
 /// assert!(!s.contains(4));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70]);
+///
+/// // Equality is set equality, whatever order built the sets.
+/// let mut t = BitSet::prefix(100);
+/// t.insert(3);
+/// for i in (0..100).filter(|&i| i != 3) {
+///     t.remove(i);
+/// }
+/// t.insert(70);
+/// assert_eq!(s, t);
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
-    blocks: Vec<u64>,
+    /// Leading words that are all ones: the set holds all of `0..64·ones`.
+    ones: usize,
+    /// Words `ones..ones + tail.len()`, least-significant first. Canonical:
+    /// the first is not all ones and the last is not zero.
+    tail: Vec<u64>,
 }
 
 impl BitSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        BitSet { blocks: Vec::new() }
+        BitSet {
+            ones: 0,
+            tail: Vec::new(),
+        }
     }
 
-    /// Creates an empty set with room for indices up to `bits` without
-    /// reallocating.
+    /// Creates an empty set with room for tail words up to index `bits`
+    /// without reallocating.
     pub fn with_capacity(bits: usize) -> Self {
         BitSet {
-            blocks: Vec::with_capacity(bits.div_ceil(BITS)),
+            ones: 0,
+            tail: Vec::with_capacity(bits.div_ceil(BITS)),
         }
+    }
+
+    /// The set `{0, …, n-1}`. Allocates only when `n` is not a multiple of
+    /// 64.
+    pub fn prefix(n: usize) -> Self {
+        let rest = n % BITS;
+        BitSet {
+            ones: n / BITS,
+            tail: if rest == 0 {
+                Vec::new()
+            } else {
+                vec![(1u64 << rest) - 1]
+            },
+        }
+    }
+
+    /// Word `j`: the membership bits for values `64j..64j+64`.
+    #[inline]
+    fn word(&self, j: usize) -> u64 {
+        match j.checked_sub(self.ones) {
+            None => !0,
+            Some(t) => self.tail.get(t).copied().unwrap_or(0),
+        }
+    }
+
+    /// One past the last word that may be nonzero.
+    #[inline]
+    fn end(&self) -> usize {
+        self.ones + self.tail.len()
+    }
+
+    /// Moves the leading all-ones tail words into the prefix.
+    fn fold(&mut self) {
+        let full = self.tail.iter().take_while(|&&w| w == !0).count();
+        self.tail.copy_within(full.., 0);
+        self.tail.truncate(self.tail.len() - full);
+        self.ones += full;
     }
 
     /// Inserts `i` into the set. Returns `true` if the value was newly added.
+    #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
-        let (block, bit) = (i / BITS, i % BITS);
-        if block >= self.blocks.len() {
-            self.blocks.resize(block + 1, 0);
+        let (block, mask) = (i / BITS, 1u64 << (i % BITS));
+        let Some(t) = block.checked_sub(self.ones) else {
+            return false;
+        };
+        let Some(w) = self.tail.get_mut(t) else {
+            // A new last word holds one bit, so it folds nothing.
+            self.tail.resize(t, 0);
+            self.tail.push(mask);
+            return true;
+        };
+        let was = *w & mask != 0;
+        *w |= mask;
+        if t == 0 && *w == !0 {
+            self.fold();
         }
-        let mask = 1u64 << bit;
-        let was = self.blocks[block] & mask != 0;
-        self.blocks[block] |= mask;
         !was
     }
 
     /// Removes `i` from the set. Returns `true` if the value was present.
     pub fn remove(&mut self, i: usize) -> bool {
-        let (block, bit) = (i / BITS, i % BITS);
-        if block >= self.blocks.len() {
+        let (block, mask) = (i / BITS, 1u64 << (i % BITS));
+        let Some(t) = block.checked_sub(self.ones) else {
+            // Split the prefix at `block`: its words from there on become
+            // tail words, the first of them with the bit cleared.
+            let moved = self.ones - block;
+            self.tail.splice(0..0, std::iter::repeat_n(!0, moved));
+            self.ones = block;
+            self.tail[0] &= !mask;
+            return true;
+        };
+        let Some(w) = self.tail.get_mut(t) else {
             return false;
+        };
+        let was = *w & mask != 0;
+        *w &= !mask;
+        if t + 1 == self.tail.len() {
+            let used = self.tail.iter().rposition(|&w| w != 0).map_or(0, |j| j + 1);
+            self.tail.truncate(used);
         }
-        let mask = 1u64 << bit;
-        let was = self.blocks[block] & mask != 0;
-        self.blocks[block] &= !mask;
         was
     }
 
     /// Returns `true` if `i` is in the set.
+    #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        let (block, bit) = (i / BITS, i % BITS);
-        self.blocks.get(block).is_some_and(|b| b & (1 << bit) != 0)
+        self.word(i / BITS) & (1 << (i % BITS)) != 0
     }
 
     /// Adds every element of `other` to `self`.
     pub fn union_with(&mut self, other: &BitSet) {
-        if other.blocks.len() > self.blocks.len() {
-            self.blocks.resize(other.blocks.len(), 0);
+        if other.ones > self.ones {
+            // `other`'s prefix covers the tail words below it.
+            let covered = (other.ones - self.ones).min(self.tail.len());
+            self.tail.drain(..covered);
+            self.ones = other.ones;
         }
-        for (dst, src) in self.blocks.iter_mut().zip(&other.blocks) {
-            *dst |= src;
+        let src = other.tail.get(self.ones - other.ones..).unwrap_or(&[]);
+        if src.len() > self.tail.len() {
+            self.tail.resize(src.len(), 0);
+        }
+        for (dst, w) in self.tail.iter_mut().zip(src) {
+            *dst |= w;
+        }
+        if self.tail.first() == Some(&!0) {
+            self.fold();
         }
     }
 
     /// Returns `true` if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.blocks.iter().enumerate().all(|(idx, b)| {
-            let o = other.blocks.get(idx).copied().unwrap_or(0);
-            b & !o == 0
-        })
+        // Canonical form: a prefix word of `self` past `other`'s prefix
+        // meets `other`'s first tail word, which is not all ones; a last
+        // tail word of `self` past `other`'s end meets a zero word.
+        if self.ones > other.ones || self.end() > other.end() {
+            return false;
+        }
+        self.tail
+            .iter()
+            .skip(other.ones - self.ones)
+            .zip(&other.tail)
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Returns `true` if `self` and `other` have no element in common.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & b == 0)
+        let (lo, hi) = if self.ones <= other.ones {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        if lo.ones > 0 {
+            return false; // both hold 0
+        }
+        let split = hi.ones.min(lo.tail.len());
+        lo.tail[..split].iter().all(|&w| w == 0)
+            && lo.tail[split..]
+                .iter()
+                .zip(&hi.tail)
+                .all(|(a, b)| a & b == 0)
     }
 
     /// The smallest element of `self` at or above `from` that is not in
-    /// `other`, or `None` if `self` has none. Word-parallel: it masks off the
-    /// bits below `from` and tests `self & !other` a block at a time, so it
-    /// never walks the elements `other` already holds.
+    /// `other`, or `None` if `self` has none. Word-parallel: it starts at
+    /// `from` or at the end of `other`'s prefix, whichever is higher, masks
+    /// off the bits below `from` and tests `self & !other` a word at a time,
+    /// so it never walks the elements `other` already holds.
     pub fn first_missing(&self, other: &BitSet, from: usize) -> Option<usize> {
-        let start = from / BITS;
-        let mut below = (1u64 << (from % BITS)) - 1;
-        for (idx, &b) in self.blocks.iter().enumerate().skip(start) {
-            let o = other.blocks.get(idx).copied().unwrap_or(0);
-            let missing = b & !o & !below;
+        let first = from / BITS;
+        let start = first.max(other.ones);
+        let mut below = if start == first {
+            (1u64 << (from % BITS)) - 1
+        } else {
+            0
+        };
+        for j in start..self.end() {
+            let missing = self.word(j) & !other.word(j) & !below;
             if missing != 0 {
-                return Some(idx * BITS + missing.trailing_zeros() as usize);
+                return Some(j * BITS + missing.trailing_zeros() as usize);
             }
             below = 0;
         }
@@ -118,48 +236,59 @@ impl BitSet {
 
     /// Number of elements in the set.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
+        self.ones * BITS
+            + self
+                .tail
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+    }
+
+    /// The smallest value not in the set: the `k` of the longest prefix
+    /// `{0, …, k-1}` the set holds. O(1), since the canonical form puts
+    /// it in the first tail word.
+    #[inline]
+    pub fn prefix_len(&self) -> usize {
+        self.ones * BITS + self.tail.first().map_or(0, |w| w.trailing_ones() as usize)
     }
 
     /// Returns `true` if the set contains no elements.
     pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
+        self.ones == 0 && self.tail.is_empty()
     }
 
-    /// The largest element, or `None` for an empty set. Scans whole blocks
-    /// downward from the top, so on dense sets (visibility sets, whose top
-    /// block is almost always occupied) this is O(1) — unlike
-    /// `iter().last()`, which walks every element.
+    /// The largest element, or `None` for an empty set. O(1): the last
+    /// tail word is nonzero, and without a tail the prefix ends the set.
     pub fn max(&self) -> Option<usize> {
-        self.blocks.iter().enumerate().rev().find_map(|(idx, &b)| {
-            (b != 0).then(|| idx * BITS + (BITS - 1 - b.leading_zeros() as usize))
-        })
-    }
-
-    /// The backing 64-bit blocks, least-significant first. Block `j` holds
-    /// the membership bits for values `64j..64j+64`; trailing blocks may be
-    /// absent (absent means empty). Used by the streaming monitor for
-    /// word-parallel window scans that skip the settled prefix.
-    pub(crate) fn blocks(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// A copy without trailing all-zero blocks: the block vector that
-    /// inserting the elements one by one builds, so the copy is `==` to a
-    /// set collected from [`BitSet::iter`].
-    pub(crate) fn trimmed(&self) -> BitSet {
-        let used = self.blocks.iter().rposition(|&b| b != 0);
-        BitSet {
-            blocks: self.blocks[..used.map_or(0, |j| j + 1)].to_vec(),
+        match self.tail.last() {
+            Some(w) => Some(self.end() * BITS - 1 - w.leading_zeros() as usize),
+            None => (self.ones * BITS).checked_sub(1),
         }
+    }
+
+    /// The words from `from` up to the last nonzero one, as `(j, word)`:
+    /// word `j` holds the membership bits for values `64j..64j+64`, and
+    /// words below the prefix read as all ones. Used by the streaming
+    /// monitor for word-parallel window scans that skip the settled prefix.
+    pub(crate) fn words_from(&self, from: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let ones = self.ones;
+        (from..ones).map(|j| (j, !0)).chain(
+            self.tail
+                .iter()
+                .enumerate()
+                .skip(from.saturating_sub(ones))
+                .map(move |(t, &w)| (ones + t, w)),
+        )
     }
 
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            set: self,
-            block: 0,
-            bits: self.blocks.first().copied().unwrap_or(0),
+            next: 0,
+            prefix_end: self.ones * BITS,
+            tail: &self.tail,
+            word: 0,
+            bits: self.tail.first().copied().unwrap_or(0),
         }
     }
 }
@@ -188,11 +317,17 @@ impl Extend<usize> for BitSet {
     }
 }
 
-/// Iterator over the elements of a [`BitSet`] in increasing order.
+/// Iterator over the elements of a [`BitSet`] in increasing order: the
+/// prefix by counting, then the tail a word at a time.
 #[derive(Debug)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
-    block: usize,
+    /// Next prefix element, while below `prefix_end`.
+    next: usize,
+    prefix_end: usize,
+    tail: &'a [u64],
+    /// Index into `tail` of the word `bits` was read from.
+    word: usize,
+    /// Bits of that word not yet yielded.
     bits: u64,
 }
 
@@ -200,17 +335,18 @@ impl Iterator for Iter<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
+        if self.next < self.prefix_end {
+            self.next += 1;
+            return Some(self.next - 1);
+        }
         loop {
             if self.bits != 0 {
                 let bit = self.bits.trailing_zeros() as usize;
                 self.bits &= self.bits - 1;
-                return Some(self.block * BITS + bit);
+                return Some(self.prefix_end + self.word * BITS + bit);
             }
-            self.block += 1;
-            if self.block >= self.set.blocks.len() {
-                return None;
-            }
-            self.bits = self.set.blocks[self.block];
+            self.word += 1;
+            self.bits = *self.tail.get(self.word)?;
         }
     }
 }
@@ -315,6 +451,61 @@ mod tests {
     fn iter_order() {
         let s: BitSet = [300, 1, 64, 63].into_iter().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 63, 64, 300]);
+    }
+
+    fn hash_of(s: &BitSet) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    /// Equality and hashing are set equality: a set emptied by `remove`
+    /// equals a fresh one, and the order that built a set does not show.
+    #[test]
+    fn equal_sets_compare_and_hash_equal_whatever_built_them() {
+        let mut emptied = BitSet::new();
+        emptied.insert(70);
+        emptied.remove(70);
+        assert_eq!(emptied, BitSet::new());
+        assert_eq!(hash_of(&emptied), hash_of(&BitSet::new()));
+
+        let mut emptied = BitSet::prefix(200);
+        for i in (0..200).rev() {
+            emptied.remove(i);
+        }
+        assert_eq!(emptied, BitSet::new());
+
+        let up: BitSet = (0..300).filter(|i| i % 97 != 5).collect();
+        let down: BitSet = (0..300).rev().filter(|i| i % 97 != 5).collect();
+        let mut carved = BitSet::prefix(300);
+        for i in [5, 102, 199, 296] {
+            carved.remove(i);
+        }
+        let mut joined: BitSet = (150..300).filter(|i| i % 97 != 5).collect();
+        joined.union_with(&(0..150).filter(|i| i % 97 != 5).collect());
+        for s in [&down, &carved, &joined] {
+            assert_eq!(&up, s);
+            assert_eq!(hash_of(&up), hash_of(s));
+        }
+    }
+
+    /// A dense prefix costs no tail words; a set's heap follows what lies
+    /// above its prefix.
+    #[test]
+    fn a_prefix_folds_into_the_count() {
+        let mut s: BitSet = (0..1000).collect();
+        assert_eq!((s.ones, s.tail.len()), (15, 1));
+        s.insert(1000);
+        s.insert(1001);
+        s.extend(1002..1024);
+        assert_eq!((s.ones, s.tail.len()), (16, 0));
+        assert_eq!(s, BitSet::prefix(1024));
+        assert_eq!((s.len(), s.max()), (1024, Some(1023)));
+        assert!(s.remove(3));
+        assert_eq!((s.ones, s.tail.len()), (0, 16));
+        assert!(s.insert(3));
+        assert_eq!((s.ones, s.tail.len()), (16, 0));
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! delivery); for object compositions it need not be (Section 5.1), so the
 //! history stores the *direct* predecessor sets it is given and never closes
 //! them.
+//!
+//! Each predecessor set is a [`BitSet`]: a count of full leading words plus
+//! tail words. A replica's seen-set is everything below its seen-frontier
+//! plus a few operations above it, so an operation's visibility costs the
+//! operations above its origin's frontier, not its index: a history built
+//! from seen-sets holds a few words per operation, where a set dense from
+//! operation 0 held `i / 64` for operation `i`.
 
 use crate::bitset::BitSet;
 use crate::ids::ReplicaId;
@@ -77,6 +84,7 @@ impl<L> OpRecord<L> {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct History<L> {
     ops: Vec<OpRecord<L>>,
+    /// Direct predecessors of each operation, in prefix-plus-tail form.
     preds: Vec<BitSet>,
 }
 
@@ -286,7 +294,7 @@ where
         // Until the first split every earlier operation kept its index, so
         // the predecessor set is the original one, copied word by word.
         let pred_updates: BitSet = if out.len() == i {
-            h.preds(i).trimmed()
+            h.preds(i).clone()
         } else {
             h.preds(i).iter().map(|p| parts[p].update()).collect()
         };

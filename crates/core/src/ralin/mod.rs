@@ -41,7 +41,9 @@
 //!   configuration frontiers instead of re-searching, with a
 //!   causal-stability rule that settles ops below every replica's
 //!   seen-frontier and compacts retained state to O(concurrent window) —
-//!   this is what lets the simulator verify million-op runs continuously.
+//!   with predecessor sets that cost their tail words
+//!   ([`crate::bitset`]), this is what lets the simulator verify long runs
+//!   continuously (a 105 039-op churn ends with ≈25 MiB live).
 //!
 //! The `ra_search*` facades rewrite and call [`memo`] directly — it is the
 //! only complete batch engine; the monitor is an independent code the

@@ -347,13 +347,9 @@ fn range_all_set(mask: &[u64], lo: usize, hi: usize) -> bool {
 /// Every predecessor at or above the window base is placed in `mask`.
 /// Predecessors below the base are settled, hence placed everywhere.
 fn preds_placed(preds: &BitSet, mask: &[u64], base_w: usize) -> bool {
-    let blocks = preds.blocks();
-    for (j, &w) in blocks.iter().enumerate().skip(base_w) {
-        if w & !mask.get(j - base_w).copied().unwrap_or(0) != 0 {
-            return false;
-        }
-    }
-    true
+    preds
+        .words_from(base_w)
+        .all(|(j, w)| w & !mask.get(j - base_w).copied().unwrap_or(0) == 0)
 }
 
 /// Configuration equality (the collision check behind the canonical key).
@@ -510,8 +506,7 @@ impl<S: Spec> Monitor<S> {
         if is_query {
             // Register as a watcher of every visible unsettled update.
             let meta_base = self.meta_base;
-            let blocks = preds.blocks();
-            for (j, &word) in blocks.iter().enumerate().skip(self.watermark / 64) {
+            for (j, word) in preds.words_from(self.watermark / 64) {
                 let mut bits = word;
                 while bits != 0 {
                     let u = j * 64 + bits.trailing_zeros() as usize;
@@ -921,9 +916,8 @@ pub struct MonitorFeed<In, R: Rewrite<In>, S: Spec<Label = R::Out>> {
     /// Original ids below this are wholly settled; their predecessors are
     /// implied and skipped when building rewritten visibility sets, so a
     /// feed scans and inserts O(concurrent window) predecessors. The set
-    /// it builds is still an absolute-indexed [`BitSet`]: one allocation
-    /// of `id / 64` words per operation whose window is not empty — the
-    /// one O(history / 64) term left on the per-event path.
+    /// it builds starts as the settled prefix's full words, so its tail
+    /// words span the window only, not the history.
     orig_floor: usize,
     _in: PhantomData<fn(&In)>,
 }
@@ -973,11 +967,12 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
             self.orig_floor += 1;
         }
         // Map visibility into rewritten space, skipping the settled prefix
-        // (implied by the monitor's vis_floor rule).
-        let mut pred_updates = BitSet::new();
-        let blocks = preds.blocks();
+        // (implied by the monitor's vis_floor rule). The set starts as the
+        // settled prefix's full words, so only the mapped ids above it take
+        // tail words.
+        let mut pred_updates = BitSet::prefix(wm / 64 * 64);
         let floor_w = self.orig_floor / 64;
-        for (j, &word) in blocks.iter().enumerate().skip(floor_w) {
+        for (j, word) in preds.words_from(floor_w) {
             let mut bits = word;
             if j == floor_w && self.orig_floor % 64 != 0 {
                 bits &= !0u64 << (self.orig_floor % 64);

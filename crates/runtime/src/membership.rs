@@ -29,11 +29,13 @@ use ral_core::ids::ReplicaId;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Member {
     seen: BitSet,
-    /// First operation id *not* in `seen` — kept canonical (maximal) by
-    /// every mutation, so it is a pure function of `seen` and the derived
-    /// `PartialEq` stays consistent. Everything below the frontier is seen,
-    /// which gives deliverability checks an O(1) fast path: an operation
-    /// whose predecessors all lie below the frontier needs no set scan.
+    /// First operation id *not* in `seen`: [`BitSet::prefix_len`], kept
+    /// beside the set because every receive and every monitor observation
+    /// reads it, and the set's first tail word lives on the heap. A pure
+    /// function of `seen`, so the derived `PartialEq` stays consistent.
+    /// Everything below the frontier is seen, which gives deliverability
+    /// checks an O(1) fast path: an operation whose predecessors all lie
+    /// below the frontier needs no set scan.
     frontier: usize,
     up: bool,
 }
@@ -99,17 +101,11 @@ impl Member {
         self.frontier
     }
 
-    fn advance_frontier(&mut self) {
-        while self.seen.contains(self.frontier) {
-            self.frontier += 1;
-        }
-    }
-
     /// Records that operation `op` has been applied here.
     pub fn observe(&mut self, op: usize) {
         self.seen.insert(op);
         if op == self.frontier {
-            self.advance_frontier();
+            self.frontier = self.seen.prefix_len();
         }
     }
 
@@ -117,7 +113,7 @@ impl Member {
     /// transports propagate visibility wholesale with each message).
     pub fn merge_seen(&mut self, other: &BitSet) {
         self.seen.union_with(other);
-        self.advance_frontier();
+        self.frontier = self.seen.prefix_len();
     }
 }
 

@@ -10,9 +10,12 @@
 //!
 //! Where the batch checkers limit `sim::run` verification to excerpts the
 //! search can decide afterwards, a monitored run keeps a rolling verdict
-//! the whole way: retained monitor state is O(concurrent window), so
-//! million-op simulations verify continuously — the long-churn tests pin
-//! exactly that bound.
+//! the whole way: retained monitor state is O(concurrent window), and the
+//! history's predecessor sets cost the operations above each origin's
+//! seen-frontier, not the operation's index. A 105 039-op rolling-partition
+//! churn ends with ≈25 MiB live, history, monitor and trace included
+//! (`tests/history_mem.rs` holds it to 64 MiB; `tests/monitor_streaming.rs`
+//! holds the monitor's window).
 
 use ral_core::ids::ReplicaId;
 use ral_core::label::Rewrite;

@@ -105,6 +105,127 @@ fn bitset_first_missing_matches_btreeset_model() {
     });
 }
 
+fn hash_of(s: &BitSet) -> u64 {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
+}
+
+/// A random set shaped like a seen-set: a prefix `0..n` (often several
+/// full words, often not word-aligned) with a few holes, plus sparse or
+/// dense elements above it. Returned with the set built that way —
+/// `prefix`, `remove`, `insert` / `extend` — so its full-word prefix
+/// count is random.
+fn random_seen_set(rng: &mut Rng) -> (BTreeSet<usize>, BitSet) {
+    let n = [0, 1, 63, 64, 65, 128, 200, 320][rng.random_range(0..8usize)];
+    let mut model: BTreeSet<usize> = (0..n).collect();
+    let mut bits = BitSet::prefix(n);
+    for _ in 0..rng.random_range(0..4usize) {
+        if n > 0 {
+            let hole = rng.random_range(0..n);
+            assert_eq!(bits.remove(hole), model.remove(&hole));
+        }
+    }
+    let density = rng.random_range(0..=100u32) as f64 / 100.0;
+    let above: Vec<usize> = (n..n + rng.random_range(0..200usize))
+        .filter(|_| rng.random_bool(density))
+        .collect();
+    if rng.random_bool(0.5) {
+        for &x in &above {
+            assert_eq!(bits.insert(x), model.insert(x));
+        }
+    } else {
+        bits.extend(above.iter().copied());
+        model.extend(above);
+    }
+    (model, bits)
+}
+
+/// Every public `BitSet` method agrees with a `BTreeSet` reference on
+/// operands whose full-word prefixes and holes are random and differ
+/// between the two, and equality and hashing are canonical: a set equals
+/// and hashes like the one collected from its elements in any order.
+#[test]
+fn bitset_prefix_and_tail_match_btreeset_model() {
+    run_seeded_cases("bitset_prefix_tail", 512, |_, rng| {
+        let (a, ba) = random_seen_set(rng);
+        let (b, bb) = if rng.random_bool(0.3) {
+            // A subset of `a`: carve elements out of a copy.
+            let mut model = a.clone();
+            let mut bits = ba.clone();
+            for x in a.iter().copied().filter(|_| rng.random_bool(0.1)) {
+                assert!(bits.remove(x) && model.remove(&x));
+            }
+            (model, bits)
+        } else {
+            random_seen_set(rng)
+        };
+        for (model, bits) in [(&a, &ba), (&b, &bb)] {
+            let collected: BitSet = model.iter().rev().copied().collect();
+            assert_eq!(bits, &collected);
+            assert_eq!(hash_of(bits), hash_of(&collected));
+            assert_eq!(format!("{bits:?}"), format!("{model:?}"));
+            assert_eq!(bits.len(), model.len());
+            assert_eq!(bits.is_empty(), model.is_empty());
+            assert_eq!(bits.max(), model.last().copied());
+            let gap = (0..).find(|x| !model.contains(x));
+            assert_eq!(Some(bits.prefix_len()), gap);
+            assert!(bits.iter().eq(model.iter().copied()));
+            assert!(bits.into_iter().eq(model.iter().copied()));
+            let top = model.last().map_or(0, |m| m + 70);
+            for _ in 0..32 {
+                let x = rng.random_range(0..=top);
+                assert_eq!(bits.contains(x), model.contains(&x), "contains {x}");
+            }
+        }
+        assert_eq!(ba == bb, a == b);
+        assert_eq!(ba.is_subset(&bb), a.is_subset(&b));
+        assert_eq!(bb.is_subset(&ba), b.is_subset(&a));
+        assert_eq!(ba.is_disjoint(&bb), a.is_disjoint(&b));
+        assert_eq!(bb.is_disjoint(&ba), b.is_disjoint(&a));
+        let top = a.last().max(b.last()).map_or(0, |m| m + 70);
+        for _ in 0..16 {
+            let from = rng.random_range(0..=top);
+            let expected = a.range(from..).copied().find(|x| !b.contains(x));
+            assert_eq!(ba.first_missing(&bb, from), expected, "from {from}");
+        }
+
+        let union: BTreeSet<usize> = a.union(&b).copied().collect();
+        let expected: BitSet = union.iter().copied().collect();
+        for (mut joined, other) in [(ba.clone(), &bb), (bb.clone(), &ba)] {
+            joined.union_with(other);
+            assert_eq!(joined, expected);
+            assert_eq!(hash_of(&joined), hash_of(&expected));
+            assert!(joined.iter().eq(union.iter().copied()));
+        }
+
+        // Mutations on either side of the prefix keep the form canonical.
+        let (mut model, mut bits) = (a.clone(), ba.clone());
+        for _ in 0..16 {
+            let x = rng.random_range(0..=top);
+            if rng.random_bool(0.5) {
+                assert_eq!(bits.insert(x), model.insert(x), "insert {x}");
+            } else {
+                assert_eq!(bits.remove(x), model.remove(&x), "remove {x}");
+            }
+            let collected: BitSet = model.iter().copied().collect();
+            assert_eq!(bits, collected);
+            assert_eq!(hash_of(&bits), hash_of(&collected));
+            assert_eq!(bits.max(), model.last().copied());
+            assert_eq!(Some(bits.prefix_len()), (0..).find(|x| !model.contains(x)));
+        }
+
+        let n = rng.random_range(0..300usize);
+        let prefix: BitSet = (0..n).collect();
+        assert_eq!(BitSet::prefix(n), prefix);
+        assert_eq!(BitSet::prefix(n).prefix_len(), n);
+        assert_eq!(BitSet::with_capacity(n), BitSet::new());
+        assert_eq!(BitSet::default(), BitSet::new());
+        assert_eq!(hash_of(&BitSet::with_capacity(n)), hash_of(&BitSet::new()));
+    });
+}
+
 /// Timestamps are totally ordered and `max_ts` is commutative,
 /// associative, and idempotent with `None` as identity.
 #[test]

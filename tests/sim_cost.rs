@@ -8,10 +8,13 @@
 //! must not allocate per event; what is left is amortised growth. The
 //! trace must hold an entry in at most 16 bytes of heap.
 //!
-//! The one allocation an operation does keep is the replica's seen-set,
-//! copied into the history as the operation's visibility. That copy is the
-//! record the checkers read, not overhead, so it is pinned at exactly one
-//! per operation for both op-based cluster kinds.
+//! What an operation does keep is the replica's seen-set, copied into the
+//! history as the operation's visibility. That copy is the record the
+//! checkers read, not overhead, but it costs its tail words, not its
+//! index: on the fan-out, operation `i` sees exactly `0..i`, a full-word
+//! prefix plus at most one tail word. So the copies are pinned at ≤ 16
+//! bytes per operation for both op-based cluster kinds, where a dense copy
+//! from operation 0 cost ≈ `i / 8` bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,15 +39,23 @@ thread_local! {
     static PHASE: Cell<usize> = const { Cell::new(ENGINE) };
     static ALLOCATIONS: [Cell<u64>; 2] = const { [Cell::new(0), Cell::new(0)] };
     static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static FRESH_BYTES: [Cell<u64>; 2] = const { [Cell::new(0), Cell::new(0)] };
 }
 
 /// The system allocator, counting (per thread) every call that hands out
-/// a block, by phase, and the bytes handed back.
+/// a block, by phase, the bytes of fresh blocks (not regrowth), by phase,
+/// and the bytes handed back.
 struct Counting;
 
 fn count_allocation() {
     let _ = PHASE.try_with(|phase| {
         let _ = ALLOCATIONS.try_with(|a| a[phase.get()].set(a[phase.get()].get() + 1));
+    });
+}
+
+fn count_fresh_bytes(size: usize) {
+    let _ = PHASE.try_with(|phase| {
+        let _ = FRESH_BYTES.try_with(|b| b[phase.get()].set(b[phase.get()].get() + size as u64));
     });
 }
 
@@ -54,12 +65,14 @@ fn count_allocation() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        count_fresh_bytes(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        count_fresh_bytes(layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -90,14 +103,21 @@ fn freed_bytes() -> u64 {
     FREED_BYTES.with(Cell::get)
 }
 
+fn fresh_bytes(phase: usize) -> u64 {
+    FRESH_BYTES.with(|b| b[phase].get())
+}
+
 /// A driver that attributes the allocations of each invocation to
 /// [`INVOKE`] and counts the successful invocations past `warm` by how
-/// many allocations each made: none, one, two, more.
+/// many allocations each made: none, one, two, more; and the bytes of the
+/// fresh blocks they made (regrowth of the history and the delivery pool
+/// reallocates, so what is left is the seen-set copies).
 struct Phased<D> {
     inner: D,
     warm: usize,
     invoked: usize,
     made: [u64; 4],
+    copied_bytes: u64,
 }
 
 impl<D> Phased<D> {
@@ -107,6 +127,7 @@ impl<D> Phased<D> {
             warm,
             invoked: 0,
             made: [0; 4],
+            copied_bytes: 0,
         }
     }
 }
@@ -121,6 +142,7 @@ impl<D: Driver> Driver for Phased<D> {
 
     fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool {
         let before = allocations(INVOKE);
+        let bytes_before = fresh_bytes(INVOKE);
         PHASE.with(|p| p.set(INVOKE));
         let ok = self.inner.invoke(rng, r);
         PHASE.with(|p| p.set(ENGINE));
@@ -129,6 +151,7 @@ impl<D: Driver> Driver for Phased<D> {
             if self.invoked > self.warm {
                 let made = allocations(INVOKE) - before;
                 self.made[made.min(3) as usize] += 1;
+                self.copied_bytes += fresh_bytes(INVOKE) - bytes_before;
             }
         }
         ok
@@ -209,8 +232,9 @@ fn counter_call(rng: &mut Rng) -> CounterCall {
 
 /// Runs `driver` through the fan-out and checks the contract: engine and
 /// receives at most 0.01 allocations per delivered arrival, at most 16
-/// bytes of trace heap per entry, and one allocation — the seen-set copy
-/// — per operation: never none, and only amortised growth beside it.
+/// bytes of trace heap per entry, one allocation — the seen-set copy — for
+/// nine operations in ten, only amortised growth beside it, and at most 16
+/// bytes of seen-set copy per operation.
 fn check_contract<D: Driver>(name: &str, driver: D) {
     let cfg = fanout();
     let mut driver = Phased::new(driver, REPLICAS);
@@ -243,14 +267,19 @@ fn check_contract<D: Driver>(name: &str, driver: D) {
     );
 
     // Growth of the history and the delivery pool lands on a few
-    // invocations; every other one allocates the seen-set copy alone.
+    // invocations; every other one allocates the seen-set copy alone, or
+    // nothing when the copy has no tail word.
     let [none, one, two, more] = driver.made;
     let measured = none + one + two + more;
     assert!(measured * 2 >= run.stats.invokes as u64);
-    assert_eq!(none, 0, "{name}: an operation kept no seen-set copy");
     assert!(
         one * 10 >= measured * 9,
-        "{name}: {one} of {measured} operations allocate once ({two} twice, {more} more)"
+        "{name}: {one} of {measured} operations allocate once ({none} none, {two} twice, {more} more)"
+    );
+    let copied = driver.copied_bytes;
+    assert!(
+        copied <= 16 * measured,
+        "{name}: {copied} bytes of seen-set copies for {measured} operations"
     );
 }
 
