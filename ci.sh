@@ -40,19 +40,24 @@ step cargo test -q --offline
 # (`history_mem`: a seen-set copy costs its tail words, not its index, and
 # the 100k-op monitored churn holds at most 64 MiB live at its end), the lattice
 # core's (a receive costs what the message changes, a stale snapshot scans
-# no clock floor; snapshots, resyncs and checkpoints cost nothing), the
+# no clock floor; snapshots, resyncs and checkpoints cost nothing; a
+# write-after-share copies a pair set as one block, and a snapshot that
+# adds nothing allocates nothing), the
 # op-based holdback's (on `batch_composed`'s cases a receive probes at most
 # twice per held record it releases, a replica missing no same-object
 # operation scans at most one candidate per receive, and 10⁴ reverse-order
 # arrivals release in linear probes) and the list specifications' (a
 # document edit copies the document once; reads, rejected labels and
 # fingerprints copy nothing). `holdback_parity` holds the filed holdback to
-# a copy of the rescanning one it replaced, step by step. The last three
+# a copy of the rescanning one it replaced, step by step. The next three
 # suites are what checks that the full-state transport is a façade over the
 # delta core: delta ≡ full state over the scenario corpus, every in-place
-# join and its changed-flag against a by-value reference, and the façade
+# join and its changed-flag against a by-value reference (and the sorted
+# set the two set lattices store against a `BTreeSet` model), and the façade
 # against a copy of the full-state cluster it replaced.
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity
+# `prop_crdt_convergence` runs every state CRDT through both transports end
+# to end.
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

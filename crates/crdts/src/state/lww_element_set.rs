@@ -3,12 +3,16 @@
 //! The payload keeps every `(element, timestamp)` pair ever added or
 //! removed; an element is visible when some add-stamp beats every
 //! remove-stamp for it. `merge` is plain union, so the lattice laws are
-//! immediate. Conflict resolution is by timestamp, so the set admits
+//! immediate. Each pair set is a [`SortedSet`] ordered by
+//! `(element, timestamp)`: an element's pairs form one run, ascending by
+//! timestamp, so its largest stamp is its run's last pair. The view, the
+//! clock floor and the join are passes over those runs, never a per-pair
+//! lookup. Conflict resolution is by timestamp, so the set admits
 //! **timestamp-order** linearizations w.r.t. `Spec(Set)` (Figure 12); local
 //! effectors are **uniquely identified** by their timestamps (Appendix D.3).
 
 use crate::state::local::{EffectorClass, LocalEffector};
-use crate::state::union_into;
+use crate::state::SortedSet;
 use ral_core::elem::Elem;
 use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
@@ -37,9 +41,9 @@ pub enum LwwSetCall<E> {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LwwSetState<E> {
     /// `(element, timestamp)` pairs recorded by `add`.
-    pub added: BTreeSet<(E, Ts)>,
+    pub added: SortedSet<(E, Ts)>,
     /// `(element, timestamp)` pairs recorded by `remove`.
-    pub removed: BTreeSet<(E, Ts)>,
+    pub removed: SortedSet<(E, Ts)>,
 }
 
 impl<E: Elem> LwwSetState<E> {
@@ -73,20 +77,44 @@ impl<E: Elem> LwwSetState<E> {
     // `self ⊔= other`: plain union of both pair sets. Returns whether `self`
     // grew.
     fn absorb(&mut self, other: &Self) -> bool {
-        let added = union_into(&mut self.added, &other.added);
-        let removed = union_into(&mut self.removed, &other.removed);
+        let added = self.added.union_with(&other.added);
+        let removed = self.removed.union_with(&other.removed);
         added || removed
     }
 
     /// The largest timestamp counter stored anywhere in the payload.
+    ///
+    /// Reads the last pair of each element's run, hopping from run to run,
+    /// so it costs `O(d · log n)` for `d` distinct elements among `n` pairs.
     pub fn max_counter(&self) -> u64 {
-        self.added
-            .iter()
-            .chain(self.removed.iter())
-            .map(|(_, ts)| ts.counter)
-            .max()
-            .unwrap_or(0)
+        self.run_maxima().map(|ts| ts.counter).max().unwrap_or(0)
     }
+
+    /// Each element's largest timestamp in either set: a stored timestamp
+    /// is above `ts` iff one of these is.
+    fn run_maxima(&self) -> impl Iterator<Item = Ts> + '_ {
+        run_maxima(self.added.as_slice()).chain(run_maxima(self.removed.as_slice()))
+    }
+}
+
+/// The largest timestamp of each element's run in an ascending pair slice.
+/// A run is found by galloping from its first pair and then bisecting, so
+/// it costs `O(log r)` for a run of `r` pairs.
+fn run_maxima<E: Eq>(pairs: &[(E, Ts)]) -> impl Iterator<Item = Ts> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let (elem, _) = pairs.get(start)?;
+        // `pairs[..lo]` from `start` on are in the run; `pairs[hi]` is not.
+        let (mut lo, mut step) = (start + 1, 1);
+        while lo + step <= pairs.len() && pairs[lo + step - 1].0 == *elem {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step - 1).min(pairs.len());
+        let end = lo + pairs[lo..hi].partition_point(|(e, _)| e == elem);
+        start = end;
+        Some(pairs[end - 1].1)
+    })
 }
 
 /// Local-effector argument: the tagged pair plus its polarity.
@@ -184,8 +212,8 @@ impl<E: Elem> StateBased for LwwElementSet<E> {
 
     fn initial(&self, _n_replicas: usize) -> LwwSetState<E> {
         LwwSetState {
-            added: BTreeSet::new(),
-            removed: BTreeSet::new(),
+            added: SortedSet::new(),
+            removed: SortedSet::new(),
         }
     }
 
@@ -301,7 +329,7 @@ impl<E: Elem> LocalEffector for LwwElementSet<E> {
     fn p_pred(&self, state: &LwwSetState<E>, arg: &LwwSetArg<E>) -> bool {
         // P1: the argument's timestamp is not below any stored timestamp.
         let ts = arg.ts();
-        !Self::state_timestamps(state).iter().any(|t| ts < *t)
+        !state.run_maxima().any(|t| ts < t)
     }
 }
 
@@ -412,7 +440,7 @@ mod tests {
             panic!("add is a mutation")
         };
         // The delta is exactly the one freshly stamped pair.
-        assert_eq!(delta.added, BTreeSet::from([('c', Ts::new(3, r(0)))]));
+        assert_eq!(delta.added, SortedSet::from_iter([('c', Ts::new(3, r(0)))]));
         assert!(delta.removed.is_empty());
         let next = c.join(&pre, &delta);
         assert_eq!(c.diff(&pre, &next), delta);
@@ -448,22 +476,49 @@ mod tests {
     fn one_pass_view_equals_the_definition_on_random_payloads() {
         use ral_core::rng::run_seeded_cases;
         run_seeded_cases("lww_view_one_pass", 256, |_, rng| {
-            // Few elements, few counters, three replicas: equal counters on
-            // different replicas, stamps shared between the two sets, and
-            // elements present only in `removed` all occur.
-            let mut s = LwwSetState::<u8>::default();
-            for _ in 0..rng.random_range(0..24usize) {
-                let pair = (
-                    rng.random_range(0..5u8),
-                    Ts::new(rng.random_range(1..5u64), r(rng.random_range(0..3u32))),
-                );
-                if rng.random_bool(0.5) {
-                    s.added.insert(pair);
-                } else {
-                    s.removed.insert(pair);
+            let s = random_payload(rng, 24);
+            assert_eq!(s.view(), view_by_definition(&s), "payload {s:?}");
+        });
+    }
+
+    /// A random payload: few elements, few counters, three replicas, so
+    /// equal counters on different replicas, stamps shared between the two
+    /// sets, and elements present only in `removed` all occur.
+    fn random_payload(rng: &mut ral_core::rng::Rng, max_pairs: usize) -> LwwSetState<u8> {
+        let mut s = LwwSetState::<u8>::default();
+        for _ in 0..rng.random_range(0..max_pairs) {
+            let pair = (
+                rng.random_range(0..5u8),
+                Ts::new(rng.random_range(1..5u64), r(rng.random_range(0..3u32))),
+            );
+            if rng.random_bool(0.5) {
+                s.added.insert(pair);
+            } else {
+                s.removed.insert(pair);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn run_hopping_scans_equal_the_definitions_on_random_payloads() {
+        use ral_core::rng::run_seeded_cases;
+        let c = LwwElementSet::<u8>::new();
+        run_seeded_cases("lww_run_hopping", 256, |_, rng| {
+            // Up to 60 pairs over 5 elements: runs long enough to gallop.
+            let s = random_payload(rng, 60);
+            let stamps = LwwElementSet::state_timestamps(&s);
+            let naive_max = stamps.iter().map(|ts| ts.counter).max().unwrap_or(0);
+            assert_eq!(s.max_counter(), naive_max, "payload {s:?}");
+            for counter in 0..6 {
+                for replica in 0..3 {
+                    let ts = Ts::new(counter, r(replica));
+                    let naive = !stamps.iter().any(|t| ts < *t);
+                    for arg in [LwwSetArg::Add(1, ts), LwwSetArg::Remove(4, ts)] {
+                        assert_eq!(c.p_pred(&s, &arg), naive, "{arg:?} at {s:?}");
+                    }
                 }
             }
-            assert_eq!(s.view(), view_by_definition(&s), "payload {s:?}");
         });
     }
 

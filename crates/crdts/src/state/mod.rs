@@ -6,21 +6,20 @@
 //! both transports join into the origin's state in place), plus the
 //! [`local::LocalEffector`] decomposition the Prop1–Prop6 obligations reason
 //! about.
+//!
+//! The two set-union lattices (the LWW-Element-Set's pair sets and the
+//! 2P-Set's element sets) store each set as a [`SortedSet`]: one ascending
+//! `Vec`. Their join walks both operands — or binary-searches the larger
+//! one for each element of a small one — and clones only what the incoming
+//! side adds, so joining a state already held costs comparisons and no
+//! allocation, and copying a shared state copies one block per set. An
+//! insert, fresh or joined, also moves the elements above it.
 
 pub mod local;
 pub mod lww_element_set;
 pub mod mv_register;
 pub mod pn_counter;
+mod sorted_set;
 pub mod two_phase_set;
 
-use std::collections::BTreeSet;
-
-/// `a ∪= b` in place — the join of the two set-union lattices. Only the
-/// elements `a` lacks are cloned and inserted, so a small `b` costs
-/// `O(|b| log |a|)` whatever `a` holds. Returns whether `a` grew.
-fn union_into<T: Ord + Clone>(a: &mut BTreeSet<T>, b: &BTreeSet<T>) -> bool {
-    let fresh: Vec<T> = b.difference(a).cloned().collect();
-    let grew = !fresh.is_empty();
-    a.extend(fresh);
-    grew
-}
+pub use sorted_set::SortedSet;

@@ -5,10 +5,12 @@
 //! (the paper assumes clients guarantee this; the generator enforces it as
 //! a precondition). Local effectors are **idempotent** (Appendix D.5); the
 //! type admits **execution-order** linearizations w.r.t. `Spec(Set)`
-//! (Figure 12).
+//! (Figure 12). `A` and `R` are [`SortedSet`]s: `merge` is their union, a
+//! walk of two sorted runs that clones only what the incoming side adds,
+//! and the view `A \ R` is one more such walk.
 
 use crate::state::local::{EffectorClass, LocalEffector};
-use crate::state::union_into;
+use crate::state::SortedSet;
 use ral_core::elem::Elem;
 use ral_core::ids::ReplicaId;
 use ral_core::ralin::Strategy;
@@ -36,9 +38,9 @@ pub enum TwoPCall<E> {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TwoPState<E> {
     /// Elements ever added.
-    pub added: BTreeSet<E>,
+    pub added: SortedSet<E>,
     /// Elements removed (tombstones).
-    pub removed: BTreeSet<E>,
+    pub removed: SortedSet<E>,
 }
 
 impl<E: Elem> TwoPState<E> {
@@ -50,8 +52,8 @@ impl<E: Elem> TwoPState<E> {
     // `self ⊔= other`: plain union of both sets. Returns whether `self`
     // grew.
     fn absorb(&mut self, other: &Self) -> bool {
-        let added = union_into(&mut self.added, &other.added);
-        let removed = union_into(&mut self.removed, &other.removed);
+        let added = self.added.union_with(&other.added);
+        let removed = self.removed.union_with(&other.removed);
         added || removed
     }
 }
@@ -132,8 +134,8 @@ impl<E: Elem> StateBased for TwoPhaseSet<E> {
 
     fn initial(&self, _n_replicas: usize) -> TwoPState<E> {
         TwoPState {
-            added: BTreeSet::new(),
-            removed: BTreeSet::new(),
+            added: SortedSet::new(),
+            removed: SortedSet::new(),
         }
     }
 
@@ -347,8 +349,8 @@ mod tests {
     fn delta_laws_hold() {
         let c = TwoPhaseSet::<char>::new();
         let pre = TwoPState {
-            added: BTreeSet::from(['a', 'b']),
-            removed: BTreeSet::from(['b']),
+            added: SortedSet::from_iter(['a', 'b']),
+            removed: SortedSet::from_iter(['b']),
         };
         let mut ctx = GenCtx::new(r(0), 0, 0);
         let GenOutcome::Done {
@@ -357,7 +359,7 @@ mod tests {
         else {
             panic!("a fresh add is a mutation")
         };
-        assert_eq!(delta.added, BTreeSet::from(['c']));
+        assert_eq!(delta.added, SortedSet::from_iter(['c']));
         assert!(delta.removed.is_empty());
         // Decomposition and batching.
         let next = c.join(&pre, &delta);
@@ -368,8 +370,8 @@ mod tests {
             s
         });
         let other = TwoPState {
-            added: BTreeSet::from(['z']),
-            removed: BTreeSet::new(),
+            added: SortedSet::from_iter(['z']),
+            removed: SortedSet::new(),
         };
         assert_eq!(
             c.join(&c.join(&other, &delta), &d2),

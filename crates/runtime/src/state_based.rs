@@ -37,8 +37,10 @@ pub trait StateBased {
 
     /// Joins `b` into `a` — afterwards `a` holds the least upper bound of the
     /// two states — and returns whether `a` changed. This is the **required**
-    /// form and the one every snapshot receive runs, so its cost should be
-    /// what `b` adds to `a`, not the size of `a`. The flag is load-bearing,
+    /// form and the one every snapshot receive runs. A snapshot is a whole
+    /// state, so a join may walk both operands, but it should clone and
+    /// allocate only for what `b` adds to `a`: a snapshot that adds
+    /// nothing then costs comparisons and no allocation. The flag is load-bearing,
     /// like [`DeltaCrdt::join_into`]'s: a receive re-reads
     /// [`StateBased::clock_floor`] only when it is set, and debug builds of
     /// [`DeltaCluster`] check it against a before/after comparison. The

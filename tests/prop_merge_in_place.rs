@@ -13,6 +13,10 @@
 //! holds every outstanding snapshot — which *aliases* the sender's state
 //! until the sender next writes — to the value it was taken at.
 //!
+//! The pair and element sets of the two set-union lattices are
+//! [`SortedSet`]s; the last test holds every public method of that type to
+//! a `BTreeSet` model, its join included.
+//!
 //! Runs on the workspace's seeded harness
 //! ([`ral_core::rng::run_seeded_cases`]); a failing case prints its seed.
 
@@ -22,10 +26,12 @@ use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetState};
 use ral_crdts::state::mv_register::{MvRegister, MvState};
 use ral_crdts::state::pn_counter::{PnCounter, PnDelta, PnState};
 use ral_crdts::state::two_phase_set::{TwoPState, TwoPhaseSet};
+use ral_crdts::state::SortedSet;
 use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::state_based::StateCluster;
 use ral_spec::register::vv_lt;
 use ral_verify::workloads;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: u64 = 48;
@@ -199,17 +205,23 @@ fn union<T: Ord + Clone>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> BTreeSet<T> {
     a.union(b).cloned().collect()
 }
 
+/// [`union`] of two sorted sets, computed on their `BTreeSet` copies.
+fn sorted_union<T: Ord + Clone>(a: &SortedSet<T>, b: &SortedSet<T>) -> SortedSet<T> {
+    let model = |s: &SortedSet<T>| s.iter().cloned().collect::<BTreeSet<T>>();
+    union(&model(a), &model(b)).into_iter().collect()
+}
+
 fn lww_union(a: &LwwSetState<u8>, b: &LwwSetState<u8>) -> LwwSetState<u8> {
     LwwSetState {
-        added: union(&a.added, &b.added),
-        removed: union(&a.removed, &b.removed),
+        added: sorted_union(&a.added, &b.added),
+        removed: sorted_union(&a.removed, &b.removed),
     }
 }
 
 fn two_p_union(a: &TwoPState<u16>, b: &TwoPState<u16>) -> TwoPState<u16> {
     TwoPState {
-        added: union(&a.added, &b.added),
-        removed: union(&a.removed, &b.removed),
+        added: sorted_union(&a.added, &b.added),
+        removed: sorted_union(&a.removed, &b.removed),
     }
 }
 
@@ -337,4 +349,163 @@ fn pn_counter_in_place_is_pointwise_max() {
         },
         || |rng: &mut Rng, _: &PnState| Some(workloads::pn_counter(rng)),
     );
+}
+
+// ---------------------------------------------------------------------------
+// The sorted set against its `BTreeSet` model.
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    static CLONES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A set element that counts how often it is cloned (per test thread).
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Counted(u16);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.with(|c| c.set(c.get() + 1));
+        Counted(self.0)
+    }
+}
+
+/// Element clones made while `f` runs.
+fn clones_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CLONES.with(Cell::get);
+    let out = f();
+    (CLONES.with(Cell::get) - before, out)
+}
+
+/// A model set of about `len` draws below `domain`.
+fn draw(rng: &mut Rng, len: usize, domain: u16) -> BTreeSet<u16> {
+    (0..len).map(|_| rng.random_range(0..domain)).collect()
+}
+
+fn sorted(model: &BTreeSet<u16>) -> SortedSet<Counted> {
+    model.iter().map(|&x| Counted(x)).collect()
+}
+
+fn model(set: &SortedSet<Counted>) -> BTreeSet<u16> {
+    set.iter().map(|x| x.0).collect()
+}
+
+/// Every public method of `set` against `want`, the model it stands for.
+fn check_reads(set: &SortedSet<Counted>, want: &BTreeSet<u16>, domain: u16) {
+    let elems: Vec<u16> = want.iter().copied().collect();
+    assert_eq!(set.len(), want.len());
+    assert_eq!(set.is_empty(), want.is_empty());
+    assert!(set.iter().map(|x| x.0).eq(elems.iter().copied()));
+    assert!(set.into_iter().map(|x| x.0).eq(elems.iter().copied()));
+    let btree: BTreeSet<Counted> = want.iter().map(|&x| Counted(x)).collect();
+    assert_eq!(format!("{set:?}"), format!("{btree:?}"));
+    assert_eq!(format!("{set:#?}"), format!("{btree:#?}"));
+    for x in 0..=domain {
+        assert_eq!(set.contains(&Counted(x)), want.contains(&x), "contains {x}");
+    }
+}
+
+#[test]
+fn sorted_set_matches_its_btreeset_model() {
+    // The join finds what `b` adds by a binary search per element when
+    // `|b| · log₂|a| < |a|` and by a lockstep walk otherwise; it merges the
+    // additions by rotations when `k² ≤ |a|` for `k` of them and by a sort
+    // otherwise. Both choices must be taken, on both sides, many times.
+    const SET_CASES: u64 = 512;
+    let (mut search, mut walk, mut rotate, mut sort, mut ran) = (0, 0, 0, 0, 0);
+    run_seeded_cases("sorted_set_model", SET_CASES, |_, rng| {
+        ran += 1;
+        let domain = rng.random_range(1..600u16);
+        let n = rng.random_range(0..300usize);
+        let ma = draw(rng, n, domain);
+        let mb = match rng.random_range(0..4u8) {
+            // Small against `a`, or as large.
+            0 => {
+                let m = rng.random_range(0..6);
+                draw(rng, m, domain)
+            }
+            1 => {
+                let m = rng.random_range(0..300);
+                draw(rng, m, domain)
+            }
+            // Below `a`, or `a` plus a few.
+            2 => ma
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.7))
+                .collect(),
+            _ => {
+                let m = rng.random_range(0..8);
+                let extra = draw(rng, m, domain);
+                ma.union(&extra).copied().collect()
+            }
+        };
+        let (a, b) = (sorted(&ma), sorted(&mb));
+        check_reads(&a, &ma, domain);
+        check_reads(&b, &mb, domain);
+        assert_eq!(SortedSet::<Counted>::new(), SortedSet::default());
+        assert!(SortedSet::<Counted>::new().is_empty());
+
+        // Reads across two sets.
+        assert_eq!(a.is_subset(&b), ma.is_subset(&mb), "{ma:?} ⊆ {mb:?}");
+        assert_eq!(b.is_subset(&a), mb.is_subset(&ma), "{mb:?} ⊆ {ma:?}");
+        assert!(a
+            .difference(&b)
+            .map(|x| x.0)
+            .eq(ma.difference(&mb).copied()));
+        assert!(b
+            .difference(&a)
+            .map(|x| x.0)
+            .eq(mb.difference(&ma).copied()));
+        assert_eq!(a == b, ma == mb);
+
+        // Collecting sorts and drops duplicates, whatever the input order.
+        let mut shuffled: Vec<u16> = ma.iter().chain(&mb).copied().collect();
+        rng.shuffle(&mut shuffled);
+        let collected: SortedSet<Counted> = shuffled.iter().map(|&x| Counted(x)).collect();
+        assert_eq!(model(&collected), ma.union(&mb).copied().collect());
+
+        // The join: the model's union, its changed-flag, and one clone per
+        // element `b` adds.
+        let adds = mb.difference(&ma).count();
+        let log_a = (usize::BITS - ma.len().leading_zeros()) as usize;
+        if mb.len() * log_a < ma.len() {
+            search += 1;
+        } else {
+            walk += 1;
+        }
+        if adds > 0 && adds * adds <= ma.len() {
+            rotate += 1;
+        } else if adds > 0 {
+            sort += 1;
+        }
+        let mut joined = a.clone();
+        let (clones, grew) = clones_during(|| joined.union_with(&b));
+        let want: BTreeSet<u16> = ma.union(&mb).copied().collect();
+        check_reads(&joined, &want, domain);
+        assert_eq!(joined, sorted(&want));
+        assert_eq!(grew, adds > 0, "changed-flag of {ma:?} ∪= {mb:?}");
+        assert_eq!(clones, adds as u64, "clones of {ma:?} ∪= {mb:?}");
+
+        // Insert, one element at a time.
+        let mut inserted = a.clone();
+        let mut grown = ma.clone();
+        for _ in 0..4 {
+            let x = rng.random_range(0..domain);
+            assert_eq!(inserted.insert(Counted(x)), grown.insert(x), "insert {x}");
+            check_reads(&inserted, &grown, domain);
+        }
+    });
+    for (count, what) in [
+        (search, "search"),
+        (walk, "walk"),
+        (rotate, "rotate"),
+        (sort, "sort"),
+    ] {
+        // (A `RAL_PROP_SEED` / `RAL_PROP_CASES` replay runs fewer cases.)
+        assert!(
+            ran < SET_CASES || count >= 32,
+            "the {what} path ran {count} times"
+        );
+    }
 }

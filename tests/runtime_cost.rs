@@ -6,7 +6,10 @@
 //!
 //! The element type counts its own clones, so most numbers below are counts
 //! of element copies, not times; one test counts `clock_floor` scans
-//! instead. Debug builds of [`DeltaCluster`] additionally copy the state
+//! instead, and three count heap allocations (this binary installs a
+//! per-thread counting `#[global_allocator]`): a shared state is copied in
+//! one block per pair set, and a join that adds nothing allocates nothing.
+//! Debug builds of [`DeltaCluster`] additionally copy the state
 //! once per receive to check the flag `join_into` / `merge_into` returns,
 //! and read the clock floor once per state write to check the Lamport
 //! clock against it (`debug_assert`s, see `ral_runtime::delta`); the tests
@@ -19,6 +22,7 @@
 
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::rng::Rng;
+use ral_core::timestamp::Ts;
 use ral_crdts::op::counter::{CounterCall, OpCounter};
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall, LwwSetState};
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
@@ -33,12 +37,63 @@ use ral_sim::scenario;
 use ral_sim::sim::{self, SimConfig};
 use ral_sim::time::SimTime;
 use ral_verify::workloads;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
 thread_local! {
     static CLONES: Cell<u64> = const { Cell::new(0) };
     static FLOOR_SCANS: Cell<u64> = const { Cell::new(0) };
+    // Per thread, so the tests of this binary, run in parallel, do not
+    // count each other's blocks.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting (per thread) the blocks it hands out or
+/// resizes.
+struct Counting;
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the accounting touches only
+// a thread-local counter and never the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: as in `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (fresh blocks and resizes) made while `f` runs.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 /// A set element that counts how often it is cloned (per test thread).
@@ -96,10 +151,8 @@ fn a_one_pair_delta_costs_one_clone_and_its_duplicate_none() {
     let lww = Lww::new();
     let big = big_delta_cluster().state(r(1)).clone();
     let mut one = lww.initial(2);
-    one.added.insert((
-        Counted(999),
-        ral_core::timestamp::Ts::new(1_000, ReplicaId(0)),
-    ));
+    one.added
+        .insert((Counted(999), Ts::new(1_000, ReplicaId(0))));
     let mut state = big.clone();
     let (clones, changed) = clones_during(|| lww.join_into(&mut state, &one));
     assert_eq!((clones, changed), (1, true));
@@ -243,6 +296,50 @@ fn a_resync_shares_the_state_it_ships() {
         c.message_bytes(m, r(1)),
         24 + 8 + Lww::new().state_bytes(c.state(r(0)))
     );
+}
+
+#[test]
+fn a_write_after_share_copies_each_pair_set_in_one_block() {
+    let big = big_delta_cluster().state(r(1)).clone();
+    let (allocs, copy) = allocs_during(|| big.clone());
+    assert!(allocs <= 2, "{allocs} allocations to copy 256 pairs");
+    assert_eq!(copy, big);
+}
+
+#[test]
+fn a_snapshot_that_adds_nothing_allocates_nothing() {
+    let lww = Lww::new();
+    let big = big_delta_cluster().state(r(1)).clone();
+    let mut lower = big.clone();
+    lower.added = big.added.iter().take(100).cloned().collect();
+    let mut state = big.clone();
+    for (b, what) in [(&big, "an equal"), (&lower, "a lower")] {
+        let (allocs, changed) = allocs_during(|| lww.merge_into(&mut state, b));
+        assert!(!changed);
+        assert_eq!(allocs, 0, "merging {what} state allocated");
+    }
+}
+
+#[test]
+fn a_batch_of_fresh_pairs_joins_with_at_most_two_allocations() {
+    let lww = Lww::new();
+    let big = big_delta_cluster().state(r(1)).clone();
+    for k in [1u16, 8, 64, 256] {
+        // Stamps above every stored one, spread over the state's elements
+        // (and past them for k = 256): each pair lands at the end of its
+        // element's run, not after the whole set.
+        let mut batch = lww.initial(2);
+        for x in 0..k {
+            let ts = Ts::new(1_000 + u64::from(x), ReplicaId(0));
+            batch.added.insert((Counted(x * 128 / k.min(128)), ts));
+        }
+        let fresh = batch.added.len();
+        let mut state = big.clone();
+        let (allocs, changed) = allocs_during(|| lww.join_into(&mut state, &batch));
+        assert!(changed);
+        assert_eq!(state.added.len(), big.added.len() + fresh);
+        assert!(allocs <= 2, "{allocs} allocations to join {fresh} pairs");
+    }
 }
 
 /// [`Lww`] with its `clock_floor` scans counted (per test thread).
