@@ -45,8 +45,11 @@ step cargo test -q --offline
 # adds nothing allocates nothing), the
 # op-based holdback's (on `batch_composed`'s cases a receive probes at most
 # twice per held record it releases, a replica missing no same-object
-# operation scans at most one candidate per receive, and 10⁴ reverse-order
-# arrivals release in linear probes) and the list specifications' (a
+# operation scans at most one candidate per receive, 10⁴ reverse-order
+# arrivals release in linear probes, an admit that wakes nothing allocates
+# nothing, and filing then waking 10⁴ arrivals allocates at most 64 blocks;
+# the engine asks a message's origin once, when it routes it, never per
+# arrival) and the list specifications' (a
 # document edit copies the document once; reads, rejected labels and
 # fingerprints copy nothing). `holdback_parity` holds the filed holdback to
 # a copy of the rescanning one it replaced, step by step. The next three
@@ -57,6 +60,8 @@ step cargo test -q --offline
 # against a copy of the full-state cluster it replaced.
 # `prop_crdt_convergence` runs every state CRDT through both transports end
 # to end.
+# The holdback index's unit tests (file, dedup, wake, clear) by name.
+step cargo test -q --offline -p ral-runtime mailbox::
 step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the

@@ -65,7 +65,10 @@ pub trait Driver {
     /// ones appear only during [`Driver::invoke`] / [`Driver::gossip`].
     fn n_messages(&self) -> usize;
 
-    /// Origin replica of message `m`.
+    /// Origin replica of message `m`. The engine asks once per message,
+    /// when it routes `m` right after the [`Driver::invoke`] /
+    /// [`Driver::gossip`] that created it, and keeps the answer for every
+    /// arrival of `m`.
     fn origin(&self, m: usize) -> ReplicaId;
 
     /// Hands message `m` to replica `r`.

@@ -168,9 +168,11 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
     let mut queue = EventQueue::new(cfg.network.max_delay().max(cfg.network.retry));
     let mut trace = Trace::new();
     let mut stats = SimStats::default();
-    let mut routed = 0usize; // messages already put on links
-                             // Queued arrivals per message, kept for loss-tolerant transports only:
-                             // when a count reaches zero the driver may release the payload.
+    // Every message put on links so far, by its origin: an arrival reads
+    // its sender here, asked of the driver once per message when routed.
+    let mut origins: Vec<ReplicaId> = Vec::new();
+    // Queued arrivals per message, kept for loss-tolerant transports only:
+    // when a count reaches zero the driver may release the payload.
     let mut in_flight: Vec<u32> = Vec::new();
     let mut now = SimTime::ZERO;
 
@@ -226,7 +228,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     &mut trace,
                     &mut stats,
                     now,
-                    &mut routed,
+                    &mut origins,
                     &mut in_flight,
                 );
                 queue.push(
@@ -249,7 +251,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     &mut trace,
                     &mut stats,
                     now,
-                    &mut routed,
+                    &mut origins,
                     &mut in_flight,
                 );
                 queue.push(
@@ -259,7 +261,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
             }
             Event::Arrive { to, msg } => {
                 let _span = obs::span("sim.event.arrive");
-                let from = driver.origin(msg);
+                let from = origins[msg];
                 let link = obs::link_key(from.0, to.0);
                 let blocked = cfg.faults.cut(now, from, to) || !driver.is_up(to);
                 if blocked {
@@ -355,10 +357,11 @@ fn arrival_spent<D: Driver>(driver: &mut D, in_flight: &mut [u32], msg: usize) {
 // Routes every message the driver created since the last call: one
 // transmission per destination, with latency sampled per link and faults
 // applied on loss-tolerant transports. Destination order is replica order,
-// so RNG consumption is deterministic. On loss-tolerant transports the
-// queued arrivals are counted per message in `in_flight` (reliable runs
-// never touch it), and a message whose every transmission was lost at once
-// is released on the spot.
+// so RNG consumption is deterministic. Each message's origin is asked of
+// the driver once, here, and kept in `origins` (slot `msg`) for its
+// arrivals. On loss-tolerant transports the queued arrivals are counted per
+// message in `in_flight` (reliable runs never touch it), and a message
+// whose every transmission was lost at once is released on the spot.
 #[allow(clippy::too_many_arguments)]
 fn route_new<D: Driver>(
     driver: &mut D,
@@ -368,14 +371,14 @@ fn route_new<D: Driver>(
     trace: &mut Trace,
     stats: &mut SimStats,
     now: SimTime,
-    routed: &mut usize,
+    origins: &mut Vec<ReplicaId>,
     in_flight: &mut Vec<u32>,
 ) {
-    while *routed < driver.n_messages() {
-        let msg = *routed;
-        *routed += 1;
-        let mut queued = 0;
+    while origins.len() < driver.n_messages() {
+        let msg = origins.len();
         let from = driver.origin(msg);
+        origins.push(from); // message ids are dense: this is slot `msg`
+        let mut queued = 0;
         for to in 0..cfg.n_replicas {
             let to = ReplicaId(to as u32);
             if to == from {
@@ -590,6 +593,13 @@ mod tests {
             .count();
         assert_eq!(crashes, 1);
         assert!(driver.converged());
+    }
+
+    #[test]
+    fn an_event_fits_in_sixteen_bytes() {
+        // The calendar queue stores one per scheduled transmission; the
+        // arrival's origin lives in the engine's per-message table.
+        assert!(std::mem::size_of::<Event>() <= 16);
     }
 
     #[test]

@@ -616,3 +616,73 @@ fn ten_thousand_reverse_order_receives_are_linear_in_probes() {
     );
     assert!(multi.converged());
 }
+
+/// 64 arrivals wait at replica 1 on operations that never reach it, one
+/// per object: each was invoked at replica 2 and seen by replica 0, whose
+/// next operation on that object reached replica 1 first. The holdback
+/// is never empty, so every admit asks it what the operation wakes; 10⁴
+/// in-order receives of another object's operations then allocate
+/// nothing: an operation nothing waits on costs one probe of the index.
+#[test]
+fn an_admit_that_wakes_nothing_allocates_nothing() {
+    // Receives emit holdback counters: keep them out of another test's
+    // recording.
+    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    const N: usize = 10_000;
+    const WARM: usize = 128;
+    const BLOCKED: u32 = 64;
+    let mut c = MultiCluster::new(OpCounter, 1 + BLOCKED as usize, 3, TsMode::Shared);
+    for _ in 0..WARM + N {
+        c.invoke(r(0), ObjId(0), CounterCall::Inc).unwrap();
+    }
+    for o in 1..=BLOCKED {
+        let missed = c.n_deliveries();
+        c.invoke(r(2), ObjId(o), CounterCall::Inc).unwrap();
+        c.deliver(r(0), missed);
+        c.invoke(r(0), ObjId(o), CounterCall::Inc).unwrap();
+        assert_eq!(c.receive(r(1), missed + 1), Received::Held);
+    }
+    assert_eq!(c.held(r(1)), BLOCKED as usize);
+    for d in 0..WARM {
+        assert_eq!(c.receive(r(1), d), Received::Applied(1));
+    }
+    let (allocs, applied) = allocs_during(|| {
+        (WARM..WARM + N)
+            .filter(|&d| c.receive(r(1), d) == Received::Applied(1))
+            .count()
+    });
+    assert_eq!(applied, N);
+    assert_eq!(c.held(r(1)), BLOCKED as usize, "nothing woke");
+    assert_eq!(allocs, 0, "{N} admits that wake nothing allocated");
+}
+
+/// 10⁴ arrivals, each filed under its own object's first operation, then
+/// woken one by one as those operations arrive: the index grows by
+/// doubling and hands its storage back when the last waiter wakes, so the
+/// whole exchange allocates a few dozen blocks, not one per arrival.
+#[test]
+fn filing_and_waking_ten_thousand_arrivals_allocates_a_few_dozen_blocks() {
+    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    const N: usize = 10_000;
+    let mut c = MultiCluster::new(OpCounter, N, 2, TsMode::Shared);
+    for _ in 0..2 {
+        for o in 0..N {
+            c.invoke(r(0), ObjId(o as u32), CounterCall::Inc).unwrap();
+        }
+    }
+    let (allocs, ()) = allocs_during(|| {
+        for d in N..2 * N {
+            assert_eq!(c.receive(r(1), d), Received::Held);
+        }
+        assert_eq!(c.held(r(1)), N);
+        for d in 0..N {
+            assert_eq!(c.receive(r(1), d), Received::Applied(2));
+        }
+    });
+    assert_eq!(c.held(r(1)), 0);
+    assert!(c.converged());
+    assert!(
+        allocs <= 64,
+        "{allocs} allocations to file and wake {N} arrivals"
+    );
+}

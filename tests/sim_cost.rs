@@ -111,13 +111,15 @@ fn fresh_bytes(phase: usize) -> u64 {
 /// [`INVOKE`] and counts the successful invocations past `warm` by how
 /// many allocations each made: none, one, two, more; and the bytes of the
 /// fresh blocks they made (regrowth of the history and the delivery pool
-/// reallocates, so what is left is the seen-set copies).
+/// reallocates, so what is left is the seen-set copies). It also counts
+/// the engine's [`Driver::origin`] calls.
 struct Phased<D> {
     inner: D,
     warm: usize,
     invoked: usize,
     made: [u64; 4],
     copied_bytes: u64,
+    origin_calls: Cell<usize>,
 }
 
 impl<D> Phased<D> {
@@ -128,6 +130,7 @@ impl<D> Phased<D> {
             invoked: 0,
             made: [0; 4],
             copied_bytes: 0,
+            origin_calls: Cell::new(0),
         }
     }
 }
@@ -166,6 +169,7 @@ impl<D: Driver> Driver for Phased<D> {
     }
 
     fn origin(&self, m: usize) -> ReplicaId {
+        self.origin_calls.set(self.origin_calls.get() + 1);
         self.inner.origin(m)
     }
 
@@ -231,10 +235,11 @@ fn counter_call(rng: &mut Rng) -> CounterCall {
 }
 
 /// Runs `driver` through the fan-out and checks the contract: engine and
-/// receives at most 0.01 allocations per delivered arrival, at most 16
-/// bytes of trace heap per entry, one allocation — the seen-set copy — for
-/// nine operations in ten, only amortised growth beside it, and at most 16
-/// bytes of seen-set copy per operation.
+/// receives at most 0.01 allocations per delivered arrival, one
+/// [`Driver::origin`] call per routed message (none per arrival), at most
+/// 16 bytes of trace heap per entry, one allocation — the seen-set copy —
+/// for nine operations in ten, only amortised growth beside it, and at
+/// most 16 bytes of seen-set copy per operation.
 fn check_contract<D: Driver>(name: &str, driver: D) {
     let cfg = fanout();
     let mut driver = Phased::new(driver, REPLICAS);
@@ -255,6 +260,11 @@ fn check_contract<D: Driver>(name: &str, driver: D) {
     assert!(
         engine * 100 <= delivered,
         "{name}: {engine} engine and receive allocations for {delivered} delivered arrivals"
+    );
+    assert_eq!(
+        driver.origin_calls.get(),
+        driver.n_messages(),
+        "{name}: the engine asks a message's origin once, when it routes it"
     );
 
     let entries = run.trace.len() as u64;
