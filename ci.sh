@@ -50,9 +50,13 @@ step cargo test -q --offline
 # nothing, and filing then waking 10⁴ arrivals allocates at most 64 blocks;
 # the engine asks a message's origin once, when it routes it, never per
 # arrival) and the list specifications' (a
-# document edit copies the document once; reads, rejected labels and
-# fingerprints copy nothing). `holdback_parity` holds the filed holdback to
-# a copy of the rescanning one it replaced, step by step. The next three
+# document edit copies the document once and, stepped into a warm buffer,
+# allocates only the new document; reads, rejected labels and fingerprints
+# copy nothing, and a read allocates nothing). `spec_queries` holds every
+# shipped specification to the query contract the checkers rely on: a
+# query answers `Unchanged` or `Refused` and writes nothing.
+# `holdback_parity` holds the filed holdback to a copy of the rescanning
+# one it replaced, step by step. The next three
 # suites are what checks that the full-state transport is a façade over the
 # delta core: delta ≡ full state over the scenario corpus, every in-place
 # join and its changed-flag against a by-value reference (and the sorted
@@ -62,7 +66,17 @@ step cargo test -q --offline
 # to end.
 # The holdback index's unit tests (file, dedup, wake, clear) by name.
 step cargo test -q --offline -p ral-runtime mailbox::
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence
+# The checkers' cost contracts, in deterministic counts. The memoized walk:
+# a history that linearizes costs at most one expansion per operation, a
+# refutation expands each reachable configuration once, and a witness
+# search allocates at most two blocks per operation — its buffers (one
+# frontier per update depth, one per query, one undo arena) are reused by
+# every placement, and nothing is hashed or stored before a configuration
+# fails. The streaming monitor: once warm, a sequential stream allocates at
+# most once per hundred operations (children are filled into retired
+# configurations' buffers, and a query clones no state).
+step cargo test -q --offline --test search_cost --test search_alloc --test monitor_alloc
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

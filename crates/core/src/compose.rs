@@ -19,7 +19,7 @@ use crate::history::History;
 use crate::ids::ObjId;
 use crate::label::{Kind, Rewrite, Rewritten, SpecLabel};
 use crate::ralin::{Linearization, Strategy, Violation};
-use crate::spec::Spec;
+use crate::spec::{Spec, Step};
 use crate::timestamp::Ts;
 use std::fmt::Debug;
 
@@ -81,20 +81,23 @@ impl<S: Spec> Spec for MultiObjSpec<S> {
         (0..self.objects).map(|_| self.spec.initial()).collect()
     }
 
-    fn step(&self, state: &Self::State, label: &Self::Label) -> Vec<Self::State> {
+    fn step(&self, state: &Self::State, label: &Self::Label, out: &mut Vec<Self::State>) -> Step {
         let o = label.obj.0 as usize;
-        if o >= state.len() {
-            return Vec::new();
-        }
-        self.spec
-            .step(&state[o], &label.label)
-            .into_iter()
-            .map(|succ| {
-                let mut next = state.clone();
-                next[o] = succ;
-                next
-            })
-            .collect()
+        let Some(component) = state.get(o) else {
+            return Step::Refused;
+        };
+        // A query answers without writing, so the component buffer stays
+        // unallocated unless an update produces successors.
+        let mut succs = Vec::new();
+        let answer = self.spec.step(component, &label.label, &mut succs);
+        out.extend(succs.into_iter().map(|succ| {
+            let mut next = Vec::with_capacity(state.len());
+            next.extend_from_slice(&state[..o]);
+            next.push(succ);
+            next.extend_from_slice(&state[o + 1..]);
+            next
+        }));
+        answer
     }
 
     fn state_fingerprint(&self, state: &Self::State) -> u64 {
@@ -183,20 +186,22 @@ impl<S1: Spec, S2: Spec> Spec for PairSpec<S1, S2> {
         (self.first.initial(), self.second.initial())
     }
 
-    fn step(&self, state: &Self::State, label: &Self::Label) -> Vec<Self::State> {
+    fn step(&self, state: &Self::State, label: &Self::Label, out: &mut Vec<Self::State>) -> Step {
+        // As in `MultiObjSpec::step`: the component buffers are written to
+        // only by updates.
         match label {
-            EitherLabel::First(l) => self
-                .first
-                .step(&state.0, l)
-                .into_iter()
-                .map(|s| (s, state.1.clone()))
-                .collect(),
-            EitherLabel::Second(l) => self
-                .second
-                .step(&state.1, l)
-                .into_iter()
-                .map(|s| (state.0.clone(), s))
-                .collect(),
+            EitherLabel::First(l) => {
+                let mut succs = Vec::new();
+                let answer = self.first.step(&state.0, l, &mut succs);
+                out.extend(succs.into_iter().map(|s| (s, state.1.clone())));
+                answer
+            }
+            EitherLabel::Second(l) => {
+                let mut succs = Vec::new();
+                let answer = self.second.step(&state.1, l, &mut succs);
+                out.extend(succs.into_iter().map(|s| (state.0.clone(), s)));
+                answer
+            }
         }
     }
 
@@ -469,11 +474,10 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Inc => vec![s + 1],
-                L::Read(k) if k == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Inc => Step::write(out, s + 1),
+                L::Read(k) => Step::unchanged_if(k == s),
             }
         }
     }
@@ -483,24 +487,23 @@ mod tests {
         let spec = MultiObjSpec::new(Ctr, 2);
         let st = spec.initial();
         assert_eq!(st, vec![0, 0]);
-        let st = spec
-            .step(&st, &ObjLabel::new(ObjId(1), L::Inc))
-            .pop()
-            .unwrap();
+        let mut out = Vec::new();
+        let inc = ObjLabel::new(ObjId(1), L::Inc);
+        assert_eq!(spec.step(&st, &inc, &mut out), Step::Wrote);
+        let st = out.pop().unwrap();
         assert_eq!(st, vec![0, 1]);
-        assert!(!spec
-            .step(&st, &ObjLabel::new(ObjId(1), L::Read(1)))
-            .is_empty());
-        assert!(spec
-            .step(&st, &ObjLabel::new(ObjId(0), L::Read(1)))
-            .is_empty());
+        let read = |o, k| ObjLabel::new(ObjId(o), L::Read(k));
+        assert_eq!(spec.step(&st, &read(1, 1), &mut out), Step::Unchanged);
+        assert_eq!(spec.step(&st, &read(0, 1), &mut out), Step::Refused);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn multi_obj_rejects_out_of_range() {
         let spec = MultiObjSpec::new(Ctr, 1);
         let st = spec.initial();
-        assert!(spec.step(&st, &ObjLabel::new(ObjId(5), L::Inc)).is_empty());
+        let label = ObjLabel::new(ObjId(5), L::Inc);
+        assert_eq!(spec.step(&st, &label, &mut Vec::new()), Step::Refused);
     }
 
     #[test]
@@ -532,14 +535,17 @@ mod tests {
     fn pair_spec_dispatches() {
         let spec = PairSpec::new(Ctr, Ctr);
         let st = spec.initial();
-        let st = spec.step(&st, &EitherLabel::First(L::Inc)).pop().unwrap();
+        let mut out = Vec::new();
+        assert_eq!(
+            spec.step(&st, &EitherLabel::First(L::Inc), &mut out),
+            Step::Wrote
+        );
+        let st = out.pop().unwrap();
         assert_eq!(st, (1, 0));
-        assert!(!spec
-            .step(&st, &EitherLabel::<L, L>::Second(L::Read(0)))
-            .is_empty());
-        assert!(spec
-            .step(&st, &EitherLabel::<L, L>::Second(L::Read(1)))
-            .is_empty());
+        let read = |k| EitherLabel::<L, L>::Second(L::Read(k));
+        assert_eq!(spec.step(&st, &read(0), &mut out), Step::Unchanged);
+        assert_eq!(spec.step(&st, &read(1), &mut out), Step::Refused);
+        assert!(out.is_empty());
     }
 
     #[test]

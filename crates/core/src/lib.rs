@@ -40,7 +40,7 @@
 //! use ral_core::ids::ReplicaId;
 //! use ral_core::ralin::{check_guided, Strategy};
 //! use ral_core::label::{Kind, SpecLabel};
-//! use ral_core::spec::Spec;
+//! use ral_core::spec::{Spec, Step};
 //!
 //! #[derive(Clone, Debug, PartialEq)]
 //! enum Ctr { Inc, Read(i64) }
@@ -54,11 +54,10 @@
 //!     type Label = Ctr;
 //!     type State = i64;
 //!     fn initial(&self) -> i64 { 0 }
-//!     fn step(&self, s: &i64, l: &Ctr) -> Vec<i64> {
+//!     fn step(&self, s: &i64, l: &Ctr, out: &mut Vec<i64>) -> Step {
 //!         match l {
-//!             Ctr::Inc => vec![s + 1],
-//!             Ctr::Read(k) if k == s => vec![*s],
-//!             Ctr::Read(_) => vec![],
+//!             Ctr::Inc => Step::write(out, s + 1),
+//!             Ctr::Read(k) => Step::unchanged_if(k == s),
 //!         }
 //!     }
 //! }

@@ -12,7 +12,7 @@
 
 use crate::history::History;
 use crate::ralin::{Linearization, SearchOutcome};
-use crate::spec::{Frontier, Spec};
+use crate::spec::{FrontierStack, Spec};
 
 /// Searches for a standard linearization: a total order of all operations,
 /// consistent with visibility, admitted as a whole by `spec`.
@@ -29,14 +29,17 @@ pub fn linearizable_with_budget<S: Spec>(
 ) -> SearchOutcome {
     struct St<'a, S: Spec> {
         h: &'a History<S::Label>,
+        spec: &'a S,
         missing: Vec<usize>,
         placed: Vec<bool>,
         order: Vec<usize>,
+        /// The frontier after each placed operation.
+        fstack: FrontierStack<S::State>,
         budget: u64,
         exhausted: bool,
     }
     impl<S: Spec> St<'_, S> {
-        fn dfs(&mut self, depth: usize, frontier: &Frontier<'_, S>) -> Option<Vec<usize>> {
+        fn dfs(&mut self, depth: usize) -> Option<Vec<usize>> {
             // Completion is checked before the budget (and costs nothing):
             // a search holding a complete order must report it.
             if depth == self.h.len() {
@@ -51,8 +54,7 @@ pub fn linearizable_with_budget<S: Spec>(
                 if self.placed[x] || self.missing[x] != 0 {
                     continue;
                 }
-                let mut f = frontier.clone();
-                if f.advance(self.h.label(x)) {
+                if self.fstack.push_advanced(self.spec, self.h.label(x)) {
                     self.placed[x] = true;
                     self.order.push(x);
                     for succ in 0..self.h.len() {
@@ -60,12 +62,13 @@ pub fn linearizable_with_budget<S: Spec>(
                             self.missing[succ] -= 1;
                         }
                     }
-                    let res = self.dfs(depth + 1, &f);
+                    let res = self.dfs(depth + 1);
                     for succ in 0..self.h.len() {
                         if self.h.sees(succ, x) {
                             self.missing[succ] += 1;
                         }
                     }
+                    self.fstack.pop();
                     self.order.pop();
                     self.placed[x] = false;
                     if res.is_some() {
@@ -81,14 +84,15 @@ pub fn linearizable_with_budget<S: Spec>(
     }
     let mut s = St {
         h,
+        spec,
         missing: (0..h.len()).map(|i| h.preds(i).len()).collect(),
         placed: vec![false; h.len()],
         order: Vec::with_capacity(h.len()),
+        fstack: FrontierStack::new(spec.initial()),
         budget,
         exhausted: false,
     };
-    let frontier = Frontier::new(spec);
-    match s.dfs(0, &frontier) {
+    match s.dfs(0) {
         Some(order) => SearchOutcome::Linearizable(Linearization { order }),
         None if s.exhausted => SearchOutcome::BudgetExhausted,
         None => SearchOutcome::NotLinearizable,
@@ -101,6 +105,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::ids::ReplicaId;
     use crate::label::{Kind, SpecLabel};
+    use crate::spec::Step;
 
     struct SetSpec;
 
@@ -127,7 +132,7 @@ mod tests {
         fn initial(&self) -> Vec<u32> {
             Vec::new()
         }
-        fn step(&self, s: &Vec<u32>, l: &L) -> Vec<Vec<u32>> {
+        fn step(&self, s: &Vec<u32>, l: &L, out: &mut Vec<Vec<u32>>) -> Step {
             match l {
                 L::Add(x) => {
                     let mut t = s.clone();
@@ -135,17 +140,13 @@ mod tests {
                         t.push(*x);
                         t.sort_unstable();
                     }
-                    vec![t]
+                    Step::write(out, t)
                 }
-                L::Rem(x) => vec![s.iter().copied().filter(|y| y != x).collect()],
+                L::Rem(x) => Step::write(out, s.iter().copied().filter(|y| y != x).collect()),
                 L::Read(v) => {
                     let mut sorted = v.clone();
                     sorted.sort_unstable();
-                    if sorted == *s {
-                        vec![s.clone()]
-                    } else {
-                        vec![]
-                    }
+                    Step::unchanged_if(sorted == *s)
                 }
             }
         }

@@ -24,7 +24,7 @@ use super::check::query_justified;
 use super::{Linearization, SearchOutcome};
 use crate::history::History;
 use crate::label::SpecLabel;
-use crate::spec::{Frontier, Spec};
+use crate::spec::{FrontierStack, Spec};
 
 struct Search<'a, S: Spec> {
     h: &'a History<S::Label>,
@@ -34,12 +34,14 @@ struct Search<'a, S: Spec> {
     placed: Vec<bool>,
     pos: Vec<usize>,
     order: Vec<usize>,
+    /// The update projection's frontier after each placed update.
+    fstack: FrontierStack<S::State>,
     budget: u64,
     exhausted: bool,
 }
 
 impl<S: Spec> Search<'_, S> {
-    fn dfs(&mut self, depth: usize, frontier: &Frontier<'_, S>) -> Option<Vec<usize>> {
+    fn dfs(&mut self, depth: usize) -> Option<Vec<usize>> {
         if depth == self.h.len() {
             return Some(self.order.clone());
         }
@@ -57,15 +59,12 @@ impl<S: Spec> Search<'_, S> {
             self.pos[x] = depth;
             self.order.push(x);
 
-            let feasible;
-            let mut next_frontier = None;
-            if self.h.label(x).is_update() {
-                let mut f = frontier.clone();
-                feasible = f.advance(self.h.label(x));
-                next_frontier = Some(f);
+            let is_update = self.h.label(x).is_update();
+            let feasible = if is_update {
+                self.fstack.push_advanced(self.spec, self.h.label(x))
             } else {
-                feasible = query_justified(self.h, self.spec, x, &self.pos);
-            }
+                query_justified(self.h, self.spec, x, &self.pos)
+            };
 
             if feasible {
                 for succ in 0..self.h.len() {
@@ -73,14 +72,14 @@ impl<S: Spec> Search<'_, S> {
                         self.missing[succ] -= 1;
                     }
                 }
-                let res = match &next_frontier {
-                    Some(f) => self.dfs(depth + 1, f),
-                    None => self.dfs(depth + 1, frontier),
-                };
+                let res = self.dfs(depth + 1);
                 for succ in 0..self.h.len() {
                     if self.h.sees(succ, x) {
                         self.missing[succ] += 1;
                     }
+                }
+                if is_update {
+                    self.fstack.pop();
                 }
                 if res.is_some() {
                     return res;
@@ -123,11 +122,11 @@ pub fn search_brute_with_budget<S: Spec>(
         placed: vec![false; h.len()],
         pos: vec![usize::MAX; h.len()],
         order: Vec::with_capacity(h.len()),
+        fstack: FrontierStack::new(spec.initial()),
         budget,
         exhausted: false,
     };
-    let frontier = Frontier::new(spec);
-    match s.dfs(0, &frontier) {
+    match s.dfs(0) {
         Some(order) => {
             debug_assert_eq!(
                 super::check::check_linearization(h, spec, &order),
@@ -147,6 +146,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::ids::ReplicaId;
     use crate::label::Kind;
+    use crate::spec::Step;
 
     /// Plain set with add/remove/read — remove here is a *plain update*
     /// (this is the specification under which OR-Set is NOT linearizable).
@@ -175,7 +175,7 @@ mod tests {
         fn initial(&self) -> Vec<u32> {
             Vec::new()
         }
-        fn step(&self, s: &Vec<u32>, l: &L) -> Vec<Vec<u32>> {
+        fn step(&self, s: &Vec<u32>, l: &L, out: &mut Vec<Vec<u32>>) -> Step {
             match l {
                 L::Add(x) => {
                     let mut t = s.clone();
@@ -183,20 +183,13 @@ mod tests {
                         t.push(*x);
                         t.sort_unstable();
                     }
-                    vec![t]
+                    Step::write(out, t)
                 }
-                L::Rem(x) => {
-                    let t: Vec<u32> = s.iter().copied().filter(|y| y != x).collect();
-                    vec![t]
-                }
+                L::Rem(x) => Step::write(out, s.iter().copied().filter(|y| y != x).collect()),
                 L::Read(v) => {
                     let mut sorted = v.clone();
                     sorted.sort_unstable();
-                    if sorted == *s {
-                        vec![s.clone()]
-                    } else {
-                        vec![]
-                    }
+                    Step::unchanged_if(sorted == *s)
                 }
             }
         }

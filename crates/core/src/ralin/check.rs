@@ -143,6 +143,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::ids::ReplicaId;
     use crate::label::Kind;
+    use crate::spec::Step;
 
     /// Toy grow-only set.
     struct GSet;
@@ -168,22 +169,18 @@ mod tests {
         fn initial(&self) -> Vec<u32> {
             Vec::new()
         }
-        fn step(&self, s: &Vec<u32>, l: &L) -> Vec<Vec<u32>> {
+        fn step(&self, s: &Vec<u32>, l: &L, out: &mut Vec<Vec<u32>>) -> Step {
             match l {
                 L::Add(x) => {
                     let mut s = s.clone();
                     s.push(*x);
                     s.sort_unstable();
-                    vec![s]
+                    Step::write(out, s)
                 }
                 L::Read(v) => {
                     let mut sorted = v.clone();
                     sorted.sort_unstable();
-                    if &sorted == s {
-                        vec![s.clone()]
-                    } else {
-                        vec![]
-                    }
+                    Step::unchanged_if(&sorted == s)
                 }
             }
         }
@@ -269,16 +266,16 @@ mod tests {
         fn initial(&self) -> Vec<u32> {
             Vec::new()
         }
-        fn step(&self, s: &Vec<u32>, l: &L) -> Vec<Vec<u32>> {
+        fn step(&self, s: &Vec<u32>, l: &L, out: &mut Vec<Vec<u32>>) -> Step {
             match l {
-                L::Add(x) if s.contains(x) => vec![], // each element only once
+                L::Add(x) if s.contains(x) => Step::Refused, // each element only once
                 L::Add(x) => {
                     let mut s = s.clone();
                     s.push(*x);
                     s.sort_unstable();
-                    vec![s]
+                    Step::write(out, s)
                 }
-                L::Read(_) => vec![s.clone()],
+                L::Read(_) => Step::Unchanged,
             }
         }
     }

@@ -6,12 +6,12 @@
 //! batch walk's failed-configuration table ([`super::memo`]) and the
 //! streaming monitor's live-set index ([`super::monitor`]): start from
 //! [`CONFIG_KEY_SEED`] and fold the parts in with the helpers below. The
-//! replay helpers are the per-object admissibility check of
+//! replay helper is the per-object admissibility check of
 //! [`super::sharded`].
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::spec::{advance_states, mix64, states_admit, Spec};
+use crate::spec::{mix64, Frontier, Spec};
 
 /// Seed of the canonical configuration key (the FNV-64 offset basis, shared
 /// with [`crate::spec::fingerprint`]).
@@ -58,29 +58,10 @@ impl Hasher for KeyHasher {
 /// [`std::hash::BuildHasher`] of [`KeyHasher`].
 pub(crate) type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
 
-/// Replays `updates` from the initial state, returning the reachable state
-/// set, or `None` if the sequence is not admitted by `spec`. Shared by the
-/// per-shard admissibility checks in [`super::sharded`].
-pub(crate) fn replay_updates<'l, S, I>(spec: &S, updates: I) -> Option<Vec<S::State>>
-where
-    S: Spec,
-    I: IntoIterator<Item = &'l S::Label>,
-    S::Label: 'l,
-{
-    let mut states = vec![spec.initial()];
-    for l in updates {
-        states = advance_states(spec, &states, l);
-        if states.is_empty() {
-            return None;
-        }
-    }
-    Some(states)
-}
-
 /// Returns `true` if `updates` is admitted by `spec` and every label of
 /// `queries` is admitted by some state reached — the shape of every
-/// `ShardableSpec::admits_shard` implementation: one replay, however many
-/// queries share the sequence.
+/// `ShardableSpec::admits_shard` implementation: one replay through one
+/// double-buffered [`Frontier`], however many queries share the sequence.
 pub(crate) fn replay_admits<'l, S, U, Q>(spec: &S, updates: U, queries: Q) -> bool
 where
     S: Spec,
@@ -88,14 +69,16 @@ where
     Q: IntoIterator<Item = &'l S::Label>,
     S::Label: 'l,
 {
-    replay_updates(spec, updates)
-        .is_some_and(|states| queries.into_iter().all(|q| states_admit(spec, &states, q)))
+    let mut frontier = Frontier::new(spec);
+    updates.into_iter().all(|l| frontier.advance(l))
+        && queries.into_iter().all(|q| frontier.admits(q))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::label::{Kind, SpecLabel};
+    use crate::spec::Step;
 
     /// A flag that can be set exactly once.
     struct OnceSpec;
@@ -121,12 +104,11 @@ mod tests {
         fn initial(&self) -> bool {
             false
         }
-        fn step(&self, s: &bool, l: &O) -> Vec<bool> {
+        fn step(&self, s: &bool, l: &O, out: &mut Vec<bool>) -> Step {
             match l {
-                O::Set if !s => vec![true],
-                O::Set => vec![],
-                O::IsSet(k) if k == s => vec![*s],
-                O::IsSet(_) => vec![],
+                O::Set if !s => Step::write(out, true),
+                O::Set => Step::Refused,
+                O::IsSet(k) => Step::unchanged_if(k == s),
             }
         }
     }

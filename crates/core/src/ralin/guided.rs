@@ -61,6 +61,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::ids::ReplicaId;
     use crate::label::{Kind, SpecLabel};
+    use crate::spec::Step;
 
     /// A last-writer-wins register specification keyed on write order.
     struct RegSpec;
@@ -86,11 +87,10 @@ mod tests {
         fn initial(&self) -> Option<u32> {
             None
         }
-        fn step(&self, s: &Option<u32>, l: &L) -> Vec<Option<u32>> {
+        fn step(&self, s: &Option<u32>, l: &L, out: &mut Vec<Option<u32>>) -> Step {
             match l {
-                L::Write(v) => vec![Some(*v)],
-                L::Read(v) if v == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Write(v) => Step::write(out, Some(*v)),
+                L::Read(v) => Step::unchanged_if(v == s),
             }
         }
     }

@@ -22,7 +22,7 @@
 //! That triple determines everything a continuation can observe, so any
 //! two prefixes reaching the same configuration have the same set of
 //! completions: configurations that were fully explored and failed are
-//! memoized (hash-keyed on [`Frontier::canonical_hash`], verified with
+//! memoized (hash-keyed on the frontiers' canonical hashes, verified with
 //! full state equality, so hash collisions cannot unsoundly prune) and
 //! never explored twice. On commuting workloads this collapses `k!`
 //! permutations of `k` concurrent operations into `2^k` placed-set nodes
@@ -67,7 +67,9 @@ use super::config;
 use super::{Linearization, SearchOutcome, Strategy};
 use crate::history::History;
 use crate::label::SpecLabel;
-use crate::spec::{Frontier, Spec};
+use crate::spec::{
+    advance_states, states_admit, states_canonical_hash, states_set_eq, FrontierStack, Spec,
+};
 use ral_obs as obs;
 use std::collections::HashMap;
 
@@ -188,57 +190,89 @@ fn emit_obs(stats: &SearchStats) {
     obs::observe("ralin.elapsed_nanos", stats.elapsed_nanos);
 }
 
-/// Immutable per-history search structure.
+/// Immutable per-history search structure. Each per-operation list is a
+/// slice of one flat array (`at[x]..at[x + 1]`), so building the shape
+/// costs a fixed number of allocations, not one per list growth.
 struct Shape {
     n: usize,
     /// Mask width in 64-bit words.
     words: usize,
-    /// `succs[x]`: operations whose predecessor set contains `x`.
-    succs: Vec<Vec<usize>>,
-    /// `watchers[x]`: *queries* that see update `x`.
-    watchers: Vec<Vec<usize>>,
-    /// For each query `q`, the bitmask of updates visible to it (empty for
-    /// updates). Intersected with the placed mask to decide which pending
-    /// justification frontiers participate in the configuration key.
-    vis_upd: Vec<Box<[u64]>>,
+    /// Operations whose predecessor set contains `x`: `succs[succ_at[x]..succ_at[x + 1]]`.
+    succs: Vec<usize>,
+    succ_at: Vec<usize>,
+    /// *Queries* that see update `x`: `watchers[watch_at[x]..watch_at[x + 1]]`.
+    watchers: Vec<usize>,
+    watch_at: Vec<usize>,
+    /// Row `i` (`words` words) is the bitmask of the updates visible to
+    /// `queries[i]`. Intersected with the placed mask to decide which
+    /// pending justification frontiers participate in the configuration key.
+    vis_upd: Vec<u64>,
     /// Indices of query operations, ascending.
     queries: Vec<usize>,
+}
+
+/// Groups the `(from, to)` pairs `edges()` yields (`from < n`) by `from`,
+/// keeping the order of `to` within a group: the flat array and its
+/// `n + 1` offsets. Walks the pairs twice, to count and to fill.
+fn group_by_source<I: Iterator<Item = (usize, usize)>>(
+    n: usize,
+    edges: impl Fn() -> I,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut at = vec![0usize; n + 1];
+    for (from, _) in edges() {
+        at[from + 1] += 1;
+    }
+    for i in 0..n {
+        at[i + 1] += at[i];
+    }
+    let mut fill = at.clone();
+    let mut flat = vec![0usize; at[n]];
+    for (from, to) in edges() {
+        flat[fill[from]] = to;
+        fill[from] += 1;
+    }
+    (flat, at)
 }
 
 impl Shape {
     fn of<L: SpecLabel>(h: &History<L>) -> Shape {
         let n = h.len();
         let words = n.div_ceil(64).max(1);
-        let mut succs = vec![Vec::new(); n];
-        let mut watchers = vec![Vec::new(); n];
-        let mut vis_upd: Vec<Box<[u64]>> = Vec::with_capacity(n);
-        let mut queries = Vec::new();
-        for i in 0..n {
-            for p in h.preds(i) {
-                succs[p].push(i);
-            }
-            if h.label(i).is_query() {
-                queries.push(i);
-                let mut mask = vec![0u64; words];
-                for p in h.preds(i) {
-                    if h.label(p).is_update() {
-                        mask[p / 64] |= 1 << (p % 64);
-                        watchers[p].push(i);
-                    }
-                }
-                vis_upd.push(mask.into_boxed_slice());
-            } else {
-                vis_upd.push(Box::new([]));
+        let is_query = |i: usize| h.label(i).is_query();
+        let edges = || (0..n).flat_map(move |i| h.preds(i).iter().map(move |p| (p, i)));
+        let (succs, succ_at) = group_by_source(n, edges);
+        let watched = || edges().filter(move |&(p, i)| is_query(i) && !is_query(p));
+        let (watchers, watch_at) = group_by_source(n, watched);
+        let queries: Vec<usize> = (0..n).filter(|&i| is_query(i)).collect();
+        let mut vis_upd = vec![0u64; queries.len() * words];
+        for (row, &q) in vis_upd.chunks_exact_mut(words).zip(&queries) {
+            for p in h.preds(q).iter().filter(|&p| !is_query(p)) {
+                row[p / 64] |= 1 << (p % 64);
             }
         }
         Shape {
             n,
             words,
             succs,
+            succ_at,
             watchers,
+            watch_at,
             vis_upd,
             queries,
         }
+    }
+
+    fn succs(&self, x: usize) -> &[usize] {
+        &self.succs[self.succ_at[x]..self.succ_at[x + 1]]
+    }
+
+    fn watchers(&self, x: usize) -> &[usize] {
+        &self.watchers[self.watch_at[x]..self.watch_at[x + 1]]
+    }
+
+    /// The visible-update mask of the `i`-th query.
+    fn vis_upd(&self, i: usize) -> &[u64] {
+        &self.vis_upd[i * self.words..(i + 1) * self.words]
     }
 }
 
@@ -265,19 +299,29 @@ struct PlacementUndo {
 }
 
 /// The sequential memoized walk over one history.
+///
+/// Every buffer is owned by the walk and reused: one frontier per update
+/// depth, one justification frontier per query, and one flat arena the
+/// query frontiers a placement advances are moved into (and moved back out
+/// of on undo). A warm walk allocates nothing per placement; only a memoized
+/// failure stores anything.
 struct Walk<'a, S: Spec> {
     h: &'a History<S::Label>,
+    spec: &'a S,
     shape: &'a Shape,
     placed: Vec<bool>,
     mask: Vec<u64>,
     missing: Vec<usize>,
     order: Vec<usize>,
-    /// Frontier after each placed update; `last()` is the current one.
-    fstack: Vec<Frontier<'a, S>>,
-    /// Incremental justification frontier per query (None for updates).
-    qfront: Vec<Option<Frontier<'a, S>>>,
-    /// Saved query frontiers for backtracking.
-    undo: Vec<(usize, Frontier<'a, S>)>,
+    /// Frontier after each placed update; `top()` is the current one.
+    fstack: FrontierStack<S::State>,
+    /// Incremental justification frontier per query (empty for updates).
+    qfront: Vec<Vec<S::State>>,
+    /// `(query, arena start)` of every query frontier a pending placement
+    /// advanced, in placement order.
+    undo: Vec<(usize, usize)>,
+    /// The frontiers `undo` restores, stacked end to end.
+    arena: Vec<S::State>,
     memo: HashMap<u64, Vec<MemoEntry<S::State>>>,
     memo_entries: usize,
     budget: u64,
@@ -294,18 +338,26 @@ struct Walk<'a, S: Spec> {
 impl<'a, S: Spec> Walk<'a, S> {
     fn new(h: &'a History<S::Label>, spec: &'a S, shape: &'a Shape, budget: u64) -> Self {
         let qfront = (0..shape.n)
-            .map(|i| h.label(i).is_query().then(|| Frontier::new(spec)))
+            .map(|i| {
+                if h.label(i).is_query() {
+                    vec![spec.initial()]
+                } else {
+                    Vec::new()
+                }
+            })
             .collect();
         Walk {
             h,
+            spec,
             shape,
             placed: vec![false; shape.n],
             mask: vec![0u64; shape.words],
             missing: (0..shape.n).map(|i| h.preds(i).len()).collect(),
             order: Vec::with_capacity(shape.n),
-            fstack: vec![Frontier::new(spec)],
+            fstack: FrontierStack::new(spec.initial()),
             qfront,
             undo: Vec::new(),
+            arena: Vec::new(),
             memo: HashMap::new(),
             memo_entries: 0,
             budget,
@@ -318,11 +370,24 @@ impl<'a, S: Spec> Walk<'a, S> {
         }
     }
 
-    fn started(&self, q: usize) -> bool {
-        self.shape.vis_upd[q]
+    /// The justification frontiers in a configuration's key: those of the
+    /// started pending queries (some visible update placed), ascending by
+    /// query index.
+    fn keyed_queries(&self) -> impl Iterator<Item = usize> + '_ {
+        let shape = self.shape;
+        shape
+            .queries
             .iter()
-            .zip(&self.mask)
-            .any(|(v, m)| v & m != 0)
+            .enumerate()
+            .filter(|&(i, &q)| {
+                !self.placed[q]
+                    && shape
+                        .vis_upd(i)
+                        .iter()
+                        .zip(&self.mask)
+                        .any(|(v, m)| v & m != 0)
+            })
+            .map(|(_, &q)| q)
     }
 
     /// Hashes the current configuration: placed mask, main frontier, and
@@ -333,15 +398,10 @@ impl<'a, S: Spec> Walk<'a, S> {
         for &w in &self.mask {
             key = config::fold_mask_word(key, w);
         }
-        key = config::fold_frontier_hash(
-            key,
-            self.fstack.last().expect("frontier stack").canonical_hash(),
-        );
-        for &q in &self.shape.queries {
-            if !self.placed[q] && self.started(q) {
-                let f = self.qfront[q].as_ref().expect("query frontier");
-                key = config::fold_query_frontier(key, q, f.canonical_hash());
-            }
+        key = config::fold_frontier_hash(key, states_canonical_hash(self.spec, self.fstack.top()));
+        for q in self.keyed_queries() {
+            let qhash = states_canonical_hash(self.spec, &self.qfront[q]);
+            key = config::fold_query_frontier(key, q, qhash);
         }
         key
     }
@@ -353,17 +413,10 @@ impl<'a, S: Spec> Walk<'a, S> {
         };
         bucket.iter().any(|e| {
             e.mask[..] == self.mask[..]
-                && self
-                    .fstack
-                    .last()
-                    .expect("frontier stack")
-                    .states_set_eq(&e.frontier)
-                && e.qfronts.iter().all(|(q, states)| {
-                    self.qfront[*q]
-                        .as_ref()
-                        .expect("query frontier")
-                        .states_set_eq(states)
-                })
+                && states_set_eq(self.fstack.top(), &e.frontier)
+                && e.qfronts
+                    .iter()
+                    .all(|(q, states)| states_set_eq(&self.qfront[*q], states))
         })
     }
 
@@ -373,31 +426,13 @@ impl<'a, S: Spec> Walk<'a, S> {
         if self.memo_entries >= MEMO_CAP {
             return;
         }
-        let frontier: Box<[S::State]> = self
-            .fstack
-            .last()
-            .expect("frontier stack")
-            .states()
-            .to_vec()
-            .into_boxed_slice();
         let qfronts: StoredQueryFronts<S::State> = self
-            .shape
-            .queries
-            .iter()
-            .filter(|&&q| !self.placed[q] && self.started(q))
-            .map(|&q| {
-                let states = self.qfront[q]
-                    .as_ref()
-                    .expect("query frontier")
-                    .states()
-                    .to_vec()
-                    .into_boxed_slice();
-                (q, states)
-            })
+            .keyed_queries()
+            .map(|q| (q, self.qfront[q].clone().into_boxed_slice()))
             .collect();
         self.memo.entry(key).or_default().push(MemoEntry {
             mask: self.mask.clone().into_boxed_slice(),
-            frontier,
+            frontier: self.fstack.top().into(),
             qfronts,
         });
         self.memo_entries += 1;
@@ -407,28 +442,30 @@ impl<'a, S: Spec> Walk<'a, S> {
     /// placement (and every pending query it touches) stays feasible.
     fn place(&mut self, x: usize) -> (PlacementUndo, bool) {
         let shape = self.shape;
+        let label = self.h.label(x);
         let undo_mark = self.undo.len();
         self.placed[x] = true;
         self.mask[x / 64] |= 1 << (x % 64);
         self.order.push(x);
         let mut pushed_frontier = false;
-        let feasible = if self.h.label(x).is_update() {
-            let mut f = self.fstack.last().expect("frontier stack").clone();
-            if f.advance(self.h.label(x)) {
-                self.fstack.push(f);
+        let feasible = if label.is_update() {
+            if self.fstack.push_advanced(self.spec, label) {
                 pushed_frontier = true;
                 // Incrementally extend the justification frontier of every
                 // pending query that sees x; a dead pending query can never
                 // be justified, so it kills the whole branch right here.
+                // The old frontier moves to the arena and the new one is
+                // stepped into the query's own buffer: nothing is cloned.
                 let mut alive = true;
-                for &q in &shape.watchers[x] {
+                for &q in shape.watchers(x) {
                     if self.placed[q] {
                         continue;
                     }
-                    let saved = self.qfront[q].as_ref().expect("query frontier").clone();
-                    self.undo.push((q, saved));
-                    let fq = self.qfront[q].as_mut().expect("query frontier");
-                    if !fq.advance(self.h.label(x)) {
+                    let start = self.arena.len();
+                    self.arena.append(&mut self.qfront[q]);
+                    self.undo.push((q, start));
+                    if !advance_states(self.spec, &self.arena[start..], label, &mut self.qfront[q])
+                    {
                         alive = false;
                         break;
                     }
@@ -445,17 +482,14 @@ impl<'a, S: Spec> Walk<'a, S> {
             // Queries: all visible updates are placed (missing == 0), so
             // the incremental frontier has consumed exactly them, in
             // placement order — condition (iii) is one `admits` call.
-            let justified = self.qfront[x]
-                .as_ref()
-                .expect("query frontier")
-                .admits(self.h.label(x));
+            let justified = states_admit(self.spec, &self.qfront[x], label);
             if !justified {
                 self.prune_query_unjustified += 1;
             }
             justified
         };
         if feasible {
-            for &s in &shape.succs[x] {
+            for &s in shape.succs(x) {
                 self.missing[s] -= 1;
             }
         }
@@ -471,13 +505,14 @@ impl<'a, S: Spec> Walk<'a, S> {
     fn unplace(&mut self, x: usize, undo: PlacementUndo, was_feasible: bool) {
         let shape = self.shape;
         if was_feasible {
-            for &s in &shape.succs[x] {
+            for &s in shape.succs(x) {
                 self.missing[s] += 1;
             }
         }
         while self.undo.len() > undo.undo_mark {
-            let (q, f) = self.undo.pop().expect("undo entry");
-            self.qfront[q] = Some(f);
+            let (q, start) = self.undo.pop().expect("undo entry");
+            self.qfront[q].clear();
+            self.qfront[q].extend(self.arena.drain(start..));
         }
         if undo.pushed_frontier {
             self.fstack.pop();
@@ -491,10 +526,18 @@ impl<'a, S: Spec> Walk<'a, S> {
         if self.order.len() == self.shape.n {
             return Some(self.order.clone());
         }
-        let key = self.config_hash();
-        if self.memo_hit(key) {
-            self.memo_hits += 1;
-            return None;
+        // While no failure is recorded there is nothing to look up, and the
+        // key waits for the insert (if any): every placement below is
+        // undone by then, so it is the key this configuration has now. A
+        // walk that never backtracks hashes nothing.
+        let mut key = None;
+        if !self.memo.is_empty() {
+            let k = self.config_hash();
+            if self.memo_hit(k) {
+                self.memo_hits += 1;
+                return None;
+            }
+            key = Some(k);
         }
         // Only *expansions* are charged: a memo hit is a constant-time
         // lookup, and a completed order is a result, not work.
@@ -521,6 +564,7 @@ impl<'a, S: Spec> Walk<'a, S> {
             }
         }
         if fully_explored {
+            let key = key.unwrap_or_else(|| self.config_hash());
             self.memo_insert(key);
         }
         None
@@ -591,6 +635,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::ids::ReplicaId;
     use crate::label::Kind;
+    use crate::spec::Step;
 
     struct CtrSpec;
 
@@ -615,11 +660,10 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Inc => vec![s + 1],
-                L::Read(k) if k == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Inc => Step::write(out, s + 1),
+                L::Read(k) => Step::unchanged_if(k == s),
             }
         }
     }
@@ -755,13 +799,12 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &OnceL) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &OnceL, out: &mut Vec<i64>) -> Step {
             match l {
-                OnceL::Set if *s == 0 => vec![1],
-                OnceL::Set => vec![],
-                OnceL::Reset => vec![0],
-                OnceL::Read(k) if k == s => vec![*s],
-                OnceL::Read(_) => vec![],
+                OnceL::Set if *s == 0 => Step::write(out, 1),
+                OnceL::Set => Step::Refused,
+                OnceL::Reset => Step::write(out, 0),
+                OnceL::Read(k) => Step::unchanged_if(k == s),
             }
         }
     }

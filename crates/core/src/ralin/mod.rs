@@ -147,7 +147,7 @@ pub struct Linearization {
 /// use ral_core::label::Identity;
 /// use ral_core::ralin::{ra_check, Strategy};
 /// # use ral_core::label::{Kind, SpecLabel};
-/// # use ral_core::spec::Spec;
+/// # use ral_core::spec::{Spec, Step};
 /// # #[derive(Clone, Debug, PartialEq)]
 /// # enum Ctr { Inc, Read(i64) }
 /// # impl SpecLabel for Ctr {
@@ -160,11 +160,10 @@ pub struct Linearization {
 /// #     type Label = Ctr;
 /// #     type State = i64;
 /// #     fn initial(&self) -> i64 { 0 }
-/// #     fn step(&self, s: &i64, l: &Ctr) -> Vec<i64> {
+/// #     fn step(&self, s: &i64, l: &Ctr, out: &mut Vec<i64>) -> Step {
 /// #         match l {
-/// #             Ctr::Inc => vec![s + 1],
-/// #             Ctr::Read(k) if k == s => vec![*s],
-/// #             Ctr::Read(_) => vec![],
+/// #             Ctr::Inc => Step::write(out, s + 1),
+/// #             Ctr::Read(k) => Step::unchanged_if(k == s),
 /// #         }
 /// #     }
 /// # }
@@ -207,7 +206,7 @@ where
 /// use ral_core::label::Identity;
 /// use ral_core::ralin::{ra_search, SearchOutcome};
 /// # use ral_core::label::{Kind, SpecLabel};
-/// # use ral_core::spec::Spec;
+/// # use ral_core::spec::{Spec, Step};
 /// # #[derive(Clone, Debug, PartialEq)]
 /// # enum Ctr { Inc, Read(i64) }
 /// # impl SpecLabel for Ctr {
@@ -220,11 +219,10 @@ where
 /// #     type Label = Ctr;
 /// #     type State = i64;
 /// #     fn initial(&self) -> i64 { 0 }
-/// #     fn step(&self, s: &i64, l: &Ctr) -> Vec<i64> {
+/// #     fn step(&self, s: &i64, l: &Ctr, out: &mut Vec<i64>) -> Step {
 /// #         match l {
-/// #             Ctr::Inc => vec![s + 1],
-/// #             Ctr::Read(k) if k == s => vec![*s],
-/// #             Ctr::Read(_) => vec![],
+/// #             Ctr::Inc => Step::write(out, s + 1),
+/// #             Ctr::Read(k) => Step::unchanged_if(k == s),
 /// #         }
 /// #     }
 /// # }
@@ -306,7 +304,7 @@ where
 /// use ral_core::label::Identity;
 /// use ral_core::ralin::ra_search_sharded;
 /// # use ral_core::label::{Kind, SpecLabel};
-/// # use ral_core::spec::Spec;
+/// # use ral_core::spec::{Spec, Step};
 /// # #[derive(Clone, Debug, PartialEq)]
 /// # enum Ctr { Inc, Read(i64) }
 /// # impl SpecLabel for Ctr {
@@ -320,11 +318,10 @@ where
 /// #     type Label = Ctr;
 /// #     type State = i64;
 /// #     fn initial(&self) -> i64 { 0 }
-/// #     fn step(&self, s: &i64, l: &Ctr) -> Vec<i64> {
+/// #     fn step(&self, s: &i64, l: &Ctr, out: &mut Vec<i64>) -> Step {
 /// #         match l {
-/// #             Ctr::Inc => vec![s + 1],
-/// #             Ctr::Read(k) if k == s => vec![*s],
-/// #             Ctr::Read(_) => vec![],
+/// #             Ctr::Inc => Step::write(out, s + 1),
+/// #             Ctr::Read(k) => Step::unchanged_if(k == s),
 /// #         }
 /// #     }
 /// # }

@@ -213,6 +213,8 @@ struct Config<St> {
     /// Justification frontiers of pending queries, ascending by query id;
     /// every pending query is registered at arrival.
     qfronts: Vec<QFront<St>>,
+    /// Emptied state buffers the next `qfronts` are filled into.
+    free: Vec<Vec<St>>,
     /// Canonical key (see the `fold_*` helpers).
     key: u64,
     /// Next configuration with the same key (the dedup index chain).
@@ -230,9 +232,23 @@ impl<St> Config<St> {
             qbase_hash: 0,
             rem: Vec::new(),
             qfronts: Vec::new(),
+            free: Vec::new(),
             key: 0,
             next: None,
         }
+    }
+
+    /// Empties `qfronts`, keeping each frontier's buffer in `free`.
+    fn release_qfronts(&mut self) {
+        for mut qf in self.qfronts.drain(..) {
+            qf.states.clear();
+            self.free.push(qf.states);
+        }
+    }
+
+    /// An empty state buffer: a released one if there is one.
+    fn take_buffer(&mut self) -> Vec<St> {
+        self.free.pop().unwrap_or_default()
     }
 }
 
@@ -267,7 +283,7 @@ const MAX_SPARE_CONFIGS: usize = 32;
 /// use ral_core::ids::ReplicaId;
 /// use ral_core::label::{Kind, SpecLabel};
 /// use ral_core::ralin::monitor::{Monitor, Verdict};
-/// use ral_core::spec::Spec;
+/// use ral_core::spec::{Spec, Step};
 ///
 /// #[derive(Clone, Debug, PartialEq)]
 /// enum L {
@@ -289,11 +305,10 @@ const MAX_SPARE_CONFIGS: usize = 32;
 ///     fn initial(&self) -> i64 {
 ///         0
 ///     }
-///     fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+///     fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
 ///         match l {
-///             L::Inc => vec![s + 1],
-///             L::Read(k) if k == s => vec![*s],
-///             L::Read(_) => vec![],
+///             L::Inc => Step::write(out, s + 1),
+///             L::Read(k) => Step::unchanged_if(k == s),
 ///         }
 ///     }
 /// }
@@ -334,6 +349,9 @@ pub struct Monitor<S: Spec> {
     /// states dropped, buffers kept for [`Monitor::try_extend`] to refill.
     /// At most [`MAX_SPARE_CONFIGS`].
     spare: Vec<Config<S::State>>,
+    /// The buffer a replay steps into before swapping it in; empty between
+    /// events.
+    scratch: Vec<S::State>,
     verdict: Verdict,
     max_live_configs: usize,
     stats: MonitorStats,
@@ -373,9 +391,18 @@ fn retire<St>(spare: &mut Vec<Config<St>>, mut c: Config<St>) {
     if spare.len() < MAX_SPARE_CONFIGS {
         c.frontier.clear();
         c.qbase.clear();
-        c.qfronts.clear();
+        c.release_qfronts();
         spare.push(c);
     }
+}
+
+/// Overwrites `dst` with a copy of the state set `src`. A buffer that must
+/// grow is sized exactly: a state set is usually one state, and an
+/// amortized first push would reserve four.
+fn copy_states<St: Clone>(dst: &mut Vec<St>, src: &[St]) {
+    dst.clear();
+    dst.reserve_exact(src.len());
+    dst.extend_from_slice(src);
 }
 
 /// Keeps the configurations `keep` accepts, in place and in order; retires
@@ -416,6 +443,7 @@ impl<S: Spec> Monitor<S> {
             configs: Vec::new(),
             index: HashMap::default(),
             spare: Vec::new(),
+            scratch: Vec::new(),
             verdict: Verdict::Ok,
             max_live_configs: DEFAULT_MAX_LIVE_CONFIGS,
             stats: MonitorStats::default(),
@@ -588,24 +616,26 @@ impl<S: Spec> Monitor<S> {
             .take()
             .expect("preds retained for live ops");
         let label_missing = "label retained inside the live window";
+        let (spec, meta, meta_base) = (&self.spec, &self.meta, self.meta_base);
+        let scratch = &mut self.scratch;
         let pruned = retain_configs(&mut self.configs, &mut self.spare, |c| {
-            let mut states = c.qbase.clone();
+            let mut states = c.take_buffer();
+            copy_states(&mut states, &c.qbase);
             let mut replayed = false;
             for &u in &c.rem {
                 if u < vis_floor || preds.contains(u) {
-                    let lbl = self.meta[u - self.meta_base]
-                        .label
-                        .as_ref()
-                        .expect(label_missing);
-                    states = advance_states(&self.spec, &states, lbl);
-                    if states.is_empty() {
+                    let lbl = meta[u - meta_base].label.as_ref().expect(label_missing);
+                    let alive = advance_states(spec, &states, lbl, scratch);
+                    std::mem::swap(&mut states, scratch);
+                    if !alive {
+                        c.free.push(states);
                         return false;
                     }
                     replayed = true;
                 }
             }
             let hash = if replayed {
-                states_canonical_hash(&self.spec, &states)
+                states_canonical_hash(spec, &states)
             } else {
                 c.qbase_hash
             };
@@ -616,6 +646,7 @@ impl<S: Spec> Monitor<S> {
             });
             true
         });
+        self.scratch.clear();
         self.meta[q - self.meta_base].preds = Some(preds);
         self.stats.prune_dead_pending_query += pruned;
         self.rebuild_index();
@@ -684,7 +715,8 @@ impl<S: Spec> Monitor<S> {
 
     /// Overwrites `child` (a spare: its buffers are reused, none of its
     /// contents survive) with the configuration `parent + x`, or returns
-    /// the prune cause and leaves `child` unspecified.
+    /// the prune cause and leaves `child` unspecified. Every state set is
+    /// stepped or copied into one of `child`'s own buffers.
     fn fill_child(
         &self,
         child: &mut Config<S::State>,
@@ -694,6 +726,7 @@ impl<S: Spec> Monitor<S> {
         let m = &self.meta[x - self.meta_base];
         let label = m.label.as_ref().expect("label retained");
         let p = &self.configs[parent];
+        child.release_qfronts();
         if m.is_query {
             let i = p
                 .qfronts
@@ -702,47 +735,50 @@ impl<S: Spec> Monitor<S> {
             if !states_admit(&self.spec, &p.qfronts[i].states, label) {
                 return Err(Prune::QueryUnjustified);
             }
-            child.frontier.clone_from(&p.frontier);
+            copy_states(&mut child.frontier, &p.frontier);
             child.rem.clone_from(&p.rem);
-            child.qfronts.clear();
-            child
-                .qfronts
-                .extend(p.qfronts.iter().filter(|e| e.query != x).cloned());
+            for e in p.qfronts.iter().filter(|e| e.query != x) {
+                let mut states = child.take_buffer();
+                copy_states(&mut states, &e.states);
+                child.qfronts.push(QFront {
+                    query: e.query,
+                    states,
+                    hash: e.hash,
+                });
+            }
         } else {
-            let frontier = advance_states(&self.spec, &p.frontier, label);
-            if frontier.is_empty() {
+            if !advance_states(&self.spec, &p.frontier, label, &mut child.frontier) {
                 return Err(Prune::FrontierDeath);
             }
-            child.frontier = frontier;
             child.rem.clone_from(&p.rem);
             child.rem.push(x);
             // `p.qfronts` holds exactly the queries pending in `p`; those
             // that see `x` (its watchers, ascending like every id list
             // here) advance over it, the others carry over.
-            child.qfronts.clear();
             for e in &p.qfronts {
-                child
-                    .qfronts
-                    .push(if m.watchers.binary_search(&e.query).is_ok() {
-                        let states = advance_states(&self.spec, &e.states, label);
-                        if states.is_empty() {
-                            return Err(Prune::DeadPendingQuery);
-                        }
-                        QFront {
-                            query: e.query,
-                            hash: states_canonical_hash(&self.spec, &states),
-                            states,
-                        }
-                    } else {
-                        e.clone()
-                    });
+                let mut states = child.take_buffer();
+                let hash = if m.watchers.binary_search(&e.query).is_ok() {
+                    if !advance_states(&self.spec, &e.states, label, &mut states) {
+                        child.free.push(states);
+                        return Err(Prune::DeadPendingQuery);
+                    }
+                    states_canonical_hash(&self.spec, &states)
+                } else {
+                    copy_states(&mut states, &e.states);
+                    e.hash
+                };
+                child.qfronts.push(QFront {
+                    query: e.query,
+                    states,
+                    hash,
+                });
             }
         }
         let bit = x - self.base;
         child.mask.clone_from(&p.mask);
         child.mask[bit / 64] |= 1 << (bit % 64);
         child.placed = p.placed + 1;
-        child.qbase.clone_from(&p.qbase);
+        copy_states(&mut child.qbase, &p.qbase);
         child.qbase_hash = p.qbase_hash;
         child.key = self.config_key(child);
         Ok(())
@@ -819,14 +855,13 @@ impl<S: Spec> Monitor<S> {
                     .label
                     .as_ref()
                     .expect(label_missing);
-                c.qbase = advance_states(&self.spec, &c.qbase, lbl);
-                debug_assert!(
-                    !c.qbase.is_empty(),
-                    "absorbed prefix replays a live frontier"
-                );
+                let alive = advance_states(&self.spec, &c.qbase, lbl, &mut self.scratch);
+                debug_assert!(alive, "absorbed prefix replays a live frontier");
+                std::mem::swap(&mut c.qbase, &mut self.scratch);
             }
             c.qbase_hash = states_canonical_hash(&self.spec, &c.qbase);
         }
+        self.scratch.clear();
         // Compact whole settled words out of the window.
         let new_base = wm & !63;
         if new_base > self.base {
@@ -894,6 +929,7 @@ impl<S: Spec> Monitor<S> {
         self.configs = Vec::new();
         self.index = HashMap::default();
         self.spare = Vec::new();
+        self.scratch = Vec::new();
         self.meta = Vec::new();
         self.stats.live_configs = 0;
     }
@@ -1055,6 +1091,7 @@ mod tests {
     use super::*;
     use crate::history::OpRecord;
     use crate::label::{Identity, Kind};
+    use crate::spec::Step;
 
     struct CtrSpec;
 
@@ -1079,11 +1116,10 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Inc => vec![s + 1],
-                L::Read(k) if k == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Inc => Step::write(out, s + 1),
+                L::Read(k) => Step::unchanged_if(k == s),
             }
         }
     }
@@ -1113,12 +1149,11 @@ mod tests {
         fn initial(&self) -> bool {
             false
         }
-        fn step(&self, s: &bool, l: &O) -> Vec<bool> {
+        fn step(&self, s: &bool, l: &O, out: &mut Vec<bool>) -> Step {
             match l {
-                O::Set if !s => vec![true],
-                O::Set => vec![],
-                O::IsSet(k) if k == s => vec![*s],
-                O::IsSet(_) => vec![],
+                O::Set if !s => Step::write(out, true),
+                O::Set => Step::Refused,
+                O::IsSet(k) => Step::unchanged_if(k == s),
             }
         }
     }

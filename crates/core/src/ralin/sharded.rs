@@ -473,6 +473,7 @@ mod tests {
     use crate::ids::ReplicaId;
     use crate::label::{Kind, SpecLabel};
     use crate::ralin::search;
+    use crate::spec::Step;
     use crate::timestamp::Ts;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -500,12 +501,11 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Inc => vec![s + 1],
-                L::Set(v) => vec![*v],
-                L::Read(k) if k == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Inc => Step::write(out, s + 1),
+                L::Set(v) => Step::write(out, *v),
+                L::Read(k) => Step::unchanged_if(k == s),
             }
         }
     }
@@ -583,8 +583,8 @@ mod tests {
             fn initial(&self) -> i64 {
                 *self.0
             }
-            fn step(&self, s: &i64, l: &L) -> Vec<i64> {
-                Ctr.step(s, l)
+            fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
+                Ctr.step(s, l, out)
             }
         }
 
@@ -804,12 +804,12 @@ mod tests {
         fn initial(&self) -> bool {
             false
         }
-        fn step(&self, s: &bool, l: &T) -> Vec<bool> {
+        fn step(&self, s: &bool, l: &T, out: &mut Vec<bool>) -> Step {
             match l {
-                T::On if !s => vec![true],
-                T::Off if *s => vec![false],
-                T::IsOn(k) if k == s => vec![*s],
-                _ => vec![],
+                T::On if !s => Step::write(out, true),
+                T::Off if *s => Step::write(out, false),
+                T::IsOn(k) => Step::unchanged_if(k == s),
+                _ => Step::Refused,
             }
         }
     }

@@ -4,9 +4,15 @@
 //! an initial state `ϕ₀`, and a transition relation `ϕ —ℓ→ ϕ′` per label.
 //! Transitions may be *nondeterministic* — Wooki's `addBetween(a,b,c)`
 //! inserts at any position between `a` and `c`, and `Spec(addAt3)` observes
-//! an arbitrary sub-sequence — so [`Spec::step`] returns the set of successor
-//! states; an empty set means the label is not admitted (its precondition
-//! fails or its return value is wrong).
+//! an arbitrary sub-sequence — so [`Spec::step`] produces a *set* of
+//! successor states. It writes them into a buffer the caller owns and
+//! answers with a [`Step`]: [`Step::Refused`] when the label is not admitted
+//! (its precondition fails or its return value is wrong), [`Step::Unchanged`]
+//! when the one successor is the state itself — what every admitted query
+//! answers, since a query never changes the state — and [`Step::Wrote`]
+//! when it appended the successors. A query therefore neither clones a state
+//! nor touches the buffer, and an update writes into storage the caller
+//! reuses from step to step.
 //!
 //! The checker explores the resulting state space with a [`Frontier`]: the
 //! set of abstract states reachable by some run of the specification over a
@@ -28,9 +34,23 @@ pub trait Spec {
     /// The initial abstract state `ϕ₀`.
     fn initial(&self) -> Self::State;
 
-    /// All successor states of `state` under `label`; empty when the label is
-    /// not admitted in `state`.
-    fn step(&self, state: &Self::State, label: &Self::Label) -> Vec<Self::State>;
+    /// The successor states of `state` under `label`.
+    ///
+    /// Contract:
+    ///
+    /// * [`Step::Refused`] — no successor (the label is not admitted in
+    ///   `state`); nothing was written.
+    /// * [`Step::Unchanged`] — the successor set is exactly `{state}`;
+    ///   nothing was written. Every query answers this or `Refused`
+    ///   (Section 3.2: a query never changes the state), and the engines
+    ///   rely on it to admit a query without copying anything.
+    /// * [`Step::Wrote`] — the successors, at least one, were *appended* to
+    ///   `out`, possibly with repeats (callers deduplicate).
+    ///
+    /// `step` only ever appends: whatever `out` held before the call is
+    /// left as it was, so a caller can collect the successors of many
+    /// states into one buffer.
+    fn step(&self, state: &Self::State, label: &Self::Label, out: &mut Vec<Self::State>) -> Step;
 
     /// A 64-bit fingerprint of an abstract state, used by the memoized
     /// checker ([`crate::ralin::search`]) to key search configurations.
@@ -51,6 +71,38 @@ pub trait Spec {
     }
 }
 
+/// What [`Spec::step`] did: how the successor set of one state under one
+/// label was delivered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// The label is not admitted: no successor, nothing written.
+    Refused,
+    /// The successor set is exactly `{state}`: nothing written, the caller
+    /// keeps the state it holds.
+    Unchanged,
+    /// The successors were appended to the caller's buffer.
+    Wrote,
+}
+
+impl Step {
+    /// A query's answer: [`Step::Unchanged`] if `admitted`, else
+    /// [`Step::Refused`].
+    pub fn unchanged_if(admitted: bool) -> Step {
+        if admitted {
+            Step::Unchanged
+        } else {
+            Step::Refused
+        }
+    }
+
+    /// Appends the one successor `next` to `out` and answers
+    /// [`Step::Wrote`].
+    pub fn write<St>(out: &mut Vec<St>, next: St) -> Step {
+        out.push(next);
+        Step::Wrote
+    }
+}
+
 // A specification can be used through a shared reference. This is what lets
 // the batch search entry points drive a borrowing `Monitor<&S>` without
 // taking ownership of the caller's spec. Delegates every method so
@@ -63,8 +115,8 @@ impl<S: Spec> Spec for &S {
         (**self).initial()
     }
 
-    fn step(&self, state: &Self::State, label: &Self::Label) -> Vec<Self::State> {
-        (**self).step(state, label)
+    fn step(&self, state: &Self::State, label: &Self::Label, out: &mut Vec<Self::State>) -> Step {
+        (**self).step(state, label, out)
     }
 
     fn state_fingerprint(&self, state: &Self::State) -> u64 {
@@ -129,9 +181,12 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Advances a duplicate-free state *set* by one label: the union of
-/// [`Spec::step`] over every state, deduplicated with `PartialEq`. An empty
-/// result means no run admits the label.
+/// Advances a duplicate-free state *set* by one label into `next`: the
+/// union of [`Spec::step`] over every state, deduplicated with `PartialEq`
+/// (first occurrence kept, in order). `next` is cleared first and keeps its
+/// capacity, so a caller stepping between two buffers allocates only when
+/// the set outgrows them. Returns `false` (and leaves `next` empty) when no
+/// run admits the label.
 ///
 /// This is the single transition primitive shared by [`Frontier`], the
 /// memoized checker, and the incremental monitor
@@ -142,36 +197,45 @@ pub(crate) fn advance_states<S: Spec>(
     spec: &S,
     states: &[S::State],
     label: &S::Label,
-) -> Vec<S::State> {
-    if let [state] = states {
-        // One state — every run of a deterministic specification: its
-        // successor set is the result, deduplicated in place.
-        let mut next = spec.step(state, label);
-        let mut i = 1;
-        while i < next.len() {
-            if next[..i].contains(&next[i]) {
-                next.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        return next;
-    }
-    let mut next: Vec<S::State> = Vec::new();
+    next: &mut Vec<S::State>,
+) -> bool {
+    next.clear();
+    // A fresh buffer is sized to the set it steps from (usually one state)
+    // rather than to the four an amortized first push reserves.
+    next.reserve_exact(states.len());
     for st in states {
-        for succ in spec.step(st, label) {
-            if !next.contains(&succ) {
-                next.push(succ);
+        let from = next.len();
+        match spec.step(st, label, next) {
+            Step::Refused => {}
+            Step::Unchanged => {
+                if !next.contains(st) {
+                    next.push(st.clone());
+                }
+            }
+            Step::Wrote => {
+                let mut i = from;
+                while i < next.len() {
+                    if next[..i].contains(&next[i]) {
+                        next.remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
             }
         }
     }
-    next
+    !next.is_empty()
 }
 
 /// Returns `true` if some state in the set admits `label` (has at least one
-/// successor), without advancing.
+/// successor), without advancing. A query answers without writing, so this
+/// neither clones a state nor allocates.
 pub(crate) fn states_admit<S: Spec>(spec: &S, states: &[S::State], label: &S::Label) -> bool {
-    states.iter().any(|st| !spec.step(st, label).is_empty())
+    // Written to only if `label` is an update: `Vec::new` allocates nothing.
+    let mut sink = Vec::new();
+    states
+        .iter()
+        .any(|st| spec.step(st, label, &mut sink) != Step::Refused)
 }
 
 /// An order-independent 64-bit hash of a state *set*: two slices holding the
@@ -198,10 +262,14 @@ pub(crate) fn states_set_eq<St: PartialEq>(a: &[St], b: &[St]) -> bool {
 /// labels fed to [`Frontier::advance`].
 ///
 /// For deterministic specifications the frontier has at most one state; for
-/// nondeterministic ones duplicates are pruned with `PartialEq`.
+/// nondeterministic ones duplicates are pruned with `PartialEq`. The states
+/// are double-buffered: an advance steps into the second buffer and swaps,
+/// so a warm frontier allocates only for the states an update creates.
 pub struct Frontier<'a, S: Spec> {
     spec: &'a S,
     states: Vec<S::State>,
+    /// The buffer the next advance writes into; empty between advances.
+    next: Vec<S::State>,
 }
 
 impl<S: Spec> Clone for Frontier<'_, S> {
@@ -209,6 +277,7 @@ impl<S: Spec> Clone for Frontier<'_, S> {
         Frontier {
             spec: self.spec,
             states: self.states.clone(),
+            next: Vec::new(),
         }
     }
 }
@@ -227,14 +296,17 @@ impl<'a, S: Spec> Frontier<'a, S> {
         Frontier {
             spec,
             states: vec![spec.initial()],
+            next: Vec::new(),
         }
     }
 
     /// Advances the frontier by one label; returns `false` (and leaves the
     /// frontier empty) if no run admits it.
     pub fn advance(&mut self, label: &S::Label) -> bool {
-        self.states = advance_states(self.spec, &self.states, label);
-        !self.states.is_empty()
+        let alive = advance_states(self.spec, &self.states, label, &mut self.next);
+        std::mem::swap(&mut self.states, &mut self.next);
+        self.next.clear();
+        alive
     }
 
     /// Returns `true` if some frontier state admits `label`, without
@@ -249,25 +321,60 @@ impl<'a, S: Spec> Frontier<'a, S> {
         &self.states
     }
 
-    /// An order-independent 64-bit hash of the frontier's state *set*: two
-    /// frontiers holding the same states in any order hash identically.
-    ///
-    /// This is the canonical-hash half of the memoized checker's
-    /// configuration key; equality of keys is later verified with
-    /// [`Frontier::states_set_eq`], so hash collisions are harmless.
-    pub fn canonical_hash(&self) -> u64 {
-        states_canonical_hash(self.spec, &self.states)
-    }
-
-    /// Returns `true` if this frontier holds exactly the states in `other`
-    /// (as sets; both sides are duplicate-free by construction).
-    pub fn states_set_eq(&self, other: &[S::State]) -> bool {
-        states_set_eq(&self.states, other)
-    }
-
     /// Returns `true` if no run admits the labels consumed so far.
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
+    }
+}
+
+/// The frontiers of a depth-first walk's update prefixes, one reusable
+/// buffer per depth: advancing steps the top frontier into the buffer
+/// above it, popping clears that buffer and keeps its capacity. A walk that
+/// revisits a depth allocates nothing for it — the shared frontier discipline
+/// of the batch engines ([`crate::ralin::search`], the naive search,
+/// [`crate::linearizability`]).
+pub(crate) struct FrontierStack<St> {
+    bufs: Vec<Vec<St>>,
+    top: usize,
+}
+
+impl<St: Clone + PartialEq> FrontierStack<St> {
+    /// A stack holding the initial frontier `{initial}`.
+    pub(crate) fn new(initial: St) -> Self {
+        FrontierStack {
+            bufs: vec![vec![initial]],
+            top: 0,
+        }
+    }
+
+    /// The current (top) frontier.
+    pub(crate) fn top(&self) -> &[St] {
+        &self.bufs[self.top]
+    }
+
+    /// Pushes the top frontier advanced by `label`; returns `false` and
+    /// pushes nothing if no run admits it.
+    pub(crate) fn push_advanced<S: Spec<State = St>>(
+        &mut self,
+        spec: &S,
+        label: &S::Label,
+    ) -> bool {
+        if self.bufs.len() == self.top + 1 {
+            self.bufs.push(Vec::new());
+        }
+        let (below, above) = self.bufs.split_at_mut(self.top + 1);
+        let alive = advance_states(spec, &below[self.top], label, &mut above[0]);
+        if alive {
+            self.top += 1;
+        }
+        alive
+    }
+
+    /// Pops the top frontier (never the initial one).
+    pub(crate) fn pop(&mut self) {
+        debug_assert!(self.top > 0, "the initial frontier stays");
+        self.bufs[self.top].clear();
+        self.top -= 1;
     }
 }
 
@@ -315,11 +422,13 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Write(v) => vec![*v, *v + 1],
-                L::Read(v) if v == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Write(v) => {
+                    out.extend([*v, *v + 1]);
+                    Step::Wrote
+                }
+                L::Read(v) => Step::unchanged_if(v == s),
             }
         }
     }
@@ -354,11 +463,13 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
-                L::Write(v) => vec![*v, *v + 1, *v, *v + 2, *v + 1],
-                L::Read(v) if v == s => vec![*s, *s],
-                L::Read(_) => vec![],
+                L::Write(v) => {
+                    out.extend([*v, *v + 1, *v, *v + 2, *v + 1]);
+                    Step::Wrote
+                }
+                L::Read(v) => Step::unchanged_if(v == s),
             }
         }
     }
@@ -374,6 +485,41 @@ mod tests {
         // Three states: the general path, same discipline.
         assert!(f.advance(&L::Write(1)));
         assert_eq!(f.states(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn step_appends_and_a_query_writes_nothing() {
+        let mut out = vec![7];
+        assert_eq!(Stutter.step(&0, &L::Read(0), &mut out), Step::Unchanged);
+        assert_eq!(Stutter.step(&0, &L::Read(1), &mut out), Step::Refused);
+        assert_eq!(out, [7]);
+        assert_eq!(Fuzzy.step(&0, &L::Write(3), &mut out), Step::Wrote);
+        assert_eq!(out, [7, 3, 4]);
+        // Two states, one refusing: the survivors, deduplicated across
+        // states, overwrite whatever the buffer held.
+        assert!(advance_states(&Stutter, &[4, 5], &L::Read(5), &mut out));
+        assert_eq!(out, [5]);
+        assert!(advance_states(&Fuzzy, &[1, 2], &L::Write(1), &mut out));
+        assert_eq!(out, [1, 2]);
+        assert!(!advance_states(&Fuzzy, &[1, 2], &L::Read(3), &mut out));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn frontier_stack_reuses_one_buffer_per_depth() {
+        let mut fs = FrontierStack::new(0i64);
+        assert!(fs.push_advanced(&Fuzzy, &L::Write(1)));
+        assert_eq!(fs.top(), &[1, 2]);
+        assert!(
+            !fs.push_advanced(&Fuzzy, &L::Read(3)),
+            "a dead frontier is not pushed"
+        );
+        assert_eq!(fs.top(), &[1, 2]);
+        let depth1 = fs.bufs[1].as_ptr();
+        fs.pop();
+        assert_eq!(fs.top(), &[0]);
+        assert!(fs.push_advanced(&Fuzzy, &L::Write(5)));
+        assert_eq!((fs.top(), fs.bufs[1].as_ptr()), (&[5, 6][..], depth1));
     }
 
     #[test]
@@ -413,14 +559,16 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn step(&self, s: &i64, l: &L) -> Vec<i64> {
+        fn step(&self, s: &i64, l: &L, out: &mut Vec<i64>) -> Step {
             match l {
                 // Successors listed argument-first, so `write(5)` yields
                 // the frontier `[5, -5]` and `write(-5)` yields `[-5, 5]`:
                 // same set, different order.
-                L::Write(v) => vec![*v, -*v],
-                L::Read(v) if v == s => vec![*s],
-                L::Read(_) => vec![],
+                L::Write(v) => {
+                    out.extend([*v, -*v]);
+                    Step::Wrote
+                }
+                L::Read(v) => Step::unchanged_if(v == s),
             }
         }
     }
@@ -432,11 +580,12 @@ mod tests {
         let mut b = Frontier::new(&spec);
         a.advance(&L::Write(5)); // states [5, -5]
         b.advance(&L::Write(-5)); // states [-5, 5]
-        assert!(a.states_set_eq(b.states()));
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
+        let hash = |f: &Frontier<'_, TwoWay>| states_canonical_hash(&spec, f.states());
+        assert!(states_set_eq(a.states(), b.states()));
+        assert_eq!(hash(&a), hash(&b));
         let mut c = Frontier::new(&spec);
         c.advance(&L::Write(6));
-        assert!(!a.states_set_eq(c.states()));
-        assert_ne!(a.canonical_hash(), c.canonical_hash());
+        assert!(!states_set_eq(a.states(), c.states()));
+        assert_ne!(hash(&a), hash(&c));
     }
 }

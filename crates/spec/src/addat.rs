@@ -18,7 +18,7 @@
 use crate::seq::{is_subsequence, position_of, Doc};
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use std::marker::PhantomData;
 
 /// Labels for the return-free `addAt` interface (specs 1 and 2).
@@ -87,32 +87,26 @@ impl<E: Elem> Spec for AddAt1Spec<E> {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, l: &Vec<E>, label: &AddAtOp<E>) -> Vec<Vec<E>> {
+    fn step(&self, l: &Vec<E>, label: &AddAtOp<E>, out: &mut Vec<Vec<E>>) -> Step {
         match label {
             AddAtOp::AddAt(a, k) => {
                 if l.contains(a) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 let mut next = l.clone();
                 let at = (*k).min(l.len());
                 next.insert(at, a.clone());
-                vec![next]
+                Step::write(out, next)
             }
             AddAtOp::Remove(a) => match position_of(l, a) {
                 Some(p) => {
                     let mut next = l.clone();
                     next.remove(p);
-                    vec![next]
+                    Step::write(out, next)
                 }
-                None => vec![],
+                None => Step::Refused,
             },
-            AddAtOp::Read(s) => {
-                if s == l {
-                    vec![l.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            AddAtOp::Read(s) => Step::unchanged_if(s == l),
         }
     }
 }
@@ -164,21 +158,20 @@ impl<E: Elem> Spec for AddAt2Spec<E> {
         state.fingerprint()
     }
 
-    fn step(&self, l: &Doc<E>, label: &AddAtOp<E>) -> Vec<Doc<E>> {
+    fn step(&self, l: &Doc<E>, label: &AddAtOp<E>, out: &mut Vec<Doc<E>>) -> Step {
         match label {
             AddAtOp::AddAt(a, k) => {
                 if l.contains(a) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 // Rule 1: split l = l1 · l2 with |l1 / T| = k, in increasing
                 // |l1|. `visible` is |l[..p] / T|; once it passes k no later
                 // split qualifies. `a` is fresh, so no two splits coincide.
-                let mut succs = Vec::new();
                 let mut visible = 0;
                 let mut flags = l.iter().map(|(_, dead)| dead);
                 for p in 0..=l.len() {
                     if visible == *k {
-                        succs.push(l.insert(p, a.clone()));
+                        out.push(l.insert(p, a.clone()));
                     }
                     if flags.next() == Some(false) {
                         visible += 1;
@@ -188,23 +181,17 @@ impl<E: Elem> Spec for AddAt2Spec<E> {
                     }
                 }
                 // Rule 2: |l / T| < k appends at the end (then no split
-                // qualified above).
+                // qualified above). One of the two rules always applies.
                 if visible < *k {
-                    succs.push(l.insert(l.len(), a.clone()));
+                    out.push(l.insert(l.len(), a.clone()));
                 }
-                succs
+                Step::Wrote
             }
             AddAtOp::Remove(a) => match l.position(a) {
-                Some(p) => vec![l.tombstone(p)],
-                None => vec![],
+                Some(p) => Step::write(out, l.tombstone(p)),
+                None => Step::Refused,
             },
-            AddAtOp::Read(s) => {
-                if l.reads(s) {
-                    vec![l.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            AddAtOp::Read(s) => Step::unchanged_if(l.reads(s)),
         }
     }
 }
@@ -281,49 +268,43 @@ impl<E: Elem> Spec for AddAt3Spec<E> {
         state.fingerprint()
     }
 
-    fn step(&self, l: &Doc<E>, label: &AddAtRetOp<E>) -> Vec<Doc<E>> {
+    fn step(&self, l: &Doc<E>, label: &AddAtRetOp<E>, out: &mut Vec<Doc<E>>) -> Step {
         match label {
             AddAtRetOp::AddAt(a, k, s) => {
                 if l.contains(a) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 let Some(i) = position_of(s, a) else {
-                    return vec![]; // the return must contain the new element
+                    return Step::Refused; // the return must contain the new element
                 };
                 let s1 = &s[..i];
                 let s2 = &s[i + 1..];
                 if s1.len() != *k && !(s1.len() < *k && s2.is_empty()) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 // `s1 · s2` is the part of `l` the origin had observed.
                 if !is_subsequence(s1.iter().chain(s2), l.elements()) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 let at = match s1.last() {
                     None => 0,
                     Some(b) => match l.position(b) {
                         Some(p) => p + 1,
-                        None => return vec![],
+                        None => return Step::Refused,
                     },
                 };
-                vec![l.insert(at, a.clone())]
+                Step::write(out, l.insert(at, a.clone()))
             }
             AddAtRetOp::Remove(a, s) => {
                 if s.contains(a) || !is_subsequence(s, l.elements()) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 match l.position(a) {
-                    Some(p) => vec![l.tombstone(p)],
-                    None => vec![],
+                    Some(p) => Step::write(out, l.tombstone(p)),
+                    None => Step::Refused,
                 }
             }
-            AddAtRetOp::Read(s) => {
-                if l.reads(s) {
-                    vec![l.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            AddAtRetOp::Read(s) => Step::unchanged_if(l.reads(s)),
         }
     }
 }

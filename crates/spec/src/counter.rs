@@ -4,7 +4,7 @@
 //! `read() ⇒ k` is admitted exactly when `k` equals the state.
 
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 
 /// Specification labels of the counter.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -55,12 +55,11 @@ impl Spec for CounterSpec {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, state: &i64, label: &CounterOp) -> Vec<i64> {
+    fn step(&self, state: &i64, label: &CounterOp, out: &mut Vec<i64>) -> Step {
         match label {
-            CounterOp::Inc => vec![state + 1],
-            CounterOp::Dec => vec![state - 1],
-            CounterOp::Read(k) if k == state => vec![*state],
-            CounterOp::Read(_) => vec![],
+            CounterOp::Inc => Step::write(out, state + 1),
+            CounterOp::Dec => Step::write(out, state - 1),
+            CounterOp::Read(k) => Step::unchanged_if(k == state),
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
@@ -83,11 +83,10 @@ impl<E: Elem> Spec for RegSpec<E> {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, state: &Option<E>, label: &RegOp<E>) -> Vec<Option<E>> {
+    fn step(&self, state: &Option<E>, label: &RegOp<E>, out: &mut Vec<Option<E>>) -> Step {
         match label {
-            RegOp::Write(a) => vec![Some(a.clone())],
-            RegOp::Read(a) if a == state => vec![state.clone()],
-            RegOp::Read(_) => vec![],
+            RegOp::Write(a) => Step::write(out, Some(a.clone())),
+            RegOp::Read(a) => Step::unchanged_if(a == state),
         }
     }
 }
@@ -174,12 +173,12 @@ impl<E: Elem> Spec for MvRegSpec<E> {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, state: &Self::State, label: &MvRegOp<E>) -> Vec<Self::State> {
+    fn step(&self, state: &Self::State, label: &MvRegOp<E>, out: &mut Vec<Self::State>) -> Step {
         match label {
             MvRegOp::Write(a, id) => {
                 // Precondition: id is not ≤ any identifier already present.
                 if state.iter().any(|(_, id2)| vv_leq(id, id2)) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 let mut next: Self::State = state
                     .iter()
@@ -187,16 +186,9 @@ impl<E: Elem> Spec for MvRegSpec<E> {
                     .cloned()
                     .collect();
                 next.insert((a.clone(), id.clone()));
-                vec![next]
+                Step::write(out, next)
             }
-            MvRegOp::Read(a) => {
-                let values: BTreeSet<E> = state.iter().map(|(v, _)| v.clone()).collect();
-                if &values == a {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            MvRegOp::Read(a) => Step::unchanged_if(crate::set::distinct_firsts(state).eq(a)),
         }
     }
 }

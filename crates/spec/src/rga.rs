@@ -10,7 +10,7 @@
 use crate::seq::Doc;
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use std::marker::PhantomData;
 
 /// The first argument of `addAfter`: either the sentinel `◦` or an element
@@ -103,32 +103,26 @@ impl<E: Elem> Spec for RgaSpec<E> {
         state.fingerprint()
     }
 
-    fn step(&self, l: &Doc<E>, label: &RgaOp<E>) -> Vec<Doc<E>> {
+    fn step(&self, l: &Doc<E>, label: &RgaOp<E>, out: &mut Vec<Doc<E>>) -> Step {
         match label {
             RgaOp::AddAfter(anchor, a) => {
                 if l.contains(a) {
-                    return vec![]; // `a` must be fresh
+                    return Step::Refused; // `a` must be fresh
                 }
                 let at = match anchor {
                     Anchor::Head => 0,
                     Anchor::Elem(b) => match l.position(b) {
                         Some(p) => p + 1,
-                        None => return vec![], // `b` must be present
+                        None => return Step::Refused, // `b` must be present
                     },
                 };
-                vec![l.insert(at, a.clone())]
+                Step::write(out, l.insert(at, a.clone()))
             }
             RgaOp::Remove(b) => match l.position(b) {
-                Some(p) => vec![l.tombstone(p)],
-                None => vec![], // precondition: b ∈ l
+                Some(p) => Step::write(out, l.tombstone(p)),
+                None => Step::Refused, // precondition: b ∈ l
             },
-            RgaOp::Read(s) => {
-                if l.reads(s) {
-                    vec![l.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            RgaOp::Read(s) => Step::unchanged_if(l.reads(s)),
         }
     }
 }

@@ -178,10 +178,14 @@ impl<E: Clone + Hash> Doc<E> {
             return self.clone();
         }
         let fp = self.fp.wrapping_add(tomb_term(fingerprint(x)));
-        let mut slots = self.slots.to_vec();
-        slots[at].1 = true;
+        // One block: the shared slots are copied straight into the new
+        // `Rc`, which nothing else holds yet.
+        let mut slots: Rc<[(E, bool)]> = Rc::from(&self.slots[..]);
+        if let Some(fresh) = Rc::get_mut(&mut slots) {
+            fresh[at].1 = true;
+        }
         Doc {
-            slots: slots.into(),
+            slots,
             n_visible: self.n_visible - 1,
             fp,
         }

@@ -9,7 +9,7 @@
 use ral_core::elem::Elem;
 use ral_core::ids::Uid;
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
@@ -94,25 +94,19 @@ impl<E: Elem> Spec for SetSpec<E> {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, state: &BTreeSet<E>, label: &SetOp<E>) -> Vec<BTreeSet<E>> {
+    fn step(&self, state: &BTreeSet<E>, label: &SetOp<E>, out: &mut Vec<BTreeSet<E>>) -> Step {
         match label {
             SetOp::Add(a) => {
                 let mut next = state.clone();
                 next.insert(a.clone());
-                vec![next]
+                Step::write(out, next)
             }
             SetOp::Remove(a) => {
                 let mut next = state.clone();
                 next.remove(a);
-                vec![next]
+                Step::write(out, next)
             }
-            SetOp::Read(a) => {
-                if a == state {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            SetOp::Read(a) => Step::unchanged_if(a == state),
         }
     }
 }
@@ -186,39 +180,39 @@ impl<E: Elem> Spec for OrSetSpec<E> {
         ral_core::spec::fingerprint(state)
     }
 
-    fn step(&self, state: &Self::State, label: &OrSetOp<E>) -> Vec<Self::State> {
+    fn step(&self, state: &Self::State, label: &OrSetOp<E>, out: &mut Vec<Self::State>) -> Step {
         match label {
             OrSetOp::Add(a, id) => {
                 let pair = (a.clone(), *id);
                 if state.contains(&pair) {
-                    return vec![];
+                    return Step::Refused;
                 }
                 let mut next = state.clone();
                 next.insert(pair);
-                vec![next]
+                Step::write(out, next)
             }
-            OrSetOp::Remove(s) => {
-                let next: Self::State = state.difference(s).cloned().collect();
-                vec![next]
-            }
+            OrSetOp::Remove(s) => Step::write(out, state.difference(s).cloned().collect()),
+            // Both sides iterate in `(element, id)` order, so the reads
+            // compare in one pass without building a set.
             OrSetOp::ReadIds(a, s) => {
-                let expect: Self::State = state.iter().filter(|(e, _)| e == a).cloned().collect();
-                if &expect == s {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
+                Step::unchanged_if(state.iter().filter(|(e, _)| e == a).eq(s))
             }
-            OrSetOp::Read(a) => {
-                let values: BTreeSet<E> = state.iter().map(|(e, _)| e.clone()).collect();
-                if &values == a {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            OrSetOp::Read(a) => Step::unchanged_if(distinct_firsts(state).eq(a)),
         }
     }
+}
+
+/// The distinct first components of an ordered set of pairs, ascending —
+/// the element view of an OR-Set or MV-Register state, without a copy.
+pub(crate) fn distinct_firsts<A: PartialEq, B>(
+    pairs: &BTreeSet<(A, B)>,
+) -> impl Iterator<Item = &A> {
+    let mut last = None;
+    pairs.iter().map(|(a, _)| a).filter(move |&a| {
+        let fresh = last != Some(a);
+        last = Some(a);
+        fresh
+    })
 }
 
 #[cfg(test)]

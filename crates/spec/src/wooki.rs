@@ -8,7 +8,7 @@
 use crate::seq::Doc;
 use ral_core::elem::Elem;
 use ral_core::label::{Kind, SpecLabel};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use std::marker::PhantomData;
 
 /// An anchor of `addBetween`: one of the sentinels or an element.
@@ -108,11 +108,11 @@ impl<E: Elem> Spec for WookiSpec<E> {
         state.fingerprint()
     }
 
-    fn step(&self, l: &Doc<E>, label: &WookiOp<E>) -> Vec<Doc<E>> {
+    fn step(&self, l: &Doc<E>, label: &WookiOp<E>, out: &mut Vec<Doc<E>>) -> Step {
         match label {
             WookiOp::AddBetween(a, b, c) => {
                 if l.contains(b) {
-                    return vec![]; // b must be fresh
+                    return Step::Refused; // b must be fresh
                 }
                 // Insertion slots strictly between the anchors. `lo` is the
                 // first legal index, `hi` the last.
@@ -120,34 +120,29 @@ impl<E: Elem> Spec for WookiSpec<E> {
                     WookiAnchor::Begin => 0,
                     WookiAnchor::Elem(x) => match l.position(x) {
                         Some(p) => p + 1,
-                        None => return vec![],
+                        None => return Step::Refused,
                     },
-                    WookiAnchor::End => return vec![], // a ≠ ◦_end
+                    WookiAnchor::End => return Step::Refused, // a ≠ ◦_end
                 };
                 let hi = match c {
                     WookiAnchor::End => l.len(),
                     WookiAnchor::Elem(y) => match l.position(y) {
                         Some(p) => p,
-                        None => return vec![],
+                        None => return Step::Refused,
                     },
-                    WookiAnchor::Begin => return vec![], // c ≠ ◦_begin
+                    WookiAnchor::Begin => return Step::Refused, // c ≠ ◦_begin
                 };
                 if lo > hi {
-                    return vec![]; // a must precede c
+                    return Step::Refused; // a must precede c
                 }
-                (lo..=hi).map(|at| l.insert(at, b.clone())).collect()
+                out.extend((lo..=hi).map(|at| l.insert(at, b.clone())));
+                Step::Wrote
             }
             WookiOp::Remove(a) => match l.position(a) {
-                Some(p) => vec![l.tombstone(p)],
-                None => vec![],
+                Some(p) => Step::write(out, l.tombstone(p)),
+                None => Step::Refused,
             },
-            WookiOp::Read(s) => {
-                if l.reads(s) {
-                    vec![l.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            WookiOp::Read(s) => Step::unchanged_if(l.reads(s)),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! orders, and `addAt` indices past the tail.
 
 use ral_core::rng::{run_seeded_cases, Rng};
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use ral_spec::addat::{AddAt2Spec, AddAt3Spec, AddAtOp, AddAtRetOp};
 use ral_spec::rga::{Anchor, RgaOp, RgaSpec};
 use ral_spec::seq::{position_of, Doc};
@@ -239,7 +239,10 @@ fn lockstep<S: Spec<State = Doc<E>>>(
         let mut next = Vec::new();
         for doc in &states {
             let m = model(doc);
-            let succs = spec.step(doc, &l);
+            let mut succs = Vec::new();
+            if spec.step(doc, &l, &mut succs) == Step::Unchanged {
+                succs.push(doc.clone());
+            }
             let images: Vec<Model> = succs.iter().map(model).collect();
             assert_eq!(images, model_step(&m, &l), "{l:?} from {m:?}");
             for s in &succs {

@@ -81,18 +81,23 @@ fn component_violations_surface_in_the_composition() {
 
 #[test]
 fn projections_match_component_specs() {
-    use ral_core::spec::Spec;
+    use ral_core::spec::{Spec, Step};
     let spec = PairSpec::new(CounterSpec, OrSetSpec::new());
     let st = spec.initial();
     // Stepping a counter label leaves the set component untouched and vice
     // versa.
-    let st = spec.step(&st, &ctr(CounterOp::Inc)).pop().unwrap();
+    let mut out = Vec::new();
+    assert_eq!(spec.step(&st, &ctr(CounterOp::Inc), &mut out), Step::Wrote);
+    let st = out.pop().unwrap();
     assert_eq!(st.0, 1);
     assert!(st.1.is_empty());
-    let st = spec
-        .step(&st, &set(OrSetOp::Add('z', Uid(9))))
-        .pop()
-        .unwrap();
+    let add = set(OrSetOp::Add('z', Uid(9)));
+    assert_eq!(spec.step(&st, &add, &mut out), Step::Wrote);
+    let st = out.pop().unwrap();
     assert_eq!(st.0, 1);
     assert!(st.1.contains(&('z', Uid(9))));
+    // A read of either component answers without writing.
+    let read = ctr(CounterOp::Read(1));
+    assert_eq!(spec.step(&st, &read, &mut out), Step::Unchanged);
+    assert!(out.is_empty());
 }

@@ -3,10 +3,12 @@
 //! A test binary of its own, because it installs a counting
 //! `#[global_allocator]`: on a sequential stream — every operation sees
 //! all earlier ones and settles before the next arrives — an event must
-//! not allocate for anything it does not change. What is left per
-//! operation is the specification's own `step` result vectors (and the
-//! state set built from them); configurations, the dedup index and the
-//! settlement filter run on recycled buffers once warm.
+//! not allocate for anything it does not change. `Spec::step` writes into
+//! buffers the monitor owns (a query writes nothing), children are filled
+//! into the buffers of retired configurations, settlement absorbs through
+//! one scratch buffer, and the dedup index and the settlement filter are
+//! rebuilt in place: once warm, the stream allocates only when a buffer
+//! outgrows its capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -62,10 +64,11 @@ const REPLICAS: u32 = 4;
 /// the running total) from four replicas: each sees every earlier
 /// operation, and four frontier observations settle it before the next is
 /// fed. Averaged over the second half of the stream — the first warms the
-/// recycled buffers — the monitor may allocate at most two and a half
-/// times per operation (2.0 measured).
+/// recycled buffers — the monitor may allocate at most once per hundred
+/// operations (once per thousand measured; two per operation when every
+/// step returned a fresh vector).
 #[test]
-fn sequential_stream_stays_within_two_and_a_half_allocations_per_operation() {
+fn sequential_stream_allocates_at_most_once_per_hundred_operations() {
     let mut feed = MonitorFeed::new(Identity, CounterSpec, REPLICAS as usize);
     let mut seen = BitSet::with_capacity(OPS);
     let mut total = 0i64;
@@ -92,7 +95,7 @@ fn sequential_stream_stays_within_two_and_a_half_allocations_per_operation() {
     let allocations = ALLOCATIONS.load(Relaxed) - at_half;
     let per_op = allocations as f64 / (OPS - OPS / 2) as f64;
     assert!(
-        per_op <= 2.5,
+        per_op <= 0.01,
         "{allocations} allocations over the last {} operations = {per_op:.2} per operation",
         OPS - OPS / 2
     );

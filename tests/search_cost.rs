@@ -15,7 +15,7 @@ use ral_core::ralin::{
     search_with_stats, shard_history, SearchOutcome, Strategy,
 };
 use ral_core::rng::Rng;
-use ral_core::spec::Spec;
+use ral_core::spec::{Spec, Step};
 use ral_crdts::op::counter::OpCounter;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::schedule::{drive_multi, ScheduleConfig};
@@ -169,9 +169,9 @@ impl Spec for CountingSpec {
         CounterSpec.initial()
     }
 
-    fn step(&self, state: &Self::State, label: &CounterOp) -> Vec<Self::State> {
+    fn step(&self, state: &Self::State, label: &CounterOp, out: &mut Vec<Self::State>) -> Step {
         self.steps.set(self.steps.get() + 1);
-        CounterSpec.step(state, label)
+        CounterSpec.step(state, label, out)
     }
 
     fn state_fingerprint(&self, state: &Self::State) -> u64 {
