@@ -35,10 +35,10 @@ step cargo test -q --offline
 # executes them) — determinism, fault tolerance, "release changes memory,
 # never behaviour", and five cost contracts in deterministic counts: the
 # simulator's (on a 50-replica fan-out the engine allocates at most 0.01
-# times per delivered arrival, the trace holds an entry in at most 16 bytes,
-# and an operation's seen-set copy costs at most 16 bytes), the history's
+# times per delivered arrival and `sim::run` allocates no trace storage, and
+# an operation's seen-set copy costs at most 16 bytes), the history's
 # (`history_mem`: a seen-set copy costs its tail words, not its index, and
-# the 100k-op monitored churn holds at most 64 MiB live at its end), the lattice
+# the 100k-op monitored churn holds at most 20 MiB live at its end), the lattice
 # core's (a receive costs what the message changes, a stale snapshot scans
 # no clock floor; snapshots, resyncs and checkpoints cost nothing; a
 # write-after-share copies a pair set as one block, and a snapshot that
@@ -63,10 +63,11 @@ step cargo test -q --offline
 # set the two set lattices store against a `BTreeSet` model), and the façade
 # against a copy of the full-state cluster it replaced.
 # `prop_crdt_convergence` runs every state CRDT through both transports end
-# to end.
+# to end. `fuzz_roundtrip` replays every fixture through `sim::replay`, the
+# one place a fuzz scenario's trace is rendered.
 # The holdback index's unit tests (file, dedup, wake, clear) by name.
 step cargo test -q --offline -p ral-runtime mailbox::
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence
+step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence --test fuzz_roundtrip
 # The checkers' cost contracts, in deterministic counts. The memoized walk:
 # a history that linearizes costs at most one expansion per operation, a
 # refutation expands each reachable configuration once, and a witness

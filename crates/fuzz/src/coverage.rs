@@ -5,8 +5,8 @@
 //! the concurrency the run produced (partition depth, crash-during-
 //! partition, cross-object interleaving, delta resyncs, …) — the shapes
 //! the paper's anomalies live in. A run's dimension set is computed by the
-//! oracle from the scenario plus the replayed trace/history, so it is as
-//! deterministic as the run itself.
+//! oracle from the scenario, the engine's counters and the history, so it
+//! is as deterministic as the run itself.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

@@ -22,8 +22,9 @@
 //! Alongside the verdict, the oracle reports which structural-coverage
 //! dimensions the run exercised (from the scenario shape, the engine's
 //! fault counters, and the history's concurrency structure) — the feedback
-//! signal of the fuzz loop — plus the engine trace for byte-stable replay
-//! comparison.
+//! signal of the fuzz loop. A verdict never reads the engine trace, so
+//! [`run_scenario`] records none; [`replay_trace`] recomputes it for
+//! byte-stable replay comparison.
 
 use crate::coverage::dim;
 use crate::scenario::{Family, FuzzScenario, FuzzTopology, Transport};
@@ -40,6 +41,7 @@ use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
 use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::sim::{self, SimRun, SimStats};
+use ral_sim::trace::{Record, Trace};
 use ral_verify::crosscheck::{self, HistoryVerdict};
 use ral_verify::families::{self, OpFamily, Scale, StateFamily};
 
@@ -89,8 +91,8 @@ impl VerdictKind {
     }
 }
 
-/// Everything one replay produced: the verdict, the coverage dimensions the
-/// run lit up, and the byte-stable engine trace.
+/// What one replay proved: the verdict and the coverage dimensions the run
+/// lit up.
 #[derive(Clone, Debug)]
 pub struct Observation {
     /// The oracle's verdict.
@@ -103,41 +105,43 @@ pub struct Observation {
     pub invokes: u64,
     /// Operations in the recorded history.
     pub history_len: usize,
-    /// The engine trace ([`ral_sim::trace::Trace::render`]).
-    pub trace: String,
 }
 
 /// Replays `sc` and cross-checks it with `budget` search nodes per decider.
 pub fn run_scenario(sc: &FuzzScenario, budget: u64) -> Observation {
-    dispatch(sc, Some(budget))
+    dispatch(sc, Some(budget), &mut ())
 }
 
-/// Replays `sc` without the history cross-check and returns the engine
-/// trace — the byte-stable replay record the round-trip fixtures compare.
+/// Replays `sc` without the history cross-check and renders its engine
+/// trace ([`Trace::render`]) — the byte-stable replay record the
+/// round-trip fixtures compare.
 pub fn replay_trace(sc: &FuzzScenario) -> String {
-    dispatch(sc, None).trace
+    let mut trace = Trace::new();
+    dispatch(sc, None, &mut trace);
+    trace.render()
 }
 
 // One arm per family: the transport it runs on and its roster entry — the
 // (crdt, γ, spec, strategy, workload) tuple lives in `ral_verify::families`.
-fn dispatch(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
+// The engine hands its entries to `trace`.
+fn dispatch(sc: &FuzzScenario, budget: Option<u64>, trace: &mut impl Record) -> Observation {
     match sc.family {
-        Family::OpCounter => op_case::<families::Counter>(sc, budget),
-        Family::OpLwwRegister => op_case::<families::LwwRegister>(sc, budget),
-        Family::OpOrSet => op_case::<families::OrSet>(sc, budget),
-        Family::OpRga => op_case::<families::Rga>(sc, budget),
-        Family::OpRgaAddAt => op_case::<families::RgaAddAt>(sc, budget),
-        Family::OpWooki => op_case::<families::Wooki>(sc, budget),
-        Family::StatePnCounter => state_case::<families::PnCounter>(sc, budget),
-        Family::StateMvRegister => state_case::<families::MvRegister>(sc, budget),
-        Family::StateLwwElementSet => state_case::<families::LwwElementSet>(sc, budget),
-        Family::StateTwoPhaseSet => state_case::<families::TwoPhaseSet>(sc, budget),
-        Family::DeltaPnCounter => delta_case::<families::PnCounter>(sc, budget),
-        Family::DeltaLwwElementSet => delta_case::<families::LwwElementSet>(sc, budget),
-        Family::MultiCounter => multi_case::<families::Counter>(sc, budget),
-        Family::MultiLwwRegister => multi_case::<families::LwwRegister>(sc, budget),
-        Family::BrokenCounter => broken_case(sc),
-        Family::SummingCounter => summing_case(sc),
+        Family::OpCounter => op_case::<families::Counter>(sc, budget, trace),
+        Family::OpLwwRegister => op_case::<families::LwwRegister>(sc, budget, trace),
+        Family::OpOrSet => op_case::<families::OrSet>(sc, budget, trace),
+        Family::OpRga => op_case::<families::Rga>(sc, budget, trace),
+        Family::OpRgaAddAt => op_case::<families::RgaAddAt>(sc, budget, trace),
+        Family::OpWooki => op_case::<families::Wooki>(sc, budget, trace),
+        Family::StatePnCounter => state_case::<families::PnCounter>(sc, budget, trace),
+        Family::StateMvRegister => state_case::<families::MvRegister>(sc, budget, trace),
+        Family::StateLwwElementSet => state_case::<families::LwwElementSet>(sc, budget, trace),
+        Family::StateTwoPhaseSet => state_case::<families::TwoPhaseSet>(sc, budget, trace),
+        Family::DeltaPnCounter => delta_case::<families::PnCounter>(sc, budget, trace),
+        Family::DeltaLwwElementSet => delta_case::<families::LwwElementSet>(sc, budget, trace),
+        Family::MultiCounter => multi_case::<families::Counter>(sc, budget, trace),
+        Family::MultiLwwRegister => multi_case::<families::LwwRegister>(sc, budget, trace),
+        Family::BrokenCounter => broken_case(sc, trace),
+        Family::SummingCounter => summing_case(sc, trace),
     }
 }
 
@@ -211,7 +215,6 @@ fn conclude<L>(
         dims,
         invokes: done.run.stats.invokes as u64,
         history_len: h.len(),
-        trace: done.run.trace.render(),
     }
 }
 
@@ -229,27 +232,43 @@ where
     move |h, budget| crosscheck::op_oracle(h, &rw, &spec, strategy, budget)
 }
 
-fn op_case<F: OpFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
-    let done = run_op(sc, F::crdt(), F::calls(Scale::Searched));
+fn op_case<F: OpFamily>(
+    sc: &FuzzScenario,
+    budget: Option<u64>,
+    trace: &mut impl Record,
+) -> Observation {
+    let done = run_op(sc, trace, F::crdt(), F::calls(Scale::Searched));
     let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
     conclude(sc, budget, done, Some(&check))
 }
 
-fn state_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
-    let done = run_state(sc, F::crdt(), F::calls(Scale::Searched));
+fn state_case<F: StateFamily>(
+    sc: &FuzzScenario,
+    budget: Option<u64>,
+    trace: &mut impl Record,
+) -> Observation {
+    let done = run_state(sc, trace, F::crdt(), F::calls(Scale::Searched));
     let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
     conclude(sc, budget, done, Some(&check))
 }
 
-fn delta_case<F: StateFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
-    let done = run_delta(sc, F::crdt(), F::calls(Scale::Searched));
+fn delta_case<F: StateFamily>(
+    sc: &FuzzScenario,
+    budget: Option<u64>,
+    trace: &mut impl Record,
+) -> Observation {
+    let done = run_delta(sc, trace, F::crdt(), F::calls(Scale::Searched));
     let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
     conclude(sc, budget, done, Some(&check))
 }
 
 // Sharded vs whole-history search over `n_objects` instances of the entry.
-fn multi_case<F: OpFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observation {
-    let done = run_multi(sc, F::crdt(), F::calls(Scale::Searched));
+fn multi_case<F: OpFamily>(
+    sc: &FuzzScenario,
+    budget: Option<u64>,
+    trace: &mut impl Record,
+) -> Observation {
+    let done = run_multi(sc, trace, F::crdt(), F::calls(Scale::Searched));
     let rw = MultiObjRewrite::new(F::rewrite());
     let spec = MultiObjSpec::new(F::spec(), sc.n_objects as usize);
     let check = |h: &History<_>, budget| crosscheck::composed_oracle(h, &rw, &spec, budget);
@@ -258,8 +277,8 @@ fn multi_case<F: OpFamily>(sc: &FuzzScenario, budget: Option<u64>) -> Observatio
 
 // Negative control: convergence is the only oracle a broken op-based
 // counter needs — its non-commutative effectors diverge on their own.
-fn broken_case(sc: &FuzzScenario) -> Observation {
-    let done = run_op(sc, BrokenCounter, |rng: &mut Rng, _, _: &_| {
+fn broken_case(sc: &FuzzScenario, trace: &mut impl Record) -> Observation {
+    let done = run_op(sc, trace, BrokenCounter, |rng: &mut Rng, _, _: &_| {
         Some(if rng.random_bool(0.7) {
             BrokenCall::Inc
         } else {
@@ -271,8 +290,8 @@ fn broken_case(sc: &FuzzScenario) -> Observation {
 
 // Negative control: the summing "join" breaks idempotence, so the lattice
 // laws catch it even when the states happen to agree.
-fn summing_case(sc: &FuzzScenario) -> Observation {
-    let done = run_state(sc, SummingCounter, |_: &mut Rng, _, _: &_| {
+fn summing_case(sc: &FuzzScenario, trace: &mut impl Record) -> Observation {
+    let done = run_state(sc, trace, SummingCounter, |_: &mut Rng, _, _: &_| {
         Some(SumCall::Inc)
     });
     conclude(sc, None, done, None)
@@ -280,12 +299,13 @@ fn summing_case(sc: &FuzzScenario) -> Observation {
 
 fn run_op<C: OpBased>(
     sc: &FuzzScenario,
+    trace: &mut impl Record,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) -> Finished<C::Label> {
     let calls = capped(sc.max_invokes, calls);
     let mut driver = OpDriver::new(crdt, sc.n_replicas as usize, calls);
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
+    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
     Finished {
         run,
         converged: driver.converged(),
@@ -297,12 +317,13 @@ fn run_op<C: OpBased>(
 
 fn run_state<C: DeltaCrdt>(
     sc: &FuzzScenario,
+    trace: &mut impl Record,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) -> Finished<C::Label> {
     let calls = capped(sc.max_invokes, calls);
     let mut driver = StateDriver::new(crdt, sc.n_replicas as usize, calls);
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
+    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
     Finished {
         run,
         converged: driver.converged(),
@@ -314,6 +335,7 @@ fn run_state<C: DeltaCrdt>(
 
 fn run_delta<C: DeltaCrdt>(
     sc: &FuzzScenario,
+    trace: &mut impl Record,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) -> Finished<C::Label> {
@@ -322,7 +344,7 @@ fn run_delta<C: DeltaCrdt>(
     };
     let calls = capped(sc.max_invokes, calls);
     let mut driver = DeltaDriver::new(crdt, config, sc.n_replicas as usize, calls);
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
+    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
     let delta_stats = driver.cluster().stats();
     let mut extra_dims = Vec::new();
     if delta_stats.resyncs > 0 {
@@ -343,6 +365,7 @@ fn run_delta<C: DeltaCrdt>(
 // One cap across all objects: every object draws from the same workload.
 fn run_multi<C: OpBased>(
     sc: &FuzzScenario,
+    trace: &mut impl Record,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) -> Finished<ObjLabel<C::Label>> {
@@ -354,7 +377,7 @@ fn run_multi<C: OpBased>(
     );
     let mut calls = capped(sc.max_invokes, calls);
     let mut driver = MultiDriver::new(cluster, move |rng, r, _obj, st| calls(rng, r, st));
-    let run = sim::run(&mut driver, &sc.sim_config(), sc.sim_seed);
+    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
     let converged = driver.converged();
     let history = driver.into_cluster().into_history();
     let mut extra_dims = Vec::new();
@@ -559,8 +582,8 @@ mod tests {
             let b = run_scenario(&sc, 500_000);
             assert_eq!(a.verdict, b.verdict);
             assert_eq!(a.dims, b.dims);
-            assert_eq!(a.trace, b.trace);
-            assert_eq!(replay_trace(&sc), a.trace);
+            assert_eq!((a.invokes, a.history_len), (b.invokes, b.history_len));
+            assert_eq!(replay_trace(&sc), replay_trace(&sc));
         }
     }
 }

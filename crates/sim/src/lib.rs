@@ -33,9 +33,10 @@
 //!   ([`OpDriver`], [`StateDriver`], [`DeltaDriver`], [`MultiDriver`]);
 //! * [`monitored`] — [`MonitoredDriver`], an [`OpDriver`] wrapper that
 //!   verifies RA-linearizability continuously while the engine runs;
-//! * [`sim`] — the engine ([`run`]);
-//! * [`trace`] — the byte-comparable event record, one packed 8-byte word
-//!   an entry;
+//! * [`sim`] — the engine: [`run`] records nothing, [`sim::replay`]
+//!   recomputes the same run with its trace;
+//! * [`trace`] — the byte-comparable event record ([`Trace`]) and the
+//!   [`Record`] sink the engine hands each entry to;
 //! * [`scenario`] — the named corpus (`geo_3dc`, `flaky_wan`,
 //!   `rolling_restart`, `split_brain_heal`, `delta_wan`, `multi_mix`,
 //!   `gossip_50`, `lan_tight`).
@@ -102,6 +103,6 @@ pub use fault::{CrashPlan, FaultPlan, Partition, PartitionWindow};
 pub use monitored::MonitoredDriver;
 pub use network::{Latency, LinkFaults, Network, Topology};
 pub use scenario::Scenario;
-pub use sim::{run, SimConfig, SimRun, SimStats};
+pub use sim::{replay, run, SimConfig, SimRun, SimStats};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Record, Trace, TraceEvent};

@@ -4,10 +4,11 @@
 //! seeded RNG, and a [`Driver`]. Processing an event
 //! may invoke operations, route freshly created messages (sampling per-link
 //! latency and faults), apply arrivals, or fire scheduled partitions and
-//! crashes; everything appends to the [`Trace`]. Because events pop in a
-//! total `(time, sequence)` order and all randomness flows through the one
-//! seeded stream, the entire run — trace, history, final states — is a pure
-//! function of `(scenario, driver, seed)`.
+//! crashes; each decision is one entry handed to a [`Record`] sink. Because
+//! events pop in a total `(time, sequence)` order and all randomness flows
+//! through the one seeded stream, the entire run — trace, history, final
+//! states — is a pure function of `(scenario, driver, seed)`. So [`run`]
+//! records nothing, and [`replay`] recomputes the trace of the same run.
 //!
 //! Transport discipline follows the paper's split:
 //!
@@ -27,7 +28,7 @@ use crate::fault::FaultPlan;
 use crate::network::{Latency, Network};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Record, Trace, TraceEvent};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_obs as obs;
@@ -120,11 +121,10 @@ pub struct SimStats {
     pub payload_bytes: u64,
 }
 
-/// The result of a run: its trace, statistics, and final virtual time.
+/// The result of a run: its statistics and final virtual time. The event
+/// record of the same run is [`replay`]'s.
 #[derive(Clone, Debug)]
 pub struct SimRun {
-    /// The byte-comparable event record.
-    pub trace: Trace,
     /// Aggregate counters.
     pub stats: SimStats,
     /// Virtual instant of the last processed event.
@@ -143,21 +143,49 @@ enum Event {
     Restart(ReplicaId),
 }
 
-/// Runs `driver` through `cfg` under `seed`; the driver keeps the cluster
-/// (and its history) afterwards.
+/// Runs `driver` through `cfg` under `seed`, recording nothing; the driver
+/// keeps the cluster (and its history) afterwards.
 ///
 /// The whole run is a pure function of `(cfg, driver, seed)`: re-running
-/// with the same inputs reproduces the trace, the history, and the final
-/// states byte for byte (`tests/sim_determinism.rs` pins this for every
-/// scenario in the corpus). See the crate-level example for a complete
-/// seeded run; `ral_verify::scenarios` and `ral_verify::delta` wrap this
-/// entry point with the paper's per-CRDT obligations.
+/// with the same inputs reproduces the history and the final states byte
+/// for byte, and [`replay`] reproduces the run with its trace
+/// (`tests/sim_determinism.rs` pins this for every scenario in the
+/// corpus). See the crate-level example for a complete seeded run;
+/// `ral_verify::scenarios` and `ral_verify::delta` wrap this entry point
+/// with the paper's per-CRDT obligations.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` is internally inconsistent ([`SimConfig::validate`]) or
 /// disagrees with the driver on the cluster size.
 pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
+    run_into(driver, cfg, seed, &mut ())
+}
+
+/// [`run`], recording every engine decision into a [`Trace`]: on a fresh
+/// driver it is the same run, with the same history and statistics.
+///
+/// # Panics
+///
+/// As [`run`].
+pub fn replay<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> (SimRun, Trace) {
+    let mut trace = Trace::new();
+    let run = run_into(driver, cfg, seed, &mut trace);
+    (run, trace)
+}
+
+/// [`run`], handing every engine decision to `trace`: `()` keeps nothing
+/// and a [`Trace`] keeps everything.
+///
+/// # Panics
+///
+/// As [`run`].
+pub fn run_into<D: Driver, R: Record>(
+    driver: &mut D,
+    cfg: &SimConfig,
+    seed: u64,
+    trace: &mut R,
+) -> SimRun {
     cfg.validate();
     assert_eq!(
         driver.n_replicas(),
@@ -166,7 +194,6 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
     );
     let mut rng = Rng::seed_from_u64(seed);
     let mut queue = EventQueue::new(cfg.network.max_delay().max(cfg.network.retry));
-    let mut trace = Trace::new();
     let mut stats = SimStats::default();
     // Every message put on links so far, by its origin: an arrival reads
     // its sender here, asked of the driver once per message when routed.
@@ -220,12 +247,12 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     obs::counter("sim.invokes", 1);
                 }
                 trace.push(now, TraceEvent::Invoke { replica: r, ok });
-                route_new::<D>(
+                route_new(
                     driver,
                     cfg,
                     &mut rng,
                     &mut queue,
-                    &mut trace,
+                    trace,
                     &mut stats,
                     now,
                     &mut origins,
@@ -243,12 +270,12 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
                     obs::counter("sim.gossips", 1);
                 }
                 trace.push(now, TraceEvent::Gossip { replica: r, ok });
-                route_new::<D>(
+                route_new(
                     driver,
                     cfg,
                     &mut rng,
                     &mut queue,
-                    &mut trace,
+                    trace,
                     &mut stats,
                     now,
                     &mut origins,
@@ -337,11 +364,7 @@ pub fn run<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> SimRun {
         trace.push(now, TraceEvent::FinalSync);
         driver.final_sync();
     }
-    SimRun {
-        trace,
-        stats,
-        end: now,
-    }
+    SimRun { stats, end: now }
 }
 
 // One queued arrival of `msg` on a loss-tolerant transport is spent — landed
@@ -363,12 +386,12 @@ fn arrival_spent<D: Driver>(driver: &mut D, in_flight: &mut [u32], msg: usize) {
 // message in `in_flight` (reliable runs never touch it), and a message
 // whose every transmission was lost at once is released on the spot.
 #[allow(clippy::too_many_arguments)]
-fn route_new<D: Driver>(
+fn route_new<D: Driver, R: Record>(
     driver: &mut D,
     cfg: &SimConfig,
     rng: &mut Rng,
     queue: &mut EventQueue<Event>,
-    trace: &mut Trace,
+    trace: &mut R,
     stats: &mut SimStats,
     now: SimTime,
     origins: &mut Vec<ReplicaId>,
@@ -585,9 +608,8 @@ mod tests {
         let mut cfg = small_cfg(3);
         cfg.faults.crashes = vec![CrashPlan::bounce(ReplicaId(0), SimTime(50), SimTime(200))];
         let mut driver = StateDriver::new(GCtr, 3, |_, _, _| Some(()));
-        let run = run(&mut driver, &cfg, 5);
-        let crashes = run
-            .trace
+        let (_, trace) = replay(&mut driver, &cfg, 5);
+        let crashes = trace
             .iter()
             .filter(|(_, e)| matches!(e, TraceEvent::Crash { .. }))
             .count();

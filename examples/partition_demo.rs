@@ -31,7 +31,7 @@ fn main() {
     let mut driver = OpDriver::new(OrSet::<u8>::new(), cfg.n_replicas, |rng: &mut Rng, _, _| {
         Some(workloads::or_set(rng))
     });
-    let run = sim::run(&mut driver, &cfg, 2024);
+    let (run, trace) = sim::replay(&mut driver, &cfg, 2024);
 
     println!(
         "active phase: {} events to {}; {} invocations, {} point-to-point sends",
@@ -41,7 +41,7 @@ fn main() {
         "the partitions forced {} retransmissions and {} causal holdbacks",
         run.stats.retried, run.stats.held
     );
-    for (t, e) in run.trace.iter() {
+    for (t, e) in trace.iter() {
         if matches!(
             e,
             TraceEvent::PartitionStart { .. } | TraceEvent::PartitionEnd { .. }

@@ -7,7 +7,8 @@
 //! the operations above its origin's seen-frontier — a handful — and not
 //! its index. Stored densely from operation 0, the 100k-op monitored churn
 //! below held ≈ 658 MiB of predecessor sets; it must now hold at most
-//! 64 MiB of live heap in all at its end, history and trace included.
+//! 20 MiB of live heap in all at its end, history included (17.0 MiB
+//! measured; 25.0 MiB when every run kept its trace).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -142,18 +143,18 @@ fn churn_config() -> SimConfig {
 }
 
 /// ≥ 100k operations through rolling partitions, verified live: at the
-/// end, with the driver, its history and the run's trace all alive, the
-/// heap holds at most 64 MiB, and the history's predecessor sets at most
-/// 16 bytes of tail per operation.
+/// end, with the driver and its history alive, the heap holds at most
+/// 20 MiB (17.0 MiB measured, plus a margin of ≈ 17 %), and the history's
+/// predecessor sets at most 16 bytes of tail per operation.
 #[test]
-fn monitored_churn_of_100k_ops_holds_at_most_64_mib() {
+fn monitored_churn_of_100k_ops_holds_at_most_20_mib() {
     let cfg = churn_config();
     cfg.validate();
     let inner = OpDriver::new(OpCounter, cfg.n_replicas, |rng: &mut Rng, _, _| {
         Some(workloads::counter(rng))
     });
     let mut driver = MonitoredDriver::new(inner, Identity, CounterSpec);
-    let run = sim::run(&mut driver, &cfg, 0xC0FFEE);
+    sim::run(&mut driver, &cfg, 0xC0FFEE);
     let held = live();
     assert!(driver.converged(), "churn run failed to converge");
     assert_eq!(driver.verdict(), Verdict::Ok);
@@ -162,10 +163,9 @@ fn monitored_churn_of_100k_ops_holds_at_most_64_mib() {
     let ops = history.len();
     assert!(ops >= 100_000, "only {ops} ops invoked; lengthen the run");
     assert!(
-        held <= 64 * MIB,
-        "{:.1} MiB live after {ops} ops ({} trace entries)",
-        held as f64 / MIB as f64,
-        run.trace.len()
+        held <= 20 * MIB,
+        "{:.1} MiB live after {ops} ops",
+        held as f64 / MIB as f64
     );
     let tails: usize = (0..ops).map(|i| heap_of(history.preds(i))).sum();
     assert!(

@@ -4,9 +4,10 @@
 //! A test binary of its own, because it installs a counting
 //! `#[global_allocator]`. Every operation is broadcast to the other 49
 //! replicas, so a run is almost all transmissions and arrivals. Scheduling
-//! them (the event queue), recording them (the trace) and applying them
-//! must not allocate per event; what is left is amortised growth. The
-//! trace must hold an entry in at most 16 bytes of heap.
+//! them (the event queue) and applying them must not allocate per event;
+//! what is left is amortised growth, pinned at its measured count. A
+//! [`sim::run`] records no trace, so a trace growing inside it — one
+//! regrowth per doubling, 15 on this run — fails the pin.
 //!
 //! What an operation does keep is the replica's seen-set, copied into the
 //! history as the operation's visibility. That copy is the record the
@@ -28,7 +29,6 @@ use ral_sim::fault::FaultPlan;
 use ral_sim::network::{Latency, LinkFaults, Network, Topology};
 use ral_sim::sim::{self, SimConfig};
 use ral_sim::time::SimTime;
-use ral_sim::trace::TraceEvent;
 
 /// Allocations made outside [`Driver::invoke`] (the engine and the
 /// receives) and inside it.
@@ -38,13 +38,12 @@ const INVOKE: usize = 1;
 thread_local! {
     static PHASE: Cell<usize> = const { Cell::new(ENGINE) };
     static ALLOCATIONS: [Cell<u64>; 2] = const { [Cell::new(0), Cell::new(0)] };
-    static FREED_BYTES: Cell<u64> = const { Cell::new(0) };
     static FRESH_BYTES: [Cell<u64>; 2] = const { [Cell::new(0), Cell::new(0)] };
 }
 
 /// The system allocator, counting (per thread) every call that hands out
-/// a block, by phase, the bytes of fresh blocks (not regrowth), by phase,
-/// and the bytes handed back.
+/// a block, by phase, and the bytes of fresh blocks (not regrowth), by
+/// phase.
 struct Counting;
 
 fn count_allocation() {
@@ -78,7 +77,6 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = FREED_BYTES.try_with(|f| f.set(f.get() + layout.size() as u64));
         // SAFETY: `ptr` came from this allocator, hence from `System`,
         // with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -86,7 +84,6 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
-        let _ = FREED_BYTES.try_with(|f| f.set(f.get() + layout.size() as u64));
         // SAFETY: as in `dealloc`; `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -99,10 +96,6 @@ fn allocations(phase: usize) -> u64 {
     ALLOCATIONS.with(|a| a[phase].get())
 }
 
-fn freed_bytes() -> u64 {
-    FREED_BYTES.with(Cell::get)
-}
-
 fn fresh_bytes(phase: usize) -> u64 {
     FRESH_BYTES.with(|b| b[phase].get())
 }
@@ -112,7 +105,8 @@ fn fresh_bytes(phase: usize) -> u64 {
 /// many allocations each made: none, one, two, more; and the bytes of the
 /// fresh blocks they made (regrowth of the history and the delivery pool
 /// reallocates, so what is left is the seen-set copies). It also counts
-/// the engine's [`Driver::origin`] calls.
+/// the engine's [`Driver::origin`] calls and the arrivals that were
+/// applied.
 struct Phased<D> {
     inner: D,
     warm: usize,
@@ -120,6 +114,7 @@ struct Phased<D> {
     made: [u64; 4],
     copied_bytes: u64,
     origin_calls: Cell<usize>,
+    delivered: u64,
 }
 
 impl<D> Phased<D> {
@@ -131,6 +126,7 @@ impl<D> Phased<D> {
             made: [0; 4],
             copied_bytes: 0,
             origin_calls: Cell::new(0),
+            delivered: 0,
         }
     }
 }
@@ -174,7 +170,11 @@ impl<D: Driver> Driver for Phased<D> {
     }
 
     fn receive(&mut self, r: ReplicaId, m: usize) -> Received {
-        self.inner.receive(r, m)
+        let received = self.inner.receive(r, m);
+        if let Received::Applied(_) = received {
+            self.delivered += 1;
+        }
+        received
     }
 
     fn message_bytes(&self, m: usize, to: ReplicaId) -> usize {
@@ -208,6 +208,11 @@ impl<D: Driver> Driver for Phased<D> {
 
 const REPLICAS: usize = 50;
 
+/// Allocations outside [`Driver::invoke`] on the fan-out, both cluster
+/// kinds: the queue's, the engine's tables' and the receives' amortised
+/// growth (85 when every run kept its trace).
+const ENGINE_ALLOCATIONS: u64 = 70;
+
 /// The streaming benchmark's fan-out shape: 50 replicas on a 1–3-tick
 /// LAN, each invoking every 2 000–4 000 ticks, no faults.
 fn fanout() -> SimConfig {
@@ -235,9 +240,9 @@ fn counter_call(rng: &mut Rng) -> CounterCall {
 }
 
 /// Runs `driver` through the fan-out and checks the contract: engine and
-/// receives at most 0.01 allocations per delivered arrival, one
-/// [`Driver::origin`] call per routed message (none per arrival), at most
-/// 16 bytes of trace heap per entry, one allocation — the seen-set copy —
+/// receives at most 0.01 allocations per delivered arrival and at most
+/// [`ENGINE_ALLOCATIONS`] in all, one [`Driver::origin`] call per routed
+/// message (none per arrival), one allocation — the seen-set copy —
 /// for nine operations in ten, only amortised growth beside it, and at
 /// most 16 bytes of seen-set copy per operation.
 fn check_contract<D: Driver>(name: &str, driver: D) {
@@ -248,11 +253,7 @@ fn check_contract<D: Driver>(name: &str, driver: D) {
     let engine = allocations(ENGINE) - engine_before;
     assert!(driver.converged(), "{name}: no convergence");
 
-    let delivered = run
-        .trace
-        .iter()
-        .filter(|(_, e)| matches!(e, TraceEvent::Deliver { .. }))
-        .count() as u64;
+    let delivered = driver.delivered;
     assert!(
         delivered >= 40 * run.stats.invokes as u64,
         "{name}: a fan-out delivers every operation to the other replicas"
@@ -261,19 +262,14 @@ fn check_contract<D: Driver>(name: &str, driver: D) {
         engine * 100 <= delivered,
         "{name}: {engine} engine and receive allocations for {delivered} delivered arrivals"
     );
+    assert!(
+        engine <= ENGINE_ALLOCATIONS,
+        "{name}: {engine} engine and receive allocations, {ENGINE_ALLOCATIONS} measured"
+    );
     assert_eq!(
         driver.origin_calls.get(),
         driver.n_messages(),
         "{name}: the engine asks a message's origin once, when it routes it"
-    );
-
-    let entries = run.trace.len() as u64;
-    let freed_before = freed_bytes();
-    drop(run.trace);
-    let trace_heap = freed_bytes() - freed_before;
-    assert!(
-        trace_heap <= 16 * entries,
-        "{name}: {trace_heap} trace heap bytes for {entries} entries"
     );
 
     // Growth of the history and the delivery pool lands on a few

@@ -19,40 +19,65 @@ use ral_runtime::delta::DeltaConfig;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
 use ral_sim::scenario::{self, Scenario};
-use ral_sim::sim;
+use ral_sim::sim::{self, SimConfig, SimRun};
 use ral_verify::workloads;
 use std::hash::Hasher;
 
 /// Trace bytes and history bytes of one run.
 type RunBytes = (Vec<u8>, Vec<u8>);
 
-fn op_run(sc: &Scenario, seed: u64) -> RunBytes {
+/// A run's statistics and end, with its bytes.
+type Ran = (SimRun, RunBytes);
+
+/// How a runner enters the engine.
+trait Entry {
+    /// Runs `driver` through `cfg` under `seed`; returns the run and its
+    /// rendered trace (empty where the entry records none).
+    fn enter<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> (SimRun, Vec<u8>);
+}
+
+/// [`sim::replay`]: the entry the reruns and the golden hashes pin.
+struct Replay;
+
+impl Entry for Replay {
+    fn enter<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> (SimRun, Vec<u8>) {
+        let (run, trace) = sim::replay(driver, cfg, seed);
+        (run, trace.render().into_bytes())
+    }
+}
+
+/// [`sim::run`]: the entry the pipeline and every harness take.
+struct Run;
+
+impl Entry for Run {
+    fn enter<D: Driver>(driver: &mut D, cfg: &SimConfig, seed: u64) -> (SimRun, Vec<u8>) {
+        (sim::run(driver, cfg, seed), Vec::new())
+    }
+}
+
+fn op_run<E: Entry>(sc: &Scenario, seed: u64) -> Ran {
     let mut driver = OpDriver::new(
         OrSet::<u8>::new(),
         sc.cfg.n_replicas,
         |rng: &mut Rng, _, _| Some(workloads::or_set(rng)),
     );
-    let run = sim::run(&mut driver, &sc.cfg, seed);
+    let (run, trace) = E::enter(&mut driver, &sc.cfg, seed);
     assert!(driver.converged(), "{}: no convergence", sc.name);
-    (
-        run.trace.render().into_bytes(),
-        format!("{:?}", driver.into_cluster().into_history()).into_bytes(),
-    )
+    let history = format!("{:?}", driver.into_cluster().into_history());
+    (run, (trace, history.into_bytes()))
 }
 
-fn state_run(sc: &Scenario, seed: u64) -> RunBytes {
+fn state_run<E: Entry>(sc: &Scenario, seed: u64) -> Ran {
     let mut driver = StateDriver::new(PnCounter, sc.cfg.n_replicas, |rng: &mut Rng, _, _| {
         Some(workloads::pn_counter(rng))
     });
-    let run = sim::run(&mut driver, &sc.cfg, seed);
+    let (run, trace) = E::enter(&mut driver, &sc.cfg, seed);
     assert!(driver.converged(), "{}: no convergence", sc.name);
-    (
-        run.trace.render().into_bytes(),
-        format!("{:?}", driver.into_cluster().into_history()).into_bytes(),
-    )
+    let history = format!("{:?}", driver.into_cluster().into_history());
+    (run, (trace, history.into_bytes()))
 }
 
-fn delta_run(sc: &Scenario, seed: u64) -> RunBytes {
+fn delta_run<E: Entry>(sc: &Scenario, seed: u64) -> Ran {
     // A tight resync horizon so the delta-transport fallback machinery is
     // itself under the determinism contract.
     let mut driver = DeltaDriver::new(
@@ -61,47 +86,49 @@ fn delta_run(sc: &Scenario, seed: u64) -> RunBytes {
         sc.cfg.n_replicas,
         |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
     );
-    let run = sim::run(&mut driver, &sc.cfg, seed);
+    let (run, trace) = E::enter(&mut driver, &sc.cfg, seed);
     assert!(driver.converged(), "{}: no convergence", sc.name);
-    (
-        run.trace.render().into_bytes(),
-        format!("{:?}", driver.into_cluster().into_history()).into_bytes(),
-    )
+    let history = format!("{:?}", driver.into_cluster().into_history());
+    (run, (trace, history.into_bytes()))
 }
 
-fn multi_run_mode(sc: &Scenario, seed: u64, mode: TsMode) -> RunBytes {
+fn multi_run_mode<E: Entry>(sc: &Scenario, seed: u64, mode: TsMode) -> Ran {
     // A TO data type, so the timestamp discipline (the whole point of
     // ⊗ vs ⊗ts) is visible in the recorded history bytes.
     let cluster = MultiCluster::new(LwwRegister::<u8>::new(), 32, sc.cfg.n_replicas, mode);
     let mut driver = MultiDriver::new(cluster, |rng: &mut Rng, _, _obj: ObjId, _| {
         Some(workloads::lww_register(rng))
     });
-    let run = sim::run(&mut driver, &sc.cfg, seed);
+    let (run, trace) = E::enter(&mut driver, &sc.cfg, seed);
     assert!(driver.converged(), "{}: no convergence", sc.name);
-    (
-        run.trace.render().into_bytes(),
-        format!("{:?}", driver.into_cluster().into_history()).into_bytes(),
-    )
+    let history = format!("{:?}", driver.into_cluster().into_history());
+    (run, (trace, history.into_bytes()))
 }
 
-fn multi_run(sc: &Scenario, seed: u64) -> RunBytes {
-    multi_run_mode(sc, seed, TsMode::Shared)
+fn multi_run<E: Entry>(sc: &Scenario, seed: u64) -> Ran {
+    multi_run_mode::<E>(sc, seed, TsMode::Shared)
 }
 
-/// The cluster kind each corpus scenario most stresses.
-fn runner_for(name: &str) -> fn(&Scenario, u64) -> RunBytes {
+/// The cluster kind each corpus scenario most stresses, entered by `E`.
+fn runner_for<E: Entry>(name: &str) -> fn(&Scenario, u64) -> Ran {
     match name {
         // Reliable causal broadcast through geo latency, partitions, and
         // the tight LAN the streaming monitor rides…
-        "geo_3dc" | "split_brain_heal" | "lan_tight" => op_run,
+        "geo_3dc" | "split_brain_heal" | "lan_tight" => op_run::<E>,
         // …lossy gossip through faults, restarts, and the big mesh…
-        "flaky_wan" | "rolling_restart" | "gossip_50" => state_run,
+        "flaky_wan" | "rolling_restart" | "gossip_50" => state_run::<E>,
         // …the delta transport through its own stress scenario…
-        "delta_wan" => delta_run,
+        "delta_wan" => delta_run::<E>,
         // …and the composed cluster through the 50×32 object mix.
-        "multi_mix" => multi_run,
+        "multi_mix" => multi_run::<E>,
         other => panic!("unknown scenario {other}"),
     }
+}
+
+/// The bytes of a run through [`sim::replay`] (`runner_for::<Replay>`).
+fn replayed(name: &str) -> impl Fn(&Scenario, u64) -> RunBytes {
+    let runner = runner_for::<Replay>(name);
+    move |sc, seed| runner(sc, seed).1
 }
 
 /// Every named scenario, each through the cluster kind it most stresses;
@@ -109,7 +136,7 @@ fn runner_for(name: &str) -> fn(&Scenario, u64) -> RunBytes {
 #[test]
 fn every_corpus_scenario_is_byte_deterministic() {
     for sc in scenario::all() {
-        let runner = runner_for(sc.name);
+        let runner = replayed(sc.name);
         for seed in [0u64, 42] {
             let (trace_a, hist_a) = runner(&sc, seed);
             let (trace_b, hist_b) = runner(&sc, seed);
@@ -136,11 +163,11 @@ fn fnv(bytes: &[u8]) -> u64 {
 
 /// The golden lines of one driver: one per corpus scenario × seed, holding
 /// the FNV-1a of the rendered trace and of the `Debug` history.
-fn golden_lines(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) -> Vec<String> {
+fn golden_lines(driver: &str, runner: fn(&Scenario, u64) -> Ran) -> Vec<String> {
     let mut out = Vec::new();
     for sc in scenario::all() {
         for seed in [1u64, 7, 1000] {
-            let (trace, history) = runner(&sc, seed);
+            let (_, (trace, history)) = runner(&sc, seed);
             out.push(format!(
                 "{driver} {} seed={seed} trace={:016x} history={:016x}",
                 sc.name,
@@ -157,7 +184,7 @@ fn golden_lines(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) -> Vec<Str
 /// itself, so a reordering that is merely self-consistent — a different
 /// tie-break in the event queue, a trace record that renders differently —
 /// passes them and fails here.
-fn assert_golden(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) {
+fn assert_golden(driver: &str, runner: fn(&Scenario, u64) -> Ran) {
     let want: Vec<&str> = include_str!("golden/sim_traces.txt")
         .lines()
         .filter(|l| l.split(' ').next() == Some(driver))
@@ -176,22 +203,22 @@ fn assert_golden(driver: &str, runner: fn(&Scenario, u64) -> RunBytes) {
 
 #[test]
 fn op_driver_runs_match_their_golden_hashes() {
-    assert_golden("op", op_run);
+    assert_golden("op", op_run::<Replay>);
 }
 
 #[test]
 fn state_driver_runs_match_their_golden_hashes() {
-    assert_golden("state", state_run);
+    assert_golden("state", state_run::<Replay>);
 }
 
 #[test]
 fn delta_driver_runs_match_their_golden_hashes() {
-    assert_golden("delta", delta_run);
+    assert_golden("delta", delta_run::<Replay>);
 }
 
 #[test]
 fn multi_driver_runs_match_their_golden_hashes() {
-    assert_golden("multi", multi_run);
+    assert_golden("multi", multi_run::<Replay>);
 }
 
 /// Both cluster kinds over the *same* scenario must be independently
@@ -199,11 +226,17 @@ fn multi_driver_runs_match_their_golden_hashes() {
 #[test]
 fn op_and_state_runs_are_independently_deterministic() {
     let sc = scenario::flaky_wan();
-    assert_eq!(op_run(&sc, 9).0, op_run(&sc, 9).0);
-    assert_eq!(state_run(&sc, 9).0, state_run(&sc, 9).0);
+    assert_eq!(op_run::<Replay>(&sc, 9).1 .0, op_run::<Replay>(&sc, 9).1 .0);
+    assert_eq!(
+        state_run::<Replay>(&sc, 9).1 .0,
+        state_run::<Replay>(&sc, 9).1 .0
+    );
     // The two transports see the same scenario differently: reliable links
     // ignore drop/duplication, so the traces must *not* coincide.
-    assert_ne!(op_run(&sc, 9).0, state_run(&sc, 9).0);
+    assert_ne!(
+        op_run::<Replay>(&sc, 9).1 .0,
+        state_run::<Replay>(&sc, 9).1 .0
+    );
 }
 
 /// `multi_mix` under the *per-object* timestamp discipline (`⊗`): the
@@ -212,13 +245,13 @@ fn op_and_state_runs_are_independently_deterministic() {
 #[test]
 fn multi_mix_per_object_mode_is_byte_deterministic() {
     let sc = scenario::by_name("multi_mix").unwrap();
-    let (trace_a, hist_a) = multi_run_mode(&sc, 3, TsMode::PerObject);
-    let (trace_b, hist_b) = multi_run_mode(&sc, 3, TsMode::PerObject);
+    let (_, (trace_a, hist_a)) = multi_run_mode::<Replay>(&sc, 3, TsMode::PerObject);
+    let (_, (trace_b, hist_b)) = multi_run_mode::<Replay>(&sc, 3, TsMode::PerObject);
     assert_eq!(trace_a, trace_b, "multi_mix ⊗: trace differs");
     assert_eq!(hist_a, hist_b, "multi_mix ⊗: history differs");
     // The timestamp discipline feeds generated timestamps back into the
     // recorded history, so the two modes must not coincide.
-    let (_, hist_shared) = multi_run_mode(&sc, 3, TsMode::Shared);
+    let (_, (_, hist_shared)) = multi_run_mode::<Replay>(&sc, 3, TsMode::Shared);
     assert_ne!(hist_a, hist_shared, "⊗ and ⊗ts must differ in histories");
 }
 
@@ -231,10 +264,10 @@ fn multi_cluster_scenario_is_byte_deterministic() {
         let mut driver = MultiDriver::new(cluster, |rng: &mut Rng, _, _obj: ObjId, _| {
             Some(workloads::counter(rng))
         });
-        let out = sim::run(&mut driver, &sc.cfg, seed);
+        let (_, trace) = sim::replay(&mut driver, &sc.cfg, seed);
         assert!(driver.converged());
         (
-            out.trace.render().into_bytes(),
+            trace.render().into_bytes(),
             format!("{:?}", driver.into_cluster().into_history()).into_bytes(),
         )
     };
@@ -249,7 +282,7 @@ fn multi_cluster_scenario_is_byte_deterministic() {
 #[test]
 fn obs_recording_leaves_every_scenario_byte_identical() {
     for sc in scenario::all() {
-        let runner = runner_for(sc.name);
+        let runner = replayed(sc.name);
         let off = runner(&sc, 7);
         ral_obs::reset();
         ral_obs::enable(None);
@@ -258,6 +291,27 @@ fn obs_recording_leaves_every_scenario_byte_identical() {
         ral_obs::reset();
         assert_eq!(off.0, on.0, "{}: recording changed the trace", sc.name);
         assert_eq!(off.1, on.1, "{}: recording changed the history", sc.name);
+    }
+}
+
+/// Recording never steers a run: every corpus scenario, through its
+/// runner on fresh drivers, gives the same statistics, the same end and
+/// the same `Debug` history through [`sim::run`], which records nothing,
+/// as through [`sim::replay`], which records the trace the golden hashes
+/// pin. The pipeline and every harness take the first; the golden pins
+/// the second.
+#[test]
+fn run_and_replay_are_the_same_run() {
+    for sc in scenario::all() {
+        for seed in [7u64, 1000] {
+            let (run, (none, history)) = runner_for::<Run>(sc.name)(&sc, seed);
+            let (replay, (trace, replay_history)) = runner_for::<Replay>(sc.name)(&sc, seed);
+            let at = format!("{} seed {seed}", sc.name);
+            assert!(none.is_empty() && !trace.is_empty(), "{at}");
+            assert_eq!(run.stats, replay.stats, "{at}: SimStats");
+            assert_eq!(run.end, replay.end, "{at}: end");
+            assert_eq!(history, replay_history, "{at}: history");
+        }
     }
 }
 
@@ -285,7 +339,7 @@ fn corpus_table_and_runners_cover_every_constructor() {
         );
         // `runner_for` panics on an unregistered name; one short run proves
         // the pairing actually executes.
-        let (trace, history) = runner_for(name)(&sc, 11);
+        let (trace, history) = replayed(name)(&sc, 11);
         assert!(!trace.is_empty(), "{name}: empty trace");
         assert!(!history.is_empty(), "{name}: empty history");
     }
@@ -301,9 +355,9 @@ fn rolling_restart_fires_its_schedule() {
         sc.cfg.n_replicas,
         |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
     );
-    let run = sim::run(&mut driver, &sc.cfg, 3);
+    let (_, trace) = sim::replay(&mut driver, &sc.cfg, 3);
     assert!(driver.converged());
-    let text = run.trace.render();
+    let text = trace.render();
     let crashes = text.lines().filter(|l| l.contains("Crash")).count();
     let restarts = text.lines().filter(|l| l.contains("Restart")).count();
     assert_eq!(crashes, 6, "one crash per replica");

@@ -18,7 +18,7 @@ use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
 use ral_sim::driver::{DeltaDriver, Driver, Received, StateDriver};
 use ral_sim::scenario::{self, Scenario};
 use ral_sim::sim::{self, SimRun, SimStats};
-use ral_sim::trace::TraceEvent;
+use ral_sim::trace::{Trace, TraceEvent};
 use ral_verify::workloads;
 
 type Lww = LwwElementSet<u8>;
@@ -129,10 +129,10 @@ struct Observed {
 }
 
 impl Observed {
-    fn of<D>(run: SimRun, driver: &D, observe: Observe<D>) -> Self {
+    fn of<D>((run, trace): (SimRun, Trace), driver: &D, observe: Observe<D>) -> Self {
         let (history, states) = observe(driver);
         Observed {
-            trace: run.trace.render(),
+            trace: trace.render(),
             stats: run.stats,
             history,
             states,
@@ -155,12 +155,11 @@ fn release_is_unobservable<D: Driver>(
 ) -> (SimStats, Vec<usize>) {
     let run_watched = |forward| {
         let mut driver = Watch::new(mk(sc), forward);
-        let run = sim::run(&mut driver, &sc.cfg, seed);
+        let (run, trace) = sim::replay(&mut driver, &sc.cfg, seed);
         assert!(driver.converged(), "{}: no convergence", sc.name);
         // Every message routed during the active phase is either released
         // or still has an arrival queued past the end of the run.
-        let routed = run
-            .trace
+        let routed = trace
             .iter()
             .filter_map(|(_, e)| match e {
                 TraceEvent::Send { msg, .. } | TraceEvent::Drop { msg, .. } => Some(msg),
@@ -175,7 +174,10 @@ fn release_is_unobservable<D: Driver>(
             sc.name,
             driver.released.len()
         );
-        (Observed::of(run, &driver.inner, observe), driver.released)
+        (
+            Observed::of((run, trace), &driver.inner, observe),
+            driver.released,
+        )
     };
     let (kept, asked) = run_watched(false);
     let (released, asked_again) = run_watched(true);
@@ -183,9 +185,9 @@ fn release_is_unobservable<D: Driver>(
     assert_eq!(kept, released, "{} seed {seed}", sc.name);
 
     let mut plain = mk(sc);
-    let run = sim::run(&mut plain, &sc.cfg, seed);
+    let (run, trace) = sim::replay(&mut plain, &sc.cfg, seed);
     let stats = run.stats;
-    let plain = Observed::of(run, &plain, observe);
+    let plain = Observed::of((run, trace), &plain, observe);
     assert_eq!(kept, plain, "{} seed {seed}: the wrapper itself", sc.name);
     (stats, asked)
 }

@@ -591,7 +591,7 @@ where
         oracle: oracle::StateCluster::new(crdt.clone(), n),
         calls: mk_calls(),
     };
-    let run = sim::run(&mut lockstep, &sc.cfg, seed);
+    let (run, trace) = sim::replay(&mut lockstep, &sc.cfg, seed);
     let at = format!("{} seed {seed}", sc.name);
     assert_eq!(
         format!("{:?}", lockstep.facade.history()),
@@ -601,8 +601,8 @@ where
 
     let sizer = crdt.clone();
     let mut plain = StateDriver::new(crdt, n, mk_calls()).with_sizer(move |s| sizer.state_bytes(s));
-    let plain_run = sim::run(&mut plain, &sc.cfg, seed);
-    assert_eq!(plain_run.trace.render(), run.trace.render(), "{at}: trace");
+    let (plain_run, plain_trace) = sim::replay(&mut plain, &sc.cfg, seed);
+    assert_eq!(plain_trace.render(), trace.render(), "{at}: trace");
     assert_eq!(plain_run.stats, run.stats, "{at}: SimStats");
     let cluster = plain.cluster();
     assert_eq!(
