@@ -38,7 +38,7 @@ step cargo test -q --offline
 # times per delivered arrival and `sim::run` allocates no trace storage, and
 # an operation's seen-set copy costs at most 16 bytes), the history's
 # (`history_mem`: a seen-set copy costs its tail words, not its index, and
-# the 100k-op monitored churn holds at most 20 MiB live at its end), the lattice
+# the 100k-op monitored churn holds at most 16 MiB live at its end), the lattice
 # core's (a receive costs what the message changes, a stale snapshot scans
 # no clock floor; snapshots, resyncs and checkpoints cost nothing; a
 # write-after-share copies a pair set as one block, and a snapshot that
@@ -76,8 +76,14 @@ step cargo test -q --offline --test sim_determinism --test sim_faults --test sim
 # every placement, and nothing is hashed or stored before a configuration
 # fails. The streaming monitor: once warm, a sequential stream allocates at
 # most once per hundred operations (children are filled into retired
-# configurations' buffers, and a query clones no state).
+# configurations' buffers, and a query clones no state), and each of its
+# operations is stepped once, where it is placed: settling a wholly
+# settled suffix steps nothing, because the configuration's frontier
+# becomes its base. A debug build replays that suffix anyway to check the
+# handover, so the step count is exact only in release: the second line
+# runs that contract there.
 step cargo test -q --offline --test search_cost --test search_alloc --test monitor_alloc
+step cargo test -q --offline --release --test search_cost a_sequential_stream
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the
 # `ra_search` facade series, facade_witness/facade_refute) in quick mode

@@ -31,17 +31,23 @@
 //! through a configuration (already in the eagerly-closed `R`) that places
 //! the settled op before all future ops. Settled prefixes are then
 //! *compacted*: placement-mask words below the watermark are dropped,
-//! per-configuration replayed prefixes are absorbed into a base state
-//! (`qbase`), and per-op metadata is released. Retained state is
-//! O(concurrent window), not O(history length) — the property the
-//! `monitor_streaming` bench and the 100k-op churn test pin.
+//! per-configuration settled placements are absorbed into a base state
+//! (`qbase`), and per-op metadata is released. A configuration whose
+//! unabsorbed placements have all settled absorbs them by taking its own
+//! update frontier as the base (the frontier already is the base advanced
+//! over them); only a straggler suffix, a settled op placed after a live
+//! one, is replayed. Retained state is O(concurrent window), not
+//! O(history length), in the monitor and in [`MonitorFeed`]'s id map
+//! alike — the property the `monitor_streaming` bench and the 100k-op
+//! churn test pin.
 //!
 //! An event pays for what it changes, not for what is retained: children
-//! are filled into recycled configurations, pruning filters the live set
-//! in place, the dedup index is rebuilt without allocating, closure walks
-//! the open window only, the watermark is kept by a count of the replicas
-//! sitting at it, and state-set hashes are stored where the sets are
-//! produced (docs/MONITOR.md, "What an event costs").
+//! are filled into recycled configurations, configurations are boxed so
+//! pruning, retiring and inserting move a pointer, pruning filters the
+//! live set in place, the dedup index is rebuilt without allocating,
+//! closure walks the open window only, the watermark is kept by a count of
+//! the replicas sitting at it, and state-set hashes are stored where the
+//! sets are produced (docs/MONITOR.md, "What an event costs").
 //!
 //! # Verdicts
 //!
@@ -322,6 +328,11 @@ const MAX_SPARE_CONFIGS: usize = 32;
 /// assert_eq!(m.observe_frontier(ReplicaId(1), 2), Verdict::Ok);
 /// assert_eq!(m.settled(), 2);
 /// ```
+// `clippy::vec_box` (here and on `retire` / `retain_configs`): the boxes
+// are the point. A configuration is 184 bytes; held by value, every
+// filter, retire, fill and insert copied it out of line, on the path every
+// event takes (docs/MONITOR.md, "What an event costs").
+#[allow(clippy::vec_box)]
 pub struct Monitor<S: Spec> {
     spec: S,
     /// Operations fed so far (ids are dense `0..n`).
@@ -340,7 +351,9 @@ pub struct Monitor<S: Spec> {
     meta: Vec<OpMeta<S>>,
     /// Per-replica seen-frontiers (first unseen op id), monotone.
     frontiers: Vec<usize>,
-    configs: Vec<Config<S::State>>,
+    /// Boxed, so pruning, retiring and inserting move a pointer, never a
+    /// configuration.
+    configs: Vec<Box<Config<S::State>>>,
     /// Canonical key → first index into `configs` with that key; the rest
     /// follow through [`Config::next`]. Point lookups only, never
     /// iterated, so it cannot leak iteration nondeterminism.
@@ -348,7 +361,7 @@ pub struct Monitor<S: Spec> {
     /// Retired configurations (pruned, merged or rejected): specification
     /// states dropped, buffers kept for [`Monitor::try_extend`] to refill.
     /// At most [`MAX_SPARE_CONFIGS`].
-    spare: Vec<Config<S::State>>,
+    spare: Vec<Box<Config<S::State>>>,
     /// The buffer a replay steps into before swapping it in; empty between
     /// events.
     scratch: Vec<S::State>,
@@ -387,7 +400,8 @@ fn configs_equal<St: PartialEq>(a: &Config<St>, b: &Config<St>) -> bool {
 /// Moves a configuration that left the live set to the spare list (or
 /// drops it when the list is full). Its specification states are dropped
 /// either way — a spare holds buffers, never a document.
-fn retire<St>(spare: &mut Vec<Config<St>>, mut c: Config<St>) {
+#[allow(clippy::vec_box)]
+fn retire<St>(spare: &mut Vec<Box<Config<St>>>, mut c: Box<Config<St>>) {
     if spare.len() < MAX_SPARE_CONFIGS {
         c.frontier.clear();
         c.qbase.clear();
@@ -407,15 +421,18 @@ fn copy_states<St: Clone>(dst: &mut Vec<St>, src: &[St]) {
 
 /// Keeps the configurations `keep` accepts, in place and in order; retires
 /// the rest and returns how many there were.
+#[allow(clippy::vec_box)]
 fn retain_configs<St>(
-    configs: &mut Vec<Config<St>>,
-    spare: &mut Vec<Config<St>>,
+    configs: &mut Vec<Box<Config<St>>>,
+    spare: &mut Vec<Box<Config<St>>>,
     mut keep: impl FnMut(&mut Config<St>) -> bool,
 ) -> u64 {
     let mut kept = 0;
     for i in 0..configs.len() {
         if keep(&mut configs[i]) {
-            configs.swap(kept, i);
+            if kept != i {
+                configs.swap(kept, i);
+            }
             kept += 1;
         }
     }
@@ -448,7 +465,7 @@ impl<S: Spec> Monitor<S> {
             max_live_configs: DEFAULT_MAX_LIVE_CONFIGS,
             stats: MonitorStats::default(),
         };
-        let mut root = Config::unallocated();
+        let mut root = Box::new(Config::unallocated());
         root.frontier.push(m.spec.initial());
         root.qbase.push(m.spec.initial());
         root.qbase_hash = states_canonical_hash(&m.spec, &root.qbase);
@@ -703,7 +720,10 @@ impl<S: Spec> Monitor<S> {
                 return; // not yet enabled
             }
         }
-        let mut child = self.spare.pop().unwrap_or_else(Config::unallocated);
+        let mut child = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Box::new(Config::unallocated()));
         match self.fill_child(&mut child, parent, x) {
             Ok(()) => return self.insert_or_merge(child),
             Err(Prune::FrontierDeath) => self.stats.prune_frontier_death += 1,
@@ -806,7 +826,7 @@ impl<S: Spec> Monitor<S> {
     }
 
     /// Inserts `child` unless an equal configuration is already live.
-    fn insert_or_merge(&mut self, mut child: Config<S::State>) {
+    fn insert_or_merge(&mut self, mut child: Box<Config<S::State>>) {
         let head = self.index.get(&child.key).copied();
         let mut at = head;
         while let Some(i) = at {
@@ -843,22 +863,34 @@ impl<S: Spec> Monitor<S> {
         }
         // Absorb each configuration's settled placement prefix into its
         // base states; stragglers (settled ops placed after a still-live
-        // one) stay in `rem` and are bounded by the concurrent window.
+        // one) stay in `rem` and are bounded by the concurrent window. A
+        // wholly settled `rem` needs no replay: `frontier` already is
+        // `qbase ⊕ rem`, so the base takes a copy of it. Only a partly
+        // settled suffix replays (a debug build replays either way, to
+        // check the handover).
         let label_missing = "label retained for unabsorbed placements";
         for c in &mut self.configs {
             let k = c.rem.iter().take_while(|&&u| u < wm).count();
             if k == 0 {
                 continue;
             }
-            for u in c.rem.drain(..k) {
-                let lbl = self.meta[u - self.meta_base]
-                    .label
-                    .as_ref()
-                    .expect(label_missing);
-                let alive = advance_states(&self.spec, &c.qbase, lbl, &mut self.scratch);
-                debug_assert!(alive, "absorbed prefix replays a live frontier");
-                std::mem::swap(&mut c.qbase, &mut self.scratch);
+            let whole = k == c.rem.len();
+            if !whole || cfg!(debug_assertions) {
+                for &u in &c.rem[..k] {
+                    let lbl = self.meta[u - self.meta_base]
+                        .label
+                        .as_ref()
+                        .expect(label_missing);
+                    let alive = advance_states(&self.spec, &c.qbase, lbl, &mut self.scratch);
+                    debug_assert!(alive, "absorbed prefix replays a live frontier");
+                    std::mem::swap(&mut c.qbase, &mut self.scratch);
+                }
             }
+            if whole {
+                debug_assert!(states_set_eq(&c.qbase, &c.frontier));
+                copy_states(&mut c.qbase, &c.frontier);
+            }
+            c.rem.drain(..k);
             c.qbase_hash = states_canonical_hash(&self.spec, &c.qbase);
         }
         self.scratch.clear();
@@ -935,6 +967,9 @@ impl<S: Spec> Monitor<S> {
     }
 }
 
+/// Settled [`MonitorFeed`] entries dropped at once, at the least.
+const MIN_PARTS_DROP: usize = 64;
+
 /// Incremental mirror of [`crate::history::rewrite_history`]: feeds a
 /// stream of *original* labels (queries, updates, or query-updates) to a
 /// [`Monitor`], splitting query-updates on the fly and mapping visibility
@@ -948,7 +983,14 @@ impl<S: Spec> Monitor<S> {
 pub struct MonitorFeed<In, R: Rewrite<In>, S: Spec<Label = R::Out>> {
     rw: R,
     monitor: Monitor<S>,
+    /// Where each original operation from `parts_base` on was fed:
+    /// `parts[i]` describes operation `parts_base + i`.
     parts: Vec<Parts>,
+    /// First original id still in `parts`. Entries below `orig_floor` are
+    /// dropped in batches, once there are [`MIN_PARTS_DROP`] of them and
+    /// at least as many as there are entries above the floor: each entry
+    /// moves at most once, and the feed holds the window, not the stream.
+    parts_base: usize,
     /// Original ids below this are wholly settled; their predecessors are
     /// implied and skipped when building rewritten visibility sets, so a
     /// feed scans and inserts O(concurrent window) predecessors. The set
@@ -965,6 +1007,7 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
             rw,
             monitor: Monitor::new_streaming(spec, n_replicas),
             parts: Vec::new(),
+            parts_base: 0,
             orig_floor: 0,
             _in: PhantomData,
         }
@@ -987,20 +1030,26 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
 
     /// Original operations fed so far.
     pub fn len(&self) -> usize {
-        self.parts.len()
+        self.parts_base + self.parts.len()
     }
 
     /// True if nothing has been fed yet.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.len() == 0
     }
 
     /// Feeds one original-label operation with its visible predecessors
     /// (original ids, e.g. the origin replica's seen-set at invocation).
     pub fn feed_op(&mut self, label: &In, preds: &BitSet) -> Verdict {
         let wm = self.monitor.settled();
-        while self.orig_floor < self.parts.len() && self.parts[self.orig_floor].update() < wm {
+        let n = self.len();
+        while self.orig_floor < n && self.parts[self.orig_floor - self.parts_base].update() < wm {
             self.orig_floor += 1;
+        }
+        let dropped = self.orig_floor - self.parts_base;
+        if dropped >= MIN_PARTS_DROP.max(n - self.orig_floor) {
+            self.parts.drain(..dropped);
+            self.parts_base = self.orig_floor;
         }
         // Map visibility into rewritten space, skipping the settled prefix
         // (implied by the monitor's vis_floor rule). The set starts as the
@@ -1016,7 +1065,7 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
             while bits != 0 {
                 let p = j * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                pred_updates.insert(self.parts[p].update());
+                pred_updates.insert(self.parts[p - self.parts_base].update());
             }
         }
         match self.rw.rewrite(label) {
@@ -1045,10 +1094,14 @@ impl<In, R: Rewrite<In>, S: Spec<Label = R::Out>> MonitorFeed<In, R, S> {
     /// (`first_unseen` = the first original op the replica has not seen).
     /// A frontier beyond the operations fed so far is clamped, as in
     /// [`Monitor::observe_frontier`]: it means "has seen everything fed".
+    /// One at or below the settled floor maps to 0: every operation below
+    /// the floor is settled, so the monitor ignores it either way.
     pub fn observe_frontier(&mut self, replica: ReplicaId, first_unseen: usize) -> Verdict {
-        let mapped = match first_unseen.min(self.parts.len()) {
-            0 => 0,
-            f => self.parts[f - 1].update() + 1,
+        let f = first_unseen.min(self.len());
+        let mapped = if f <= self.orig_floor {
+            0
+        } else {
+            self.parts[f - 1 - self.parts_base].update() + 1
         };
         self.monitor.observe_frontier(replica, mapped)
     }
@@ -1092,6 +1145,7 @@ mod tests {
     use crate::history::OpRecord;
     use crate::label::{Identity, Kind};
     use crate::spec::Step;
+    use std::cell::Cell;
 
     struct CtrSpec;
 
@@ -1302,5 +1356,141 @@ mod tests {
         };
         assert_eq!(run(1), (Verdict::Ok, 1));
         assert_eq!(run(5), run(1), "seen more than was fed = seen all of it");
+    }
+
+    /// Appends a digit: a state is the digits pushed so far read as a
+    /// number, so two pushes leave a different state in each order.
+    /// Counts its steps.
+    #[derive(Default)]
+    struct DigitSpec {
+        steps: Cell<u64>,
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Push(u64);
+
+    impl SpecLabel for Push {
+        fn kind(&self) -> Kind {
+            Kind::Update
+        }
+    }
+
+    impl Spec for DigitSpec {
+        type Label = Push;
+        type State = u64;
+        fn initial(&self) -> u64 {
+            0
+        }
+        fn step(&self, s: &u64, l: &Push, out: &mut Vec<u64>) -> Step {
+            self.steps.set(self.steps.get() + 1);
+            Step::write(out, s * 10 + l.0)
+        }
+    }
+
+    /// The states `order` leads to from the initial one, stepped from
+    /// scratch.
+    fn replay(order: &[&Push]) -> Vec<u64> {
+        let spec = DigitSpec::default();
+        let mut states = vec![spec.initial()];
+        let mut next = Vec::new();
+        for &l in order {
+            assert!(advance_states(&spec, &states, l, &mut next));
+            std::mem::swap(&mut states, &mut next);
+        }
+        states
+    }
+
+    /// Settlement's two ways into a base. `a` (id 0) and `b` (id 1) are
+    /// concurrent. Once `a` alone settles, `[a, b]` replays `a` (its `b`
+    /// is still live: the straggler path), `[a]` hands its frontier over,
+    /// and `[b, a]` absorbs nothing, its settled `a` sitting behind a live
+    /// `b`. Once `b` settles too, both orders hand their frontiers over.
+    /// A debug build also replays every handover, to check it.
+    #[test]
+    fn settlement_replays_a_straggler_and_hands_a_settled_suffix_over() {
+        let (a, b) = (Push(1), Push(2));
+        let mut m = Monitor::new_streaming(DigitSpec::default(), 2);
+        m.advance_op(a.clone(), BitSet::new());
+        assert_eq!(m.advance_op(b.clone(), BitSet::new()), Verdict::Ok);
+        // (rem, qbase, frontier) of every live configuration.
+        let live = |m: &Monitor<DigitSpec>| {
+            let mut v: Vec<_> = m
+                .configs
+                .iter()
+                .map(|c| (c.rem.clone(), c.qbase.clone(), c.frontier.clone()))
+                .collect();
+            v.sort();
+            v
+        };
+        let steps = |m: &Monitor<DigitSpec>| m.spec.steps.replace(0);
+        let check = u64::from(cfg!(debug_assertions));
+        steps(&m);
+
+        m.observe_frontier(r(0), 1);
+        assert_eq!(m.observe_frontier(r(1), 1), Verdict::Ok);
+        assert_eq!(m.settled(), 1);
+        assert_eq!(
+            live(&m),
+            [
+                (vec![], replay(&[&a]), replay(&[&a])),
+                (vec![1], replay(&[&a]), replay(&[&a, &b])),
+                (vec![1, 0], replay(&[]), replay(&[&b, &a])),
+            ]
+        );
+        assert_eq!(steps(&m), 1 + check, "one straggler replayed");
+
+        m.observe_frontier(r(0), 2);
+        assert_eq!(m.observe_frontier(r(1), 2), Verdict::Ok);
+        assert_eq!(
+            live(&m),
+            [
+                (vec![], replay(&[&a, &b]), replay(&[&a, &b])),
+                (vec![], replay(&[&b, &a]), replay(&[&b, &a])),
+            ]
+        );
+        assert_eq!(steps(&m), 3 * check, "both suffixes handed over");
+    }
+
+    /// The feed keeps where each operation went only for the window: the
+    /// settled prefix is dropped, its length still counted. A replica
+    /// lagging at or below the settled floor reports a frontier the
+    /// monitor ignores; one past it moves the watermark as before.
+    #[test]
+    fn feed_holds_the_window_and_ignores_a_lagging_frontier() {
+        let mut feed: MonitorFeed<L, Identity, CtrSpec> = MonitorFeed::new(Identity, CtrSpec, 3);
+        let mut seen = BitSet::new();
+        for i in 0..200 {
+            feed.feed_op(&L::Inc, &seen);
+            seen.insert(i);
+            feed.observe_frontier(r(0), i + 1);
+            feed.observe_frontier(r(1), i + 1);
+            if i < 150 {
+                feed.observe_frontier(r(2), i + 1);
+            }
+        }
+        assert_eq!(feed.monitor().settled(), 150);
+        feed.feed_op(&L::Read(200), &seen);
+        assert_eq!((feed.len(), feed.orig_floor), (201, 150));
+        // Dropped in batches: fewer than `MIN_PARTS_DROP` settled entries,
+        // or fewer than the window holds, are still kept.
+        let window = feed.len() - feed.orig_floor;
+        assert!(feed.parts_base > 0);
+        assert!(feed.parts.len() < MIN_PARTS_DROP + 2 * window);
+        let observations = feed.stats().frontier_observations;
+        for lagging in [0, 100, 150] {
+            assert_eq!(feed.observe_frontier(r(2), lagging), Verdict::Ok);
+            assert_eq!(feed.monitor().frontiers[2], 150);
+        }
+        assert_eq!(feed.stats().frontier_observations, observations + 3);
+        assert_eq!(feed.monitor().settled(), 150);
+        feed.observe_frontier(r(2), 180);
+        assert_eq!(feed.monitor().settled(), 180);
+        for replica in 0..3 {
+            feed.observe_frontier(r(replica), 201);
+        }
+        assert_eq!(
+            (feed.verdict(), feed.monitor().settled()),
+            (Verdict::Ok, 201)
+        );
     }
 }

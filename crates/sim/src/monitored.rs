@@ -13,8 +13,8 @@
 //! the whole way: retained monitor state is O(concurrent window), and the
 //! history's predecessor sets cost the operations above each origin's
 //! seen-frontier, not the operation's index. A 105 039-op rolling-partition
-//! churn ends with ≈17 MiB live, history and monitor included
-//! (`tests/history_mem.rs` holds it to 20 MiB; `tests/monitor_streaming.rs`
+//! churn ends with ≈13.9 MiB live, history and monitor included
+//! (`tests/history_mem.rs` holds it to 16 MiB; `tests/monitor_streaming.rs`
 //! holds the monitor's window).
 
 use ral_core::ids::ReplicaId;

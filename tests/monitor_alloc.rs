@@ -5,10 +5,11 @@
 //! all earlier ones and settles before the next arrives — an event must
 //! not allocate for anything it does not change. `Spec::step` writes into
 //! buffers the monitor owns (a query writes nothing), children are filled
-//! into the buffers of retired configurations, settlement absorbs through
-//! one scratch buffer, and the dedup index and the settlement filter are
-//! rebuilt in place: once warm, the stream allocates only when a buffer
-//! outgrows its capacity.
+//! into the buffers of retired, boxed configurations, settlement copies
+//! each configuration's frontier into its own base buffer (a debug build
+//! also replays it through one scratch buffer, to check the copy), and
+//! the dedup index and the settlement filter are rebuilt in place: once
+//! warm, the stream allocates only when a buffer outgrows its capacity.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -4,15 +4,18 @@
 //! however wide the partition — and a refutation expands every distinct
 //! reachable configuration exactly once. A composed history that one of
 //! the paper's constructive witnesses decides costs the sharded facade no
-//! expansion at all, and a bounded number of specification steps.
+//! expansion at all, and a bounded number of specification steps. The
+//! streaming monitor steps each operation of a sequential stream once,
+//! where it places it: settling it steps nothing.
 
+use ral_core::bitset::BitSet;
 use ral_core::compose::{MultiObjSpec, ObjLabel};
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::label::{Identity, SpecLabel};
 use ral_core::ralin::{
     check_linearization, ra_search_with_budget, ra_search_with_stats, search_sharded_with_stats,
-    search_with_stats, shard_history, SearchOutcome, Strategy,
+    search_with_stats, shard_history, Monitor, SearchOutcome, Strategy, Verdict,
 };
 use ral_core::rng::Rng;
 use ral_core::spec::{Spec, Step};
@@ -266,4 +269,40 @@ fn composed_witness_costs_no_walk_and_one_replay_per_distinct_visible_set() {
         assert_eq!(walks.len(), objects);
         assert_eq!(stats.nodes_expanded, walks.iter().sum::<u64>());
     }
+}
+
+/// A sequential counter stream through the streaming monitor: every
+/// operation sees all earlier ones, and both replicas observe it before
+/// the next one arrives. Each operation costs one [`Spec::step`], where it
+/// is placed (an increment stepped, a read admitted). Settling it costs
+/// none: the settled suffix is the whole unabsorbed one, so the base takes
+/// the configuration's frontier instead of replaying the increment. A
+/// debug build replays it anyway, once, to check that handover.
+#[test]
+fn a_sequential_stream_is_stepped_where_it_is_placed_and_settles_for_free() {
+    const OPS: usize = 300;
+    let spec = CountingSpec::default();
+    let mut monitor = Monitor::new_streaming(&spec, 2);
+    let mut seen = BitSet::new();
+    let (mut count, mut updates) = (0, 0);
+    let (mut placing, mut settling) = (0, 0);
+    for i in 0..OPS {
+        let op = if i % 3 == 2 {
+            CounterOp::Read(count)
+        } else {
+            count += 1;
+            updates += 1;
+            CounterOp::Inc
+        };
+        assert_eq!(monitor.advance_op(op, seen.clone()), Verdict::Ok);
+        placing += spec.steps.replace(0);
+        seen.insert(i);
+        monitor.observe_frontier(ReplicaId(0), i + 1);
+        assert_eq!(monitor.observe_frontier(ReplicaId(1), i + 1), Verdict::Ok);
+        settling += spec.steps.replace(0);
+    }
+    assert_eq!(monitor.settled(), OPS);
+    assert_eq!(placing, OPS as u64, "one step per placed operation");
+    let check = if cfg!(debug_assertions) { updates } else { 0 };
+    assert_eq!(settling, check, "settling {updates} increments");
 }
