@@ -71,10 +71,15 @@ step cargo test -q --offline --test sim_determinism --test sim_faults --test sim
 # The checkers' cost contracts, in deterministic counts. The memoized walk:
 # a history that linearizes costs at most one expansion per operation, a
 # refutation expands each reachable configuration once, and a witness
-# search allocates at most two blocks per operation — its buffers (one
-# frontier per update depth, one per query, one undo arena) are reused by
-# every placement, and nothing is hashed or stored before a configuration
-# fails. The streaming monitor: once warm, a sequential stream allocates at
+# search allocates at most one and a half blocks per operation — its
+# buffers (one frontier per update depth, one per query, one undo arena)
+# are reused by every placement, and nothing is hashed or stored before a
+# configuration fails. It reads visibility a word at a time: an operation
+# is enabled when its predecessor set sits inside the placed mask, and the
+# per-history shape reads only the queries' rows, so a witness search asks
+# each label its kind twice, not once per visibility edge. `memo_walks`
+# pins the walk itself (outcome, witness order, every exploration counter)
+# on the `checker_scaling` histories. The streaming monitor: once warm, a sequential stream allocates at
 # most once per hundred operations (children are filled into retired
 # configurations' buffers, and a query clones no state), and each of its
 # operations is stepped once, where it is placed: settling a wholly
@@ -82,7 +87,7 @@ step cargo test -q --offline --test sim_determinism --test sim_faults --test sim
 # becomes its base. A debug build replays that suffix anyway to check the
 # handover, so the step count is exact only in release: the second line
 # runs that contract there.
-step cargo test -q --offline --test search_cost --test search_alloc --test monitor_alloc
+step cargo test -q --offline --test search_cost --test search_alloc --test monitor_alloc --test memo_walks
 step cargo test -q --offline --release --test search_cost a_sequential_stream
 step cargo bench --offline --no-run
 # Checker-throughput smoke: run the brute-vs-memo scaling bench (plus the

@@ -193,6 +193,30 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Returns `true` if every element of `self` at or above word `from`
+    /// (value `64·from`) is set in `window`, whose word `k` holds the bits
+    /// for values `64(from + k)..64(from + k + 1)`; words past the end of
+    /// `window` read as zero. Elements below `from` are not consulted: the
+    /// caller knows them to be covered (settled operations, or a placed
+    /// mask's leading all-ones words). Word-parallel, with no per-element
+    /// work.
+    #[inline]
+    pub fn is_covered_from(&self, from: usize, window: &[u64]) -> bool {
+        // Prefix words at or above `from` must meet full window words.
+        let full = self.ones.saturating_sub(from);
+        if full > window.len() || window[..full].iter().any(|&w| w != !0) {
+            return false;
+        }
+        // Tail words below `from` are skipped. The last tail word is
+        // nonzero, so a tail that reaches past the window is not covered.
+        let tail = self
+            .tail
+            .get(from.saturating_sub(self.ones)..)
+            .unwrap_or(&[]);
+        let window = &window[full..];
+        tail.len() <= window.len() && tail.iter().zip(window).all(|(a, b)| a & !b == 0)
+    }
+
     /// Returns `true` if `self` and `other` have no element in common.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
         let (lo, hi) = if self.ones <= other.ones {
@@ -269,7 +293,8 @@ impl BitSet {
     /// The words from `from` up to the last nonzero one, as `(j, word)`:
     /// word `j` holds the membership bits for values `64j..64j+64`, and
     /// words below the prefix read as all ones. Used by the streaming
-    /// monitor for word-parallel window scans that skip the settled prefix.
+    /// monitor for word-parallel window scans that skip the settled prefix,
+    /// and by the memoized walk to build its queries' visibility rows.
     pub(crate) fn words_from(&self, from: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
         let ones = self.ones;
         (from..ones).map(|j| (j, !0)).chain(
@@ -436,6 +461,70 @@ mod tests {
         assert!(!big.is_subset(&small));
         assert!(BitSet::new().is_subset(&small));
         assert!(small.is_subset(&small));
+    }
+
+    /// `is_covered_from` against its definition, element by element.
+    fn covered_model(s: &BitSet, from: usize, window: &[u64]) -> bool {
+        s.iter().filter(|&i| i >= 64 * from).all(|i| {
+            let k = i / 64 - from;
+            window.get(k).is_some_and(|w| w & (1 << (i % 64)) != 0)
+        })
+    }
+
+    #[test]
+    fn covered_from_skips_the_words_below_the_window() {
+        let full = !0u64;
+        // A prefix longer than the words the window skips: words 1 and 2
+        // of `prefix(192)` must be full in the window.
+        let s: BitSet = (0..192).chain([200]).collect();
+        assert_eq!((s.ones, s.tail.len()), (3, 1));
+        assert!(s.is_covered_from(1, &[full, full, 1 << 8]));
+        assert!(!s.is_covered_from(1, &[full, full - 1, 1 << 8]));
+        assert!(!s.is_covered_from(1, &[full, full, 0]));
+        assert!(s.is_covered_from(3, &[1 << 8]));
+        assert!(s.is_covered_from(4, &[]));
+        // A tail straddling `from`: the words below it are not consulted.
+        let s: BitSet = [5, 70, 130, 131].into_iter().collect();
+        assert_eq!(s.ones, 0);
+        assert!(s.is_covered_from(2, &[0b1100]));
+        assert!(!s.is_covered_from(2, &[0b0100]));
+        assert!(!s.is_covered_from(1, &[0, 0b1100]));
+        assert!(s.is_covered_from(1, &[1 << 6, 0b1100]));
+        // The empty set is covered by anything, an empty window included.
+        assert!(BitSet::new().is_covered_from(0, &[]));
+        assert!(BitSet::new().is_covered_from(3, &[0]));
+        // A window shorter than the set: the words past it read as zero.
+        let s: BitSet = [1, 65].into_iter().collect();
+        assert!(!s.is_covered_from(0, &[full]));
+        assert!(s.is_covered_from(1, &[full]));
+        assert!(!BitSet::prefix(128).is_covered_from(0, &[full]));
+
+        let sets: Vec<BitSet> = vec![
+            BitSet::new(),
+            BitSet::prefix(64),
+            BitSet::prefix(100),
+            [0, 63, 64, 127, 190].into_iter().collect(),
+            (0..128).chain([129, 255]).collect(),
+        ];
+        let windows: [&[u64]; 6] = [
+            &[],
+            &[full],
+            &[full, full],
+            &[full, 1 << 63, 1 << 62],
+            &[1, full, 1 << 63, full],
+            &[full, full, full, full],
+        ];
+        for s in &sets {
+            for from in 0..5 {
+                for w in windows {
+                    assert_eq!(
+                        s.is_covered_from(from, w),
+                        covered_model(s, from, w),
+                        "{s:?} from word {from} in {w:x?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

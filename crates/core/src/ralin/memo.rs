@@ -34,6 +34,20 @@
 //! ever justify it, and the whole branch is abandoned without waiting for
 //! the query to be placed.
 //!
+//! # Visibility a word at a time
+//!
+//! Condition (i) only asks that an operation come after everything it saw,
+//! so the walk needs the placed set, not an edge list: an operation is
+//! enabled when its predecessor set is covered by the placed mask, one
+//! word-parallel test ([`BitSet::is_covered_from`]) that skips the mask's
+//! leading all-ones words. Placing or undoing an operation touches no
+//! per-edge count. The only per-history structure is one row per query —
+//! the words of its predecessor set ANDed with an update mask — which
+//! keys the pending justification frontiers and names the queries a placed
+//! update advances.
+//!
+//! [`BitSet::is_covered_from`]: crate::bitset::BitSet::is_covered_from
+//!
 //! # One walk, one table
 //!
 //! The search is a single sequential depth-first walk from the empty
@@ -190,84 +204,63 @@ fn emit_obs(stats: &SearchStats) {
     obs::observe("ralin.elapsed_nanos", stats.elapsed_nanos);
 }
 
-/// Immutable per-history search structure. Each per-operation list is a
-/// slice of one flat array (`at[x]..at[x + 1]`), so building the shape
-/// costs a fixed number of allocations, not one per list growth.
+/// Immutable per-history search structure: the queries' visibility rows.
+/// Enabledness needs no structure of its own — an operation is enabled
+/// when its predecessor set sits inside the placed mask — so the shape
+/// keeps no edge lists and is built a word at a time, asking each label
+/// its kind once.
 struct Shape {
     n: usize,
     /// Mask width in 64-bit words.
     words: usize,
-    /// Operations whose predecessor set contains `x`: `succs[succ_at[x]..succ_at[x + 1]]`.
-    succs: Vec<usize>,
-    succ_at: Vec<usize>,
-    /// *Queries* that see update `x`: `watchers[watch_at[x]..watch_at[x + 1]]`.
-    watchers: Vec<usize>,
-    watch_at: Vec<usize>,
     /// Row `i` (`words` words) is the bitmask of the updates visible to
-    /// `queries[i]`. Intersected with the placed mask to decide which
-    /// pending justification frontiers participate in the configuration key.
+    /// `queries[i]`: its predecessor set ANDed with the update mask.
+    /// Intersected with the placed mask to decide which pending
+    /// justification frontiers participate in the configuration key, and
+    /// read a bit at a time for an update's watchers.
     vis_upd: Vec<u64>,
     /// Indices of query operations, ascending.
     queries: Vec<usize>,
-}
-
-/// Groups the `(from, to)` pairs `edges()` yields (`from < n`) by `from`,
-/// keeping the order of `to` within a group: the flat array and its
-/// `n + 1` offsets. Walks the pairs twice, to count and to fill.
-fn group_by_source<I: Iterator<Item = (usize, usize)>>(
-    n: usize,
-    edges: impl Fn() -> I,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut at = vec![0usize; n + 1];
-    for (from, _) in edges() {
-        at[from + 1] += 1;
-    }
-    for i in 0..n {
-        at[i + 1] += at[i];
-    }
-    let mut fill = at.clone();
-    let mut flat = vec![0usize; at[n]];
-    for (from, to) in edges() {
-        flat[fill[from]] = to;
-        fill[from] += 1;
-    }
-    (flat, at)
 }
 
 impl Shape {
     fn of<L: SpecLabel>(h: &History<L>) -> Shape {
         let n = h.len();
         let words = n.div_ceil(64).max(1);
-        let is_query = |i: usize| h.label(i).is_query();
-        let edges = || (0..n).flat_map(move |i| h.preds(i).iter().map(move |p| (p, i)));
-        let (succs, succ_at) = group_by_source(n, edges);
-        let watched = || edges().filter(move |&(p, i)| is_query(i) && !is_query(p));
-        let (watchers, watch_at) = group_by_source(n, watched);
-        let queries: Vec<usize> = (0..n).filter(|&i| is_query(i)).collect();
+        let mut updates = vec![0u64; words];
+        let mut queries = Vec::new();
+        for i in 0..n {
+            if h.label(i).is_query() {
+                queries.push(i);
+            } else {
+                updates[i / 64] |= 1 << (i % 64);
+            }
+        }
         let mut vis_upd = vec![0u64; queries.len() * words];
         for (row, &q) in vis_upd.chunks_exact_mut(words).zip(&queries) {
-            for p in h.preds(q).iter().filter(|&p| !is_query(p)) {
-                row[p / 64] |= 1 << (p % 64);
+            for (j, w) in h.preds(q).words_from(0) {
+                row[j] = w & updates[j];
             }
         }
         Shape {
             n,
             words,
-            succs,
-            succ_at,
-            watchers,
-            watch_at,
             vis_upd,
             queries,
         }
     }
 
-    fn succs(&self, x: usize) -> &[usize] {
-        &self.succs[self.succ_at[x]..self.succ_at[x + 1]]
-    }
-
-    fn watchers(&self, x: usize) -> &[usize] {
-        &self.watchers[self.watch_at[x]..self.watch_at[x + 1]]
+    /// The queries that see update `x`, ascending: those after `x` whose
+    /// row has bit `x`.
+    fn watchers(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = self.queries.partition_point(|&q| q < x);
+        let rows = self.vis_upd[first * self.words..].iter();
+        let bit = 1 << (x % 64);
+        self.queries[first..]
+            .iter()
+            .zip(rows.skip(x / 64).step_by(self.words))
+            .filter(move |&(_, &w)| w & bit != 0)
+            .map(|(&q, _)| q)
     }
 
     /// The visible-update mask of the `i`-th query.
@@ -300,6 +293,12 @@ struct PlacementUndo {
 
 /// The sequential memoized walk over one history.
 ///
+/// The placed set is one bitmask, and it is all the walk needs to know
+/// which operations are enabled: `x` is enabled when it is unplaced and
+/// its predecessor set is covered by the mask, a test a word at a time
+/// that skips the mask's leading all-ones words. Nothing is counted per
+/// visibility edge on a placement or its undo.
+///
 /// Every buffer is owned by the walk and reused: one frontier per update
 /// depth, one justification frontier per query, and one flat arena the
 /// query frontiers a placement advances are moved into (and moved back out
@@ -309,9 +308,8 @@ struct Walk<'a, S: Spec> {
     h: &'a History<S::Label>,
     spec: &'a S,
     shape: &'a Shape,
-    placed: Vec<bool>,
+    /// The placed set.
     mask: Vec<u64>,
-    missing: Vec<usize>,
     order: Vec<usize>,
     /// Frontier after each placed update; `top()` is the current one.
     fstack: FrontierStack<S::State>,
@@ -337,22 +335,15 @@ struct Walk<'a, S: Spec> {
 
 impl<'a, S: Spec> Walk<'a, S> {
     fn new(h: &'a History<S::Label>, spec: &'a S, shape: &'a Shape, budget: u64) -> Self {
-        let qfront = (0..shape.n)
-            .map(|i| {
-                if h.label(i).is_query() {
-                    vec![spec.initial()]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        let mut qfront = vec![Vec::new(); shape.n];
+        for &q in &shape.queries {
+            qfront[q].push(spec.initial());
+        }
         Walk {
             h,
             spec,
             shape,
-            placed: vec![false; shape.n],
             mask: vec![0u64; shape.words],
-            missing: (0..shape.n).map(|i| h.preds(i).len()).collect(),
             order: Vec::with_capacity(shape.n),
             fstack: FrontierStack::new(spec.initial()),
             qfront,
@@ -370,6 +361,11 @@ impl<'a, S: Spec> Walk<'a, S> {
         }
     }
 
+    /// Whether `x` is in the placed set.
+    fn is_placed(&self, x: usize) -> bool {
+        self.mask[x / 64] & (1 << (x % 64)) != 0
+    }
+
     /// The justification frontiers in a configuration's key: those of the
     /// started pending queries (some visible update placed), ascending by
     /// query index.
@@ -380,7 +376,7 @@ impl<'a, S: Spec> Walk<'a, S> {
             .iter()
             .enumerate()
             .filter(|&(i, &q)| {
-                !self.placed[q]
+                !self.is_placed(q)
                     && shape
                         .vis_upd(i)
                         .iter()
@@ -444,7 +440,6 @@ impl<'a, S: Spec> Walk<'a, S> {
         let shape = self.shape;
         let label = self.h.label(x);
         let undo_mark = self.undo.len();
-        self.placed[x] = true;
         self.mask[x / 64] |= 1 << (x % 64);
         self.order.push(x);
         let mut pushed_frontier = false;
@@ -457,8 +452,8 @@ impl<'a, S: Spec> Walk<'a, S> {
                 // The old frontier moves to the arena and the new one is
                 // stepped into the query's own buffer: nothing is cloned.
                 let mut alive = true;
-                for &q in shape.watchers(x) {
-                    if self.placed[q] {
+                for q in shape.watchers(x) {
+                    if self.is_placed(q) {
                         continue;
                     }
                     let start = self.arena.len();
@@ -479,7 +474,7 @@ impl<'a, S: Spec> Walk<'a, S> {
                 false
             }
         } else {
-            // Queries: all visible updates are placed (missing == 0), so
+            // Queries: all visible updates are placed (x is enabled), so
             // the incremental frontier has consumed exactly them, in
             // placement order — condition (iii) is one `admits` call.
             let justified = states_admit(self.spec, &self.qfront[x], label);
@@ -488,11 +483,6 @@ impl<'a, S: Spec> Walk<'a, S> {
             }
             justified
         };
-        if feasible {
-            for &s in shape.succs(x) {
-                self.missing[s] -= 1;
-            }
-        }
         (
             PlacementUndo {
                 undo_mark,
@@ -502,13 +492,7 @@ impl<'a, S: Spec> Walk<'a, S> {
         )
     }
 
-    fn unplace(&mut self, x: usize, undo: PlacementUndo, was_feasible: bool) {
-        let shape = self.shape;
-        if was_feasible {
-            for &s in shape.succs(x) {
-                self.missing[s] += 1;
-            }
-        }
+    fn unplace(&mut self, x: usize, undo: PlacementUndo) {
         while self.undo.len() > undo.undo_mark {
             let (q, start) = self.undo.pop().expect("undo entry");
             self.qfront[q].clear();
@@ -519,7 +503,6 @@ impl<'a, S: Spec> Walk<'a, S> {
         }
         self.order.pop();
         self.mask[x / 64] &= !(1 << (x % 64));
-        self.placed[x] = false;
     }
 
     fn dfs(&mut self) -> Option<Vec<usize>> {
@@ -548,13 +531,18 @@ impl<'a, S: Spec> Walk<'a, S> {
         self.budget -= 1;
         self.nodes += 1;
         let mut fully_explored = true;
-        for x in 0..self.shape.n {
-            if self.placed[x] || self.missing[x] != 0 {
+        // Everything below the mask's leading all-ones words is placed, so
+        // candidates start there and their predecessors are tested only
+        // against the words from there on. Every placement below is undone
+        // before the next candidate, so `full` holds for the whole loop.
+        let full = self.mask.iter().take_while(|&&w| w == !0).count();
+        for x in full * 64..self.shape.n {
+            if self.is_placed(x) || !self.h.preds(x).is_covered_from(full, &self.mask[full..]) {
                 continue;
             }
             let (undo, feasible) = self.place(x);
             let res = if feasible { self.dfs() } else { None };
-            self.unplace(x, undo, feasible);
+            self.unplace(x, undo);
             if res.is_some() {
                 return res;
             }

@@ -172,9 +172,10 @@ fn emit_monitor_obs(stats: &MonitorStats) {
 
 /// Per-operation bookkeeping, indexed by `id - meta_base`.
 struct OpMeta<S: Spec> {
-    /// `None` once the op is settled and no live configuration still needs
-    /// the label for base-state replay.
-    label: Option<S::Label>,
+    /// The operation's label. Kept as long as the entry: `meta` drops a
+    /// settled prefix only once no live configuration's unabsorbed
+    /// suffix (`rem`) can still replay it.
+    label: S::Label,
     /// Direct predecessors (rewritten ids). Released at settlement.
     preds: Option<BitSet>,
     is_query: bool,
@@ -375,14 +376,6 @@ fn range_all_set(mask: &[u64], lo: usize, hi: usize) -> bool {
     (lo..hi).all(|b| mask[b / 64] & (1 << (b % 64)) != 0)
 }
 
-/// Every predecessor at or above the window base is placed in `mask`.
-/// Predecessors below the base are settled, hence placed everywhere.
-fn preds_placed(preds: &BitSet, mask: &[u64], base_w: usize) -> bool {
-    preds
-        .words_from(base_w)
-        .all(|(j, w)| w & !mask.get(j - base_w).copied().unwrap_or(0) == 0)
-}
-
 /// Configuration equality (the collision check behind the canonical key).
 /// `frontier` is derived from `qbase ⊕ rem` and needs no comparison of its
 /// own.
@@ -563,7 +556,7 @@ impl<S: Spec> Monitor<S> {
             }
         }
         self.meta.push(OpMeta {
-            label: Some(label),
+            label,
             preds: Some(preds),
             is_query,
             vis_floor: self.watermark,
@@ -632,7 +625,6 @@ impl<S: Spec> Monitor<S> {
             .preds
             .take()
             .expect("preds retained for live ops");
-        let label_missing = "label retained inside the live window";
         let (spec, meta, meta_base) = (&self.spec, &self.meta, self.meta_base);
         let scratch = &mut self.scratch;
         let pruned = retain_configs(&mut self.configs, &mut self.spare, |c| {
@@ -641,7 +633,7 @@ impl<S: Spec> Monitor<S> {
             let mut replayed = false;
             for &u in &c.rem {
                 if u < vis_floor || preds.contains(u) {
-                    let lbl = meta[u - meta_base].label.as_ref().expect(label_missing);
+                    let lbl = &meta[u - meta_base].label;
                     let alive = advance_states(spec, &states, lbl, scratch);
                     std::mem::swap(&mut states, scratch);
                     if !alive {
@@ -716,7 +708,9 @@ impl<S: Spec> Monitor<S> {
                 .preds
                 .as_ref()
                 .expect("preds retained for unplaced ops");
-            if !preds_placed(preds, &c.mask, base_w) {
+            // Predecessors below the window base are settled, hence
+            // placed everywhere.
+            if !preds.is_covered_from(base_w, &c.mask) {
                 return; // not yet enabled
             }
         }
@@ -744,7 +738,7 @@ impl<S: Spec> Monitor<S> {
         x: usize,
     ) -> Result<(), Prune> {
         let m = &self.meta[x - self.meta_base];
-        let label = m.label.as_ref().expect("label retained");
+        let label = &m.label;
         let p = &self.configs[parent];
         child.release_qfronts();
         if m.is_query {
@@ -868,7 +862,6 @@ impl<S: Spec> Monitor<S> {
         // `qbase ⊕ rem`, so the base takes a copy of it. Only a partly
         // settled suffix replays (a debug build replays either way, to
         // check the handover).
-        let label_missing = "label retained for unabsorbed placements";
         for c in &mut self.configs {
             let k = c.rem.iter().take_while(|&&u| u < wm).count();
             if k == 0 {
@@ -877,10 +870,7 @@ impl<S: Spec> Monitor<S> {
             let whole = k == c.rem.len();
             if !whole || cfg!(debug_assertions) {
                 for &u in &c.rem[..k] {
-                    let lbl = self.meta[u - self.meta_base]
-                        .label
-                        .as_ref()
-                        .expect(label_missing);
+                    let lbl = &self.meta[u - self.meta_base].label;
                     let alive = advance_states(&self.spec, &c.qbase, lbl, &mut self.scratch);
                     debug_assert!(alive, "absorbed prefix replays a live frontier");
                     std::mem::swap(&mut c.qbase, &mut self.scratch);

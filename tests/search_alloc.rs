@@ -86,14 +86,15 @@ fn split_brain_heal() -> History<CounterOp> {
     driver.into_cluster().into_history()
 }
 
-/// The witness search allocates at most two blocks per operation: the
-/// per-history structure (flat successor and watcher lists, visibility
-/// masks, one justification frontier per query) and each update depth's
-/// frontier buffer on first use. The placements themselves allocate
-/// nothing. 318 blocks for the 266 operations measured (debug and release
-/// alike, the debug build's re-check of the witness subtracted); the engine
-/// that cloned a frontier per placement and a query frontier per visible
-/// update took 14 197.
+/// The witness search allocates at most one and a half blocks per
+/// operation: the per-history structure (the queries' visible-update rows,
+/// one justification frontier per query) and each update depth's frontier
+/// buffer on first use. The placements themselves allocate nothing. 311
+/// blocks for the 266 operations measured (debug and release alike, the
+/// debug build's re-check of the witness subtracted); with flat successor
+/// and watcher lists and a per-operation missing-predecessor count it took
+/// 318, and the engine that cloned a frontier per placement and a query
+/// frontier per visible update took 14 197.
 #[test]
 fn witness_search_allocates_linearly_in_the_history() {
     let h = split_brain_heal();
@@ -118,7 +119,7 @@ fn witness_search_allocates_linearly_in_the_history() {
     );
     assert_eq!(stats.memo_entries, 0, "no configuration failed");
     assert!(
-        blocks <= 2 * n,
+        2 * blocks <= 3 * n,
         "{blocks} blocks for {n} operations = {:.2} per operation",
         blocks as f64 / n as f64
     );

@@ -12,7 +12,7 @@ use ral_core::bitset::BitSet;
 use ral_core::compose::{MultiObjSpec, ObjLabel};
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::{ObjId, ReplicaId};
-use ral_core::label::{Identity, SpecLabel};
+use ral_core::label::{Identity, Kind, SpecLabel};
 use ral_core::ralin::{
     check_linearization, ra_search_with_budget, ra_search_with_stats, search_sharded_with_stats,
     search_with_stats, shard_history, Monitor, SearchOutcome, Strategy, Verdict,
@@ -135,15 +135,21 @@ fn refutation_expands_each_configuration_once() {
     assert_eq!(direct_stats.nodes_expanded, 346);
 }
 
-#[test]
-fn full_length_split_brain_heal_is_decided_without_backtracking() {
+/// The recorded counter history of the full-length split-brain-and-heal
+/// scenario (266 operations).
+fn split_brain_heal() -> History<CounterOp> {
     let sc = scenario::split_brain_heal();
     let mut driver = OpDriver::new(OpCounter, sc.cfg.n_replicas, |rng: &mut Rng, _, _| {
         Some(workloads::counter(rng))
     });
     sim::run(&mut driver, &sc.cfg, 0);
     assert!(driver.converged());
-    let h = driver.into_cluster().into_history();
+    driver.into_cluster().into_history()
+}
+
+#[test]
+fn full_length_split_brain_heal_is_decided_without_backtracking() {
+    let h = split_brain_heal();
     let n = h.len() as u64;
     let (outcome, stats) = ra_search_with_stats(&h, &Identity, &CounterSpec);
     assert!(outcome.is_linearizable());
@@ -180,6 +186,74 @@ impl Spec for CountingSpec {
     fn state_fingerprint(&self, state: &Self::State) -> u64 {
         CounterSpec.state_fingerprint(state)
     }
+}
+
+thread_local! {
+    static KIND_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A [`CounterOp`] that counts (per thread) every [`SpecLabel::kind`] call.
+#[derive(Clone, Debug, PartialEq)]
+struct Kinded(CounterOp);
+
+impl SpecLabel for Kinded {
+    fn kind(&self) -> Kind {
+        KIND_CALLS.with(|n| n.set(n.get() + 1));
+        self.0.kind()
+    }
+}
+
+/// [`CounterSpec`] over [`Kinded`] labels.
+struct KindedSpec;
+
+impl Spec for KindedSpec {
+    type Label = Kinded;
+    type State = <CounterSpec as Spec>::State;
+
+    fn initial(&self) -> Self::State {
+        CounterSpec.initial()
+    }
+
+    fn step(&self, state: &Self::State, label: &Kinded, out: &mut Vec<Self::State>) -> Step {
+        CounterSpec.step(state, &label.0, out)
+    }
+
+    fn state_fingerprint(&self, state: &Self::State) -> u64 {
+        CounterSpec.state_fingerprint(state)
+    }
+}
+
+/// The memoized walk reads visibility a word at a time: an operation is
+/// enabled when its predecessor set sits inside the placed mask, and the
+/// per-history structure is the queries' visible-update rows, built from
+/// one update mask. So a witness search asks each label its kind twice —
+/// once building that mask, once where the label is placed — not once per
+/// visibility edge: the 266 operations of the full-length
+/// split-brain-and-heal history carry 32 032 edges, and the walk that
+/// expanded them into successor and watcher lists asked 89 750 times.
+#[test]
+fn a_witness_search_reads_each_label_kind_a_bounded_number_of_times() {
+    let h = split_brain_heal().map(Kinded);
+    let n = h.len() as u64;
+    let edges: u64 = (0..h.len()).map(|i| h.preds(i).len() as u64).sum();
+    let before = KIND_CALLS.with(Cell::get);
+    let (outcome, stats) = search_with_stats(&h, &KindedSpec, u64::MAX);
+    let mut calls = KIND_CALLS.with(Cell::get) - before;
+    let SearchOutcome::Linearizable(witness) = outcome else {
+        panic!("a recorded counter run must linearize: {outcome:?}");
+    };
+    assert!(stats.nodes_expanded <= n + 1);
+    // A debug build re-checks the witness (`debug_assert!`); that replay
+    // is not the walk's.
+    if cfg!(debug_assertions) {
+        let before = KIND_CALLS.with(Cell::get);
+        assert_eq!(check_linearization(&h, &KindedSpec, &witness.order), Ok(()));
+        calls -= KIND_CALLS.with(Cell::get) - before;
+    }
+    assert!(
+        calls <= 2 * n,
+        "{calls} kind calls for {n} operations and {edges} visibility edges"
+    );
 }
 
 /// A converged three-replica run over `objects` composed counters, about
