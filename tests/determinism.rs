@@ -4,8 +4,12 @@
 //! rendering). If `ral_core::rng` ever changes its stream — or a scheduler
 //! starts consuming randomness in a different order — every recorded
 //! failure seed in the repo becomes meaningless, and this suite fails.
+//! The composed and partitioned schedules are also pinned across builds
+//! by golden history hashes, which a reordering that is merely
+//! self-consistent cannot pass.
 
 use ral_core::rng::Rng;
+use ral_core::spec::Fnv64;
 use ral_crdts::op::or_set::OrSet;
 use ral_crdts::op::rga::Rga;
 use ral_crdts::state::pn_counter::PnCounter;
@@ -19,6 +23,7 @@ use ral_runtime::state_based::StateCluster;
 // The canonical workload generators — reusing them here means this suite
 // also pins *their* randomness consumption, not a drifting copy of it.
 use ral_verify::workloads;
+use std::hash::Hasher;
 
 /// Runs one op-based OR-Set schedule and returns the `Debug` bytes of its
 /// history.
@@ -135,5 +140,69 @@ fn raw_rng_stream_is_stable_within_a_run() {
     };
     for seed in [0u64, 1, u64::MAX] {
         assert_eq!(draws(seed), draws(seed));
+    }
+}
+
+/// FNV-1a of `bytes`: enough to pin a history rendering without embedding
+/// it.
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// `drive_multi` histories pinned across builds, under both timestamp
+/// disciplines. The same-seed reruns above compare a run only with
+/// itself, so a schedule loop that drew the RNG in a different order
+/// would still pass them; these hashes would not.
+#[test]
+fn multi_object_runs_match_their_golden_hashes() {
+    let run = |mode: TsMode, seed: u64| {
+        let mut c = MultiCluster::new(Rga::<u16>::new(), 2, 3, mode);
+        let mut next: u16 = 0;
+        drive_multi(
+            &mut c,
+            &ScheduleConfig::default(),
+            seed,
+            |rng, _, _, state| workloads::rga(rng, state, &mut next),
+        );
+        assert!(c.converged());
+        fnv(format!("{:?}", c.into_history()).as_bytes())
+    };
+    let golden = [
+        (TsMode::Shared, 3, 0xc26a_8d03_ed48_caff),
+        (TsMode::Shared, 7, 0xebd8_0882_d5fc_3550),
+        (TsMode::Shared, 1 << 40, 0xcf31_d237_9c19_b9e4),
+        (TsMode::PerObject, 3, 0xbc7a_dd65_c829_9a2d),
+        (TsMode::PerObject, 7, 0x1b7c_8956_3540_913c),
+        (TsMode::PerObject, 1 << 40, 0x6e0e_a991_9bcd_a9af),
+    ];
+    for (mode, seed, want) in golden {
+        assert_eq!(run(mode, seed), want, "{mode:?} seed {seed}");
+    }
+}
+
+/// `drive_op_based_partitioned` histories pinned across builds: the
+/// filtered delivery steps draw the RNG only among admitted links.
+#[test]
+fn partitioned_runs_match_their_golden_hashes() {
+    let run = |seed: u64| {
+        let mut c = Cluster::new(OrSet::<u8>::new(), 4);
+        let partition = Partition::new(vec![0, 0, 1, 1]);
+        drive_op_based_partitioned(
+            &mut c,
+            &ScheduleConfig::default(),
+            &partition,
+            seed,
+            |rng, _, _| Some(workloads::or_set(rng)),
+        );
+        fnv(format!("{:?}", c.into_history()).as_bytes())
+    };
+    for (seed, want) in [
+        (0, 0xee13_baf8_43a8_30d6),
+        (8, 0xefce_f25d_64f5_dfcc),
+        (1234, 0xea58_a3c5_136c_859b),
+    ] {
+        assert_eq!(run(seed), want, "seed {seed}");
     }
 }
