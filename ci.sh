@@ -56,7 +56,10 @@ step cargo test -q --offline
 # shipped specification to the query contract the checkers rely on: a
 # query answers `Unchanged` or `Refused` and writes nothing.
 # `holdback_parity` holds the filed holdback to a copy of the rescanning
-# one it replaced, step by step. The next three
+# one it replaced, step by step. `determinism` pins the seeded schedules'
+# histories, the composed (`drive_multi`, both timestamp disciplines) and
+# partitioned ones by golden hashes across builds: the one op-based
+# schedule loop must draw the RNG in the order it always has. The next three
 # suites are what checks that the full-state transport is a façade over the
 # delta core: delta ≡ full state over the scenario corpus, every in-place
 # join and its changed-flag against a by-value reference (and the sorted
@@ -65,9 +68,14 @@ step cargo test -q --offline
 # `prop_crdt_convergence` runs every state CRDT through both transports end
 # to end. `fuzz_roundtrip` replays every fixture through `sim::replay`, the
 # one place a fuzz scenario's trace is rendered.
-# The holdback index's unit tests (file, dedup, wake, clear) by name.
+# The holdback index's unit tests (file, dedup, wake, clear) by name, then
+# the op-based cluster's: `Cluster` is the one-object instance of the
+# cluster `MultiCluster` composes, and a one-object `MultiCluster` must
+# answer every receive, targeted `can_deliver` / `deliver`,
+# `deliverable_into` and drain exactly as `Cluster` does, step by step.
 step cargo test -q --offline -p ral-runtime mailbox::
-step cargo test -q --offline --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence --test fuzz_roundtrip
+step cargo test -q --offline -p ral-runtime -- op_based:: multi::
+step cargo test -q --offline --test determinism --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence --test fuzz_roundtrip
 # The checkers' cost contracts, in deterministic counts. The memoized walk:
 # a history that linearizes costs at most one expansion per operation, a
 # refutation expands each reachable configuration once, and a witness

@@ -38,8 +38,8 @@ use ral_core::rng::Rng;
 use ral_core::spec::Spec;
 use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::{MultiCluster, TsMode};
-use ral_runtime::op_based::OpBased;
-use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpDriver, StateDriver};
+use ral_runtime::op_based::{CallGen, Naming, OpBased};
+use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpClusterDriver, OpDriver, StateDriver};
 use ral_sim::sim::{self, SimRun, SimStats};
 use ral_sim::trace::{Record, Trace};
 use ral_verify::crosscheck::{self, HistoryVerdict};
@@ -297,14 +297,18 @@ fn summing_case(sc: &FuzzScenario, trace: &mut impl Record) -> Observation {
     conclude(sc, None, done, None)
 }
 
-fn run_op<C: OpBased>(
+// The one op-based run: a single object or a composition, whichever
+// cluster `driver` wraps.
+fn run_op_based<C, K, F>(
     sc: &FuzzScenario,
     trace: &mut impl Record,
-    crdt: C,
-    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-) -> Finished<C::Label> {
-    let calls = capped(sc.max_invokes, calls);
-    let mut driver = OpDriver::new(crdt, sc.n_replicas as usize, calls);
+    mut driver: OpClusterDriver<C, K, F>,
+) -> Finished<K::Label<C::Label>>
+where
+    C: OpBased,
+    K: Naming,
+    F: CallGen<C, K>,
+{
     let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
     Finished {
         run,
@@ -313,6 +317,20 @@ fn run_op<C: OpBased>(
         history: driver.into_cluster().into_history(),
         extra_dims: Vec::new(),
     }
+}
+
+fn run_op<C: OpBased>(
+    sc: &FuzzScenario,
+    trace: &mut impl Record,
+    crdt: C,
+    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+) -> Finished<C::Label> {
+    let calls = capped(sc.max_invokes, calls);
+    run_op_based(
+        sc,
+        trace,
+        OpDriver::new(crdt, sc.n_replicas as usize, calls),
+    )
 }
 
 fn run_state<C: DeltaCrdt>(
@@ -376,21 +394,12 @@ fn run_multi<C: OpBased>(
         sc.ts_mode,
     );
     let mut calls = capped(sc.max_invokes, calls);
-    let mut driver = MultiDriver::new(cluster, move |rng, r, _obj, st| calls(rng, r, st));
-    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
-    let converged = driver.converged();
-    let history = driver.into_cluster().into_history();
-    let mut extra_dims = Vec::new();
-    if cross_object_interleave(&history) {
-        extra_dims.push(dim("cross_object_interleave"));
+    let driver = MultiDriver::new(cluster, move |rng, r, _obj, st| calls(rng, r, st));
+    let mut done = run_op_based(sc, trace, driver);
+    if cross_object_interleave(&done.history) {
+        done.extra_dims.push(dim("cross_object_interleave"));
     }
-    Finished {
-        run,
-        converged,
-        laws_hold: true,
-        history,
-        extra_dims,
-    }
+    done
 }
 
 fn fold(v: HistoryVerdict) -> (VerdictKind, String) {

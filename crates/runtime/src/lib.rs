@@ -9,11 +9,13 @@
 //!
 //! * [`gen`] — the generator context: fresh timestamps (Lamport clocks per
 //!   replica) and unique identifiers;
-//! * [`op_based`] — the [`op_based::OpBased`] trait and single-object
-//!   [`op_based::Cluster`];
-//! * [`multi`] — [`multi::MultiCluster`]: several objects of one data type
-//!   under the unrestricted composition `⊗` or the shared-timestamp
-//!   composition `⊗ts` (Section 5.3);
+//! * [`op_based`] — the [`op_based::OpBased`] trait and the one op-based
+//!   cluster, [`op_based::OpCluster`], generic over how a record names its
+//!   object; single-object [`op_based::Cluster`] is its `()` instance;
+//! * [`multi`] — [`multi::MultiCluster`], its [`ObjId`](ral_core::ids::ObjId)
+//!   instance: several objects of one data type under the unrestricted
+//!   composition `⊗` or the shared-timestamp composition `⊗ts`
+//!   (Section 5.3);
 //! * [`state_based`] — the [`state_based::StateBased`] lattice (initial
 //!   state, `merge_into`, `leq`, labels) and [`state_based::StateCluster`],
 //!   Appendix D's full-state transport as a façade over
@@ -29,22 +31,24 @@
 //! * [`schedule`] — seeded random schedulers driving clusters through
 //!   interleavings, plus convergence helpers.
 //!
-//! Four cluster kinds run on three delivery cores — [`op_based::Cluster`]
-//! and [`multi::MultiCluster`] over [`mailbox`], and [`delta::DeltaCluster`],
-//! which [`state_based::StateCluster`] is a façade over — sharing:
+//! The clusters run on two delivery cores — [`op_based::OpCluster`] over
+//! [`mailbox`], whichever way its records name their object, and
+//! [`delta::DeltaCluster`], which [`state_based::StateCluster`] is a façade
+//! over — sharing:
 //!
 //! * [`membership`] — per-replica liveness (crash/restart) and visibility
 //!   (seen-set) bookkeeping, the [`membership::Member`] every node embeds;
 //! * [`mailbox`] — per-replica delivery queues over a cluster-wide pool of
-//!   immutable [`mailbox::DeliveryRecord`]s, and the one copy of op-based
-//!   delivery both broadcast transports run: preconditions, holdback
-//!   `receive`, and the single ascending drain pass.
+//!   immutable [`mailbox::DeliveryRecord`]s, with the causal holdback;
+//!   [`op_based::OpCluster`] reads them in its one copy of op-based
+//!   delivery: preconditions, holdback `receive`, and the single ascending
+//!   drain pass.
 //!
 //! Delivery is sequential, as in the paper's interleaving semantics: one
 //! OPERATION, EFFECTOR or merge step at one replica at a time, and
 //! `deliver_all` / `sync_all` visit the replicas in ascending order.
 //!
-//! All four cluster kinds expose targeted per-message delivery
+//! Every cluster exposes targeted per-message delivery
 //! (`can_deliver`/`deliver`, `apply`) and crash/restart entry points; the
 //! `ral-sim` crate builds a deterministic discrete-event network simulator
 //! (latency, partitions, crashes, topologies) on top of them.

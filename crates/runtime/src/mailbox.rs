@@ -1,7 +1,8 @@
 //! Per-replica mailboxes and the shared delivery-record pool.
 //!
-//! Every broadcast transport ([`Cluster`](crate::op_based::Cluster),
-//! [`MultiCluster`](crate::multi::MultiCluster)) follows the same shape: an
+//! The op-based cluster ([`OpCluster`](crate::op_based::OpCluster), both as
+//! a single-object [`Cluster`](crate::op_based::Cluster) and as a composed
+//! [`MultiCluster`](crate::multi::MultiCluster)) broadcasts this way: an
 //! invocation appends one immutable [`DeliveryRecord`] to a cluster-wide
 //! pool, and because every record is addressed to *every* other replica, a
 //! replica's inbound queue is just a suffix of that pool — each [`Mailbox`]
@@ -27,7 +28,7 @@
 //! Out-of-order network arrivals wait in the mailbox's **holdback**, the
 //! classic causal-broadcast holdback queue: an arrival causal delivery does
 //! not admit yet is *filed under* the one predecessor operation it still
-//! lacks, which the transport's rule names. Applying an operation wakes
+//! lacks, which the admission rule names. Applying an operation wakes
 //! only the arrivals filed under it; a woken arrival that lacks another
 //! predecessor is filed again under that one. Every held arrival is either
 //! *ready* — held while the replica was down, or woken by a targeted
@@ -43,15 +44,15 @@
 //! So the filed arrivals are indexed by the operation they await: an
 //! admit that wakes nothing costs one hash probe and allocates nothing.
 //!
-//! The delivery logic itself lives here once, for both transports: the
+//! This module holds the data: the pool's records, each replica's
+//! [`Mailbox`] and its node. The delivery logic that reads them — the
 //! precondition trio (`deliverable_into` / `can_deliver` / `deliver`), the
-//! holdback `receive` loop and the `drain` pass, generic over a `Delivery`
-//! — the transport's admission rule and apply step, the only two things
-//! that differ between them.
+//! holdback `receive` loop and the drain — is written once, as methods of
+//! [`OpCluster`](crate::op_based::OpCluster), over the admission rule and
+//! apply step of how its records name their object: the only two things
+//! that differ between one object and a composition.
 
 use crate::membership::Member;
-use ral_core::ids::ReplicaId;
-use ral_obs as obs;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -60,7 +61,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// once per replica.
 ///
 /// Records are immutable after creation — all delivery state lives in the
-/// receiving replica's seen-set. `M` carries transport-specific metadata
+/// receiving replica's seen-set. `M` carries naming-specific metadata
 /// (`()` for the single-object cluster; the object id for the composed
 /// one).
 #[derive(Clone, Debug)]
@@ -73,7 +74,7 @@ pub struct DeliveryRecord<E, M = ()> {
     /// receivers take the max, so clocks propagate even through identity
     /// effectors (the paper's monotone-counter requirement, Section 5.3).
     pub clock: u64,
-    /// Transport-specific metadata.
+    /// Naming-specific metadata.
     pub meta: M,
 }
 
@@ -85,7 +86,7 @@ pub struct DeliveryRecord<E, M = ()> {
 /// `backlog` holds examined-but-blocked ids — records below the cursor
 /// whose causal predecessors were missing at drain time — kept ascending.
 /// The holdback buffers out-of-order network arrivals: ids a simulator
-/// handed to [`receive`](crate::op_based::Cluster::receive) before causal
+/// handed to [`receive`](crate::op_based::OpCluster::receive) before causal
 /// delivery admitted them, each either `ready` to be re-examined or
 /// `waiting` on the one predecessor operation it was filed under.
 ///
@@ -256,57 +257,7 @@ impl Mailbox {
     }
 }
 
-/// What a drain did: how many pending candidates it started from, how many
-/// pool entries it probed for deliverability and how many effectors it
-/// applied. The probe count is the complexity witness regression tests pin
-/// (one probe per pending pair, no fixpoint re-scans); depth and applied
-/// feed the obs mailbox metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct DrainStats {
-    /// Pending candidates (including lazily-pruned ids) before the drain.
-    pub(crate) depth: u64,
-    /// Deliverability checks performed.
-    pub(crate) probes: u64,
-    /// Effectors applied.
-    pub(crate) applied: u64,
-}
-
-/// What a broadcast transport plugs into the shared delivery path: its
-/// admission rule and its apply step. Everything else about op-based
-/// delivery is the functions below.
-pub(crate) trait Delivery {
-    /// The per-replica data the apply step writes: state(s) and clock(s).
-    type Data;
-    /// Effector payloads.
-    type Eff;
-    /// Transport-specific record metadata.
-    type Meta;
-
-    /// The causal predecessor `rec` still lacks at a replica whose seen-set
-    /// is `member`'s and whose data is `data` — an operation the replica
-    /// has not seen — or `None` if causal delivery admits `rec` now
-    /// (liveness and duplicates are the callers' checks). The holdback
-    /// files a blocked arrival under the operation returned.
-    fn missing(
-        &self,
-        member: &Member,
-        data: &Self::Data,
-        rec: &DeliveryRecord<Self::Eff, Self::Meta>,
-    ) -> Option<usize>;
-
-    /// Applies `rec`'s effector and clock to a replica's data; `member`
-    /// has already observed `rec.op`.
-    fn apply(
-        &self,
-        data: &mut Self::Data,
-        member: &Member,
-        rec: &DeliveryRecord<Self::Eff, Self::Meta>,
-    );
-}
-
-type Record<T> = DeliveryRecord<<T as Delivery>::Eff, <T as Delivery>::Meta>;
-
-/// One replica of a broadcast transport. Everything in it is durable
+/// One replica of the op-based cluster. Everything in it is durable
 /// (data, seen-set and clocks survive a crash): losing an applied effector
 /// would be unrecoverable under exactly-once delivery, so a crash only
 /// *halts* the replica. Undelivered effectors stay queued in the mailbox
@@ -326,190 +277,6 @@ impl<D> Node<D> {
             mailbox: Mailbox::new(),
         }
     }
-}
-
-/// The EFFECTOR step proper, preconditions already established. Wakes
-/// nothing: the caller decides where the operation's held waiters go.
-fn admit<T: Delivery>(rules: &T, node: &mut Node<T::Data>, rec: &Record<T>) {
-    node.member.observe(rec.op);
-    rules.apply(&mut node.data, &node.member, rec);
-}
-
-/// Whether causal delivery admits `rec` at `node` now.
-fn admits<T: Delivery>(rules: &T, node: &Node<T::Data>, rec: &Record<T>) -> bool {
-    rules.missing(&node.member, &node.data, rec).is_none()
-}
-
-/// Non-panicking probe for [`deliver`]: the replica is up, has not applied
-/// `rec`, and causal delivery admits it now.
-pub(crate) fn can_deliver<T: Delivery>(rules: &T, node: &Node<T::Data>, rec: &Record<T>) -> bool {
-    node.member.is_up() && !node.member.has_seen(rec.op) && admits(rules, node, rec)
-}
-
-/// Fills `out` (cleared first) with the pending ids deliverable at `node`,
-/// ascending. Empty while the replica is crashed.
-pub(crate) fn deliverable_into<T: Delivery>(
-    rules: &T,
-    node: &Node<T::Data>,
-    records: &[Record<T>],
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    if !node.member.is_up() {
-        return;
-    }
-    let pending = node.mailbox.pending(records.len());
-    out.extend(pending.filter(|&d| can_deliver(rules, node, &records[d])));
-}
-
-/// Delivers `rec` at `node`, which is replica `r` (the EFFECTOR rule). The
-/// arrivals held under `rec`'s operation become ready: the next receive
-/// re-examines them.
-///
-/// # Panics
-///
-/// Panics if the replica is crashed, the effector was already applied
-/// there, or causal delivery would be violated.
-pub(crate) fn deliver<T: Delivery>(
-    rules: &T,
-    node: &mut Node<T::Data>,
-    rec: &Record<T>,
-    r: ReplicaId,
-) {
-    node.member.expect_up("deliver at", r);
-    assert!(
-        !node.member.has_seen(rec.op),
-        "effector of operation {} already applied at {r}",
-        rec.op
-    );
-    assert!(
-        admits(rules, node, rec),
-        "causal delivery violated: operation {} has undelivered predecessors at {r}",
-        rec.op
-    );
-    admit(rules, node, rec);
-    node.mailbox.wake(rec.op);
-}
-
-/// Handles a network arrival of delivery `d` at `node` with causal
-/// holdback: duplicates are ignored, an arrival at a crashed replica is
-/// held ready, an out-of-order one is filed under the predecessor it
-/// lacks, and an in-order arrival is applied together with every held
-/// delivery it unblocks.
-///
-/// The unblocking pass re-examines only the ready arrivals and those the
-/// pass itself wakes, smallest id first — every predecessor of a record
-/// has a smaller id, so a woken chain releases in one probe per record.
-/// Counts its probes and releases as `runtime.holdback.probes` /
-/// `runtime.holdback.released`.
-pub(crate) fn receive<T: Delivery>(
-    rules: &T,
-    node: &mut Node<T::Data>,
-    records: &[Record<T>],
-    d: usize,
-) -> Received {
-    let rec = &records[d];
-    if node.member.has_seen(rec.op) {
-        return Received::Ignored;
-    }
-    if !node.member.is_up() {
-        node.mailbox.hold(d);
-        return Received::Held;
-    }
-    if let Some(pred) = rules.missing(&node.member, &node.data, rec) {
-        node.mailbox.file(pred, d);
-        return Received::Held;
-    }
-    admit(rules, node, rec);
-    node.mailbox.wake(rec.op);
-    let (mut applied, mut probes) = (1, 0);
-    while let Some(h) = node.mailbox.next_ready() {
-        let held = &records[h];
-        if node.member.has_seen(held.op) {
-            // A repeated arrival, or one a targeted deliver applied.
-            continue;
-        }
-        probes += 1;
-        match rules.missing(&node.member, &node.data, held) {
-            None => {
-                admit(rules, node, held);
-                node.mailbox.wake(held.op);
-                applied += 1;
-            }
-            Some(pred) => node.mailbox.file(pred, h),
-        }
-    }
-    if probes > 0 {
-        obs::counter("runtime.holdback.probes", probes);
-        obs::counter("runtime.holdback.released", applied as u64 - 1);
-    }
-    Received::Applied(applied)
-}
-
-/// One drain probe of a pending record: skipped if already seen (an own
-/// operation, or applied through a targeted deliver), applied if admitted.
-/// Returns `true` if the record stays blocked.
-fn probe<T: Delivery>(
-    rules: &T,
-    node: &mut Node<T::Data>,
-    rec: &Record<T>,
-    stats: &mut DrainStats,
-) -> bool {
-    if node.member.has_seen(rec.op) {
-        return false;
-    }
-    stats.probes += 1;
-    let admitted = admits(rules, node, rec);
-    if admitted {
-        admit(rules, node, rec);
-        stats.applied += 1;
-    }
-    !admitted
-}
-
-/// Drains one replica's mailbox: a single ascending pass, compacting the
-/// blocked survivors in place (zero allocation). The pass applies every
-/// record in the pool — each after its predecessors — so it empties the
-/// holdback as well.
-fn drain<T: Delivery>(rules: &T, node: &mut Node<T::Data>, records: &[Record<T>]) -> DrainStats {
-    let mut stats = DrainStats {
-        depth: node.mailbox.depth(records.len()) as u64,
-        ..DrainStats::default()
-    };
-    if !node.member.is_up() {
-        // Crashed replicas keep their backlog for after restart.
-        return stats;
-    }
-    // Blocked backlog first, then the unexamined pool suffix — backlog ids
-    // all precede the cursor, so the whole pass is ascending.
-    let mut backlog = node.mailbox.take_backlog();
-    backlog.retain(|&d| probe(rules, node, &records[d], &mut stats));
-    for (d, rec) in records.iter().enumerate().skip(node.mailbox.cursor()) {
-        if probe(rules, node, rec, &mut stats) {
-            backlog.push(d);
-        }
-    }
-    node.mailbox.advance_cursor(records.len());
-    node.mailbox.restore_backlog(backlog);
-    node.mailbox.clear_holdback();
-    stats
-}
-
-/// Delivers every pending effector everywhere: one [`drain`] per replica,
-/// in ascending replica order. Returns the summed stats.
-pub(crate) fn drain_all<T: Delivery>(
-    rules: &T,
-    nodes: &mut [Node<T::Data>],
-    records: &[Record<T>],
-) -> DrainStats {
-    let mut total = DrainStats::default();
-    for node in nodes {
-        let stats = drain(rules, node, records);
-        total.depth += stats.depth;
-        total.probes += stats.probes;
-        total.applied += stats.applied;
-    }
-    total
 }
 
 /// How a driver's `receive` handled an inbound message.

@@ -9,27 +9,29 @@
 //! (Figure 11) is whether replicas keep one Lamport clock per object or a
 //! single clock spanning all of them.
 //!
-//! Replication plumbing is the shared delivery core ([`crate::mailbox`] +
-//! [`crate::membership`]): every delivery entry point is the
-//! [`crate::mailbox`] function [`Cluster`](crate::op_based::Cluster) calls
-//! too, under this transport's rule. Because causal delivery is per object,
-//! a replica's *global* seen frontier says little under many objects — it
-//! stalls at the first hole of any object. So each replica keeps, per
-//! object, its **seen prefix**: how many of that object's operations, in
-//! issue order, it has applied contiguously. The prefix advances when the
-//! replica applies or invokes an operation on the object, and the rule
-//! starts its search for a missing same-object predecessor there, so it
-//! decides in O(1) whenever no same-object operation is missing.
+//! A [`MultiCluster`] is the [`OpCluster`] whose records name their object
+//! by [`ObjId`]: every per-message method is the one a
+//! [`Cluster`](crate::op_based::Cluster) runs, under this module's rule,
+//! `PerObject`. Because causal delivery is per object, a replica's
+//! *global* seen frontier says little under many objects — it stalls at the
+//! first hole of any object. So each replica keeps, per object, its **seen
+//! prefix**: how many of that object's operations, in issue order, it has
+//! applied contiguously. The prefix advances when the replica applies or
+//! invokes an operation on the object, and the rule starts its search for a
+//! missing same-object predecessor there, so it decides in O(1) whenever no
+//! same-object operation is missing.
 
-use crate::gen::{GenCtx, GenOutcome};
-use crate::mailbox::{self, Delivery, DeliveryRecord, Node, Received};
+use crate::mailbox::DeliveryRecord;
 use crate::membership::Member;
-use crate::op_based::{Invoked, OpBased};
-use ral_core::bitset::BitSet;
+use crate::op_based::sealed::{DrainStats, Rule, Sealed};
+use crate::op_based::{CallGen, Invoked, Naming, OpBased, OpCluster};
 use ral_core::compose::ObjLabel;
-use ral_core::history::{History, OpRecord};
+use ral_core::history::History;
 use ral_core::ids::{ObjId, ReplicaId};
+use ral_core::rng::Rng;
 use ral_obs as obs;
+use rule::{Locals, MultiMeta, PerObject};
+use std::fmt::Debug;
 
 /// Timestamp-generator sharing discipline for a composition of objects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,47 +46,49 @@ pub enum TsMode {
     Shared,
 }
 
-/// A replica's data: one state per object, one Lamport clock per
-/// object ([`TsMode::PerObject`]) or a single shared one
-/// ([`TsMode::Shared`]), and one seen prefix per object.
-#[derive(Clone)]
-struct Locals<S> {
-    states: Vec<S>,
-    clocks: Vec<u64>,
-    // `prefix[o]`: the replica has applied `obj_ops[o][..prefix[o]]`, and
-    // not `obj_ops[o][prefix[o]]` — a pure function of the seen-set, kept
-    // canonical by `advance_prefix` after every apply and invoke.
-    prefix: Vec<usize>,
+// Public in name only, so that `Naming for ObjId` can point at them.
+mod rule {
+    use super::TsMode;
+
+    /// A replica's data: one state per object, one Lamport clock per
+    /// object ([`TsMode::PerObject`]) or a single shared one
+    /// ([`TsMode::Shared`]), and one seen prefix per object.
+    #[derive(Clone)]
+    pub struct Locals<S> {
+        pub(super) states: Vec<S>,
+        pub(super) clocks: Vec<u64>,
+        // `prefix[o]`: the replica has applied `obj_ops[o][..prefix[o]]`,
+        // and not `obj_ops[o][prefix[o]]` — a pure function of the
+        // seen-set, kept canonical by `advance_prefix` after every apply
+        // and invoke.
+        pub(super) prefix: Vec<usize>,
+    }
+
+    /// Composed-transport record metadata: the target object and the
+    /// operation's position in that object's issue order
+    /// (`obj_ops[obj][idx]` is the record's op). The op's *same-object*
+    /// visibility predecessors are not materialized per record: they are
+    /// the history's preds among `obj_ops[obj][..idx]`, and the rule only
+    /// looks at the part of that range the target's seen prefix has not
+    /// covered.
+    #[derive(Clone, Debug)]
+    pub struct MultiMeta {
+        pub(super) obj: usize,
+        pub(super) idx: usize,
+    }
+
+    /// Per-object causal delivery.
+    #[derive(Clone)]
+    pub struct PerObject {
+        pub(super) mode: TsMode,
+        // Per-object index of every op issued on that object, ascending —
+        // the candidate pool of the causal rule, entered at the target's
+        // seen prefix.
+        pub(super) obj_ops: Vec<Vec<usize>>,
+    }
 }
 
-/// Composed-transport record metadata: the target object and the
-/// operation's position in that object's issue order (`obj_ops[obj][idx]`
-/// is the record's op). The op's *same-object* visibility predecessors are
-/// not materialized per record: they are the history's preds among
-/// `obj_ops[obj][..idx]`, and the rule only looks at the part of that
-/// range the target's seen prefix has not covered.
-#[derive(Clone, Debug)]
-struct MultiMeta {
-    obj: usize,
-    idx: usize,
-}
-
-type MultiRecord<E> = DeliveryRecord<E, MultiMeta>;
-
-/// Per-object causal delivery: what [`crate::mailbox`] reads while it
-/// writes a replica.
-#[derive(Clone)]
-struct PerObject<C: OpBased> {
-    crdt: C,
-    mode: TsMode,
-    // Per-object index of every op issued on that object, ascending — the
-    // candidate pool of the causal rule, entered at the target's seen
-    // prefix.
-    obj_ops: Vec<Vec<usize>>,
-    history: History<ObjLabel<C::Label>>,
-}
-
-impl<C: OpBased> PerObject<C> {
+impl PerObject {
     fn clock_slot(&self, obj: usize) -> usize {
         match self.mode {
             TsMode::PerObject => obj,
@@ -102,10 +106,10 @@ fn advance_prefix(ops: &[usize], prefix: &mut usize, member: &Member) {
     }
 }
 
-impl<C: OpBased> Delivery for PerObject<C> {
-    type Data = Locals<C::State>;
-    type Eff = C::Eff;
+impl Rule<ObjId> for PerObject {
+    type Data<S: Clone> = Locals<S>;
     type Meta = MultiMeta;
+    const DRAIN: &'static str = "runtime.multi.drain";
 
     /// The first same-object predecessor not yet applied.
     ///
@@ -117,18 +121,19 @@ impl<C: OpBased> Delivery for PerObject<C> {
     /// the uncovered candidates for the first one the replica has not seen
     /// and `rec.op` does (the history's pred set), counting the scan as
     /// `runtime.multi.candidates`.
-    fn missing(
+    fn missing<S: Clone, E, L>(
         &self,
+        history: &History<L>,
         member: &Member,
-        data: &Locals<C::State>,
-        rec: &MultiRecord<C::Eff>,
+        data: &Locals<S>,
+        rec: &DeliveryRecord<E, MultiMeta>,
     ) -> Option<usize> {
         let MultiMeta { obj, idx } = rec.meta;
         let from = data.prefix[obj];
         if from >= idx {
             return None;
         }
-        let preds = self.history.preds(rec.op);
+        let preds = history.preds(rec.op);
         let candidates = &self.obj_ops[obj][from..idx];
         let hit = candidates
             .iter()
@@ -140,27 +145,71 @@ impl<C: OpBased> Delivery for PerObject<C> {
         hit.map(|i| candidates[i])
     }
 
-    fn apply(&self, data: &mut Locals<C::State>, member: &Member, rec: &MultiRecord<C::Eff>) {
+    fn apply<C: OpBased>(
+        &self,
+        crdt: &C,
+        data: &mut Locals<C::State>,
+        member: &Member,
+        rec: &DeliveryRecord<C::Eff, MultiMeta>,
+    ) {
         let MultiMeta { obj, .. } = rec.meta;
         let slot = self.clock_slot(obj);
         if let Some(eff) = &rec.eff {
-            self.crdt.apply(&mut data.states[obj], eff);
+            crdt.apply(&mut data.states[obj], eff);
         }
         data.clocks[slot] = data.clocks[slot].max(rec.clock);
         advance_prefix(&self.obj_ops[obj], &mut data.prefix[obj], member);
     }
+
+    fn slots<'a, S: Clone>(&self, data: &'a mut Locals<S>, obj: ObjId) -> (&'a mut S, &'a mut u64) {
+        let o = obj.0 as usize;
+        (&mut data.states[o], &mut data.clocks[self.clock_slot(o)])
+    }
+
+    fn states<S: Clone>(data: &Locals<S>) -> &[S] {
+        &data.states
+    }
+
+    fn label<L: Clone + Debug>(obj: ObjId, label: L) -> ObjLabel<L> {
+        ObjLabel::new(obj, label)
+    }
+
+    fn invoked<S: Clone>(
+        &mut self,
+        data: &mut Locals<S>,
+        member: &Member,
+        obj: ObjId,
+        op: usize,
+    ) -> MultiMeta {
+        let o = obj.0 as usize;
+        let ops = &mut self.obj_ops[o];
+        let idx = ops.len();
+        ops.push(op);
+        advance_prefix(ops, &mut data.prefix[o], member);
+        MultiMeta { obj: o, idx }
+    }
+
+    fn drained(stats: &DrainStats) {
+        if stats.probes > 0 {
+            obs::counter("runtime.multi.probes", stats.probes);
+        }
+        obs::observe("runtime.multi.mailbox.depth", stats.depth);
+        obs::observe("runtime.multi.mailbox.batch", stats.applied);
+    }
 }
 
-/// A cluster replicating `n` objects of the same data type.
+impl Sealed for ObjId {}
+
+impl Naming for ObjId {
+    type Label<L: Clone + Debug> = ObjLabel<L>;
+    type Rule = PerObject;
+}
+
+/// A cluster replicating `n` objects of the same data type: the
+/// [`OpCluster`] whose records name their object by [`ObjId`].
 // Cloning forks the whole composed configuration — the branch point of
 // `ral-analyze`'s timestamp-discipline search.
-#[derive(Clone)]
-pub struct MultiCluster<C: OpBased> {
-    rules: PerObject<C>,
-    replicas: Vec<Node<Locals<C::State>>>,
-    records: Vec<MultiRecord<C::Eff>>,
-    next_uid: u64,
-}
+pub type MultiCluster<C> = OpCluster<C, ObjId>;
 
 impl<C: OpBased> MultiCluster<C> {
     /// Creates a cluster of `n_replicas` replicas, each holding `n_objects`
@@ -170,47 +219,29 @@ impl<C: OpBased> MultiCluster<C> {
     ///
     /// Panics if `n_replicas` or `n_objects` is zero.
     pub fn new(crdt: C, n_objects: usize, n_replicas: usize, mode: TsMode) -> Self {
-        assert!(n_replicas > 0, "a cluster needs at least one replica");
         assert!(n_objects > 0, "a composition needs at least one object");
         let clock_slots = match mode {
             TsMode::PerObject => n_objects,
             TsMode::Shared => 1,
         };
-        let replicas = (0..n_replicas)
-            .map(|_| {
-                Node::new(Locals {
-                    states: (0..n_objects).map(|_| crdt.initial()).collect(),
-                    clocks: vec![0; clock_slots],
-                    prefix: vec![0; n_objects],
-                })
-            })
-            .collect();
-        MultiCluster {
-            rules: PerObject {
-                crdt,
-                mode,
-                obj_ops: vec![Vec::new(); n_objects],
-                history: History::new(),
-            },
-            replicas,
-            records: Vec::new(),
-            next_uid: 0,
-        }
+        let obj_ops = vec![Vec::new(); n_objects];
+        OpCluster::with_replicas(crdt, PerObject { mode, obj_ops }, n_replicas, |crdt| {
+            Locals {
+                states: (0..n_objects).map(|_| crdt.initial()).collect(),
+                clocks: vec![0; clock_slots],
+                prefix: vec![0; n_objects],
+            }
+        })
     }
 
     /// Number of composed objects.
     pub fn n_objects(&self) -> usize {
-        self.rules.obj_ops.len()
-    }
-
-    /// Number of replicas.
-    pub fn n_replicas(&self) -> usize {
-        self.replicas.len()
+        self.rules.rule.obj_ops.len()
     }
 
     /// The timestamp discipline of this composition.
     pub fn mode(&self) -> TsMode {
-        self.rules.mode
+        self.rules.rule.mode
     }
 
     /// The state of object `obj` at replica `r`.
@@ -218,213 +249,56 @@ impl<C: OpBased> MultiCluster<C> {
         &self.replicas[r.0 as usize].data.states[obj.0 as usize]
     }
 
-    /// The composed history recorded so far (global visibility).
-    pub fn history(&self) -> &History<ObjLabel<C::Label>> {
-        &self.rules.history
-    }
-
-    /// Consumes the cluster, returning its history.
-    pub fn into_history(self) -> History<ObjLabel<C::Label>> {
-        self.rules.history
-    }
-
-    /// Invokes `call` on object `obj` at replica `r`.
+    /// Invokes `call` on object `obj` at replica `r` (the OPERATION rule):
+    /// the generator runs against that object's state and clock, the origin
+    /// applies the effector at once, and the record is broadcast.
     ///
-    /// Returns `None` if the generator refuses the call.
+    /// Returns `None` if the generator's precondition refuses the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is out of range or the replica is crashed (see
+    /// [`OpCluster::crash`]).
     pub fn invoke(&mut self, r: ReplicaId, obj: ObjId, call: C::Call) -> Option<Invoked<C::Ret>> {
-        let o = obj.0 as usize;
-        assert!(o < self.n_objects(), "object {obj} out of range");
-        let slot = self.rules.clock_slot(o);
-        let PerObject {
-            crdt,
-            obj_ops,
-            history,
-            ..
-        } = &mut self.rules;
-        let node = &mut self.replicas[r.0 as usize];
-        node.member.expect_up("invoke at", r);
-        let mut ctx = GenCtx::new(r, node.data.clocks[slot], self.next_uid);
-        match crdt.generator(&node.data.states[o], &call, &mut ctx) {
-            GenOutcome::Refused => None,
-            GenOutcome::Done { ret, eff } => {
-                let label = ObjLabel::new(obj, crdt.label(&call, &ret));
-                let record = match ctx.issued_ts() {
-                    Some(ts) => OpRecord::with_ts(label, r, ts),
-                    None => OpRecord::new(label, r),
-                };
-                let op = history.push_set(record, node.member.seen().clone());
-                node.data.clocks[slot] = ctx.clock();
-                self.next_uid = ctx.uid_counter();
-                if let Some(eff) = &eff {
-                    crdt.apply(&mut node.data.states[o], eff);
-                }
-                node.member.observe(op);
-                let idx = obj_ops[o].len();
-                obj_ops[o].push(op);
-                advance_prefix(&obj_ops[o], &mut node.data.prefix[o], &node.member);
-                // Appending to the shared pool IS the broadcast: every other
-                // replica's mailbox cursor lies at or below the new id.
-                self.records.push(DeliveryRecord {
-                    op,
-                    eff,
-                    clock: node.data.clocks[slot],
-                    meta: MultiMeta { obj: o, idx },
-                });
-                Some(Invoked { ret, op })
-            }
-        }
-    }
-
-    /// The history index of pending delivery `d`.
-    pub fn delivery_op(&self, d: usize) -> usize {
-        self.records[d].op
-    }
-
-    /// Total number of deliveries created so far (ids are `0..n`).
-    pub fn n_deliveries(&self) -> usize {
-        self.records.len()
-    }
-
-    /// The set of operations replica `r` has applied, on every object
-    /// (its own invocations count as applied).
-    pub fn seen(&self, r: ReplicaId) -> &BitSet {
-        self.replicas[r.0 as usize].member.seen()
+        assert!(
+            (obj.0 as usize) < self.n_objects(),
+            "object {obj} out of range"
+        );
+        self.invoke_on(r, obj, call)
     }
 
     /// Replica `r`'s seen prefix on object `obj`: how many of the
     /// operations issued on `obj`, in issue order, it has applied
     /// contiguously — the per-object analogue of
-    /// [`Cluster::seen_frontier`](crate::op_based::Cluster::seen_frontier),
-    /// where the causal rule starts looking for a missing predecessor.
+    /// [`OpCluster::seen_frontier`], where the causal rule starts looking
+    /// for a missing predecessor.
     pub fn seen_prefix(&self, r: ReplicaId, obj: ObjId) -> usize {
         self.replicas[r.0 as usize].data.prefix[obj.0 as usize]
     }
+}
 
-    /// Number of network arrivals replica `r`'s causal holdback holds: see
-    /// [`Cluster::held`](crate::op_based::Cluster::held).
-    pub fn held(&self, r: ReplicaId) -> usize {
-        self.replicas[r.0 as usize].mailbox.held_len()
-    }
-
-    /// Whether delivery `d` has already been applied at replica `r` —
-    /// equivalently, whether its operation is in the replica's seen-set.
-    pub fn is_delivered(&self, d: usize, r: ReplicaId) -> bool {
-        self.replicas[r.0 as usize]
-            .member
-            .has_seen(self.records[d].op)
-    }
-
-    /// Non-panicking probe for [`MultiCluster::deliver`]: up, not yet
-    /// applied, and per-object causal delivery admits it now.
-    pub fn can_deliver(&self, r: ReplicaId, d: usize) -> bool {
-        let node = &self.replicas[r.0 as usize];
-        mailbox::can_deliver(&self.rules, node, &self.records[d])
-    }
-
-    /// Whether replica `r` is running (not crashed).
-    pub fn is_up(&self, r: ReplicaId) -> bool {
-        self.replicas[r.0 as usize].member.is_up()
-    }
-
-    /// Crashes replica `r` (durable composed state; processing halts).
-    pub fn crash(&mut self, r: ReplicaId) {
-        self.replicas[r.0 as usize].member.crash();
-    }
-
-    /// Restarts a crashed replica.
-    pub fn restart(&mut self, r: ReplicaId) {
-        self.replicas[r.0 as usize].member.restart();
-    }
-
-    /// Restarts every crashed replica.
-    pub fn restart_all(&mut self) {
-        for node in &mut self.replicas {
-            node.member.restart();
-        }
-    }
-
-    /// Pending deliveries applicable at replica `r`: causal delivery is
-    /// required only among operations of the *same* object. Empty while the
-    /// replica is crashed.
-    pub fn deliverable(&self, r: ReplicaId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.deliverable_into(r, &mut out);
-        out
-    }
-
-    /// [`MultiCluster::deliverable`] into a caller-owned scratch buffer
-    /// (cleared first) — the allocation-free form the schedule drivers
-    /// probe with on every delivery step.
-    pub fn deliverable_into(&self, r: ReplicaId, out: &mut Vec<usize>) {
-        let node = &self.replicas[r.0 as usize];
-        mailbox::deliverable_into(&self.rules, node, &self.records, out);
-    }
-
-    /// Delivers pending effector `delivery` at replica `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on double delivery or a per-object causal violation.
-    pub fn deliver(&mut self, r: ReplicaId, delivery: usize) {
-        let node = &mut self.replicas[r.0 as usize];
-        mailbox::deliver(&self.rules, node, &self.records[delivery], r);
-    }
-
-    /// Handles a network arrival of delivery `d` at replica `r` with causal
-    /// holdback: duplicates are ignored, out-of-order (or crashed-target)
-    /// arrivals are buffered in the replica's mailbox, and an in-order
-    /// arrival is applied together with every held delivery it unblocks.
-    pub fn receive(&mut self, r: ReplicaId, d: usize) -> Received {
-        let node = &mut self.replicas[r.0 as usize];
-        mailbox::receive(&self.rules, node, &self.records, d)
-    }
-
-    /// Delivers every pending effector everywhere.
-    ///
-    /// Linear in the outstanding work: one pass per replica over its
-    /// mailbox queue, in delivery-creation order, replicas in ascending
-    /// order. Ascending order is what makes a single pass
-    /// complete — every same-object causal predecessor of a delivery was
-    /// created earlier, so by the time a delivery is probed its
-    /// predecessors have either originated at this replica or been applied
-    /// earlier in the same pass. (The seed-era drain recomputed
-    /// `deliverable` from the full delivery log until a fixpoint:
-    /// O(d²·|preds|) probes on the 10⁴-delivery histories the `multi_mix`
-    /// scenario produces.)
-    pub fn deliver_all(&mut self) {
-        self.deliver_all_counting();
-    }
-
-    /// [`MultiCluster::deliver_all`], returning the number of
-    /// per-delivery deliverability probes performed — the regression hook
-    /// pinning the drain's linearity (at most one probe per outstanding
-    /// (delivery, replica) pair and per drain call). Crate-private: the
-    /// probe count is an implementation detail of the drain, not an API
-    /// contract.
-    pub(crate) fn deliver_all_counting(&mut self) -> u64 {
-        let _span = obs::span("runtime.multi.drain");
-        let stats = mailbox::drain_all(&self.rules, &mut self.replicas, &self.records);
-        if stats.probes > 0 {
-            obs::counter("runtime.multi.probes", stats.probes);
-        }
-        obs::observe("runtime.multi.mailbox.depth", stats.depth);
-        obs::observe("runtime.multi.mailbox.batch", stats.applied);
-        stats.probes
-    }
-
-    /// Returns `true` if every object has converged across replicas.
-    pub fn converged(&self) -> bool {
-        (0..self.n_objects()).all(|o| {
-            self.replicas
-                .windows(2)
-                .all(|w| w[0].data.states[o] == w[1].data.states[o])
-        })
+impl<C, F> CallGen<C, ObjId> for F
+where
+    C: OpBased,
+    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
+{
+    fn invoke(
+        &mut self,
+        rng: &mut Rng,
+        r: ReplicaId,
+        cluster: &mut MultiCluster<C>,
+    ) -> Option<Invoked<C::Ret>> {
+        let obj = ObjId(rng.random_range(0..cluster.n_objects()) as u32);
+        let call = self(rng, r, obj, cluster.state(r, obj))?;
+        cluster.invoke(r, obj, call)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{GenCtx, GenOutcome};
+    use crate::mailbox::Received;
     use ral_core::timestamp::Ts;
 
     /// A register that stores the last written value with its timestamp.
@@ -677,13 +551,17 @@ mod tests {
 
     #[test]
     fn one_object_composition_delivers_exactly_like_the_single_cluster() {
-        // Both façades run the same `mailbox` functions; with one object
+        // Both instances run the same `OpCluster` methods; with one object
         // "same-object predecessors" is "all predecessors", so a script
-        // played in lockstep must be indistinguishable step by step.
+        // played in lockstep must be indistinguishable step by step: the
+        // holdback `receive` and the drain the simulator takes, and the
+        // targeted `can_deliver` / `deliver` and `deliverable_into` the
+        // `ral-analyze` op and ts engines take.
         use crate::op_based::Cluster;
         enum Step {
             Invoke(u32, u32),
             Receive(u32, usize, Received),
+            Deliver(u32, usize, bool),
             Crash(u32),
             Restart(u32),
             Drain,
@@ -697,15 +575,21 @@ mod tests {
             Receive(2, 2, Received::Applied(1)), // leaves a hole below it
             Receive(2, 0, Received::Applied(2)), // unblocks d1
             Receive(2, 1, Received::Ignored),
+            Deliver(1, 1, false), // d1 waits on d0
+            Deliver(1, 0, true),
+            Deliver(1, 1, true),
+            Deliver(1, 1, false), // already applied
             Crash(1),
             Invoke(2, 4),                  // d3
             Receive(1, 3, Received::Held), // down: buffered
+            Deliver(1, 3, false),          // down: refused
             Drain,
             Restart(1),
             Drain,
         ];
         let mut single = Cluster::new(TsReg, 3);
         let mut multi = MultiCluster::new(TsReg, 1, 3, TsMode::Shared);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
         for step in script {
             match step {
                 Invoke(rep, v) => assert_eq!(
@@ -715,6 +599,14 @@ mod tests {
                 Receive(rep, d, expected) => {
                     assert_eq!(single.receive(r(rep), d), expected, "d{d} at r{rep}");
                     assert_eq!(multi.receive(r(rep), d), expected, "d{d} at r{rep}");
+                }
+                Deliver(rep, d, admitted) => {
+                    assert_eq!(single.can_deliver(r(rep), d), admitted, "d{d} at r{rep}");
+                    assert_eq!(multi.can_deliver(r(rep), d), admitted, "d{d} at r{rep}");
+                    if admitted {
+                        single.deliver(r(rep), d);
+                        multi.deliver(r(rep), d);
+                    }
                 }
                 Crash(rep) => {
                     single.crash(r(rep));
@@ -730,13 +622,18 @@ mod tests {
                     assert_eq!(multi.deliver_all_counting(), probes);
                 }
             }
+            for rep in (0..3).map(r) {
+                single.deliverable_into(rep, &mut want);
+                multi.deliverable_into(rep, &mut got);
+                assert_eq!(got, want, "deliverable at {rep}");
+                assert_eq!(multi.held(rep), single.held(rep), "held at {rep}");
+            }
         }
         assert!(single.converged() && multi.converged());
-        for (i, node) in multi.replicas.iter().enumerate() {
-            let rep = r(i as u32);
+        for rep in (0..3).map(r) {
             assert_eq!(multi.state(rep, o(0)), single.state(rep));
-            assert_eq!(node.member.seen(), single.seen(rep));
-            assert_eq!(node.member.frontier(), single.seen_frontier(rep));
+            assert_eq!(multi.seen(rep), single.seen(rep));
+            assert_eq!(multi.seen_frontier(rep), single.seen_frontier(rep));
         }
         assert_eq!(
             format!("{:?}", multi.into_history().map(|l| l.label)),

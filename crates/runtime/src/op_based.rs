@@ -9,21 +9,36 @@
 //! *causal* (an effector is deliverable only after the effectors of every
 //! operation visible to it).
 //!
-//! Replication plumbing is the shared delivery core: invocations append an
-//! immutable [`DeliveryRecord`] to the pool every replica's
-//! [`Mailbox`](crate::mailbox::Mailbox) reads, and every delivery entry
-//! point is the [`crate::mailbox`] function of the same name under this
-//! transport's rule — all visible predecessors applied. See the module docs
-//! there for why [`Cluster::deliver_all`]'s one ascending pass per replica
-//! reaches the fixpoint.
+//! One cluster type runs every op-based execution: [`OpCluster`], generic
+//! over how a delivery record names its object ([`Naming`]): a
+//! [`Cluster`]'s records name it by `()`, since there is only one, and a
+//! [`MultiCluster`](crate::multi::MultiCluster)'s by an
+//! [`ObjId`](ral_core::ids::ObjId), one object of a composition
+//! (Section 5). The paper reads one object as the composition of one
+//! (Thm. 5.3), and with one object per-object causal delivery *is* causal
+//! delivery, so every per-message method is written once, on
+//! [`OpCluster`]. A naming supplies only its admission rule and apply
+//! step, the state and clock slots an invocation reads, the label it
+//! records and what the invocation advances afterwards.
+//!
+//! Replication plumbing: an invocation appends an immutable
+//! [`DeliveryRecord`] to the pool every replica's
+//! [`Mailbox`](crate::mailbox::Mailbox) reads, and delivery — the
+//! precondition trio, the holdback [`OpCluster::receive`] and the drain —
+//! applies what the naming's rule admits: for a [`Cluster`], a record
+//! whose visible predecessors are all applied. See [`crate::mailbox`] for
+//! the holdback and for why [`OpCluster::deliver_all`]'s one ascending
+//! pass per replica reaches the fixpoint.
 
 use crate::gen::{GenCtx, GenOutcome};
-use crate::mailbox::{self, Delivery, DeliveryRecord, Node, Received};
+use crate::mailbox::{DeliveryRecord, Node, Received};
 use crate::membership::Member;
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
+use ral_core::rng::Rng;
 use ral_obs as obs;
+use sealed::{Causal, DrainStats, Local, Rule};
 use std::fmt::Debug;
 
 /// An operation-based CRDT, in the style of Listings 1–5.
@@ -71,27 +86,160 @@ pub struct Invoked<R> {
     pub op: usize,
 }
 
-/// A replica's data: the object state and one Lamport clock.
-#[derive(Clone)]
-struct Local<S> {
-    state: S,
-    clock: u64,
+/// How a delivery record names its object: the one type parameter a
+/// [`Cluster`] (`()`) and a [`MultiCluster`](crate::multi::MultiCluster)
+/// ([`ObjId`](ral_core::ids::ObjId)) differ in. Sealed: those are the two.
+pub trait Naming: Copy + sealed::Sealed {
+    /// The history label of an operation whose object label is `L`: `L`
+    /// itself for `()`, tagged with its object
+    /// ([`ObjLabel`](ral_core::compose::ObjLabel)) for an `ObjId`.
+    type Label<L: Clone + Debug>: Clone + Debug;
+    /// The naming's causal-delivery rule.
+    #[doc(hidden)]
+    type Rule: Rule<Self>;
 }
 
-/// Single-object causal delivery: what [`crate::mailbox`] reads while it
-/// writes a replica. Its rule names the first visible predecessor a
-/// replica lacks — the operation the holdback files a blocked arrival
-/// under.
-#[derive(Clone)]
-struct Causal<C: OpBased> {
-    crdt: C,
-    history: History<C::Label>,
+/// A client workload: the call replica `r` makes next, given the state it
+/// reads. Every closure `FnMut(&mut Rng, ReplicaId, &C::State) ->
+/// Option<C::Call>` is one for a [`Cluster`], and every closure
+/// `FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>` one
+/// for a [`MultiCluster`](crate::multi::MultiCluster), which draws the
+/// object from `rng` first.
+pub trait CallGen<C: OpBased, K: Naming> {
+    /// Invokes the workload's next call at `r`; `None` if the workload
+    /// skips its turn or the generator refuses the call.
+    fn invoke(
+        &mut self,
+        rng: &mut Rng,
+        r: ReplicaId,
+        cluster: &mut OpCluster<C, K>,
+    ) -> Option<Invoked<C::Ret>>;
 }
 
-impl<C: OpBased> Delivery for Causal<C> {
-    type Data = Local<C::State>;
-    type Eff = C::Eff;
+impl<C, F> CallGen<C, ()> for F
+where
+    C: OpBased,
+    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+{
+    fn invoke(
+        &mut self,
+        rng: &mut Rng,
+        r: ReplicaId,
+        cluster: &mut Cluster<C>,
+    ) -> Option<Invoked<C::Ret>> {
+        let call = self(rng, r, cluster.state(r))?;
+        cluster.invoke(r, call)
+    }
+}
+
+/// What a naming plugs into [`OpCluster`]: public in name only, so that
+/// [`Naming`] can point at it.
+pub(crate) mod sealed {
+    use super::*;
+
+    pub trait Sealed {}
+
+    /// A naming's causal-delivery rule, and where an operation on one
+    /// object reads and writes a replica's data.
+    pub trait Rule<K: Naming>: Clone {
+        /// A replica's data: its objects' states and Lamport clocks.
+        type Data<S: Clone>: Clone;
+        /// What a record carries besides its operation, effector and clock.
+        type Meta: Clone + Debug;
+        /// The obs span a drain runs in.
+        const DRAIN: &'static str;
+
+        /// The predecessor `rec` still lacks at a replica whose seen-set is
+        /// `member`'s and whose data is `data` — an operation the replica
+        /// has not seen — or `None` if causal delivery admits `rec` now
+        /// (liveness and duplicates are the callers' checks). The holdback
+        /// files a blocked arrival under the operation returned.
+        fn missing<S: Clone, E, L>(
+            &self,
+            history: &History<L>,
+            member: &Member,
+            data: &Self::Data<S>,
+            rec: &DeliveryRecord<E, Self::Meta>,
+        ) -> Option<usize>;
+
+        /// Applies `rec`'s effector and clock to a replica's data; `member`
+        /// has already observed `rec.op`.
+        fn apply<C: OpBased>(
+            &self,
+            crdt: &C,
+            data: &mut Self::Data<C::State>,
+            member: &Member,
+            rec: &DeliveryRecord<C::Eff, Self::Meta>,
+        );
+
+        /// The state and the clock an invocation on `obj` reads and writes.
+        fn slots<'a, S: Clone>(
+            &self,
+            data: &'a mut Self::Data<S>,
+            obj: K,
+        ) -> (&'a mut S, &'a mut u64);
+
+        /// Every object's state in `data`.
+        fn states<S: Clone>(data: &Self::Data<S>) -> &[S];
+
+        /// `label`, tagged with `obj`.
+        fn label<L: Clone + Debug>(obj: K, label: L) -> K::Label<L>;
+
+        /// What the origin advances once it has observed its new operation
+        /// `op` on `obj`; returns the operation's record metadata.
+        fn invoked<S: Clone>(
+            &mut self,
+            data: &mut Self::Data<S>,
+            member: &Member,
+            obj: K,
+            op: usize,
+        ) -> Self::Meta;
+
+        /// Reports a drain under the naming's own obs names.
+        fn drained(stats: &DrainStats);
+    }
+
+    /// What a drain did: how many pending candidates it started from, how
+    /// many pool entries it probed for deliverability and how many
+    /// effectors it applied. The probe count is the complexity witness
+    /// regression tests pin (one probe per pending pair, no fixpoint
+    /// re-scans); depth and applied feed the obs mailbox metrics.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct DrainStats {
+        /// Pending candidates (including lazily-pruned ids) before the
+        /// drain.
+        pub depth: u64,
+        /// Deliverability checks performed.
+        pub probes: u64,
+        /// Effectors applied.
+        pub applied: u64,
+    }
+
+    /// A replica's data: the object state and one Lamport clock.
+    #[derive(Clone)]
+    pub struct Local<S> {
+        pub(super) state: S,
+        pub(super) clock: u64,
+    }
+
+    /// Single-object causal delivery. Its rule names the first visible
+    /// predecessor a replica lacks — the operation the holdback files a
+    /// blocked arrival under.
+    #[derive(Clone, Copy)]
+    pub struct Causal;
+}
+
+impl sealed::Sealed for () {}
+
+impl Naming for () {
+    type Label<L: Clone + Debug> = L;
+    type Rule = Causal;
+}
+
+impl Rule<()> for Causal {
+    type Data<S: Clone> = Local<S>;
     type Meta = ();
+    const DRAIN: &'static str = "runtime.deliver_all";
 
     /// The first visible predecessor not yet applied. Every predecessor of
     /// `op` has a smaller history index, so a member whose seen
@@ -99,30 +247,157 @@ impl<C: OpBased> Delivery for Causal<C> {
     /// O(1) path steady-state drains always take. Otherwise the pred set is
     /// tested against the seen-set a word at a time from the frontier up
     /// ([`BitSet::first_missing`]); everything below the frontier is seen.
-    fn missing(
+    fn missing<S: Clone, E, L>(
         &self,
+        history: &History<L>,
         member: &Member,
-        _: &Local<C::State>,
-        rec: &DeliveryRecord<C::Eff>,
+        _: &Local<S>,
+        rec: &DeliveryRecord<E>,
     ) -> Option<usize> {
         if rec.op <= member.frontier() {
             return None;
         }
-        self.history
+        history
             .preds(rec.op)
             .first_missing(member.seen(), member.frontier())
     }
 
-    fn apply(&self, data: &mut Local<C::State>, _: &Member, rec: &DeliveryRecord<C::Eff>) {
+    fn apply<C: OpBased>(
+        &self,
+        crdt: &C,
+        data: &mut Local<C::State>,
+        _: &Member,
+        rec: &DeliveryRecord<C::Eff>,
+    ) {
         if let Some(eff) = &rec.eff {
-            self.crdt.apply(&mut data.state, eff);
+            crdt.apply(&mut data.state, eff);
         }
         data.clock = data.clock.max(rec.clock);
     }
+
+    fn slots<'a, S: Clone>(&self, data: &'a mut Local<S>, (): ()) -> (&'a mut S, &'a mut u64) {
+        (&mut data.state, &mut data.clock)
+    }
+
+    fn states<S: Clone>(data: &Local<S>) -> &[S] {
+        std::slice::from_ref(&data.state)
+    }
+
+    fn label<L: Clone + Debug>((): (), label: L) -> L {
+        label
+    }
+
+    // One object: its seen prefix is the seen frontier, which `observe`
+    // has already moved.
+    fn invoked<S: Clone>(&mut self, _: &mut Local<S>, _: &Member, (): (), _: usize) {}
+
+    fn drained(stats: &DrainStats) {
+        obs::counter("runtime.deliver_rounds", 1);
+        if stats.applied > 0 {
+            obs::counter("runtime.deliveries", stats.applied);
+        }
+        obs::observe("runtime.mailbox.depth", stats.depth);
+        obs::observe("runtime.mailbox.batch", stats.applied);
+    }
 }
 
-/// A single replicated object: `n` replicas, a shared pool of effector
-/// records with per-replica mailboxes, and the history recorded so far.
+type Data<C, K> = <<K as Naming>::Rule as Rule<K>>::Data<<C as OpBased>::State>;
+type Record<C, K> = DeliveryRecord<<C as OpBased>::Eff, <<K as Naming>::Rule as Rule<K>>::Meta>;
+
+/// What delivery reads while it writes a replica: the descriptor, the
+/// naming's rule and the history.
+#[derive(Clone)]
+pub(crate) struct Rules<C: OpBased, K: Naming> {
+    crdt: C,
+    pub(crate) rule: K::Rule,
+    history: History<K::Label<C::Label>>,
+}
+
+impl<C: OpBased, K: Naming> Rules<C, K> {
+    /// The predecessor `rec` still lacks at `node`, if any.
+    fn missing(&self, node: &Node<Data<C, K>>, rec: &Record<C, K>) -> Option<usize> {
+        self.rule
+            .missing(&self.history, &node.member, &node.data, rec)
+    }
+
+    /// The EFFECTOR step proper, preconditions already established. Wakes
+    /// nothing: the caller decides where the operation's held waiters go.
+    fn admit(&self, node: &mut Node<Data<C, K>>, rec: &Record<C, K>) {
+        node.member.observe(rec.op);
+        self.rule
+            .apply(&self.crdt, &mut node.data, &node.member, rec);
+    }
+
+    /// The replica is up, has not applied `rec`, and causal delivery
+    /// admits it now.
+    fn can_deliver(&self, node: &Node<Data<C, K>>, rec: &Record<C, K>) -> bool {
+        node.member.is_up() && !node.member.has_seen(rec.op) && self.missing(node, rec).is_none()
+    }
+
+    /// One drain probe of a pending record: skipped if already seen (an
+    /// own operation, or applied through a targeted deliver), applied if
+    /// admitted. Returns `true` if the record stays blocked.
+    fn probe(
+        &self,
+        node: &mut Node<Data<C, K>>,
+        rec: &Record<C, K>,
+        stats: &mut DrainStats,
+    ) -> bool {
+        if node.member.has_seen(rec.op) {
+            return false;
+        }
+        stats.probes += 1;
+        let admitted = self.missing(node, rec).is_none();
+        if admitted {
+            self.admit(node, rec);
+            stats.applied += 1;
+        }
+        !admitted
+    }
+
+    /// Drains one replica's mailbox into `stats`: a single ascending pass,
+    /// compacting the blocked survivors in place (zero allocation). The
+    /// pass applies every record in the pool — each after its predecessors
+    /// — so it empties the holdback as well.
+    fn drain(&self, node: &mut Node<Data<C, K>>, records: &[Record<C, K>], stats: &mut DrainStats) {
+        stats.depth += node.mailbox.depth(records.len()) as u64;
+        if !node.member.is_up() {
+            // Crashed replicas keep their backlog for after restart.
+            return;
+        }
+        // Blocked backlog first, then the unexamined pool suffix — backlog
+        // ids all precede the cursor, so the whole pass is ascending.
+        let mut backlog = node.mailbox.take_backlog();
+        backlog.retain(|&d| self.probe(node, &records[d], stats));
+        for (d, rec) in records.iter().enumerate().skip(node.mailbox.cursor()) {
+            if self.probe(node, rec, stats) {
+                backlog.push(d);
+            }
+        }
+        node.mailbox.advance_cursor(records.len());
+        node.mailbox.restore_backlog(backlog);
+        node.mailbox.clear_holdback();
+    }
+}
+
+/// Replicated objects of one op-based data type: `n` replicas, a shared
+/// pool of effector records with per-replica mailboxes, and the history
+/// recorded so far. `K` is how a record names its object ([`Naming`]):
+/// [`Cluster`] and [`MultiCluster`](crate::multi::MultiCluster) are the
+/// two instances, each with its own constructor, `invoke` and `state`;
+/// every other method is written here, once.
+// Cloning a cluster (possible whenever the descriptor is `Clone`) forks the
+// whole configuration — replica states, pending deliveries, history — which
+// is what `ral-analyze`'s bounded-exhaustive searches branch on.
+#[derive(Clone)]
+pub struct OpCluster<C: OpBased, K: Naming> {
+    pub(crate) rules: Rules<C, K>,
+    pub(crate) replicas: Vec<Node<Data<C, K>>>,
+    records: Vec<Record<C, K>>,
+    next_uid: u64,
+}
+
+/// A single replicated object: the one-object [`OpCluster`].
 ///
 /// # Examples
 ///
@@ -163,16 +438,7 @@ impl<C: OpBased> Delivery for Causal<C> {
 /// let fresh = cluster.invoke(ReplicaId(1), "read").unwrap();
 /// assert_eq!(fresh.ret, 1);
 /// ```
-// Cloning a cluster (possible whenever the descriptor is `Clone`) forks the
-// whole configuration — replica states, pending deliveries, history — which
-// is what `ral-analyze`'s bounded-exhaustive search branches on.
-#[derive(Clone)]
-pub struct Cluster<C: OpBased> {
-    rules: Causal<C>,
-    replicas: Vec<Node<Local<C::State>>>,
-    records: Vec<DeliveryRecord<C::Eff>>,
-    next_uid: u64,
-}
+pub type Cluster<C> = OpCluster<C, ()>;
 
 impl<C: OpBased> Cluster<C> {
     /// Creates a cluster of `n_replicas` replicas, all in the initial
@@ -182,24 +448,113 @@ impl<C: OpBased> Cluster<C> {
     ///
     /// Panics if `n_replicas` is zero.
     pub fn new(crdt: C, n_replicas: usize) -> Self {
+        OpCluster::with_replicas(crdt, Causal, n_replicas, |crdt| Local {
+            state: crdt.initial(),
+            clock: 0,
+        })
+    }
+
+    /// The state of replica `r`.
+    pub fn state(&self, r: ReplicaId) -> &C::State {
+        &self.replicas[r.0 as usize].data.state
+    }
+
+    /// Invokes `call` at replica `r` (the OPERATION rule): the generator
+    /// runs against the replica's state, the origin applies the effector at
+    /// once, and the record is broadcast.
+    ///
+    /// Returns `None` if the generator's precondition refuses the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica is crashed (see [`OpCluster::crash`]).
+    pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<Invoked<C::Ret>> {
+        self.invoke_on(r, (), call)
+    }
+}
+
+impl<C: OpBased, K: Naming> OpCluster<C, K> {
+    /// A cluster of `n_replicas` replicas, each starting from `data(&crdt)`,
+    /// under `rule`, with nothing invoked yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_replicas` is zero.
+    pub(crate) fn with_replicas(
+        crdt: C,
+        rule: K::Rule,
+        n_replicas: usize,
+        data: impl Fn(&C) -> Data<C, K>,
+    ) -> Self {
         assert!(n_replicas > 0, "a cluster needs at least one replica");
-        let replicas = (0..n_replicas)
-            .map(|_| {
-                Node::new(Local {
-                    state: crdt.initial(),
-                    clock: 0,
-                })
-            })
-            .collect();
-        Cluster {
-            rules: Causal {
+        let replicas = (0..n_replicas).map(|_| Node::new(data(&crdt))).collect();
+        let history = History::new();
+        OpCluster {
+            rules: Rules {
                 crdt,
-                history: History::new(),
+                rule,
+                history,
             },
             replicas,
             records: Vec::new(),
             next_uid: 0,
         }
+    }
+
+    /// Invokes `call` on the object `obj` names at replica `r` (the
+    /// OPERATION rule): the generator runs against that object's state and
+    /// clock, the origin applies the effector at once, and the record is
+    /// appended to the pool every other replica's mailbox reads. The one
+    /// body of [`Cluster::invoke`] and
+    /// [`MultiCluster::invoke`](crate::multi::MultiCluster::invoke).
+    ///
+    /// Returns `None` if the generator's precondition refuses the call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica is crashed (see [`OpCluster::crash`]) or `obj`
+    /// names no object of the cluster.
+    pub(crate) fn invoke_on(
+        &mut self,
+        r: ReplicaId,
+        obj: K,
+        call: C::Call,
+    ) -> Option<Invoked<C::Ret>> {
+        let Rules {
+            crdt,
+            rule,
+            history,
+        } = &mut self.rules;
+        let node = &mut self.replicas[r.0 as usize];
+        node.member.expect_up("invoke at", r);
+        let (state, clock) = rule.slots(&mut node.data, obj);
+        let mut ctx = GenCtx::new(r, *clock, self.next_uid);
+        let GenOutcome::Done { ret, eff } = crdt.generator(state, &call, &mut ctx) else {
+            return None;
+        };
+        let label = K::Rule::label(obj, crdt.label(&call, &ret));
+        *clock = ctx.clock();
+        let clock = *clock;
+        self.next_uid = ctx.uid_counter();
+        if let Some(eff) = &eff {
+            crdt.apply(state, eff);
+        }
+        let record = match ctx.issued_ts() {
+            Some(ts) => OpRecord::with_ts(label, r, ts),
+            None => OpRecord::new(label, r),
+        };
+        let op = history.push_set(record, node.member.seen().clone());
+        node.member.observe(op);
+        let meta = rule.invoked(&mut node.data, &node.member, obj, op);
+        // Appending to the shared pool IS the broadcast: every other
+        // replica's mailbox cursor lies at or below the new id.
+        self.records.push(DeliveryRecord {
+            op,
+            eff,
+            clock,
+            meta,
+        });
+        Some(Invoked { ret, op })
     }
 
     /// Number of replicas.
@@ -212,102 +567,122 @@ impl<C: OpBased> Cluster<C> {
         &self.rules.crdt
     }
 
-    /// The state of replica `r`.
-    pub fn state(&self, r: ReplicaId) -> &C::State {
-        &self.replicas[r.0 as usize].data.state
-    }
-
-    /// The history recorded so far.
-    pub fn history(&self) -> &History<C::Label> {
+    /// The history recorded so far (its visibility is global when the
+    /// cluster composes several objects).
+    pub fn history(&self) -> &History<K::Label<C::Label>> {
         &self.rules.history
     }
 
     /// Consumes the cluster, returning its history.
-    pub fn into_history(self) -> History<C::Label> {
+    pub fn into_history(self) -> History<K::Label<C::Label>> {
         self.rules.history
     }
 
-    /// The set of operations whose effector has been applied at replica `r`.
+    /// The set of operations whose effector has been applied at replica
+    /// `r`, on every object (its own invocations count as applied).
     pub fn seen(&self, r: ReplicaId) -> &BitSet {
         self.replicas[r.0 as usize].member.seen()
     }
 
-    /// Invokes `call` at replica `r` (the OPERATION rule).
-    ///
-    /// Returns `None` if the generator's precondition refuses the call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replica is crashed (see [`Cluster::crash`]).
-    pub fn invoke(&mut self, r: ReplicaId, call: C::Call) -> Option<Invoked<C::Ret>> {
-        let Causal { crdt, history } = &mut self.rules;
-        let node = &mut self.replicas[r.0 as usize];
-        node.member.expect_up("invoke at", r);
-        let mut ctx = GenCtx::new(r, node.data.clock, self.next_uid);
-        match crdt.generator(&node.data.state, &call, &mut ctx) {
-            GenOutcome::Refused => None,
-            GenOutcome::Done { ret, eff } => {
-                let label = crdt.label(&call, &ret);
-                let record = match ctx.issued_ts() {
-                    Some(ts) => OpRecord::with_ts(label, r, ts),
-                    None => OpRecord::new(label, r),
-                };
-                let op = history.push_set(record, node.member.seen().clone());
-                node.data.clock = ctx.clock();
-                self.next_uid = ctx.uid_counter();
-                if let Some(eff) = &eff {
-                    crdt.apply(&mut node.data.state, eff);
-                }
-                node.member.observe(op);
-                // Appending to the shared pool IS the broadcast: every other
-                // replica's mailbox cursor lies at or below the new id.
-                self.records.push(DeliveryRecord {
-                    op,
-                    eff,
-                    clock: node.data.clock,
-                    meta: (),
-                });
-                Some(Invoked { ret, op })
-            }
-        }
-    }
-
-    /// Operations whose effector is deliverable at replica `r` under causal
-    /// delivery: not yet applied there, with every visible predecessor
-    /// already applied. Empty while the replica is crashed.
+    /// Operations whose effector is deliverable at replica `r`: not yet
+    /// applied there, with every predecessor causal delivery requires —
+    /// every visible one, or in a composition every visible one on the
+    /// same object — already applied. Empty while the replica is crashed.
     pub fn deliverable(&self, r: ReplicaId) -> Vec<usize> {
         let mut out = Vec::new();
         self.deliverable_into(r, &mut out);
         out
     }
 
-    /// [`Cluster::deliverable`] into a caller-owned scratch buffer (cleared
-    /// first) — the allocation-free form the schedule drivers probe with on
-    /// every delivery step.
+    /// [`OpCluster::deliverable`] into a caller-owned scratch buffer
+    /// (cleared first), ascending — the allocation-free form the schedule
+    /// drivers probe with on every delivery step.
     pub fn deliverable_into(&self, r: ReplicaId, out: &mut Vec<usize>) {
         let node = &self.replicas[r.0 as usize];
-        mailbox::deliverable_into(&self.rules, node, &self.records, out);
+        out.clear();
+        if !node.member.is_up() {
+            return;
+        }
+        let pending = node.mailbox.pending(self.records.len());
+        out.extend(pending.filter(|&d| self.rules.can_deliver(node, &self.records[d])));
     }
 
     /// Delivers pending effector `delivery` (an index into the deliverable
-    /// pool) at replica `r` (the EFFECTOR rule).
+    /// pool) at replica `r` (the EFFECTOR rule). The arrivals held under
+    /// its operation become ready: the next receive re-examines them.
     ///
     /// # Panics
     ///
-    /// Panics if the effector was already applied at `r` or if causal
-    /// delivery would be violated.
+    /// Panics if the replica is crashed, the effector was already applied
+    /// at `r`, or causal delivery would be violated.
     pub fn deliver(&mut self, r: ReplicaId, delivery: usize) {
         let node = &mut self.replicas[r.0 as usize];
-        mailbox::deliver(&self.rules, node, &self.records[delivery], r);
+        let rec = &self.records[delivery];
+        node.member.expect_up("deliver at", r);
+        assert!(
+            !node.member.has_seen(rec.op),
+            "effector of operation {} already applied at {r}",
+            rec.op
+        );
+        assert!(
+            self.rules.missing(node, rec).is_none(),
+            "causal delivery violated: operation {} has undelivered predecessors at {r}",
+            rec.op
+        );
+        self.rules.admit(node, rec);
+        node.mailbox.wake(rec.op);
     }
 
     /// Handles a network arrival of delivery `d` at replica `r` with causal
-    /// holdback: duplicates are ignored, out-of-order (or crashed-target)
-    /// arrivals are buffered in the replica's mailbox, and an in-order
-    /// arrival is applied together with every held delivery it unblocks.
+    /// holdback: duplicates are ignored, an arrival at a crashed replica is
+    /// held ready, an out-of-order one is filed under the predecessor it
+    /// lacks, and an in-order arrival is applied together with every held
+    /// delivery it unblocks.
+    ///
+    /// The unblocking pass re-examines only the ready arrivals and those the
+    /// pass itself wakes, smallest id first — every predecessor of a record
+    /// has a smaller id, so a woken chain releases in one probe per record.
+    /// Counts its probes and releases as `runtime.holdback.probes` /
+    /// `runtime.holdback.released`.
     pub fn receive(&mut self, r: ReplicaId, d: usize) -> Received {
+        let (rules, records) = (&self.rules, &self.records);
         let node = &mut self.replicas[r.0 as usize];
-        mailbox::receive(&self.rules, node, &self.records, d)
+        let rec = &records[d];
+        if node.member.has_seen(rec.op) {
+            return Received::Ignored;
+        }
+        if !node.member.is_up() {
+            node.mailbox.hold(d);
+            return Received::Held;
+        }
+        if let Some(pred) = rules.missing(node, rec) {
+            node.mailbox.file(pred, d);
+            return Received::Held;
+        }
+        rules.admit(node, rec);
+        node.mailbox.wake(rec.op);
+        let (mut applied, mut probes) = (1, 0);
+        while let Some(h) = node.mailbox.next_ready() {
+            let held = &records[h];
+            if node.member.has_seen(held.op) {
+                // A repeated arrival, or one a targeted deliver applied.
+                continue;
+            }
+            probes += 1;
+            match rules.missing(node, held) {
+                None => {
+                    rules.admit(node, held);
+                    node.mailbox.wake(held.op);
+                    applied += 1;
+                }
+                Some(pred) => node.mailbox.file(pred, h),
+            }
+        }
+        if probes > 0 {
+            obs::counter("runtime.holdback.probes", probes);
+            obs::counter("runtime.holdback.released", applied as u64 - 1);
+        }
+        Received::Applied(applied)
     }
 
     /// Delivers every pending effector everywhere, respecting causal order.
@@ -318,7 +693,7 @@ impl<C: OpBased> Cluster<C> {
         self.deliver_all_counting();
     }
 
-    /// [`Cluster::deliver_all`], then reports each replica's updated
+    /// [`OpCluster::deliver_all`], then reports each replica's updated
     /// seen-frontier (first unseen operation id) to `observe` — the hook a
     /// streaming RA-linearizability monitor uses to learn causal stability
     /// from mailbox drains. Replicas are reported in ascending id order.
@@ -335,29 +710,29 @@ impl<C: OpBased> Cluster<C> {
         self.replicas[r.0 as usize].member.frontier()
     }
 
-    /// [`Cluster::deliver_all`], returning the number of deliverability
+    /// [`OpCluster::deliver_all`], returning the number of deliverability
     /// probes performed — the regression hook pinning the drain's linearity
     /// (at most one probe per outstanding (record, replica) pair per
     /// drain). Crate-private: an implementation detail, not an API
-    /// contract.
+    /// contract. Reported under the naming's own obs names.
     pub(crate) fn deliver_all_counting(&mut self) -> u64 {
-        let _span = obs::span("runtime.deliver_all");
-        obs::counter("runtime.deliver_rounds", 1);
-        let stats = mailbox::drain_all(&self.rules, &mut self.replicas, &self.records);
-        if stats.applied > 0 {
-            obs::counter("runtime.deliveries", stats.applied);
+        let _span = obs::span(<K::Rule as Rule<K>>::DRAIN);
+        let mut stats = DrainStats::default();
+        for node in &mut self.replicas {
+            self.rules.drain(node, &self.records, &mut stats);
         }
-        obs::observe("runtime.mailbox.depth", stats.depth);
-        obs::observe("runtime.mailbox.batch", stats.applied);
+        <K::Rule as Rule<K>>::drained(&stats);
         stats.probes
     }
 
-    /// Returns `true` if all replicas are in the same state (strong eventual
-    /// consistency requires this once every effector is delivered).
+    /// Returns `true` if all replicas hold the same state of every object
+    /// (strong eventual consistency requires this once every effector is
+    /// delivered).
     pub fn converged(&self) -> bool {
+        let states = <K::Rule as Rule<K>>::states;
         self.replicas
             .windows(2)
-            .all(|w| w[0].data.state == w[1].data.state)
+            .all(|w| states(&w[0].data) == states(&w[1].data))
     }
 
     /// The history index of pending delivery `d`.
@@ -384,9 +759,9 @@ impl<C: OpBased> Cluster<C> {
     }
 
     /// Number of network arrivals replica `r`'s causal holdback holds:
-    /// [`Cluster::receive`]s answered [`Received::Held`] and not released
+    /// [`OpCluster::receive`]s answered [`Received::Held`] and not released
     /// since. An arrival held at a crashed replica counts once per arrival,
-    /// and one a targeted [`Cluster::deliver`] applied counts until the
+    /// and one a targeted [`OpCluster::deliver`] applied counts until the
     /// next receive or drain drops it; a drain of a running replica leaves
     /// none.
     pub fn held(&self, r: ReplicaId) -> usize {
@@ -408,12 +783,12 @@ impl<C: OpBased> Cluster<C> {
             .has_seen(self.records[d].op)
     }
 
-    /// Non-panicking probe for [`Cluster::deliver`]: `true` iff the replica
-    /// is up, the effector has not been applied there, and causal delivery
-    /// admits it now.
+    /// Non-panicking probe for [`OpCluster::deliver`]: `true` iff the
+    /// replica is up, the effector has not been applied there, and causal
+    /// delivery admits it now.
     pub fn can_deliver(&self, r: ReplicaId, d: usize) -> bool {
         let node = &self.replicas[r.0 as usize];
-        mailbox::can_deliver(&self.rules, node, &self.records[d])
+        self.rules.can_deliver(node, &self.records[d])
     }
 
     /// Whether replica `r` is running (not crashed).
@@ -424,7 +799,7 @@ impl<C: OpBased> Cluster<C> {
     /// Crashes replica `r`: the process halts, refusing invocations and
     /// deliveries. Its state, applied set, and clock are durable; pending
     /// effectors addressed to it stay queued in its mailbox and become
-    /// deliverable again after [`Cluster::restart`].
+    /// deliverable again after [`OpCluster::restart`].
     pub fn crash(&mut self, r: ReplicaId) {
         self.replicas[r.0 as usize].member.crash();
     }

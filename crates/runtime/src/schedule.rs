@@ -17,7 +17,7 @@
 
 use crate::delta::DeltaCrdt;
 use crate::multi::MultiCluster;
-use crate::op_based::{Cluster, OpBased};
+use crate::op_based::{CallGen, Cluster, Naming, OpBased, OpCluster};
 use crate::state_based::StateCluster;
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::rng::Rng;
@@ -65,20 +65,38 @@ where
     drive_op_based_filtered(cluster, cfg, seed, call_gen, |_, _| true);
 }
 
-/// Drives an operation-based cluster, delivering only along links the
-/// `admit(origin, destination)` predicate allows — the common core of
-/// [`drive_op_based`] (always `true`) and [`drive_op_based_partitioned`]
-/// (same partition side). `admit` is consulted per delivery attempt, so a
-/// caller can vary it over the run.
-pub fn drive_op_based_filtered<C, F, P>(
-    cluster: &mut Cluster<C>,
+/// Drives a multi-object cluster through a random schedule; `call_gen` also
+/// receives the target object, drawn uniformly before it is called.
+pub fn drive_multi<C, F>(
+    cluster: &mut MultiCluster<C>,
     cfg: &ScheduleConfig,
     seed: u64,
-    mut call_gen: F,
+    call_gen: F,
+) where
+    C: OpBased,
+    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
+{
+    drive_op_based_filtered(cluster, cfg, seed, call_gen, |_, _| true);
+}
+
+/// The one op-based schedule loop, delivering only along links the
+/// `admit(origin, destination)` predicate allows — the core of
+/// [`drive_op_based`] and [`drive_multi`] (always `true`) and
+/// [`drive_op_based_partitioned`] (same partition side). Each step picks a
+/// replica, then either invokes the workload's next call there or delivers
+/// one pending effector that causal delivery and `admit` allow, chosen
+/// uniformly. `admit` is consulted per delivery attempt, so a caller can
+/// vary it over the run.
+pub fn drive_op_based_filtered<C, K, W, P>(
+    cluster: &mut OpCluster<C, K>,
+    cfg: &ScheduleConfig,
+    seed: u64,
+    mut call_gen: W,
     mut admit: P,
 ) where
     C: OpBased,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+    K: Naming,
+    W: CallGen<C, K>,
     P: FnMut(ReplicaId, ReplicaId) -> bool,
 {
     let mut rng = Rng::seed_from_u64(seed);
@@ -90,50 +108,13 @@ pub fn drive_op_based_filtered<C, F, P>(
     for _ in 0..cfg.steps {
         let r = pick_replica(&mut rng, cluster.n_replicas());
         if rng.random_range(0..total) < cfg.invoke_weight {
-            if let Some(call) = call_gen(&mut rng, r, cluster.state(r)) {
-                cluster.invoke(r, call);
-            }
+            call_gen.invoke(&mut rng, r, cluster);
         } else {
             cluster.deliverable_into(r, &mut ds);
             ds.retain(|&d| {
                 let origin = cluster.history().op(cluster.delivery_op(d)).replica;
                 admit(origin, r)
             });
-            if !ds.is_empty() {
-                let d = ds[rng.random_range(0..ds.len())];
-                cluster.deliver(r, d);
-            }
-        }
-    }
-    if cfg.final_sync {
-        cluster.deliver_all();
-    }
-}
-
-/// Drives a multi-object cluster through a random schedule; `call_gen` also
-/// receives the target object.
-pub fn drive_multi<C, F>(
-    cluster: &mut MultiCluster<C>,
-    cfg: &ScheduleConfig,
-    seed: u64,
-    mut call_gen: F,
-) where
-    C: OpBased,
-    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
-{
-    let mut rng = Rng::seed_from_u64(seed);
-    let total = cfg.invoke_weight + cfg.deliver_weight;
-    assert!(total > 0, "at least one action must have non-zero weight");
-    let mut ds: Vec<usize> = Vec::new();
-    for _ in 0..cfg.steps {
-        let r = pick_replica(&mut rng, cluster.n_replicas());
-        if rng.random_range(0..total) < cfg.invoke_weight {
-            let obj = ObjId(rng.random_range(0..cluster.n_objects()) as u32);
-            if let Some(call) = call_gen(&mut rng, r, obj, cluster.state(r, obj)) {
-                cluster.invoke(r, obj, call);
-            }
-        } else {
-            cluster.deliverable_into(r, &mut ds);
             if !ds.is_empty() {
                 let d = ds[rng.random_range(0..ds.len())];
                 cluster.deliver(r, d);

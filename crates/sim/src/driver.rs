@@ -1,15 +1,18 @@
 //! Drivers: the adapter between the transport-level simulator and the
-//! runtime's four cluster kinds.
+//! runtime's clusters.
 //!
 //! The engine thinks in *messages* — opaque ids created by invocations or
 //! gossip ticks and routed per destination. A [`Driver`] translates those
 //! ids back into the cluster's own delivery machinery:
 //!
-//! * [`OpDriver`] — [`Cluster`] (Section 3.1): one message per operation,
-//!   the effector. Causal delivery is preserved by *holding back* effectors
-//!   that arrive (over a reordering link) before their causal predecessors
-//!   and draining the holdback once the gap closes, so the network may
-//!   reorder freely while the replica still applies causally.
+//! * [`OpClusterDriver`] — an op-based [`OpCluster`]: [`OpDriver`] drives a
+//!   [`Cluster`] (Section 3.1) and [`MultiDriver`] a [`MultiCluster`]
+//!   (Section 5.3), whose workload also picks the target object. One
+//!   message per operation, the effector. Causal delivery (per object, in
+//!   a composition) is preserved by *holding back* effectors that arrive
+//!   (over a reordering link) before their causal predecessors and
+//!   draining the holdback once the gap closes, so the network may reorder
+//!   freely while the replica still applies causally.
 //! * [`StateDriver`] — [`StateCluster`] (Appendix D.2): one message per
 //!   gossip tick, a whole-state snapshot — a resync of the delta delivery
 //!   core, which [`StateCluster`] is a façade over. Merges tolerate loss,
@@ -21,8 +24,6 @@
 //!   the whole state — the bandwidth-proportional transport. Same fault
 //!   tolerance as [`StateDriver`], recovered by ack-driven retransmission
 //!   instead of snapshot redundancy.
-//! * [`MultiDriver`] — [`MultiCluster`] (Section 5.3): like [`OpDriver`],
-//!   but causal holdback applies per object.
 //!
 //! Each driver exposes the same `History<L>` the RA-linearizability
 //! checkers and the `ral_verify` harnesses consume — simulation changes how
@@ -32,7 +33,7 @@ use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::rng::Rng;
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::MultiCluster;
-use ral_runtime::op_based::{Cluster, OpBased};
+use ral_runtime::op_based::{CallGen, Cluster, Naming, OpBased, OpCluster};
 use ral_runtime::state_based::StateCluster;
 
 // Causal holdback lives in the clusters' own mailboxes now; the drivers
@@ -111,11 +112,20 @@ pub trait Driver {
     fn converged(&self) -> bool;
 }
 
-/// Drives an operation-based [`Cluster`].
-pub struct OpDriver<C: OpBased, F> {
-    cluster: Cluster<C>,
+/// Drives an op-based [`OpCluster`]: one message per operation, its
+/// effector. The workload is the cluster's [`CallGen`]: it picks the
+/// target object too when the cluster composes several.
+pub struct OpClusterDriver<C: OpBased, K: Naming, F> {
+    cluster: OpCluster<C, K>,
     call_gen: F,
 }
+
+/// Drives a single-object [`Cluster`].
+pub type OpDriver<C, F> = OpClusterDriver<C, (), F>;
+
+/// Drives a composed [`MultiCluster`]; the workload also picks the target
+/// object.
+pub type MultiDriver<C, F> = OpClusterDriver<C, ObjId, F>;
 
 impl<C, F> OpDriver<C, F>
 where
@@ -126,34 +136,49 @@ where
     /// signature as in [`ral_runtime::schedule::drive_op_based`], so the
     /// `ral_verify::workloads` generators plug in unchanged.
     pub fn new(crdt: C, n_replicas: usize, call_gen: F) -> Self {
-        OpDriver {
+        OpClusterDriver {
             cluster: Cluster::new(crdt, n_replicas),
             call_gen,
         }
     }
+}
 
+impl<C, F> MultiDriver<C, F>
+where
+    C: OpBased,
+    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
+{
+    /// Wraps a fresh composed cluster; `call_gen` has the same signature as
+    /// in [`ral_runtime::schedule::drive_multi`].
+    pub fn new(cluster: MultiCluster<C>, call_gen: F) -> Self {
+        OpClusterDriver { cluster, call_gen }
+    }
+}
+
+impl<C: OpBased, K: Naming, F> OpClusterDriver<C, K, F> {
     /// The underlying cluster.
-    pub fn cluster(&self) -> &Cluster<C> {
+    pub fn cluster(&self) -> &OpCluster<C, K> {
         &self.cluster
     }
 
     /// Mutable access to the underlying cluster (targeted fault injection
     /// in tests).
-    pub fn cluster_mut(&mut self) -> &mut Cluster<C> {
+    pub fn cluster_mut(&mut self) -> &mut OpCluster<C, K> {
         &mut self.cluster
     }
 
     /// Consumes the driver, returning the cluster (and with it the
     /// recorded history).
-    pub fn into_cluster(self) -> Cluster<C> {
+    pub fn into_cluster(self) -> OpCluster<C, K> {
         self.cluster
     }
 }
 
-impl<C, F> Driver for OpDriver<C, F>
+impl<C, K, F> Driver for OpClusterDriver<C, K, F>
 where
     C: OpBased,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+    K: Naming,
+    F: CallGen<C, K>,
 {
     const RELIABLE: bool = true;
     const GOSSIPS: bool = false;
@@ -163,10 +188,7 @@ where
     }
 
     fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool {
-        match (self.call_gen)(rng, r, self.cluster.state(r)) {
-            Some(call) => self.cluster.invoke(r, call).is_some(),
-            None => false,
-        }
+        self.call_gen.invoke(rng, r, &mut self.cluster).is_some()
     }
 
     fn gossip(&mut self, _r: ReplicaId) -> bool {
@@ -446,104 +468,6 @@ where
     fn final_sync(&mut self) {
         self.cluster.restart_all();
         self.cluster.sync_all();
-    }
-
-    fn converged(&self) -> bool {
-        self.cluster.converged()
-    }
-}
-
-/// Drives a composed [`MultiCluster`]; the workload also picks the target
-/// object.
-pub struct MultiDriver<C: OpBased, F> {
-    cluster: MultiCluster<C>,
-    call_gen: F,
-}
-
-impl<C, F> MultiDriver<C, F>
-where
-    C: OpBased,
-    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
-{
-    /// Wraps a fresh composed cluster; `call_gen` has the same signature as
-    /// in [`ral_runtime::schedule::drive_multi`].
-    pub fn new(cluster: MultiCluster<C>, call_gen: F) -> Self {
-        MultiDriver { cluster, call_gen }
-    }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &MultiCluster<C> {
-        &self.cluster
-    }
-
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut MultiCluster<C> {
-        &mut self.cluster
-    }
-
-    /// Consumes the driver, returning the cluster.
-    pub fn into_cluster(self) -> MultiCluster<C> {
-        self.cluster
-    }
-}
-
-impl<C, F> Driver for MultiDriver<C, F>
-where
-    C: OpBased,
-    F: FnMut(&mut Rng, ReplicaId, ObjId, &C::State) -> Option<C::Call>,
-{
-    const RELIABLE: bool = true;
-    const GOSSIPS: bool = false;
-
-    fn n_replicas(&self) -> usize {
-        self.cluster.n_replicas()
-    }
-
-    fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool {
-        let obj = ObjId(rng.random_range(0..self.cluster.n_objects()) as u32);
-        match (self.call_gen)(rng, r, obj, self.cluster.state(r, obj)) {
-            Some(call) => self.cluster.invoke(r, obj, call).is_some(),
-            None => false,
-        }
-    }
-
-    fn gossip(&mut self, _r: ReplicaId) -> bool {
-        false
-    }
-
-    fn n_messages(&self) -> usize {
-        self.cluster.n_deliveries()
-    }
-
-    fn origin(&self, m: usize) -> ReplicaId {
-        self.cluster
-            .history()
-            .op(self.cluster.delivery_op(m))
-            .replica
-    }
-
-    fn receive(&mut self, r: ReplicaId, m: usize) -> Received {
-        self.cluster.receive(r, m)
-    }
-
-    fn is_up(&self, r: ReplicaId) -> bool {
-        self.cluster.is_up(r)
-    }
-
-    fn crash(&mut self, r: ReplicaId) {
-        self.cluster.crash(r);
-    }
-
-    fn restart(&mut self, r: ReplicaId) {
-        // Nothing to drain: the engine never hands messages to a down
-        // replica (reliable transmissions retry instead), so the held
-        // backlog cannot have become deliverable while crashed.
-        self.cluster.restart(r);
-    }
-
-    fn final_sync(&mut self) {
-        self.cluster.restart_all();
-        self.cluster.deliver_all();
     }
 
     fn converged(&self) -> bool {

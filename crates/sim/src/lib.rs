@@ -29,8 +29,9 @@
 //!   FIFO buckets over the run's link horizon, an overflow heap beyond it;
 //! * [`network`] — topologies, latency distributions, link faults;
 //! * [`fault`] — scheduled partitions and crash/restart plans;
-//! * [`driver`] — the [`Driver`] trait adapting the cluster kinds
-//!   ([`OpDriver`], [`StateDriver`], [`DeltaDriver`], [`MultiDriver`]);
+//! * [`driver`] — the [`Driver`] trait adapting the clusters: the op-based
+//!   [`OpClusterDriver`] ([`OpDriver`] for one object, [`MultiDriver`] for
+//!   a composition), [`StateDriver`] and [`DeltaDriver`];
 //! * [`monitored`] — [`MonitoredDriver`], an [`OpDriver`] wrapper that
 //!   verifies RA-linearizability continuously while the engine runs;
 //! * [`sim`] — the engine: [`run`] records nothing, [`sim::replay`]
@@ -98,7 +99,9 @@ pub mod sim;
 pub mod time;
 pub mod trace;
 
-pub use driver::{DeltaDriver, Driver, MultiDriver, OpDriver, Received, StateDriver};
+pub use driver::{
+    DeltaDriver, Driver, MultiDriver, OpClusterDriver, OpDriver, Received, StateDriver,
+};
 pub use fault::{CrashPlan, FaultPlan, Partition, PartitionWindow};
 pub use monitored::MonitoredDriver;
 pub use network::{Latency, LinkFaults, Network, Topology};
