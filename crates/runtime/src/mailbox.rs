@@ -49,8 +49,8 @@
 //! precondition trio (`deliverable_into` / `can_deliver` / `deliver`), the
 //! holdback `receive` loop and the drain — is written once, as methods of
 //! [`OpCluster`](crate::op_based::OpCluster), over the admission rule and
-//! the replica data of how its records name their object: what differs
-//! between one object and a composition.
+//! apply step of how its records name their object: the only two things
+//! that differ between one object and a composition.
 
 use crate::membership::Member;
 use std::cmp::Reverse;

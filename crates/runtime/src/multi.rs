@@ -59,7 +59,7 @@ mod rule {
         pub(super) clocks: Vec<u64>,
         // `prefix[o]`: the replica has applied `obj_ops[o][..prefix[o]]`,
         // and not `obj_ops[o][prefix[o]]` — a pure function of the
-        // seen-set, kept canonical by `Rule::applied` after every apply
+        // seen-set, kept canonical by `advance_prefix` after every apply
         // and invoke.
         pub(super) prefix: Vec<usize>,
     }
@@ -85,6 +85,24 @@ mod rule {
         // the candidate pool of the causal rule, entered at the target's
         // seen prefix.
         pub(super) obj_ops: Vec<Vec<usize>>,
+    }
+}
+
+impl PerObject {
+    fn clock_slot(&self, obj: usize) -> usize {
+        match self.mode {
+            TsMode::PerObject => obj,
+            TsMode::Shared => 0,
+        }
+    }
+}
+
+/// Moves `prefix` past every operation of `ops` (one object's issue order)
+/// `member` has seen contiguously from it. O(1) unless the step closes a
+/// hole, and then linear in what it skips.
+fn advance_prefix(ops: &[usize], prefix: &mut usize, member: &Member) {
+    while ops.get(*prefix).is_some_and(|&p| member.has_seen(p)) {
+        *prefix += 1;
     }
 }
 
@@ -127,17 +145,25 @@ impl Rule<ObjId> for PerObject {
         hit.map(|i| candidates[i])
     }
 
-    fn obj(meta: &MultiMeta) -> ObjId {
-        ObjId(meta.obj as u32)
+    fn apply<C: OpBased>(
+        &self,
+        crdt: &C,
+        data: &mut Locals<C::State>,
+        member: &Member,
+        rec: &DeliveryRecord<C::Eff, MultiMeta>,
+    ) {
+        let MultiMeta { obj, .. } = rec.meta;
+        let slot = self.clock_slot(obj);
+        if let Some(eff) = &rec.eff {
+            crdt.apply(&mut data.states[obj], eff);
+        }
+        data.clocks[slot] = data.clocks[slot].max(rec.clock);
+        advance_prefix(&self.obj_ops[obj], &mut data.prefix[obj], member);
     }
 
     fn slots<'a, S: Clone>(&self, data: &'a mut Locals<S>, obj: ObjId) -> (&'a mut S, &'a mut u64) {
         let o = obj.0 as usize;
-        let slot = match self.mode {
-            TsMode::PerObject => o,
-            TsMode::Shared => 0,
-        };
-        (&mut data.states[o], &mut data.clocks[slot])
+        (&mut data.states[o], &mut data.clocks[self.clock_slot(o)])
     }
 
     fn states<S: Clone>(data: &Locals<S>) -> &[S] {
@@ -148,21 +174,18 @@ impl Rule<ObjId> for PerObject {
         ObjLabel::new(obj, label)
     }
 
-    /// Moves the object's seen prefix past every operation of its issue
-    /// order `member` has seen contiguously from it. O(1) unless the step
-    /// closes a hole, and then linear in what it skips.
-    fn applied<S: Clone>(&self, data: &mut Locals<S>, member: &Member, obj: ObjId) {
+    fn invoked<S: Clone>(
+        &mut self,
+        data: &mut Locals<S>,
+        member: &Member,
+        obj: ObjId,
+        op: usize,
+    ) -> MultiMeta {
         let o = obj.0 as usize;
-        let (ops, prefix) = (&self.obj_ops[o], &mut data.prefix[o]);
-        while ops.get(*prefix).is_some_and(|&p| member.has_seen(p)) {
-            *prefix += 1;
-        }
-    }
-
-    fn invoked(&mut self, obj: ObjId, op: usize) -> MultiMeta {
-        let o = obj.0 as usize;
-        let idx = self.obj_ops[o].len();
-        self.obj_ops[o].push(op);
+        let ops = &mut self.obj_ops[o];
+        let idx = ops.len();
+        ops.push(op);
+        advance_prefix(ops, &mut data.prefix[o], member);
         MultiMeta { obj: o, idx }
     }
 

@@ -17,9 +17,9 @@
 //! (Section 5). The paper reads one object as the composition of one
 //! (Thm. 5.3), and with one object per-object causal delivery *is* causal
 //! delivery, so every per-message method is written once, on
-//! [`OpCluster`]. A naming supplies only its admission rule, the state and
-//! clock slots an operation reads and writes, the label it records, and
-//! what a replica advances once it has applied an operation.
+//! [`OpCluster`]. A naming supplies only its admission rule and apply
+//! step, the state and clock slots an invocation reads, the label it
+//! records and what the invocation advances afterwards.
 //!
 //! Replication plumbing: an invocation appends an immutable
 //! [`DeliveryRecord`] to the pool every replica's
@@ -162,10 +162,17 @@ pub(crate) mod sealed {
             rec: &DeliveryRecord<E, Self::Meta>,
         ) -> Option<usize>;
 
-        /// The object a record with metadata `meta` names.
-        fn obj(meta: &Self::Meta) -> K;
+        /// Applies `rec`'s effector and clock to a replica's data; `member`
+        /// has already observed `rec.op`.
+        fn apply<C: OpBased>(
+            &self,
+            crdt: &C,
+            data: &mut Self::Data<C::State>,
+            member: &Member,
+            rec: &DeliveryRecord<C::Eff, Self::Meta>,
+        );
 
-        /// The state and the clock an operation on `obj` reads and writes.
+        /// The state and the clock an invocation on `obj` reads and writes.
         fn slots<'a, S: Clone>(
             &self,
             data: &'a mut Self::Data<S>,
@@ -178,13 +185,15 @@ pub(crate) mod sealed {
         /// `label`, tagged with `obj`.
         fn label<L: Clone + Debug>(obj: K, label: L) -> K::Label<L>;
 
-        /// What a replica advances once it has applied an operation on
-        /// `obj` that `member` has observed.
-        fn applied<S: Clone>(&self, data: &mut Self::Data<S>, member: &Member, obj: K);
-
-        /// Registers the new operation `op` on `obj`; returns its record's
-        /// metadata.
-        fn invoked(&mut self, obj: K, op: usize) -> Self::Meta;
+        /// What the origin advances once it has observed its new operation
+        /// `op` on `obj`; returns the operation's record metadata.
+        fn invoked<S: Clone>(
+            &mut self,
+            data: &mut Self::Data<S>,
+            member: &Member,
+            obj: K,
+            op: usize,
+        ) -> Self::Meta;
 
         /// Reports a drain under the naming's own obs names.
         fn drained(stats: &DrainStats);
@@ -253,7 +262,18 @@ impl Rule<()> for Causal {
             .first_missing(member.seen(), member.frontier())
     }
 
-    fn obj(_: &()) {}
+    fn apply<C: OpBased>(
+        &self,
+        crdt: &C,
+        data: &mut Local<C::State>,
+        _: &Member,
+        rec: &DeliveryRecord<C::Eff>,
+    ) {
+        if let Some(eff) = &rec.eff {
+            crdt.apply(&mut data.state, eff);
+        }
+        data.clock = data.clock.max(rec.clock);
+    }
 
     fn slots<'a, S: Clone>(&self, data: &'a mut Local<S>, (): ()) -> (&'a mut S, &'a mut u64) {
         (&mut data.state, &mut data.clock)
@@ -269,9 +289,7 @@ impl Rule<()> for Causal {
 
     // One object: its seen prefix is the seen frontier, which `observe`
     // has already moved.
-    fn applied<S: Clone>(&self, _: &mut Local<S>, _: &Member, (): ()) {}
-
-    fn invoked(&mut self, (): (), _: usize) {}
+    fn invoked<S: Clone>(&mut self, _: &mut Local<S>, _: &Member, (): (), _: usize) {}
 
     fn drained(stats: &DrainStats) {
         obs::counter("runtime.deliver_rounds", 1);
@@ -302,19 +320,12 @@ impl<C: OpBased, K: Naming> Rules<C, K> {
             .missing(&self.history, &node.member, &node.data, rec)
     }
 
-    /// The EFFECTOR step proper, preconditions already established: the
-    /// effector goes into the state of the record's object and the clock
-    /// into that object's clock slot. Wakes nothing: the caller decides
-    /// where the operation's held waiters go.
+    /// The EFFECTOR step proper, preconditions already established. Wakes
+    /// nothing: the caller decides where the operation's held waiters go.
     fn admit(&self, node: &mut Node<Data<C, K>>, rec: &Record<C, K>) {
         node.member.observe(rec.op);
-        let obj = K::Rule::obj(&rec.meta);
-        let (state, clock) = self.rule.slots(&mut node.data, obj);
-        if let Some(eff) = &rec.eff {
-            self.crdt.apply(state, eff);
-        }
-        *clock = (*clock).max(rec.clock);
-        self.rule.applied(&mut node.data, &node.member, obj);
+        self.rule
+            .apply(&self.crdt, &mut node.data, &node.member, rec);
     }
 
     /// The replica is up, has not applied `rec`, and causal delivery
@@ -534,8 +545,7 @@ impl<C: OpBased, K: Naming> OpCluster<C, K> {
         };
         let op = history.push_set(record, node.member.seen().clone());
         node.member.observe(op);
-        let meta = rule.invoked(obj, op);
-        rule.applied(&mut node.data, &node.member, obj);
+        let meta = rule.invoked(&mut node.data, &node.member, obj, op);
         // Appending to the shared pool IS the broadcast: every other
         // replica's mailbox cursor lies at or below the new id.
         self.records.push(DeliveryRecord {
