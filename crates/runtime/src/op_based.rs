@@ -533,17 +533,17 @@ impl<C: OpBased, K: Naming> OpCluster<C, K> {
             return None;
         };
         let label = K::Rule::label(obj, crdt.label(&call, &ret));
-        *clock = ctx.clock();
-        let clock = *clock;
-        self.next_uid = ctx.uid_counter();
-        if let Some(eff) = &eff {
-            crdt.apply(state, eff);
-        }
         let record = match ctx.issued_ts() {
             Some(ts) => OpRecord::with_ts(label, r, ts),
             None => OpRecord::new(label, r),
         };
         let op = history.push_set(record, node.member.seen().clone());
+        *clock = ctx.clock();
+        self.next_uid = ctx.uid_counter();
+        if let Some(eff) = &eff {
+            crdt.apply(state, eff);
+        }
+        let clock = *clock;
         node.member.observe(op);
         let meta = rule.invoked(&mut node.data, &node.member, obj, op);
         // Appending to the shared pool IS the broadcast: every other
