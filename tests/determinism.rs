@@ -4,15 +4,18 @@
 //! rendering). If `ral_core::rng` ever changes its stream — or a scheduler
 //! starts consuming randomness in a different order — every recorded
 //! failure seed in the repo becomes meaningless, and this suite fails.
-//! The composed and partitioned schedules are also pinned across builds
-//! by golden history hashes, which a reordering that is merely
+//! The composed, partitioned and state-based schedules are also pinned
+//! across builds by golden hashes, which a reordering that is merely
 //! self-consistent cannot pass.
 
+use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_core::spec::Fnv64;
 use ral_crdts::op::or_set::OrSet;
 use ral_crdts::op::rga::Rga;
+use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::pn_counter::PnCounter;
+use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{
@@ -204,5 +207,56 @@ fn partitioned_runs_match_their_golden_hashes() {
         (1234, 0xea58_a3c5_136c_859b),
     ] {
         assert_eq!(run(seed), want, "seed {seed}");
+    }
+}
+
+/// A fresh three-replica full-state cluster for the state-based goldens.
+fn state_cluster<C: DeltaCrdt>(crdt: C) -> StateCluster<C> {
+    StateCluster::new(crdt, 3)
+}
+
+/// `drive_state_based` runs pinned across builds: the history hash, the
+/// number of messages and a hash of the final replica states. The final
+/// synchronization invokes nothing, so the history alone would not tell a
+/// resync round from a delta `sync_all`; the message count and the states
+/// would.
+#[test]
+fn state_based_runs_match_their_golden_hashes() {
+    fn run<C, F>(crdt: C, seed: u64, call_gen: F) -> (u64, usize, u64)
+    where
+        C: DeltaCrdt,
+        F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+    {
+        let mut c = state_cluster(crdt);
+        drive_state_based(&mut c, &ScheduleConfig::default(), seed, call_gen);
+        assert!(c.converged(), "seed {seed}");
+        let states: Vec<_> = (0..3).map(|r| c.state(ReplicaId(r))).collect();
+        (
+            fnv(format!("{:?}", c.history()).as_bytes()),
+            c.n_messages(),
+            fnv(format!("{states:?}").as_bytes()),
+        )
+    }
+    let counter = [
+        (0, (0x9523_8333_b3bc_fbae, 11, 0x93b5_cb38_6e18_0711)),
+        (11, (0x315a_ff1f_7de5_8a0d, 12, 0xa680_83ef_136d_c3ae)),
+        (99, (0x5079_6453_1820_96c6, 16, 0x3a51_da5b_d95d_e1a3)),
+    ];
+    for (seed, want) in counter {
+        let got = run(PnCounter, seed, |rng, _, _| {
+            Some(workloads::pn_counter(rng))
+        });
+        assert_eq!(got, want, "PnCounter seed {seed}");
+    }
+    let set = [
+        (0, (0x55e0_fa81_fe6e_9047, 9, 0xd152_b46e_e969_c1d8)),
+        (11, (0x7777_4c49_86c6_5144, 17, 0xc881_9549_cc7f_8e55)),
+        (99, (0x506b_f320_9244_bdec, 13, 0x44dd_5801_201d_4c42)),
+    ];
+    for (seed, want) in set {
+        let got = run(LwwElementSet::<u8>::new(), seed, |rng, _, _| {
+            Some(workloads::lww_element_set(rng))
+        });
+        assert_eq!(got, want, "LwwElementSet seed {seed}");
     }
 }
