@@ -59,12 +59,17 @@ step cargo test -q --offline
 # one it replaced, step by step. `determinism` pins the seeded schedules'
 # histories, the composed (`drive_multi`, both timestamp disciplines) and
 # partitioned ones by golden hashes across builds: the one op-based
-# schedule loop must draw the RNG in the order it always has. The next three
-# suites are what checks that the full-state transport is a façade over the
-# delta core: delta ≡ full state over the scenario corpus, every in-place
+# schedule loop must draw the RNG in the order it always has. Its
+# `state_based_runs_match_their_golden_hashes` pins `drive_state_based`
+# (history hash, message count, final states), so a final sync that
+# gossips deltas instead of one resync round shows. The next three suites
+# are what checks that a full-state run is a `DeltaCluster` that only
+# resyncs: delta ≡ full state over the scenario corpus, every in-place
 # join and its changed-flag against a by-value reference (and the sorted
-# set the two set lattices store against a `BTreeSet` model), and the façade
-# against a copy of the full-state cluster it replaced.
+# set the two set lattices store against a `BTreeSet` model), and
+# `state_transport_parity`: the verbatim full-state cluster from before
+# the delta core, run in lockstep against `DeltaCluster` resyncs.
+# `sim_release` also holds a `StateDriver` to never gossiping.
 # `prop_crdt_convergence` runs every state CRDT through both transports end
 # to end. `fuzz_roundtrip` replays every fixture through `sim::replay`, the
 # one place a fuzz scenario's trace is rendered.

@@ -190,8 +190,8 @@ impl SmallScope for SummingCounter {
 mod tests {
     use super::*;
     use ral_core::ids::ReplicaId;
+    use ral_runtime::delta::{DeltaCluster, DeltaConfig};
     use ral_runtime::op_based::Cluster;
-    use ral_runtime::state_based::StateCluster;
 
     #[test]
     fn broken_counter_diverges_under_concurrent_updates() {
@@ -204,9 +204,9 @@ mod tests {
 
     #[test]
     fn summing_counter_double_counts_duplicates() {
-        let mut c = StateCluster::new(SummingCounter, 2);
+        let mut c = DeltaCluster::new(SummingCounter, DeltaConfig::default(), 2);
         c.invoke(ReplicaId(0), SumCall::Inc).unwrap();
-        let m = c.send(ReplicaId(0));
+        let m = c.resync(ReplicaId(0));
         c.apply(ReplicaId(1), m);
         c.apply(ReplicaId(1), m);
         assert_eq!(c.state(ReplicaId(1)), &2, "duplicate delivery doubled");

@@ -1,7 +1,8 @@
 //! Bounded-exhaustive obligation checking for state-based CRDTs.
 //!
-//! The search enumerates every configuration a [`StateCluster`] can reach
-//! within `k` update invocations, at most [`MAX_SENDS`] snapshot messages,
+//! The search enumerates every configuration a full-state [`DeltaCluster`]
+//! (every send a [`DeltaCluster::resync`]) can reach within `k` update
+//! invocations, at most [`MAX_SENDS`] snapshot messages,
 //! and at most one application of each message per receiving replica (the
 //! unreliable network of Appendix D.2 may duplicate applications, but a
 //! duplicate is a merge of a state already below the receiver — the lattice
@@ -28,7 +29,7 @@
 //!   (on configuration state triples) of [`DeltaCrdt`].
 //!
 //! The walk, the witness and its shrinking are the private `explorer`
-//! module's; this one is the `Model` of a [`StateCluster`] under those
+//! module's; this one is the `Model` of a full-state [`DeltaCluster`] under those
 //! budgets, handing each configuration and invocation edge to the
 //! predicates above (only `ts-discipline` is stated in this crate).
 
@@ -37,9 +38,9 @@ use crate::outcome::{Sink, TypeReport};
 use ral_core::ids::ReplicaId;
 use ral_core::scope::SmallScope;
 use ral_crdts::state::local::{EffectorClass, LocalEffector};
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::laws;
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateBased;
 use ral_verify::state_props;
 use std::collections::BTreeSet;
 use std::fmt::{self, Debug, Write as _};
@@ -110,7 +111,7 @@ where
     C: LocalEffector + DeltaCrdt + SmallScope<Call = <C as StateBased>::Call> + Clone,
 {
     let root = StateModel {
-        cluster: StateCluster::new(crdt.clone(), crdt.scope_replicas(k)),
+        cluster: DeltaCluster::new(crdt.clone(), DeltaConfig::default(), crdt.scope_replicas(k)),
         sent: Vec::new(),
         applied: BTreeSet::new(),
     };
@@ -123,10 +124,10 @@ where
     StateAnalysis { report, state_keys }
 }
 
-/// A [`StateCluster`] configuration.
+/// A full-state [`DeltaCluster`] configuration.
 #[derive(Clone)]
 struct StateModel<C: DeltaCrdt> {
-    cluster: StateCluster<C>,
+    cluster: DeltaCluster<C>,
     /// Ids of the sends on this path, by message index (the cluster numbers
     /// messages densely, so in the unshrunk trace message `m` is send `m`).
     sent: Vec<usize>,
@@ -193,7 +194,7 @@ where
                 check_invoke_edge(&pre, &self.cluster, inv.op, sink);
             }
             StEvent::Send { id, replica } => {
-                self.cluster.send(ReplicaId(*replica));
+                self.cluster.resync(ReplicaId(*replica));
                 self.sent.push(*id);
             }
             // Skipped when the send was removed.
@@ -227,7 +228,7 @@ where
 
 /// Prop5 and the delta decomposition law on one invocation edge
 /// `pre → post` (the cluster's `op`-th history record).
-fn check_invoke_edge<C>(pre: &C::State, cluster: &StateCluster<C>, op: usize, sink: &mut Sink)
+fn check_invoke_edge<C>(pre: &C::State, cluster: &DeltaCluster<C>, op: usize, sink: &mut Sink)
 where
     C: LocalEffector + DeltaCrdt,
 {
@@ -240,13 +241,13 @@ where
 /// Discharges the configuration-level obligations over the distinct states
 /// of the configuration (replica states + in-flight snapshots) and the
 /// recorded history.
-fn check_config<C>(cluster: &StateCluster<C>, sink: &mut Sink)
+fn check_config<C>(cluster: &DeltaCluster<C>, sink: &mut Sink)
 where
     C: LocalEffector + DeltaCrdt,
 {
     let crdt = cluster.crdt();
     let replicas = (0..cluster.n_replicas()).map(|r| cluster.state(ReplicaId(r as u32)));
-    let snapshots = (0..cluster.n_messages()).map(|m| cluster.message_state(m));
+    let snapshots = (0..cluster.n_messages()).filter_map(|m| cluster.message(m).state());
     let states = laws::distinct(replicas.chain(snapshots));
     let h = cluster.history();
     let args = state_props::effector_args(crdt, h);
@@ -258,7 +259,7 @@ where
 /// A canonical rendering of a configuration: replica states and seen sets,
 /// in-flight messages (origin, state, seen), which (replica, message) pairs
 /// this path has applied, and the history.
-fn config_key<C: DeltaCrdt>(cluster: &StateCluster<C>, applied: &BTreeSet<(u32, usize)>) -> String {
+fn config_key<C: DeltaCrdt>(cluster: &DeltaCluster<C>, applied: &BTreeSet<(u32, usize)>) -> String {
     let mut s = String::new();
     let n = cluster.n_replicas();
     for r in 0..n {
@@ -270,14 +271,14 @@ fn config_key<C: DeltaCrdt>(cluster: &StateCluster<C>, applied: &BTreeSet<(u32, 
             cluster.seen(r).iter().collect::<Vec<_>>()
         );
     }
+    // The search never releases a message, so every one carries its state.
     for m in 0..cluster.n_messages() {
-        let _ = write!(
-            s,
-            "M{:?}|{:?}|{:?};",
-            cluster.message_origin(m),
-            cluster.message_state(m),
-            cluster.message_seen(m).iter().collect::<Vec<_>>()
-        );
+        let message = cluster.message(m);
+        let _ = write!(s, "M{:?}|", cluster.message_origin(m));
+        if let Some(state) = message.state() {
+            let _ = write!(s, "{state:?}");
+        }
+        let _ = write!(s, "|{:?};", message.seen().iter().collect::<Vec<_>>());
     }
     let _ = write!(s, "A{applied:?};");
     write_history_key(&mut s, cluster.history());
@@ -300,7 +301,7 @@ mod tests {
     fn replay_skips_events_of_removed_sends() {
         use ral_crdts::state::pn_counter::PnCall;
         let root = StateModel {
-            cluster: StateCluster::new(PnCounter, 3),
+            cluster: DeltaCluster::new(PnCounter, DeltaConfig::default(), 3),
             sent: Vec::new(),
             applied: BTreeSet::new(),
         };

@@ -42,9 +42,9 @@ use ral_crdts::{
     LwwElementSet, LwwRegister, MvRegister, OpCounter, OrSet, PnCounter, Rga, RgaAddAt,
     TwoPhaseSet, Wooki,
 };
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::op_based::{Cluster, OpBased};
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateBased;
 use ral_verify::{commutativity, state_props, workloads};
 use std::collections::BTreeSet;
 
@@ -103,7 +103,7 @@ where
     C: DeltaCrdt + SmallScope<Call = <C as StateBased>::Call> + Clone,
 {
     let n = crdt.scope_replicas(k);
-    let mut cluster = StateCluster::new(crdt.clone(), n);
+    let mut cluster = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n);
     let mut rng = Rng::seed_from_u64(WALK_SEED);
     let (mut updates, mut sends) = (0usize, 0usize);
     let mut applied: BTreeSet<(u32, usize)> = BTreeSet::new();
@@ -125,7 +125,7 @@ where
                 }
             }
             1 if sends < MAX_SENDS => {
-                cluster.send(r);
+                cluster.resync(r);
                 sends += 1;
             }
             2 if cluster.n_messages() > 0 => {

@@ -141,14 +141,14 @@ impl<E> LwwSetArg<E> {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall};
-/// use ral_runtime::state_based::StateCluster;
+/// use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 /// use std::collections::BTreeSet;
 ///
-/// let mut cluster = StateCluster::new(LwwElementSet::<char>::new(), 2);
+/// let mut cluster = DeltaCluster::new(LwwElementSet::<char>::new(), DeltaConfig::default(), 2);
 /// cluster.invoke(ReplicaId(0), LwwSetCall::Add('a'));
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// cluster.invoke(ReplicaId(1), LwwSetCall::Remove('a'));
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// let read = cluster.invoke(ReplicaId(0), LwwSetCall::Read).unwrap();
 /// assert_eq!(read.ret, Some(BTreeSet::new()));
 /// ```
@@ -357,8 +357,8 @@ mod tests {
     use super::*;
     use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
+    use ral_runtime::delta::{DeltaCluster, DeltaConfig};
     use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-    use ral_runtime::state_based::StateCluster;
     use ral_spec::set::SetSpec;
 
     fn r(i: u32) -> ReplicaId {
@@ -367,22 +367,22 @@ mod tests {
 
     #[test]
     fn later_add_beats_earlier_remove() {
-        let mut c = StateCluster::new(LwwElementSet::<char>::new(), 2);
+        let mut c = DeltaCluster::new(LwwElementSet::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), LwwSetCall::Remove('a'));
-        c.sync_all();
+        c.resync_round();
         c.invoke(r(1), LwwSetCall::Add('a'));
-        c.sync_all();
+        c.resync_round();
         let read = c.invoke(r(0), LwwSetCall::Read).unwrap();
         assert_eq!(read.ret, Some(BTreeSet::from(['a'])));
     }
 
     #[test]
     fn later_remove_wins() {
-        let mut c = StateCluster::new(LwwElementSet::<char>::new(), 2);
+        let mut c = DeltaCluster::new(LwwElementSet::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), LwwSetCall::Add('a'));
-        c.sync_all();
+        c.resync_round();
         c.invoke(r(1), LwwSetCall::Remove('a'));
-        c.sync_all();
+        c.resync_round();
         assert!(c.converged());
         let read = c.invoke(r(0), LwwSetCall::Read).unwrap();
         assert_eq!(read.ret, Some(BTreeSet::new()));
@@ -390,13 +390,13 @@ mod tests {
 
     #[test]
     fn concurrent_add_remove_resolved_by_timestamp_everywhere() {
-        let mut c = StateCluster::new(LwwElementSet::<char>::new(), 2);
+        let mut c = DeltaCluster::new(LwwElementSet::<char>::new(), DeltaConfig::default(), 2);
         // Both replicas act concurrently; replica order breaks the tie
         // between equal counters, so r1's remove (1@r1) beats r0's add
         // (1@r0).
         c.invoke(r(0), LwwSetCall::Add('a'));
         c.invoke(r(1), LwwSetCall::Remove('a'));
-        c.sync_all();
+        c.resync_round();
         assert!(c.converged());
         let read = c.invoke(r(0), LwwSetCall::Read).unwrap();
         assert_eq!(read.ret, Some(BTreeSet::new()));
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn random_histories_are_ra_linearizable_to() {
         for seed in 0..20 {
-            let mut c = StateCluster::new(LwwElementSet::<u8>::new(), 3);
+            let mut c = DeltaCluster::new(LwwElementSet::<u8>::new(), DeltaConfig::default(), 3);
             drive_state_based(&mut c, &ScheduleConfig::default(), seed, |rng, _, _| {
                 Some(match rng.random_range(0..4u8) {
                     0 | 1 => LwwSetCall::Add(rng.random_range(0..4)),

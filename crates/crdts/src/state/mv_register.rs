@@ -84,13 +84,13 @@ impl<E: Elem> MvState<E> {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_crdts::state::mv_register::{MvCall, MvRegister, MvRet};
-/// use ral_runtime::state_based::StateCluster;
+/// use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 /// use std::collections::BTreeSet;
 ///
-/// let mut cluster = StateCluster::new(MvRegister::<char>::new(), 2);
+/// let mut cluster = DeltaCluster::new(MvRegister::<char>::new(), DeltaConfig::default(), 2);
 /// cluster.invoke(ReplicaId(0), MvCall::Write('a'));
 /// cluster.invoke(ReplicaId(1), MvCall::Write('b'));
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// let read = cluster.invoke(ReplicaId(0), MvCall::Read).unwrap();
 /// // Concurrent writes coexist.
 /// assert_eq!(read.ret, MvRet::Values(BTreeSet::from(['a', 'b'])));
@@ -289,8 +289,8 @@ mod tests {
     use super::*;
     use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
+    use ral_runtime::delta::{DeltaCluster, DeltaConfig};
     use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-    use ral_runtime::state_based::StateCluster;
     use ral_spec::register::MvRegSpec;
 
     fn r(i: u32) -> ReplicaId {
@@ -299,39 +299,39 @@ mod tests {
 
     #[test]
     fn dominating_write_overwrites() {
-        let mut c = StateCluster::new(MvRegister::<char>::new(), 2);
+        let mut c = DeltaCluster::new(MvRegister::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), MvCall::Write('a'));
-        c.sync_all();
+        c.resync_round();
         c.invoke(r(1), MvCall::Write('b'));
-        c.sync_all();
+        c.resync_round();
         let read = c.invoke(r(0), MvCall::Read).unwrap();
         assert_eq!(read.ret, MvRet::Values(BTreeSet::from(['b'])));
     }
 
     #[test]
     fn concurrent_writes_coexist_until_overwritten() {
-        let mut c = StateCluster::new(MvRegister::<char>::new(), 2);
+        let mut c = DeltaCluster::new(MvRegister::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), MvCall::Write('a'));
         c.invoke(r(1), MvCall::Write('b'));
-        c.sync_all();
+        c.resync_round();
         assert!(c.converged());
         let read = c.invoke(r(0), MvCall::Read).unwrap();
         assert_eq!(read.ret, MvRet::Values(BTreeSet::from(['a', 'b'])));
         // A new write dominates both.
         c.invoke(r(0), MvCall::Write('c'));
-        c.sync_all();
+        c.resync_round();
         let read = c.invoke(r(1), MvCall::Read).unwrap();
         assert_eq!(read.ret, MvRet::Values(BTreeSet::from(['c'])));
     }
 
     #[test]
     fn stale_message_does_not_resurrect() {
-        let mut c = StateCluster::new(MvRegister::<char>::new(), 2);
+        let mut c = DeltaCluster::new(MvRegister::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), MvCall::Write('a'));
-        let stale = c.send(r(0));
-        c.sync_all();
+        let stale = c.resync(r(0));
+        c.resync_round();
         c.invoke(r(1), MvCall::Write('b'));
-        c.sync_all();
+        c.resync_round();
         // Replay the stale snapshot: 'a' is dominated and stays gone.
         c.apply(r(0), stale);
         let read = c.invoke(r(0), MvCall::Read).unwrap();
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn random_histories_are_ra_linearizable_eo() {
         for seed in 0..20 {
-            let mut c = StateCluster::new(MvRegister::<u8>::new(), 3);
+            let mut c = DeltaCluster::new(MvRegister::<u8>::new(), DeltaConfig::default(), 3);
             drive_state_based(&mut c, &ScheduleConfig::default(), seed, |rng, _, _| {
                 Some(if rng.random_bool(0.55) {
                     MvCall::Write(rng.random_range(0..5))

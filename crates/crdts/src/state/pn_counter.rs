@@ -58,12 +58,12 @@ pub enum PnArg {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_crdts::state::pn_counter::{PnCall, PnCounter};
-/// use ral_runtime::state_based::StateCluster;
+/// use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 ///
-/// let mut cluster = StateCluster::new(PnCounter, 2);
+/// let mut cluster = DeltaCluster::new(PnCounter, DeltaConfig::default(), 2);
 /// cluster.invoke(ReplicaId(0), PnCall::Inc);
 /// cluster.invoke(ReplicaId(1), PnCall::Dec);
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// let read = cluster.invoke(ReplicaId(0), PnCall::Read).unwrap();
 /// assert_eq!(read.ret, Some(0));
 /// ```
@@ -285,8 +285,8 @@ mod tests {
     use super::*;
     use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
+    use ral_runtime::delta::{DeltaCluster, DeltaConfig};
     use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-    use ral_runtime::state_based::StateCluster;
     use ral_spec::counter::CounterSpec;
 
     fn r(i: u32) -> ReplicaId {
@@ -320,9 +320,9 @@ mod tests {
 
     #[test]
     fn duplicated_messages_do_not_double_count() {
-        let mut c = StateCluster::new(PnCounter, 2);
+        let mut c = DeltaCluster::new(PnCounter, DeltaConfig::default(), 2);
         c.invoke(r(0), PnCall::Inc);
-        let m = c.send(r(0));
+        let m = c.resync(r(0));
         c.apply(r(1), m);
         c.apply(r(1), m);
         c.apply(r(1), m);
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn random_histories_are_ra_linearizable_eo() {
         for seed in 0..20 {
-            let mut c = StateCluster::new(PnCounter, 3);
+            let mut c = DeltaCluster::new(PnCounter, DeltaConfig::default(), 3);
             drive_state_based(&mut c, &ScheduleConfig::default(), seed, |rng, _, _| {
                 Some(match rng.random_range(0..3u8) {
                     0 => PnCall::Inc,

@@ -74,14 +74,14 @@ pub enum TwoPArg<E> {
 /// ```
 /// use ral_core::ids::ReplicaId;
 /// use ral_crdts::state::two_phase_set::{TwoPCall, TwoPhaseSet};
-/// use ral_runtime::state_based::StateCluster;
+/// use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 /// use std::collections::BTreeSet;
 ///
-/// let mut cluster = StateCluster::new(TwoPhaseSet::<char>::new(), 2);
+/// let mut cluster = DeltaCluster::new(TwoPhaseSet::<char>::new(), DeltaConfig::default(), 2);
 /// cluster.invoke(ReplicaId(0), TwoPCall::Add('a'));
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// cluster.invoke(ReplicaId(1), TwoPCall::Remove('a'));
-/// cluster.sync_all();
+/// cluster.resync_round();
 /// let read = cluster.invoke(ReplicaId(0), TwoPCall::Read).unwrap();
 /// assert_eq!(read.ret, Some(BTreeSet::new()));
 /// ```
@@ -278,8 +278,8 @@ mod tests {
     use super::*;
     use ral_core::label::Identity;
     use ral_core::ralin::ra_check;
+    use ral_runtime::delta::{DeltaCluster, DeltaConfig};
     use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-    use ral_runtime::state_based::StateCluster;
     use ral_spec::set::SetSpec;
 
     fn r(i: u32) -> ReplicaId {
@@ -289,11 +289,11 @@ mod tests {
     #[test]
     fn remove_wins_regardless_of_order() {
         // add at r0, remove at r0; r1 receives the states in any order.
-        let mut c = StateCluster::new(TwoPhaseSet::<char>::new(), 2);
+        let mut c = DeltaCluster::new(TwoPhaseSet::<char>::new(), DeltaConfig::default(), 2);
         c.invoke(r(0), TwoPCall::Add('a'));
-        let m_add = c.send(r(0));
+        let m_add = c.resync(r(0));
         c.invoke(r(0), TwoPCall::Remove('a'));
-        let m_rem = c.send(r(0));
+        let m_rem = c.resync(r(0));
         c.apply(r(1), m_rem);
         c.apply(r(1), m_add);
         let read = c.invoke(r(1), TwoPCall::Read).unwrap();
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn re_add_is_refused() {
-        let mut c = StateCluster::new(TwoPhaseSet::<char>::new(), 1);
+        let mut c = DeltaCluster::new(TwoPhaseSet::<char>::new(), DeltaConfig::default(), 1);
         c.invoke(r(0), TwoPCall::Add('a')).unwrap();
         assert!(c.invoke(r(0), TwoPCall::Add('a')).is_none());
         c.invoke(r(0), TwoPCall::Remove('a')).unwrap();
@@ -315,7 +315,7 @@ mod tests {
         // The paper assumes clients never add the same value twice anywhere
         // in the execution (Listing 10); the workload mints fresh values.
         for seed in 0..20 {
-            let mut c = StateCluster::new(TwoPhaseSet::<u16>::new(), 3);
+            let mut c = DeltaCluster::new(TwoPhaseSet::<u16>::new(), DeltaConfig::default(), 3);
             let mut next: u16 = 0;
             drive_state_based(
                 &mut c,

@@ -39,7 +39,10 @@ use ral_core::spec::Spec;
 use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::{CallGen, Naming, OpBased};
-use ral_sim::driver::{DeltaDriver, Driver, MultiDriver, OpClusterDriver, OpDriver, StateDriver};
+use ral_sim::driver::{
+    DeltaDriver, Driver, LatticeDriver, MultiDriver, OpClusterDriver, OpDriver, Propagation,
+    StateDriver,
+};
 use ral_sim::sim::{self, SimRun, SimStats};
 use ral_sim::trace::{Record, Trace};
 use ral_verify::crosscheck::{self, HistoryVerdict};
@@ -132,12 +135,12 @@ fn dispatch(sc: &FuzzScenario, budget: Option<u64>, trace: &mut impl Record) -> 
         Family::OpRga => op_case::<families::Rga>(sc, budget, trace),
         Family::OpRgaAddAt => op_case::<families::RgaAddAt>(sc, budget, trace),
         Family::OpWooki => op_case::<families::Wooki>(sc, budget, trace),
-        Family::StatePnCounter => state_case::<families::PnCounter>(sc, budget, trace),
-        Family::StateMvRegister => state_case::<families::MvRegister>(sc, budget, trace),
-        Family::StateLwwElementSet => state_case::<families::LwwElementSet>(sc, budget, trace),
-        Family::StateTwoPhaseSet => state_case::<families::TwoPhaseSet>(sc, budget, trace),
-        Family::DeltaPnCounter => delta_case::<families::PnCounter>(sc, budget, trace),
-        Family::DeltaLwwElementSet => delta_case::<families::LwwElementSet>(sc, budget, trace),
+        Family::StatePnCounter => lattice_case::<families::PnCounter>(sc, budget, trace),
+        Family::StateMvRegister => lattice_case::<families::MvRegister>(sc, budget, trace),
+        Family::StateLwwElementSet => lattice_case::<families::LwwElementSet>(sc, budget, trace),
+        Family::StateTwoPhaseSet => lattice_case::<families::TwoPhaseSet>(sc, budget, trace),
+        Family::DeltaPnCounter => lattice_case::<families::PnCounter>(sc, budget, trace),
+        Family::DeltaLwwElementSet => lattice_case::<families::LwwElementSet>(sc, budget, trace),
         Family::MultiCounter => multi_case::<families::Counter>(sc, budget, trace),
         Family::MultiLwwRegister => multi_case::<families::LwwRegister>(sc, budget, trace),
         Family::BrokenCounter => broken_case(sc, trace),
@@ -242,22 +245,12 @@ fn op_case<F: OpFamily>(
     conclude(sc, budget, done, Some(&check))
 }
 
-fn state_case<F: StateFamily>(
+fn lattice_case<F: StateFamily>(
     sc: &FuzzScenario,
     budget: Option<u64>,
     trace: &mut impl Record,
 ) -> Observation {
-    let done = run_state(sc, trace, F::crdt(), F::calls(Scale::Searched));
-    let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
-    conclude(sc, budget, done, Some(&check))
-}
-
-fn delta_case<F: StateFamily>(
-    sc: &FuzzScenario,
-    budget: Option<u64>,
-    trace: &mut impl Record,
-) -> Observation {
-    let done = run_delta(sc, trace, F::crdt(), F::calls(Scale::Searched));
+    let done = run_lattice(sc, trace, F::crdt(), F::calls(Scale::Searched));
     let check = single_object(F::rewrite(), F::spec(), F::STRATEGY);
     conclude(sc, budget, done, Some(&check))
 }
@@ -291,7 +284,7 @@ fn broken_case(sc: &FuzzScenario, trace: &mut impl Record) -> Observation {
 // Negative control: the summing "join" breaks idempotence, so the lattice
 // laws catch it even when the states happen to agree.
 fn summing_case(sc: &FuzzScenario, trace: &mut impl Record) -> Observation {
-    let done = run_state(sc, trace, SummingCounter, |_: &mut Rng, _, _: &_| {
+    let done = run_lattice(sc, trace, SummingCounter, |_: &mut Rng, _, _: &_| {
         Some(SumCall::Inc)
     });
     conclude(sc, None, done, None)
@@ -333,44 +326,47 @@ fn run_op<C: OpBased>(
     )
 }
 
-fn run_state<C: DeltaCrdt>(
+// The one lattice run: full-state or delta, as the family's transport says.
+fn run_lattice<C: DeltaCrdt>(
     sc: &FuzzScenario,
     trace: &mut impl Record,
     crdt: C,
     calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
 ) -> Finished<C::Label> {
     let calls = capped(sc.max_invokes, calls);
-    let mut driver = StateDriver::new(crdt, sc.n_replicas as usize, calls);
-    let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
-    Finished {
-        run,
-        converged: driver.converged(),
-        laws_hold: driver.cluster().check_lattice_laws(),
-        history: driver.into_cluster().into_history(),
-        extra_dims: Vec::new(),
+    let n = sc.n_replicas as usize;
+    if sc.family.transport() != Transport::Delta {
+        return run_lattice_driver(sc, trace, StateDriver::new(crdt, n, calls));
     }
-}
-
-fn run_delta<C: DeltaCrdt>(
-    sc: &FuzzScenario,
-    trace: &mut impl Record,
-    crdt: C,
-    calls: impl FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-) -> Finished<C::Label> {
     let config = DeltaConfig {
         resync_after: sc.resync_after as usize,
     };
-    let calls = capped(sc.max_invokes, calls);
-    let mut driver = DeltaDriver::new(crdt, config, sc.n_replicas as usize, calls);
+    run_lattice_driver(sc, trace, DeltaDriver::new(crdt, config, n, calls))
+}
+
+fn run_lattice_driver<C, F, P>(
+    sc: &FuzzScenario,
+    trace: &mut impl Record,
+    mut driver: LatticeDriver<C, F, P>,
+) -> Finished<C::Label>
+where
+    C: DeltaCrdt,
+    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+    P: Propagation<C>,
+{
     let run = sim::run_into(&mut driver, &sc.sim_config(), sc.sim_seed, trace);
-    let delta_stats = driver.cluster().stats();
-    let mut extra_dims = Vec::new();
-    if delta_stats.resyncs > 0 {
-        extra_dims.push(dim("delta_resync"));
-    }
-    if delta_stats.gc_entries > 0 {
-        extra_dims.push(dim("delta_gc"));
-    }
+    // A full-state run's every message is a resync: only a delta run's
+    // resyncs and collections say something about the delta machinery.
+    let delta = sc.family.transport() == Transport::Delta;
+    let stats = driver.cluster().stats();
+    let extra_dims = [
+        ("delta_resync", stats.resyncs),
+        ("delta_gc", stats.gc_entries),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| delta && n > 0)
+    .map(|(name, _)| dim(name))
+    .collect();
     Finished {
         run,
         converged: driver.converged(),

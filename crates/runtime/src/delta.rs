@@ -45,7 +45,8 @@
 use crate::gen::{GenCtx, GenOutcome};
 use crate::laws;
 use crate::membership::Member;
-use crate::state_based::{Invoked, StateBased};
+use crate::op_based::Invoked;
+use crate::state_based::StateBased;
 use ral_core::bitset::BitSet;
 use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
@@ -299,10 +300,10 @@ pub struct DeltaStats {
 
 /// A cluster of replicas of one delta-state CRDT.
 ///
-/// The one lattice delivery core: [`StateCluster`] is this cluster with
-/// every message a [`DeltaCluster::resync`].
-///
-/// [`StateCluster`]: crate::state_based::StateCluster
+/// The one lattice delivery core, for both of Appendix D's transports: a
+/// full-state run is this cluster with every message a
+/// [`DeltaCluster::resync`] and [`DeltaCluster::resync_round`] as its final
+/// synchronization ([`crate::state_based`]).
 ///
 /// # Examples
 ///
@@ -610,8 +611,8 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// clock, superseding its delta buffer; returns the message id. The
     /// message shares the replica's state allocation, so nothing is copied
     /// until the replica next writes. This is gossip's fallback, the last
-    /// round of [`DeltaCluster::sync_all`], and every send of a
-    /// [`StateCluster`](crate::state_based::StateCluster).
+    /// round of [`DeltaCluster::sync_all`], and every send of a full-state
+    /// run.
     ///
     /// # Panics
     ///

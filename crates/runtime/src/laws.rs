@@ -3,14 +3,12 @@
 //! Convergence under the unreliable network of Appendix D.2 rests on
 //! `merge` being a least upper bound w.r.t. `leq`, and the delta transport
 //! on the delta laws of [`DeltaCrdt`]. Every gate that discharges them
-//! — [`StateCluster::check_lattice_laws`] and
-//! [`DeltaCluster::check_lattice_laws`] on live replica states,
+//! — [`DeltaCluster::check_lattice_laws`] on live replica states,
 //! `ral_verify::state_props` on sampled executions, `ral-analyze` on every
 //! configuration within its scope — calls the functions below. The gates
 //! differ in the states they quantify over and in the [`Checks`] sink they
 //! report into, never in what a law says.
 //!
-//! [`StateCluster::check_lattice_laws`]: crate::state_based::StateCluster::check_lattice_laws
 //! [`DeltaCluster::check_lattice_laws`]: crate::delta::DeltaCluster::check_lattice_laws
 
 use crate::delta::DeltaCrdt;

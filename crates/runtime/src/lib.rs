@@ -17,9 +17,8 @@
 //!   composition `⊗` or the shared-timestamp composition `⊗ts`
 //!   (Section 5.3);
 //! * [`state_based`] — the [`state_based::StateBased`] lattice (initial
-//!   state, `merge_into`, `leq`, labels) and [`state_based::StateCluster`],
-//!   Appendix D's full-state transport as a façade over
-//!   [`delta::DeltaCluster`] that ships only resyncs;
+//!   state, `merge_into`, `leq`, labels). Appendix D's full-state transport
+//!   is a [`delta::DeltaCluster`] that only resyncs;
 //! * [`delta`] — delta-state replication: [`delta::DeltaCrdt`], whose one
 //!   mutator `invoke` reads the state and returns `(ret, δ)` as a
 //!   [`gen::GenOutcome`], and [`delta::DeltaCluster`], a bandwidth-proportional
@@ -33,8 +32,8 @@
 //!
 //! The clusters run on two delivery cores — [`op_based::OpCluster`] over
 //! [`mailbox`], whichever way its records name their object, and
-//! [`delta::DeltaCluster`], which [`state_based::StateCluster`] is a façade
-//! over — sharing:
+//! [`delta::DeltaCluster`], whether it gossips deltas or only resyncs full
+//! states — sharing:
 //!
 //! * [`membership`] — per-replica liveness (crash/restart) and visibility
 //!   (seen-set) bookkeeping, the [`membership::Member`] every node embeds;
@@ -46,7 +45,8 @@
 //!
 //! Delivery is sequential, as in the paper's interleaving semantics: one
 //! OPERATION, EFFECTOR or merge step at one replica at a time, and
-//! `deliver_all` / `sync_all` visit the replicas in ascending order.
+//! `deliver_all` / `sync_all` / `resync_round` visit the replicas in
+//! ascending order.
 //!
 //! Every cluster exposes targeted per-message delivery
 //! (`can_deliver`/`deliver`, `apply`) and crash/restart entry points; the
@@ -69,4 +69,4 @@ pub use mailbox::{DeliveryRecord, Mailbox, Received};
 pub use membership::Member;
 pub use multi::{MultiCluster, TsMode};
 pub use op_based::{Cluster, OpBased};
-pub use state_based::{StateBased, StateCluster};
+pub use state_based::StateBased;

@@ -12,13 +12,12 @@
 //! duplication, scheduled partitions, or replica crash/restart are driven by
 //! the `ral-sim` discrete-event simulator, which builds on the same targeted
 //! per-message entry points ([`Cluster::can_deliver`],
-//! [`Cluster::deliver`], [`StateCluster::apply`], crash/restart) that these
+//! [`Cluster::deliver`], [`DeltaCluster::apply`], crash/restart) that these
 //! wrappers consume.
 
-use crate::delta::DeltaCrdt;
+use crate::delta::{DeltaCluster, DeltaCrdt};
 use crate::multi::MultiCluster;
 use crate::op_based::{CallGen, Cluster, Naming, OpBased, OpCluster};
-use crate::state_based::StateCluster;
 use ral_core::ids::{ObjId, ReplicaId};
 use ral_core::rng::Rng;
 
@@ -126,11 +125,13 @@ pub fn drive_op_based_filtered<C, K, W, P>(
     }
 }
 
-/// Drives a state-based cluster: invocations, snapshot sends, and merge
-/// applications (with duplication and reordering; loss happens implicitly by
-/// never applying a message).
+/// Drives a full-state run of a lattice cluster: invocations, snapshot
+/// sends ([`DeltaCluster::resync`]), and merge applications (with
+/// duplication and reordering; loss happens implicitly by never applying a
+/// message). The final synchronization is a
+/// [`DeltaCluster::resync_round`]; the cluster never gossips deltas.
 pub fn drive_state_based<C, F>(
-    cluster: &mut StateCluster<C>,
+    cluster: &mut DeltaCluster<C>,
     cfg: &ScheduleConfig,
     seed: u64,
     mut call_gen: F,
@@ -148,14 +149,14 @@ pub fn drive_state_based<C, F>(
                 cluster.invoke(r, call);
             }
         } else if rng.random_bool(0.5) || cluster.n_messages() == 0 {
-            cluster.send(r);
+            cluster.resync(r);
         } else {
             let m = rng.random_range(0..cluster.n_messages());
             cluster.apply(r, m);
         }
     }
     if cfg.final_sync {
-        cluster.sync_all();
+        cluster.resync_round();
     }
 }
 
@@ -215,6 +216,7 @@ pub fn drive_op_based_partitioned<C, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaConfig;
     use crate::gen::{GenCtx, GenOutcome};
     use crate::multi::TsMode;
     use crate::state_based::StateBased;
@@ -328,7 +330,7 @@ mod tests {
 
     #[test]
     fn state_based_schedule_converges() {
-        let mut c = StateCluster::new(GCtr, 3);
+        let mut c = DeltaCluster::new(GCtr, DeltaConfig::default(), 3);
         drive_state_based(&mut c, &ScheduleConfig::default(), 11, |rng, _, _| {
             Some(rng.random_bool(0.6))
         });

@@ -13,17 +13,14 @@
 //!   (over a reordering link) before their causal predecessors and
 //!   draining the holdback once the gap closes, so the network may reorder
 //!   freely while the replica still applies causally.
-//! * [`StateDriver`] — [`StateCluster`] (Appendix D.2): one message per
-//!   gossip tick, a whole-state snapshot — a resync of the delta delivery
-//!   core, which [`StateCluster`] is a façade over. Merges tolerate loss,
-//!   duplication, and reordering, so no holdback is needed — and the
-//!   driver checkpoints each replica after every invocation (write-ahead),
-//!   matching the durability story of [`StateCluster::crash`].
-//! * [`DeltaDriver`] — [`DeltaCluster`]: one message per gossip tick, but
-//!   carrying a joined *delta batch* (or a full-state resync) rather than
-//!   the whole state — the bandwidth-proportional transport. Same fault
-//!   tolerance as [`StateDriver`], recovered by ack-driven retransmission
-//!   instead of snapshot redundancy.
+//! * [`LatticeDriver`] — a lattice [`DeltaCluster`] (Appendix D.2): one
+//!   message per gossip tick. [`StateDriver`] ships a whole-state snapshot
+//!   (a [`DeltaCluster::resync`]) and [`DeltaDriver`] a joined *delta
+//!   batch* (or a resync) — the bandwidth-proportional transport,
+//!   recovered by ack-driven retransmission instead of snapshot
+//!   redundancy. Merges tolerate loss, duplication, and reordering, so no
+//!   holdback is needed; the sealed [`Propagation`] parameter holds all
+//!   the two differ in.
 //!
 //! Each driver exposes the same `History<L>` the RA-linearizability
 //! checkers and the `ral_verify` harnesses consume — simulation changes how
@@ -34,7 +31,6 @@ use ral_core::rng::Rng;
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::MultiCluster;
 use ral_runtime::op_based::{CallGen, Cluster, Naming, OpBased, OpCluster};
-use ral_runtime::state_based::StateCluster;
 
 // Causal holdback lives in the clusters' own mailboxes now; the drivers
 // reuse the runtime's arrival classification verbatim.
@@ -47,7 +43,7 @@ pub trait Driver {
     /// faults; cut links and crashed receivers trigger retries instead.
     const RELIABLE: bool;
 
-    /// Whether propagation is pull-by-gossip (state-based snapshots) rather
+    /// Whether propagation is by periodic gossip (lattice transports) rather
     /// than push-per-operation. Gossip drivers get periodic gossip events.
     const GOSSIPS: bool;
 
@@ -58,8 +54,8 @@ pub trait Driver {
     /// skipped its turn or the generator refused.
     fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool;
 
-    /// One gossip tick at `r`: snapshot the state into a message. `false`
-    /// for push-based drivers (nothing to do).
+    /// One gossip tick at `r`: a snapshot or delta batch of its state into
+    /// a message. `false` for push-based drivers (nothing to do).
     fn gossip(&mut self, r: ReplicaId) -> bool;
 
     /// Messages created so far; ids are dense `0..n_messages()`, and new
@@ -237,13 +233,106 @@ where
     }
 }
 
-/// Drives a state-based [`StateCluster`].
-pub struct StateDriver<C: DeltaCrdt, F> {
-    cluster: StateCluster<C>,
+/// Drives a lattice [`DeltaCluster`] (Appendix D.2): one message per
+/// gossip tick, shaped by the [`Propagation`] `P`. Every local operation is
+/// written ahead by [`DeltaCluster::invoke`], so a crash loses only
+/// merged-in knowledge, which the lattice re-merges.
+pub struct LatticeDriver<C: DeltaCrdt, F, P> {
+    cluster: DeltaCluster<C>,
     call_gen: F,
-    // Optional payload-size model: bytes of one full-state snapshot.
+    propagation: P,
+}
+
+/// Drives a full-state run: every gossip tick is a whole-state resync.
+pub type StateDriver<C, F> = LatticeDriver<C, F, FullState<C>>;
+
+/// Drives a delta-state run: gossip ticks broadcast joined delta batches
+/// (or full-state resyncs).
+pub type DeltaDriver<C, F> = LatticeDriver<C, F, Deltas>;
+
+/// The propagation of a [`StateDriver`], with its optional model of a
+/// snapshot's wire bytes.
+pub struct FullState<C: DeltaCrdt> {
     #[allow(clippy::type_complexity)]
     sizer: Option<Box<dyn Fn(&C::State) -> usize>>,
+}
+
+/// The propagation of a [`DeltaDriver`].
+pub struct Deltas;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// What a [`LatticeDriver`]'s two propagations differ in. Sealed: those
+/// are the two.
+pub trait Propagation<C: DeltaCrdt>: sealed::Sealed {
+    /// One gossip tick at `r`: [`DeltaCluster::resync`] or
+    /// [`DeltaCluster::gossip`].
+    fn tick(cluster: &mut DeltaCluster<C>, r: ReplicaId);
+
+    /// The end-of-run synchronization: [`DeltaCluster::resync_round`] or
+    /// [`DeltaCluster::sync_all`].
+    fn sync(cluster: &mut DeltaCluster<C>);
+
+    /// The engine's answer to an arrival, given whether
+    /// [`DeltaCluster::apply`] changed the state.
+    fn received(changed: bool) -> Received;
+
+    /// Wire size in bytes of message `m` on the link to `to`.
+    fn message_bytes(&self, cluster: &DeltaCluster<C>, m: usize, to: ReplicaId) -> usize;
+}
+
+impl<C: DeltaCrdt> sealed::Sealed for FullState<C> {}
+
+impl<C: DeltaCrdt> Propagation<C> for FullState<C> {
+    fn tick(cluster: &mut DeltaCluster<C>, r: ReplicaId) {
+        cluster.resync(r);
+    }
+
+    fn sync(cluster: &mut DeltaCluster<C>) {
+        cluster.resync_round();
+    }
+
+    fn received(_changed: bool) -> Received {
+        Received::Applied(1)
+    }
+
+    fn message_bytes(&self, cluster: &DeltaCluster<C>, m: usize, _to: ReplicaId) -> usize {
+        // Snapshot plus a 12-byte origin+clock header; a released snapshot
+        // is its header alone. Note the delta transport pays *more*
+        // per-message overhead (12-byte header, 12-byte per-link ack entry,
+        // 16-byte batch interval), so this asymmetry biases comparisons in
+        // full-state's favour — the safe direction for the "delta ships
+        // fewer bytes" claims.
+        self.sizer
+            .as_ref()
+            .map_or(0, |f| 12 + cluster.message(m).state().map_or(0, f))
+    }
+}
+
+impl sealed::Sealed for Deltas {}
+
+impl<C: DeltaCrdt> Propagation<C> for Deltas {
+    fn tick(cluster: &mut DeltaCluster<C>, r: ReplicaId) {
+        cluster.gossip(r);
+    }
+
+    fn sync(cluster: &mut DeltaCluster<C>) {
+        cluster.sync_all();
+    }
+
+    fn received(changed: bool) -> Received {
+        if changed {
+            Received::Applied(1)
+        } else {
+            Received::Ignored
+        }
+    }
+
+    fn message_bytes(&self, cluster: &DeltaCluster<C>, m: usize, to: ReplicaId) -> usize {
+        cluster.message_bytes(m, to)
+    }
 }
 
 impl<C, F> StateDriver<C, F>
@@ -253,10 +342,12 @@ where
 {
     /// Wraps a fresh cluster of `n_replicas`.
     pub fn new(crdt: C, n_replicas: usize, call_gen: F) -> Self {
-        StateDriver {
-            cluster: StateCluster::new(crdt, n_replicas),
+        // Only gossip reads the configuration, and a full-state run never
+        // gossips.
+        LatticeDriver {
+            cluster: DeltaCluster::new(crdt, DeltaConfig::default(), n_replicas),
             call_gen,
-            sizer: None,
+            propagation: FullState { sizer: None },
         }
     }
 
@@ -267,112 +358,9 @@ where
     /// [`DeltaCrdt`] type, pass its `state_bytes` so full-state and delta
     /// runs share one payload model.
     pub fn with_sizer(mut self, sizer: impl Fn(&C::State) -> usize + 'static) -> Self {
-        self.sizer = Some(Box::new(sizer));
+        self.propagation.sizer = Some(Box::new(sizer));
         self
     }
-
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &StateCluster<C> {
-        &self.cluster
-    }
-
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut StateCluster<C> {
-        &mut self.cluster
-    }
-
-    /// Consumes the driver, returning the cluster.
-    pub fn into_cluster(self) -> StateCluster<C> {
-        self.cluster
-    }
-}
-
-impl<C, F> Driver for StateDriver<C, F>
-where
-    C: DeltaCrdt,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-{
-    const RELIABLE: bool = false;
-    const GOSSIPS: bool = true;
-
-    fn n_replicas(&self) -> usize {
-        self.cluster.n_replicas()
-    }
-
-    fn invoke(&mut self, rng: &mut Rng, r: ReplicaId) -> bool {
-        match (self.call_gen)(rng, r, self.cluster.state(r)) {
-            Some(call) => self.cluster.invoke(r, call).is_some(),
-            None => false,
-        }
-    }
-
-    fn gossip(&mut self, r: ReplicaId) -> bool {
-        self.cluster.send(r);
-        true
-    }
-
-    fn n_messages(&self) -> usize {
-        self.cluster.n_messages()
-    }
-
-    fn origin(&self, m: usize) -> ReplicaId {
-        self.cluster.message_origin(m)
-    }
-
-    fn receive(&mut self, r: ReplicaId, m: usize) -> Received {
-        // Merges absorb duplicates and reordering by construction; every
-        // arrival is simply applied.
-        self.cluster.apply(r, m);
-        Received::Applied(1)
-    }
-
-    fn message_bytes(&self, m: usize, _to: ReplicaId) -> usize {
-        // Snapshot plus a 12-byte origin+clock header. Note the delta
-        // transport pays *more* per-message overhead (12-byte header,
-        // 12-byte per-link ack entry, 16-byte batch interval), so this
-        // asymmetry biases comparisons in full-state's favour — the safe
-        // direction for the "delta ships fewer bytes" claims.
-        self.sizer
-            .as_ref()
-            .map_or(0, |f| 12 + f(self.cluster.message_state(m)))
-    }
-
-    fn release(&mut self, m: usize) {
-        self.cluster.release(m);
-    }
-
-    fn is_up(&self, r: ReplicaId) -> bool {
-        self.cluster.is_up(r)
-    }
-
-    fn crash(&mut self, r: ReplicaId) {
-        self.cluster.crash(r);
-    }
-
-    fn restart(&mut self, r: ReplicaId) {
-        self.cluster.restart(r);
-    }
-
-    fn final_sync(&mut self) {
-        self.cluster.restart_all();
-        self.cluster.sync_all();
-    }
-
-    fn converged(&self) -> bool {
-        self.cluster.converged()
-    }
-}
-
-/// Drives a delta-state [`DeltaCluster`]: gossip ticks broadcast joined
-/// delta batches (or full-state resyncs) instead of whole-state snapshots.
-///
-/// Like [`StateDriver`], the transport is lossy (`RELIABLE = false`): the
-/// delta machinery itself — ack-driven retransmission of unacknowledged
-/// intervals and resync fallback — is what recovers dropped messages, and
-/// the join laws absorb duplication and reordering.
-pub struct DeltaDriver<C: DeltaCrdt, F> {
-    cluster: DeltaCluster<C>,
-    call_gen: F,
 }
 
 impl<C, F> DeltaDriver<C, F>
@@ -382,20 +370,18 @@ where
 {
     /// Wraps a fresh delta cluster of `n_replicas`.
     pub fn new(crdt: C, config: DeltaConfig, n_replicas: usize, call_gen: F) -> Self {
-        DeltaDriver {
+        LatticeDriver {
             cluster: DeltaCluster::new(crdt, config, n_replicas),
             call_gen,
+            propagation: Deltas,
         }
     }
+}
 
+impl<C: DeltaCrdt, F, P> LatticeDriver<C, F, P> {
     /// The underlying cluster.
     pub fn cluster(&self) -> &DeltaCluster<C> {
         &self.cluster
-    }
-
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut DeltaCluster<C> {
-        &mut self.cluster
     }
 
     /// Consumes the driver, returning the cluster.
@@ -404,10 +390,11 @@ where
     }
 }
 
-impl<C, F> Driver for DeltaDriver<C, F>
+impl<C, F, P> Driver for LatticeDriver<C, F, P>
 where
     C: DeltaCrdt,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
+    P: Propagation<C>,
 {
     const RELIABLE: bool = false;
     const GOSSIPS: bool = true;
@@ -424,7 +411,7 @@ where
     }
 
     fn gossip(&mut self, r: ReplicaId) -> bool {
-        self.cluster.gossip(r);
+        P::tick(&mut self.cluster, r);
         true
     }
 
@@ -438,15 +425,11 @@ where
 
     fn receive(&mut self, r: ReplicaId, m: usize) -> Received {
         // Joins are always sound, whatever arrived and in whatever order.
-        if self.cluster.apply(r, m) {
-            Received::Applied(1)
-        } else {
-            Received::Ignored
-        }
+        P::received(self.cluster.apply(r, m))
     }
 
     fn message_bytes(&self, m: usize, to: ReplicaId) -> usize {
-        self.cluster.message_bytes(m, to)
+        self.propagation.message_bytes(&self.cluster, m, to)
     }
 
     fn release(&mut self, m: usize) {
@@ -467,7 +450,7 @@ where
 
     fn final_sync(&mut self) {
         self.cluster.restart_all();
-        self.cluster.sync_all();
+        P::sync(&mut self.cluster);
     }
 
     fn converged(&self) -> bool {

@@ -31,7 +31,8 @@
 //! * [`fault`] — scheduled partitions and crash/restart plans;
 //! * [`driver`] — the [`Driver`] trait adapting the clusters: the op-based
 //!   [`OpClusterDriver`] ([`OpDriver`] for one object, [`MultiDriver`] for
-//!   a composition), [`StateDriver`] and [`DeltaDriver`];
+//!   a composition), and the lattice [`LatticeDriver`] ([`StateDriver`]
+//!   for full states, [`DeltaDriver`] for delta batches);
 //! * [`monitored`] — [`MonitoredDriver`], an [`OpDriver`] wrapper that
 //!   verifies RA-linearizability continuously while the engine runs;
 //! * [`sim`] — the engine: [`run`] records nothing, [`sim::replay`]
@@ -100,7 +101,8 @@ pub mod time;
 pub mod trace;
 
 pub use driver::{
-    DeltaDriver, Driver, MultiDriver, OpClusterDriver, OpDriver, Received, StateDriver,
+    DeltaDriver, Driver, LatticeDriver, MultiDriver, OpClusterDriver, OpDriver, Received,
+    StateDriver,
 };
 pub use fault::{CrashPlan, FaultPlan, Partition, PartitionWindow};
 pub use monitored::MonitoredDriver;

@@ -12,10 +12,9 @@ use crate::report::{Checks, Report};
 use crate::walk::{self, Observer, Step};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::op_based::{Cluster, OpBased};
 use ral_runtime::schedule::{drive_state_based, ScheduleConfig};
-use ral_runtime::state_based::StateCluster;
 use std::ops::Range;
 
 /// Checks SEC for an operation-based CRDT: along random executions, any two
@@ -101,12 +100,12 @@ where
     };
     let mut report = Report::new("StrongEventualConsistency");
     for seed in seeds {
-        let mut cluster = StateCluster::new(crdt.clone(), n_replicas);
+        let mut cluster = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n_replicas);
         drive_state_based(&mut cluster, &schedule, seed, &mut call_gen);
         report.check("lattice-laws", cluster.check_lattice_laws(), || {
             format!("seed {seed}: lattice laws violated")
         });
-        cluster.sync_all();
+        cluster.resync_round();
         report.check("convergence", cluster.converged(), || {
             format!("seed {seed}: no convergence after sync round")
         });

@@ -5,24 +5,22 @@
 //! indistinguishable* from Appendix D's full-state replication: whatever
 //! the network lost, duplicated, reordered, or partitioned, and whatever
 //! replicas crashed, the states everyone settles on must be the states a
-//! full-state run settles on. Two harnesses check that on the whole
-//! `ral-sim` scenario corpus:
-//!
-//! * [`delta_converges_in`] — the delta transport alone: every replica of
-//!   a [`DeltaDriver`] run converges after the final synchronization, and
-//!   the lattice + delta laws hold on the surviving states (the Prop1–Prop6
-//!   analogue for join decompositions: every shipped payload is a lattice
-//!   element, so the obligations of Appendix D transfer verbatim);
-//! * [`delta_matches_full_state_in`] — the differential harness: a
-//!   [`ParityDriver`] runs a full-state [`StateCluster`] and a
-//!   [`DeltaCluster`] in **lockstep** through the identical simulated
-//!   schedule — same invocations, same message timings, same faults — with
-//!   the delta cluster replicating the *same mutations* through
-//!   [`DeltaCluster::ingest_local`]. Both transports must converge to
-//!   **identical final states**: the inductive argument is that every
-//!   replica state in either cluster is a join of the same mutation
-//!   deltas, so the final full synchronization reaches the join of all of
-//!   them — on both sides.
+//! full-state run settles on. The delta transport alone is held to
+//! convergence and the lattice + delta laws on the whole `ral-sim`
+//! scenario corpus by
+//! [`lattice_converges_in`](crate::scenarios::lattice_converges_in), as the
+//! full-state one is (every shipped payload is a lattice element, so the
+//! obligations of Appendix D transfer verbatim). This module holds the
+//! differential harness, [`delta_matches_full_state_in`]: a
+//! [`ParityDriver`] runs a full-state [`DeltaCluster`] (resyncs only) and a
+//! gossiping one in **lockstep** through the identical simulated schedule —
+//! same invocations, same message timings, same faults — with the
+//! gossiping cluster replicating the *same mutations* through
+//! [`DeltaCluster::ingest_local`]. Both transports must converge to
+//! **identical final states**: the inductive argument is that every
+//! replica state in either cluster is a join of the same mutation deltas,
+//! so the final full synchronization reaches the join of all of them — on
+//! both sides.
 //!
 //! Holding the mutations fixed is what makes the comparison exact: CRDTs
 //! whose mutators read the local state (an MV-Register write mints a
@@ -32,22 +30,19 @@
 //! differential run isolates precisely the new machinery — buffering,
 //! batching, ack-driven GC, resync — and demands it lose nothing.
 //!
-//! [`StateCluster`]: ral_runtime::state_based::StateCluster
 //! [`DeltaCluster`]: ral_runtime::delta::DeltaCluster
 
 use crate::report::Report;
-use crate::scenarios::converged_runs;
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
-use ral_runtime::state_based::StateCluster;
 use ral_sim::driver::{DeltaDriver, Driver, Received, StateDriver};
 use ral_sim::scenario::Scenario;
 use ral_sim::sim;
 use std::ops::Range;
 
-/// Runs a full-state [`StateCluster`] and a [`DeltaCluster`] in lockstep
-/// under one simulated schedule, replicating the *same* mutations through
+/// Runs a full-state [`DeltaCluster`] (every send a resync) and a
+/// gossiping one in lockstep under one simulated schedule, replicating the *same* mutations through
 /// both transports.
 ///
 /// Invocations execute on the full-state cluster (the semantic reference);
@@ -59,10 +54,9 @@ use std::ops::Range;
 /// synchronization, [`ParityDriver::converged`] additionally demands the
 /// two clusters agree replica by replica.
 ///
-/// [`StateCluster`]: ral_runtime::state_based::StateCluster
 /// [`DeltaCluster`]: ral_runtime::delta::DeltaCluster
 pub struct ParityDriver<C: DeltaCrdt + Clone, F> {
-    full: StateCluster<C>,
+    full: DeltaCluster<C>,
     delta: DeltaCluster<C>,
     call_gen: F,
 }
@@ -76,14 +70,14 @@ where
     /// cluster's replica state (the semantic reference).
     pub fn new(crdt: C, config: DeltaConfig, n_replicas: usize, call_gen: F) -> Self {
         ParityDriver {
-            full: StateCluster::new(crdt.clone(), n_replicas),
+            full: DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n_replicas),
             delta: DeltaCluster::new(crdt, config, n_replicas),
             call_gen,
         }
     }
 
     /// The full-state reference cluster.
-    pub fn full(&self) -> &StateCluster<C> {
+    pub fn full(&self) -> &DeltaCluster<C> {
         &self.full
     }
 
@@ -132,7 +126,7 @@ where
 
     fn gossip(&mut self, r: ReplicaId) -> bool {
         // One message each, under the same id.
-        self.full.send(r);
+        self.full.resync(r);
         self.delta.gossip(r);
         true
     }
@@ -168,7 +162,7 @@ where
 
     fn final_sync(&mut self) {
         self.full.restart_all();
-        self.full.sync_all();
+        self.full.resync_round();
         self.delta.restart_all();
         self.delta.sync_all();
     }
@@ -214,37 +208,6 @@ where
     report
 }
 
-/// Checks strong eventual consistency of the delta transport alone under a
-/// named scenario: for every seed, a [`DeltaDriver`] run converges after
-/// the final synchronization and the lattice + delta laws hold on the
-/// surviving states.
-pub fn delta_converges_in<C, F, M>(
-    crdt: C,
-    config: DeltaConfig,
-    scenario: &Scenario,
-    seeds: Range<u64>,
-    mut mk_call_gen: M,
-) -> Report
-where
-    C: DeltaCrdt + Clone,
-    F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-    M: FnMut() -> F,
-{
-    converged_runs(
-        "DeltaConvergence",
-        scenario,
-        seeds,
-        || DeltaDriver::new(crdt.clone(), config, scenario.cfg.n_replicas, mk_call_gen()),
-        |driver| {
-            if driver.cluster().check_lattice_laws() {
-                Ok(())
-            } else {
-                Err("lattice/delta laws violated".into())
-            }
-        },
-    )
-}
-
 /// Runs one seeded scenario under both transports (independently, not in
 /// lockstep) and returns `(full_state_bytes, delta_bytes)` — the total
 /// wire payload each put on links. The bandwidth claim of the `ral-bench`
@@ -275,6 +238,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::lattice_converges_in;
     use crate::workloads;
     use ral_crdts::state::lww_element_set::LwwElementSet;
     use ral_crdts::state::pn_counter::PnCounter;
@@ -294,13 +258,14 @@ mod tests {
 
     #[test]
     fn lww_set_delta_transport_converges_on_the_delta_wan() {
-        let report = delta_converges_in(
-            LwwElementSet::<u8>::new(),
-            DeltaConfig::default(),
-            &scenario::delta_wan(),
-            0..2,
-            || |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
-        );
+        let report = lattice_converges_in(&scenario::delta_wan(), 0..2, |n| {
+            DeltaDriver::new(
+                LwwElementSet::<u8>::new(),
+                DeltaConfig::default(),
+                n,
+                |rng, _, _| Some(workloads::lww_element_set(rng)),
+            )
+        });
         assert!(report.ok(), "{report}");
     }
 

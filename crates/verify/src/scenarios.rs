@@ -6,10 +6,10 @@
 //! meshes). This module runs one through the other and reports the
 //! paper-level obligations that must survive the trip:
 //!
-//! * [`state_converges_in`] — Appendix D.2: a state-based CRDT converges
-//!   (and keeps its lattice laws) whatever the network lost, duplicated,
-//!   or reordered, and whatever replicas crashed back to their durable
-//!   checkpoints;
+//! * [`lattice_converges_in`] — Appendix D.2: a state-based CRDT converges
+//!   (and keeps its lattice and delta laws) on either lattice transport,
+//!   whatever the network lost, duplicated, or reordered, and whatever
+//!   replicas crashed back to their durable checkpoints;
 //! * [`op_linearizable_in`] — Sections 3–4: an op-based CRDT's history,
 //!   recorded under partitions/crashes/latency, still RA-linearizes with
 //!   the strategy Figure 12 claims for it.
@@ -28,7 +28,7 @@ use ral_core::spec::Spec;
 use ral_runtime::delta::DeltaCrdt;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::OpBased;
-use ral_sim::driver::{Driver, MultiDriver, OpDriver, StateDriver};
+use ral_sim::driver::{Driver, LatticeDriver, MultiDriver, OpDriver, Propagation};
 use ral_sim::scenario::Scenario;
 use ral_sim::{sim, MonitoredDriver};
 use std::ops::Range;
@@ -38,7 +38,7 @@ use std::ops::Range;
 // `judge` have the finished driver. A diverged run fails whatever its
 // history would have proved — the checkers assume the paper's "all updates
 // eventually visible everywhere" hypothesis.
-pub(crate) fn converged_runs<D: Driver>(
+fn converged_runs<D: Driver>(
     name: &str,
     scenario: &Scenario,
     seeds: Range<u64>,
@@ -63,32 +63,36 @@ pub(crate) fn converged_runs<D: Driver>(
 }
 
 /// Checks strong eventual consistency of a state-based CRDT under a named
-/// scenario: for every seed, the replicas converge after the final
-/// synchronization and the lattice laws hold on the surviving states.
+/// scenario, on either lattice transport: for every seed, the replicas
+/// converge after the final synchronization and the lattice and delta laws
+/// hold on the surviving states.
 ///
-/// `mk_call_gen` builds a fresh workload per seed (workloads that thread
-/// fresh-value counters are rebuilt rather than shared across runs).
-pub fn state_converges_in<C, F, M>(
-    crdt: C,
+/// `build(n_replicas)` makes a fresh [`StateDriver`] or [`DeltaDriver`] per
+/// seed (workloads that thread fresh-value counters are rebuilt rather
+/// than shared across runs).
+///
+/// [`StateDriver`]: ral_sim::driver::StateDriver
+/// [`DeltaDriver`]: ral_sim::driver::DeltaDriver
+pub fn lattice_converges_in<C, F, P>(
     scenario: &Scenario,
     seeds: Range<u64>,
-    mut mk_call_gen: M,
+    mut build: impl FnMut(usize) -> LatticeDriver<C, F, P>,
 ) -> Report
 where
-    C: DeltaCrdt + Clone,
+    C: DeltaCrdt,
     F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>,
-    M: FnMut() -> F,
+    P: Propagation<C>,
 {
     converged_runs(
         "Convergence",
         scenario,
         seeds,
-        || StateDriver::new(crdt.clone(), scenario.cfg.n_replicas, mk_call_gen()),
+        || build(scenario.cfg.n_replicas),
         |driver| {
             if driver.cluster().check_lattice_laws() {
                 Ok(())
             } else {
-                Err("lattice laws violated".into())
+                Err("lattice/delta laws violated".into())
             }
         },
     )
@@ -308,14 +312,15 @@ mod tests {
     use ral_core::label::Identity;
     use ral_crdts::op::counter::OpCounter;
     use ral_crdts::state::pn_counter::PnCounter;
+    use ral_sim::driver::StateDriver;
     use ral_sim::scenario;
     use ral_spec::counter::CounterSpec;
     use ral_spec::register::RegSpec;
 
     #[test]
     fn pn_counter_survives_the_flaky_wan() {
-        let report = state_converges_in(PnCounter, &scenario::flaky_wan(), 0..2, || {
-            |rng: &mut Rng, _, _| Some(workloads::pn_counter(rng))
+        let report = lattice_converges_in(&scenario::flaky_wan(), 0..2, |n| {
+            StateDriver::new(PnCounter, n, |rng, _, _| Some(workloads::pn_counter(rng)))
         });
         assert!(report.ok(), "{report}");
     }

@@ -25,9 +25,8 @@ use ral_core::history::{History, OpRecord};
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_crdts::state::local::{EffectorClass, LocalEffector};
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::laws;
-use ral_runtime::state_based::StateCluster;
 use std::ops::Range;
 
 /// Obligation key: Prop1/Prop1′ local-effector commutativity.
@@ -64,7 +63,7 @@ where
 {
     let mut report = Report::new("Prop1-Prop6");
     for seed in seeds {
-        let mut cluster = StateCluster::new(crdt.clone(), n_replicas);
+        let mut cluster = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n_replicas);
         let mut rng = Rng::seed_from_u64(seed);
         // Sampled reachable states.
         let mut states: Vec<C::State> = vec![cluster.state(ReplicaId(0)).clone()];
@@ -85,7 +84,7 @@ where
                     states.push(after.clone());
                 }
             } else if rng.random_bool(0.5) || cluster.n_messages() == 0 {
-                cluster.send(r);
+                cluster.resync(r);
             } else {
                 let m = rng.random_range(0..cluster.n_messages());
                 cluster.apply(r, m);

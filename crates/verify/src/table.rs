@@ -21,9 +21,9 @@ use ral_core::history::History;
 use ral_core::label::Rewrite;
 use ral_core::ralin::{ra_check, ra_search_sharded_with_budget, ra_search_with_budget, Strategy};
 use ral_core::spec::Spec;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{drive_op_based, drive_state_based};
-use ral_runtime::state_based::StateCluster;
 
 /// One row of Figure 12.
 #[derive(Clone, Debug)]
@@ -123,7 +123,7 @@ fn state_row<F: StateFamily>(histories: u64, seed0: u64) -> Fig12Row {
         convergence::check_state_based(F::crdt(), N_REPLICAS, steps, OBLIGATION_SEEDS, calls()),
     ];
     let history = |scale: Scale, seed| {
-        let mut c = StateCluster::new(F::crdt(), N_REPLICAS);
+        let mut c = DeltaCluster::new(F::crdt(), DeltaConfig::default(), N_REPLICAS);
         drive_state_based(&mut c, &scale.schedule(), seed, F::calls(scale));
         c.into_history()
     };

@@ -23,10 +23,10 @@ use ral_crdts::state::mv_register::MvRegister;
 use ral_crdts::state::pn_counter::PnCounter;
 use ral_crdts::state::two_phase_set::TwoPhaseSet;
 use ral_runtime::delta::DeltaConfig;
+use ral_sim::driver::DeltaDriver;
 use ral_sim::scenario;
-use ral_verify::delta::{
-    delta_converges_in, delta_matches_full_state_in, payload_bytes_comparison,
-};
+use ral_verify::delta::{delta_matches_full_state_in, payload_bytes_comparison};
+use ral_verify::scenarios::lattice_converges_in;
 use ral_verify::workloads;
 
 const SEEDS: std::ops::Range<u64> = 0..2;
@@ -105,8 +105,10 @@ fn fault_scenarios() -> Vec<scenario::Scenario> {
 #[test]
 fn pn_counter_delta_transport_converges_across_the_corpus() {
     for sc in fault_scenarios() {
-        let report = delta_converges_in(PnCounter, config(), &sc, SEEDS, || {
-            |rng: &mut Rng, _, _| Some(workloads::pn_counter(rng))
+        let report = lattice_converges_in(&sc, SEEDS, |n| {
+            DeltaDriver::new(PnCounter, config(), n, |rng: &mut Rng, _, _| {
+                Some(workloads::pn_counter(rng))
+            })
         });
         assert!(report.ok(), "{}: {report}", sc.name);
     }
@@ -115,8 +117,13 @@ fn pn_counter_delta_transport_converges_across_the_corpus() {
 #[test]
 fn mv_register_delta_transport_converges_across_the_corpus() {
     for sc in fault_scenarios() {
-        let report = delta_converges_in(MvRegister::<u8>::new(), config(), &sc, SEEDS, || {
-            |rng: &mut Rng, _, _| Some(workloads::mv_register(rng))
+        let report = lattice_converges_in(&sc, SEEDS, |n| {
+            DeltaDriver::new(
+                MvRegister::<u8>::new(),
+                config(),
+                n,
+                |rng: &mut Rng, _, _| Some(workloads::mv_register(rng)),
+            )
         });
         assert!(report.ok(), "{}: {report}", sc.name);
     }
@@ -125,8 +132,13 @@ fn mv_register_delta_transport_converges_across_the_corpus() {
 #[test]
 fn lww_element_set_delta_transport_converges_across_the_corpus() {
     for sc in fault_scenarios() {
-        let report = delta_converges_in(LwwElementSet::<u8>::new(), config(), &sc, SEEDS, || {
-            |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng))
+        let report = lattice_converges_in(&sc, SEEDS, |n| {
+            DeltaDriver::new(
+                LwwElementSet::<u8>::new(),
+                config(),
+                n,
+                |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
+            )
         });
         assert!(report.ok(), "{}: {report}", sc.name);
     }
@@ -135,9 +147,14 @@ fn lww_element_set_delta_transport_converges_across_the_corpus() {
 #[test]
 fn two_phase_set_delta_transport_converges_across_the_corpus() {
     for sc in fault_scenarios() {
-        let report = delta_converges_in(TwoPhaseSet::<u16>::new(), config(), &sc, SEEDS, || {
+        let report = lattice_converges_in(&sc, SEEDS, |n| {
             let mut next = 0u16;
-            move |rng: &mut Rng, _, st| workloads::two_phase_set(rng, st, &mut next)
+            DeltaDriver::new(
+                TwoPhaseSet::<u16>::new(),
+                config(),
+                n,
+                move |rng: &mut Rng, _, st| workloads::two_phase_set(rng, st, &mut next),
+            )
         });
         assert!(report.ok(), "{}: {report}", sc.name);
     }

@@ -15,14 +15,13 @@ use ral_crdts::op::or_set::OrSet;
 use ral_crdts::op::rga::Rga;
 use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::pn_counter::PnCounter;
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{
     drive_multi, drive_op_based, drive_op_based_partitioned, drive_state_based, Partition,
     ScheduleConfig,
 };
-use ral_runtime::state_based::StateCluster;
 // The canonical workload generators — reusing them here means this suite
 // also pins *their* randomness consumption, not a drifting copy of it.
 use ral_verify::workloads;
@@ -85,7 +84,7 @@ fn multi_object_same_seed_is_byte_identical() {
 #[test]
 fn state_based_same_seed_is_byte_identical() {
     let run = |seed: u64| {
-        let mut c = StateCluster::new(PnCounter, 3);
+        let mut c = state_cluster(PnCounter);
         drive_state_based(&mut c, &ScheduleConfig::default(), seed, |rng, _, _| {
             Some(workloads::pn_counter(rng))
         });
@@ -211,8 +210,8 @@ fn partitioned_runs_match_their_golden_hashes() {
 }
 
 /// A fresh three-replica full-state cluster for the state-based goldens.
-fn state_cluster<C: DeltaCrdt>(crdt: C) -> StateCluster<C> {
-    StateCluster::new(crdt, 3)
+fn state_cluster<C: DeltaCrdt>(crdt: C) -> DeltaCluster<C> {
+    DeltaCluster::new(crdt, DeltaConfig::default(), 3)
 }
 
 /// `drive_state_based` runs pinned across builds: the history hash, the

@@ -29,10 +29,9 @@ use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::mv_register::MvRegister;
 use ral_crdts::state::pn_counter::PnCounter;
 use ral_crdts::state::two_phase_set::TwoPhaseSet;
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::op_based::{Cluster, OpBased};
 use ral_runtime::schedule::{drive_op_based, drive_state_based, ScheduleConfig};
-use ral_runtime::state_based::StateCluster;
 use ral_spec::counter::CounterSpec;
 use ral_spec::register::{MvRegSpec, RegSpec};
 use ral_spec::rga::RgaSpec;
@@ -215,7 +214,7 @@ fn cross_check_state<C, S>(
     S: Spec,
     Identity: Rewrite<C::Label, Out = S::Label>,
 {
-    let mut c = StateCluster::new(crdt, 3);
+    let mut c = DeltaCluster::new(crdt, DeltaConfig::default(), 3);
     drive_state_based(&mut c, &cross_cfg(steps), seed, &mut gen);
     let rewritten = rewrite_history(&c.into_history(), &Identity);
     cross_check(&rewritten.history, spec);

@@ -18,9 +18,8 @@ use ral_crdts::op::wooki::{Wooki, WookiCall};
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall};
 use ral_crdts::state::mv_register::{MvCall, MvRegister};
 use ral_crdts::state::pn_counter::{PnCall, PnCounter};
-use ral_runtime::delta::DeltaCrdt;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_runtime::op_based::Cluster;
-use ral_runtime::state_based::StateCluster;
 use ral_spec::rga::Anchor;
 use ral_spec::wooki::WookiAnchor;
 
@@ -127,8 +126,8 @@ fn state_based_converge_despite_chaos() {
         crdt: C,
         schedule: &[(u8, u8)],
         mut call: impl FnMut(u8) -> C::Call,
-    ) -> StateCluster<C> {
-        let mut cluster = StateCluster::new(crdt, 3);
+    ) -> DeltaCluster<C> {
+        let mut cluster = DeltaCluster::new(crdt, DeltaConfig::default(), 3);
         for &(raw, action) in schedule {
             let r = replica(raw);
             match action % 4 {
@@ -137,7 +136,7 @@ fn state_based_converge_despite_chaos() {
                     cluster.invoke(r, c);
                 }
                 2 => {
-                    cluster.send(r);
+                    cluster.resync(r);
                 }
                 _ => {
                     if cluster.n_messages() > 0 {
@@ -147,7 +146,7 @@ fn state_based_converge_despite_chaos() {
                 }
             }
         }
-        cluster.sync_all();
+        cluster.resync_round();
         cluster
     }
 

@@ -27,8 +27,7 @@ use ral_crdts::state::mv_register::{MvRegister, MvState};
 use ral_crdts::state::pn_counter::{PnCounter, PnDelta, PnState};
 use ral_crdts::state::two_phase_set::{TwoPState, TwoPhaseSet};
 use ral_crdts::state::SortedSet;
-use ral_runtime::delta::DeltaCrdt;
-use ral_runtime::state_based::StateCluster;
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
 use ral_spec::register::vv_lt;
 use ral_verify::workloads;
 use std::cell::Cell;
@@ -42,7 +41,7 @@ struct Pool<C: DeltaCrdt> {
     deltas: Vec<C::Delta>,
 }
 
-/// Drives a three-replica [`StateCluster`] through random invocations,
+/// Drives a three-replica full-state [`DeltaCluster`] through random invocations,
 /// snapshots and (re)deliveries, collecting every state a replica passed
 /// through and every mutation's delta. After each step, every snapshot ever
 /// taken must still hold the state it was taken at: the sender mutates in
@@ -52,7 +51,7 @@ where
     C: DeltaCrdt + Clone,
     G: FnMut(&mut Rng, &C::State) -> Option<C::Call>,
 {
-    let mut cluster = StateCluster::new(crdt.clone(), 3);
+    let mut cluster = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), 3);
     let mut pool = Pool {
         states: vec![crdt.initial(3)],
         deltas: Vec::new(),
@@ -70,7 +69,7 @@ where
                 }
             }
             3 => {
-                cluster.send(r);
+                cluster.resync(r);
                 snapshots.push(cluster.state(r).clone());
             }
             _ if !snapshots.is_empty() => {
@@ -81,8 +80,8 @@ where
         }
         for (m, taken_at) in snapshots.iter().enumerate() {
             assert_eq!(
-                cluster.message_state(m),
-                taken_at,
+                cluster.message(m).state(),
+                Some(taken_at),
                 "a write reached snapshot {m} through the state it shares"
             );
         }

@@ -30,7 +30,7 @@ use ral_runtime::gen::{GenCtx, GenOutcome};
 use ral_runtime::mailbox::Received;
 use ral_runtime::multi::{MultiCluster, TsMode};
 use ral_runtime::op_based::Cluster;
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{Driver, MultiDriver};
 use ral_sim::fault::CrashPlan;
 use ral_sim::scenario;
@@ -196,38 +196,38 @@ fn a_one_pair_delta_costs_one_clone_and_its_duplicate_none() {
 
 #[test]
 fn a_snapshot_is_free_and_the_state_is_copied_once_per_write_after_share() {
-    let mut c = StateCluster::new(Lww::new(), 2);
+    let mut c = DeltaCluster::new(Lww::new(), DeltaConfig::default(), 2);
     for x in 0..20 {
         c.invoke(r(0), LwwSetCall::Add(Counted(x))).unwrap();
     }
-    let (clones, _) = clones_during(|| c.send(r(0)));
+    let (clones, _) = clones_during(|| c.resync(r(0)));
     assert_eq!(clones, 0, "a snapshot shares the replica's state");
-    let (clones, _) = clones_during(|| (c.send(r(0)), c.persist(r(0)), c.send(r(0))));
+    let (clones, _) = clones_during(|| (c.resync(r(0)), c.persist(r(0)), c.resync(r(0))));
     assert_eq!(clones, 0, "so does a checkpoint, however many are taken");
 
     c.invoke(r(1), LwwSetCall::Add(Counted(100))).unwrap();
-    let first = c.send(r(1));
+    let first = c.resync(r(1));
     c.invoke(r(1), LwwSetCall::Add(Counted(101))).unwrap();
-    let second = c.send(r(1));
+    let second = c.resync(r(1));
     let check = debug_flag_check(c.state(r(0)));
-    let (clones, ()) = clones_during(|| c.apply(r(0), first));
+    let (clones, _) = clones_during(|| c.apply(r(0), first));
     assert_eq!(
         clones,
         20 + 1 + check,
         "first write after the share: one copy + one pair"
     );
     let check = debug_flag_check(c.state(r(0)));
-    let (clones, ()) = clones_during(|| c.apply(r(0), second));
+    let (clones, _) = clones_during(|| c.apply(r(0), second));
     assert_eq!(
         clones,
         1 + check,
         "second write: the state is this replica's alone"
     );
     let check = debug_flag_check(c.state(r(0)));
-    let (clones, ()) = clones_during(|| c.apply(r(0), second));
+    let (clones, _) = clones_during(|| c.apply(r(0), second));
     assert_eq!(clones, check);
     // The snapshots taken before the writes still hold what they held.
-    assert_eq!(pairs(c.message_state(0)), 20);
+    assert_eq!(c.message(0).state().map(pairs), Some(20));
     assert_eq!(pairs(c.state(r(0))), 22);
 }
 
@@ -421,21 +421,21 @@ impl DeltaCrdt for Floors {
 
 #[test]
 fn a_stale_or_duplicate_snapshot_never_scans_the_clock_floor() {
-    let mut c = StateCluster::new(Floors(Lww::new()), 2);
+    let mut c = DeltaCluster::new(Floors(Lww::new()), DeltaConfig::default(), 2);
     for x in 0..20 {
         c.invoke(r(0), LwwSetCall::Add(Counted(x))).unwrap();
     }
-    let old = c.send(r(0));
+    let old = c.resync(r(0));
     c.invoke(r(0), LwwSetCall::Add(Counted(20))).unwrap();
-    let new = c.send(r(0));
-    let (scans, ()) = floor_scans_during(|| c.apply(r(1), new));
+    let new = c.resync(r(0));
+    let (scans, _) = floor_scans_during(|| c.apply(r(1), new));
     assert_eq!(
         scans,
         1 + debug_clock_check(),
         "a snapshot that adds something re-reads the floor once"
     );
     for (m, what) in [(new, "duplicate"), (old, "stale")] {
-        let (scans, ()) = floor_scans_during(|| c.apply(r(1), m));
+        let (scans, _) = floor_scans_during(|| c.apply(r(1), m));
         assert_eq!(
             scans,
             debug_clock_check(),

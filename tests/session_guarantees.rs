@@ -12,9 +12,9 @@ use ral_core::ids::ReplicaId;
 use ral_core::sessions::check_sessions;
 use ral_crdts::op::or_set::{OrSet, OrSetCall};
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall};
+use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{drive_op_based, drive_state_based, ScheduleConfig};
-use ral_runtime::state_based::StateCluster;
 
 #[test]
 fn op_based_histories_satisfy_session_guarantees() {
@@ -38,7 +38,7 @@ fn state_based_histories_satisfy_session_guarantees() {
     // Even without causal delivery: merges only ever grow the observed set,
     // and observed sets travel with the states.
     for seed in 0..20 {
-        let mut c = StateCluster::new(LwwElementSet::<u8>::new(), 3);
+        let mut c = DeltaCluster::new(LwwElementSet::<u8>::new(), DeltaConfig::default(), 3);
         drive_state_based(&mut c, &ScheduleConfig::default(), seed, |rng, _, _| {
             Some(match rng.random_range(0..4u8) {
                 0 | 1 => LwwSetCall::Add(rng.random_range(0..4)),

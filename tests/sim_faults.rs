@@ -24,6 +24,7 @@ use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::mv_register::MvRegister;
 use ral_crdts::state::pn_counter::PnCounter;
 use ral_crdts::state::two_phase_set::TwoPhaseSet;
+use ral_sim::driver::StateDriver;
 use ral_sim::scenario;
 use ral_spec::addat::AddAt3Spec;
 use ral_spec::counter::CounterSpec;
@@ -31,7 +32,7 @@ use ral_spec::register::RegSpec;
 use ral_spec::rga::RgaSpec;
 use ral_spec::set::OrSetSpec;
 use ral_spec::wooki::{WookiAnchor, WookiSpec};
-use ral_verify::scenarios::{op_linearizable_in, state_converges_in};
+use ral_verify::scenarios::{lattice_converges_in, op_linearizable_in};
 use ral_verify::workloads;
 
 const SEEDS: std::ops::Range<u64> = 0..3;
@@ -42,45 +43,42 @@ const SEEDS: std::ops::Range<u64> = 0..3;
 
 #[test]
 fn pn_counter_converges_under_flaky_wan() {
-    let report = state_converges_in(PnCounter, &scenario::flaky_wan(), SEEDS, || {
-        |rng: &mut Rng, _, _| Some(workloads::pn_counter(rng))
+    let report = lattice_converges_in(&scenario::flaky_wan(), SEEDS, |n| {
+        StateDriver::new(PnCounter, n, |rng: &mut Rng, _, _| {
+            Some(workloads::pn_counter(rng))
+        })
     });
     assert!(report.ok(), "{report}");
 }
 
 #[test]
 fn mv_register_converges_under_flaky_wan() {
-    let report = state_converges_in(
-        MvRegister::<u8>::new(),
-        &scenario::flaky_wan(),
-        SEEDS,
-        || |rng: &mut Rng, _, _| Some(workloads::mv_register(rng)),
-    );
+    let report = lattice_converges_in(&scenario::flaky_wan(), SEEDS, |n| {
+        StateDriver::new(MvRegister::<u8>::new(), n, |rng: &mut Rng, _, _| {
+            Some(workloads::mv_register(rng))
+        })
+    });
     assert!(report.ok(), "{report}");
 }
 
 #[test]
 fn lww_element_set_converges_under_flaky_wan() {
-    let report = state_converges_in(
-        LwwElementSet::<u8>::new(),
-        &scenario::flaky_wan(),
-        SEEDS,
-        || |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
-    );
+    let report = lattice_converges_in(&scenario::flaky_wan(), SEEDS, |n| {
+        StateDriver::new(LwwElementSet::<u8>::new(), n, |rng: &mut Rng, _, _| {
+            Some(workloads::lww_element_set(rng))
+        })
+    });
     assert!(report.ok(), "{report}");
 }
 
 #[test]
 fn two_phase_set_converges_under_flaky_wan() {
-    let report = state_converges_in(
-        TwoPhaseSet::<u16>::new(),
-        &scenario::flaky_wan(),
-        SEEDS,
-        || {
-            let mut next = 0u16;
-            move |rng: &mut Rng, _, st| workloads::two_phase_set(rng, st, &mut next)
-        },
-    );
+    let report = lattice_converges_in(&scenario::flaky_wan(), SEEDS, |n| {
+        let mut next = 0u16;
+        StateDriver::new(TwoPhaseSet::<u16>::new(), n, move |rng: &mut Rng, _, st| {
+            workloads::two_phase_set(rng, st, &mut next)
+        })
+    });
     assert!(report.ok(), "{report}");
 }
 
@@ -88,16 +86,17 @@ fn two_phase_set_converges_under_flaky_wan() {
 /// restarts lose only merged-in knowledge, which redelivery restores.
 #[test]
 fn state_crdts_converge_under_rolling_restart() {
-    let report = state_converges_in(PnCounter, &scenario::rolling_restart(), SEEDS, || {
-        |rng: &mut Rng, _, _| Some(workloads::pn_counter(rng))
+    let report = lattice_converges_in(&scenario::rolling_restart(), SEEDS, |n| {
+        StateDriver::new(PnCounter, n, |rng: &mut Rng, _, _| {
+            Some(workloads::pn_counter(rng))
+        })
     });
     assert!(report.ok(), "{report}");
-    let report = state_converges_in(
-        LwwElementSet::<u8>::new(),
-        &scenario::rolling_restart(),
-        SEEDS,
-        || |rng: &mut Rng, _, _| Some(workloads::lww_element_set(rng)),
-    );
+    let report = lattice_converges_in(&scenario::rolling_restart(), SEEDS, |n| {
+        StateDriver::new(LwwElementSet::<u8>::new(), n, |rng: &mut Rng, _, _| {
+            Some(workloads::lww_element_set(rng))
+        })
+    });
     assert!(report.ok(), "{report}");
 }
 

@@ -9,7 +9,8 @@
 //! scenarios: a run through a wrapper that swallows every `release` has the
 //! same trace, history, final states and statistics as the plain run; every
 //! message whose arrivals were all spent really is released, and none is
-//! handed to `receive` — or sized by `message_bytes` — afterwards.
+//! handed to `receive` — or sized by `message_bytes` — afterwards. A
+//! full-state run also never gossips: every message it sends is a resync.
 
 use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
@@ -239,7 +240,7 @@ fn released_payloads_are_bottom_after_the_run() {
     let cluster = state.inner.cluster();
     for &m in &state.released {
         assert!(cluster.message(m).is_heartbeat());
-        assert!(cluster.message_seen(m).is_empty());
+        assert!(cluster.message(m).seen().is_empty());
     }
     let kept = (0..cluster.n_messages()).filter(|&m| cluster.message(m).is_resync());
     assert_eq!(kept.count(), cluster.n_messages() - state.released.len());
@@ -249,6 +250,31 @@ fn released_payloads_are_bottom_after_the_run() {
     for &m in &delta.released {
         assert!(delta.inner.cluster().message(m).is_heartbeat());
         assert_eq!(delta.inner.receive(ReplicaId(0), m), Received::Ignored);
+    }
+}
+
+/// A full-state run is a lattice cluster that only resyncs: whatever the
+/// scenario does, no delta batch or heartbeat is ever sent, and every
+/// message the engine did not release still carries its snapshot.
+#[test]
+fn a_full_state_run_never_gossips() {
+    for sc in [
+        scenario::flaky_wan(),
+        scenario::delta_wan(),
+        scenario::rolling_restart(),
+    ] {
+        for seed in 0..2 {
+            let mut driver = Watch::new(state_driver(&sc), true);
+            sim::run(&mut driver, &sc.cfg, seed);
+            let cluster = driver.inner.cluster();
+            let stats = cluster.stats();
+            let at = format!("{} seed {seed}", sc.name);
+            assert_eq!((stats.batches, stats.heartbeats), (0, 0), "{at}");
+            assert_eq!(stats.resyncs, cluster.n_messages(), "{at}");
+            for m in (0..cluster.n_messages()).filter(|m| !driver.released.contains(m)) {
+                assert!(cluster.message(m).is_resync(), "{at}: message {m}");
+            }
+        }
     }
 }
 

@@ -14,9 +14,9 @@ use ral_core::history::{rewrite_history, History};
 use ral_core::ids::ObjId;
 use ral_core::label::{Rewrite, SpecLabel};
 use ral_core::spec::{Spec, Step};
+use ral_runtime::delta::{DeltaCluster, DeltaConfig};
 use ral_runtime::op_based::Cluster;
 use ral_runtime::schedule::{drive_op_based, drive_state_based};
-use ral_runtime::state_based::StateCluster;
 use ral_verify::families::{self, OpFamily, Scale, StateFamily};
 use std::collections::BTreeSet;
 
@@ -126,7 +126,7 @@ fn op_family<F: OpFamily>() {
 
 fn state_family<F: StateFamily>() {
     let runs = SEEDS.map(|seed| {
-        let mut c = StateCluster::new(F::crdt(), REPLICAS);
+        let mut c = DeltaCluster::new(F::crdt(), DeltaConfig::default(), REPLICAS);
         drive_state_based(
             &mut c,
             &Scale::Searched.schedule(),

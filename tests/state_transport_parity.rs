@@ -1,6 +1,8 @@
-//! Full-state parity: `StateCluster`, now a façade over the delta delivery
-//! core (a send is a `DeltaCluster::resync`), against the full-state cluster
-//! it replaced, copied below verbatim as the oracle.
+//! Full-state parity: a `DeltaCluster` run that only resyncs (every send a
+//! `DeltaCluster::resync`, the final sync a `resync_round`) — the full-state
+//! transport — against the full-state cluster it replaced, copied below
+//! verbatim as the oracle. The resyncing cluster is called the façade
+//! below, after the type that used to wrap it.
 //!
 //! The two run in lockstep — one random stream drives both, every answer
 //! either gives must be the other's — in two harnesses:
@@ -26,7 +28,8 @@
 //! snapshot into itself, because `DeltaCluster::apply` skips origin =
 //! receiver. The simulator never routes a message to its origin, and the
 //! schedules below withhold that delivery from the oracle, so the one
-//! place it shows is `sync_all` — see [`final_sync_both`].
+//! place it shows is the final sync (the oracle's `sync_all`, the façade's
+//! `resync_round`) — see [`final_sync_both`].
 
 use ral_analyze::fixtures::{SumCall, SummingCounter};
 use ral_core::ids::ReplicaId;
@@ -35,8 +38,8 @@ use ral_crdts::state::lww_element_set::LwwElementSet;
 use ral_crdts::state::mv_register::MvRegister;
 use ral_crdts::state::pn_counter::PnCounter;
 use ral_crdts::state::two_phase_set::TwoPhaseSet;
-use ral_runtime::delta::DeltaCrdt;
-use ral_runtime::state_based::{StateBased, StateCluster};
+use ral_runtime::delta::{DeltaCluster, DeltaConfig, DeltaCrdt};
+use ral_runtime::state_based::StateBased;
 use ral_sim::driver::{Driver, Received, StateDriver};
 use ral_sim::scenario::{self, Scenario};
 use ral_sim::sim;
@@ -382,7 +385,7 @@ fn replicas(n: usize) -> impl Iterator<Item = ReplicaId> {
 
 /// Replica `r` agrees: liveness, state and seen-set.
 fn assert_replica_agrees<C: DeltaCrdt>(
-    facade: &StateCluster<C>,
+    facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     r: ReplicaId,
     at: &str,
@@ -395,7 +398,7 @@ fn assert_replica_agrees<C: DeltaCrdt>(
 /// Message `m` agrees: origin, label set, and state — the oracle's ⊥ where
 /// the façade's released snapshot became the delta heartbeat.
 fn assert_message_agrees<C: DeltaCrdt>(
-    facade: &StateCluster<C>,
+    facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     m: usize,
     at: &str,
@@ -406,7 +409,7 @@ fn assert_message_agrees<C: DeltaCrdt>(
         "{at}: origin of {m}"
     );
     assert_eq!(
-        facade.message_seen(m),
+        facade.message(m).seen(),
         oracle.message_seen(m),
         "{at}: label set of {m}"
     );
@@ -423,7 +426,7 @@ fn assert_message_agrees<C: DeltaCrdt>(
 /// Everything agrees: every replica, every message, and the history's
 /// `Debug` bytes.
 fn assert_agree<C: DeltaCrdt>(
-    facade: &StateCluster<C>,
+    facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     at: &str,
 ) {
@@ -446,7 +449,8 @@ fn assert_agree<C: DeltaCrdt>(
     );
 }
 
-/// The end of a run on both: `restart_all`, then one `sync_all` round.
+/// The end of a run on both: `restart_all`, then one full-sync round
+/// (`resync_round` on the façade, `sync_all` on the oracle).
 ///
 /// Here the façade's one difference shows. The oracle's round merges all n
 /// snapshots into every replica, its own included; the façade's skips the
@@ -457,7 +461,7 @@ fn assert_agree<C: DeltaCrdt>(
 /// statement: the oracle ends at `merge(façade state, own pre-sync state)`.
 /// Seen-sets, histories and the round's messages agree either way.
 fn final_sync_both<C: DeltaCrdt>(
-    facade: &mut StateCluster<C>,
+    facade: &mut DeltaCluster<C>,
     oracle: &mut oracle::StateCluster<C>,
 ) {
     facade.restart_all();
@@ -465,7 +469,7 @@ fn final_sync_both<C: DeltaCrdt>(
     assert_agree(facade, oracle, "before the final sync");
     let n = facade.n_replicas();
     let pre: Vec<C::State> = replicas(n).map(|r| facade.state(r).clone()).collect();
-    facade.sync_all();
+    facade.resync_round();
     oracle.sync_all();
     for (r, own) in replicas(n).zip(&pre) {
         let expected = facade.crdt().merge(facade.state(r), own);
@@ -488,7 +492,7 @@ fn final_sync_both<C: DeltaCrdt>(
 /// Hands every engine call to both clusters, the way `StateDriver` hands it
 /// to one, and requires both to answer alike.
 struct Lockstep<C: DeltaCrdt, G> {
-    facade: StateCluster<C>,
+    facade: DeltaCluster<C>,
     oracle: oracle::StateCluster<C>,
     calls: G,
 }
@@ -514,7 +518,7 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
     }
 
     fn gossip(&mut self, r: ReplicaId) -> bool {
-        let m = self.facade.send(r);
+        let m = self.facade.resync(r);
         assert_eq!(m, self.oracle.send(r), "message id");
         assert_message_agrees(&self.facade, &self.oracle, m, "send");
         true
@@ -540,7 +544,12 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
     fn message_bytes(&self, m: usize, _to: ReplicaId) -> usize {
         // `StateDriver`'s model with `with_sizer(state_bytes)`.
         let crdt = self.facade.crdt();
-        let facade = 12 + crdt.state_bytes(self.facade.message_state(m));
+        let facade = 12
+            + self
+                .facade
+                .message(m)
+                .state()
+                .map_or(0, |s| crdt.state_bytes(s));
         let oracle = 12 + crdt.state_bytes(self.oracle.message_state(m));
         assert_eq!(facade, oracle, "size of {m}");
         facade
@@ -587,7 +596,7 @@ where
 {
     let n = sc.cfg.n_replicas;
     let mut lockstep = Lockstep {
-        facade: StateCluster::new(crdt.clone(), n),
+        facade: DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n),
         oracle: oracle::StateCluster::new(crdt.clone(), n),
         calls: mk_calls(),
     };
@@ -694,7 +703,7 @@ const REPLICAS: usize = 3;
 /// persist and release, on both clusters from one stream, everything
 /// compared after every step; then the final sync.
 fn schedule_in_lockstep<C: DeltaCrdt + Clone>(crdt: &C, rng: &mut Rng, calls: &mut impl Calls<C>) {
-    let mut facade = StateCluster::new(crdt.clone(), REPLICAS);
+    let mut facade = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), REPLICAS);
     let mut oracle = oracle::StateCluster::new(crdt.clone(), REPLICAS);
     for step in 0..rng.random_range(20..80usize) {
         let r = ReplicaId(rng.random_range(0..REPLICAS as u32));
@@ -710,7 +719,7 @@ fn schedule_in_lockstep<C: DeltaCrdt + Clone>(crdt: &C, rng: &mut Rng, calls: &m
                 assert_eq!(f, o, "step {step}: invoke at {r}");
             }
         } else if action < 7 || facade.n_messages() == 0 {
-            assert_eq!(facade.send(r), oracle.send(r));
+            assert_eq!(facade.resync(r), oracle.send(r));
         } else if action < 10 {
             let m = rng.random_range(0..facade.n_messages());
             facade.apply(r, m);
