@@ -16,7 +16,7 @@ use ral_core::ids::ReplicaId;
 use ral_core::rng::Rng;
 use ral_crdts::state::lww_element_set::{LwwElementSet, LwwSetCall, LwwSetState};
 use ral_runtime::delta::{DeltaConfig, DeltaCrdt};
-use ral_sim::driver::{DeltaDriver, Driver, Received, StateDriver};
+use ral_sim::driver::{DeltaDriver, Driver, LatticeDriver, Propagation, Received, StateDriver};
 use ral_sim::scenario::{self, Scenario};
 use ral_sim::sim::{self, SimRun, SimStats};
 use ral_sim::trace::{Trace, TraceEvent};
@@ -193,13 +193,9 @@ fn release_is_unobservable<D: Driver>(
     (stats, asked)
 }
 
-fn observe_state(d: &StateDriver<Lww, CallGen>) -> (String, Vec<LwwSetState<u8>>) {
-    let c = d.cluster();
-    let states = (0..c.n_replicas() as u32).map(|r| c.state(ReplicaId(r)).clone());
-    (format!("{:?}", c.history()), states.collect())
-}
-
-fn observe_delta(d: &DeltaDriver<Lww, CallGen>) -> (String, Vec<LwwSetState<u8>>) {
+fn observe<P: Propagation<Lww>>(
+    d: &LatticeDriver<Lww, CallGen, P>,
+) -> (String, Vec<LwwSetState<u8>>) {
     let c = d.cluster();
     let states = (0..c.n_replicas() as u32).map(|r| c.state(ReplicaId(r)).clone());
     (format!("{:?}", c.history()), states.collect())
@@ -209,7 +205,7 @@ fn observe_delta(d: &DeltaDriver<Lww, CallGen>) -> (String, Vec<LwwSetState<u8>>
 fn release_changes_nothing_a_state_based_run_can_observe() {
     for sc in [scenario::delta_wan(), scenario::flaky_wan()] {
         for seed in 0..2 {
-            let (stats, released) = release_is_unobservable(&sc, seed, state_driver, observe_state);
+            let (stats, released) = release_is_unobservable(&sc, seed, state_driver, observe);
             assert!(stats.dropped > 0 && stats.duplicated > 0, "{}", sc.name);
             assert!(stats.payload_bytes > 0, "sized before any release");
             assert!(!released.is_empty());
@@ -221,7 +217,7 @@ fn release_changes_nothing_a_state_based_run_can_observe() {
 fn release_changes_nothing_a_delta_run_can_observe() {
     for sc in [scenario::delta_wan(), scenario::flaky_wan()] {
         for seed in 0..2 {
-            let (stats, released) = release_is_unobservable(&sc, seed, delta_driver, observe_delta);
+            let (stats, released) = release_is_unobservable(&sc, seed, delta_driver, observe);
             assert!(stats.dropped > 0 && stats.duplicated > 0, "{}", sc.name);
             assert!(stats.payload_bytes > 0, "sized before any release");
             assert!(!released.is_empty());
