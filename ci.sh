@@ -39,10 +39,11 @@ step cargo test -q --offline
 # an operation's seen-set copy costs at most 16 bytes), the history's
 # (`history_mem`: a seen-set copy costs its tail words, not its index, and
 # the 100k-op monitored churn holds at most 16 MiB live at its end), the lattice
-# core's (a receive costs what the message changes, a stale snapshot scans
-# no clock floor; snapshots, resyncs and checkpoints cost nothing; a
-# write-after-share copies a pair set as one block, and a snapshot that
-# adds nothing allocates nothing), the
+# core's (a receive costs what the message changes; a covered arrival whose
+# labels the receiver has seen is dropped and costs no clone, allocation,
+# floor scan or state copy; snapshots, resyncs and checkpoints cost nothing,
+# and a warm checkpoint allocates nothing; a write-after-share copies a
+# pair set as one block, and a join that adds nothing allocates nothing), the
 # op-based holdback's (on `batch_composed`'s cases a receive probes at most
 # twice per held record it releases, a replica missing no same-object
 # operation scans at most one candidate per receive, 10⁴ reverse-order
@@ -69,6 +70,9 @@ step cargo test -q --offline
 # set the two set lattices store against a `BTreeSet` model), and
 # `state_transport_parity`: the verbatim full-state cluster from before
 # the delta core, run in lockstep against `DeltaCluster` resyncs.
+# `lattice_drop_rule` holds every arrival of random delta and full-state
+# schedules to the join, every dropped payload to adding nothing, and
+# every resync's coverage flag to a model of it.
 # `sim_release` also holds a `StateDriver` to never gossiping.
 # `prop_crdt_convergence` runs every state CRDT through both transports end
 # to end. `fuzz_roundtrip` replays every fixture through `sim::replay`, the
@@ -80,7 +84,7 @@ step cargo test -q --offline
 # `deliverable_into` and drain exactly as `Cluster` does, step by step.
 step cargo test -q --offline -p ral-runtime mailbox::
 step cargo test -q --offline -p ral-runtime -- op_based:: multi::
-step cargo test -q --offline --test determinism --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test prop_crdt_convergence --test fuzz_roundtrip
+step cargo test -q --offline --test determinism --test sim_determinism --test sim_faults --test sim_release --test sim_cost --test history_mem --test runtime_cost --test holdback_parity --test spec_cost --test spec_queries --test delta_convergence --test prop_merge_in_place --test state_transport_parity --test lattice_drop_rule --test prop_crdt_convergence --test fuzz_roundtrip
 # The checkers' cost contracts, in deterministic counts. The memoized walk:
 # a history that linearizes costs at most one expansion per operation, a
 # refutation expands each reachable configuration once, and a witness
@@ -151,9 +155,15 @@ step env RAL_OBS=1 RAL_OBS_OUT="$PWD/OBS_trace.json" cargo run --offline --examp
 # campaign is deterministic per seed, so FUZZ_report.json is a stable
 # per-commit artifact (modulo its wall_nanos field). The --broken run is
 # the oracle's negative control: the deliberately broken fixtures must be
-# caught and shrunk, or the step fails.
+# caught and shrunk, or the step fails. Its stdout (every finding, its
+# verdict, shrunk size and replay count) is deterministic and pinned byte
+# for byte, so a change that thins the control shows up even while it
+# still finds something.
 step cargo run --offline --release -p ral-fuzz -- --quick --seed 1 --min-coverage 900 --report "$PWD/FUZZ_report.json"
-step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --no-report
+echo
+echo "==> ral-fuzz --broken --seed 1 --runs 10 | diff - tests/golden/fuzz_broken_seed1.txt"
+cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --no-report |
+    diff - tests/golden/fuzz_broken_seed1.txt
 # Static-analysis gate: bounded-exhaustive simulation-obligation checking
 # over every shipped CRDT plus the workspace determinism lint (its
 # `thread-spawn` rule is what holds "no library code spawns a thread").

@@ -43,7 +43,7 @@ const BITS: usize = 64;
 /// t.insert(70);
 /// assert_eq!(s, t);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     /// Leading words that are all ones: the set holds all of `0..64·ones`.
     ones: usize,
@@ -315,6 +315,24 @@ impl BitSet {
             word: 0,
             bits: self.tail.first().copied().unwrap_or(0),
         }
+    }
+}
+
+impl Clone for BitSet {
+    #[inline]
+    fn clone(&self) -> Self {
+        BitSet {
+            ones: self.ones,
+            tail: self.tail.clone(),
+        }
+    }
+
+    /// Reuses `self`'s tail buffer: a copy into a warm set allocates only
+    /// when the source's tail is longer than any this set held.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.ones = source.ones;
+        self.tail.clone_from(&source.tail);
     }
 }
 
@@ -595,6 +613,28 @@ mod tests {
         assert_eq!((s.ones, s.tail.len()), (0, 16));
         assert!(s.insert(3));
         assert_eq!((s.ones, s.tail.len()), (16, 0));
+    }
+
+    #[test]
+    fn clone_from_copies_the_set_into_the_targets_buffer() {
+        let wide: BitSet = [3, 70, 500].into_iter().collect();
+        let mut target = wide.clone();
+        let buffer = target.tail.as_ptr();
+        for source in [
+            BitSet::prefix(130),
+            [64, 65].into_iter().collect(),
+            BitSet::new(),
+        ] {
+            target.clone_from(&source);
+            assert_eq!(target, source);
+            assert_eq!(
+                target.iter().collect::<Vec<_>>(),
+                source.iter().collect::<Vec<_>>()
+            );
+        }
+        target.clone_from(&wide);
+        assert_eq!(target, wide);
+        assert_eq!(target.tail.as_ptr(), buffer, "a warm copy reallocated");
     }
 
     #[test]

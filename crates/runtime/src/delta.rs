@@ -183,15 +183,22 @@ struct DeltaEntry<D> {
 
 // The replicated per-node bookkeeping; `durable` holds a complete copy, so
 // checkpointing and crash recovery are plain clones — cheap ones: the state
-// and the buffered entries are reference-counted, and `Rc::make_mut` copies
-// the state once on the first write after a checkpoint.
-#[derive(Clone, Debug)]
+// and the buffered entries are reference-counted, `Rc::make_mut` copies the
+// state once on the first write after a checkpoint, and `clone_from` refills
+// the checkpoint's vectors in place.
+#[derive(Debug)]
 struct DeltaCore<S, D> {
     state: Rc<S>,
     /// Liveness and visibility bookkeeping. Cloning the core clones the
     /// member too, so a durable checkpoint carries the seen-set and a crash
     /// restores it alongside the state.
     member: Member,
+    /// Whether the state carries no effect outside the seen-set: it lies
+    /// below the join of the deltas of the seen operations. Lost by
+    /// `ingest_local` (a delta without labels) and by a join that changed
+    /// the state with effects whose labels it did not merge (a gapped batch,
+    /// an uncovered payload); checkpointed and restored with the state.
+    covered: bool,
     clock: u64,
     /// Unacknowledged local mutations, ascending contiguous `seq`.
     buffer: Vec<Rc<DeltaEntry<D>>>,
@@ -214,6 +221,36 @@ struct DeltaCore<S, D> {
     /// spuriously trigger a resync), while a genuinely regressed ack after
     /// a peer's crash arrives in a *new* message and is honoured.
     ack_msg: Vec<u64>,
+}
+
+impl<S, D> Clone for DeltaCore<S, D> {
+    fn clone(&self) -> Self {
+        DeltaCore {
+            state: Rc::clone(&self.state),
+            member: self.member.clone(),
+            covered: self.covered,
+            clock: self.clock,
+            buffer: self.buffer.clone(),
+            next_seq: self.next_seq,
+            applied_upto: self.applied_upto.clone(),
+            acked: self.acked.clone(),
+            ack_msg: self.ack_msg.clone(),
+        }
+    }
+
+    // A checkpoint is taken on every invocation, reads included: reuse the
+    // target's seen-set, buffer and per-peer vectors instead of allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.state.clone_from(&source.state);
+        self.member.clone_from(&source.member);
+        self.covered = source.covered;
+        self.clock = source.clock;
+        self.buffer.clone_from(&source.buffer);
+        self.next_seq = source.next_seq;
+        self.applied_upto.clone_from(&source.applied_upto);
+        self.acked.clone_from(&source.acked);
+        self.ack_msg.clone_from(&source.ack_msg);
+    }
 }
 
 #[derive(Clone)]
@@ -252,6 +289,9 @@ pub enum DeltaPayload<S, D> {
 pub struct DeltaMessage<S, D> {
     origin: ReplicaId,
     seen: BitSet,
+    /// Whether the payload carries no effect outside `seen`: a batch that
+    /// folds no ingested entry, a resync of a covered state, a heartbeat.
+    covered: bool,
     clock: u64,
     /// The origin's `applied_upto` vector at send time — its acks, from
     /// which each receiver reads the entry about itself.
@@ -278,10 +318,27 @@ impl<S, D> DeltaMessage<S, D> {
         }
     }
 
+    /// The joined delta a batch carries; `None` for a resync or a
+    /// heartbeat.
+    pub fn delta(&self) -> Option<&D> {
+        match &self.payload {
+            DeltaPayload::Batch { delta, .. } => delta.as_ref(),
+            DeltaPayload::Resync { .. } => None,
+        }
+    }
+
     /// The label set `L` (Appendix D.2) the message conveys; empty once
     /// released.
     pub fn seen(&self) -> &BitSet {
         &self.seen
+    }
+
+    /// Whether the payload is *covered*: it carries no effect outside
+    /// [`DeltaMessage::seen`]. A covered message whose labels a replica has
+    /// all seen lies below that replica's state, so [`DeltaCluster::apply`]
+    /// drops its payload instead of joining it.
+    pub fn is_covered(&self) -> bool {
+        self.covered
     }
 }
 
@@ -378,6 +435,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                 let core = DeltaCore {
                     state: Rc::new(crdt.initial(n_replicas)),
                     member: Member::new(),
+                    covered: true,
                     clock: 0,
                     buffer: Vec::new(),
                     next_seq: 1,
@@ -490,7 +548,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             push_local(&self.crdt, &mut node.core, delta, seen);
         }
         debug_assert_clock_covers_state(&self.crdt, &node.core);
-        node.durable = node.core.clone();
+        node.durable.clone_from(&node.core);
         Some(Invoked { ret, op })
     }
 
@@ -509,13 +567,15 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     pub fn ingest_local(&mut self, r: ReplicaId, delta: C::Delta) {
         let node = &mut self.replicas[r.0 as usize];
         node.core.member.expect_up("ingest at", r);
-        // No history op backs an ingested delta, so it conveys no labels.
+        // No history op backs an ingested delta, so it conveys no labels,
+        // and the state now holds an effect outside its seen-set.
         push_local(&self.crdt, &mut node.core, delta, BitSet::new());
+        node.core.covered = false;
         // The delta was stamped elsewhere: keep the Lamport clock ahead of
         // whatever it carried, as a receive would.
         node.core.clock = node.core.clock.max(self.crdt.clock_floor(&node.core.state));
         debug_assert_clock_covers_state(&self.crdt, &node.core);
-        node.durable = node.core.clone();
+        node.durable.clone_from(&node.core);
     }
 
     // Garbage-collects replica `idx`'s buffer: entries every peer has
@@ -574,23 +634,26 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         {
             return self.resync(r);
         }
-        let (seen, payload) = if !core.buffer.is_empty() && oldest_needed <= newest {
+        let (seen, covered, payload) = if !core.buffer.is_empty() && oldest_needed <= newest {
             // Interval batching: one joined delta covering every entry
-            // from the oldest unacknowledged onwards, folded in place.
+            // from the oldest unacknowledged onwards, folded in place. An
+            // ingested entry (no labels) leaves the batch uncovered.
             let mut entries = core.buffer.iter().filter(|e| e.seq >= oldest_needed);
             let first = entries.next().expect("newest entry is unacknowledged");
             let mut joined = first.delta.clone();
             let mut seen = first.seen.clone();
+            let mut covered = !first.seen.is_empty();
             let (from, mut upto) = (first.seq, first.seq);
             for e in entries {
                 self.crdt.join_deltas_into(&mut joined, &e.delta);
                 seen.union_with(&e.seen);
+                covered &= !e.seen.is_empty();
                 upto = e.seq;
             }
             self.stats.batches += 1;
             obs::counter("runtime.delta.batches", 1);
             let delta = Some(joined);
-            (seen, DeltaPayload::Batch { from, upto, delta })
+            (seen, covered, DeltaPayload::Batch { from, upto, delta })
         } else {
             // Nothing unacknowledged: a heartbeat still carries the ack
             // vector, which is what lets *other* replicas garbage-collect.
@@ -602,9 +665,9 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
                 upto,
                 delta: None,
             };
-            (core.member.seen().clone(), heartbeat)
+            (core.member.seen().clone(), true, heartbeat)
         };
-        self.broadcast(r, seen, payload)
+        self.broadcast(r, seen, covered, payload)
     }
 
     /// Ships replica `r`'s whole state with its transitive label set and
@@ -624,23 +687,26 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
         self.stats.resyncs += 1;
         obs::counter("runtime.delta.resyncs", 1);
         let seen = core.member.seen().clone();
-        let upto = core.next_seq - 1;
+        let (upto, covered) = (core.next_seq - 1, core.covered);
         let state = Rc::clone(&core.state);
-        self.broadcast(r, seen, DeltaPayload::Resync { upto, state })
+        self.broadcast(r, seen, covered, DeltaPayload::Resync { upto, state })
     }
 
-    // Records a message from `r` conveying `seen`, stamped with the origin's
-    // clock and ack vector; returns its id.
+    // Records a message from `r` conveying `seen` (`covered`: nothing
+    // outside it), stamped with the origin's clock and ack vector; returns
+    // its id.
     fn broadcast(
         &mut self,
         r: ReplicaId,
         seen: BitSet,
+        covered: bool,
         payload: DeltaPayload<C::State, C::Delta>,
     ) -> usize {
         let core = &self.replicas[r.0 as usize].core;
         self.messages.push(DeltaMessage {
             origin: r,
             seen,
+            covered,
             clock: core.clock,
             acks: core.applied_upto.clone(),
             payload,
@@ -671,6 +737,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
             delta: None,
         };
         message.seen = BitSet::new();
+        message.covered = true;
     }
 
     /// The replica that sent message `msg`.
@@ -705,6 +772,11 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// batch that leaves a sequence gap is still joined (partial knowledge
     /// helps convergence) but does not advance the contiguous-prefix ack,
     /// which is what eventually forces the origin to retransmit or resync.
+    ///
+    /// A [covered](DeltaMessage::is_covered) message whose labels `r` has
+    /// all seen is dropped instead of joined: its acks, horizon and clock
+    /// are taken, its payload is not read. For a join-semilattice that is
+    /// the join's own outcome, at the cost of one seen-set subset test.
     ///
     /// Returns `true` if the message changed the replica's state.
     ///
@@ -799,7 +871,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// image a crash recovers to.
     pub fn persist(&mut self, r: ReplicaId) {
         let node = &mut self.replicas[r.0 as usize];
-        node.durable = node.core.clone();
+        node.durable.clone_from(&node.core);
     }
 
     /// Crashes replica `r`: volatile state is lost and the durable
@@ -809,7 +881,7 @@ impl<C: DeltaCrdt> DeltaCluster<C> {
     /// and repair with retransmission or a full-state resync.
     pub fn crash(&mut self, r: ReplicaId) {
         let node = &mut self.replicas[r.0 as usize];
-        node.core = node.durable.clone();
+        node.core.clone_from(&node.durable);
         node.core.member.crash();
         debug_assert_clock_covers_state(&self.crdt, &node.core);
     }
@@ -856,11 +928,11 @@ fn push_local<C: DeltaCrdt>(
 
 // Joins a payload into the node state in place with `join` (`name` is
 // `join_into` for a delta, `merge_into` for a resync), copying the state
-// first only if a checkpoint or snapshot still shares it. Every delivered
-// payload is joined: whether it adds anything is the join's business, never
-// tested here. The flag it returns decides `Applied` vs `Ignored` and
-// whether the clock floor is re-read, so debug builds hold it to its
-// definition.
+// first only if a checkpoint or snapshot still shares it. Whether the
+// payload adds anything is the join's business, never tested here by `leq`
+// or pointer equality (only the drop rule in front of it, on labels). The
+// flag it returns decides `Applied` vs `Ignored` and whether the clock floor
+// is re-read, so debug builds hold it to its definition.
 fn join_checked<S: Clone + PartialEq>(
     state: &mut Rc<S>,
     name: &str,
@@ -902,30 +974,50 @@ fn apply_message<C: DeltaCrdt>(
         core.ack_msg[o] = stamp;
         core.acked[o] = message.acks[idx];
     }
+    // The drop rule. Every replica state lies above the join of the deltas
+    // of its seen operations, and a covered payload below the join of the
+    // deltas of its labels, so when this replica has seen every label the
+    // join is a no-op: the payload is dropped (a loss App. D.2 allows), and
+    // the header's bookkeeping below stays as it is.
+    let joins = !(message.covered && message.seen.is_subset(core.member.seen()));
     let mut changed = false;
     match &message.payload {
         DeltaPayload::Resync { upto, state } => {
-            changed = join_checked(&mut core.state, "merge_into", |s| crdt.merge_into(s, state));
+            if joins {
+                changed =
+                    join_checked(&mut core.state, "merge_into", |s| crdt.merge_into(s, state));
+                core.member.merge_seen(&message.seen);
+                core.covered &= message.covered || !changed;
+            }
             core.applied_upto[o] = core.applied_upto[o].max(*upto);
-            core.member.merge_seen(&message.seen);
         }
-        DeltaPayload::Batch { from, upto, delta } => {
-            if let Some(delta) = delta {
+        DeltaPayload::Batch {
+            from,
+            upto,
+            delta: Some(delta),
+        } => {
+            // Contiguous: the batch closes every gap up to `upto`, so its
+            // label set is fully reflected. A gapped batch still joins
+            // (partial knowledge helps convergence) but merges no labels.
+            let contiguous = *from <= core.applied_upto[o] + 1;
+            if joins {
                 changed = join_checked(&mut core.state, "join_into", |s| crdt.join_into(s, delta));
-                if *from <= core.applied_upto[o] + 1 {
-                    // Contiguous: the batch closes every gap up to
-                    // `upto`, so its label set is fully reflected.
-                    core.applied_upto[o] = core.applied_upto[o].max(*upto);
+                if contiguous {
                     core.member.merge_seen(&message.seen);
                 }
+                core.covered &= !changed || (contiguous && message.covered);
+            }
+            if contiguous {
+                core.applied_upto[o] = core.applied_upto[o].max(*upto);
             }
         }
+        DeltaPayload::Batch { delta: None, .. } => {}
     }
     core.clock = core.clock.max(message.clock);
     if changed {
         core.clock = core.clock.max(crdt.clock_floor(&core.state));
+        debug_assert_clock_covers_state(crdt, core);
     }
-    debug_assert_clock_covers_state(crdt, core);
     changed
 }
 
@@ -1274,6 +1366,81 @@ mod tests {
         c.crash(r(0));
         c.restart(r(0));
         assert_eq!(c.state(r(0)), &(0..8).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn a_dropped_arrival_keeps_its_header_and_copies_nothing() {
+        let mut c = cluster(3);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let batch = c.gossip(r(0));
+        // r1 learns `1` through r2, which leaves its prefix of r0 at 0.
+        c.apply(r(2), batch);
+        let relay = c.resync(r(2));
+        assert!(c.apply(r(1), relay));
+        assert_eq!(c.replicas[1].core.applied_upto[0], 0);
+        // A read checkpoints: the state is shared with the durable image.
+        c.invoke(r(1), Call::Read).unwrap();
+        assert!(c.message(batch).is_covered());
+        assert!(!c.apply(r(1), batch));
+        let node = &c.replicas[1];
+        assert!(Rc::ptr_eq(&node.core.state, &node.durable.state), "copied");
+        // The payload is dropped, the header is not: the prefix moves.
+        assert_eq!(node.core.applied_upto[0], 1);
+    }
+
+    #[test]
+    fn an_ingested_delta_is_never_dropped() {
+        // `7` travels under no label, which every seen-set includes.
+        for resync in [false, true] {
+            let mut c = cluster(2);
+            c.ingest_local(r(0), vec![7]);
+            let m = if resync {
+                c.resync(r(0))
+            } else {
+                c.gossip(r(0))
+            };
+            assert!(!c.message(m).is_covered() && c.message(m).seen().is_empty());
+            assert!(c.apply(r(1), m));
+            assert_eq!(c.state(r(1)), &vec![7]);
+            // The receiver's state holds it now: its snapshots are uncovered.
+            let relay = c.resync(r(1));
+            assert!(!c.message(relay).is_covered());
+        }
+    }
+
+    #[test]
+    fn a_resync_after_a_gapped_batch_is_joined() {
+        let mut c = cluster(3);
+        c.invoke(r(0), Call::Add(1)).unwrap();
+        let first = c.gossip(r(0));
+        for q in [1, 2] {
+            c.apply(r(q), first);
+            let ack = c.gossip(r(q));
+            c.apply(r(0), ack);
+        }
+        c.invoke(r(0), Call::Add(2)).unwrap();
+        let second = c.gossip(r(0));
+        assert!(matches!(
+            c.message(second).payload,
+            DeltaPayload::Batch { from: 2, .. }
+        ));
+        // r1 forgets `1` and receives `2` with a gap: joined, labels not
+        // merged, so its state holds an effect outside its seen-set.
+        c.crash(r(1));
+        c.restart(r(1));
+        assert!(c.apply(r(1), second));
+        assert_eq!(c.state(r(1)), &vec![2]);
+        assert!(c.seen(r(1)).is_empty());
+        let relay = c.resync(r(1));
+        assert!(!c.message(relay).is_covered());
+        // r2 has seen every label of the relay (none) but not `2`.
+        assert!(c.apply(r(2), relay));
+        assert_eq!(c.state(r(2)), &vec![1, 2]);
+        // A crash restores the checkpoint's coverage with its state.
+        c.crash(r(1));
+        c.restart(r(1));
+        let restored = c.resync(r(1));
+        assert!(c.message(restored).is_covered());
     }
 
     // The debug-build checks behind "a receive re-reads `clock_floor` only

@@ -26,7 +26,7 @@ use ral_core::ids::ReplicaId;
 /// `seen` (origins insert at invoke time, receivers insert at delivery
 /// time). Transports therefore need no per-record `delivered` flags: a
 /// drain reads shared immutable records and writes only its own replica.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Member {
     seen: BitSet,
     /// First operation id *not* in `seen`: [`BitSet::prefix_len`], kept
@@ -114,6 +114,25 @@ impl Member {
     pub fn merge_seen(&mut self, other: &BitSet) {
         self.seen.union_with(other);
         self.frontier = self.seen.prefix_len();
+    }
+}
+
+impl Clone for Member {
+    #[inline]
+    fn clone(&self) -> Self {
+        Member {
+            seen: self.seen.clone(),
+            frontier: self.frontier,
+            up: self.up,
+        }
+    }
+
+    /// Reuses `self`'s seen-set buffer ([`BitSet`]'s `clone_from`).
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.seen.clone_from(&source.seen);
+        self.frontier = source.frontier;
+        self.up = source.up;
     }
 }
 

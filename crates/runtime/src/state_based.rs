@@ -86,10 +86,15 @@ pub trait StateBased {
 
     /// Joins `b` into `a` — afterwards `a` holds the least upper bound of the
     /// two states — and returns whether `a` changed. This is the **required**
-    /// form and the one every snapshot receive runs. A snapshot is a whole
-    /// state, so a join may walk both operands, but it should clone and
-    /// allocate only for what `b` adds to `a`: a snapshot that adds
-    /// nothing then costs comparisons and no allocation. The flag is load-bearing,
+    /// form and the one every joined snapshot receive runs. A snapshot is a
+    /// whole state, so a join may walk both operands, but it should clone and
+    /// allocate only for what `b` adds to `a`: a join that adds nothing then
+    /// costs comparisons and no allocation. The receive around it may still
+    /// copy: [`DeltaCluster`] copies a state that a checkpoint or a snapshot
+    /// shares before joining into it, so a joined snapshot that adds nothing
+    /// — an uncovered one, or one with a label the receiver has not seen —
+    /// pays that copy; a covered snapshot whose labels the receiver has all
+    /// seen is dropped without a join or a copy. The flag is load-bearing,
     /// like [`DeltaCrdt::join_into`](crate::delta::DeltaCrdt::join_into)'s: a receive re-reads
     /// [`StateBased::clock_floor`] only when it is set, and debug builds of
     /// [`DeltaCluster`] check it against a before/after comparison. The

@@ -1,20 +1,23 @@
 //! The cost contract of the lattice delivery core, in deterministic counts:
-//! a receive costs what the message changes, a snapshot, a resync, a
+//! a receive costs what the message changes, a covered arrival whose labels
+//! the receiver has seen costs nothing at all, a snapshot, a resync, a
 //! write-ahead checkpoint and a read cost nothing, and a replica state is
 //! copied once per write-after-share — never per send, per invoke and per
 //! receive.
 //!
 //! The element type counts its own clones, so most numbers below are counts
-//! of element copies, not times; one test counts `clock_floor` scans
-//! instead, and three count heap allocations (this binary installs a
+//! of element copies, not times; two tests count `clock_floor` scans
+//! instead, and five count heap allocations (this binary installs a
 //! per-thread counting `#[global_allocator]`): a shared state is copied in
-//! one block per pair set, and a join that adds nothing allocates nothing.
+//! one block per pair set, a join that adds nothing allocates nothing, and
+//! neither does a dropped arrival or a warm checkpoint.
 //! Debug builds of [`DeltaCluster`] additionally copy the state
-//! once per receive to check the flag `join_into` / `merge_into` returns,
-//! and read the clock floor once per state write to check the Lamport
-//! clock against it (`debug_assert`s, see `ral_runtime::delta`); the tests
-//! that go through a receive add those explicitly, the way
-//! `tests/search_cost.rs` subtracts the debug replay.
+//! once per merged receive to check the flag `join_into` / `merge_into`
+//! returns, and read the clock floor once per state write to check the
+//! Lamport clock against it (`debug_assert`s, see `ral_runtime::delta`); the
+//! tests that go through a merged receive add those explicitly, the way
+//! `tests/search_cost.rs` subtracts the debug replay. A dropped arrival
+//! makes neither.
 //!
 //! The last section holds the op-based delivery core's holdback to its
 //! contract in `ral-obs` counts: a receive costs what it releases, not
@@ -188,10 +191,12 @@ fn a_one_pair_delta_costs_one_clone_and_its_duplicate_none() {
     let (clones, changed) = clones_during(|| c.apply(r(1), second));
     assert!(changed);
     assert_eq!(clones, 1 + check, "one new pair into 257: one clone");
-    let check = debug_flag_check(c.state(r(1)));
     let (clones, changed) = clones_during(|| c.apply(r(1), second));
     assert!(!changed);
-    assert_eq!(clones, check, "a duplicate delivery clones nothing");
+    assert_eq!(
+        clones, 0,
+        "a duplicate delivery is dropped: no clone, debug or not"
+    );
 }
 
 #[test]
@@ -223,9 +228,8 @@ fn a_snapshot_is_free_and_the_state_is_copied_once_per_write_after_share() {
         1 + check,
         "second write: the state is this replica's alone"
     );
-    let check = debug_flag_check(c.state(r(0)));
     let (clones, _) = clones_during(|| c.apply(r(0), second));
-    assert_eq!(clones, check);
+    assert_eq!(clones, 0, "a duplicate snapshot is dropped, debug or not");
     // The snapshots taken before the writes still hold what they held.
     assert_eq!(c.message(0).state().map(pairs), Some(20));
     assert_eq!(pairs(c.state(r(0))), 22);
@@ -437,11 +441,61 @@ fn a_stale_or_duplicate_snapshot_never_scans_the_clock_floor() {
     for (m, what) in [(new, "duplicate"), (old, "stale")] {
         let (scans, _) = floor_scans_during(|| c.apply(r(1), m));
         assert_eq!(
-            scans,
-            debug_clock_check(),
-            "a {what} snapshot changes nothing and scans nothing"
+            scans, 0,
+            "a {what} snapshot is dropped and scans nothing, debug or not"
         );
     }
+}
+
+#[test]
+fn a_covered_arrival_whose_labels_are_seen_costs_nothing() {
+    let mut c = DeltaCluster::new(Floors(Lww::new()), DeltaConfig::default(), 2);
+    for x in 0..20 {
+        c.invoke(r(0), LwwSetCall::Add(Counted(x))).unwrap();
+    }
+    let batch = c.gossip(r(0));
+    let snapshot = c.resync(r(0));
+    assert!(c.apply(r(1), snapshot));
+    // r1's state is shared with its checkpoint (a read writes one) and
+    // with an unreleased snapshot of its own.
+    c.invoke(r(1), LwwSetCall::Read).unwrap();
+    let own = c.resync(r(1));
+    let state: *const LwwSetState<Counted> = c.state(r(1));
+    for m in [snapshot, batch, snapshot] {
+        assert!(c.message(m).is_covered());
+        let (scans, (clones, (allocs, changed))) =
+            floor_scans_during(|| clones_during(|| allocs_during(|| c.apply(r(1), m))));
+        assert!(!changed);
+        assert_eq!(
+            (clones, allocs, scans),
+            (0, 0, 0),
+            "element clones, allocations and floor scans of a dropped arrival"
+        );
+        assert!(
+            std::ptr::eq(state, c.state(r(1))),
+            "the shared state was copied"
+        );
+    }
+    assert_eq!(c.message(own).state().map(pairs), Some(20));
+}
+
+#[test]
+fn a_warm_write_ahead_checkpoint_allocates_nothing() {
+    let mut c = DeltaCluster::new(Lww::new(), DeltaConfig::default(), 2);
+    for x in 0..100 {
+        c.invoke(r(0), LwwSetCall::Add(Counted(x))).unwrap();
+    }
+    // Every invocation checkpoints; so does `persist`, and a crash restores
+    // the checkpoint. Into warm buffers, none of them allocates: the
+    // seen-set, the buffer and the per-peer vectors are refilled in place.
+    let (allocs, ()) = allocs_during(|| c.persist(r(0)));
+    assert_eq!(allocs, 0, "a warm checkpoint allocated");
+    let (allocs, ()) = allocs_during(|| {
+        c.crash(r(0));
+        c.restart(r(0));
+    });
+    assert_eq!(allocs, 0, "a crash into warm buffers allocated");
+    assert_eq!((c.buffered(r(0)), pairs(c.state(r(0)))), (100, 100));
 }
 
 // ---------------------------------------------------------------------------

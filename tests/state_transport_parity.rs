@@ -24,12 +24,21 @@
 //! Both cover the four state types and the non-idempotent `SummingCounter`,
 //! the one type on which merging a state into itself is visible.
 //!
-//! The façade differs in one place: it never merges a replica's own
+//! The façade differs in two places. It never merges a replica's own
 //! snapshot into itself, because `DeltaCluster::apply` skips origin =
 //! receiver. The simulator never routes a message to its origin, and the
 //! schedules below withhold that delivery from the oracle, so the one
 //! place it shows is the final sync (the oracle's `sync_all`, the façade's
-//! `resync_round`) — see [`final_sync_both`].
+//! `resync_round`) — see [`final_sync_both`]. And it drops a snapshot
+//! whose labels the receiver has all seen (the drop rule, docs/RUNTIME.md),
+//! where the oracle merges every arrival. For a lattice the dropped merge
+//! is a no-op, so the four lattice legs hold every state equal
+//! ([`Relation::equal`]). For `SummingCounter` a merge adds the snapshot's
+//! count, never negative, so a dropped arrival only leaves out an addend:
+//! its legs hold every façade state, snapshot state and return value at or
+//! below the oracle's ([`summing_below`]), and everything else — histories,
+//! seen-sets, message ids, origins, label sets and sizes, liveness,
+//! `SimStats` — equal, as for the lattices.
 
 use ral_analyze::fixtures::{SumCall, SummingCounter};
 use ral_core::ids::ReplicaId;
@@ -45,6 +54,7 @@ use ral_sim::scenario::{self, Scenario};
 use ral_sim::sim;
 use ral_sim::time::SimTime;
 use ral_verify::workloads;
+use std::fmt;
 
 /// The full-state cluster as it stood before the façade, verbatim but for
 /// its rustdoc example and the lines marked below.
@@ -375,6 +385,53 @@ mod oracle {
     }
 }
 
+/// How a façade value must relate to the oracle's: replica states and
+/// snapshot states by `state`, return values by `ret`.
+struct Relation<C: StateBased> {
+    /// The relation's symbol, for failure messages.
+    name: &'static str,
+    state: fn(&C::State, &C::State) -> bool,
+    ret: fn(&C::Ret, &C::Ret) -> bool,
+}
+
+impl<C: StateBased> Relation<C> {
+    /// Equality, for the four lattices.
+    fn equal() -> Self {
+        Relation {
+            name: "==",
+            state: |f, o| f == o,
+            ret: |f, o| f == o,
+        }
+    }
+
+    fn states(&self, facade: &C::State, oracle: &C::State, what: fmt::Arguments) {
+        assert!(
+            (self.state)(facade, oracle),
+            "{what}: façade {facade:?} !{} oracle {oracle:?}",
+            self.name
+        );
+    }
+
+    /// Both invocations answer alike: both refused, or the same operation
+    /// id with related return values.
+    fn invoked(
+        &self,
+        facade: Option<(C::Ret, usize)>,
+        oracle: Option<(C::Ret, usize)>,
+        what: fmt::Arguments,
+    ) {
+        match (facade, oracle) {
+            (None, None) => {}
+            (Some((f, fop)), Some((o, oop))) if fop == oop => assert!(
+                (self.ret)(&f, &o),
+                "{what}: façade returned {f:?} !{} oracle's {o:?}",
+                self.name
+            ),
+            (f, o) => panic!("{what}: façade {f:?}, oracle {o:?}"),
+        }
+    }
+}
+
 /// A workload: the next call at a replica, given its state.
 trait Calls<C: StateBased>: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call> {}
 impl<C: StateBased, F: FnMut(&mut Rng, ReplicaId, &C::State) -> Option<C::Call>> Calls<C> for F {}
@@ -383,21 +440,28 @@ fn replicas(n: usize) -> impl Iterator<Item = ReplicaId> {
     (0..n as u32).map(ReplicaId)
 }
 
-/// Replica `r` agrees: liveness, state and seen-set.
+/// Replica `r` agrees: liveness, state (under `rel`) and seen-set.
 fn assert_replica_agrees<C: DeltaCrdt>(
+    rel: &Relation<C>,
     facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     r: ReplicaId,
     at: &str,
 ) {
     assert_eq!(facade.is_up(r), oracle.is_up(r), "{at}: liveness of {r}");
-    assert_eq!(facade.state(r), oracle.state(r), "{at}: state of {r}");
+    rel.states(
+        facade.state(r),
+        oracle.state(r),
+        format_args!("{at}: state of {r}"),
+    );
     assert_eq!(facade.seen(r), oracle.seen(r), "{at}: seen-set of {r}");
 }
 
-/// Message `m` agrees: origin, label set, and state — the oracle's ⊥ where
-/// the façade's released snapshot became the delta heartbeat.
+/// Message `m` agrees: origin, label set, and state (under `rel`) — the
+/// oracle's ⊥ where the façade's released snapshot became the delta
+/// heartbeat.
 fn assert_message_agrees<C: DeltaCrdt>(
+    rel: &Relation<C>,
     facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     m: usize,
@@ -414,7 +478,11 @@ fn assert_message_agrees<C: DeltaCrdt>(
         "{at}: label set of {m}"
     );
     match facade.message(m).state() {
-        Some(state) => assert_eq!(state, oracle.message_state(m), "{at}: state of {m}"),
+        Some(state) => rel.states(
+            state,
+            oracle.message_state(m),
+            format_args!("{at}: state of {m}"),
+        ),
         None => {
             assert!(facade.message(m).is_heartbeat(), "{at}: {m} is neither");
             let bottom = oracle.crdt().initial(oracle.n_replicas());
@@ -426,13 +494,14 @@ fn assert_message_agrees<C: DeltaCrdt>(
 /// Everything agrees: every replica, every message, and the history's
 /// `Debug` bytes.
 fn assert_agree<C: DeltaCrdt>(
+    rel: &Relation<C>,
     facade: &DeltaCluster<C>,
     oracle: &oracle::StateCluster<C>,
     at: &str,
 ) {
     assert_eq!(facade.n_replicas(), oracle.n_replicas());
     for r in replicas(facade.n_replicas()) {
-        assert_replica_agrees(facade, oracle, r, at);
+        assert_replica_agrees(rel, facade, oracle, r, at);
     }
     assert_eq!(
         facade.n_messages(),
@@ -440,7 +509,7 @@ fn assert_agree<C: DeltaCrdt>(
         "{at}: message count"
     );
     for m in 0..facade.n_messages() {
-        assert_message_agrees(facade, oracle, m, at);
+        assert_message_agrees(rel, facade, oracle, m, at);
     }
     assert_eq!(
         format!("{:?}", facade.history()),
@@ -458,22 +527,29 @@ fn assert_agree<C: DeltaCrdt>(
 /// lattice (`merge` is idempotent), so there the states stay equal — but
 /// `SummingCounter`'s merge is addition, so the oracle's `sync_all` *sums*
 /// each replica's own pre-sync state in once more. Both cases are one
-/// statement: the oracle ends at `merge(façade state, own pre-sync state)`.
-/// Seen-sets, histories and the round's messages agree either way.
+/// statement: the oracle ends at `merge(façade state, own pre-sync state)`
+/// — under `rel`, as the round's dropped snapshots make `SummingCounter`'s
+/// façade sum fewer addends. Seen-sets, histories and the round's messages
+/// agree either way.
 fn final_sync_both<C: DeltaCrdt>(
+    rel: &Relation<C>,
     facade: &mut DeltaCluster<C>,
     oracle: &mut oracle::StateCluster<C>,
 ) {
     facade.restart_all();
     oracle.restart_all();
-    assert_agree(facade, oracle, "before the final sync");
+    assert_agree(rel, facade, oracle, "before the final sync");
     let n = facade.n_replicas();
     let pre: Vec<C::State> = replicas(n).map(|r| facade.state(r).clone()).collect();
     facade.resync_round();
     oracle.sync_all();
     for (r, own) in replicas(n).zip(&pre) {
         let expected = facade.crdt().merge(facade.state(r), own);
-        assert_eq!(oracle.state(r), &expected, "final sync: state of {r}");
+        rel.states(
+            &expected,
+            oracle.state(r),
+            format_args!("final sync: state of {r}"),
+        );
         assert_eq!(
             facade.seen(r),
             oracle.seen(r),
@@ -481,7 +557,7 @@ fn final_sync_both<C: DeltaCrdt>(
         );
     }
     for m in 0..facade.n_messages() {
-        assert_message_agrees(facade, oracle, m, "final sync");
+        assert_message_agrees(rel, facade, oracle, m, "final sync");
     }
 }
 
@@ -491,13 +567,14 @@ fn final_sync_both<C: DeltaCrdt>(
 
 /// Hands every engine call to both clusters, the way `StateDriver` hands it
 /// to one, and requires both to answer alike.
-struct Lockstep<C: DeltaCrdt, G> {
+struct Lockstep<'a, C: DeltaCrdt, G> {
+    rel: &'a Relation<C>,
     facade: DeltaCluster<C>,
     oracle: oracle::StateCluster<C>,
     calls: G,
 }
 
-impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
+impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<'_, C, G> {
     const RELIABLE: bool = false;
     const GOSSIPS: bool = true;
 
@@ -512,15 +589,17 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
         };
         let facade = self.facade.invoke(r, call.clone()).map(|i| (i.ret, i.op));
         let oracle = self.oracle.invoke(r, call).map(|i| (i.ret, i.op));
-        assert_eq!(facade, oracle, "invoke at {r}");
-        assert_replica_agrees(&self.facade, &self.oracle, r, "invoke");
-        facade.is_some()
+        let invoked = facade.is_some();
+        self.rel
+            .invoked(facade, oracle, format_args!("invoke at {r}"));
+        assert_replica_agrees(self.rel, &self.facade, &self.oracle, r, "invoke");
+        invoked
     }
 
     fn gossip(&mut self, r: ReplicaId) -> bool {
         let m = self.facade.resync(r);
         assert_eq!(m, self.oracle.send(r), "message id");
-        assert_message_agrees(&self.facade, &self.oracle, m, "send");
+        assert_message_agrees(self.rel, &self.facade, &self.oracle, m, "send");
         true
     }
 
@@ -558,7 +637,7 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
     fn release(&mut self, m: usize) {
         self.facade.release(m);
         self.oracle.release(m);
-        assert_message_agrees(&self.facade, &self.oracle, m, "release");
+        assert_message_agrees(self.rel, &self.facade, &self.oracle, m, "release");
     }
 
     fn is_up(&self, r: ReplicaId) -> bool {
@@ -569,17 +648,17 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
     fn crash(&mut self, r: ReplicaId) {
         self.facade.crash(r);
         self.oracle.crash(r);
-        assert_replica_agrees(&self.facade, &self.oracle, r, "crash");
+        assert_replica_agrees(self.rel, &self.facade, &self.oracle, r, "crash");
     }
 
     fn restart(&mut self, r: ReplicaId) {
         self.facade.restart(r);
         self.oracle.restart(r);
-        assert_replica_agrees(&self.facade, &self.oracle, r, "restart");
+        assert_replica_agrees(self.rel, &self.facade, &self.oracle, r, "restart");
     }
 
     fn final_sync(&mut self) {
-        final_sync_both(&mut self.facade, &mut self.oracle);
+        final_sync_both(self.rel, &mut self.facade, &mut self.oracle);
     }
 
     fn converged(&self) -> bool {
@@ -589,13 +668,14 @@ impl<C: DeltaCrdt + Clone, G: Calls<C>> Driver for Lockstep<C, G> {
 
 /// One corpus scenario and seed in lockstep, then the same seed through a
 /// plain `StateDriver`, which must reproduce the lockstep run exactly.
-fn corpus_run<C, G>(crdt: C, sc: &Scenario, seed: u64, mk_calls: impl Fn() -> G)
+fn corpus_run<C, G>(rel: &Relation<C>, crdt: C, sc: &Scenario, seed: u64, mk_calls: impl Fn() -> G)
 where
     C: DeltaCrdt + Clone + 'static,
     G: Calls<C>,
 {
     let n = sc.cfg.n_replicas;
     let mut lockstep = Lockstep {
+        rel,
         facade: DeltaCluster::new(crdt.clone(), DeltaConfig::default(), n),
         oracle: oracle::StateCluster::new(crdt.clone(), n),
         calls: mk_calls(),
@@ -634,11 +714,24 @@ where
     assert!(run.stats.payload_bytes > 0, "{at}: sized");
 }
 
+/// Every corpus scenario at seeds 0 and 1, every state equal.
+fn across_the_corpus<C, G>(crdt: C, ticks: Option<u64>, mk_calls: impl Fn() -> G)
+where
+    C: DeltaCrdt + Clone + 'static,
+    G: Calls<C>,
+{
+    across_the_corpus_under(&Relation::equal(), crdt, ticks, mk_calls);
+}
+
 /// Every corpus scenario at seeds 0 and 1 — `multi_mix` at seed 0 only, as
 /// one of its runs (50 replicas gossiping whole states for 1 200 ticks) costs
 /// as much as all other scenarios together — each cut to `ticks` if given.
-fn across_the_corpus<C, G>(crdt: C, ticks: Option<u64>, mk_calls: impl Fn() -> G)
-where
+fn across_the_corpus_under<C, G>(
+    rel: &Relation<C>,
+    crdt: C,
+    ticks: Option<u64>,
+    mk_calls: impl Fn() -> G,
+) where
     C: DeltaCrdt + Clone + 'static,
     G: Calls<C>,
 {
@@ -648,7 +741,7 @@ where
         }
         let seeds = if sc.name == "multi_mix" { 0..1 } else { 0..2 };
         for seed in seeds {
-            corpus_run(crdt.clone(), &sc, seed, &mk_calls);
+            corpus_run(rel, crdt.clone(), &sc, seed, &mk_calls);
         }
     }
 }
@@ -682,12 +775,26 @@ fn two_phase_set_sim_runs_match_the_oracle() {
     });
 }
 
+/// `SummingCounter`'s relation: every façade state, snapshot state and
+/// return value (the count after the increment) at or below the oracle's.
+/// A merge here adds a count that is never negative, and the façade merges
+/// a subset of the oracle's arrivals (it drops those whose labels the
+/// receiver has seen), so by induction over the run it sums a subset of
+/// the oracle's addends, each no larger.
+fn summing_below() -> Relation<SummingCounter> {
+    Relation {
+        name: "<=",
+        state: |f, o| f <= o,
+        ret: |f, o| f <= o,
+    }
+}
+
 #[test]
 fn summing_counter_sim_runs_match_the_oracle() {
     // Every arrival adds the sender's whole count, so counts grow by about
     // the replica count per gossip round: 120 ticks (some five rounds) keep
     // even `gossip_50` inside `i64`.
-    across_the_corpus(SummingCounter, Some(120), || {
+    across_the_corpus_under(&summing_below(), SummingCounter, Some(120), || {
         |_: &mut Rng, _, _: &_| Some(SumCall::Inc)
     });
 }
@@ -702,7 +809,12 @@ const REPLICAS: usize = 3;
 /// message (duplicates and reordering included) — plus crash, restart,
 /// persist and release, on both clusters from one stream, everything
 /// compared after every step; then the final sync.
-fn schedule_in_lockstep<C: DeltaCrdt + Clone>(crdt: &C, rng: &mut Rng, calls: &mut impl Calls<C>) {
+fn schedule_in_lockstep<C: DeltaCrdt + Clone>(
+    rel: &Relation<C>,
+    crdt: &C,
+    rng: &mut Rng,
+    calls: &mut impl Calls<C>,
+) {
     let mut facade = DeltaCluster::new(crdt.clone(), DeltaConfig::default(), REPLICAS);
     let mut oracle = oracle::StateCluster::new(crdt.clone(), REPLICAS);
     for step in 0..rng.random_range(20..80usize) {
@@ -716,7 +828,7 @@ fn schedule_in_lockstep<C: DeltaCrdt + Clone>(crdt: &C, rng: &mut Rng, calls: &m
             if let Some(call) = calls(rng, r, facade.state(r)) {
                 let f = facade.invoke(r, call.clone()).map(|i| (i.ret, i.op));
                 let o = oracle.invoke(r, call).map(|i| (i.ret, i.op));
-                assert_eq!(f, o, "step {step}: invoke at {r}");
+                rel.invoked(f, o, format_args!("step {step}: invoke at {r}"));
             }
         } else if action < 7 || facade.n_messages() == 0 {
             assert_eq!(facade.resync(r), oracle.send(r));
@@ -742,14 +854,23 @@ fn schedule_in_lockstep<C: DeltaCrdt + Clone>(crdt: &C, rng: &mut Rng, calls: &m
             facade.release(m);
             oracle.release(m);
         }
-        assert_agree(&facade, &oracle, &format!("step {step}"));
+        assert_agree(rel, &facade, &oracle, &format!("step {step}"));
     }
-    final_sync_both(&mut facade, &mut oracle);
+    final_sync_both(rel, &mut facade, &mut oracle);
 }
 
 fn schedules<C: DeltaCrdt + Clone, G: Calls<C>>(label: &str, crdt: C, mk_calls: impl Fn() -> G) {
+    schedules_under(&Relation::equal(), label, crdt, mk_calls);
+}
+
+fn schedules_under<C: DeltaCrdt + Clone, G: Calls<C>>(
+    rel: &Relation<C>,
+    label: &str,
+    crdt: C,
+    mk_calls: impl Fn() -> G,
+) {
     run_seeded_cases(label, 64, |_, rng| {
-        schedule_in_lockstep(&crdt, rng, &mut mk_calls());
+        schedule_in_lockstep(rel, &crdt, rng, &mut mk_calls());
     });
 }
 
@@ -768,7 +889,10 @@ fn schedules_with_faults_match_the_oracle() {
         let mut next = 0u16;
         move |rng: &mut Rng, _, st: &_| workloads::two_phase_set(rng, st, &mut next)
     });
-    schedules("parity_summing_counter", SummingCounter, || {
-        |_: &mut Rng, _, _: &_| Some(SumCall::Inc)
-    });
+    schedules_under(
+        &summing_below(),
+        "parity_summing_counter",
+        SummingCounter,
+        || |_: &mut Rng, _, _: &_| Some(SumCall::Inc),
+    );
 }
